@@ -4,12 +4,13 @@ Usage (from the repository root):
     python3 perfbench/run.py --workload verify-rep --seed 1 --seconds 25 --trace 0
 
 One closed-loop client runs the workload's CLI calls one after another, each
-as a fresh ``python3 -m rootcover.cli`` subprocess on ./src, and repeats the
-pass while another pass fits in --seconds.  Every output is checked (see
-workloads.py).  The last stdout line is one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
---trace 0, the per-layer metrics of a traced in-process run with --trace 1.
-Earlier lines give the per-call detail by name.  See README.md.
+as a fresh ``python3 -m rootcover.cli`` subprocess on ./src: one whole pass,
+then the calls again in pass order while each still fits in --seconds.  Every
+output is checked (see workloads.py).  The last stdout line is one JSON
+object with ``correct``, ``attempted``, ``failed`` and ``metrics``: the
+end-to-end metrics with --trace 0, the per-layer metrics of a traced
+in-process run with --trace 1.  Earlier lines give the per-call detail by
+name.  See README.md.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ sys.path.insert(0, HERE)
 
 import workloads  # noqa: E402
 
-SETUP_LAUNCHES = 7
+SETUP_LAUNCHES = 11
 # Median time of reference_s() on the baseline machine (see README.md).
 REFERENCE_NOMINAL_S = 0.125
 REFERENCE_EVERY_S = 2.0
@@ -73,25 +74,6 @@ def run_cli(argv: List[str], env: Dict[str, str]) -> Tuple[dict, bytes]:
     except ValueError:
         raise BenchError("launcher failed: "
                          + proc.stderr.decode(errors="replace")[-300:]) from None
-
-
-def measure_setup(env: Dict[str, str], src: str) -> float:
-    """Median wall time of a fresh interpreter importing rootcover.cli."""
-    code = "import rootcover.cli, sys; sys.stdout.write(rootcover.cli.__file__)"
-    times = []
-    for i in range(SETUP_LAUNCHES + 1):        # the first launch warms caches
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              check=False)
-        dt = time.perf_counter() - t0
-        where = os.path.realpath(proc.stdout.decode(errors="replace"))
-        if proc.returncode != 0 or not where.startswith(os.path.realpath(src) + os.sep):
-            raise BenchError("cannot import rootcover.cli from ./src: "
-                             + proc.stderr.decode(errors="replace")[-300:])
-        if i:
-            times.append(dt)
-    return statistics.median(times)
 
 
 def reference_s() -> float:
@@ -142,6 +124,30 @@ class Speed:
         return speed_factor(before, after)
 
 
+def measure_setup(env: Dict[str, str], src: str) -> float:
+    """Median wall time of a fresh interpreter importing rootcover.cli, each
+    launch speed-adjusted by reference samples taken just before and after it."""
+    code = "import rootcover.cli, sys; sys.stdout.write(rootcover.cli.__file__)"
+    speed = Speed()
+    times = []
+    for i in range(SETUP_LAUNCHES + 1):        # the first launch warms caches
+        if i:
+            speed.sample(force=True)
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              check=False)
+        dt = time.perf_counter() - t0
+        where = os.path.realpath(proc.stdout.decode(errors="replace"))
+        if proc.returncode != 0 or not where.startswith(os.path.realpath(src) + os.sep):
+            raise BenchError("cannot import rootcover.cli from ./src: "
+                             + proc.stderr.decode(errors="replace")[-300:])
+        if i:
+            times.append((t0, dt))
+    speed.sample(force=True)
+    return statistics.median(dt * speed.factor(t0, t0 + dt) for t0, dt in times)
+
+
 @dataclass
 class CallTime:
     kind: str
@@ -178,41 +184,41 @@ class Tally:
 
 def timed_run(wl: workloads.Workload, env: Dict[str, str], seconds: float,
               tally: Tally) -> Tuple[Dict[str, float], Dict[str, List[float]]]:
-    """Passes of the workload's calls while one more pass fits in ``seconds``.
+    """The workload's calls in pass order, over and over: one whole pass,
+    then each further call while its last time says it ends within
+    ``seconds``.
 
     Returns the end-to-end metrics and, per call kind, the raw and the
-    speed-adjusted wall times."""
+    speed-adjusted wall times.  Pass metrics use whole passes only."""
     speed = Speed()
-    passes: List[List[CallTime]] = []
+    times: List[CallTime] = []
+    n = len(wl.calls)
     start = time.perf_counter()
-    while True:
-        times = []
-        for call in wl.calls:
-            speed.sample()
-            t0 = time.perf_counter()
-            rep, out = run_cli(call.argv, env)
-            tally.check(call, rep["code"], out, "untraced")
-            times.append(CallTime(call.kind, t0, rep["wall"], rep["cpu"],
-                                  rep["maxrss_mb"]))
-        speed.sample(force=True)
-        passes.append(times)
-        elapsed = time.perf_counter() - start
-        if elapsed + elapsed / len(passes) > seconds:
-            break
+    while len(times) < n or (time.perf_counter() - start + times[-n].wall
+                             <= seconds):
+        call = wl.calls[len(times) % n]
+        speed.sample()
+        t0 = time.perf_counter()
+        rep, out = run_cli(call.argv, env)
+        tally.check(call, rep["code"], out, "untraced")
+        times.append(CallTime(call.kind, t0, rep["wall"], rep["cpu"],
+                              rep["maxrss_mb"]))
+    speed.sample(force=True)
+    adj = [speed.factor(c.start, c.start + c.wall) for c in times]
     samples: Dict[str, List[float]] = defaultdict(list)
+    for c, f in zip(times, adj):
+        samples[c.kind].append(c.wall)
+        samples[c.kind + " adj"].append(c.wall * f)
     pass_wall, pass_adj, pass_cpu_adj = [], [], []
-    for times in passes:
-        adj = [speed.factor(c.start, c.start + c.wall) for c in times]
-        for c, f in zip(times, adj):
-            samples[c.kind].append(c.wall)
-            samples[c.kind + " adj"].append(c.wall * f)
-        pass_wall.append(sum(c.wall for c in times))
-        pass_adj.append(sum(c.wall * f for c, f in zip(times, adj)))
-        pass_cpu_adj.append(sum(c.cpu * f for c, f in zip(times, adj)))
+    for k in range(0, len(times) - n + 1, n):
+        pt, pf = times[k:k + n], adj[k:k + n]
+        pass_wall.append(sum(c.wall for c in pt))
+        pass_adj.append(sum(c.wall * f for c, f in zip(pt, pf)))
+        pass_cpu_adj.append(sum(c.cpu * f for c, f in zip(pt, pf)))
     metrics = {
         "wall_adj_s": statistics.median(pass_adj),
         "cpu_adj_s": statistics.median(pass_cpu_adj),
-        "peak_rss_mb": max(c.rss_mb for times in passes for c in times),
+        "peak_rss_mb": max(c.rss_mb for c in times),
         "main_call_adj_s": statistics.median(samples[wl.main + " adj"]),
         "second_call_adj_s": statistics.median(samples[wl.second + " adj"]),
     }
@@ -275,22 +281,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     env = child_env(src)
     wl = workloads.make_workload(args.workload, args.seed)
     try:
-        before = reference_s()
         setup_s = measure_setup(env, src)
-        setup_factor = speed_factor(before, reference_s())
         prepare(wl)
         tally = Tally()
         if args.trace:
             # one untraced pass for the overhead base, then the traced pass
-            _, samples = timed_run(wl, env, 0.0, tally)
+            untraced, samples = timed_run(wl, env, 0.0, tally)
+            before = reference_s()
             report = traced_run(wl, env, tally)
+            traced = report["traced_wall_s"] * speed_factor(before, reference_s())
             metrics = dict(report["metrics"])
-            untraced = samples["wall"][0] - len(wl.calls) * setup_s
-            metrics["trace.overhead_s"] = report["traced_wall_s"] - untraced
+            metrics["trace.overhead_s"] = traced - (untraced["wall_adj_s"]
+                                                    - len(wl.calls) * setup_s)
             units = {name: layer_unit(name) for name in metrics}
         else:
             metrics, samples = timed_run(wl, env, args.seconds, tally)
-            metrics["setup_s"] = setup_s * setup_factor
+            metrics["setup_s"] = setup_s
             units = END_TO_END
     except BenchError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Self-test of the benchmark (run from the repository root, about 2 minutes):
 
-    python3 perfbench/selftest.py [--seed N]
+    python3 perfbench/selftest.py
 
 1. Two traced runs of every workload give identical counts (every per-layer
    metric that is not a time), and every traced output passes the output
@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -27,9 +26,11 @@ sys.path.insert(0, HERE)
 import run  # noqa: E402
 import workloads  # noqa: E402
 
+SEED = 1
 
-def traced_counts(name: str, seed: int, env) -> dict:
-    wl = workloads.make_workload(name, seed)
+
+def traced_counts(name: str, env) -> dict:
+    wl = workloads.make_workload(name, SEED)
     run.prepare(wl)
     tally = run.Tally()
     report = run.traced_run(wl, env, tally)
@@ -66,15 +67,12 @@ def check_bare_directory() -> None:
 
 
 def main() -> int:
-    p = argparse.ArgumentParser(description="benchmark self-test")
-    p.add_argument("--seed", type=int, default=1)
-    args = p.parse_args()
     src = os.path.join(os.getcwd(), "src")
     sys.path.insert(0, src)
     env = run.child_env(src)
     for name in workloads.WORKLOADS:
-        first = traced_counts(name, args.seed, env)
-        second = traced_counts(name, args.seed, env)
+        first = traced_counts(name, env)
+        second = traced_counts(name, env)
         diff = {k: (first[k], second[k]) for k in first if first[k] != second[k]}
         if diff:
             raise AssertionError(f"{name}: counts differ between traced runs: {diff}")
