@@ -30,13 +30,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import __version__
 from .extension import Cocycle, build_extension
 from .f2 import count_refinements_by_arf
-from .heisrep import HeisRep, build_heisrep, verify_rep
+from .heisrep import HeisRep, RepError, build_heisrep, verify_rep
 from .lattice import (DelPezzoPicard, RootDatum, bitangent_complement,
                       classify_involutions, delpezzo_k_perp,
                       discriminant_group, lines, lines_meeting, mod2_space,
                       root_datum, weyl_enumerate)
-from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution, RMap,
-                     build_R, build_lie, build_theta, fixed_subalgebra,
+from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution, LieError,
+                     RMap, build_R, build_lie, build_theta, fixed_subalgebra,
                      identify_fixed, killing_form, verify_R, verify_jacobi)
 from .grouplift import (anticommutation_model_holds, phi_of_root,
                         verify_comm_relation)
@@ -339,6 +339,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg.depth = args.depth or default_depth
             cfg.seed = args.seed if args.seed is not None else (
                 0 if cfg.depth == "sampled" else None)
+            if args.samples < 1:
+                raise ValueError("--samples must be at least 1")
             cfg.samples = args.samples
             return cmd_verify(cfg)
         if args.command == "table":
@@ -351,6 +353,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg.params = _parse_fraction_list(args.params)
             cfg.primes = tuple(int(p) for p in args.probe.split(","))
             return cmd_quartic(cfg, args.family)
+    except (RepError, LieError) as exc:
+        # a constructed object failed its own verification; not bad input
+        print(f"verification failed: {exc}", file=sys.stderr)
+        for witness in getattr(exc, "witnesses", ()):
+            print(f"  failing pair {witness}", file=sys.stderr)
+        return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,18 @@
 """Exact Gaussian-rational scalars, monomial matrices, and dense linear algebra.
 
 Scalars are a + b*i with a, b rational; equality is exact.  Monomial matrices
-(one nonzero entry per row, entries scalars) are stored in a compact form so
-products cost O(n) rather than O(n^3); the dense representation is only used
-for small solves (commutants, invariant bilinear forms, determinants).
+(one nonzero entry per row) have every entry in scale * {1, i, -1, -i} and
+are stored as a column permutation, one phase mod 4 per row and the single
+rational scale, so a product costs O(n) integer operations.  Gaussian
+rationals are used where matrices meet field arithmetic: traces, sparse
+solves (commutants, invariant bilinear forms) and small dense determinants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,6 @@ class GQ:
         return GQ((self.re * other.re + self.im * other.im) / n,
                   (self.im * other.re - self.re * other.im) / n)
 
-    def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -63,62 +62,122 @@ MINUS_ONE = gq(-1)
 Dense = Tuple[Tuple[GQ, ...], ...]
 
 
+# i**k as an integer pair (re, im), k = 0..3
+_UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _polar(v: GQ) -> Tuple[int, Fraction]:
+    """(k, t) with v = t * i**k and t > 0; raises unless v is a nonzero
+    rational multiple of 1, i, -1 or -i."""
+    if v.im == 0 and v.re != 0:
+        return (0, v.re) if v.re > 0 else (2, -v.re)
+    if v.re == 0 and v.im != 0:
+        return (1, v.im) if v.im > 0 else (3, -v.im)
+    raise ValueError(f"{v} is not a nonzero rational multiple of 1, i, -1 or -i")
+
+
 @dataclass(frozen=True)
 class MonoMat:
-    """Monomial matrix: row r has its unique nonzero entry val[r] at column col[r]."""
+    """Monomial matrix with entries in scale * {1, i, -1, -i}.
+
+    Row r has its unique nonzero entry scale * i**phase[r] at column col[r].
+    ``col`` is a permutation of range(n), every phase lies in 0..3 and the
+    scale is a positive rational, so equal matrices have equal fields.  A
+    product composes the permutations and adds phases mod 4; negation adds 2
+    to every phase.  Gaussian rationals appear only where a matrix meets
+    field arithmetic: ``entries``, ``trace`` and ``scalar_value``.
+
+    For loops over many products, ``code`` packs row r as 4 * col[r] +
+    phase[r] and ``right_table`` is the 4n-entry lookup table of right
+    multiplication, so that the rows of A * B, scales apart, are
+    ``tuple(map(B.right_table().__getitem__, A.code()))``.
+    """
 
     n: int
     col: Tuple[int, ...]
-    val: Tuple[GQ, ...]
+    phase: Tuple[int, ...]
+    scale: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        if len(self.col) != self.n or sorted(self.col) != list(range(self.n)):
+            raise ValueError("col must be a permutation of range(n)")
+        if len(self.phase) != self.n or any(p not in (0, 1, 2, 3) for p in self.phase):
+            raise ValueError("phases must be n values in 0..3")
+        if not self.scale > 0:
+            raise ValueError("the scale must be a positive rational")
 
     @staticmethod
     def identity(n: int) -> "MonoMat":
-        return MonoMat(n, tuple(range(n)), (ONE,) * n)
+        return MonoMat(n, tuple(range(n)), (0,) * n)
+
+    @staticmethod
+    def from_values(n: int, col: Sequence[int], vals: Sequence[GQ]) -> "MonoMat":
+        """The matrix with entry vals[r] at (r, col[r]).
+
+        Every value must be t * i**k for one common positive rational t.
+        """
+        polar = [_polar(v) for v in vals]
+        scale = polar[0][1]
+        if any(t != scale for _, t in polar):
+            raise ValueError("entries do not share one scale")
+        return MonoMat(n, tuple(col), tuple(k for k, _ in polar), scale)
 
     def __mul__(self, other: "MonoMat") -> "MonoMat":
-        cols = tuple(other.col[c] for c in self.col)
-        vals = tuple(v * other.val[c] for v, c in zip(self.val, self.col))
-        return MonoMat(self.n, cols, vals)
+        oc, op = other.col, other.phase
+        return MonoMat(self.n, tuple(oc[c] for c in self.col),
+                       tuple((p + op[c]) & 3 for p, c in zip(self.phase, self.col)),
+                       self.scale * other.scale)
 
     def __neg__(self) -> "MonoMat":
-        return MonoMat(self.n, self.col, tuple(-v for v in self.val))
+        return MonoMat(self.n, self.col, tuple((p + 2) & 3 for p in self.phase),
+                       self.scale)
 
-    def scale(self, s: GQ) -> "MonoMat":
-        return MonoMat(self.n, self.col, tuple(s * v for v in self.val))
+    def times(self, s: GQ) -> "MonoMat":
+        """s * self, for s a nonzero rational multiple of 1, i, -1 or -i."""
+        k, t = _polar(s)
+        return MonoMat(self.n, self.col, tuple((p + k) & 3 for p in self.phase),
+                       self.scale * t)
+
+    def _value(self, phase: int) -> GQ:
+        re, im = _UNIT[phase]
+        return GQ(self.scale * re, self.scale * im)
 
     def trace(self) -> GQ:
-        acc = ZERO
+        re = im = 0
         for r, c in enumerate(self.col):
             if r == c:
-                acc = acc + self.val[r]
-        return acc
+                a, b = _UNIT[self.phase[r]]
+                re += a
+                im += b
+        return GQ(self.scale * re, self.scale * im)
 
     def transpose(self) -> "MonoMat":
         cols = [0] * self.n
-        vals: List[GQ] = [ZERO] * self.n
+        phases = [0] * self.n
         for r, c in enumerate(self.col):
             cols[c] = r
-            vals[c] = self.val[r]
-        return MonoMat(self.n, tuple(cols), tuple(vals))
+            phases[c] = self.phase[r]
+        return MonoMat(self.n, tuple(cols), tuple(phases), self.scale)
 
     def scalar_value(self) -> Optional[GQ]:
         """The scalar s when the matrix equals s * identity, else None."""
         if any(c != r for r, c in enumerate(self.col)):
             return None
-        s = self.val[0]
-        return s if all(v == s for v in self.val) else None
+        p = self.phase[0]
+        return self._value(p) if all(q == p for q in self.phase) else None
 
     def entries(self) -> Iterable[Tuple[int, int, GQ]]:
         for r, c in enumerate(self.col):
-            yield r, c, self.val[r]
+            yield r, c, self._value(self.phase[r])
 
-    def to_dense(self) -> Dense:
-        rows = []
-        for r in range(self.n):
-            row = [ZERO] * self.n
-            row[self.col[r]] = self.val[r]
-            rows.append(tuple(row))
-        return tuple(rows)
+    def code(self) -> Tuple[int, ...]:
+        """Row r packed as 4 * col[r] + phase[r]; the scale is left out."""
+        return tuple(4 * c + p for c, p in zip(self.col, self.phase))
+
+    def right_table(self) -> Tuple[int, ...]:
+        """T with (A * self).code()[r] = T[A.code()[r]] for every A of size n."""
+        return tuple(4 * c + ((p + q) & 3)
+                     for c, q in zip(self.col, self.phase) for p in range(4))
 
 
 def dense_identity(n: int) -> Dense:
@@ -140,19 +199,8 @@ def dense_neg(a: Dense) -> Dense:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def dense_scale(a: Dense, s: GQ) -> Dense:
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
 def dense_transpose(a: Dense) -> Dense:
     return tuple(zip(*a))
-
-
-def dense_trace(a: Dense) -> GQ:
-    acc = ZERO
-    for i, row in enumerate(a):
-        acc = acc + row[i]
-    return acc
 
 
 def dense_det(a: Dense) -> GQ:

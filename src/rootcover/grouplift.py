@@ -6,7 +6,8 @@ the 3x3 orthogonal image of a 2x2 projective transformation, its Lie-algebra
 derivative, order-4 lifts of the torus 2-torsion (squares equal to minus the
 identity), the sign commutation rule between root lifts, and the
 intertwining identity 2 R(Z_gamma) = rho of the canonical lift.  Everything
-runs in exact Gaussian-rational arithmetic.
+is exact: Gaussian rationals for the dense identities, powers of i for the
+monomial ones.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .gaussian import (GQ, Dense, I, MINUS_ONE, MonoMat, ONE, ZERO, dense_identity,
+from .gaussian import (GQ, Dense, I, MonoMat, ONE, ZERO, dense_identity,
                        dense_mul, dense_neg, dense_sub, dense_transpose, gq)
 from .heisrep import HeisRep
 from .lattice import RootDatum
@@ -115,14 +116,13 @@ def phi_of_root(datum: RootDatum, rep: HeisRep, root_index: int,
     """
     bits = datum.root_class_bits(root_index)
     m = rep.rho_bits(bits)
-    minus_id = MonoMat.identity(rep.dim_w).scale(MINUS_ONE)
-    square_ok = (m * m) == minus_id
+    square_ok = (m * m) == -MonoMat.identity(rep.dim_w)
     equals = None
     if rmap is not None:
         pos = rmap.fixed.pos
         ri = root_index if root_index in pos else datum.negation[root_index]
-        idx = list(pos).index(ri)
-        equals = rmap.mats[idx].scale(_two()) == m
+        idx = pos.index(ri)
+        equals = rmap.mats[idx].times(_two()) == m
     return PhiCertificate(root_index, m, square_ok, equals)
 
 
@@ -149,14 +149,18 @@ def verify_comm_relation(rep: HeisRep, datum: RootDatum,
     indices = list(range(len(datum.roots))) if all_pairs else list(datum.simple)
     report = CommReport(pairs_checked=0)
     mats = [rep.rho_bits(datum.root_class_bits(ri)) for ri in indices]
+    # Both sides carry the same scale, so the packed rows (MonoMat.code)
+    # decide the identity.
+    codes = [m.code() for m in mats]
+    tables = [m.right_table() for m in mats]
+    neg_tables = [(-m).right_table() for m in mats]
     for i in range(len(indices)):
+        ci = codes[i]
         for j in range(i + 1, len(indices)):
-            lhs = mats[i] * mats[j]
-            rhs = mats[j] * mats[i]
+            lhs = tuple(map(tables[j].__getitem__, ci))
             pairing = datum.inner(datum.roots[indices[i]], datum.roots[indices[j]])
-            if pairing % 2:
-                rhs = -rhs
-            if lhs != rhs:
+            rhs_table = neg_tables[i] if pairing % 2 else tables[i]
+            if lhs != tuple(map(rhs_table.__getitem__, codes[j])):
                 report.failures.append((indices[i], indices[j]))
             report.pairs_checked += 1
     return report
@@ -168,16 +172,3 @@ def anticommutation_model_holds() -> bool:
     z = ((-I, ZERO), (ZERO, I))
     return dense_mul(x, z) == dense_neg(dense_mul(z, x))
 
-
-def cover_isomorphic_to_image(rep: HeisRep) -> bool:
-    """The map (sign, v) -> sign * M_v is injective, so the matrix group
-    generated by the root-lift images together with -id realizes the cover."""
-    seen = set()
-    for v in range(1 << rep.cocycle.dim):
-        m = rep.rho_bits(v)
-        for s in (1, -1):
-            key = (m.col, m.val if s == 1 else tuple(-x for x in m.val))
-            if key in seen:
-                return False
-            seen.add(key)
-    return True

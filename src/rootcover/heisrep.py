@@ -7,23 +7,32 @@ tensor factors on each hyperbolic pair, with the single q = 1 pair (when the
 Arf invariant is 1) carrying the only i-twisted factors, and radical
 generators acting by an exact scalar whose square is (-1)^q.
 
-Correctness is not argued from the construction: the full multiplication
-table is verified pair by pair.
+Every entry is a power of i, so matrices are stored in phase form (see
+gaussian.MonoMat) and the checks run on packed rows.  Correctness is not
+argued from the construction: the full multiplication table is verified pair
+by pair, once, when the representation is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import Cocycle, ExtElement
 from .f2 import F2QuadraticSpace, parity, symplectic_decomposition
-from .gaussian import GQ, I, MINUS_ONE, ONE, ZERO, MonoMat, sparse_nullspace
+from .gaussian import GQ, ZERO, MonoMat, sparse_nullspace
 
 
 class RepError(ValueError):
-    pass
+    """A representation that cannot be built or fails its verification.
+
+    ``witnesses`` holds the first failing signed pairs ((su, u), (sv, v)).
+    """
+
+    def __init__(self, message: str, witnesses: Sequence[tuple] = ()) -> None:
+        super().__init__(message)
+        self.witnesses = tuple(witnesses)
 
 
 def arf_normal_pairs(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
@@ -87,38 +96,42 @@ def arf_normal_pairs(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], Li
 def _pauli_x(g: int, k: int) -> MonoMat:
     n = 1 << g
     bit = 1 << k
-    return MonoMat(n, tuple(r ^ bit for r in range(n)), (ONE,) * n)
+    return MonoMat(n, tuple(r ^ bit for r in range(n)), (0,) * n)
 
 
 def _pauli_z(g: int, k: int) -> MonoMat:
     n = 1 << g
     bit = 1 << k
-    return MonoMat(n, tuple(range(n)),
-                   tuple(MINUS_ONE if r & bit else ONE for r in range(n)))
+    return MonoMat(n, tuple(range(n)), tuple(2 if r & bit else 0 for r in range(n)))
 
 
 def _pauli_xz(g: int, k: int) -> MonoMat:
     n = 1 << g
     bit = 1 << k
     return MonoMat(n, tuple(r ^ bit for r in range(n)),
-                   tuple(ONE if r & bit else MINUS_ONE for r in range(n)))
+                   tuple(0 if r & bit else 2 for r in range(n)))
 
 
 def _pauli_iz(g: int, k: int) -> MonoMat:
     n = 1 << g
     bit = 1 << k
-    return MonoMat(n, tuple(range(n)),
-                   tuple(-I if r & bit else I for r in range(n)))
+    return MonoMat(n, tuple(range(n)), tuple(3 if r & bit else 1 for r in range(n)))
 
 
-def _scalar(g: int, s: GQ) -> MonoMat:
+def _scalar(g: int, phase: int) -> MonoMat:
+    """i**phase times the identity."""
     n = 1 << g
-    return MonoMat(n, tuple(range(n)), (s,) * n)
+    return MonoMat(n, tuple(range(n)), (phase,) * n)
 
 
 @dataclass(frozen=True)
 class HeisRep:
-    """Assignment v -> monomial matrix M_v with rho(sign, v) = sign * M_v."""
+    """Assignment v -> monomial matrix M_v with rho(sign, v) = sign * M_v.
+
+    ``report`` is the check build_heisrep ran on the full multiplication
+    table.  It is not an init field, so a representation assembled by hand or
+    through ``dataclasses.replace`` has none and verify_rep checks it afresh.
+    """
 
     cocycle: Cocycle
     dim_w: int
@@ -126,6 +139,8 @@ class HeisRep:
     pairs: Tuple[Tuple[int, int], ...]
     radical: Tuple[int, ...]
     radical_scalars: Tuple[GQ, ...]
+    report: Optional["RepReport"] = field(default=None, init=False,
+                                          compare=False, repr=False)
 
     def rho(self, x: ExtElement) -> MonoMat:
         m = self.mats[x.v]
@@ -146,7 +161,11 @@ class HeisRep:
 
 def build_heisrep(cocycle: Cocycle,
                   radical: Optional[Sequence[int]] = None) -> HeisRep:
-    """Build the representation and verify its full multiplication table."""
+    """Build the representation and verify its full multiplication table.
+
+    The returned representation carries that verification as ``report``;
+    a failure raises RepError with the first failing signed pairs.
+    """
     space = cocycle.to_space()
     pairs, rad = arf_normal_pairs(space)
     if radical is not None and sorted(radical) != sorted(rad):
@@ -175,11 +194,8 @@ def build_heisrep(cocycle: Cocycle,
             gens.append(_pauli_x(g, k))
             gens.append(_pauli_z(g, k))
         adapted.extend((u, w))
-    scalars = []
     for r in rad:
-        zeta = I if space.q(r) else ONE
-        scalars.append(zeta)
-        gens.append(_scalar(g, zeta))
+        gens.append(_scalar(g, 1 if space.q(r) else 0))
         adapted.append(r)
 
     # coordinates of the standard basis in the adapted basis
@@ -189,16 +205,17 @@ def build_heisrep(cocycle: Cocycle,
         coeffs = _solve_f2(adapted, target, n)
         coords_of_e.append(coeffs)
 
+    identity = MonoMat.identity(dim_w)
     basis_mats: List[MonoMat] = []
     for j in range(n):
-        m = MonoMat.identity(dim_w)
+        m = identity
         c = coords_of_e[j]
         for idx in range(len(adapted)):
             if (c >> idx) & 1:
                 m = m * gens[idx]
         basis_mats.append(m)
 
-    mats: List[MonoMat] = [MonoMat.identity(dim_w)] * (1 << n)
+    mats: List[MonoMat] = [identity] * (1 << n)
     for v in range(1, 1 << n):
         j = (v & -v).bit_length() - 1
         rest = v & (v - 1)
@@ -207,18 +224,24 @@ def build_heisrep(cocycle: Cocycle,
             m = -m
         mats[v] = m
 
-    # record the scalar by which each canonical radical lift actually acts
+    # record the scalar by which each canonical radical lift actually acts;
+    # its square must be (-1)^q
     acting_scalars = []
     for r in rad:
         s = mats[r].scalar_value()
-        if s is None or not ((s * s == MINUS_ONE) if space.q(r) else (s * s == ONE)):
+        square = mats[r] * mats[r]
+        if s is None or square != (-identity if space.q(r) else identity):
             raise RepError("no consistent scalar for a radical generator")
         acting_scalars.append(s)
     rep = HeisRep(cocycle, dim_w, tuple(mats), tuple(pairs), tuple(rad),
                   tuple(acting_scalars))
-    report = verify_rep(rep, commutant=False)
+    report = _check_table(rep)
     if not report.ok:
-        raise RepError(f"representation failed verification: {report.failures[:3]}")
+        center = "" if report.rho_minus_one_is_minus_id else ", rho(-1) != -id"
+        raise RepError(f"representation failed verification: "
+                       f"{len(report.failures)} failing signed pairs{center}",
+                       witnesses=report.failures[:5])
+    object.__setattr__(rep, "report", report)  # frozen; set once, here
     return rep
 
 
@@ -260,64 +283,77 @@ class RepReport:
                 and self.commutant_dim in (None, 1))
 
 
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
 def verify_rep(rep: HeisRep, root_classes: Optional[Sequence[int]] = None,
                commutant: bool = True) -> RepReport:
     """Exhaustively check rho(x) rho(y) = rho(xy) over all |cover|^2 pairs.
 
     Also checks rho(-1) = -id, faithfulness of (sign, v) -> sign * M_v,
     squares of root-class lifts, and (optionally) that the commutant of the
-    image is exactly the scalars.
+    image is exactly the scalars.  The table, rho(-1) and faithfulness are
+    checked once per representation: for one from build_heisrep they were
+    checked there, and its report is reused.
     """
-    coc = rep.cocycle
-    n = coc.dim
-    mats = rep.mats
-    report = RepReport(dim_w=rep.dim_w, pairs_checked=0)
-
-    minus_id = -MonoMat.identity(rep.dim_w)
-    report.rho_minus_one_is_minus_id = (-mats[0]) == minus_id
-
-    size = 1 << n
-    cols = [m.col for m in mats]
-    vals = [m.val for m in mats]
-    negvals = [tuple(-x for x in v) for v in vals]
-    nw = rep.dim_w
-    rng = range(nw)
-    for u in range(size):
-        cu, vu = cols[u], vals[u]
-        for v in range(size):
-            cv, vv = cols[v], vals[v]
-            prod_col = tuple(cv[c] for c in cu)
-            prod_val = tuple(vu[r] * vv[cu[r]] for r in rng)
-            neg_prod_val = tuple(-x for x in prod_val)
-            t = u ^ v
-            col_ok = prod_col == cols[t]
-            s0 = -1 if coc.beta(u, v) else 1
-            for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                lhs = prod_val if su * sv == 1 else neg_prod_val
-                rhs = vals[t] if su * sv * s0 == 1 else negvals[t]
-                if not col_ok or lhs != rhs:
-                    report.failures.append(((su, u), (sv, v)))
-                report.pairs_checked += 1
-
-    seen: Dict[Tuple, Tuple[int, int]] = {}
-    faithful = True
-    for v in range(1 << n):
-        for s in (1, -1):
-            m = mats[v] if s == 1 else -mats[v]
-            key = (m.col, m.val)
-            if key in seen:
-                faithful = False
-            seen[key] = (s, v)
-    report.images_faithful = faithful
-
+    if rep.report is None:
+        report = _check_table(rep)
+    else:
+        report = replace(rep.report, failures=list(rep.report.failures))
     if root_classes is not None:
-        for v in root_classes:
-            if mats[v] * mats[v] != minus_id:
-                report.root_square_failures.append(v)
-
+        report.root_square_failures = _root_square_failures(rep, root_classes)
     if commutant:
         report.commutant_dim = commutant_dimension(rep)
     return report
+
+
+def _check_table(rep: HeisRep) -> RepReport:
+    """The signed multiplication table, rho(-1) = -id and faithfulness."""
+    coc = rep.cocycle
+    mats = rep.mats
+    size = 1 << coc.dim
+    report = RepReport(dim_w=rep.dim_w, pairs_checked=0)
+    report.rho_minus_one_is_minus_id = -mats[0] == -MonoMat.identity(rep.dim_w)
+
+    # Products run on packed rows (see MonoMat.code); the scales multiply
+    # separately and are all 1 for a representation built here.
+    codes = [m.code() for m in mats]
+    neg_codes = [(-m).code() for m in mats]
+    tables = [m.right_table() for m in mats]
+    neg_tables = [(-m).right_table() for m in mats]
+    scales = [m.scale for m in mats]
+    unit_scales = all(s == 1 for s in scales)
+    beta = coc.beta
+    failures = report.failures
+    for u in range(size):
+        cu = codes[u]
+        for v in range(size):
+            t = u ^ v
+            prod = tuple(map(tables[v].__getitem__, cu))          # M_u M_v
+            neg_prod = tuple(map(neg_tables[v].__getitem__, cu))  # -M_u M_v
+            # rho((su, u)) rho((sv, v)) = su sv M_u M_v must equal
+            # rho((su sv (-1)^beta(u, v), u + v)) = su sv (-1)^beta(u, v) M_t
+            if beta(u, v):
+                same, flipped = neg_codes[t], codes[t]
+            else:
+                same, flipped = codes[t], neg_codes[t]
+            scale_ok = unit_scales or scales[u] * scales[v] == scales[t]
+            for su, sv in _SIGNS:
+                lhs, rhs = (prod, same) if su == sv else (neg_prod, flipped)
+                if lhs != rhs or not scale_ok:
+                    failures.append(((su, u), (sv, v)))
+            report.pairs_checked += 4
+
+    images = {(c, s) for c, s in zip(codes, scales)}
+    images.update(zip(neg_codes, scales))
+    report.images_faithful = len(images) == 2 * size
+    return report
+
+
+def _root_square_failures(rep: HeisRep, root_classes: Sequence[int]) -> List[int]:
+    """The classes v among ``root_classes`` with M_v^2 != -id."""
+    minus_id = -MonoMat.identity(rep.dim_w)
+    return [v for v in root_classes if rep.mats[v] * rep.mats[v] != minus_id]
 
 
 def commutant_dimension(rep: HeisRep) -> int:
@@ -326,6 +362,7 @@ def commutant_dimension(rep: HeisRep) -> int:
     gens = [rep.mats[1 << j] for j in range(rep.cocycle.dim)]
     rows: List[Dict[int, GQ]] = []
     for m in gens:
+        vals = [v for _, _, v in m.entries()]
         colinv = [0] * n
         for r, c in enumerate(m.col):
             colinv[c] = r
@@ -333,9 +370,9 @@ def commutant_dimension(rep: HeisRep) -> int:
             for c in range(n):
                 row: Dict[int, GQ] = {}
                 k0 = colinv[c]
-                row[r * n + k0] = row.get(r * n + k0, ZERO) + m.val[k0]
+                row[r * n + k0] = row.get(r * n + k0, ZERO) + vals[k0]
                 key = m.col[r] * n + c
-                row[key] = row.get(key, ZERO) - m.val[r]
+                row[key] = row.get(key, ZERO) - vals[r]
                 row = {k: v for k, v in row.items() if not v.is_zero()}
                 if row:
                     rows.append(row)

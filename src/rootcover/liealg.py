@@ -464,7 +464,11 @@ def theta_eigenspace_dims(L: IntegralLieAlgebra, theta: Involution) -> Tuple[int
 
 
 class RMap:
-    """The induced action of the fixed subalgebra on the cover representation."""
+    """The induced action of the fixed subalgebra on the cover representation.
+
+    R(Z_gamma) is half the image of the canonical lift of gamma mod 2, so
+    every R matrix is 1/2 times a monomial matrix with entries in {1, i, -1, -i}.
+    """
 
     def __init__(self, fixed: FixedSubalgebra, rep: HeisRep):
         if rep.cocycle != fixed.L.cocycle:
@@ -474,23 +478,7 @@ class RMap:
         half = gq(Fraction(1, 2))
         datum = fixed.L.datum
         self.mats: Tuple[MonoMat, ...] = tuple(
-            rep.rho_bits(datum.root_class_bits(ri)).scale(half) for ri in fixed.pos)
-
-    def matrix(self, i: int) -> MonoMat:
-        return self.mats[i]
-
-    def of_vector(self, vec: Dict[int, int]) -> Dict[Tuple[int, int], GQ]:
-        acc: Dict[Tuple[int, int], GQ] = {}
-        for i, c in vec.items():
-            coeff = gq(c)
-            for r, col, val in self.mats[i].entries():
-                key = (r, col)
-                cur = acc.get(key, ZERO) + coeff * val
-                if cur.is_zero():
-                    acc.pop(key, None)
-                else:
-                    acc[key] = cur
-        return acc
+            rep.rho_bits(datum.root_class_bits(ri)).times(half) for ri in fixed.pos)
 
 
 def build_R(fixed: FixedSubalgebra, rep: HeisRep) -> RMap:
@@ -508,31 +496,52 @@ class RReport:
         return not self.failures
 
 
+def _add_packed(acc: Dict[int, int], code: Tuple[int, ...], n: int, mult: int) -> None:
+    """acc += mult * U, for U with packed rows ``code`` (see MonoMat.code).
+
+    ``acc`` holds Gaussian integers by component: key 2 (r n + c) for the
+    real part of entry (r, c), that key + 1 for the imaginary part.
+    """
+    base = 0
+    for x in code:
+        # x = 4 c + k: i**k is +-1 for even k, +-i for odd k, negative for k >= 2
+        key = base + 2 * (x >> 2) + (x & 1)
+        val = acc.get(key, 0) + (-mult if x & 2 else mult)
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+        base += 2 * n
+
+
 def verify_R(rmap: RMap) -> RReport:
-    """Check R([a, b]) = [R(a), R(b)] for every pair of fixed-basis elements."""
+    """Check R([a, b]) = [R(a), R(b)] for every pair of fixed-basis elements.
+
+    All R matrices share one scale s = p/q times a phase-form matrix U_k.  The
+    identity for the pair (i, j), sum_k c_k s U_k = s^2 (U_i U_j - U_j U_i),
+    is checked as q sum_k c_k U_k = p (U_i U_j - U_j U_i) in Gaussian
+    integers: 2 c_k against 1 for s = 1/2.
+    """
     fixed = rmap.fixed
     n = fixed.dim
     report = RReport(dim=n, pairs_checked=0)
+    scales = {m.scale for m in rmap.mats}
+    if len(scales) != 1:
+        raise LieError("R matrices do not share one scale")
+    scale = scales.pop()
+    p, q = scale.numerator, scale.denominator
+    w = rmap.rep.dim_w
+    codes = [m.code() for m in rmap.mats]
+    tables = [m.right_table() for m in rmap.mats]
     for i in range(n):
-        mi = rmap.mats[i]
+        ci = codes[i]
         for j in range(i + 1, n):
-            mj = rmap.mats[j]
-            lhs = rmap.of_vector(dict(fixed.bracket_basis(i, j)))
-            rhs: Dict[Tuple[int, int], GQ] = {}
-            for r, c, val in (mi * mj).entries():
-                key = (r, c)
-                cur = rhs.get(key, ZERO) + val
-                if cur.is_zero():
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = cur
-            for r, c, val in (mj * mi).entries():
-                key = (r, c)
-                cur = rhs.get(key, ZERO) - val
-                if cur.is_zero():
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = cur
+            lhs: Dict[int, int] = {}
+            for k, c in fixed.bracket_basis(i, j):
+                _add_packed(lhs, codes[k], w, q * c)
+            rhs: Dict[int, int] = {}
+            _add_packed(rhs, tuple(map(tables[j].__getitem__, ci)), w, p)
+            _add_packed(rhs, tuple(map(tables[i].__getitem__, codes[j])), w, -p)
             if lhs != rhs:
                 report.failures.append((i, j))
             report.pairs_checked += 1
@@ -571,6 +580,7 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
 
     rows: List[Dict[int, GQ]] = []
     for m in mats:
+        vals = [v for _, _, v in m.entries()]
         colinv = [0] * n
         for r, c in enumerate(m.col):
             colinv[c] = r
@@ -582,7 +592,7 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
                 if ref is not None:
                     (key, s) = ref
                     idx = unknowns[key]
-                    cur = row.get(idx, ZERO) + m.val[k0] * gq(s)
+                    cur = row.get(idx, ZERO) + vals[k0] * gq(s)
                     if cur.is_zero():
                         row.pop(idx, None)
                     else:
@@ -592,7 +602,7 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
                 if ref is not None:
                     (key, s) = ref
                     idx = unknowns[key]
-                    cur = row.get(idx, ZERO) + m.val[k1] * gq(s)
+                    cur = row.get(idx, ZERO) + vals[k1] * gq(s)
                     if cur.is_zero():
                         row.pop(idx, None)
                     else:

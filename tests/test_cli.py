@@ -1,6 +1,9 @@
+import ast
 import json
+from dataclasses import replace
 
-from rootcover import cli
+from rootcover import cli, heisrep
+from rootcover.gaussian import MonoMat
 
 
 def _run(capsys, argv):
@@ -87,6 +90,42 @@ def test_verify_sampled_deterministic(tmp_path):
                          "--seed", "3", "--samples", "200",
                          "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_rejects_nonpositive_samples(capsys, monkeypatch):
+    def no_lattice_work(*args, **kwargs):
+        raise AssertionError("lattice work started before --samples was checked")
+    monkeypatch.setattr(cli, "build_pipeline", no_lattice_work)
+    for samples in ("0", "-3"):
+        assert cli.main(["verify", "--type", "D4", "--depth", "sampled",
+                         "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+
+def test_construction_verification_failure_exits_1(capsys, monkeypatch):
+    # flip the phase of one row of one E6 matrix before the build-time check
+    real_check = heisrep._check_table
+    bad = 0b1011
+
+    def corrupted(rep, *args, **kwargs):
+        mats = list(rep.mats)
+        m = mats[bad]
+        mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:],
+                            m.scale)
+        return real_check(replace(rep, mats=tuple(mats)), *args, **kwargs)
+
+    monkeypatch.setattr(heisrep, "_check_table", corrupted)
+    code = cli.main(["verify", "--type", "E6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "verification failed" in captured.err
+    witnesses = [ast.literal_eval(line.split("failing pair ", 1)[1])
+                 for line in captured.err.splitlines() if "failing pair" in line]
+    assert 1 <= len(witnesses) <= 5
+    for (su, u), (sv, v) in witnesses:
+        assert su in (1, -1) and sv in (1, -1)
+        assert bad in (u, v, u ^ v)
 
 
 def test_table_command(capsys, tmp_path):

@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from rootcover.gaussian import ONE, ZERO, dense_identity, dense_mul, gq
+from rootcover.gaussian import ONE, ZERO, MonoMat, dense_identity, dense_mul, gq
 from rootcover.grouplift import (GroupLiftError, anticommutation_model_holds,
-                                 cover_isomorphic_to_image, dense_bracket,
+                                 dense_bracket,
                                  is_antisymmetric, is_special_orthogonal,
                                  pgl2_to_so3, phi_of_root,
                                  sl2_to_so3_derivative, verify_comm_relation)
@@ -108,6 +109,19 @@ def test_comm_relation_simple_and_all(e6_stack):
     assert every.ok and every.pairs_checked == 72 * 71 // 2
 
 
+def test_flipped_sign_breaks_comm_relation(e6_stack):
+    datum, rep = e6_stack.datum, e6_stack.rep
+    a = datum.simple[0]
+    bits = datum.root_class_bits(a)
+    m = rep.mats[bits]
+    mats = list(rep.mats)
+    mats[bits] = MonoMat(m.n, m.col, ((m.phase[0] + 2) & 3,) + m.phase[1:], m.scale)
+    report = verify_comm_relation(replace(rep, mats=tuple(mats)), datum)
+    assert not report.ok
+    assert report.pairs_checked == 15
+    assert all(a in pair for pair in report.failures)
+
+
 def test_orthogonal_pairs_commute(e6_stack):
     datum = e6_stack.datum
     rep = e6_stack.rep
@@ -137,5 +151,7 @@ def test_adjacent_simple_pairs_anticommute(e6_stack):
 
 
 def test_cover_realized_faithfully_in_matrices(e6_stack, e7_stack):
-    assert cover_isomorphic_to_image(e6_stack.rep)
-    assert cover_isomorphic_to_image(e7_stack.rep)
+    # (sign, v) -> sign * M_v is injective, so the matrix group generated by
+    # the root-lift images together with -id realizes the cover
+    assert e6_stack.rep.report.images_faithful
+    assert e7_stack.rep.report.images_faithful

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from rootcover import lattice
@@ -106,13 +108,45 @@ def test_verification_survives_basis_permutation(reps):
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
-    p_mat = MonoMat(n, perm, (ONE,) * n)
-    p_inv = MonoMat(n, tuple(inv), (ONE,) * n)
+    p_mat = MonoMat.from_values(n, perm, (ONE,) * n)
+    p_inv = MonoMat.from_values(n, tuple(inv), (ONE,) * n)
     conjugated = tuple(p_inv * m * p_mat for m in rep.mats)
     twisted = HeisRep(coc, n, conjugated, rep.pairs, rep.radical,
                       rep.radical_scalars)
     report = verify_rep(twisted, commutant=False)
     assert report.ok
+
+
+def test_verify_rep_reuses_the_build_time_table(reps):
+    for name, expected_pairs in (("E6", 16384), ("E7", 65536)):
+        datum, _, _, rep = reps[name]
+        assert rep.report.ok
+        assert rep.report.pairs_checked == expected_pairs
+        assert rep.report.commutant_dim is None
+        # a copy carries no report, so verify_rep checks the table afresh
+        fresh = replace(rep)
+        assert fresh.report is None
+        rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+        reused = verify_rep(rep, root_classes=rc)
+        assert reused == verify_rep(fresh, root_classes=rc)
+        assert reused.commutant_dim == 1
+        assert rep.report.commutant_dim is None
+
+
+def test_flipped_phase_fails_verification_and_names_the_pair(reps):
+    _, _, _, rep = reps["E6"]
+    bad = 0b1011
+    m = rep.mats[bad]
+    mats = list(rep.mats)
+    mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:], m.scale)
+    report = verify_rep(replace(rep, mats=tuple(mats)), commutant=False)
+    assert not report.ok
+    assert report.pairs_checked == 16384
+    # M_1 M_(bad ^ 1) is untouched but must equal +-M_bad: all four signs fail
+    for su in (1, -1):
+        for sv in (1, -1):
+            assert ((su, 1), (sv, bad ^ 1)) in report.failures
+    assert all(bad in (u, v, u ^ v) for (_, u), (_, v) in report.failures)
 
 
 def test_supplied_radical_is_validated():
@@ -125,6 +159,7 @@ def _invariant_group_forms(rep, generators, n):
     """Solve M^T B M = B for all generator matrices M, exactly."""
     rows = []
     for m in generators:
+        vals = [v for _, _, v in m.entries()]
         colinv = [0] * n
         for r, c in enumerate(m.col):
             colinv[c] = r
@@ -134,7 +169,7 @@ def _invariant_group_forms(rep, generators, n):
                 ka, kb = colinv[a], colinv[b]
                 row = {}
                 key = ka * n + kb
-                row[key] = m.val[ka] * m.val[kb]
+                row[key] = vals[ka] * vals[kb]
                 other = a * n + b
                 row[other] = row.get(other, ZERO) - ONE
                 row = {k: v for k, v in row.items() if not v.is_zero()}

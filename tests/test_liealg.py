@@ -164,9 +164,9 @@ def test_r_scaling_identity(e6_stack):
     # (2 R(Z_gamma))^2 = -identity, forced by the order-4 lifts
     from rootcover.gaussian import MonoMat, gq
     rmap = e6_stack.rmap
-    minus_id = MonoMat.identity(rmap.rep.dim_w).scale(gq(-1))
+    minus_id = MonoMat.identity(rmap.rep.dim_w).times(gq(-1))
     for m in rmap.mats:
-        doubled = m.scale(gq(2))
+        doubled = m.times(gq(2))
         assert doubled * doubled == minus_id
         assert m.trace().is_zero()
 
