@@ -10,9 +10,7 @@ Commands
     quartic   marked-family curves: contact order and smoothness verdict
 
 Output is byte-identical across runs for a fixed configuration; sampled
-verification records its seed.  The worker count can be set through the
-ROOTCOVER_WORKERS environment variable (recorded in the output; partitioned
-checks are deterministic regardless).
+verification records its seed.  Bad input exits 2 before any expensive work.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -29,12 +26,12 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
 from .extension import Cocycle, build_extension
-from .f2 import count_refinements_by_arf
+from .f2 import MAX_DIM, count_refinements_by_arf
 from .heisrep import HeisRep, RepError, build_heisrep, verify_rep
 from .lattice import (DelPezzoPicard, RootDatum, bitangent_complement,
                       classify_involutions, delpezzo_k_perp,
                       discriminant_group, lines, lines_meeting, mod2_space,
-                      root_datum, weyl_enumerate)
+                      parse_type, root_datum, weyl_enumerate)
 from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution, LieError,
                      RMap, build_R, build_lie, build_theta, fixed_subalgebra,
                      identify_fixed, killing_form, verify_R, verify_jacobi)
@@ -57,11 +54,11 @@ class RunConfig:
     samples: int = 200000
     primes: Tuple[int, ...] = (5, 7, 11)
     params: Tuple[Fraction, ...] = ()
-    workers: int = 1
 
     def stamp(self) -> dict:
-        d = {"command": self.command, "workers": self.workers,
-             "version": __version__}
+        # "workers" is a fixed field of the output format: every check runs
+        # in this one process
+        d = {"command": self.command, "workers": 1, "version": __version__}
         if self.lattice_type:
             d["type"] = self.lattice_type
         if self.depth != "exhaustive" or self.command == "verify":
@@ -86,8 +83,9 @@ def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
     """Lattice -> cover -> Lie algebra -> involution -> fixed subalgebra,
     plus the monomial representation for the two marked exceptional types."""
     kind = kind.upper()
-    if kind == "A1":
-        raise ValueError("rank 1 is outside the supported range (use A2 and up)")
+    _, rank = parse_type(kind)  # before any enumeration: bad input fails fast
+    if not 2 <= rank <= MAX_DIM:
+        raise ValueError(f"rank {rank} is outside the supported range 2..{MAX_DIM}")
     datum = root_datum(kind)
     m2 = mod2_space(datum)
     cocycle = build_extension(m2.space)
@@ -111,7 +109,8 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     sys.stdout.write(text)
 
 
-def cmd_build(cfg: RunConfig) -> int:
+def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
+    cfg.lattice_type = args.type
     pipe = build_pipeline(cfg.lattice_type)
     lie = pipe.lie
     payload = {
@@ -131,11 +130,19 @@ def cmd_build(cfg: RunConfig) -> int:
 
 
 def _signed_index(pipe: Pipeline, i: int) -> int:
-    j, s = pipe.theta.apply_basis(pipe.lie, i)
+    j, s = pipe.theta.apply_basis(i)
     return s * (j + 1)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    cfg.lattice_type = args.type
+    default_depth = "sampled" if args.type.upper() == "E8" else "exhaustive"
+    cfg.depth = args.depth or default_depth
+    cfg.seed = args.seed if args.seed is not None else (
+        0 if cfg.depth == "sampled" else None)
+    cfg.samples = args.samples
     # timing goes to stderr so the JSON payload stays byte-identical across runs
     t_start = time.perf_counter()
     pipe = build_pipeline(cfg.lattice_type)
@@ -147,8 +154,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     sample = None if cfg.depth == "exhaustive" else cfg.samples
     t0 = time.perf_counter()
-    jr = verify_jacobi(pipe.lie, sample=sample, seed=cfg.seed,
-                       workers=cfg.workers)
+    jr = verify_jacobi(pipe.lie, sample=sample, seed=cfg.seed)
     clock("jacobi", t0)
     checks["jacobi"] = {
         "ok": jr.ok, "checked_unordered": jr.checked_unordered,
@@ -204,7 +210,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: RunConfig, args: argparse.Namespace) -> int:
     datum = root_datum("E6")
     weyl = weyl_enumerate(datum)
     classes = classify_involutions(datum, weyl)
@@ -220,7 +226,7 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_delpezzo(cfg: RunConfig) -> int:
+def cmd_delpezzo(cfg: RunConfig, args: argparse.Namespace) -> int:
     pic = DelPezzoPicard.standard()
     kperp = delpezzo_k_perp(pic)
     e = (0, 0, 0, 0, 0, 0, 0, 1)
@@ -242,7 +248,8 @@ def cmd_delpezzo(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_counts(cfg: RunConfig, g: int) -> int:
+def cmd_counts(cfg: RunConfig, args: argparse.Namespace) -> int:
+    g = args.g
     c0, c1 = count_refinements_by_arf(g)
     expected = (2 ** (g - 1) * (2 ** g + 1), 2 ** (g - 1) * (2 ** g - 1))
     payload = {"config": cfg.stamp(), "g": g, "arf0": c0, "arf1": c1,
@@ -251,7 +258,10 @@ def cmd_counts(cfg: RunConfig, g: int) -> int:
     return 0 if (c0, c1) == expected else 1
 
 
-def cmd_quartic(cfg: RunConfig, family: str) -> int:
+def cmd_quartic(cfg: RunConfig, args: argparse.Namespace) -> int:
+    cfg.params = _parse_fraction_list(args.params)
+    cfg.primes = tuple(int(p) for p in args.probe.split(","))
+    family = args.family
     if family == "e6":
         if len(cfg.params) != 6:
             raise ValueError("e6 takes 6 parameters: p2,p5,p8,p6,p9,p12")
@@ -293,6 +303,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--type", required=True,
                          help="lattice type: A<n> (n>=2), D<n> (n>=3), E6, E7, E8")
     p_build.add_argument("--out", default=None)
+    p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--type", required=True)
@@ -301,17 +312,21 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=200000)
     p_verify.add_argument("--out", default=None)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="real-orbit table")
     p_table.add_argument("which", choices=("real-orbits",))
     p_table.add_argument("--out", default=None)
+    p_table.set_defaults(func=cmd_table)
 
     p_dp = sub.add_parser("delpezzo", help="blow-up lattice summary")
     p_dp.add_argument("--out", default=None)
+    p_dp.set_defaults(func=cmd_delpezzo)
 
     p_counts = sub.add_parser("counts", help="refinement counts by Arf invariant")
     p_counts.add_argument("--g", type=int, required=True)
     p_counts.add_argument("--out", default=None)
+    p_counts.set_defaults(func=cmd_counts)
 
     p_q = sub.add_parser("quartic", help="marked quartic families")
     p_q.add_argument("family", choices=("e6", "e7"))
@@ -320,39 +335,16 @@ def make_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--probe", default="5,7,11",
                      help="comma-separated probe primes")
     p_q.add_argument("--out", default=None)
+    p_q.set_defaults(func=cmd_quartic)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(argv)
-    workers = int(os.environ.get("ROOTCOVER_WORKERS", "1"))
-    cfg = RunConfig(command=args.command, workers=workers,
-                    out=getattr(args, "out", None))
+    cfg = RunConfig(command=args.command, out=args.out)
     try:
-        if args.command == "build":
-            cfg.lattice_type = args.type
-            return cmd_build(cfg)
-        if args.command == "verify":
-            cfg.lattice_type = args.type
-            default_depth = "sampled" if args.type.upper() == "E8" else "exhaustive"
-            cfg.depth = args.depth or default_depth
-            cfg.seed = args.seed if args.seed is not None else (
-                0 if cfg.depth == "sampled" else None)
-            if args.samples < 1:
-                raise ValueError("--samples must be at least 1")
-            cfg.samples = args.samples
-            return cmd_verify(cfg)
-        if args.command == "table":
-            return cmd_table(cfg)
-        if args.command == "delpezzo":
-            return cmd_delpezzo(cfg)
-        if args.command == "counts":
-            return cmd_counts(cfg, args.g)
-        if args.command == "quartic":
-            cfg.params = _parse_fraction_list(args.params)
-            cfg.primes = tuple(int(p) for p in args.probe.split(","))
-            return cmd_quartic(cfg, args.family)
+        return args.func(cfg, args)
     except (RepError, LieError) as exc:
         # a constructed object failed its own verification; not bad input
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -362,7 +354,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

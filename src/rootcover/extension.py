@@ -11,24 +11,15 @@ every element squares to ((-1)^q(v), 0), and commutators descend to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
-from .f2 import BitMatrix, BitVec, F2QuadraticSpace, parity
+from .f2 import (BitMatrix, BitVec, F2QuadraticSpace, bilinear_eval, mod2_bits,
+                 parity, quadform_eval)
 
 
 class ExtensionError(ValueError):
     pass
-
-
-def quadform_eval(rows: Sequence[int], v: int) -> int:
-    """Evaluate sum_i S_ii v_i + sum_{i<j} S_ij v_i v_j for bit rows S."""
-    acc = 0
-    t = v
-    while t:
-        i = (t & -t).bit_length() - 1
-        t &= t - 1
-        acc ^= parity(rows[i] & v & ~((1 << i) - 1))
-    return acc
 
 
 @dataclass(frozen=True)
@@ -63,13 +54,7 @@ class Cocycle:
                 raise ExtensionError("beta bits beyond the dimension")
 
     def beta(self, u: int, v: int) -> int:
-        acc = 0
-        t = u
-        while t:
-            i = (t & -t).bit_length() - 1
-            t &= t - 1
-            acc ^= parity(self.rows[i] & v)
-        return acc
+        return bilinear_eval(self.rows, u, v)
 
     def q(self, v: int) -> int:
         return quadform_eval(self.rows, v)
@@ -116,19 +101,11 @@ class Cocycle:
         return out
 
     def to_space(self) -> F2QuadraticSpace:
-        gram_rows = []
-        qbits = 0
-        for i in range(self.dim):
-            row = 0
-            for j in range(self.dim):
-                if i != j and self.pairing(1 << i, 1 << j):
-                    row |= 1 << j
-            gram_rows.append(row)
-            if (self.rows[i] >> i) & 1:
-                qbits |= 1 << i
-        return F2QuadraticSpace(self.dim,
-                                BitMatrix(self.dim, self.dim, tuple(gram_rows)),
-                                BitVec(self.dim, qbits))
+        """The pairing beta + beta^T (zero diagonal) with q_i = beta_ii."""
+        n = self.dim
+        beta = BitMatrix(n, n, self.rows)
+        qbits = sum(row & (1 << i) for i, row in enumerate(self.rows))
+        return F2QuadraticSpace(n, beta.add(beta.transpose()), BitVec(n, qbits))
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,24 +115,19 @@ class Cocycle:
 
 
 def build_extension(space: F2QuadraticSpace) -> Cocycle:
-    """Assemble beta from a quadratic space: diagonal q values, strict upper pairing.
+    """Take beta to be the space's upper-triangular rows: the q values on the
+    diagonal, the pairing strictly above it.
 
     The resulting group of order 2^(dim+1) has squares (-1)^q(v) and
-    commutators (-1)^<v, w>; both identities are re-derived and checked on the
-    basis here, and exhaustively in the test suite.
+    commutators (-1)^<v, w>.  The check here is exact for every v: the
+    cocycle's q is a quadratic function whose polarization is its pairing,
+    so matching q on the basis and the pairing on all basis pairs forces
+    q(v) to match on all 2^dim vectors.
     """
-    rows = []
+    coc = Cocycle(space.dim, space.upper_rows)
     for i in range(space.dim):
-        above = space.gram.data[i] & ~((1 << (i + 1)) - 1)
-        row = above
-        if (space.qbasis.bits >> i) & 1:
-            row |= 1 << i
-        rows.append(row)
-    coc = Cocycle(space.dim, tuple(rows))
-    for v in range(1 << min(space.dim, 10)):
-        if coc.q(v) != space.q(v):
+        if coc.q(1 << i) != (space.qbasis.bits >> i) & 1:
             raise ExtensionError("cocycle fails to reproduce the refinement")
-    for i in range(space.dim):
         for j in range(space.dim):
             if coc.pairing(1 << i, 1 << j) != space.pairing(1 << i, 1 << j):
                 raise ExtensionError("cocycle fails to reproduce the pairing")
@@ -170,20 +142,12 @@ class RootLift:
     ext: ExtElement
 
     def __post_init__(self) -> None:
-        bits = 0
-        for i, c in enumerate(self.lam):
-            if c & 1:
-                bits |= 1 << i
-        if bits != self.ext.v:
+        if mod2_bits(self.lam) != self.ext.v:
             raise ExtensionError("cover element does not lie over the root mod 2")
 
 
 def canonical_root_lift(cocycle: Cocycle, coords: Sequence[int]) -> RootLift:
-    bits = 0
-    for i, c in enumerate(coords):
-        if c & 1:
-            bits |= 1 << i
-    return RootLift(tuple(coords), cocycle.canonical_lift(bits))
+    return RootLift(tuple(coords), cocycle.canonical_lift(mod2_bits(coords)))
 
 
 @dataclass(frozen=True)
@@ -194,12 +158,12 @@ class ExtAutomorphism:
     w_rows: Tuple[int, ...]
     sigma_rows: Tuple[int, ...]
 
+    @cached_property
+    def w(self) -> BitMatrix:
+        return BitMatrix(len(self.w_rows), self.cocycle.dim, self.w_rows)
+
     def on_v(self, v: int) -> int:
-        out = 0
-        for i, row in enumerate(self.w_rows):
-            if parity(row & v):
-                out |= 1 << i
-        return out
+        return self.w.mul_vec(v)
 
     def s(self, v: int) -> int:
         return quadform_eval(self.sigma_rows, v)

@@ -12,7 +12,8 @@ exhaustive loops over all vectors or all refinements stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 MAX_DIM = 16
 
@@ -38,14 +39,6 @@ class BitVec:
         if self.bits >> self.dim:
             raise F2Error("set bits beyond the declared dimension")
 
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "BitVec":
-        bits = 0
-        for i, c in enumerate(coords):
-            if c & 1:
-                bits |= 1 << i
-        return cls(len(coords), bits)
-
     def coords(self) -> Tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.dim))
 
@@ -69,20 +62,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_int_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        """Reduce an integer matrix mod 2."""
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if rows else 0
-        data = []
-        for row in rows:
-            bits = 0
-            for j, entry in enumerate(row):
-                if entry & 1:
-                    bits |= 1 << j
-            data.append(bits)
-        return cls(n_rows, n_cols, tuple(data))
-
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector (vector as bitmask of coordinates)."""
         out = 0
@@ -94,15 +73,10 @@ class BitMatrix:
     def mul(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise F2Error("shape mismatch in product")
+        # row i of the product is other^T times row i of self
         other_t = other.transpose()
-        data = []
-        for row in self.data:
-            bits = 0
-            for j, col in enumerate(other_t.data):
-                if parity(row & col):
-                    bits |= 1 << j
-            data.append(bits)
-        return BitMatrix(self.rows, other.cols, tuple(data))
+        return BitMatrix(self.rows, other.cols,
+                         tuple(other_t.mul_vec(row) for row in self.data))
 
     def add(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -131,58 +105,92 @@ class BitMatrix:
             not (row >> i) & 1 for i, row in enumerate(self.data))
 
 
-def f2_rank(rows: Sequence[int], ncols: int) -> int:
-    """Rank over F2 via Gaussian elimination on row bitmasks."""
-    work = list(rows)
-    rank = 0
+def mod2_bits(coords: Sequence[int]) -> int:
+    """Reduce an integer vector mod 2 to the bitmask of its odd coordinates."""
+    bits = 0
+    for i, c in enumerate(coords):
+        if c & 1:
+            bits |= 1 << i
+    return bits
+
+
+def bilinear_eval(rows: Sequence[int], u: int, v: int) -> int:
+    """u^T S v over F2 for the matrix S with bit rows ``rows``."""
+    acc = 0
+    t = u
+    while t:
+        i = (t & -t).bit_length() - 1
+        t &= t - 1
+        acc ^= parity(rows[i] & v)
+    return acc
+
+
+def quadform_eval(rows: Sequence[int], v: int) -> int:
+    """Evaluate sum_i S_ii v_i + sum_{i<j} S_ij v_i v_j for bit rows S."""
+    acc = 0
+    t = v
+    while t:
+        i = (t & -t).bit_length() - 1
+        t &= t - 1
+        acc ^= parity(rows[i] & v & ~((1 << i) - 1))
+    return acc
+
+
+def f2_echelon(rows: Sequence[int], ncols: int) -> List[Tuple[int, int]]:
+    """Gauss-Jordan elimination over F2 on the low ``ncols`` bits of each row.
+
+    Returns the nonzero reduced rows as (pivot column, row) pairs in column
+    order; each pivot bit is set in its own row only.  Bits at or above
+    ``ncols`` are carried along but never pivoted on, so a row tagged there
+    records which input rows were added into it.
+    """
+    pending = list(rows)
+    reduced: List[Tuple[int, int]] = []
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
+        bit = 1 << col
+        idx = next((i for i, r in enumerate(pending) if r & bit), None)
+        if idx is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        piv = pending.pop(idx)
+        pending = [r ^ piv if r & bit else r for r in pending]
+        reduced = [(c, r ^ piv if r & bit else r) for c, r in reduced]
+        reduced.append((col, piv))
+    return reduced
+
+
+def f2_rank(rows: Sequence[int], ncols: int) -> int:
+    """Rank over F2 of the row bitmasks."""
+    return len(f2_echelon(rows, ncols))
 
 
 def f2_kernel(rows: Sequence[int], ncols: int) -> List[int]:
     """Basis of {x : row . x = 0 for every row}, as bitmasks."""
-    work = list(rows)
-    pivots = []  # (row index in echelon order, pivot column)
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-        pivots.append(col)
-        rank += 1
-    pivot_set = set(pivots)
+    reduced = f2_echelon(rows, ncols)
+    pivot_cols = {col for col, _ in reduced}
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivot_cols:
             continue
         vec = 1 << free
-        for r, col in enumerate(pivots):
-            if (work[r] >> free) & 1:
+        for col, row in reduced:
+            if (row >> free) & 1:
                 vec |= 1 << col
         basis.append(vec)
     return basis
+
+
+def f2_solve(basis: Sequence[int], target: int, ncols: int) -> Optional[int]:
+    """Coefficient bitmask c with target = sum of basis[i] over the bits i of
+    c, or None when target lies outside the span.  Unique when the basis
+    vectors are independent."""
+    tagged = [b | (1 << (ncols + i)) for i, b in enumerate(basis)]
+    vec = target
+    for col, row in f2_echelon(tagged, ncols):
+        if (vec >> col) & 1:
+            vec ^= row
+    if vec & ((1 << ncols) - 1):
+        return None
+    return vec >> ncols
 
 
 @dataclass(frozen=True)
@@ -208,31 +216,21 @@ class F2QuadraticSpace:
         if not self.gram.is_symmetric_zero_diagonal():
             raise F2Error("pairing must be symmetric with zero diagonal")
 
+    @cached_property
+    def upper_rows(self) -> Tuple[int, ...]:
+        """Bit rows with q_i on the diagonal and the pairing strictly above it."""
+        return tuple((row & ~((2 << i) - 1)) | (self.qbasis.bits & (1 << i))
+                     for i, row in enumerate(self.gram.data))
+
     def pairing(self, u: int, v: int) -> int:
-        acc = 0
-        t = u
-        while t:
-            i = (t & -t).bit_length() - 1
-            t &= t - 1
-            acc ^= parity(self.gram.data[i] & v)
-        return acc
+        return bilinear_eval(self.gram.data, u, v)
 
     def q(self, v: int) -> int:
         """q(v) = sum_i q_i v_i + sum_{i<j} gram_ij v_i v_j."""
-        acc = parity(self.qbasis.bits & v)
-        t = v
-        while t:
-            i = (t & -t).bit_length() - 1
-            t &= t - 1
-            above = ~((2 << i) - 1)
-            acc ^= parity(self.gram.data[i] & v & above)
-        return acc
+        return quadform_eval(self.upper_rows, v)
 
     def radical(self) -> List[int]:
         return f2_kernel(self.gram.data, self.dim)
-
-    def is_nondegenerate(self) -> bool:
-        return self.gram.rank() == self.dim
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,12 +327,7 @@ def translate_refinement(space: F2QuadraticSpace, v: BitVec) -> F2QuadraticSpace
     """Replace q by (v + q)(w) = q(w) + <v, w>; the pairing is unchanged."""
     if v.dim != space.dim:
         raise F2Error("dimension mismatch")
-    new_bits = 0
-    for i in range(space.dim):
-        qi = (space.qbasis.bits >> i) & 1
-        qi ^= parity(space.gram.data[i] & v.bits)
-        if qi:
-            new_bits |= 1 << i
+    new_bits = space.qbasis.bits ^ space.gram.mul_vec(v.bits)
     return F2QuadraticSpace(space.dim, space.gram, BitVec(space.dim, new_bits))
 
 

@@ -5,14 +5,15 @@ Scalars are a + b*i with a, b rational; equality is exact.  Monomial matrices
 are stored as a column permutation, one phase mod 4 per row and the single
 rational scale, so a product costs O(n) integer operations.  Gaussian
 rationals are used where matrices meet field arithmetic: traces, sparse
-solves (commutants, invariant bilinear forms) and small dense determinants.
+solves (commutants, invariant bilinear forms) and small dense determinants
+(through intmat.field_eliminate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,11 @@ class GQ:
         return GQ((self.re * other.re + self.im * other.im) / n,
                   (self.im * other.re - self.re * other.im) / n)
 
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self
 
     def __repr__(self) -> str:
         return f"GQ({self.re}, {self.im})"
@@ -203,25 +207,19 @@ def dense_transpose(a: Dense) -> Dense:
     return tuple(zip(*a))
 
 
-def dense_det(a: Dense) -> GQ:
-    n = len(a)
-    work = [list(row) for row in a]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = ONE / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(col + 1, n):
-            f = work[r][col]
-            if not f.is_zero():
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det
+def add_terms(acc: Dict[Any, Any], terms: Iterable[Tuple[Any, Any]]) -> Dict[Any, Any]:
+    """acc[k] += v for every term (k, v), dropping keys whose sum is zero.
+
+    Serves integer and Gaussian-rational sparse vectors alike; returns acc.
+    """
+    for k, v in terms:
+        if k in acc:
+            v = acc[k] + v
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 class _SparseEchelon:
@@ -240,13 +238,8 @@ class _SparseEchelon:
                 inv = ONE / row[lead]
                 self.pivots[lead] = {c: v * inv for c, v in row.items()}
                 return True
-            factor = row[lead]
-            for c, v in piv.items():
-                cur = row.get(c, ZERO) - factor * v
-                if cur.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = cur
+            neg = -row[lead]
+            add_terms(row, ((c, neg * v) for c, v in piv.items()))
         return False
 
     @property
@@ -262,20 +255,15 @@ class _SparseEchelon:
         for lead in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[lead])
             for other_lead, other in reduced.items():
-                f = row.pop(other_lead, ZERO)
-                if not f.is_zero():
-                    for c, v in other.items():
-                        cur = row.get(c, ZERO) - f * v
-                        if cur.is_zero():
-                            row.pop(c, None)
-                        else:
-                            row[c] = cur
+                neg = -row.pop(other_lead, ZERO)
+                if neg:
+                    add_terms(row, ((c, neg * v) for c, v in other.items()))
             reduced[lead] = row
         for f_col in free:
             vec: Dict[int, GQ] = {f_col: ONE}
             for lead, row in reduced.items():
                 coeff = row.get(f_col, ZERO)
-                if not coeff.is_zero():
+                if coeff:
                     vec[lead] = -coeff
             basis.append(vec)
         return basis

@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 from .gaussian import (GQ, Dense, I, MonoMat, ONE, ZERO, dense_identity,
                        dense_mul, dense_neg, dense_sub, dense_transpose, gq)
 from .heisrep import HeisRep
+from .intmat import field_eliminate
 from .lattice import RootDatum
 from .liealg import RMap
 
@@ -70,9 +71,7 @@ def is_special_orthogonal(m: Dense) -> bool:
     mt = dense_transpose(m)
     if dense_mul(mt, m) != dense_identity(3):
         return False
-    (a, b, c), (d, e, f), (g, h, i) = m
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return det == ONE
+    return field_eliminate(m, ONE)[0] == ONE
 
 
 def is_antisymmetric(m: Dense) -> bool:

@@ -15,13 +15,12 @@ by pair, once, when the representation is built.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .extension import Cocycle, ExtElement
-from .f2 import F2QuadraticSpace, parity, symplectic_decomposition
-from .gaussian import GQ, ZERO, MonoMat, sparse_nullspace
+from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
+from .gaussian import GQ, MonoMat, add_terms, sparse_nullspace
 
 
 class RepError(ValueError):
@@ -168,18 +167,11 @@ def build_heisrep(cocycle: Cocycle,
     """
     space = cocycle.to_space()
     pairs, rad = arf_normal_pairs(space)
-    if radical is not None and sorted(radical) != sorted(rad):
-        span = set()
-        for combo in itertools.product((0, 1), repeat=len(rad)):
-            v = 0
-            for c, r in zip(combo, rad):
-                if c:
-                    v ^= r
-            span.add(v)
-        if any(r not in span for r in radical) or len(radical) != len(rad):
-            raise RepError("supplied radical does not match the pairing radical")
-    g = len(pairs)
     n = cocycle.dim
+    if radical is not None and (len(radical) != len(rad) or any(
+            f2_solve(rad, r, n) is None for r in radical)):
+        raise RepError("supplied radical does not match the pairing radical")
+    g = len(pairs)
     dim_w = 1 << g
 
     adapted: List[int] = []
@@ -199,11 +191,9 @@ def build_heisrep(cocycle: Cocycle,
         adapted.append(r)
 
     # coordinates of the standard basis in the adapted basis
-    coords_of_e: List[int] = []
-    for j in range(n):
-        target = 1 << j
-        coeffs = _solve_f2(adapted, target, n)
-        coords_of_e.append(coeffs)
+    coords_of_e = [f2_solve(adapted, 1 << j, n) for j in range(n)]
+    if None in coords_of_e:
+        raise RepError("vector outside the span of the adapted basis")
 
     identity = MonoMat.identity(dim_w)
     basis_mats: List[MonoMat] = []
@@ -243,25 +233,6 @@ def build_heisrep(cocycle: Cocycle,
                        witnesses=report.failures[:5])
     object.__setattr__(rep, "report", report)  # frozen; set once, here
     return rep
-
-
-def _solve_f2(basis: Sequence[int], target: int, n: int) -> int:
-    """Express target as an F2 combination of basis vectors; coefficient bitmask."""
-    rows = [(b, 1 << i) for i, b in enumerate(basis)]
-    work = list(rows)
-    vec, coeff = target, 0
-    for col in range(n):
-        piv = next((idx for idx, (b, _) in enumerate(work) if (b >> col) & 1), None)
-        if piv is None:
-            continue
-        pb, pc = work.pop(piv)
-        if (vec >> col) & 1:
-            vec ^= pb
-            coeff ^= pc
-        work = [(b ^ pb, c ^ pc) if (b >> col) & 1 else (b, c) for b, c in work]
-    if vec:
-        raise RepError("vector outside the span of the adapted basis")
-    return coeff
 
 
 @dataclass
@@ -368,12 +339,10 @@ def commutant_dimension(rep: HeisRep) -> int:
             colinv[c] = r
         for r in range(n):
             for c in range(n):
-                row: Dict[int, GQ] = {}
+                # (B M - M B)[r, c] = B[r, k0] M[k0, c] - M[r, col r] B[col r, c]
                 k0 = colinv[c]
-                row[r * n + k0] = row.get(r * n + k0, ZERO) + vals[k0]
-                key = m.col[r] * n + c
-                row[key] = row.get(key, ZERO) - vals[r]
-                row = {k: v for k, v in row.items() if not v.is_zero()}
+                row = add_terms({}, ((r * n + k0, vals[k0]),
+                                     (m.col[r] * n + c, -vals[r])))
                 if row:
                     rows.append(row)
     return len(sparse_nullspace(rows, n * n))

@@ -1,9 +1,13 @@
-"""Exact integer and rational matrix utilities (no floating point anywhere)."""
+"""Exact integer and rational matrix utilities (no floating point anywhere).
+
+Integer determinants are fraction-free (Bareiss); every other elimination
+over a field, rational or Gaussian rational, goes through field_eliminate.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -16,10 +20,6 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
                  for row in a)
-
-
-def mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
 def identity(n: int) -> IntMatrix:
@@ -163,23 +163,45 @@ def row_lattice_index(vectors: Sequence[Sequence[int]], n: int) -> int:
     return abs(det)
 
 
+def field_eliminate(rows: Sequence[Sequence[Any]], one: Any,
+                    full: bool = False) -> Tuple[Any, List[List[Any]]]:
+    """Exact Gaussian elimination over a field: Fraction or gaussian.GQ.
+
+    Row-reduces a copy of the n-row matrix ``rows`` (n or more columns) until
+    its leading n x n block is upper unitriangular, or with ``full`` the
+    identity.  Returns (determinant of that block, reduced rows); at the first
+    column without a pivot it stops and returns a zero determinant.  ``one``
+    is the field's unit; entries test for zero by truth value.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    det = one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return one - one, a
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = one / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(0 if full else col + 1, n):
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det, a
+
+
 def rational_inverse(m: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
     """Exact inverse of a square matrix, entries as Fractions."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    augmented = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+                 for i, row in enumerate(m)]
+    det, reduced = field_eliminate(augmented, Fraction(1), full=True)
+    if not det:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def ldlt(gram: Sequence[Sequence[int]]) -> Tuple[List[Fraction], List[List[Fraction]]]:

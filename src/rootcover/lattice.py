@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .f2 import BitMatrix, BitVec, F2QuadraticSpace, f2_kernel, f2_rank
+from .f2 import BitMatrix, BitVec, F2QuadraticSpace, f2_kernel, f2_rank, mod2_bits
 from . import intmat
 from .intmat import IntMatrix
 
@@ -27,23 +27,32 @@ class LatticeError(ValueError):
     pass
 
 
+def parse_type(name: str) -> Tuple[str, int]:
+    """(family letter, rank) of a simply laced type name, without building
+    anything; raises LatticeError unless it is A<n> (n >= 1), D<n> (n >= 3),
+    E6, E7 or E8."""
+    kind, digits = name[:1].upper(), name[1:]
+    rank = int(digits) if digits.isascii() and digits.isdigit() else 0
+    if not ((kind == "A" and rank >= 1) or (kind == "D" and rank >= 3)
+            or (kind == "E" and rank in (6, 7, 8))):
+        raise LatticeError(f"unsupported lattice type {name!r}")
+    return kind, rank
+
+
 def cartan_gram(name: str) -> IntMatrix:
     """Gram matrix of a simply laced root lattice in a simple-root basis.
 
-    Supported names: A<n> (n >= 1), D<n> (n >= 3), E6, E7, E8.
+    Supported names: see parse_type.
     """
-    kind, rank = name[0].upper(), int(name[1:])
-    edges: List[Tuple[int, int]] = []
-    if kind == "A" and rank >= 1:
+    kind, rank = parse_type(name)
+    if kind == "A":
         edges = [(i, i + 1) for i in range(rank - 1)]
-    elif kind == "D" and rank >= 3:
+    elif kind == "D":
         edges = [(i, i + 1) for i in range(rank - 2)] + [(rank - 3, rank - 1)]
-    elif kind == "E" and rank in (6, 7, 8):
+    else:
         chain = [0, 2, 3, 4, 5, 6, 7][: rank - 1]
         edges = [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
         edges.append((1, 3))
-    else:
-        raise LatticeError(f"unsupported lattice type {name!r}")
     gram = [[0] * rank for _ in range(rank)]
     for i in range(rank):
         gram[i][i] = 2
@@ -187,11 +196,7 @@ class RootDatum:
         return f"rank{n}-roots{m}"
 
     def root_class_bits(self, root_index: int) -> int:
-        bits = 0
-        for j, c in enumerate(self.roots[root_index]):
-            if c & 1:
-                bits |= 1 << j
-        return bits
+        return mod2_bits(self.roots[root_index])
 
     def to_json_dict(self) -> dict:
         return {
@@ -354,16 +359,9 @@ class WeylInvolutionClass:
 
 
 def mod2_rank_one_plus(matrix: IntMatrix) -> int:
-    n = len(matrix)
-    rows = []
-    for i in range(n):
-        bits = 0
-        for j in range(n):
-            entry = matrix[i][j] + (1 if i == j else 0)
-            if entry & 1:
-                bits |= 1 << j
-        rows.append(bits)
-    return f2_rank(rows, n)
+    """Rank of (1 + matrix) mod 2."""
+    rows = [mod2_bits(row) ^ (1 << i) for i, row in enumerate(matrix)]
+    return f2_rank(rows, len(matrix))
 
 
 def _conjugacy_orbit(weyl: WeylGroup, start: bytes) -> set:
@@ -454,17 +452,9 @@ def mod2_space(datum: RootDatum) -> "Mod2Space":
     """Reduction of the lattice mod 2: pairing, refinement from half-norms, radical."""
     n = datum.rank
     gram = datum.lattice.gram
-    rows = []
-    qbits = 0
-    for i in range(n):
-        bits = 0
-        for j in range(n):
-            if gram[i][j] & 1:
-                bits |= 1 << j
-        rows.append(bits)
-        if (gram[i][i] // 2) & 1:
-            qbits |= 1 << i
-    space = F2QuadraticSpace(n, BitMatrix(n, n, tuple(rows)), BitVec(n, qbits))
+    rows = tuple(mod2_bits(row) for row in gram)
+    qbits = mod2_bits([gram[i][i] // 2 for i in range(n)])
+    space = F2QuadraticSpace(n, BitMatrix(n, n, rows), BitVec(n, qbits))
     radical = tuple(f2_kernel(rows, n))
     return Mod2Space(space, radical, n - len(radical))
 

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import intmat
 from .extension import Cocycle
 from .f2 import parity
-from .gaussian import GQ, MonoMat, ZERO, gq, sparse_nullspace, sparse_rank
+from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, gq, sparse_nullspace,
+                       sparse_rank)
 from .heisrep import HeisRep
 from .lattice import RootDatum
 
@@ -35,24 +36,16 @@ class LieError(ValueError):
     pass
 
 
-class IntegralLieAlgebra:
-    """Sparse integer structure constants over a fixed basis."""
+class SparseLieAlgebra:
+    """Sparse integer structure constants over a basis e_0 .. e_{dim-1}.
 
-    def __init__(self, datum: RootDatum, cocycle: Cocycle, table: Table):
-        self.datum = datum
-        self.cocycle = cocycle
-        self.n_cartan = datum.rank
-        self.dim = datum.rank + len(datum.roots)
+    ``table[(i, j)]`` for i < j lists the (k, c) with [e_i, e_j] = sum c e_k;
+    absent pairs bracket to zero.
+    """
+
+    def __init__(self, dim: int, table: Table):
+        self.dim = dim
         self.table = table
-        self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
-            "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
-
-    def root_index(self, i: int) -> int:
-        """Root-list position of basis index i (Cartan indices are invalid)."""
-        return i - self.n_cartan
-
-    def basis_of_root(self, root_index: int) -> int:
-        return self.n_cartan + root_index
 
     def bracket_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
         if i == j:
@@ -62,16 +55,48 @@ class IntegralLieAlgebra:
         return tuple((k, -c) for k, c in self.table.get((j, i), ()))
 
     def bracket(self, x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
-        acc: Dict[int, int] = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, c in self.bracket_basis(i, j):
-                    val = acc.get(k, 0) + ci * cj * c
-                    if val:
-                        acc[k] = val
-                    else:
-                        acc.pop(k, None)
-        return acc
+        return add_terms({}, [(k, ci * cj * c) for i, ci in x.items()
+                              for j, cj in y.items()
+                              for k, c in self.bracket_basis(i, j)])
+
+    def ad_map(self, a: int, transposed: bool = False) -> Dict[int, int]:
+        """Sparse ad(e_a): key m * dim + k holds the coefficient of e_m in
+        [e_a, e_k]; with ``transposed`` that entry sits at k * dim + m."""
+        n = self.dim
+        out: Dict[int, int] = {}
+        for k in range(n):
+            for m, c in self.bracket_basis(a, k):
+                out[k * n + m if transposed else m * n + k] = c
+        return out
+
+    @staticmethod
+    def trace_product(ad_a: Dict[int, int], ad_b_t: Dict[int, int]) -> int:
+        """tr(ad a . ad b) = sum over (m, k) of ad(a)[m, k] ad(b)[k, m], from
+        ad(a) and the transposed ad(b); only shared keys contribute."""
+        return sum(ad_a[key] * ad_b_t[key] for key in ad_a.keys() & ad_b_t.keys())
+
+    def killing_entry(self, a: int, b: int) -> int:
+        """K(e_a, e_b), building the two ad maps for this pair only."""
+        return self.trace_product(self.ad_map(a), self.ad_map(b, transposed=True))
+
+
+class IntegralLieAlgebra(SparseLieAlgebra):
+    """The Lie algebra of a root datum and cover, on the basis (h, X_gamma)."""
+
+    def __init__(self, datum: RootDatum, cocycle: Cocycle, table: Table):
+        super().__init__(datum.rank + len(datum.roots), table)
+        self.datum = datum
+        self.cocycle = cocycle
+        self.n_cartan = datum.rank
+        self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
+            "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
+
+    def root_index(self, i: int) -> int:
+        """Root-list position of basis index i (Cartan indices are invalid)."""
+        return i - self.n_cartan
+
+    def basis_of_root(self, root_index: int) -> int:
+        return self.n_cartan + root_index
 
     def weight(self, i: int) -> Tuple[int, ...]:
         if i < self.n_cartan:
@@ -146,6 +171,7 @@ class JacobiReport:
 
 
 def _jacobi_fails(table: Table, i: int, j: int, k: int) -> bool:
+    # inline, not add_terms: a call per entry would slow the 2.5M-triple E8 scan
     get = table.get
     acc: Dict[int, int] = {}
     for (a, b, c3, sgn) in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
@@ -171,10 +197,10 @@ def _jacobi_fails(table: Table, i: int, j: int, k: int) -> bool:
     return bool(acc)
 
 
-def _jacobi_scan(table: Table, n: int, i_lo: int, i_hi: int):
+def _jacobi_scan(table: Table, n: int):
     checked = 0
     failures = []
-    for i in range(i_lo, i_hi):
+    for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 if _jacobi_fails(table, i, j, k):
@@ -183,51 +209,19 @@ def _jacobi_scan(table: Table, n: int, i_lo: int, i_hi: int):
     return checked, failures
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(table: Table, n: int) -> None:
-    _POOL_STATE["table"] = table
-    _POOL_STATE["n"] = n
-
-
-def _pool_scan(bounds: Tuple[int, int]):
-    return _jacobi_scan(_POOL_STATE["table"], _POOL_STATE["n"], *bounds)
-
-
 def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
-                  seed: Optional[int] = None, workers: int = 1) -> JacobiReport:
+                  seed: Optional[int] = None) -> JacobiReport:
     """Check [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on basis triples.
 
     Exhaustive over unordered triples i < j < k by default; repeated indices
     and permutations carry no extra content because the evaluator is
     antisymmetric by construction, so this covers all dim^3 ordered triples.
     With ``sample`` set, checks that many pseudo-random triples instead.
-    The exhaustive scan may be partitioned across ``workers`` processes; the
-    report is deterministic either way.
     """
     n = L.dim
     report = JacobiReport(dim=n, checked_unordered=0, covered_ordered=n ** 3)
     if sample is None:
-        if workers > 1:
-            import multiprocessing
-            bounds = []
-            step = max(1, n // (4 * workers))
-            lo = 0
-            while lo < n:
-                bounds.append((lo, min(n, lo + step)))
-                lo += step
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers, initializer=_pool_init,
-                          initargs=(L.table, n)) as pool:
-                for checked, failures in pool.map(_pool_scan, bounds):
-                    report.checked_unordered += checked
-                    report.failures.extend(failures)
-            report.failures.sort()
-        else:
-            checked, failures = _jacobi_scan(L.table, n, 0, n)
-            report.checked_unordered = checked
-            report.failures = failures
+        report.checked_unordered, report.failures = _jacobi_scan(L.table, n)
     else:
         rng = random.Random(seed)
         report.sampled = True
@@ -270,28 +264,18 @@ def killing_form(L: IntegralLieAlgebra) -> KillingForm:
     """
     assert_weight_graded(L)
     n = L.dim
-
-    def pair_trace(a: int, b: int) -> int:
-        total = 0
-        for k in range(n):
-            for m, c in L.bracket_basis(b, k):
-                for t, c2 in L.bracket_basis(a, m):
-                    if t == k:
-                        total += c * c2
-        return total
-
     mat = [[0] * n for _ in range(n)]
     nc = L.n_cartan
     for i in range(nc):
         for j in range(i, nc):
-            mat[i][j] = mat[j][i] = pair_trace(i, j)
+            mat[i][j] = mat[j][i] = L.killing_entry(i, j)
     det = intmat.bareiss_det(tuple(tuple(mat[i][j] for j in range(nc))
                                    for i in range(nc)))
     for ri in range(len(L.datum.roots)):
         rj = L.datum.negation[ri]
         if rj < ri:
             continue
-        val = pair_trace(nc + ri, nc + rj)
+        val = L.killing_entry(nc + ri, nc + rj)
         mat[nc + ri][nc + rj] = mat[nc + rj][nc + ri] = val
         det *= -val * val
     matrix = tuple(tuple(row) for row in mat)
@@ -328,18 +312,18 @@ class Involution:
     n_cartan: int
     root_map: Tuple[Tuple[int, int], ...]  # root index -> (image root index, sign)
 
-    def apply_basis(self, L: IntegralLieAlgebra, i: int) -> Tuple[int, int]:
+    def apply_basis(self, i: int) -> Tuple[int, int]:
         if i < self.n_cartan:
             return i, -1
         target, sign = self.root_map[i - self.n_cartan]
         return self.n_cartan + target, sign
 
-    def apply(self, L: IntegralLieAlgebra, x: Dict[int, int]) -> Dict[int, int]:
-        out: Dict[int, int] = {}
+    def apply(self, x: Dict[int, int]) -> Dict[int, int]:
+        terms = []
         for i, c in x.items():
-            j, s = self.apply_basis(L, i)
-            out[j] = out.get(j, 0) + s * c
-        return {k: v for k, v in out.items() if v}
+            j, s = self.apply_basis(i)
+            terms.append((j, s * c))
+        return add_terms({}, terms)
 
     def trace(self) -> int:
         tr = -self.n_cartan
@@ -361,44 +345,39 @@ def build_theta(L: IntegralLieAlgebra) -> Involution:
     theta = Involution(L.n_cartan, tuple(root_map))
 
     for i in range(L.dim):
-        j, s = theta.apply_basis(L, i)
-        j2, s2 = theta.apply_basis(L, j)
+        j, s = theta.apply_basis(i)
+        j2, s2 = theta.apply_basis(j)
         if j2 != i or s * s2 != 1:
             raise LieError("involution does not square to the identity")
     if theta.trace() != -L.n_cartan:
         raise LieError("involution trace is not -rank")
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            lhs = theta.apply(L, dict(L.bracket_basis(i, j)))
-            ti, si = theta.apply_basis(L, i)
-            tj, sj = theta.apply_basis(L, j)
+            lhs = theta.apply(dict(L.bracket_basis(i, j)))
+            ti, si = theta.apply_basis(i)
+            tj, sj = theta.apply_basis(j)
             rhs = {k: si * sj * c for k, c in L.bracket_basis(ti, tj)}
             if lhs != {k: v for k, v in rhs.items() if v}:
                 raise LieError(f"involution fails the automorphism check at ({i}, {j})")
     return theta
 
 
-class FixedSubalgebra:
+class FixedSubalgebra(SparseLieAlgebra):
     """Span of Z_gamma = X_gamma + theta(X_gamma) over the positive roots."""
 
     def __init__(self, L: IntegralLieAlgebra, theta: Involution):
         self.L = L
         self.theta = theta
         self.pos = L.datum.positive
-        self.dim = len(self.pos)
+        super().__init__(len(self.pos), {})
         self.labels = tuple("z[" + ",".join(map(str, L.datum.roots[ri])) + "]"
                             for ri in self.pos)
         self._pos_index = {ri: i for i, ri in enumerate(self.pos)}
-        self.table: Dict[Tuple[int, int], Tuple[Entry, ...]] = {}
         self._build()
 
     def ambient(self, i: int) -> Dict[int, int]:
-        ri = self.pos[i]
-        vec = {self.L.basis_of_root(ri): 1}
-        img = self.theta.apply(self.L, vec)
-        for k, v in img.items():
-            vec[k] = vec.get(k, 0) + v
-        return vec
+        x = {self.L.basis_of_root(self.pos[i]): 1}
+        return add_terms(x, self.theta.apply(x).items())
 
     def _build(self) -> None:
         L = self.L
@@ -421,27 +400,19 @@ class FixedSubalgebra:
                 if entries:
                     self.table[(i, j)] = tuple(sorted(entries.items()))
 
-    def bracket_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
-        if i == j:
-            return ()
-        if i < j:
-            return self.table.get((i, j), ())
-        return tuple((k, -c) for k, c in self.table.get((j, i), ()))
-
     def killing(self) -> KillingForm:
+        """The full Killing matrix.  The transposed ad maps of all basis
+        elements are built once, the plain map of one row at a time, and
+        symmetry of the trace fills the lower triangle."""
         n = self.dim
-
-        def pair_trace(a: int, b: int) -> int:
-            total = 0
-            for k in range(n):
-                for m, c in self.bracket_basis(b, k):
-                    for t, c2 in self.bracket_basis(a, m):
-                        if t == k:
-                            total += c * c2
-            return total
-
-        mat = tuple(tuple(pair_trace(i, j) for j in range(n)) for i in range(n))
-        return KillingForm(mat, intmat.bareiss_det(mat))
+        ad_t = [self.ad_map(b, transposed=True) for b in range(n)]
+        mat = [[0] * n for _ in range(n)]
+        for i in range(n):
+            ad_i = self.ad_map(i)
+            for j in range(i, n):
+                mat[i][j] = mat[j][i] = self.trace_product(ad_i, ad_t[j])
+        matrix = tuple(tuple(row) for row in mat)
+        return KillingForm(matrix, intmat.bareiss_det(matrix))
 
 
 def fixed_subalgebra(L: IntegralLieAlgebra, theta: Involution) -> FixedSubalgebra:
@@ -502,6 +473,7 @@ def _add_packed(acc: Dict[int, int], code: Tuple[int, ...], n: int, mult: int) -
     ``acc`` holds Gaussian integers by component: key 2 (r n + c) for the
     real part of entry (r, c), that key + 1 for the imaginary part.
     """
+    # inline, not add_terms: a call per entry would slow verify_R's pair loop
     base = 0
     for x in code:
         # x = 4 c + k: i**k is +-1 for even k, +-i for odd k, negative for k >= 2
@@ -560,6 +532,12 @@ class IdentificationRecord:
     form_determinant: Optional[GQ] = None
 
 
+def _form_unknowns(n: int, sym: int) -> List[Tuple[int, int]]:
+    """The entries (a, b) of a form with B^T = sym * B that are unknowns:
+    the upper triangle, strict for sym = -1."""
+    return [(a, b) for a in range(n) for b in range(a if sym == 1 else a + 1, n)]
+
+
 def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ]]:
     """Solve R^T B + B R = 0 over forms with B^T = sym * B.
 
@@ -567,11 +545,7 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
     basis of the solution space as dicts over unknown indices.
     """
     n = mats[0].n
-    unknowns: Dict[Tuple[int, int], int] = {}
-    for a in range(n):
-        start = a if sym == 1 else a + 1
-        for b in range(start, n):
-            unknowns[(a, b)] = len(unknowns)
+    unknowns = {ab: idx for idx, ab in enumerate(_form_unknowns(n, sym))}
 
     def coeff_of(a: int, b: int) -> Optional[Tuple[int, int]]:
         if a == b and sym == -1:
@@ -586,27 +560,14 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
             colinv[c] = r
         for a in range(n):
             for b in range(n):
-                row: Dict[int, GQ] = {}
-                k0 = colinv[a]
-                ref = coeff_of(k0, b)
-                if ref is not None:
-                    (key, s) = ref
-                    idx = unknowns[key]
-                    cur = row.get(idx, ZERO) + vals[k0] * gq(s)
-                    if cur.is_zero():
-                        row.pop(idx, None)
-                    else:
-                        row[idx] = cur
-                k1 = colinv[b]
-                ref = coeff_of(a, k1)
-                if ref is not None:
-                    (key, s) = ref
-                    idx = unknowns[key]
-                    cur = row.get(idx, ZERO) + vals[k1] * gq(s)
-                    if cur.is_zero():
-                        row.pop(idx, None)
-                    else:
-                        row[idx] = cur
+                # (R^T B + B R)[a, b] = R[k0, a] B[k0, b] + B[a, k1] R[k1, b]
+                k0, k1 = colinv[a], colinv[b]
+                terms = []
+                for k, ref in ((k0, coeff_of(k0, b)), (k1, coeff_of(a, k1))):
+                    if ref is not None:
+                        key, s = ref
+                        terms.append((unknowns[key], vals[k] * gq(s)))
+                row = add_terms({}, terms)
                 if row:
                     rows.append(row)
     sols = sparse_nullspace(rows, len(unknowns))
@@ -614,11 +575,7 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
 
 
 def form_from_solution(sol: Dict[int, GQ], n: int, sym: int) -> Tuple[Tuple[GQ, ...], ...]:
-    unknowns: List[Tuple[int, int]] = []
-    for a in range(n):
-        start = a if sym == 1 else a + 1
-        for b in range(start, n):
-            unknowns.append((a, b))
+    unknowns = _form_unknowns(n, sym)
     mat = [[ZERO] * n for _ in range(n)]
     for idx, val in sol.items():
         a, b = unknowns[idx]
@@ -635,8 +592,6 @@ def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
     When dim g = dim W (dim W + 1) / 2: the invariant bilinear forms are a
     single line spanned by a nondegenerate antisymmetric form.
     """
-    from .gaussian import dense_det
-
     n = rmap.rep.dim_w
     d = fixed.dim
     if d == n * n - 1:
@@ -656,7 +611,7 @@ def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
             raise LieError(
                 f"invariant form dimensions ({len(anti)}, {len(symm)}) do not certify sp")
         form = form_from_solution(anti[0], n, sym=-1)
-        det = dense_det(form)
+        det, _ = intmat.field_eliminate(form, ONE)
         if det.is_zero():
             raise LieError("invariant antisymmetric form is degenerate")
         return IdentificationRecord("sp", n, d,
@@ -704,7 +659,7 @@ def character_adjoint_check(L: IntegralLieAlgebra, f: int,
             report.pairs_checked += 1
     if theta is not None:
         for i in range(n):
-            j, s = theta.apply_basis(L, i)
+            j, s = theta.apply_basis(i)
             if signs[i] != signs[j]:
                 report.commutes_with_theta = False
                 break

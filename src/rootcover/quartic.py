@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .intmat import field_eliminate
+
 Point = Tuple[Fraction, Fraction, Fraction]
 
 
@@ -235,14 +237,17 @@ def smoothness_probe(curve: QuarticCurve, primes: Sequence[int]) -> Verdict:
     denom_lcm = 1
     for c in curve.coeffs:
         denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    for p in primes:
+        if not _is_prime(p):
+            raise QuarticError(f"probe modulus {p} is not a prime")
+        if denom_lcm % p == 0:
+            raise QuarticError(f"prime {p} divides the coefficient denominators")
     int_coeffs = [int(c * denom_lcm) for c in curve.coeffs]
     verdict = Verdict(kind="INCONCLUSIVE", primes=tuple(primes))
 
     parts = curve.partials()
     candidates: List[Tuple[int, int, int]] = []
     for p in primes:
-        if p < 2 or denom_lcm % p == 0:
-            raise QuarticError(f"prime {p} divides the coefficient denominators")
         found = _singular_points_mod_p(int_coeffs, parts, p, denom_lcm)
         if found:
             verdict.mod_p_singular[p] = found
@@ -263,6 +268,10 @@ def smoothness_probe(curve: QuarticCurve, primes: Sequence[int]) -> Verdict:
     elif not verdict.mod_p_singular and primes:
         verdict.kind = "PROBABLY_SMOOTH"
     return verdict
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _poly_eval_mod(terms: Iterable[Tuple[Tuple[int, int, int], int]],
@@ -510,29 +519,8 @@ def _sylvester_resultant(f: _BiPoly, g: _BiPoly) -> Poly1:
             for i, c in enumerate(reversed(gv)):
                 row[shift + i] = c
             rows.append(row)
-        values.append(_frac_det(rows))
+        values.append(field_eliminate(rows, Fraction(1))[0])
     return _lagrange(xs, values)
-
-
-def _frac_det(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    det = Fraction(1)
-    a = [row[:] for row in rows]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
 
 
 def _lagrange(xs: List[Fraction], ys: List[Fraction]) -> Poly1:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .f2 import BitVec, F2QuadraticSpace, arf, parity, \
+from .f2 import BitMatrix, BitVec, F2QuadraticSpace, arf, mod2_bits, parity, \
     standard_symplectic_space
 from .intmat import IntMatrix, matmul, identity
 from .lattice import (RootDatum, WeylGroup, WeylInvolutionClass,
@@ -79,42 +79,20 @@ def invariant_odd_refinements(space: F2QuadraticSpace,
     base q0 (from the lattice) is itself w-invariant, which is asserted.
     """
     n = space.dim
+    w = BitMatrix(n, n, tuple(w_mod2_rows))
     for v in range(1 << n):
-        wv = 0
-        for i, row in enumerate(w_mod2_rows):
-            if parity(row & v):
-                wv |= 1 << i
-        if space.q(wv) != space.q(v):
+        if space.q(w.mul_vec(v)) != space.q(v):
             raise RealTableError("base refinement is not invariant under w")
+    columns = [w.mul_vec(1 << i) for i in range(n)]
     count = 0
     for f in range(1 << n):
-        invariant = True
-        for i in range(n):
-            wv = 0
-            for k, row in enumerate(w_mod2_rows):
-                if parity(row & (1 << i)):
-                    wv |= 1 << k
-            if parity(f & wv) != (f >> i) & 1:
-                invariant = False
-                break
-        if not invariant:
+        if any(parity(f & col) != (f >> i) & 1 for i, col in enumerate(columns)):
             continue
         shifted = F2QuadraticSpace(n, space.gram,
                                    BitVec(n, space.qbasis.bits ^ f))
         if arf(shifted) == 1:
             count += 1
     return count
-
-
-def _mod2_rows(matrix: IntMatrix) -> Tuple[int, ...]:
-    rows = []
-    for row in matrix:
-        bits = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                bits |= 1 << j
-        rows.append(bits)
-    return tuple(rows)
 
 
 def row_for_involution(w: IntMatrix, datum: RootDatum,
@@ -131,7 +109,7 @@ def row_for_involution(w: IntMatrix, datum: RootDatum,
         raise RealTableError("mod-2 rank exceeds 3")
     size = 1 << g
     space = mod2_space(datum).space
-    bitangents = invariant_odd_refinements(space, _mod2_rows(w))
+    bitangents = invariant_odd_refinements(space, [mod2_bits(row) for row in w])
     lbl = label if label is not None else f"rank{r}"
     n_c, a_c = CARRIED_TOPOLOGY.get(lbl, (0, 0))
     return TableRow(lbl, n_c, a_c, bitangents, size,

@@ -1,6 +1,9 @@
 import ast
 import json
+import time
 from dataclasses import replace
+
+import pytest
 
 from rootcover import cli, heisrep
 from rootcover.gaussian import MonoMat
@@ -51,6 +54,33 @@ def test_build_small_type(capsys):
 
 def test_build_rejects_rank_one(capsys):
     assert cli.main(["build", "--type", "A1"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--type", "A60"], "outside the supported range"),
+    (["verify", "--type", "X"], "unsupported lattice type 'X'"),
+    (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "4,9"],
+     "not a prime"),
+], ids=["rank-60", "type-X", "probe-4-9"])
+def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("root enumeration started before the type was checked")
+    monkeypatch.setattr(cli, "root_datum", no_enumeration)
+    t0 = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_worker_variable_no_longer_read(capsys, monkeypatch):
+    code, plain = _run(capsys, ["counts", "--g", "2"])
+    monkeypatch.setenv("ROOTCOVER_WORKERS", "x")
+    code_x, with_var = _run(capsys, ["counts", "--g", "2"])
+    assert code == code_x == 0
+    assert with_var == plain
+    assert json.loads(plain)["config"]["workers"] == 1
 
 
 def test_build_deterministic_bytes(tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rootcover import lattice
+from rootcover import extension, lattice
 from rootcover.extension import (ExtAutomorphism, ExtElement,
                                  ExtensionError, RootLift, build_extension,
                                  canonical_root_lift, character_automorphism,
@@ -231,6 +231,23 @@ def test_transport_rejects_non_symplectic():
     bad = tuple(1 << 0 for _ in range(coc.dim))  # rank-1 map
     with pytest.raises(ExtensionError):
         transport_automorphism(coc, bad)
+
+
+def test_cover_check_is_exact_beyond_ten_dimensions(monkeypatch):
+    # a wrong q(e_11) changes q only on vectors >= 2^11, which a check of
+    # the first 2^10 vectors would never see
+    space = standard_symplectic_space(6, qbits=0b101101001011)
+    assert build_extension(space).rows == space.upper_rows
+    real_cocycle = extension.Cocycle
+
+    def flipped(dim, rows):
+        rows = list(rows)
+        rows[11] ^= 1 << 11
+        return real_cocycle(dim, tuple(rows))
+
+    monkeypatch.setattr(extension, "Cocycle", flipped)
+    with pytest.raises(ExtensionError, match="refinement"):
+        build_extension(space)
 
 
 def test_beta_json_dump():

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootcover import lattice
 from rootcover.f2 import (BitMatrix, BitVec, F2Error, F2QuadraticSpace, arf,
                           count_refinements_by_arf, eval_q, f2_kernel, f2_rank,
-                          h1_z2_dims, standard_symplectic_space,
-                          symplectic_decomposition, translate_refinement)
+                          f2_solve, h1_z2_dims, parity,
+                          standard_symplectic_space, symplectic_decomposition,
+                          translate_refinement)
 
 
 def test_q_vanishes_at_zero():
@@ -236,6 +238,45 @@ def test_kernel_and_rank_helpers():
     assert len(ker) == 1
     for row in rows:
         assert bin(row & ker[0]).count("1") % 2 == 0
+
+
+def _span(vectors):
+    """Every F2 combination of the vectors, by brute force."""
+    span = {0}
+    for v in vectors:
+        span |= {x ^ v for x in span}
+    return span
+
+
+@st.composite
+def bit_rows(draw):
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=6))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_rows(), st.integers(0, 63))
+def test_echelon_rank_kernel_and_solve_match_brute_force(case, target):
+    rows, ncols = case
+    target &= (1 << ncols) - 1
+    span = _span(rows)
+    rank = f2_rank(rows, ncols)
+    assert 1 << rank == len(span)
+    kernel = {x for x in range(1 << ncols)
+              if all(parity(row & x) == 0 for row in rows)}
+    basis = f2_kernel(rows, ncols)
+    assert len(basis) == ncols - rank
+    assert _span(basis) == kernel
+    coeffs = f2_solve(rows, target, ncols)
+    if target not in span:
+        assert coeffs is None
+    else:
+        total = 0
+        for i, row in enumerate(rows):
+            if (coeffs >> i) & 1:
+                total ^= row
+        assert total == target
 
 
 def test_space_json_roundtrip_shape():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootcover.gaussian import (I, ONE, ZERO, MonoMat, dense_mul, dense_neg,
-                                dense_transpose, gq)
+from rootcover.gaussian import (I, ONE, ZERO, MonoMat, add_terms, dense_mul,
+                                dense_neg, dense_transpose, gq)
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -81,3 +81,18 @@ def test_construction_rejects_entries_outside_mu4_scale():
         MonoMat(2, (0, 1), (0, 0), Fraction(0))
     assert MonoMat.from_values(2, (1, 0), (gq(0, -3), gq(3))) == \
         MonoMat(2, (1, 0), (3, 0), Fraction(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2))),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(-2, 2), st.integers(-2, 2))))
+def test_add_terms_keeps_exactly_the_nonzero_sums(int_terms, gq_terms):
+    sums = {}
+    for k, v in int_terms:
+        sums[k] = sums.get(k, 0) + v
+    assert add_terms({}, int_terms) == {k: v for k, v in sums.items() if v}
+    gsums = {}
+    for k, re, im in gq_terms:
+        gsums[k] = gsums.get(k, ZERO) + gq(re, im)
+    got = add_terms({}, [(k, gq(re, im)) for k, re, im in gq_terms])
+    assert got == {k: v for k, v in gsums.items() if not v.is_zero()}

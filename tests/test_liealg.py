@@ -1,11 +1,13 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from rootcover import lattice
+from rootcover import intmat, lattice
 from rootcover.extension import build_extension
 from rootcover.liealg import (LieError, ad_nilpotency_degree, build_lie,
-                              character_adjoint_check, identify_fixed,
+                              build_theta, character_adjoint_check,
+                              fixed_subalgebra, identify_fixed,
                               killing_cartan_ratio, killing_form,
                               recover_roots_from_ad, theta_eigenspace_dims,
                               verify_R, verify_jacobi)
@@ -86,14 +88,6 @@ def test_jacobi_sampled_mode(e6_stack):
     assert report.checked_unordered == 5000
 
 
-def test_jacobi_worker_partition_is_deterministic(e6_stack):
-    serial = verify_jacobi(e6_stack.lie)
-    parallel = verify_jacobi(e6_stack.lie, workers=2)
-    assert parallel.ok
-    assert parallel.checked_unordered == serial.checked_unordered
-    assert parallel.failures == serial.failures == []
-
-
 def test_cover_lattice_mismatch_is_rejected():
     datum = lattice.root_datum("A2")
     other = build_extension(lattice.mod2_space(lattice.root_datum("A3")).space)
@@ -108,7 +102,7 @@ def test_theta_traces_and_action(a2_stack, e6_stack, e7_stack):
     # canonical lifts give X_gamma -> X_{-gamma} with sign +1
     L = e6_stack.lie
     for ri in range(len(L.datum.roots)):
-        j, s = e6_stack.theta.apply_basis(L, L.basis_of_root(ri))
+        j, s = e6_stack.theta.apply_basis(L.basis_of_root(ri))
         assert j == L.basis_of_root(L.datum.negation[ri])
         assert s == 1
 
@@ -147,6 +141,38 @@ def test_killing_grading_block(e6_stack):
         for rk in range(len(L.datum.roots)):
             if rk != rj:
                 assert kf.matrix[nc + ri][nc + rk] == 0
+
+
+def _dense_killing(alg):
+    """tr(ad a . ad b) from dense ad matrices, ad(a)[m][k] = coefficient of
+    e_m in [e_a, e_k], flattened row-major and column-major."""
+    n = alg.dim
+    flat, flat_t = [], []
+    for a in range(n):
+        ad = [[0] * n for _ in range(n)]
+        for k in range(n):
+            for m, c in alg.bracket_basis(a, k):
+                ad[m][k] += c
+        flat.append([x for row in ad for x in row])
+        flat_t.append([ad[m][k] for k in range(n) for m in range(n)])
+    return tuple(tuple(sum(map(mul, flat[a], flat_t[b])) for b in range(n))
+                 for a in range(n))
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E6"])
+def test_killing_forms_match_dense_traces(name):
+    datum = lattice.root_datum(name)
+    L = build_lie(datum, build_extension(lattice.mod2_space(datum).space))
+    # L: the graded entries and every zero the grading forces
+    kf = killing_form(L)
+    dense = _dense_killing(L)
+    assert kf.matrix == dense
+    assert kf.determinant == intmat.bareiss_det(dense)
+    # the fixed subalgebra: every entry
+    fixed = fixed_subalgebra(L, build_theta(L))
+    gk = fixed.killing()
+    assert gk.matrix == _dense_killing(fixed)
+    assert gk.determinant == intmat.bareiss_det(gk.matrix)
 
 
 def test_fixed_killing_nondegenerate(e6_stack, e7_stack):
