@@ -2,8 +2,10 @@
 
 Commands
     build     full pipeline for a lattice type, structure constants to JSON
-    verify    run the verification suites (exhaustive or sampled) with exit 0
-              only when everything passes
+    verify    run the verification suites with exit 0 only when everything
+              passes; Jacobi is exhaustive by default for every type (it
+              evaluates the weight-live triples after checking the grading),
+              or sampled on request
     table     the real-orbit table over the E6 datum
     delpezzo  the blow-up lattice summary (126 / 72 / 56 / 27)
     counts    refinement counts by Arf invariant
@@ -138,8 +140,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     cfg.lattice_type = args.type
-    default_depth = "sampled" if args.type.upper() == "E8" else "exhaustive"
-    cfg.depth = args.depth or default_depth
+    cfg.depth = args.depth
     cfg.seed = args.seed if args.seed is not None else (
         0 if cfg.depth == "sampled" else None)
     cfg.samples = args.samples
@@ -149,17 +150,22 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     checks: Dict[str, dict] = {}
     ok = True
 
-    def clock(name: str, t0: float) -> None:
-        print(f"[{name}] {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    def clock(name: str, t0: float, detail: str = "") -> None:
+        print(f"[{name}] {time.perf_counter() - t0:.3f}s{detail}", file=sys.stderr)
 
     sample = None if cfg.depth == "exhaustive" else cfg.samples
     t0 = time.perf_counter()
     jr = verify_jacobi(pipe.lie, sample=sample, seed=cfg.seed)
-    clock("jacobi", t0)
+    clock("jacobi", t0, f" evaluated {jr.evaluated}, zero by grading "
+                        f"{jr.zero_by_grading}")
     checks["jacobi"] = {
         "ok": jr.ok, "checked_unordered": jr.checked_unordered,
         "covered_ordered": jr.covered_ordered, "sampled": jr.sampled,
     }
+    if not jr.ok:
+        labels = pipe.lie.labels
+        checks["jacobi"]["failures"] = [[labels[i] for i in triple]
+                                        for triple in jr.failures[:5]]
     ok &= jr.ok
 
     checks["theta"] = {"trace": pipe.theta.trace(),
@@ -308,7 +314,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--type", required=True)
     p_verify.add_argument("--depth", choices=("exhaustive", "sampled"),
-                          default=None)
+                          default="exhaustive",
+                          help="Jacobi on every basis triple (default, all "
+                               "types) or on --samples seeded random triples")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=200000)
     p_verify.add_argument("--out", default=None)
@@ -333,7 +341,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--params", required=True,
                      help="comma-separated rational parameters")
     p_q.add_argument("--probe", default="5,7,11",
-                     help="comma-separated probe primes")
+                     help="comma-separated probe primes, each at most 1000")
     p_q.add_argument("--out", default=None)
     p_q.set_defaults(func=cmd_quartic)
 

@@ -2,11 +2,13 @@ import ast
 import json
 import time
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from rootcover import cli, heisrep
+from rootcover import cli, heisrep, quartic
 from rootcover.gaussian import MonoMat
+from rootcover.liealg import IntegralLieAlgebra, _jacobi_fails
 
 
 def _run(capsys, argv):
@@ -61,11 +63,17 @@ def test_build_rejects_rank_one(capsys):
     (["verify", "--type", "X"], "unsupported lattice type 'X'"),
     (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "4,9"],
      "not a prime"),
-], ids=["rank-60", "type-X", "probe-4-9"])
+    (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "5,10007"],
+     "above the limit 1000"),
+], ids=["rank-60", "type-X", "probe-4-9", "probe-10007"])
 def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("root enumeration started before the type was checked")
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("a probe started before the primes were checked")
     monkeypatch.setattr(cli, "root_datum", no_enumeration)
+    monkeypatch.setattr(quartic, "_singular_points_mod_p", no_probe)
     t0 = time.perf_counter()
     assert cli.main(argv) == 2
     assert time.perf_counter() - t0 < 1.0
@@ -99,6 +107,7 @@ def test_verify_small_exhaustive(capsys, tmp_path):
     assert payload["ok"] is True
     assert payload["checks"]["jacobi"]["ok"] is True
     assert payload["checks"]["jacobi"]["sampled"] is False
+    assert "failures" not in payload["checks"]["jacobi"]
 
 
 def test_verify_sampled_records_seed(capsys, tmp_path):
@@ -120,6 +129,52 @@ def test_verify_sampled_deterministic(tmp_path):
                          "--seed", "3", "--samples", "200",
                          "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_e8_defaults_to_exhaustive(capsys, monkeypatch):
+    # the A2 pipeline stands in for E8: only the chosen depth is under test
+    a2 = cli.build_pipeline("A2")
+    monkeypatch.setattr(cli, "build_pipeline", lambda kind: a2)
+    code, out = _run(capsys, ["verify", "--type", "E8"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["type"] == "E8"
+    assert payload["config"]["depth"] == "exhaustive"
+    assert "seed" not in payload["config"]
+    assert payload["checks"]["jacobi"]["sampled"] is False
+
+
+def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
+    # flip the sign of one coefficient of [x_a, x_-a]: the involution stays an
+    # automorphism, so only the Jacobi check can see it
+    real_build_lie = cli.build_lie
+    built = []
+
+    def flipped(datum, cocycle):
+        L = real_build_lie(datum, cocycle)
+        key = tuple(sorted((L.basis_of_root(0),
+                            L.basis_of_root(datum.negation[0]))))
+        (k, c), *rest = L.table[key]
+        table = dict(L.table)
+        table[key] = ((k, -c), *rest)
+        built.append(IntegralLieAlgebra(datum, cocycle, table))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_lie", flipped)
+    code = cli.main(["verify", "--type", "E6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    payload = json.loads(captured.out)
+    jac = payload["checks"]["jacobi"]
+    assert payload["ok"] is False and jac["ok"] is False
+    # the first five failures of a scan over every triple, by basis label
+    L, = built
+    failing = [t for t in combinations(range(L.dim), 3)
+               if _jacobi_fails(L.table, *t)]
+    assert len(failing) > 5
+    assert jac["failures"] == [[L.labels[i] for i in t] for t in failing[:5]]
+    assert "[jacobi]" in captured.err
+    assert "evaluated 14876, zero by grading 61200" in captured.err
 
 
 def test_verify_rejects_nonpositive_samples(capsys, monkeypatch):

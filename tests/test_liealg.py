@@ -1,11 +1,15 @@
+import copy
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 import pytest
 
-from rootcover import intmat, lattice
+from rootcover import intmat, lattice, liealg
 from rootcover.extension import build_extension
-from rootcover.liealg import (LieError, ad_nilpotency_degree, build_lie,
+from rootcover.gaussian import add_terms
+from rootcover.liealg import (IntegralLieAlgebra, LieError,
+                              ad_nilpotency_degree, build_lie,
                               build_theta, character_adjoint_check,
                               fixed_subalgebra, identify_fixed,
                               killing_cartan_ratio, killing_form,
@@ -80,6 +84,67 @@ def test_jacobi_small_types_exhaustive():
         n = report.dim
         assert report.covered_ordered == n ** 3
         assert report.checked_unordered == n * (n - 1) * (n - 2) // 6
+
+
+def test_jacobi_evaluates_the_weight_live_triples(e7_stack):
+    report7 = verify_jacobi(e7_stack.lie)
+    assert report7.ok and report7.evaluated == 55958
+    assert report7.zero_by_grading == 383306 - 55958
+    report8 = verify_jacobi(_lie("E8"))
+    assert report8.ok and report8.evaluated == 273736
+    assert report8.checked_unordered == 2511496
+    assert report8.covered_ordered == 248 ** 3
+
+
+def _weight_live(L, i, j, k):
+    total = tuple(map(sum, zip(L.weight(i), L.weight(j), L.weight(k))))
+    return total in L.datum.index or not any(total)
+
+
+def _jacobi_sum(L, i, j, k):
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] from brackets."""
+    b = L.bracket
+    terms = [t for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+             for t in b(b({x: 1}, {y: 1}), {z: 1}).items()]
+    return add_terms({}, terms)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
+def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
+    L = _lie(name)
+    seen = []
+    real = liealg._jacobi_fails
+
+    def recording(table, i, j, k):
+        seen.append((i, j, k))
+        return real(table, i, j, k)
+
+    monkeypatch.setattr(liealg, "_jacobi_fails", recording)
+    report = verify_jacobi(L)
+    assert report.ok and report.evaluated == len(seen)
+    triples = list(combinations(range(L.dim), 3))
+    # the scan evaluates exactly the weight-live triples, in order ...
+    assert seen == [t for t in triples if _weight_live(L, *t)]
+    # ... and every triple it skips has a zero Jacobi sum
+    for t in triples:
+        if not _weight_live(L, *t):
+            assert not _jacobi_sum(L, *t), t
+
+
+@pytest.mark.parametrize("name", ["A2", "D4"])
+def test_ungraded_table_is_rejected(name):
+    L = _lie(name)
+    # [h_1, x_a] = a_1 x_a moved onto x_b, the next root, of another weight
+    key = min(key for key in L.table if key[0] == 0)
+    (k, c), = L.table[key]
+    table = dict(L.table)
+    table[key] = ((k + 1, c),)
+    bad = IntegralLieAlgebra(L.datum, L.cocycle, table)
+    # the moved entry breaks Jacobi on a triple the graded scan would skip
+    assert any(_jacobi_sum(bad, *t) for t in combinations(range(bad.dim), 3)
+               if not _weight_live(bad, *t))
+    with pytest.raises(LieError, match="not weight graded"):
+        verify_jacobi(bad)
 
 
 def test_jacobi_sampled_mode(e6_stack):
@@ -173,6 +238,31 @@ def test_killing_forms_match_dense_traces(name):
     gk = fixed.killing()
     assert gk.matrix == _dense_killing(fixed)
     assert gk.determinant == intmat.bareiss_det(gk.matrix)
+    # its Killing matrix is diagonal in the Z basis; in a basis where it is
+    # not, both triangles are compared
+    rebased = _rebased(fixed)
+    rk = rebased.killing()
+    assert rk.matrix == _dense_killing(rebased)
+    assert rk.matrix[1][0] == gk.matrix[1][1] != 0
+
+
+def _rebased(fixed):
+    """A copy of ``fixed`` with the table rewritten for the basis
+    f_0 = Z_0 + Z_1, f_k = Z_k for k >= 1."""
+    def up(a):
+        return {0: 1, 1: 1} if a == 0 else {a: 1}
+
+    def down(v):  # Z_0 = f_0 - f_1
+        return add_terms(dict(v), [(1, -v[0])] if 0 in v else [])
+
+    out = copy.copy(fixed)
+    out.table = {}
+    for a in range(fixed.dim):
+        for b in range(a + 1, fixed.dim):
+            res = down(fixed.bracket(up(a), up(b)))
+            if res:
+                out.table[(a, b)] = tuple(sorted(res.items()))
+    return out
 
 
 def test_fixed_killing_nondegenerate(e6_stack, e7_stack):
