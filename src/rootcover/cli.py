@@ -145,13 +145,14 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         0 if cfg.depth == "sampled" else None)
     cfg.samples = args.samples
     # timing goes to stderr so the JSON payload stays byte-identical across runs
-    t_start = time.perf_counter()
-    pipe = build_pipeline(cfg.lattice_type)
-    checks: Dict[str, dict] = {}
-    ok = True
-
     def clock(name: str, t0: float, detail: str = "") -> None:
         print(f"[{name}] {time.perf_counter() - t0:.3f}s{detail}", file=sys.stderr)
+
+    t_start = time.perf_counter()
+    pipe = build_pipeline(cfg.lattice_type)
+    clock("pipeline", t_start)
+    checks: Dict[str, dict] = {}
+    ok = True
 
     sample = None if cfg.depth == "exhaustive" else cfg.samples
     t0 = time.perf_counter()
@@ -172,11 +173,13 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
                        "ok": pipe.theta.trace() == -pipe.datum.rank}
     ok &= checks["theta"]["ok"]
 
+    t0 = time.perf_counter()
     kf = killing_form(pipe.lie)
     checks["killing"] = {"nondegenerate": kf.nondegenerate}
     gk = pipe.fixed.killing()
     checks["fixed_killing"] = {"nondegenerate": gk.nondegenerate,
                                "dim": pipe.fixed.dim}
+    clock("killing", t0)
     ok &= kf.nondegenerate and gk.nondegenerate
 
     if pipe.rep is not None:
@@ -193,9 +196,15 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         hr = verify_R(pipe.rmap)
         clock("fixed_rep_hom", t0)
         checks["fixed_rep_hom"] = {"ok": hr.ok, "pairs": hr.pairs_checked}
+        if not hr.ok:
+            labels = pipe.fixed.labels
+            checks["fixed_rep_hom"]["failures"] = [[labels[i], labels[j]]
+                                                   for i, j in hr.failures[:5]]
         ok &= hr.ok
 
+        t0 = time.perf_counter()
         rec = identify_fixed(pipe.fixed, pipe.rmap)
+        clock("identify_fixed", t0)
         checks["identify_fixed"] = {"family": rec.family, "w_dim": rec.w_dim,
                                     "fixed_dim": rec.fixed_dim}
 
@@ -207,6 +216,10 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         checks["lift_order4"] = {"ok": all(c.ok for c in certs),
                                  "roots": len(certs)}
         checks["comm_relation"] = {"ok": comm.ok, "pairs": comm.pairs_checked}
+        if not comm.ok:
+            roots = pipe.datum.roots
+            checks["comm_relation"]["failures"] = [[list(roots[g]), list(roots[d])]
+                                                   for g, d in comm.failures[:5]]
         checks["anticommutation_model"] = {"ok": anticommutation_model_holds()}
         ok &= all(c.ok for c in certs) and comm.ok
 

@@ -5,8 +5,10 @@ Scalars are a + b*i with a, b rational; equality is exact.  Monomial matrices
 are stored as a column permutation, one phase mod 4 per row and the single
 rational scale, so a product costs O(n) integer operations.  Gaussian
 rationals are used where matrices meet field arithmetic: traces, sparse
-solves (commutants, invariant bilinear forms) and small dense determinants
-(through intmat.field_eliminate).
+solves and small dense determinants (through intmat.field_eliminate).  The
+commutant and invariant-form systems have equations of two phase terms;
+``phase_rows`` normalizes and deduplicates them in integers, so only the
+distinct rows reach ``sparse_nullspace``.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ MINUS_ONE = gq(-1)
 Dense = Tuple[Tuple[GQ, ...], ...]
 
 
-# i**k as an integer pair (re, im), k = 0..3
+# i**k as an integer pair (re, im) and as a Gaussian rational, k = 0..3
 _UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_POWERS_OF_I = (ONE, I, MINUS_ONE, -I)
 
 
 def _polar(v: GQ) -> Tuple[int, Fraction]:
@@ -274,6 +277,41 @@ def sparse_nullspace(rows: Iterable[Dict[int, GQ]], ncols: int) -> List[Dict[int
     for row in rows:
         ech.insert(row)
     return ech.nullspace(ncols)
+
+
+PhaseTerm = Tuple[int, int]  # (u, p): the term i**p * x_u
+
+
+def phase_rows(equations: Iterable[Sequence[PhaseTerm]]) -> List[Dict[int, GQ]]:
+    """The distinct rows of homogeneous equations sum i**p x_u = 0 with at
+    most two terms each; ``sparse_nullspace`` of them is the solution space
+    of the equations.
+
+    Each equation becomes, in integers, a normal form with 1 on its lowest
+    unknown: two terms on one unknown cancel (opposite phases; the equation
+    is dropped) or force x_u = 0; two on distinct unknowns u < v become
+    x_u + i**k x_v.  Equal normal forms are unit multiples of each other, so
+    each is converted to a Gaussian-rational row once.
+    """
+    distinct: Dict[Tuple[int, ...], None] = {}
+    for eq in equations:
+        if len(eq) > 2:
+            raise ValueError("a phase equation has at most two terms")
+        if not eq:
+            continue
+        if len(eq) == 1:
+            distinct[(eq[0][0],)] = None
+            continue
+        (u, p), (v, q) = eq
+        if u == v:
+            if (p - q) & 3 != 2:
+                distinct[(u,)] = None
+        elif u < v:
+            distinct[(u, v, (q - p) & 3)] = None
+        else:
+            distinct[(v, u, (p - q) & 3)] = None
+    return [{key[0]: ONE} if len(key) == 1
+            else {key[0]: ONE, key[1]: _POWERS_OF_I[key[2]]} for key in distinct]
 
 
 def sparse_rank(rows: Iterable[Dict[int, GQ]]) -> int:

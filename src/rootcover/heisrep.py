@@ -16,11 +16,11 @@ by pair, once, when the representation is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .extension import Cocycle, ExtElement
 from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
-from .gaussian import GQ, MonoMat, add_terms, sparse_nullspace
+from .gaussian import GQ, MonoMat, phase_rows, sparse_nullspace
 
 
 class RepError(ValueError):
@@ -328,21 +328,23 @@ def _root_square_failures(rep: HeisRep, root_classes: Sequence[int]) -> List[int
 
 
 def commutant_dimension(rep: HeisRep) -> int:
-    """Dimension of {B : B M = M B for all image matrices}, solved exactly."""
+    """Dimension of {B : B M = M B for all image matrices}, solved exactly.
+
+    Both terms of an equation carry the scale of M, which factors out: each
+    equation is two phase terms (see gaussian.phase_rows).
+    """
     n = rep.dim_w
     gens = [rep.mats[1 << j] for j in range(rep.cocycle.dim)]
-    rows: List[Dict[int, GQ]] = []
-    for m in gens:
-        vals = [v for _, _, v in m.entries()]
-        colinv = [0] * n
-        for r, c in enumerate(m.col):
-            colinv[c] = r
-        for r in range(n):
-            for c in range(n):
-                # (B M - M B)[r, c] = B[r, k0] M[k0, c] - M[r, col r] B[col r, c]
-                k0 = colinv[c]
-                row = add_terms({}, ((r * n + k0, vals[k0]),
-                                     (m.col[r] * n + c, -vals[r])))
-                if row:
-                    rows.append(row)
-    return len(sparse_nullspace(rows, n * n))
+
+    def equations():
+        for m in gens:
+            colinv = [0] * n
+            for r, c in enumerate(m.col):
+                colinv[c] = r
+            for r in range(n):
+                for c in range(n):
+                    # (B M - M B)[r, c] = B[r, k0] M[k0, c] - M[r, col r] B[col r, c]
+                    k0 = colinv[c]
+                    yield ((r * n + k0, m.phase[k0]), (m.col[r] * n + c, m.phase[r] + 2))
+
+    return len(sparse_nullspace(phase_rows(equations()), n * n))

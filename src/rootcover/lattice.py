@@ -178,6 +178,7 @@ class RootDatum:
         return tuple(x - c * g for x, g in zip(coords, gamma))
 
     def reflection_perm(self, root_index: int) -> bytes:
+        _perm_size(self)
         return bytes(self.index[self.reflect(c, root_index)] for c in self.roots)
 
     @cached_property
@@ -264,6 +265,20 @@ def discriminant_group(lattice: IntLattice) -> List[int]:
     return intmat.smith_invariant_factors(lattice.gram)
 
 
+# root permutations are stored as bytes, one root index per byte
+MAX_PERM_ROOTS = 256
+
+
+def _perm_size(datum: RootDatum) -> int:
+    """The number of roots; raises LatticeError when bytes cannot index them."""
+    size = len(datum.roots)
+    if size > MAX_PERM_ROOTS:
+        raise LatticeError(
+            f"{datum.type_name} has {size} roots; root permutations are stored "
+            f"as bytes and support at most {MAX_PERM_ROOTS}")
+    return size
+
+
 def _translate_table(perm: bytes, size: int) -> bytes:
     return perm + bytes(range(size, 256))
 
@@ -316,9 +331,9 @@ class WeylGroup:
 
 def weyl_enumerate(datum: RootDatum, cap: Optional[int] = None) -> WeylGroup:
     """Breadth-first closure of the simple reflections acting on the roots."""
+    size = _perm_size(datum)
     if cap is None and datum.rank > 6:
         raise LatticeError("rank > 6 requires an explicit cap")
-    size = len(datum.roots)
     gens = [_translate_table(datum.reflection_perm(si), size)
             for si in datum.simple]
     ident = bytes(range(size))
@@ -441,7 +456,7 @@ def orthogonal_root_quadruples(datum: RootDatum, limit: int) -> List[Tuple[int, 
 
 def tau_involution(datum: RootDatum, quad: Sequence[int]) -> bytes:
     """Product of the four orthogonal reflections: -1 on the quadruple's span, +1 across."""
-    size = len(datum.roots)
+    size = _perm_size(datum)
     perm = bytes(range(size))
     for q in quad:
         perm = perm.translate(_translate_table(datum.reflection_perm(q), size))

@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import intmat
 from .extension import Cocycle
 from .f2 import parity
-from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, gq, sparse_nullspace,
-                       sparse_rank)
+from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, gq, phase_rows,
+                       sparse_nullspace, sparse_rank)
 from .heisrep import HeisRep
 from .lattice import RootDatum
 
@@ -587,36 +587,35 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
     """Solve R^T B + B R = 0 over forms with B^T = sym * B.
 
     Unknowns are the upper-triangle entries (strict for sym = -1); returns a
-    basis of the solution space as dicts over unknown indices.
+    basis of the solution space as dicts over unknown indices.  Both terms of
+    an equation carry the scale of R, which therefore factors out: each
+    equation is two phase terms i**p x_u (see gaussian.phase_rows).
     """
     n = mats[0].n
-    unknowns = {ab: idx for idx, ab in enumerate(_form_unknowns(n, sym))}
+    unknowns = _form_unknowns(n, sym)
+    # B[a, b] = i**p x_u as ref[a, b] = (u, p); absent on the zero diagonal
+    # of an antisymmetric form
+    ref: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for u, (a, b) in enumerate(unknowns):
+        ref[a, b] = (u, 0)
+        if a != b:
+            ref[b, a] = (u, 0 if sym == 1 else 2)
 
-    def coeff_of(a: int, b: int) -> Optional[Tuple[int, int]]:
-        if a == b and sym == -1:
-            return None
-        return ((a, b), 1) if (a, b) in unknowns else ((b, a), sym)
+    def equations():
+        for m in mats:
+            colinv = [0] * n
+            for r, c in enumerate(m.col):
+                colinv[c] = r
+            for a in range(n):
+                k0 = colinv[a]
+                for b in range(n):
+                    # (R^T B + B R)[a, b] = R[k0, a] B[k0, b] + B[a, k1] R[k1, b]
+                    k1 = colinv[b]
+                    yield [(t[0], t[1] + m.phase[k])
+                           for k, t in ((k0, ref.get((k0, b))), (k1, ref.get((a, k1))))
+                           if t is not None]
 
-    rows: List[Dict[int, GQ]] = []
-    for m in mats:
-        vals = [v for _, _, v in m.entries()]
-        colinv = [0] * n
-        for r, c in enumerate(m.col):
-            colinv[c] = r
-        for a in range(n):
-            for b in range(n):
-                # (R^T B + B R)[a, b] = R[k0, a] B[k0, b] + B[a, k1] R[k1, b]
-                k0, k1 = colinv[a], colinv[b]
-                terms = []
-                for k, ref in ((k0, coeff_of(k0, b)), (k1, coeff_of(a, k1))):
-                    if ref is not None:
-                        key, s = ref
-                        terms.append((unknowns[key], vals[k] * gq(s)))
-                row = add_terms({}, terms)
-                if row:
-                    rows.append(row)
-    sols = sparse_nullspace(rows, len(unknowns))
-    return sols
+    return sparse_nullspace(phase_rows(equations()), len(unknowns))
 
 
 def form_from_solution(sol: Dict[int, GQ], n: int, sym: int) -> Tuple[Tuple[GQ, ...], ...]:

@@ -13,6 +13,7 @@ what was proved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -227,7 +228,7 @@ class Verdict:
 
 
 # the probe at p scans all p^2 + p + 1 points of P^2(F_p); at p = 997 that
-# took 2 s and 110 MB on a 2-core x86 VM
+# took 2 s on a 2-core x86 VM
 MAX_PROBE_PRIME = 1000
 
 
@@ -298,8 +299,9 @@ def _singular_points_mod_p(int_coeffs: List[int], parts, p: int,
         scaled = [(m, int(v * denom) % p) for m, v in d.items() if int(v * denom) % p]
         part_terms.append(scaled)
     found = []
-    reps = [(x, y, 1) for x in range(p) for y in range(p)]
-    reps += [(x, 1, 0) for x in range(p)] + [(1, 0, 0)]
+    # the points of P^2(F_p), generated in this order rather than listed
+    reps = itertools.chain(((x, y, 1) for x in range(p) for y in range(p)),
+                           ((x, 1, 0) for x in range(p)), [(1, 0, 0)])
     for (x, y, z) in reps:
         if _poly_eval_mod(f_terms, x, y, z, p):
             continue
@@ -344,12 +346,6 @@ def _p1_trim(p: Sequence[Fraction]) -> Poly1:
     while lst and lst[-1] == 0:
         lst.pop()
     return tuple(lst)
-
-
-def _p1_add(a: Poly1, b: Poly1) -> Poly1:
-    n = max(len(a), len(b))
-    return _p1_trim([(a[i] if i < len(a) else Fraction(0)) +
-                     (b[i] if i < len(b) else Fraction(0)) for i in range(n)])
 
 
 def _p1_mul(a: Poly1, b: Poly1) -> Poly1:
@@ -489,7 +485,7 @@ def _sylvester_resultant(f: _BiPoly, g: _BiPoly) -> Poly1:
     """Resultant in the aux variable, as a polynomial in the main variable.
 
     Computed from the Sylvester matrix with polynomial entries by evaluation
-    at enough points followed by Lagrange interpolation.
+    at enough points followed by interpolation.
     """
     m, n = f.aux_degree, g.aux_degree
     if f.is_zero() or g.is_zero():
@@ -528,23 +524,29 @@ def _sylvester_resultant(f: _BiPoly, g: _BiPoly) -> Poly1:
                 row[shift + i] = c
             rows.append(row)
         values.append(field_eliminate(rows, Fraction(1))[0])
-    return _lagrange(xs, values)
+    return _interpolate(xs, values)
 
 
-def _lagrange(xs: List[Fraction], ys: List[Fraction]) -> Poly1:
-    total: Poly1 = ()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num: Poly1 = (Fraction(1),)
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = _p1_mul(num, (-xj, Fraction(1)))
-            den *= xi - xj
-        total = _p1_add(total, tuple(c * yi / den for c in num))
-    return total
+def _interpolate(xs: List[Fraction], ys: List[Fraction]) -> Poly1:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]).
+
+    Newton divided differences, then Horner expansion of the Newton form:
+    O(n^2) exact operations.
+    """
+    coef = list(ys)
+    n = len(xs)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
+    # p = coef[n-1]; p = p * (x - xs[k]) + coef[k] for k = n-2 .. 0
+    poly: List[Fraction] = [coef[-1]] if n else []
+    for k in range(n - 2, -1, -1):
+        shifted = [Fraction(0)] + poly
+        for d, c in enumerate(poly):
+            shifted[d] -= xs[k] * c
+        shifted[0] += coef[k]
+        poly = shifted
+    return _p1_trim(poly)
 
 
 def _exact_elimination(curve: QuarticCurve, parts) -> Tuple[str, Optional[Tuple[int, int, int]]]:

@@ -1,5 +1,7 @@
 import ast
+import copy
 import json
+import re
 import time
 from dataclasses import replace
 from itertools import combinations
@@ -7,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from rootcover import cli, heisrep, quartic
-from rootcover.gaussian import MonoMat
+from rootcover.gaussian import ZERO, MonoMat, gq
 from rootcover.liealg import IntegralLieAlgebra, _jacobi_fails
 
 
@@ -175,6 +177,98 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
     assert jac["failures"] == [[L.labels[i] for i in t] for t in failing[:5]]
     assert "[jacobi]" in captured.err
     assert "evaluated 14876, zero by grading 61200" in captured.err
+
+
+@pytest.mark.parametrize("kind, stages", [
+    ("A2", ["pipeline", "jacobi", "killing", "total"]),
+    ("E6", ["pipeline", "jacobi", "killing", "rep", "fixed_rep_hom",
+            "identify_fixed", "appendix", "total"]),
+])
+def test_verify_times_every_stage_on_stderr(capsys, kind, stages):
+    code = cli.main(["verify", "--type", kind])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["ok"] is True
+    names = [re.match(r"\[(\w+)\] \d+\.\d{3}s", line).group(1)
+             for line in captured.err.splitlines()]
+    assert names == stages
+
+
+def _flip_row_3(m):
+    return MonoMat(m.n, m.col, m.phase[:3] + ((m.phase[3] + 1) & 3,) + m.phase[4:],
+                   m.scale)
+
+
+def _gq_entries(terms):
+    """Sum of c * M over (c, M), as a dict of its nonzero entries."""
+    acc = {}
+    for c, m in terms:
+        for r, col, v in m.entries():
+            acc[r, col] = acc.get((r, col), ZERO) + gq(c) * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_r_check_failure_names_its_first_pairs(capsys, monkeypatch):
+    # the R check alone sees R(z_0) with one phase moved
+    real_verify_R = cli.verify_R
+    seen = []
+
+    def flipped(rmap):
+        bad = copy.copy(rmap)
+        bad.mats = (_flip_row_3(rmap.mats[0]),) + rmap.mats[1:]
+        seen.append(bad)
+        return real_verify_R(bad)
+
+    monkeypatch.setattr(cli, "verify_R", flipped)
+    code = cli.main(["verify", "--type", "E6"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["ok"] is False
+    hom = payload["checks"]["fixed_rep_hom"]
+    assert hom["ok"] is False and hom["pairs"] == 630
+    rmap, = seen
+    fixed, mats = rmap.fixed, rmap.mats
+    failing = [(i, j) for i, j in combinations(range(fixed.dim), 2)
+               if _gq_entries([(c, mats[k]) for k, c in fixed.bracket_basis(i, j)])
+               != _gq_entries([(1, mats[i] * mats[j]), (-1, mats[j] * mats[i])])]
+    assert len(failing) > 5
+    assert hom["failures"] == [[fixed.labels[i], fixed.labels[j]]
+                               for i, j in failing[:5]]
+    assert "failures" not in payload["checks"]["comm_relation"]
+
+
+def test_comm_relation_failure_names_its_first_pairs(capsys, monkeypatch):
+    # the commutator check alone sees the image of root 0's class with one
+    # phase moved
+    real_verify = cli.verify_comm_relation
+    seen = []
+
+    def flipped(rep, datum, all_pairs=False):
+        mats = list(rep.mats)
+        bits = datum.root_class_bits(0)
+        mats[bits] = _flip_row_3(mats[bits])
+        seen.append((replace(rep, mats=tuple(mats)), datum))
+        return real_verify(seen[-1][0], datum, all_pairs=all_pairs)
+
+    monkeypatch.setattr(cli, "verify_comm_relation", flipped)
+    code = cli.main(["verify", "--type", "E6"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["ok"] is False
+    comm = payload["checks"]["comm_relation"]
+    assert comm["ok"] is False and comm["pairs"] == 2556
+    (rep, datum), = seen
+    rho = [rep.rho_bits(datum.root_class_bits(g)) for g in range(len(datum.roots))]
+
+    def holds(g, d):
+        sign = -1 if datum.inner(datum.roots[g], datum.roots[d]) % 2 else 1
+        other = rho[d] * rho[g]
+        return rho[g] * rho[d] == (-other if sign < 0 else other)
+
+    failing = [(g, d) for g, d in combinations(range(len(datum.roots)), 2)
+               if not holds(g, d)]
+    assert len(failing) > 5
+    assert comm["failures"] == [[list(datum.roots[g]), list(datum.roots[d])]
+                                for g, d in failing[:5]]
+    assert "failures" not in payload["checks"]["fixed_rep_hom"]
 
 
 def test_verify_rejects_nonpositive_samples(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rootcover.gaussian import (I, ONE, ZERO, MonoMat, add_terms, dense_mul,
-                                dense_neg, dense_transpose, gq)
+                                dense_neg, dense_transpose, gq, phase_rows,
+                                sparse_nullspace)
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -96,3 +97,43 @@ def test_add_terms_keeps_exactly_the_nonzero_sums(int_terms, gq_terms):
         gsums[k] = gsums.get(k, ZERO) + gq(re, im)
     got = add_terms({}, [(k, gq(re, im)) for k, re, im in gq_terms])
     assert got == {k: v for k, v in gsums.items() if not v.is_zero()}
+
+
+@st.composite
+def phase_systems(draw):
+    """(ncols, equations): each equation has at most two terms (u, p), with
+    unknowns drawn from few columns so that repeated unknowns are common and
+    phases given as any integers (taken mod 4)."""
+    ncols = draw(st.integers(1, 6))
+    term = st.tuples(st.integers(0, ncols - 1), st.integers(-4, 7))
+    return ncols, draw(st.lists(st.lists(term, max_size=2), max_size=14))
+
+
+@settings(max_examples=400, deadline=None)
+@given(phase_systems())
+@example((2, [[(0, 1), (0, 3)], [(1, 0), (0, 2)]]))     # cancelling repeat
+@example((2, [[(1, 0), (1, 1)], [(0, 2), (1, 2)]]))     # repeat forcing x_1 = 0
+@example((3, [[], [(2, 5)], [(0, 0), (2, 1)], [(2, 3), (0, 2)]]))
+def test_phase_rows_have_the_solutions_of_the_gaussian_rows(system):
+    ncols, equations = system
+    rows = [add_terms({}, [(u, POWERS_OF_I[p % 4]) for u, p in eq])
+            for eq in equations]
+    expected = sparse_nullspace([r for r in rows if r], ncols)
+    assert sparse_nullspace(phase_rows(equations), ncols) == expected
+    assert sparse_nullspace(phase_rows(iter(equations)), ncols) == expected
+
+
+def test_phase_rows_keep_each_distinct_row_once():
+    # i x_0 + x_1, x_1 + i x_0 and -x_1 - i x_0 are one row, x_0 + i x_1 another;
+    # 2 x_2 and (1 + i) x_2 are both x_2 = 0; x_3 - x_3 is no row
+    equations = [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 2), (0, 3)],
+                 [(0, 0), (1, 1)], [(2, 1), (2, 1)], [(2, 0), (2, 1)],
+                 [(2, 6)], [(3, 0), (3, 2)], []]
+    rows = phase_rows(equations)
+    assert rows == [{0: ONE, 1: -I}, {0: ONE, 1: I}, {2: ONE}]
+    assert sparse_nullspace(rows, 4) == [{3: ONE}]
+
+
+def test_phase_rows_reject_longer_equations():
+    with pytest.raises(ValueError):
+        phase_rows([[(0, 0), (1, 0), (2, 0)]])

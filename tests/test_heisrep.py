@@ -7,7 +7,7 @@ from rootcover.extension import ExtElement, build_extension
 from rootcover.gaussian import (I, MINUS_ONE, ONE, ZERO, MonoMat, gq,
                                 sparse_nullspace)
 from rootcover.heisrep import (HeisRep, RepError, arf_normal_pairs,
-                               build_heisrep, verify_rep)
+                               build_heisrep, commutant_dimension, verify_rep)
 
 
 def _stack(name):
@@ -205,6 +205,50 @@ def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
             elif not b[i][j].is_zero():
                 ratios.add(rec.form[i][j] / b[i][j])
     assert len(ratios) == 1 and None not in ratios
+
+
+def _generic_commutant_dimension(rep):
+    """B M = M B for the generator images, one Gaussian-rational row per
+    matrix entry, scales included."""
+    n = rep.dim_w
+    rows = []
+    for j in range(rep.cocycle.dim):
+        dense = {(r, c): v for r, c, v in rep.mats[1 << j].entries()}
+        for r in range(n):
+            for c in range(n):
+                terms = []
+                for k in range(n):
+                    if (k, c) in dense:
+                        terms.append((r * n + k, dense[k, c]))
+                    if (r, k) in dense:
+                        terms.append((k * n + c, -dense[r, k]))
+                row = {}
+                for key, v in terms:
+                    row[key] = row.get(key, ZERO) + v
+                row = {key: v for key, v in row.items() if not v.is_zero()}
+                if row:
+                    rows.append(row)
+    return len(sparse_nullspace(rows, n * n))
+
+
+def _flip_row_0(m):
+    return MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:], m.scale)
+
+
+@pytest.mark.parametrize("change, dim", [
+    (lambda j, m: m, 1),
+    (lambda j, m: _flip_row_0(m) if j == 0 else m, 1),
+    (lambda j, m: _flip_row_0(m) if j == 3 else m, 1),
+    # every equation of an identity generator cancels
+    (lambda j, m: MonoMat.identity(m.n), 64),
+], ids=["unchanged", "gen-0", "gen-3", "identity"])
+def test_commutant_matches_generic_rows(e6_stack, change, dim):
+    rep = e6_stack.rep
+    mats = list(rep.mats)
+    for j in range(rep.cocycle.dim):
+        mats[1 << j] = change(j, mats[1 << j])
+    changed = replace(rep, mats=tuple(mats))
+    assert commutant_dimension(changed) == _generic_commutant_dimension(changed) == dim
 
 
 def test_json_dump_shape(reps):

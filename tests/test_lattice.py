@@ -146,6 +146,21 @@ def test_weyl_cap_exceeded():
         weyl_enumerate(root_datum("E7"))
 
 
+def test_root_permutations_beyond_256_roots_are_rejected():
+    # root permutations are bytes: D16 has 480 roots, E8 (240) is the largest
+    # supported type
+    datum = root_datum("D16")
+    assert len(datum.roots) == 480
+    for call in (lambda: datum.reflection_perm(0),
+                 lambda: weyl_enumerate(datum, cap=10),
+                 lambda: weyl_enumerate(datum),
+                 lambda: tau_involution(datum, (0,))):
+        with pytest.raises(LatticeError, match="480 roots"):
+            call()
+    e8 = root_datum("E8")
+    assert sorted(e8.reflection_perm(0)) == list(range(240))
+
+
 def test_involution_classes(e6_stack, e6_classes, e6_weyl):
     labels = [c.label for c in e6_classes]
     assert labels == ["1", "s1", "s1s2", "s1s2s3", "tau"]

@@ -5,13 +5,14 @@ from operator import mul
 
 import pytest
 
-from rootcover import intmat, lattice, liealg
+from rootcover import heisrep, intmat, lattice, liealg
 from rootcover.extension import build_extension
-from rootcover.gaussian import add_terms
+from rootcover.gaussian import MonoMat, add_terms, gq, sparse_nullspace
 from rootcover.liealg import (IntegralLieAlgebra, LieError,
                               ad_nilpotency_degree, build_lie,
                               build_theta, character_adjoint_check,
                               fixed_subalgebra, identify_fixed,
+                              invariant_form_space,
                               killing_cartan_ratio, killing_form,
                               recover_roots_from_ad, theta_eigenspace_dims,
                               verify_R, verify_jacobi)
@@ -278,7 +279,6 @@ def test_r_homomorphism_small(a2_stack):
 
 def test_r_scaling_identity(e6_stack):
     # (2 R(Z_gamma))^2 = -identity, forced by the order-4 lifts
-    from rootcover.gaussian import MonoMat, gq
     rmap = e6_stack.rmap
     minus_id = MonoMat.identity(rmap.rep.dim_w).times(gq(-1))
     for m in rmap.mats:
@@ -306,6 +306,73 @@ def test_identify_fixed_exceptional(e6_stack, e7_stack):
     for i in range(n):
         for j in range(n):
             assert form[i][j] == -form[j][i]
+
+
+def _generic_form_space(mats, sym):
+    """R^T B + B R = 0 for B^T = sym * B, one Gaussian-rational row per
+    matrix entry, scales included, all rows to the field elimination."""
+    n = mats[0].n
+    unknowns = {}
+    for a in range(n):
+        for b in range(a if sym == 1 else a + 1, n):
+            unknowns[a, b] = len(unknowns)
+
+    def entry(a, b):
+        # B[a, b] as (unknown, sign), or None on an antisymmetric diagonal
+        if (a, b) in unknowns:
+            return unknowns[a, b], 1
+        return (unknowns[b, a], sym) if (b, a) in unknowns else None
+
+    rows = []
+    for m in mats:
+        dense = {(r, c): v for r, c, v in m.entries()}
+        for a in range(n):
+            for b in range(n):
+                terms = []
+                for k in range(n):
+                    for coeff, ref in ((dense.get((k, a)), entry(k, b)),
+                                       (dense.get((k, b)), entry(a, k))):
+                        if coeff is not None and ref is not None:
+                            terms.append((ref[0], coeff * gq(ref[1])))
+                row = add_terms({}, terms)
+                if row:
+                    rows.append(row)
+    return sparse_nullspace(rows, len(unknowns))
+
+
+@pytest.mark.parametrize("flip, dims", [(None, (1, 0)), (0, (0, 0)), (5, (1, 0))],
+                         ids=["unchanged", "matrix-0", "matrix-5"])
+def test_invariant_forms_match_generic_rows(e6_stack, flip, dims):
+    # one phase of one R image moved by +1 at row 3 changes the system; the
+    # deduplicated phase equations must still give the generic solution
+    mats = list(e6_stack.rmap.mats)
+    if flip is not None:
+        m = mats[flip]
+        phase = m.phase[:3] + ((m.phase[3] + 1) & 3,) + m.phase[4:]
+        mats[flip] = MonoMat(m.n, m.col, phase, m.scale)
+    anti, symm = (invariant_form_space(mats, sym) for sym in (-1, 1))
+    assert (len(anti), len(symm)) == dims
+    assert anti == _generic_form_space(mats, -1)
+    assert symm == _generic_form_space(mats, 1)
+
+
+def test_representation_solves_send_distinct_rows(monkeypatch, e6_stack, e7_stack):
+    # of the 2 x 2,304 form equations and the 6 x 64 / 7 x 64 commutant
+    # equations, only the distinct normalized rows reach the elimination
+    sizes = []
+
+    def recording(rows, ncols):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return sparse_nullspace(rows, ncols)
+
+    monkeypatch.setattr(liealg, "sparse_nullspace", recording)
+    monkeypatch.setattr(heisrep, "sparse_nullspace", recording)
+    assert len(invariant_form_space(e6_stack.rmap.mats, -1)) == 1
+    assert len(invariant_form_space(e6_stack.rmap.mats, 1)) == 0
+    commutant = heisrep.commutant_dimension
+    assert commutant(e6_stack.rep) == commutant(e7_stack.rep) == 1
+    assert sizes == [102, 176, 176, 208]
 
 
 def test_character_adjoint_action(e6_stack):

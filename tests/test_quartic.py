@@ -1,9 +1,12 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rootcover import quartic
 from rootcover.quartic import (E6Params, E7Params, MONOMIALS, QuarticCurve,
                                QuarticError, e6_family, e7_family,
                                smoothness_probe, tangent_contact_order)
@@ -125,3 +128,60 @@ def test_random_smooth_members(seeded=23):
 def test_zero_curve_rejected():
     with pytest.raises(QuarticError):
         QuarticCurve(tuple(F(0) for _ in range(15)))
+
+
+@st.composite
+def interpolation_cases(draw):
+    """(coefficients, nodes): a polynomial of degree < n and n distinct
+    integer nodes."""
+    n = draw(st.integers(1, 19))
+    coeffs = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                           min_size=n, max_size=n))
+    nodes = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
+    return coeffs, nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(interpolation_cases())
+def test_interpolation_returns_the_polynomial(case):
+    coeffs, nodes = case
+    xs = [F(x) for x in nodes]
+    ys = [sum(c * x ** d for d, c in enumerate(coeffs)) for x in xs]
+    expected = list(coeffs)
+    while expected and expected[-1] == 0:
+        expected.pop()
+    assert quartic._interpolate(xs, ys) == tuple(expected)
+
+
+def _scan_inputs(curve):
+    denom = math.lcm(*(c.denominator for c in curve.coeffs))
+    return [int(c * denom) for c in curve.coeffs], curve.partials(), denom
+
+
+def test_point_scan_order_and_memory():
+    # X^2 Y^2 + Y^2 Z^2 + Z^2 X^2 has nodes at (1:0:0), (0:1:0) and (0:0:1),
+    # one in each part of the scan
+    curve = QuarticCurve.from_dict({(2, 2, 0): F(1), (0, 2, 2): F(1),
+                                    (2, 0, 2): F(1)})
+    ints, parts, denom = _scan_inputs(curve)
+    for p in (5, 7, 11):
+        points = [(x, y, 1) for x in range(p) for y in range(p)]
+        points += [(x, 1, 0) for x in range(p)] + [(1, 0, 0)]
+        expected = [pt for pt in points
+                    if curve.evaluate(*pt) % p == 0
+                    and all(sum(c * pt[0] ** i * pt[1] ** j * pt[2] ** k
+                                for (i, j, k), c in d.items()) % p == 0
+                            for d in parts)]
+        assert {(0, 0, 1), (0, 1, 0), (1, 0, 0)} <= set(expected)
+        assert quartic._singular_points_mod_p(ints, parts, p, denom) == expected
+    # the scan does not hold the p^2 + p + 1 = 44,733 points of P^2(F_211)
+    # (a list of them peaked at about 3 MB)
+    smooth = e6_family(E6Params(p12=F(1)))
+    ints, parts, denom = _scan_inputs(smooth)
+    tracemalloc.start()
+    try:
+        assert quartic._singular_points_mod_p(ints, parts, 211, denom) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
