@@ -8,7 +8,8 @@ rationals are used where matrices meet field arithmetic: traces, sparse
 solves and small dense determinants (through intmat.field_eliminate).  The
 commutant and invariant-form systems have equations of two phase terms;
 ``phase_rows`` normalizes and deduplicates them in integers, so only the
-distinct rows reach ``sparse_nullspace``.
+distinct rows reach ``sparse_nullspace``.  The sparse echelon works over any
+field; ``sparse_rank`` also ranks the quartic probe's ``Fraction`` rows.
 """
 
 from __future__ import annotations
@@ -226,20 +227,22 @@ def add_terms(acc: Dict[Any, Any], terms: Iterable[Tuple[Any, Any]]) -> Dict[Any
 
 
 class _SparseEchelon:
-    """Incremental sparse row reduction over the Gaussian rationals."""
+    """Incremental sparse row reduction over a field: Gaussian rationals for
+    the representation's systems, ``Fraction`` for the quartic Macaulay
+    matrix."""
 
     def __init__(self) -> None:
-        self.pivots: Dict[int, Dict[int, GQ]] = {}
+        self.pivots: Dict[int, Dict[int, Any]] = {}
 
-    def insert(self, row: Dict[int, GQ]) -> bool:
+    def insert(self, row: Dict[int, Any]) -> bool:
         """Reduce a row against the pivots; returns True when rank grew."""
         row = dict(row)
         while row:
             lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                inv = ONE / row[lead]
-                self.pivots[lead] = {c: v * inv for c, v in row.items()}
+                scale = row[lead]
+                self.pivots[lead] = {c: v / scale for c, v in row.items()}
                 return True
             neg = -row[lead]
             add_terms(row, ((c, neg * v) for c, v in piv.items()))
@@ -249,25 +252,32 @@ class _SparseEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace(self, ncols: int) -> List[Dict[int, GQ]]:
-        """Basis of the solution space of (rows) x = 0."""
-        free = [c for c in range(ncols) if c not in self.pivots]
-        basis = []
-        # fully reduce pivot rows against each other for clean back-substitution
-        reduced: Dict[int, Dict[int, GQ]] = {}
+    def reduced(self) -> Dict[int, Dict[int, Any]]:
+        """The pivot rows by lead, each reduced to zero at every other pivot
+        column.  A pivot row has no entry left of its lead, so clearing the
+        larger leads first brings no cleared entry back."""
+        reduced: Dict[int, Dict[int, Any]] = {}
         for lead in sorted(self.pivots, reverse=True):
             row = dict(self.pivots[lead])
             for other_lead, other in reduced.items():
-                neg = -row.pop(other_lead, ZERO)
-                if neg:
+                if other_lead in row:
+                    neg = -row[other_lead]
                     add_terms(row, ((c, neg * v) for c, v in other.items()))
             reduced[lead] = row
-        for f_col in free:
+        return reduced
+
+    def nullspace(self, ncols: int) -> List[Dict[int, GQ]]:
+        """Basis of the solution space of (rows) x = 0, one vector per free
+        column, by back-substitution into the reduced rows."""
+        reduced = self.reduced()
+        basis = []
+        for f_col in range(ncols):
+            if f_col in reduced:
+                continue
             vec: Dict[int, GQ] = {f_col: ONE}
             for lead, row in reduced.items():
-                coeff = row.get(f_col, ZERO)
-                if coeff:
-                    vec[lead] = -coeff
+                if f_col in row:
+                    vec[lead] = -row[f_col]
             basis.append(vec)
         return basis
 
@@ -314,7 +324,8 @@ def phase_rows(equations: Iterable[Sequence[PhaseTerm]]) -> List[Dict[int, GQ]]:
             else {key[0]: ONE, key[1]: _POWERS_OF_I[key[2]]} for key in distinct]
 
 
-def sparse_rank(rows: Iterable[Dict[int, GQ]]) -> int:
+def sparse_rank(rows: Iterable[Dict[int, Any]]) -> int:
+    """Exact rank of sparse rows over any field (``GQ`` or ``Fraction``)."""
     ech = _SparseEchelon()
     for row in rows:
         ech.insert(row)

@@ -67,7 +67,9 @@ def test_build_rejects_rank_one(capsys):
      "not a prime"),
     (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "5,10007"],
      "above the limit 1000"),
-], ids=["rank-60", "type-X", "probe-4-9", "probe-10007"])
+    (["verify", "--type", "E6", "--depth", "sampled", "--samples", "100000000"],
+     f"--samples must be between 1 and {cli.MAX_SAMPLES}"),
+], ids=["rank-60", "type-X", "probe-4-9", "probe-10007", "samples-1e8"])
 def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("root enumeration started before the type was checked")
@@ -82,6 +84,23 @@ def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, stub", [
+    (["counts", "--g", "2"], "count_refinements_by_arf"),
+    (["verify", "--type", "E6"], "build_pipeline"),
+], ids=["counts", "verify-E6"])
+def test_unwritable_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
+                                                argv, stub):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    monkeypatch.setattr(cli, stub, no_work)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err and "not a writable" in captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_worker_variable_no_longer_read(capsys, monkeypatch):
@@ -343,6 +362,18 @@ def test_quartic_e7_with_fractions(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["contact_order"] == 3
+
+
+def test_quartic_huge_coefficients_answer_fast(capsys):
+    # Y^3 Z - (X^2 - 10^20 Z^2)^2: singular at (+-10^10 : 0 : 1), too large
+    # for the CRT witness search mod 5 * 7 * 11; the exact rank still decides
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["quartic", "e6", "--params",
+                              f"0,0,0,{-2 * 10 ** 20},0,{10 ** 40}"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["kind"], verdict["exact"]) == ("INCONCLUSIVE", "singular")
 
 
 def test_quartic_bad_params(capsys):

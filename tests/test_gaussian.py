@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rootcover.gaussian import (I, ONE, ZERO, MonoMat, add_terms, dense_mul,
-                                dense_neg, dense_transpose, gq, phase_rows,
-                                sparse_nullspace)
+from rootcover.gaussian import (I, ONE, ZERO, MonoMat, _SparseEchelon,
+                                add_terms, dense_mul, dense_neg,
+                                dense_transpose, gq, phase_rows,
+                                sparse_nullspace, sparse_rank)
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -132,6 +133,29 @@ def test_phase_rows_keep_each_distinct_row_once():
     rows = phase_rows(equations)
     assert rows == [{0: ONE, 1: -I}, {0: ONE, 1: I}, {2: ONE}]
     assert sparse_nullspace(rows, 4) == [{3: ONE}]
+
+
+def test_reduced_rows_are_zero_at_every_other_pivot_column():
+    # three rows over four columns: pivots 0, 1, 2 and the free column 3
+    ech = _SparseEchelon()
+    for row in ({0: ONE, 1: ONE, 2: ONE, 3: ONE}, {1: ONE, 2: ONE, 3: gq(2)},
+                {2: ONE, 3: gq(3)}):
+        assert ech.insert(row)
+    reduced = ech.reduced()
+    for lead, row in reduced.items():
+        assert row[lead] == ONE
+        assert not set(row) & (set(reduced) - {lead})
+    assert reduced == {0: {0: ONE, 3: gq(-1)}, 1: {1: ONE, 3: gq(-1)},
+                       2: {2: ONE, 3: gq(3)}}
+    assert ech.nullspace(4) == [{3: ONE, 2: gq(-3), 1: ONE, 0: ONE}]
+
+
+def test_sparse_rank_over_the_rationals():
+    rows = [{0: Fraction(2), 1: Fraction(1, 3)}, {0: Fraction(-6), 1: Fraction(-1)},
+            {1: Fraction(5), 2: Fraction(1, 7)}, {2: Fraction(3)}]
+    assert sparse_rank(rows) == 3
+    assert sparse_rank(rows[:2]) == 1
+    assert sparse_rank([{}, {4: Fraction(1, 2)}]) == 1
 
 
 def test_phase_rows_reject_longer_equations():

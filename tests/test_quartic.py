@@ -1,10 +1,12 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from rootcover import quartic
 from rootcover.quartic import (E6Params, E7Params, MONOMIALS, QuarticCurve,
@@ -119,7 +121,7 @@ def test_random_smooth_members(seeded=23):
         p = E6Params(*[F(rng.randint(-3, 3)) for _ in range(6)])
         curve = e6_family(p)
         verdict = smoothness_probe(curve, [5, 7, 11])
-        if verdict.kind in ("SMOOTH", "PROBABLY_SMOOTH"):
+        if verdict.kind == "SMOOTH":
             passing += 1
             assert tangent_contact_order(curve, (0, 1, 0), (0, 0, 1)) == 4
     assert passing == 8
@@ -128,29 +130,6 @@ def test_random_smooth_members(seeded=23):
 def test_zero_curve_rejected():
     with pytest.raises(QuarticError):
         QuarticCurve(tuple(F(0) for _ in range(15)))
-
-
-@st.composite
-def interpolation_cases(draw):
-    """(coefficients, nodes): a polynomial of degree < n and n distinct
-    integer nodes."""
-    n = draw(st.integers(1, 19))
-    coeffs = draw(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
-                           min_size=n, max_size=n))
-    nodes = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True))
-    return coeffs, nodes
-
-
-@settings(max_examples=100, deadline=None)
-@given(interpolation_cases())
-def test_interpolation_returns_the_polynomial(case):
-    coeffs, nodes = case
-    xs = [F(x) for x in nodes]
-    ys = [sum(c * x ** d for d, c in enumerate(coeffs)) for x in xs]
-    expected = list(coeffs)
-    while expected and expected[-1] == 0:
-        expected.pop()
-    assert quartic._interpolate(xs, ys) == tuple(expected)
 
 
 def _scan_inputs(curve):
@@ -185,3 +164,148 @@ def test_point_scan_order_and_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+# -- exact smoothness: Macaulay rank and rational witnesses ------------------
+
+X, Y, Z = sympy.symbols("X Y Z")
+
+
+def _sympy_poly(curve):
+    return sum(sympy.Rational(c.numerator, c.denominator) * X ** i * Y ** j * Z ** k
+               for (i, j, k), c in zip(MONOMIALS, curve.coeffs) if c)
+
+
+def _sympy_singular(curve):
+    """F and its partials have a common zero in one of the charts Z = 1,
+    Y = 1, X = 1, i.e. that chart's reduced Groebner basis is not {1}."""
+    poly = _sympy_poly(curve)
+    system = [poly] + [sympy.diff(poly, v) for v in (X, Y, Z)]
+    for fixed, free in ((Z, (X, Y)), (Y, (X, Z)), (X, (Y, Z))):
+        chart = [sympy.expand(g.subs(fixed, 1)) for g in system]
+        if list(sympy.groebner(chart, *free, order="grevlex").exprs) != [1]:
+            return True
+    return False
+
+
+def _is_singular_point(curve, point):
+    """F and its three partials vanish at the integer point."""
+    x, y, z = point
+    values = [0, 0, 0, 0]
+    for (i, j, k), c in zip(MONOMIALS, curve.coeffs):
+        values[0] += c * x ** i * y ** j * z ** k
+        if i:
+            values[1] += c * i * x ** (i - 1) * y ** j * z ** k
+        if j:
+            values[2] += c * j * x ** i * y ** (j - 1) * z ** k
+        if k:
+            values[3] += c * k * x ** i * y ** j * z ** (k - 1)
+    return any(point) and values == [0, 0, 0, 0]
+
+
+def _random_rational(rng):
+    if rng.random() < 0.5:
+        return F(0)
+    return F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 4, 8, 9)))
+
+
+def test_random_members_agree_with_groebner_oracle():
+    rng = random.Random(2016)
+    kinds = set()
+    for _ in range(40):
+        if rng.random() < 0.5:
+            curve = e6_family(E6Params(*[_random_rational(rng) for _ in range(6)]))
+        else:
+            curve = e7_family(E7Params(*[_random_rational(rng) for _ in range(7)]))
+        verdict = smoothness_probe(curve, [5, 7, 11])
+        kinds.add(verdict.kind)
+        assert (verdict.kind, verdict.exact) in (
+            ("SMOOTH", "smooth"), ("SINGULAR", "witness"), ("INCONCLUSIVE", "singular"))
+        assert (verdict.kind != "SMOOTH") == _sympy_singular(curve)
+        if verdict.kind == "SINGULAR":
+            assert _is_singular_point(curve, verdict.witness)
+    assert {"SMOOTH", "SINGULAR"} <= kinds
+
+
+@st.composite
+def planted_singular_points(draw):
+    """(curve, point): G(adj(M) v) for G with no monomial of Z-degree >= 3,
+    which is singular at (0:0:1), and M an integer matrix with third column
+    the point; det M is prime to the probe primes 5, 7, 11."""
+    g = {m: draw(st.integers(-4, 4)) for m in MONOMIALS if m[2] < 3}
+    assume(math.gcd(*g.values()) == 1)
+    m = sympy.Matrix(3, 3, draw(st.lists(st.integers(-3, 3), min_size=9, max_size=9)))
+    assume(math.gcd(int(m.det()), 5 * 7 * 11) == 1)
+    lin = m.adjugate() * sympy.Matrix([X, Y, Z])
+    poly = sympy.Poly(sum(c * lin[0] ** i * lin[1] ** j * lin[2] ** k
+                          for (i, j, k), c in g.items()), X, Y, Z)
+    curve = QuarticCurve.from_dict({mono: F(int(c)) for mono, c in poly.terms()})
+    return curve, tuple(int(c) for c in m.col(2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_singular_points())
+def test_planted_rational_singular_point_gives_a_witness(case):
+    curve, point = case
+    assert _is_singular_point(curve, point)
+    verdict = smoothness_probe(curve, [5, 7, 11])
+    assert (verdict.kind, verdict.exact) == ("SINGULAR", "witness")
+    assert _is_singular_point(curve, verdict.witness)
+
+
+@pytest.mark.parametrize("params, witness", [
+    ((0, 0, F(-5, 3), 0, 0, F(7, 8), 0), (-3, 0, 2)),
+    ((4, 0, 0, 0, F(-9, 4), F(1, 8), 0), (-1, 0, 2)),
+])
+def test_witness_with_denominator_comes_from_crt(params, witness):
+    # no centered lift mod 5, 7 or 11 is singular; CRT mod 385 recovers x = w0/2
+    verdict = smoothness_probe(e7_family(E7Params(*params)), [5, 7, 11])
+    assert (verdict.kind, verdict.exact, verdict.witness) == ("SINGULAR", "witness", witness)
+    lifts = [pt for p, found in verdict.mod_p_singular.items()
+             for pt in quartic._centered_lifts(found, p)]
+    assert witness not in lifts
+
+
+def test_singular_without_rational_witness_is_inconclusive_not_smooth():
+    # once labelled PROBABLY_SMOOTH: the Macaulay rank proves it singular
+    curve = e7_family(E7Params(p8=F(1, 3), p12=F(3, 2)))
+    assert _sympy_singular(curve)
+    verdict = smoothness_probe(curve, [5, 7, 11])
+    assert (verdict.kind, verdict.exact, verdict.witness) == ("INCONCLUSIVE", "singular", None)
+
+
+def test_crt_search_stops_at_the_cap(monkeypatch):
+    # (X^2 + Y^2 + Z^2)^2 is singular along a conic without rational points:
+    # 54 * 60 * 62 * 68 (about 13.7M) combinations, far above the cap
+    double_conic = QuarticCurve.from_dict({(4, 0, 0): F(1), (0, 4, 0): F(1),
+                                           (0, 0, 4): F(1), (2, 2, 0): F(2),
+                                           (2, 0, 2): F(2), (0, 2, 2): F(2)})
+    # the centered lifts of the 54 + 60 + 62 + 68 points, then the capped CRT
+    # combinations; counted lazily, so that an uncapped search fails fast
+    bound = 244 + quartic.MAX_CRT_COMBINATIONS
+    tried = [0]
+    real = quartic._exact_witness
+
+    def counting(int_parts, candidates):
+        def counted():
+            for n, pt in enumerate(candidates, 1):
+                assert n <= bound, "the CRT search ran past the cap"
+                tried[0] = n
+                yield pt
+        return real(int_parts, counted())
+    monkeypatch.setattr(quartic, "_exact_witness", counting)
+    t0 = time.perf_counter()
+    verdict = smoothness_probe(double_conic, [53, 59, 61, 67])
+    assert time.perf_counter() - t0 < 2.0
+    assert (verdict.kind, verdict.exact) == ("INCONCLUSIVE", "singular")
+    counts = [len(pts) for pts in verdict.mod_p_singular.values()]
+    assert counts == [54, 60, 62, 68]
+    assert math.prod(counts) > quartic.MAX_CRT_COMBINATIONS
+    assert tried == [bound]
+
+
+@given(st.integers(-13, 13), st.integers(1, 13))
+def test_rational_reconstruction_inverts_reduction(a, b):
+    m = 5 * 7 * 11  # isqrt(m // 2) = 13
+    assume(math.gcd(b, m) == 1)
+    assert quartic._rational_reconstruction(a * pow(b, -1, m) % m, m) == F(a, b)
