@@ -27,7 +27,7 @@ from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution,
                      build_R, build_lie, build_theta, character_adjoint_check,
                      fixed_subalgebra, identify_fixed, killing_form,
                      verify_R, verify_jacobi)
-from .grouplift import (phi_of_root, pgl2_to_so3, sl2_to_so3_derivative,
+from .grouplift import (pgl2_to_so3, sl2_to_so3_derivative,
                         verify_comm_relation)
 from .realtable import TableRow, emit_table, orbit_count_crosscheck, \
     row_for_involution

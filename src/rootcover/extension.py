@@ -189,13 +189,6 @@ class ExtAutomorphism:
         return tuple((self.apply(ExtElement(1, v)).sign, self.on_v(v))
                      for v in range(1 << self.cocycle.dim))
 
-    def to_json_dict(self) -> dict:
-        n = self.cocycle.dim
-        return {
-            "w": [[(row >> j) & 1 for j in range(n)] for row in self.w_rows],
-            "sigma": [[(row >> j) & 1 for j in range(n)] for row in self.sigma_rows],
-        }
-
 
 def character_automorphism(cocycle: Cocycle, f: int) -> ExtAutomorphism:
     """The automorphism (sign, v) -> (sign * (-1)^{f . v}, v) for a functional f."""

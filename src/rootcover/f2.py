@@ -229,9 +229,6 @@ class F2QuadraticSpace:
         """q(v) = sum_i q_i v_i + sum_{i<j} gram_ij v_i v_j."""
         return quadform_eval(self.upper_rows, v)
 
-    def radical(self) -> List[int]:
-        return f2_kernel(self.gram.data, self.dim)
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,

@@ -3,10 +3,11 @@
 The abstract double cover is recovered inside the simply connected fixed
 group; at representation level this reduces to concrete matrix identities:
 the 3x3 orthogonal image of a 2x2 projective transformation, its Lie-algebra
-derivative, order-4 lifts of the torus 2-torsion (squares equal to minus the
-identity), the sign commutation rule between root lifts, and the
-intertwining identity 2 R(Z_gamma) = rho of the canonical lift.  Everything
-is exact: Gaussian rationals for the dense identities, powers of i for the
+derivative, and the sign commutation rule between root lifts.  The order-4
+lifts of the torus 2-torsion (squares equal to minus the identity) are
+checked by heisrep.verify_rep on the root classes; 2 R(Z_gamma) = rho of the
+canonical lift is the definition of liealg.RMap, not a check.  Everything is
+exact: Gaussian rationals for the dense identities, powers of i for the
 monomial ones.
 """
 
@@ -14,22 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .gaussian import (GQ, Dense, I, MonoMat, ONE, ZERO, dense_identity,
-                       dense_mul, dense_neg, dense_sub, dense_transpose, gq)
+from .gaussian import (Dense, I, ONE, ZERO, dense_identity, dense_mul,
+                       dense_neg, dense_sub, dense_transpose, gq)
 from .heisrep import HeisRep
 from .intmat import field_eliminate
 from .lattice import RootDatum
-from .liealg import RMap
 
 
 class GroupLiftError(ValueError):
     pass
-
-
-def _two() -> GQ:
-    return gq(2)
 
 
 def pgl2_to_so3(m: Dense) -> Dense:
@@ -59,7 +55,7 @@ def sl2_to_so3_derivative(m: Dense) -> Dense:
     (a, b), (c, d) = m[0], m[1]
     if not (a + d).is_zero():
         raise GroupLiftError("input has nonzero trace")
-    two_i = I * _two()
+    two_i = I * gq(2)
     return (
         (ZERO, I * (b + c), b - c),
         (-(I * (b + c)), ZERO, two_i * a),
@@ -82,49 +78,6 @@ def dense_bracket(x: Dense, y: Dense) -> Dense:
     return dense_sub(dense_mul(x, y), dense_mul(y, x))
 
 
-@dataclass(frozen=True)
-class PhiCertificate:
-    """rho of a canonical root lift, with its order-4 and intertwining evidence."""
-
-    root_index: int
-    matrix: MonoMat
-    square_is_minus_id: bool
-    equals_two_r: Optional[bool]
-
-    @property
-    def ok(self) -> bool:
-        return self.square_is_minus_id and self.equals_two_r in (None, True)
-
-    def to_json_dict(self) -> dict:
-        d = {"root": self.root_index, "ok": self.ok,
-             "order4": self.square_is_minus_id,
-             "intertwined": self.equals_two_r}
-        if not self.ok:
-            d["matrix"] = [[r, c, str(v.re), str(v.im)]
-                           for r, c, v in self.matrix.entries()]
-        return d
-
-
-def phi_of_root(datum: RootDatum, rep: HeisRep, root_index: int,
-                rmap: Optional[RMap] = None) -> PhiCertificate:
-    """Certify that the lift of a coroot 2-torsion point has order 4.
-
-    Returns rho of the canonical lift together with the checks that its
-    square is minus the identity and (when the induced action is supplied)
-    that it equals twice the corresponding fixed-subalgebra image.
-    """
-    bits = datum.root_class_bits(root_index)
-    m = rep.rho_bits(bits)
-    square_ok = (m * m) == -MonoMat.identity(rep.dim_w)
-    equals = None
-    if rmap is not None:
-        pos = rmap.fixed.pos
-        ri = root_index if root_index in pos else datum.negation[root_index]
-        idx = pos.index(ri)
-        equals = rmap.mats[idx].times(_two()) == m
-    return PhiCertificate(root_index, m, square_ok, equals)
-
-
 @dataclass
 class CommReport:
     pairs_checked: int
@@ -133,10 +86,6 @@ class CommReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "pairs_checked": self.pairs_checked,
-                "failures": [list(f) for f in self.failures]}
 
 
 def verify_comm_relation(rep: HeisRep, datum: RootDatum,

@@ -291,7 +291,6 @@ def _check_table(rep: HeisRep) -> RepReport:
     codes = [m.code() for m in mats]
     neg_codes = [(-m).code() for m in mats]
     tables = [m.right_table() for m in mats]
-    neg_tables = [(-m).right_table() for m in mats]
     scales = [m.scale for m in mats]
     unit_scales = all(s == 1 for s in scales)
     beta = coc.beta
@@ -300,19 +299,13 @@ def _check_table(rep: HeisRep) -> RepReport:
         cu = codes[u]
         for v in range(size):
             t = u ^ v
-            prod = tuple(map(tables[v].__getitem__, cu))          # M_u M_v
-            neg_prod = tuple(map(neg_tables[v].__getitem__, cu))  # -M_u M_v
             # rho((su, u)) rho((sv, v)) = su sv M_u M_v must equal
-            # rho((su sv (-1)^beta(u, v), u + v)) = su sv (-1)^beta(u, v) M_t
-            if beta(u, v):
-                same, flipped = neg_codes[t], codes[t]
-            else:
-                same, flipped = codes[t], neg_codes[t]
-            scale_ok = unit_scales or scales[u] * scales[v] == scales[t]
-            for su, sv in _SIGNS:
-                lhs, rhs = (prod, same) if su == sv else (neg_prod, flipped)
-                if lhs != rhs or not scale_ok:
-                    failures.append(((su, u), (sv, v)))
+            # rho((su sv (-1)^beta(u, v), u + v)) = su sv (-1)^beta(u, v) M_t:
+            # su sv cancels, so the four signed pairs hold or fail together
+            prod = tuple(map(tables[v].__getitem__, cu))          # M_u M_v
+            if (prod != (neg_codes[t] if beta(u, v) else codes[t])
+                    or not (unit_scales or scales[u] * scales[v] == scales[t])):
+                failures.extend(((su, u), (sv, v)) for su, sv in _SIGNS)
             report.pairs_checked += 4
 
     images = {(c, s) for c, s in zip(codes, scales)}

@@ -279,8 +279,12 @@ def _perm_size(datum: RootDatum) -> int:
     return size
 
 
+_BYTE_RANGE = bytes(range(256))
+
+
 def _translate_table(perm: bytes, size: int) -> bytes:
-    return perm + bytes(range(size, 256))
+    """``perm`` padded with the identity on size..255, a bytes.translate table."""
+    return perm + _BYTE_RANGE[size:]
 
 
 class WeylGroup:
@@ -390,7 +394,7 @@ def _conjugacy_orbit(weyl: WeylGroup, start: bytes) -> set:
         for p in frontier:
             pt = _translate_table(p, size)
             for g, gt in zip(gens, gen_tables):
-                q = g.translate(pt).translate(_translate_table(g, size))
+                q = g.translate(pt).translate(gt)
                 if q not in orbit:
                     orbit.add(q)
                     nxt.append(q)

@@ -83,19 +83,20 @@ class SparseLieAlgebra:
 
 
 class IntegralLieAlgebra(SparseLieAlgebra):
-    """The Lie algebra of a root datum and cover, on the basis (h, X_gamma)."""
+    """The Lie algebra of a root datum and cover, on the basis (h, X_gamma).
+
+    ``table`` must not change after construction (build a new instance
+    instead): ``graded`` records a passed assert_weight_graded scan.
+    """
 
     def __init__(self, datum: RootDatum, cocycle: Cocycle, table: Table):
         super().__init__(datum.rank + len(datum.roots), table)
         self.datum = datum
         self.cocycle = cocycle
+        self.graded = False
         self.n_cartan = datum.rank
         self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
             "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
-
-    def root_index(self, i: int) -> int:
-        """Root-list position of basis index i (Cartan indices are invalid)."""
-        return i - self.n_cartan
 
     def basis_of_root(self, root_index: int) -> int:
         return self.n_cartan + root_index
@@ -281,13 +282,26 @@ def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
 
 
 def assert_weight_graded(L: IntegralLieAlgebra) -> None:
-    """Structural check that every bracket entry lands at the summed weight."""
+    """Raise LieError unless every bracket entry lands at the summed weight.
+
+    The table is scanned at most once per algebra: a pass is recorded in
+    ``L.graded`` and later calls return at once; a failure is not recorded.
+    """
+    if L.graded:
+        return
+    if not _is_weight_graded(L):
+        raise LieError("bracket table is not weight graded")
+    L.graded = True
+
+
+def _is_weight_graded(L: IntegralLieAlgebra) -> bool:
     for (i, j), entries in L.table.items():
         wi, wj = L.weight(i), L.weight(j)
         target = tuple(a + b for a, b in zip(wi, wj))
         for k, _ in entries:
             if L.weight(k) != target:
-                raise LieError("bracket table is not weight graded")
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -234,11 +234,12 @@ MAX_PROBE_PRIME = 1000
 
 # CRT combinations of mod-p singular points tried for a rational witness.  A
 # quartic that is nonzero mod p has at most 2p + 1 singular points there (two
-# double lines), so with the default primes 5, 7, 11 the search is never cut:
-# at most 11 * 15 * 23 + 5 * 7 * 11 = 4,180 combinations.  Combining and
-# re-checking all 5,000 for the double conic (X^2 + Y^2 + Z^2)^2 at primes 53,
-# 59, 61, 67 took 0.1 s on a 2-core x86 VM.
-MAX_CRT_COMBINATIONS = 5000
+# double lines), at most p of them in the chart (x, 1, 0), so with the default
+# primes 5, 7, 11 the search is never cut: 11 * 15 * 23 + 5 * 7 * 11 = 4,180
+# combinations of all three primes and 1,002 of pairs and single primes.  The
+# double conic (X^2 + Y^2 + Z^2)^2 at primes 53, 59, 61, 67, which tries all
+# 6,000, took 0.09 to 0.16 s on a 2-core x86 VM.
+MAX_CRT_COMBINATIONS = 6000
 
 # the 36 monomials of degree 7, the columns of the Macaulay matrix, in
 # ascending Z-degree: on the marked family members that order eliminated
@@ -277,12 +278,16 @@ def smoothness_probe(curve: QuarticCurve, primes: Sequence[int]) -> Verdict:
             raise QuarticError(f"probe modulus {p} is not a prime")
         if denom_lcm % p == 0:
             raise QuarticError(f"prime {p} divides the coefficient denominators")
-    int_coeffs = [int(c * denom_lcm) for c in curve.coeffs]
+    # the primitive integer multiple of F: with its content left in, a prime
+    # dividing the content would list every point of P^2(F_p) as singular
+    content = math.gcd(*(int(c * denom_lcm) for c in curve.coeffs))
+    scale = Fraction(denom_lcm, content)
+    int_coeffs = [int(c * scale) for c in curve.coeffs]
     parts = curve.partials()
-    int_parts = [[(m, int(v * denom_lcm)) for m, v in d.items()] for d in parts]
+    int_parts = [[(m, int(v * scale)) for m, v in d.items()] for d in parts]
     mod_p_singular = {}
     for p in primes:
-        found = _singular_points_mod_p(int_coeffs, parts, p, denom_lcm)
+        found = _singular_points_mod_p(int_coeffs, parts, p, scale)
         if found:
             mod_p_singular[p] = found
 
@@ -319,11 +324,11 @@ def _poly_eval_mod(terms: Iterable[Tuple[Tuple[int, int, int], int]],
 
 
 def _singular_points_mod_p(int_coeffs: List[int], parts, p: int,
-                           denom: int) -> List[Tuple[int, int, int]]:
+                           scale: Fraction) -> List[Tuple[int, int, int]]:
     f_terms = [(m, c % p) for m, c in zip(MONOMIALS, int_coeffs) if c % p]
     part_terms = []
     for d in parts:
-        scaled = [(m, int(v * denom) % p) for m, v in d.items() if int(v * denom) % p]
+        scaled = [(m, int(v * scale) % p) for m, v in d.items() if int(v * scale) % p]
         part_terms.append(scaled)
     found = []
     # the points of P^2(F_p), generated in this order rather than listed
@@ -345,20 +350,29 @@ def _centered_lifts(points: Sequence[Tuple[int, int, int]], p: int) -> List[Tupl
 
 def _crt_candidates(mod_p_singular: Dict[int, List[Tuple[int, int, int]]]
                     ) -> Iterator[Tuple[Optional[Fraction], ...]]:
-    """One candidate per choice of a listed singular point mod each prime
-    that lists a point in the chart, chart by chart.
+    """One candidate per choice of a listed singular point mod each prime of
+    a group of primes that list a point in the chart.
 
-    Charts are the scan's normal forms (x, y, 1), then (x, 1, 0).  A choice
-    is combined by CRT and every coordinate is rationally reconstructed (von
-    zur Gathen-Gerhard, Modern Computer Algebra, sec. 5.10); a coordinate
+    Charts are the scan's normal forms (x, y, 1), then (x, 1, 0).  The
+    groups are first all such primes, chart by chart, then each proper
+    nonempty subset of them, largest first: a rational point whose chart
+    denominator a prime divides lies in another chart mod that prime, and
+    only a choice without that prime recovers it.  A choice is combined by
+    CRT and every coordinate is rationally reconstructed (von zur
+    Gathen-Gerhard, Modern Computer Algebra, sec. 5.10); a coordinate
     without a reconstruction is None.
     """
+    charts = []
     for chart in (2, 1):
         per_prime = [(p, [pt for pt in pts if _chart(pt) == chart])
                      for p, pts in mod_p_singular.items()]
         per_prime = [(p, pts) for p, pts in per_prime if pts]
-        if not per_prime:
-            continue
+        if per_prime:
+            charts.append(per_prime)
+    groups = charts + [list(sub) for size in range(len(mod_p_singular) - 1, 0, -1)
+                       for per_prime in charts if size < len(per_prime)
+                       for sub in itertools.combinations(per_prime, size)]
+    for per_prime in groups:
         modulus = math.prod(p for p, _ in per_prime)
         # e_p = 1 mod p and 0 mod every other prime
         basis = [modulus // p * pow(modulus // p, -1, p) for p, _ in per_prime]

@@ -10,7 +10,7 @@ from rootcover.extension import build_extension
 from rootcover.f2 import count_refinements_by_arf
 from rootcover.gaussian import dense_mul, gq
 from rootcover.grouplift import (anticommutation_model_holds, pgl2_to_so3,
-                                 phi_of_root, verify_comm_relation)
+                                 verify_comm_relation)
 from rootcover.heisrep import verify_rep
 from rootcover.lattice import (DelPezzoPicard, bitangent_complement,
                                classify_involutions, delpezzo_k_perp, lines,
@@ -157,10 +157,13 @@ def test_criterion_10_appendix_identities(e6_stack, e7_stack):
     assert anticommutation_model_holds()
 
     for stack in (e6_stack, e7_stack):
-        for i in range(len(stack.datum.roots)):
-            cert = phi_of_root(stack.datum, stack.rep, i, stack.rmap)
-            assert cert.square_is_minus_id
-            assert cert.equals_two_r
+        datum = stack.datum
+        classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+        report = verify_rep(stack.rep, root_classes=classes, commutant=False)
+        assert report.root_square_failures == []
+        # 2 R(Z_gamma) is rho of the canonical lift of gamma mod 2
+        for ri, m in zip(stack.fixed.pos, stack.rmap.mats):
+            assert m.times(gq(2)) == stack.rep.rho_bits(datum.root_class_bits(ri))
         assert verify_comm_relation(stack.rep, stack.datum).ok
     _report(10, "matrix identities, order-4 lifts, intertwining for E6 and E7",
             time.perf_counter() - t0, 10)

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from rootcover import cli, heisrep, quartic
+from rootcover import cli, heisrep, liealg, quartic
 from rootcover.gaussian import ZERO, MonoMat, gq
 from rootcover.liealg import IntegralLieAlgebra, _jacobi_fails
 
@@ -129,6 +129,22 @@ def test_verify_small_exhaustive(capsys, tmp_path):
     assert payload["checks"]["jacobi"]["ok"] is True
     assert payload["checks"]["jacobi"]["sampled"] is False
     assert "failures" not in payload["checks"]["jacobi"]
+
+
+def test_verify_checks_the_grading_once_and_build_never(capsys, monkeypatch):
+    scans = []
+    real = liealg._is_weight_graded
+
+    def counted(L):
+        scans.append(L.datum.type_name)
+        return real(L)
+
+    monkeypatch.setattr(liealg, "_is_weight_graded", counted)
+    assert cli.main(["build", "--type", "A2"]) == 0
+    assert scans == []
+    # Jacobi and the Killing form both rely on the grading of one table
+    assert cli.main(["verify", "--type", "A2"]) == 0
+    assert scans == ["A2"]
 
 
 def test_verify_sampled_records_seed(capsys, tmp_path):
@@ -288,6 +304,26 @@ def test_comm_relation_failure_names_its_first_pairs(capsys, monkeypatch):
     assert comm["failures"] == [[list(datum.roots[g]), list(datum.roots[d])]
                                 for g, d in failing[:5]]
     assert "failures" not in payload["checks"]["fixed_rep_hom"]
+
+
+def test_root_square_failure_fails_rep_and_lift_order4(capsys, monkeypatch):
+    # one root class reported with M_v^2 != -id: the rep check fails, and so
+    # does the order-4 entry, which reads the same result
+    real = heisrep._root_square_failures
+
+    def one_failure(rep, root_classes):
+        assert real(rep, root_classes) == []
+        return [root_classes[0]]
+
+    monkeypatch.setattr(heisrep, "_root_square_failures", one_failure)
+    code = cli.main(["verify", "--type", "E6"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["ok"] is False
+    checks = payload["checks"]
+    assert checks["rep"]["ok"] is False
+    assert checks["lift_order4"] == {"ok": False, "roots": 72}
+    for name in ("jacobi", "fixed_rep_hom", "comm_relation"):
+        assert checks[name]["ok"] is True
 
 
 def test_verify_rejects_nonpositive_samples(capsys, monkeypatch):

@@ -80,13 +80,11 @@ def test_refinement_counts_match_closed_formulas():
 
 def test_counting_agrees_with_generic_arf():
     # the table-free arf() routine must agree with the directly counted split
-    g = 2
-    c0 = 0
-    for qb in range(16):
-        space = standard_symplectic_space(g, qbits=qb)
-        if arf(space) == 0:
-            c0 += 1
-    assert c0 == count_refinements_by_arf(g)[0]
+    for g in (1, 2, 3):
+        counts = [0, 0]
+        for qb in range(1 << (2 * g)):
+            counts[arf(standard_symplectic_space(g, qbits=qb))] += 1
+        assert tuple(counts) == count_refinements_by_arf(g)
 
 
 def test_translate_refinement_basics():
@@ -153,6 +151,32 @@ def test_arf_invariant_under_symplectic_changes():
                 moved = F2QuadraticSpace(space.dim, space.gram,
                                          BitVec(space.dim, moved_bits))
                 assert arf(moved) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 255),
+       st.lists(st.integers(1, 255), max_size=12))
+def test_arf_is_invariant_under_random_symplectic_bases(g, qbits, vectors):
+    # A = the product of the transvections x -> x + <x, v> v preserves the
+    # pairing; q o A has basis values q(A e_i) and the same Arf invariant
+    dim = 2 * g
+    space = standard_symplectic_space(g, qbits=qbits & ((1 << dim) - 1))
+    vectors = [v & ((1 << dim) - 1) for v in vectors]
+
+    def a(x):
+        for v in vectors:
+            if space.pairing(x, v):
+                x ^= v
+        return x
+
+    moved_bits = sum(space.q(a(1 << i)) << i for i in range(dim))
+    moved = F2QuadraticSpace(dim, space.gram, BitVec(dim, moved_bits))
+    images = [a(1 << i) for i in range(dim)]
+    assert [[space.pairing(u, w) for w in images] for u in images] == \
+        [[space.pairing(1 << i, 1 << j) for j in range(dim)] for i in range(dim)]
+    for x in range(1 << dim):
+        assert moved.q(x) == space.q(a(x))
+    assert arf(moved) == arf(space)
 
 
 def test_symplectic_decomposition_shape():

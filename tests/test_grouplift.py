@@ -7,8 +7,9 @@ from rootcover.gaussian import ONE, ZERO, MonoMat, dense_identity, dense_mul, gq
 from rootcover.grouplift import (GroupLiftError, anticommutation_model_holds,
                                  dense_bracket,
                                  is_antisymmetric, is_special_orthogonal,
-                                 pgl2_to_so3, phi_of_root,
-                                 sl2_to_so3_derivative, verify_comm_relation)
+                                 pgl2_to_so3, sl2_to_so3_derivative,
+                                 verify_comm_relation)
+from rootcover.heisrep import verify_rep
 
 
 def _mat2(a, b, c, d):
@@ -94,12 +95,14 @@ def test_anticommutation_model():
 
 
 def test_order_four_certificates(e6_stack, e7_stack):
+    # the lifts of the root classes square to -id: one class per pair +-gamma
     for stack in (e6_stack, e7_stack):
-        for i in range(len(stack.datum.roots)):
-            cert = phi_of_root(stack.datum, stack.rep, i, stack.rmap)
-            assert cert.ok
-            assert cert.square_is_minus_id
-            assert cert.equals_two_r
+        datum = stack.datum
+        classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+        assert 2 * len(classes) == len(datum.roots)
+        report = verify_rep(stack.rep, root_classes=classes, commutant=False)
+        assert report.ok
+        assert report.root_square_failures == []
 
 
 def test_comm_relation_simple_and_all(e6_stack):

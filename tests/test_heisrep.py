@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from rootcover import lattice
+from rootcover import heisrep, lattice
 from rootcover.extension import ExtElement, build_extension
 from rootcover.gaussian import (I, MINUS_ONE, ONE, ZERO, MonoMat, gq,
                                 sparse_nullspace)
@@ -131,6 +131,24 @@ def test_verify_rep_reuses_the_build_time_table(reps):
         assert reused == verify_rep(fresh, root_classes=rc)
         assert reused.commutant_dim == 1
         assert rep.report.commutant_dim is None
+
+
+def test_table_check_computes_one_product_per_pair(reps, monkeypatch):
+    # each product M_u M_v looks up one right-table entry per row
+    lookups = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, key):
+            lookups[0] += 1
+            return tuple.__getitem__(self, key)
+
+    real = MonoMat.right_table
+    monkeypatch.setattr(MonoMat, "right_table", lambda m: Counted(real(m)))
+    _, _, coc, rep = reps["E6"]
+    report = heisrep._check_table(rep)
+    size = 1 << coc.dim
+    assert report.ok and report.pairs_checked == 4 * size * size
+    assert lookups[0] == size * size * rep.dim_w
 
 
 def test_flipped_phase_fails_verification_and_names_the_pair(reps):

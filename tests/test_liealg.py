@@ -9,7 +9,7 @@ from rootcover import heisrep, intmat, lattice, liealg
 from rootcover.extension import build_extension
 from rootcover.gaussian import MonoMat, add_terms, gq, sparse_nullspace
 from rootcover.liealg import (IntegralLieAlgebra, LieError,
-                              ad_nilpotency_degree, build_lie,
+                              ad_nilpotency_degree, build_R, build_lie,
                               build_theta, character_adjoint_check,
                               fixed_subalgebra, identify_fixed,
                               invariant_form_space,
@@ -148,6 +148,39 @@ def test_ungraded_table_is_rejected(name):
         verify_jacobi(bad)
 
 
+def test_grading_is_checked_once_per_algebra(monkeypatch):
+    scans = []
+    real = liealg._is_weight_graded
+
+    def counted(L):
+        scans.append(L)
+        return real(L)
+
+    monkeypatch.setattr(liealg, "_is_weight_graded", counted)
+    L = _lie("A2")
+    assert not L.graded
+    verify_jacobi(L)
+    killing_form(L)
+    verify_jacobi(L)
+    assert scans == [L] and L.graded
+    # killing_form alone checks an unchecked algebra
+    other = _lie("A2")
+    killing_form(other)
+    assert scans == [L, other]
+
+
+def test_ungraded_table_fails_every_check_that_needs_the_grading():
+    L = _lie("A2")
+    key = min(key for key in L.table if key[0] == 0)
+    (k, c), = L.table[key]
+    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: ((k + 1, c),)})
+    # a failure is not remembered: each call scans and raises again
+    for check in (killing_form, verify_jacobi, killing_form):
+        with pytest.raises(LieError, match="not weight graded"):
+            check(bad)
+    assert not bad.graded
+
+
 def test_jacobi_sampled_mode(e6_stack):
     report = verify_jacobi(e6_stack.lie, sample=5000, seed=7)
     assert report.ok and report.sampled and report.seed == 7
@@ -275,6 +308,16 @@ def test_r_homomorphism_small(a2_stack):
     report = verify_R(a2_stack.rmap)
     assert report.ok
     assert report.pairs_checked == 3
+
+
+def test_build_r_is_half_the_root_lift_image(e6_stack, e7_stack):
+    # the definition of R: 2 R(Z_gamma) = rho of the canonical lift of gamma
+    for stack in (e6_stack, e7_stack):
+        rmap = build_R(stack.fixed, stack.rep)
+        datum = stack.datum
+        assert len(rmap.mats) == len(stack.fixed.pos) == len(datum.roots) // 2
+        for ri, m in zip(stack.fixed.pos, rmap.mats):
+            assert m.times(gq(2)) == stack.rep.rho_bits(datum.root_class_bits(ri))
 
 
 def test_r_scaling_identity(e6_stack):

@@ -266,6 +266,29 @@ def test_witness_with_denominator_comes_from_crt(params, witness):
     assert witness not in lifts
 
 
+def test_witness_missed_by_every_full_prime_choice_comes_from_a_subset():
+    # Y^3 Z + X^2 Z^2 - Y^2 Z^2 + X^4 pulled back by X -> 5X - Z is singular
+    # at (1 : 0 : 5); mod 5 that point is (1 : 0 : 0), outside the Z = 1 chart,
+    # where mod 5 lists other points, so only the choices mod 7 * 11 find it
+    curve = QuarticCurve.from_dict({
+        (4, 0, 0): F(625), (3, 0, 1): F(-500), (2, 0, 2): F(175),
+        (1, 0, 3): F(-30), (0, 3, 1): F(1), (0, 2, 2): F(-1), (0, 0, 4): F(2)})
+    verdict = smoothness_probe(curve, [5, 7, 11])
+    assert (verdict.kind, verdict.exact, verdict.witness) == ("SINGULAR", "witness", (1, 0, 5))
+    assert (1, 0, 0) in verdict.mod_p_singular[5]
+    assert any(pt[2] == 1 for pt in verdict.mod_p_singular[5])
+
+
+@pytest.mark.parametrize("content", [F(5), F(35, 3)], ids=["5", "35/3"])
+def test_content_is_divided_out_before_the_scan(content):
+    # 5 (X^4 + Y^4 + Z^4) is zero mod 5 until its content is divided out
+    fermat = {(4, 0, 0): F(1), (0, 4, 0): F(1), (0, 0, 4): F(1)}
+    scaled = QuarticCurve.from_dict({m: content * c for m, c in fermat.items()})
+    verdict = smoothness_probe(scaled, [5, 7, 11])
+    assert (verdict.kind, verdict.mod_p_singular) == ("SMOOTH", {})
+    assert verdict == smoothness_probe(QuarticCurve.from_dict(fermat), [5, 7, 11])
+
+
 def test_singular_without_rational_witness_is_inconclusive_not_smooth():
     # once labelled PROBABLY_SMOOTH: the Macaulay rank proves it singular
     curve = e7_family(E7Params(p8=F(1, 3), p12=F(3, 2)))
