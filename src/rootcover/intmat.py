@@ -27,11 +27,33 @@ def identity(n: int) -> IntMatrix:
 
 
 def bareiss_det(m: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(m)
+    """Fraction-free determinant of a square integer matrix.
+
+    An isolated index, one whose row and column are zero off the diagonal,
+    contributes the factor of its diagonal entry: one pass splits those off
+    and Bareiss eliminates the rest.
+    """
+    busy = set()
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x and i != j:
+                busy.add(i)
+                busy.add(j)
+    det = 1
+    for i, row in enumerate(m):
+        if i not in busy:
+            det *= row[i]
+    if not det:
+        return 0
+    rest = sorted(busy)
+    return det * _bareiss([[m[i][j] for j in rest] for i in rest])
+
+
+def _bareiss(a: List[List[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix, in place."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(row) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -234,15 +234,18 @@ def enumerate_roots(lattice: IntLattice) -> RootDatum:
         raise LatticeError("failed to extract a simple system")
     simple.sort()
 
+    # simple coordinates c . S^-1 in integers: S^-1 = scaled / den
     s_inv = intmat.rational_inverse(simple)
+    den = math.lcm(*(x.denominator for row in s_inv for x in row))
+    scaled_cols = [[int(row[j] * den) for row in s_inv] for j in range(n)]
     new_roots = []
     for c in raw:
         coords = []
-        for j in range(n):
-            val = sum(Fraction(c[i]) * s_inv[i][j] for i in range(n))
-            if val.denominator != 1:
+        for col in scaled_cols:
+            q, r = divmod(sum(a * b for a, b in zip(c, col)), den)
+            if r:
                 raise LatticeError("root has non-integral simple coordinates")
-            coords.append(int(val))
+            coords.append(q)
         new_roots.append(tuple(coords))
     new_gram = tuple(tuple(lattice.inner(a, b) for b in simple) for a in simple)
     order = sorted(range(len(new_roots)),

@@ -11,11 +11,20 @@ Z_gamma = X_gamma + X_{-gamma} over the positive roots.
 
 Nothing here is trusted by construction: Jacobi, the automorphism property,
 and the representation homomorphism all have exhaustive checkers.
+
+IntegralLieAlgebra keeps its brackets in one flat table, built once at
+construction: ``flat[i * dim + j]`` is [e_i, e_j] for every ordered pair, so a
+bracket is one list index.  The exhaustive Jacobi check reads it in two ways.
+A triple of root vectors with no two opposite and a nonzero summed weight w
+brackets, by the verified grading, only through single terms on root vectors;
+its Jacobi sum is one integer times X_w, read from two root-by-root arrays
+(the monomial path).  Every other triple goes through the general kernel.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,17 +95,34 @@ class IntegralLieAlgebra(SparseLieAlgebra):
     """The Lie algebra of a root datum and cover, on the basis (h, X_gamma).
 
     ``table`` must not change after construction (build a new instance
-    instead): ``graded`` records a passed assert_weight_graded scan.
+    instead): the flat table ``flat`` is built from it once, and ``graded``
+    records a passed assert_weight_graded scan.
     """
 
     def __init__(self, datum: RootDatum, cocycle: Cocycle, table: Table):
         super().__init__(datum.rank + len(datum.roots), table)
+        n = self.dim
+        # flat[i * dim + j] = [e_i, e_j] for every ordered pair: the (j, i)
+        # entry is the negated (i, j) one and the diagonal is empty; equal
+        # entries share one negated tuple
+        flat: List[Tuple[Entry, ...]] = [()] * (n * n)
+        negated: Dict[Tuple[Entry, ...], Tuple[Entry, ...]] = {}
+        for (i, j), entries in table.items():
+            flat[i * n + j] = entries
+            neg = negated.get(entries)
+            if neg is None:
+                neg = negated[entries] = tuple((k, -c) for k, c in entries)
+            flat[j * n + i] = neg
+        self.flat = flat
         self.datum = datum
         self.cocycle = cocycle
         self.graded = False
         self.n_cartan = datum.rank
         self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
             "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
+
+    def bracket_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
+        return self.flat[i * self.dim + j]
 
     def basis_of_root(self, root_index: int) -> int:
         return self.n_cartan + root_index
@@ -168,11 +194,14 @@ class JacobiReport:
     triples, and through them all ``covered_ordered`` = dim^3 ordered ones:
     a triple it does not evaluate has a summed weight that is neither a root
     nor 0, so its sum is zero by the weight grading the same check verified.
+    ``monomial`` of the evaluated triples took the monomial path (see
+    _graded_scan); the rest, and every sampled triple, the general kernel.
     """
     dim: int
     checked_unordered: int
     covered_ordered: int
     evaluated: int
+    monomial: int = 0
     failures: List[Tuple[int, int, int]] = field(default_factory=list)
     sampled: bool = False
     seed: Optional[int] = None
@@ -186,37 +215,67 @@ class JacobiReport:
         return self.checked_unordered - self.evaluated
 
 
-def _jacobi_fails(table: Table, i: int, j: int, k: int) -> bool:
-    # inline, not add_terms: a call per entry would slow the Jacobi scan
-    get = table.get
+def _jacobi_fails(flat: Sequence[Tuple[Entry, ...]], n: int,
+                  i: int, j: int, k: int) -> bool:
+    """Whether [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] is
+    nonzero, read from the flat table of an algebra of dimension n."""
+    # inline and unrolled, not add_terms: the Jacobi scan calls this per triple
     acc: Dict[int, int] = {}
-    for (a, b, c3, sgn) in ((i, j, k, 1), (j, k, i, 1), (i, k, j, -1)):
-        ent = get((a, b))
-        if not ent:
+    get = acc.get
+    for m, c in flat[i * n + j]:
+        for t, c2 in flat[m * n + k]:
+            acc[t] = get(t, 0) + c * c2
+    for m, c in flat[j * n + k]:
+        for t, c2 in flat[m * n + i]:
+            acc[t] = get(t, 0) + c * c2
+    for m, c in flat[k * n + i]:
+        for t, c2 in flat[m * n + j]:
+            acc[t] = get(t, 0) + c * c2
+    return any(acc.values())
+
+
+def _monomial_block(L: IntegralLieAlgebra) -> Optional[Tuple[List[int], array]]:
+    """The brackets of non-opposite root vectors as two parallel arrays.
+
+    With R roots, [X_a, X_b] = coef[a R + b] X_c where dest[a R + b] = c R;
+    a zero coefficient stands for a zero bracket.  Returns None when some such
+    bracket in the table is not a single term on a root vector, or has a
+    coefficient outside the signed bytes of ``coef``.
+    """
+    nc = L.n_cartan
+    r = len(L.datum.roots)
+    neg = L.datum.negation
+    # dest is a list of shared ints, for speed; coef signed bytes, for memory
+    rows = [a * r for a in range(r)]
+    dest = [0] * (r * r)
+    coef = array("b", bytes(r * r))
+    for (i, j), entries in L.table.items():
+        a, b = i - nc, j - nc
+        if a < 0 or neg[a] == b:
             continue
-        for m, c in ent:
-            if m == c3:
-                continue
-            if m < c3:
-                inner = get((m, c3))
-                s = sgn * c
-            else:
-                inner = get((c3, m))
-                s = -sgn * c
-            if inner:
-                for t, c2 in inner:
-                    val = acc.get(t, 0) + s * c2
-                    if val:
-                        acc[t] = val
-                    else:
-                        acc.pop(t, None)
-    return bool(acc)
+        if len(entries) != 1:
+            return None
+        (k, c), = entries
+        if k < nc or not -128 < c < 128:
+            return None
+        dest[a * r + b] = dest[b * r + a] = rows[k - nc]
+        coef[a * r + b] = c
+        coef[b * r + a] = -c
+    return dest, coef
 
 
-def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, List[Tuple[int, int, int]]]:
-    """Evaluate the triples i < j < k whose summed weight is a root or 0;
-    returns their number and the failing ones in lexicographic order."""
+def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, int, List[Tuple[int, int, int]]]:
+    """Evaluate the triples i < j < k whose summed weight is a root or 0.
+
+    Returns their number, how many of them took the monomial path, and the
+    failing ones in lexicographic order.  Three root vectors with no two
+    opposite and a nonzero summed weight w bracket, by the grading, only
+    through single terms on root vectors: their Jacobi sum is one integer
+    times X_w, read from _monomial_block.  Every other triple, and every
+    triple when the block is not monomial, goes through _jacobi_fails.
+    """
     n = L.dim
+    nc = L.n_cartan
     weights = [L.weight(i) for i in range(n)]
     # a sum of two weights has coordinates in [-2M, 2M]; digits in base 4M + 1
     # pack such sums injectively, so packed sums agree only when weights do
@@ -235,21 +294,45 @@ def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, List[Tuple[int, int, int]]
             s = t - pk
             partners[s] = partners.get(s, ()) + (k,)
 
-    table = L.table
-    evaluated = 0
+    flat = L.flat
+    block = _monomial_block(L)
+    r = len(L.datum.roots)
+    dest, coef = block or ([], [])
+    evaluated = general = 0
     failures = []
     for i in range(n):
         pi = packed[i]
+        ri = i - nc
         for j in range(i + 1, n):
-            ks = partners.get(pi + packed[j])
+            pj = packed[j]
+            ks = partners.get(pi + pj)
             if ks is None:
                 continue
             live = ks[bisect_right(ks, j):]
             evaluated += len(live)
+            if block is None or ri < 0 or pi + pj == 0:
+                general += len(live)
+                for k in live:
+                    if _jacobi_fails(flat, n, i, j, k):
+                        failures.append((i, j, k))
+                continue
+            rj = j - nc
+            ij = ri * r + rj
+            c_ij, d_ij = coef[ij], dest[ij]
+            # the weights of the k opposite to i or to j, or summing to 0
+            other = (-pi, -pj, -pi - pj)
             for k in live:
-                if _jacobi_fails(table, i, j, k):
+                if packed[k] in other:
+                    general += 1
+                    if _jacobi_fails(flat, n, i, j, k):
+                        failures.append((i, j, k))
+                    continue
+                rk = k - nc
+                jk, ki = rj * r + rk, rk * r + ri
+                if (c_ij * coef[d_ij + rk] + coef[jk] * coef[dest[jk] + ri]
+                        + coef[ki] * coef[dest[ki] + rj]):
                     failures.append((i, j, k))
-    return evaluated, failures
+    return evaluated, evaluated - general, failures
 
 
 def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
@@ -263,7 +346,8 @@ def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
     (raising LieError if not) and then evaluates only the triples whose
     summed weight is a root or 0: every other Jacobi sum lies in a weight
     space with no basis element.  With ``sample`` set, checks that many
-    pseudo-random triples instead.
+    pseudo-random triples instead, each with the general kernel: sampling
+    verifies no grading, so it never takes the monomial path.
     """
     n = L.dim
     if sample is not None:
@@ -272,13 +356,13 @@ def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
                               evaluated=sample, sampled=True, seed=seed)
         for _ in range(sample):
             i, j, k = sorted(rng.sample(range(n), 3))
-            if _jacobi_fails(L.table, i, j, k):
+            if _jacobi_fails(L.flat, n, i, j, k):
                 report.failures.append((i, j, k))
         return report
     assert_weight_graded(L)
-    evaluated, failures = _graded_scan(L)
+    evaluated, monomial, failures = _graded_scan(L)
     return JacobiReport(dim=n, checked_unordered=comb(n, 3), covered_ordered=n ** 3,
-                        evaluated=evaluated, failures=failures)
+                        evaluated=evaluated, monomial=monomial, failures=failures)
 
 
 def assert_weight_graded(L: IntegralLieAlgebra) -> None:
@@ -410,12 +494,18 @@ def build_theta(L: IntegralLieAlgebra) -> Involution:
             raise LieError("involution does not square to the identity")
     if theta.trace() != -L.n_cartan:
         raise LieError("involution trace is not -rank")
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = theta.apply(dict(L.bracket_basis(i, j)))
-            ti, si = theta.apply_basis(i)
-            tj, sj = theta.apply_basis(j)
-            rhs = {k: si * sj * c for k, c in L.bracket_basis(ti, tj)}
+    n = L.dim
+    flat = L.flat
+    image = [theta.apply_basis(i) for i in range(n)]
+    for i in range(n):
+        ti, si = image[i]
+        for j in range(i + 1, n):
+            tj, sj = image[j]
+            ent, ent_t = flat[i * n + j], flat[ti * n + tj]
+            if not (ent or ent_t):
+                continue
+            lhs = theta.apply(dict(ent))
+            rhs = {k: si * sj * c for k, c in ent_t}
             if lhs != {k: v for k, v in rhs.items() if v}:
                 raise LieError(f"involution fails the automorphism check at ({i}, {j})")
     return theta

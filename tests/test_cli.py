@@ -9,8 +9,8 @@ from itertools import combinations
 import pytest
 
 from rootcover import cli, heisrep, liealg, quartic
-from rootcover.gaussian import ZERO, MonoMat, gq
-from rootcover.liealg import IntegralLieAlgebra, _jacobi_fails
+from rootcover.gaussian import ZERO, MonoMat, add_terms, gq
+from rootcover.liealg import IntegralLieAlgebra
 
 
 def _run(capsys, argv):
@@ -181,6 +181,12 @@ def test_verify_e8_defaults_to_exhaustive(capsys, monkeypatch):
     assert payload["checks"]["jacobi"]["sampled"] is False
 
 
+def _jacobi_sum(L, i, j, k):
+    b = L.bracket
+    return add_terms({}, [t for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+                          for t in b(b({x: 1}, {y: 1}), {z: 1}).items()])
+
+
 def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
     # flip the sign of one coefficient of [x_a, x_-a]: the involution stays an
     # automorphism, so only the Jacobi check can see it
@@ -204,14 +210,15 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
     payload = json.loads(captured.out)
     jac = payload["checks"]["jacobi"]
     assert payload["ok"] is False and jac["ok"] is False
-    # the first five failures of a scan over every triple, by basis label
+    # the first five failures of a scan over every triple, by basis label,
+    # each Jacobi sum computed from L.bracket
     L, = built
-    failing = [t for t in combinations(range(L.dim), 3)
-               if _jacobi_fails(L.table, *t)]
+    failing = [t for t in combinations(range(L.dim), 3) if _jacobi_sum(L, *t)]
     assert len(failing) > 5
     assert jac["failures"] == [[L.labels[i] for i in t] for t in failing[:5]]
     assert "[jacobi]" in captured.err
     assert "evaluated 14876, zero by grading 61200" in captured.err
+    assert "(monomial 6480, general 8396)" in captured.err
 
 
 @pytest.mark.parametrize("kind, stages", [

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from rootcover.gaussian import ONE, ZERO, gq
-from rootcover.intmat import bareiss_det, field_eliminate, rational_inverse
+from rootcover.intmat import _bareiss, bareiss_det, field_eliminate, rational_inverse
 
 
 def _square(entries, max_n):
@@ -48,3 +48,29 @@ def test_singular_block_gives_zero_determinant():
     assert not det
     assert field_eliminate([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]],
                            Fraction(1))[0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square(st.integers(-3, 3), 6), st.lists(st.booleans(), min_size=6, max_size=6),
+       st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_split_isolated_indices_matches_unsplit_bareiss(m, isolate, diag):
+    # plant isolated indices: row and column zero off the diagonal; the
+    # planted diagonal entries include 0
+    m = [list(row) for row in m]
+    n = len(m)
+    for i in range(n):
+        if isolate[i]:
+            for j in range(n):
+                m[i][j] = m[j][i] = 0
+            m[i][i] = diag[i]
+    assert bareiss_det(m) == _bareiss([list(row) for row in m])
+
+
+def test_isolated_indices_multiply_out():
+    # a zero isolated diagonal entry makes the determinant zero whatever the rest
+    assert bareiss_det([[2, 1, 0], [1, 3, 0], [0, 0, 0]]) == 0
+    assert bareiss_det([[0, 0, 0], [0, 2, 1], [0, 1, 3]]) == 0
+    assert bareiss_det([[5, 0, 0], [0, 2, 1], [0, 1, 3]]) == 25
+    # the shape of the E8 fixed-subalgebra Killing matrix
+    assert bareiss_det([[-56 if i == j else 0 for j in range(120)]
+                        for i in range(120)]) == (-56) ** 120

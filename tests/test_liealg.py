@@ -113,23 +113,84 @@ def _jacobi_sum(L, i, j, k):
 @pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
 def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
     L = _lie(name)
+    report = verify_jacobi(L)
+    triples = list(combinations(range(L.dim), 3))
+    live = [t for t in triples if _weight_live(L, *t)]
+    # the scan evaluates as many triples as are weight live ...
+    assert report.ok and report.evaluated == len(live)
+    # ... with the monomial path off, exactly those, in order, go to the
+    # general kernel ...
     seen = []
     real = liealg._jacobi_fails
 
-    def recording(table, i, j, k):
+    def recording(flat, n, i, j, k):
         seen.append((i, j, k))
-        return real(table, i, j, k)
+        return real(flat, n, i, j, k)
 
     monkeypatch.setattr(liealg, "_jacobi_fails", recording)
-    report = verify_jacobi(L)
-    assert report.ok and report.evaluated == len(seen)
-    triples = list(combinations(range(L.dim), 3))
-    # the scan evaluates exactly the weight-live triples, in order ...
-    assert seen == [t for t in triples if _weight_live(L, *t)]
+    monkeypatch.setattr(liealg, "_monomial_block", lambda L: None)
+    assert verify_jacobi(L).ok and seen == live
     # ... and every triple it skips has a zero Jacobi sum
     for t in triples:
         if not _weight_live(L, *t):
             assert not _jacobi_sum(L, *t), t
+
+
+def _flip(L, key):
+    """A copy of L with the sign of the first coefficient of table[key] flipped."""
+    (k, c), *rest = L.table[key]
+    return IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: ((k, -c), *rest)})
+
+
+def _root_root_key(L):
+    """The first table key of two non-opposite root vectors."""
+    nc, neg = L.n_cartan, L.datum.negation
+    return min(key for key in L.table
+               if key[0] >= nc and neg[key[0] - nc] != key[1] - nc)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
+@pytest.mark.parametrize("part", ["root-root", "cartan"])
+def test_graded_scan_finds_every_failing_triple(name, part):
+    L = _lie(name)
+    key = _root_root_key(L) if part == "root-root" else min(L.table)
+    bad = _flip(L, key)
+    brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
+    assert brute and verify_jacobi(bad).failures == brute
+
+
+@pytest.mark.parametrize("key, count", [((8, 135), 113), ((3, 34), 142)])
+def test_monomial_path_agrees_with_the_general_kernel_on_e8(key, count, monkeypatch):
+    bad = _flip(_lie("E8"), key)
+    full = verify_jacobi(bad)
+    assert full.monomial == 181440 and len(full.failures) == count
+    # every live triple through the general kernel alone
+    monkeypatch.setattr(liealg, "_monomial_block", lambda L: None)
+    general = verify_jacobi(bad)
+    assert general.monomial == 0 and general.evaluated == full.evaluated
+    assert general.failures == full.failures
+
+
+@pytest.mark.parametrize("entry", [lambda k, c: ((k, c), (k, c)),
+                                   lambda k, c: ((k, 200),)],
+                         ids=["two-terms", "coefficient-200"])
+def test_graded_root_entry_off_the_monomial_block(entry):
+    L = _lie("D4")
+    key = _root_root_key(L)
+    (k, c), = L.table[key]
+    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: entry(k, c)})
+    report = verify_jacobi(bad)
+    assert report.monomial == 0
+    brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
+    assert brute and report.failures == brute
+
+
+def test_bracket_basis_is_antisymmetric():
+    L = _lie("D4")
+    for i in range(L.dim):
+        assert L.bracket_basis(i, i) == ()
+        for j in range(L.dim):
+            assert L.bracket_basis(j, i) == tuple((k, -c) for k, c in L.bracket_basis(i, j))
 
 
 @pytest.mark.parametrize("name", ["A2", "D4"])
