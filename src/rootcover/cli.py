@@ -83,13 +83,19 @@ class Pipeline:
     rmap: Optional[RMap] = None
 
 
+def canonical_type(name: str) -> str:
+    """The canonical spelling of a supported type name ("e06" -> "E6"),
+    checked before any enumeration so that bad input fails fast."""
+    kind, rank = parse_type(name)
+    if not 2 <= rank <= MAX_DIM:
+        raise ValueError(f"rank {rank} is outside the supported range 2..{MAX_DIM}")
+    return f"{kind}{rank}"
+
+
 def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
     """Lattice -> cover -> Lie algebra -> involution -> fixed subalgebra,
     plus the monomial representation for the two marked exceptional types."""
-    kind = kind.upper()
-    _, rank = parse_type(kind)  # before any enumeration: bad input fails fast
-    if not 2 <= rank <= MAX_DIM:
-        raise ValueError(f"rank {rank} is outside the supported range 2..{MAX_DIM}")
+    kind = canonical_type(kind)
     datum = root_datum(kind)
     m2 = mod2_space(datum)
     cocycle = build_extension(m2.space)
@@ -114,7 +120,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 
 def cmd_build(cfg: RunConfig, args: argparse.Namespace) -> int:
-    cfg.lattice_type = args.type
+    cfg.lattice_type = canonical_type(args.type)
     pipe = build_pipeline(cfg.lattice_type)
     lie = pipe.lie
     payload = {
@@ -141,10 +147,10 @@ def _signed_index(pipe: Pipeline, i: int) -> int:
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
-    cfg.lattice_type = args.type
+    cfg.lattice_type = canonical_type(args.type)
     cfg.depth = args.depth
-    cfg.seed = args.seed if args.seed is not None else (
-        0 if cfg.depth == "sampled" else None)
+    # exhaustive Jacobi draws nothing, so only a sampled run records a seed
+    cfg.seed = (args.seed or 0) if cfg.depth == "sampled" else None
     # timing goes to stderr so the JSON payload stays byte-identical across runs
     def clock(name: str, t0: float, detail: str = "") -> None:
         print(f"[{name}] {time.perf_counter() - t0:.3f}s{detail}", file=sys.stderr)

@@ -12,19 +12,20 @@ Z_gamma = X_gamma + X_{-gamma} over the positive roots.
 Nothing here is trusted by construction: Jacobi, the automorphism property,
 and the representation homomorphism all have exhaustive checkers.
 
-IntegralLieAlgebra keeps its brackets in one flat table, built once at
+Every algebra keeps its brackets in one flat table, built once at
 construction: ``flat[i * dim + j]`` is [e_i, e_j] for every ordered pair, so a
 bracket is one list index.  The exhaustive Jacobi check reads it in two ways.
-A triple of root vectors with no two opposite and a nonzero summed weight w
-brackets, by the verified grading, only through single terms on root vectors;
-its Jacobi sum is one integer times X_w, read from two root-by-root arrays
-(the monomial path).  Every other triple goes through the general kernel.
+After the grading check, a bracket [e_i, e_j] of nonzero summed weight w lies
+on the one basis element of weight w.  So when no pair of a triple, and not
+the whole triple, sums to weight 0, its Jacobi sum is one integer times one
+basis element, read from two arrays over the whole basis (the single-term
+path: 235,200 of E8's 273,736 live triples).  Every other live triple goes
+through the general kernel.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,20 +51,35 @@ class LieError(ValueError):
 class SparseLieAlgebra:
     """Sparse integer structure constants over a basis e_0 .. e_{dim-1}.
 
-    ``table[(i, j)]`` for i < j lists the (k, c) with [e_i, e_j] = sum c e_k;
-    absent pairs bracket to zero.
+    Built from ``table``, whose entry (i, j) for i < j lists the (k, c) with
+    [e_i, e_j] = sum c e_k (absent pairs bracket to zero), into the flat
+    table: ``flat[i * dim + j]`` is [e_i, e_j] for every ordered pair, the
+    (j, i) entry the negated (i, j) one and the diagonal empty.  ``flat`` is
+    the only stored table and must not change after construction.
     """
 
     def __init__(self, dim: int, table: Table):
         self.dim = dim
-        self.table = table
+        flat: List[Tuple[Entry, ...]] = [()] * (dim * dim)
+        # equal entries share one negated tuple
+        negated: Dict[Tuple[Entry, ...], Tuple[Entry, ...]] = {}
+        for (i, j), entries in table.items():
+            flat[i * dim + j] = entries
+            neg = negated.get(entries)
+            if neg is None:
+                neg = negated[entries] = tuple((k, -c) for k, c in entries)
+            flat[j * dim + i] = neg
+        self.flat = flat
+
+    @property
+    def table(self) -> Table:
+        """The nonzero brackets [e_i, e_j] with i < j, in (i, j) order."""
+        n, flat = self.dim, self.flat
+        return {(i, j): entries for i in range(n) for j in range(i + 1, n)
+                if (entries := flat[i * n + j])}
 
     def bracket_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
-        if i == j:
-            return ()
-        if i < j:
-            return self.table.get((i, j), ())
-        return tuple((k, -c) for k, c in self.table.get((j, i), ()))
+        return self.flat[i * self.dim + j]
 
     def bracket(self, x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
         return add_terms({}, [(k, ci * cj * c) for i, ci in x.items()
@@ -94,35 +110,17 @@ class SparseLieAlgebra:
 class IntegralLieAlgebra(SparseLieAlgebra):
     """The Lie algebra of a root datum and cover, on the basis (h, X_gamma).
 
-    ``table`` must not change after construction (build a new instance
-    instead): the flat table ``flat`` is built from it once, and ``graded``
-    records a passed assert_weight_graded scan.
+    ``graded`` records a passed assert_weight_graded scan of ``flat``.
     """
 
     def __init__(self, datum: RootDatum, cocycle: Cocycle, table: Table):
         super().__init__(datum.rank + len(datum.roots), table)
-        n = self.dim
-        # flat[i * dim + j] = [e_i, e_j] for every ordered pair: the (j, i)
-        # entry is the negated (i, j) one and the diagonal is empty; equal
-        # entries share one negated tuple
-        flat: List[Tuple[Entry, ...]] = [()] * (n * n)
-        negated: Dict[Tuple[Entry, ...], Tuple[Entry, ...]] = {}
-        for (i, j), entries in table.items():
-            flat[i * n + j] = entries
-            neg = negated.get(entries)
-            if neg is None:
-                neg = negated[entries] = tuple((k, -c) for k, c in entries)
-            flat[j * n + i] = neg
-        self.flat = flat
         self.datum = datum
         self.cocycle = cocycle
         self.graded = False
         self.n_cartan = datum.rank
         self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
             "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
-
-    def bracket_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
-        return self.flat[i * self.dim + j]
 
     def basis_of_root(self, root_index: int) -> int:
         return self.n_cartan + root_index
@@ -133,15 +131,27 @@ class IntegralLieAlgebra(SparseLieAlgebra):
         return self.datum.roots[i - self.n_cartan]
 
     def to_json_dict(self) -> dict:
-        brackets = []
-        for (i, j) in sorted(self.table):
-            brackets.append([i, j, [[k, c] for k, c in self.table[(i, j)]]])
+        brackets = [[i, j, [[k, c] for k, c in entries]]
+                    for (i, j), entries in self.table.items()]
         return {
             "type": self.datum.type_name,
             "dim": self.dim,
             "basis": list(self.labels),
             "brackets": brackets,
         }
+
+
+def _packed_roots(datum: RootDatum) -> List[int]:
+    """Each root as one integer: its coordinates as the digits, in order, of
+    base 4M + 1, M the largest root coordinate size.
+
+    Packing is linear and sends no nonzero vector with coordinates in
+    [-4M, 4M] to 0, so two sums of two weights, or a sum of three weights and
+    a root, pack equal only when they are equal.  The Cartan weight 0 packs
+    to 0.
+    """
+    base = 4 * max(abs(c) for r in datum.roots for c in r) + 1
+    return [sum(c * base ** t for t, c in enumerate(r)) for r in datum.roots]
 
 
 def build_lie(datum: RootDatum, cocycle: Cocycle) -> IntegralLieAlgebra:
@@ -159,7 +169,6 @@ def build_lie(datum: RootDatum, cocycle: Cocycle) -> IntegralLieAlgebra:
             raise LieError("cover squares do not reduce the lattice norms")
 
     roots = datum.roots
-    index = datum.index
     nc = n
     table: Table = {}
 
@@ -168,20 +177,20 @@ def build_lie(datum: RootDatum, cocycle: Cocycle) -> IntegralLieAlgebra:
             if gamma[i]:
                 table[(i, nc + ri)] = ((nc + ri, gamma[i]),)
 
+    packed = _packed_roots(datum)
+    root_of = {p: ri for ri, p in enumerate(packed)}
     bits = [datum.root_class_bits(ri) for ri in range(len(roots))]
-    for ri in range(len(roots)):
-        gi = roots[ri]
+    for ri, pi in enumerate(packed):
         for rj in range(ri + 1, len(roots)):
-            gj = roots[rj]
-            total = tuple(a + b for a, b in zip(gi, gj))
-            if all(t == 0 for t in total):
+            total = pi + packed[rj]
+            if total == 0:
                 sign = -1 if cocycle.beta(bits[ri], bits[rj]) else 1
-                coroot = tuple(sum(g * c for g, c in zip(row, gi)) for row in gram)
+                coroot = tuple(sum(g * c for g, c in zip(row, roots[ri])) for row in gram)
                 entries = tuple((k, sign * c) for k, c in enumerate(coroot) if c)
                 table[(nc + ri, nc + rj)] = entries
-            elif total in index:
+            elif total in root_of:
                 sign = -1 if cocycle.beta(bits[ri], bits[rj]) else 1
-                table[(nc + ri, nc + rj)] = ((nc + index[total], sign),)
+                table[(nc + ri, nc + rj)] = ((nc + root_of[total], sign),)
     return IntegralLieAlgebra(datum, cocycle, table)
 
 
@@ -194,8 +203,10 @@ class JacobiReport:
     triples, and through them all ``covered_ordered`` = dim^3 ordered ones:
     a triple it does not evaluate has a summed weight that is neither a root
     nor 0, so its sum is zero by the weight grading the same check verified.
-    ``monomial`` of the evaluated triples took the monomial path (see
-    _graded_scan); the rest, and every sampled triple, the general kernel.
+    ``monomial`` of the evaluated triples took the single-term path: those
+    with no pair, and not the whole triple, summing to weight 0 (235,200 of
+    E8's 273,736; see _graded_scan).  The rest, and every sampled triple,
+    took the general kernel.
     """
     dim: int
     checked_unordered: int
@@ -234,58 +245,43 @@ def _jacobi_fails(flat: Sequence[Tuple[Entry, ...]], n: int,
     return any(acc.values())
 
 
-def _monomial_block(L: IntegralLieAlgebra) -> Optional[Tuple[List[int], array]]:
-    """The brackets of non-opposite root vectors as two parallel arrays.
+def _single_terms(L: IntegralLieAlgebra,
+                  packed: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The brackets of nonzero summed weight as two parallel arrays.
 
-    With R roots, [X_a, X_b] = coef[a R + b] X_c where dest[a R + b] = c R;
-    a zero coefficient stands for a zero bracket.  Returns None when some such
-    bracket in the table is not a single term on a root vector, or has a
-    coefficient outside the signed bytes of ``coef``.
+    With ``packed`` the packed basis weights, [e_i, e_j] = coef[i n + j] e_m
+    where rows[i n + j] = m n, for every ordered pair with packed[i] +
+    packed[j] nonzero; other pairs hold 0.  Valid once the grading is
+    checked: every term of such a bracket then lies on the one basis element
+    of that weight, so its coefficients sum to one integer.
     """
-    nc = L.n_cartan
-    r = len(L.datum.roots)
-    neg = L.datum.negation
-    # dest is a list of shared ints, for speed; coef signed bytes, for memory
-    rows = [a * r for a in range(r)]
-    dest = [0] * (r * r)
-    coef = array("b", bytes(r * r))
-    for (i, j), entries in L.table.items():
-        a, b = i - nc, j - nc
-        if a < 0 or neg[a] == b:
-            continue
-        if len(entries) != 1:
-            return None
-        (k, c), = entries
-        if k < nc or not -128 < c < 128:
-            return None
-        dest[a * r + b] = dest[b * r + a] = rows[k - nc]
-        coef[a * r + b] = c
-        coef[b * r + a] = -c
-    return dest, coef
+    n = L.dim
+    # rows is a list of shared ints, for speed; coef holds any integer exactly
+    offsets = [m * n for m in range(n)]
+    rows = [0] * (n * n)
+    coef = [0] * (n * n)
+    for x, entries in enumerate(L.flat):
+        if entries and packed[x // n] + packed[x % n]:
+            rows[x] = offsets[entries[0][0]]
+            coef[x] = sum(c for _, c in entries)
+    return rows, coef
 
 
 def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, int, List[Tuple[int, int, int]]]:
     """Evaluate the triples i < j < k whose summed weight is a root or 0.
 
-    Returns their number, how many of them took the monomial path, and the
-    failing ones in lexicographic order.  Three root vectors with no two
-    opposite and a nonzero summed weight w bracket, by the grading, only
-    through single terms on root vectors: their Jacobi sum is one integer
-    times X_w, read from _monomial_block.  Every other triple, and every
-    triple when the block is not monomial, goes through _jacobi_fails.
+    Returns their number, how many of them took the single-term path, and
+    the failing ones in lexicographic order.  A triple none of whose weight
+    sums pi + pj, pj + pk, pk + pi and pi + pj + pk is 0 brackets, by the
+    grading, only through single terms, each on the one basis element of its
+    weight: its Jacobi sum is one integer times e_w, read from _single_terms
+    (235,200 of E8's 273,736 live triples).  Every other triple goes through
+    _jacobi_fails.
     """
     n = L.dim
-    nc = L.n_cartan
-    weights = [L.weight(i) for i in range(n)]
-    # a sum of two weights has coordinates in [-2M, 2M]; digits in base 4M + 1
-    # pack such sums injectively, so packed sums agree only when weights do
-    base = 4 * max(abs(c) for w in weights for c in w) + 1
-
-    def pack(w: Sequence[int]) -> int:
-        return sum(c * base ** t for t, c in enumerate(w))
-
-    packed = [pack(w) for w in weights]
-    targets = [0] + [pack(r) for r in L.datum.roots]
+    roots = _packed_roots(L.datum)
+    packed = [0] * L.n_cartan + roots
+    targets = [0] + roots
     # partners[s] lists, ascending, the k with s + packed[k] a target; grown
     # as tuples, not lists, to keep the index small
     partners: Dict[int, Tuple[int, ...]] = {}
@@ -295,42 +291,31 @@ def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, int, List[Tuple[int, int, 
             partners[s] = partners.get(s, ()) + (k,)
 
     flat = L.flat
-    block = _monomial_block(L)
-    r = len(L.datum.roots)
-    dest, coef = block or ([], [])
+    rows, coef = _single_terms(L, packed)
     evaluated = general = 0
     failures = []
     for i in range(n):
         pi = packed[i]
-        ri = i - nc
         for j in range(i + 1, n):
             pj = packed[j]
-            ks = partners.get(pi + pj)
+            pij = pi + pj
+            ks = partners.get(pij)
             if ks is None:
                 continue
             live = ks[bisect_right(ks, j):]
             evaluated += len(live)
-            if block is None or ri < 0 or pi + pj == 0:
-                general += len(live)
-                for k in live:
-                    if _jacobi_fails(flat, n, i, j, k):
-                        failures.append((i, j, k))
-                continue
-            rj = j - nc
-            ij = ri * r + rj
-            c_ij, d_ij = coef[ij], dest[ij]
-            # the weights of the k opposite to i or to j, or summing to 0
-            other = (-pi, -pj, -pi - pj)
+            ij = i * n + j
+            c_ij, r_ij = coef[ij], rows[ij]
             for k in live:
-                if packed[k] in other:
+                pk = packed[k]
+                if not (pij and pj + pk and pk + pi and pij + pk):
                     general += 1
                     if _jacobi_fails(flat, n, i, j, k):
                         failures.append((i, j, k))
                     continue
-                rk = k - nc
-                jk, ki = rj * r + rk, rk * r + ri
-                if (c_ij * coef[d_ij + rk] + coef[jk] * coef[dest[jk] + ri]
-                        + coef[ki] * coef[dest[ki] + rj]):
+                jk, ki = j * n + k, k * n + i
+                if (c_ij * coef[r_ij + k] + coef[jk] * coef[rows[jk] + i]
+                        + coef[ki] * coef[rows[ki] + j]):
                     failures.append((i, j, k))
     return evaluated, evaluated - general, failures
 
@@ -347,7 +332,7 @@ def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
     summed weight is a root or 0: every other Jacobi sum lies in a weight
     space with no basis element.  With ``sample`` set, checks that many
     pseudo-random triples instead, each with the general kernel: sampling
-    verifies no grading, so it never takes the monomial path.
+    verifies no grading, so it never takes the single-term path.
     """
     n = L.dim
     if sample is not None:
@@ -379,13 +364,9 @@ def assert_weight_graded(L: IntegralLieAlgebra) -> None:
 
 
 def _is_weight_graded(L: IntegralLieAlgebra) -> bool:
-    for (i, j), entries in L.table.items():
-        wi, wj = L.weight(i), L.weight(j)
-        target = tuple(a + b for a, b in zip(wi, wj))
-        for k, _ in entries:
-            if L.weight(k) != target:
-                return False
-    return True
+    packed = [0] * L.n_cartan + _packed_roots(L.datum)
+    return all(packed[k] == packed[i] + packed[j]
+               for (i, j), entries in L.table.items() for k, _ in entries)
 
 
 @dataclass(frozen=True)
@@ -518,36 +499,37 @@ class FixedSubalgebra(SparseLieAlgebra):
         self.L = L
         self.theta = theta
         self.pos = L.datum.positive
-        super().__init__(len(self.pos), {})
         self.labels = tuple("z[" + ",".join(map(str, L.datum.roots[ri])) + "]"
                             for ri in self.pos)
-        self._pos_index = {ri: i for i, ri in enumerate(self.pos)}
-        self._build()
+        super().__init__(len(self.pos), self._table())
 
     def ambient(self, i: int) -> Dict[int, int]:
         x = {self.L.basis_of_root(self.pos[i]): 1}
         return add_terms(x, self.theta.apply(x).items())
 
-    def _build(self) -> None:
+    def _table(self) -> Table:
         L = self.L
         nc = L.n_cartan
         neg = L.datum.negation
-        for i in range(self.dim):
-            zi = self.ambient(i)
-            for j in range(i + 1, self.dim):
-                res = L.bracket(zi, self.ambient(j))
+        pos_index = {ri: i for i, ri in enumerate(self.pos)}
+        ambient = [self.ambient(i) for i in range(len(self.pos))]
+        table: Table = {}
+        for i, zi in enumerate(ambient):
+            for j in range(i + 1, len(ambient)):
+                res = L.bracket(zi, ambient[j])
                 entries: Dict[int, int] = {}
                 for k, c in res.items():
                     if k < nc:
                         raise LieError("fixed-subalgebra bracket has a Cartan component")
                     ri = k - nc
-                    if ri in self._pos_index:
+                    if ri in pos_index:
                         other = L.basis_of_root(neg[ri])
                         if res.get(other, 0) != c:
                             raise LieError("fixed-subalgebra bracket is not theta-symmetric")
-                        entries[self._pos_index[ri]] = c
+                        entries[pos_index[ri]] = c
                 if entries:
-                    self.table[(i, j)] = tuple(sorted(entries.items()))
+                    table[(i, j)] = tuple(sorted(entries.items()))
+        return table
 
     def killing(self) -> KillingForm:
         """The full Killing matrix.  The transposed ad maps of all basis

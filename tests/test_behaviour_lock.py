@@ -14,6 +14,11 @@ STDOUT_SHA16 = {
     ("build", "--type", "E8"): "6869f7e73f7d665e",
     ("table", "real-orbits"): "4dc8c548d6872287",
     ("delpezzo",): "e9bcf041cb193002",
+    ("verify", "--type", "E6", "--depth", "exhaustive"): "5878c680a78ef462",
+    ("verify", "--type", "E7", "--depth", "exhaustive"): "29103f078c7f27a8",
+    ("verify", "--type", "E8", "--depth", "exhaustive"): "46a3b470c7ea8eb2",
+    ("verify", "--type", "E8", "--depth", "sampled", "--seed", "3",
+     "--samples", "200000"): "971ba43b9a9e23e2",
 }
 
 

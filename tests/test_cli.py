@@ -158,6 +158,29 @@ def test_verify_sampled_records_seed(capsys, tmp_path):
     assert payload["checks"]["jacobi"]["checked_unordered"] == 500
 
 
+@pytest.mark.parametrize("spelling", ["E06", "e6"])
+def test_verify_any_spelling_of_a_type_runs_every_check(capsys, spelling):
+    # the representation checks and the config stamp follow the canonical name
+    assert _run(capsys, ["verify", "--type", spelling]) == _run(
+        capsys, ["verify", "--type", "E6"])
+
+
+def test_build_any_spelling_of_a_type_writes_the_same_bytes(capsys):
+    code, out = _run(capsys, ["build", "--type", "e07"])
+    assert code == 0 and "rep" in json.loads(out)
+    assert json.loads(out)["config"]["type"] == "E7"
+    assert (code, out) == _run(capsys, ["build", "--type", "E7"])
+
+
+def test_verify_records_a_seed_only_when_sampling(capsys):
+    code, out = _run(capsys, ["verify", "--type", "A2", "--seed", "5"])
+    assert code == 0 and "seed" not in json.loads(out)["config"]
+    assert (code, out) == _run(capsys, ["verify", "--type", "A2"])
+    code, out = _run(capsys, ["verify", "--type", "A2", "--depth", "sampled",
+                              "--samples", "50"])
+    assert code == 0 and json.loads(out)["config"]["seed"] == 0
+
+
 def test_verify_sampled_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -218,7 +241,7 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
     assert jac["failures"] == [[L.labels[i] for i in t] for t in failing[:5]]
     assert "[jacobi]" in captured.err
     assert "evaluated 14876, zero by grading 61200" in captured.err
-    assert "(monomial 6480, general 8396)" in captured.err
+    assert "(monomial 10800, general 4076)" in captured.err
 
 
 @pytest.mark.parametrize("kind, stages", [

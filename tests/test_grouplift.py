@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from rootcover import grouplift
 from rootcover.gaussian import ONE, ZERO, MonoMat, dense_identity, dense_mul, gq
 from rootcover.grouplift import (GroupLiftError, anticommutation_model_holds,
                                  dense_bracket,
@@ -110,6 +111,25 @@ def test_comm_relation_simple_and_all(e6_stack):
     assert simple.ok and simple.pairs_checked == 15
     every = verify_comm_relation(e6_stack.rep, e6_stack.datum, all_pairs=True)
     assert every.ok and every.pairs_checked == 72 * 71 // 2
+
+
+def test_comm_relation_checks_each_class_pair_once(e6_stack, e7_stack, monkeypatch):
+    # every root pair is counted, but the matrices are compared once per
+    # unordered pair of classes mod 2 (same-class pairs included)
+    pairings = []
+    real = grouplift.bilinear_eval
+
+    def counted(rows, u, v):
+        pairings.append(frozenset((u, v)))
+        return real(rows, u, v)
+
+    monkeypatch.setattr(grouplift, "bilinear_eval", counted)
+    for stack, pairs, class_pairs in ((e6_stack, 2556, 36 * 37 // 2),
+                                      (e7_stack, 7875, 63 * 64 // 2)):
+        pairings.clear()
+        report = verify_comm_relation(stack.rep, stack.datum, all_pairs=True)
+        assert report.ok and report.pairs_checked == pairs
+        assert len(pairings) == len(set(pairings)) == class_pairs
 
 
 def test_flipped_sign_breaks_comm_relation(e6_stack):

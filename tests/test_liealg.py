@@ -110,16 +110,43 @@ def _jacobi_sum(L, i, j, k):
     return add_terms({}, terms)
 
 
+def _live_triples(L):
+    """The triples i < j < k whose summed weight is a root or 0, in order,
+    found through coordinate tuples: for each pair, the k of a weight that
+    completes the sum to a target."""
+    weights = [L.weight(i) for i in range(L.dim)]
+    targets = list(L.datum.roots) + [weights[0]]
+    completing = {}
+    for k, w in enumerate(weights):
+        for t in targets:
+            completing.setdefault(tuple(a - b for a, b in zip(t, w)), []).append(k)
+    return [(i, j, k) for i in range(L.dim) for j in range(i + 1, L.dim)
+            for k in completing.get(tuple(map(sum, zip(weights[i], weights[j]))), ())
+            if k > j]
+
+
+def _single_term(L, i, j, k):
+    """Whether the triple's pair sums and total weight are all nonzero."""
+    w = [L.weight(x) for x in (i, j, k)]
+    sums = [tuple(map(sum, zip(*ws))) for ws in ((w[0], w[1]), (w[1], w[2]),
+                                                  (w[2], w[0]), w)]
+    return all(any(s) for s in sums)
+
+
+def _general_reference(L):
+    """The failing triples of the general kernel alone, over every live one."""
+    return [t for t in _live_triples(L) if liealg._jacobi_fails(L.flat, L.dim, *t)]
+
+
 @pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
 def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
     L = _lie(name)
-    report = verify_jacobi(L)
     triples = list(combinations(range(L.dim), 3))
     live = [t for t in triples if _weight_live(L, *t)]
-    # the scan evaluates as many triples as are weight live ...
-    assert report.ok and report.evaluated == len(live)
-    # ... with the monomial path off, exactly those, in order, go to the
-    # general kernel ...
+    assert _live_triples(L) == live
+    # the scan evaluates as many triples as are weight live, and exactly the
+    # live ones with a zero pair sum or total, in order, go to the general
+    # kernel ...
     seen = []
     real = liealg._jacobi_fails
 
@@ -128,8 +155,10 @@ def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
         return real(flat, n, i, j, k)
 
     monkeypatch.setattr(liealg, "_jacobi_fails", recording)
-    monkeypatch.setattr(liealg, "_monomial_block", lambda L: None)
-    assert verify_jacobi(L).ok and seen == live
+    report = verify_jacobi(L)
+    assert report.ok and report.evaluated == len(live)
+    assert seen == [t for t in live if not _single_term(L, *t)]
+    assert report.monomial == len(live) - len(seen)
     # ... and every triple it skips has a zero Jacobi sum
     for t in triples:
         if not _weight_live(L, *t):
@@ -160,37 +189,43 @@ def test_graded_scan_finds_every_failing_triple(name, part):
 
 
 @pytest.mark.parametrize("key, count", [((8, 135), 113), ((3, 34), 142)])
-def test_monomial_path_agrees_with_the_general_kernel_on_e8(key, count, monkeypatch):
+def test_monomial_path_agrees_with_the_general_kernel_on_e8(key, count):
     bad = _flip(_lie("E8"), key)
     full = verify_jacobi(bad)
-    assert full.monomial == 181440 and len(full.failures) == count
-    # every live triple through the general kernel alone
-    monkeypatch.setattr(liealg, "_monomial_block", lambda L: None)
-    general = verify_jacobi(bad)
-    assert general.monomial == 0 and general.evaluated == full.evaluated
-    assert general.failures == full.failures
+    assert full.evaluated == 273736 and full.monomial == 235200
+    assert len(full.failures) == count
+    assert full.failures == _general_reference(bad)
 
 
 @pytest.mark.parametrize("entry", [lambda k, c: ((k, c), (k, c)),
                                    lambda k, c: ((k, 200),)],
                          ids=["two-terms", "coefficient-200"])
 def test_graded_root_entry_off_the_monomial_block(entry):
+    # a graded entry with two terms on one root vector, or a large
+    # coefficient, still takes the single-term path
     L = _lie("D4")
     key = _root_root_key(L)
     (k, c), = L.table[key]
     bad = IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: entry(k, c)})
     report = verify_jacobi(bad)
-    assert report.monomial == 0
+    assert report.monomial == verify_jacobi(L).monomial == 672
     brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
-    assert brute and report.failures == brute
+    assert brute and report.failures == brute == _general_reference(bad)
 
 
 def test_bracket_basis_is_antisymmetric():
+    # the lattice algebra and the fixed subalgebra share one constructor: the
+    # derived table lists the upper triangle in (i, j) order and rebuilds flat
     L = _lie("D4")
-    for i in range(L.dim):
-        assert L.bracket_basis(i, i) == ()
-        for j in range(L.dim):
-            assert L.bracket_basis(j, i) == tuple((k, -c) for k, c in L.bracket_basis(i, j))
+    for alg in (L, fixed_subalgebra(L, build_theta(L))):
+        n, table = alg.dim, alg.table
+        assert list(table) == sorted(table) and all(i < j for i, j in table)
+        assert liealg.SparseLieAlgebra(n, table).flat == alg.flat
+        for i in range(n):
+            assert alg.bracket_basis(i, i) == ()
+            for j in range(n):
+                assert alg.bracket_basis(j, i) == tuple(
+                    (k, -c) for k, c in alg.bracket_basis(i, j))
 
 
 @pytest.mark.parametrize("name", ["A2", "D4"])
@@ -350,13 +385,14 @@ def _rebased(fixed):
     def down(v):  # Z_0 = f_0 - f_1
         return add_terms(dict(v), [(1, -v[0])] if 0 in v else [])
 
-    out = copy.copy(fixed)
-    out.table = {}
+    table = {}
     for a in range(fixed.dim):
         for b in range(a + 1, fixed.dim):
             res = down(fixed.bracket(up(a), up(b)))
             if res:
-                out.table[(a, b)] = tuple(sorted(res.items()))
+                table[(a, b)] = tuple(sorted(res.items()))
+    out = copy.copy(fixed)
+    liealg.SparseLieAlgebra.__init__(out, fixed.dim, table)
     return out
 
 
