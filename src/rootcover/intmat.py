@@ -1,6 +1,7 @@
 """Exact integer and rational matrix utilities (no floating point anywhere).
 
-Integer determinants are fraction-free (Bareiss); every other elimination
+Integer determinants are fraction-free (Bareiss), taken block by block over
+the connected blocks of the off-diagonal pattern; every other elimination
 over a field, rational or Gaussian rational, goes through field_eliminate.
 """
 
@@ -27,26 +28,30 @@ def identity(n: int) -> IntMatrix:
 
 
 def bareiss_det(m: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix.
+    """Fraction-free determinant of a square integer matrix: the product of
+    the Bareiss determinants of the connected blocks of its nonzero
+    off-diagonal pattern, which one permutation of rows and columns makes
+    block diagonal (an index with no off-diagonal entry is a 1-block)."""
+    n = len(m)
+    root = list(range(n))
 
-    An isolated index, one whose row and column are zero off the diagonal,
-    contributes the factor of its diagonal entry: one pass splits those off
-    and Bareiss eliminates the rest.
-    """
-    busy = set()
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if x and i != j:
-                busy.add(i)
-                busy.add(j)
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m[i][j] or m[j][i]:
+                root[find(j)] = find(i)
+    blocks: dict[int, List[int]] = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
     det = 1
-    for i, row in enumerate(m):
-        if i not in busy:
-            det *= row[i]
-    if not det:
-        return 0
-    rest = sorted(busy)
-    return det * _bareiss([[m[i][j] for j in rest] for i in rest])
+    for block in blocks.values():
+        det *= _bareiss([[m[i][j] for j in block] for i in block])
+    return det
 
 
 def _bareiss(a: List[List[int]]) -> int:

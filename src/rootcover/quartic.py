@@ -267,9 +267,11 @@ def smoothness_probe(curve: QuarticCurve, primes: Sequence[int]) -> Verdict:
     then among CRT combinations of them, rationally reconstructed (at most
     MAX_CRT_COMBINATIONS).  Every candidate is re-checked exactly.  SINGULAR
     carries the witness; without one the verdict is INCONCLUSIVE with exact
-    "singular".  Probe primes above MAX_PROBE_PRIME are rejected before any
-    work.
+    "singular".  Probe primes above MAX_PROBE_PRIME, and repeated ones, are
+    rejected before any work.
     """
+    if len(set(primes)) != len(primes):
+        raise QuarticError(f"probe primes {list(primes)} repeat a prime")
     denom_lcm = math.lcm(*(c.denominator for c in curve.coeffs))
     for p in primes:
         if p > MAX_PROBE_PRIME:

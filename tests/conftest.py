@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from rootcover import lattice
 from rootcover.cli import build_pipeline
+from rootcover.heisrep import build_heisrep
+from rootcover.liealg import build_R
 
 
 @pytest.fixture(scope="session")
 def a2_stack():
-    return build_pipeline("A2", with_rep=True)
+    # the pipeline builds a representation only for E6 and E7; A2 gets one here
+    pipe = build_pipeline("A2")
+    rep = build_heisrep(pipe.cocycle, radical=lattice.mod2_space(pipe.datum).radical)
+    return dataclasses.replace(pipe, rep=rep, rmap=build_R(pipe.fixed, rep))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from rootcover.heisrep import verify_rep
 from rootcover.lattice import (DelPezzoPicard, bitangent_complement,
                                classify_involutions, delpezzo_k_perp, lines,
                                lines_meeting, weyl_enumerate)
-from rootcover.liealg import identify_fixed, verify_R, verify_jacobi
+from rootcover.liealg import identify_fixed, killing_form, verify_R, verify_jacobi
 from rootcover.quartic import (E6Params, E7Params, e6_family, e7_family,
                                smoothness_probe, tangent_contact_order)
 from rootcover.realtable import emit_table
@@ -64,8 +64,8 @@ def test_criterion_04_fixed_dimensions_and_semisimplicity(e6_stack, e7_stack):
     t0 = time.perf_counter()
     assert e6_stack.fixed.dim == 36
     assert e7_stack.fixed.dim == 63
-    k6 = e6_stack.fixed.killing()
-    k7 = e7_stack.fixed.killing()
+    k6 = killing_form(e6_stack.fixed)
+    k7 = killing_form(e7_stack.fixed)
     assert k6.determinant != 0
     assert k7.determinant != 0
     _report(4, "fixed subalgebra dims 36/63 with nondegenerate Killing forms",

@@ -4,6 +4,7 @@ import json
 import re
 import time
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -69,7 +70,14 @@ def test_build_rejects_rank_one(capsys):
      "above the limit 1000"),
     (["verify", "--type", "E6", "--depth", "sampled", "--samples", "100000000"],
      f"--samples must be between 1 and {cli.MAX_SAMPLES}"),
-], ids=["rank-60", "type-X", "probe-4-9", "probe-10007", "samples-1e8"])
+    (["quartic", "e6", "--params", "1e20000,1/3,3,1e-20000,0,1e20000",
+      "--probe", "7,11,13"], f"exponent above {cli.MAX_PARAM_BITS}"),
+    (["quartic", "e6", "--params", f"0,0,0,1/{2 ** cli.MAX_PARAM_BITS},0,1"],
+     f"is above {cli.MAX_PARAM_BITS} bits"),
+    (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "5,5"],
+     "repeat a prime"),
+], ids=["rank-60", "type-X", "probe-4-9", "probe-10007", "samples-1e8",
+        "params-1e20000", "params-2049-bits", "probe-5-5"])
 def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("root enumeration started before the type was checked")
@@ -142,9 +150,34 @@ def test_verify_checks_the_grading_once_and_build_never(capsys, monkeypatch):
     monkeypatch.setattr(liealg, "_is_weight_graded", counted)
     assert cli.main(["build", "--type", "A2"]) == 0
     assert scans == []
-    # Jacobi and the Killing form both rely on the grading of one table
+    # exhaustive Jacobi relies on the grading; the Killing forms need none
     assert cli.main(["verify", "--type", "A2"]) == 0
     assert scans == ["A2"]
+
+
+def test_ungraded_table_exits_1_through_jacobi(capsys, monkeypatch):
+    # [h_1, x_a] and [h_1, x_-a] moved onto x_b and x_-b: the involution is
+    # still an automorphism, so the grading check of exhaustive Jacobi is
+    # the first to see the table
+    real_build_lie = cli.build_lie
+
+    def moved(datum, cocycle):
+        L = real_build_lie(datum, cocycle)
+        neg = datum.negation
+        ra = next(r for r, root in enumerate(datum.roots) if root[0])
+        rb = next(r for r in range(len(datum.roots)) if r not in (ra, neg[ra]))
+        table = dict(L.table)
+        for a, b in ((ra, rb), (neg[ra], neg[rb])):
+            key = (0, L.basis_of_root(a))
+            (_, c), = table[key]
+            table[key] = ((L.basis_of_root(b), c),)
+        return IntegralLieAlgebra(datum, cocycle, table)
+
+    monkeypatch.setattr(cli, "build_lie", moved)
+    assert cli.main(["verify", "--type", "A2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failed: bracket table is not weight graded" in captured.err
 
 
 def test_verify_sampled_records_seed(capsys, tmp_path):
@@ -440,6 +473,15 @@ def test_quartic_huge_coefficients_answer_fast(capsys):
     assert code == 0
     verdict = json.loads(out)["verdict"]
     assert (verdict["kind"], verdict["exact"]) == ("INCONCLUSIVE", "singular")
+
+
+def test_quartic_params_up_to_the_bit_cap_are_accepted():
+    top = 2 ** cli.MAX_PARAM_BITS - 1
+    assert cli._parse_fraction_list(f"{top},-{top}/{top - 2},1e616") == (
+        top, Fraction(-top, top - 2), 10 ** 616)
+    for text in (str(top + 1), f"1/{top + 1}", "1e617", "1e-617"):
+        with pytest.raises(ValueError):
+            cli._parse_fraction_list(text)
 
 
 def test_quartic_bad_params(capsys):

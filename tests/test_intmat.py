@@ -74,3 +74,39 @@ def test_isolated_indices_multiply_out():
     # the shape of the E8 fixed-subalgebra Killing matrix
     assert bareiss_det([[-56 if i == j else 0 for j in range(120)]
                         for i in range(120)]) == (-56) ** 120
+
+
+def _block(entries):
+    # a square block of size 1-4, made singular on request: a zero 1-block,
+    # or a larger one whose last row repeats its first
+    def build(k, rows, singular):
+        if singular:
+            rows = rows[:-1] + [rows[0]] if k > 1 else [[0]]
+        return rows
+    return st.integers(1, 4).flatmap(lambda k: st.builds(
+        build, st.just(k),
+        st.lists(st.lists(entries, min_size=k, max_size=k), min_size=k, max_size=k),
+        st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_block(st.integers(-3, 3)), min_size=1, max_size=5), st.randoms())
+def test_permuted_block_diagonal_matches_unsplit_bareiss(blocks, rnd):
+    # the blocks on the diagonal, then one random permutation applied to the
+    # rows and the same to the columns
+    n = sum(map(len, blocks))
+    m = [[0] * n for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[start + i][start:start + len(row)] = row
+        start += len(b)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    m = [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    det = bareiss_det(m)
+    assert det == _bareiss([list(row) for row in m])
+    product = 1
+    for b in blocks:
+        product *= _bareiss([list(row) for row in b])
+    assert det == product

@@ -1,4 +1,5 @@
 import copy
+import re
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -7,6 +8,7 @@ import pytest
 
 from rootcover import heisrep, intmat, lattice, liealg
 from rootcover.extension import build_extension
+from rootcover.f2 import parity
 from rootcover.gaussian import MonoMat, add_terms, gq, sparse_nullspace
 from rootcover.liealg import (IntegralLieAlgebra, LieError,
                               ad_nilpotency_degree, build_R, build_lie,
@@ -256,25 +258,25 @@ def test_grading_is_checked_once_per_algebra(monkeypatch):
     L = _lie("A2")
     assert not L.graded
     verify_jacobi(L)
-    killing_form(L)
     verify_jacobi(L)
     assert scans == [L] and L.graded
-    # killing_form alone checks an unchecked algebra
-    other = _lie("A2")
-    killing_form(other)
-    assert scans == [L, other]
 
 
 def test_ungraded_table_fails_every_check_that_needs_the_grading():
+    bad = _ungraded_a2()
+    # a failure is not remembered: each call scans and raises again
+    for _ in range(2):
+        with pytest.raises(LieError, match="not weight graded"):
+            verify_jacobi(bad)
+    assert not bad.graded
+
+
+def _ungraded_a2():
+    """A2 with [h_1, x_a] = a_1 x_a moved onto the next root vector."""
     L = _lie("A2")
     key = min(key for key in L.table if key[0] == 0)
     (k, c), = L.table[key]
-    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: ((k + 1, c),)})
-    # a failure is not remembered: each call scans and raises again
-    for check in (killing_form, verify_jacobi, killing_form):
-        with pytest.raises(LieError, match="not weight graded"):
-            check(bad)
-    assert not bad.graded
+    return IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: ((k + 1, c),)})
 
 
 def test_jacobi_sampled_mode(e6_stack):
@@ -358,22 +360,27 @@ def _dense_killing(alg):
 def test_killing_forms_match_dense_traces(name):
     datum = lattice.root_datum(name)
     L = build_lie(datum, build_extension(lattice.mod2_space(datum).space))
-    # L: the graded entries and every zero the grading forces
+    # L: every entry, the zeros the grading forces included
     kf = killing_form(L)
     dense = _dense_killing(L)
     assert kf.matrix == dense
-    assert kf.determinant == intmat.bareiss_det(dense)
-    # the fixed subalgebra: every entry
+    assert kf.determinant == _unsplit_det(dense)
+    # the fixed subalgebra, through the same kernel
     fixed = fixed_subalgebra(L, build_theta(L))
-    gk = fixed.killing()
+    gk = killing_form(fixed)
     assert gk.matrix == _dense_killing(fixed)
-    assert gk.determinant == intmat.bareiss_det(gk.matrix)
+    assert gk.determinant == _unsplit_det(gk.matrix)
     # its Killing matrix is diagonal in the Z basis; in a basis where it is
     # not, both triangles are compared
     rebased = _rebased(fixed)
-    rk = rebased.killing()
+    rk = killing_form(rebased)
     assert rk.matrix == _dense_killing(rebased)
+    assert rk.determinant == _unsplit_det(rk.matrix)
     assert rk.matrix[1][0] == gk.matrix[1][1] != 0
+
+
+def _unsplit_det(matrix):
+    return intmat._bareiss([list(row) for row in matrix])
 
 
 def _rebased(fixed):
@@ -397,8 +404,18 @@ def _rebased(fixed):
 
 
 def test_fixed_killing_nondegenerate(e6_stack, e7_stack):
-    assert e6_stack.fixed.killing().nondegenerate
-    assert e7_stack.fixed.killing().nondegenerate
+    assert killing_form(e6_stack.fixed).nondegenerate
+    assert killing_form(e7_stack.fixed).nondegenerate
+
+
+def test_killing_form_of_an_ungraded_table_matches_dense_traces():
+    # the kernel assumes no zero, so a table that fails the grading check
+    # still gets its full trace form
+    bad = _ungraded_a2()
+    kf = killing_form(bad)
+    assert kf.matrix == _dense_killing(bad) != killing_form(_lie("A2")).matrix
+    assert kf.determinant == _unsplit_det(kf.matrix)
+    assert not bad.graded
 
 
 def test_r_homomorphism_small(a2_stack):
@@ -523,6 +540,54 @@ def test_character_adjoint_action(e6_stack):
         report = character_adjoint_check(L, f, e6_stack.theta)
         assert report.ok
         assert report.pairs_checked == L.dim * (L.dim - 1) // 2
+
+
+def _signed_map_failures(alg, image):
+    """The pairs i < j where e_i -> s_i e_{t_i} fails to preserve the
+    bracket, from two brackets of sparse vectors per pair."""
+    def phi(v):
+        return add_terms({}, [(image[k][0], image[k][1] * c) for k, c in v.items()])
+    return [(i, j) for i, j in combinations(range(alg.dim), 2)
+            if phi(alg.bracket({i: 1}, {j: 1})) != alg.bracket(phi({i: 1}), phi({j: 1}))]
+
+
+@pytest.mark.parametrize("mutation", ["sign", "moved", "added"])
+def test_automorphism_checks_report_every_failing_pair_in_order(mutation):
+    L = _lie("D4")
+    theta = build_theta(L)
+    nc, neg = L.n_cartan, L.datum.negation
+    if mutation == "sign":  # [x_a, x_b] negated: theta fails, characters hold
+        key = _root_root_key(L)
+        entry = tuple((k, -c) for k, c in L.table[key])
+    elif mutation == "moved":  # [h_1, x_a] moved onto the next root vector
+        key = min(key for key in L.table if key[0] == 0)
+        (k, c), = L.table[key]
+        entry = ((k + 1, c),)
+    else:  # [x_a, x_b] = h_1 where the bracket was zero and so is its image's
+        key = next((i, j) for i in range(nc, L.dim) for j in range(i + 1, L.dim)
+                   if (i, j) not in L.table and neg[i - nc] != j - nc)
+        entry = ((0, 1),)
+    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: entry})
+    image = [theta.apply_basis(i) for i in range(L.dim)]
+    brute = _signed_map_failures(bad, image)
+    assert brute and liealg._automorphism_failures(bad, image) == brute
+    with pytest.raises(LieError, match=re.escape(f"automorphism check at {brute[0]}")):
+        build_theta(bad)
+    caught = 0
+    for f in range(16):
+        report = character_adjoint_check(bad, f)
+        assert report.failures == _signed_map_failures(bad, _character_image(bad, f))
+        assert report.pairs_checked == bad.dim * (bad.dim - 1) // 2
+        caught += not report.ok
+    assert (caught == 0) == (mutation == "sign")
+
+
+def _character_image(L, f):
+    """The character f as a signed basis map: X_gamma -> -X_gamma exactly
+    when f(gamma) = 1."""
+    nc, bits = L.n_cartan, L.datum.root_class_bits
+    return [(i, -1 if i >= nc and parity(f & bits(i - nc)) else 1)
+            for i in range(L.dim)]
 
 
 def test_ad_nilpotency(e6_stack):
