@@ -21,8 +21,11 @@ After the grading check, a bracket [e_i, e_j] of nonzero summed weight w lies
 on the one basis element of weight w.  So when no pair of a triple, and not
 the whole triple, sums to weight 0, its Jacobi sum is one integer times one
 basis element, read from two arrays over the whole basis (the single-term
-path: 235,200 of E8's 273,736 live triples).  Every other live triple goes
-through the general kernel.
+path).  Every other triple it evaluates goes through the general kernel.  It
+evaluates only the live triples of summed weight 0 or a positive root
+(138,496 of E8's 273,736, 117,600 of them single-term): the involution,
+verified as an automorphism, maps those of positive weight onto those of
+negative weight, failing triples onto failing ones.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import intmat
 from .extension import Cocycle
@@ -90,16 +93,12 @@ class SparseLieAlgebra:
 
 
 class IntegralLieAlgebra(SparseLieAlgebra):
-    """The Lie algebra of a root datum and cover, on the basis (h, X_gamma).
-
-    ``graded`` records a passed assert_weight_graded scan of ``flat``.
-    """
+    """The Lie algebra of a root datum and cover, on the basis (h, X_gamma)."""
 
     def __init__(self, datum: RootDatum, cocycle: Cocycle, table: Table):
         super().__init__(datum.rank + len(datum.roots), table)
         self.datum = datum
         self.cocycle = cocycle
-        self.graded = False
         self.n_cartan = datum.rank
         self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
             "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
@@ -180,21 +179,26 @@ def build_lie(datum: RootDatum, cocycle: Cocycle) -> IntegralLieAlgebra:
 class JacobiReport:
     """Outcome of a Jacobi check on basis triples i < j < k.
 
-    ``evaluated`` counts the triples whose Jacobi sum was computed.  An
-    exhaustive check covers all ``checked_unordered`` = C(dim, 3) unordered
-    triples, and through them all ``covered_ordered`` = dim^3 ordered ones:
-    a triple it does not evaluate has a summed weight that is neither a root
-    nor 0, so its sum is zero by the weight grading the same check verified.
-    ``monomial`` of the evaluated triples took the single-term path: those
-    with no pair, and not the whole triple, summing to weight 0 (235,200 of
-    E8's 273,736; see _graded_scan).  The rest, and every sampled triple,
-    took the general kernel.
+    An exhaustive check covers all ``checked_unordered`` = C(dim, 3) unordered
+    triples, and through them all ``covered_ordered`` = dim^3 ordered ones.
+    Its ``live`` triples, those whose summed weight is a root or 0, split in
+    two.  It computes the Jacobi sum of the ``evaluated`` ones, summed weight
+    0 or a positive root; the ``mirrored`` ones, summed weight a negative
+    root, are the images of the others under the verified involution, which
+    fail exactly when their preimages do.  Every other triple has a summed
+    weight that is neither a root nor 0, so its sum is zero by the weight
+    grading the same check verified (``zero_by_grading``).  ``monomial`` of
+    the evaluated triples took the single-term path: those with no pair, and
+    not the whole triple, summing to weight 0 (117,600 of E8's 138,496; see
+    _graded_scan).  The rest, and every sampled triple, took the general
+    kernel.
     """
     dim: int
     checked_unordered: int
     covered_ordered: int
     evaluated: int
     monomial: int = 0
+    mirrored: int = 0
     failures: List[Tuple[int, int, int]] = field(default_factory=list)
     sampled: bool = False
     seed: Optional[int] = None
@@ -204,8 +208,12 @@ class JacobiReport:
         return not self.failures
 
     @property
+    def live(self) -> int:
+        return self.evaluated + self.mirrored
+
+    @property
     def zero_by_grading(self) -> int:
-        return self.checked_unordered - self.evaluated
+        return self.checked_unordered - self.live
 
 
 def _jacobi_fails(flat: Sequence[Tuple[Entry, ...]], n: int,
@@ -249,21 +257,30 @@ def _single_terms(L: IntegralLieAlgebra,
     return rows, coef
 
 
-def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, int, List[Tuple[int, int, int]]]:
-    """Evaluate the triples i < j < k whose summed weight is a root or 0.
+def _graded_scan(L: IntegralLieAlgebra, theta: Involution
+                 ) -> Tuple[int, int, int, List[Tuple[int, int, int]]]:
+    """Evaluate the triples i < j < k whose summed weight is 0 or a positive
+    root, and mirror the failures among them through ``theta``.
 
-    Returns their number, how many of them took the single-term path, and
-    the failing ones in lexicographic order.  A triple none of whose weight
-    sums pi + pj, pj + pk, pk + pi and pi + pj + pk is 0 brackets, by the
-    grading, only through single terms, each on the one basis element of its
-    weight: its Jacobi sum is one integer times e_w, read from _single_terms
-    (235,200 of E8's 273,736 live triples).  Every other triple goes through
-    _jacobi_fails.
+    ``theta`` must be build_theta(L), checked to be an automorphism of
+    ``flat``: e_i -> s_i e_{t_i} negates every weight, and J(e_ti, e_tj, e_tk)
+    = s_i s_j s_k theta(J(e_i, e_j, e_k)), so a triple fails exactly when its
+    image does.  The live triples of negative root weight are the images of
+    those of positive root weight; those of weight 0 are evaluated.
+
+    Returns the number evaluated, how many of them took the single-term path,
+    the number mirrored, and every failing live triple in lexicographic
+    order.  A triple none of whose weight sums pi + pj, pj + pk, pk + pi and
+    pi + pj + pk is 0 brackets, by the grading, only through single terms,
+    each on the one basis element of its weight: its Jacobi sum is one
+    integer times e_w, read from _single_terms (117,600 of E8's 138,496
+    evaluated triples).  Every other triple goes through _jacobi_fails.
     """
     n = L.dim
     roots = _packed_roots(L.datum)
     packed = [0] * L.n_cartan + roots
-    targets = [0] + roots
+    # packing is linear, so theta maps a positive packed weight to a negative one
+    targets = [0] + [p for p in roots if p > 0]
     # partners[s] lists, ascending, the k with s + packed[k] a target; grown
     # as tuples, not lists, to keep the index small
     partners: Dict[int, Tuple[int, ...]] = {}
@@ -274,7 +291,7 @@ def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, int, List[Tuple[int, int, 
 
     flat = L.flat
     rows, coef = _single_terms(L, packed)
-    evaluated = general = 0
+    evaluated = general = weight_zero = 0
     failures = []
     for i in range(n):
         pi = packed[i]
@@ -292,6 +309,7 @@ def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, int, List[Tuple[int, int, 
                 pk = packed[k]
                 if not (pij and pj + pk and pk + pi and pij + pk):
                     general += 1
+                    weight_zero += not pij + pk
                     if _jacobi_fails(flat, n, i, j, k):
                         failures.append((i, j, k))
                     continue
@@ -299,10 +317,41 @@ def _graded_scan(L: IntegralLieAlgebra) -> Tuple[int, int, List[Tuple[int, int, 
                 if (c_ij * coef[r_ij + k] + coef[jk] * coef[rows[jk] + i]
                         + coef[ki] * coef[rows[ki] + j]):
                     failures.append((i, j, k))
-    return evaluated, evaluated - general, failures
+    image = [theta.apply_basis(i)[0] for i in range(n)]
+    failures += [tuple(sorted((image[i], image[j], image[k])))
+                 for i, j, k in failures if packed[i] + packed[j] + packed[k]]
+    return evaluated, evaluated - general, evaluated - weight_zero, sorted(failures)
 
 
-def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
+def _random_triples(n: int, count: int,
+                    seed: Optional[int]) -> Iterator[Tuple[int, int, int]]:
+    """``count`` triples i < j < k < n, each uniform over the C(n, 3) such
+    triples, the sequence determined by ``seed``.
+
+    A draw is one getrandbits(3 b), b the bits of n - 1, cut into three b-bit
+    indices and drawn again unless they are distinct and below n: every
+    ordered triple of distinct indices is equally likely, so every unordered
+    one, its sorted form, is.
+    """
+    draw = random.Random(seed).getrandbits
+    b = (n - 1).bit_length()
+    bits, b2, mask = 3 * b, 2 * b, (1 << b) - 1
+    while count:
+        x = draw(bits)
+        i, j, k = x & mask, x >> b & mask, x >> b2
+        if i > j:
+            i, j = j, i
+        if j > k:
+            j, k = k, j
+            if i > j:
+                i, j = j, i
+        if i < j < k < n:
+            count -= 1
+            yield i, j, k
+
+
+def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
+                  sample: Optional[int] = None,
                   seed: Optional[int] = None) -> JacobiReport:
     """Check [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on basis triples.
 
@@ -310,39 +359,35 @@ def verify_jacobi(L: IntegralLieAlgebra, sample: Optional[int] = None,
     and permutations carry no extra content because the evaluator is
     antisymmetric by construction, so this covers all dim^3 ordered triples.
     The exhaustive check first verifies that the table is weight graded
-    (raising LieError if not) and then evaluates only the triples whose
-    summed weight is a root or 0: every other Jacobi sum lies in a weight
-    space with no basis element.  With ``sample`` set, checks that many
-    pseudo-random triples instead, each with the general kernel: sampling
-    verifies no grading, so it never takes the single-term path.
+    (raising LieError if not).  It then computes the Jacobi sum only of the
+    triples whose summed weight is 0 or a positive root, and lists the
+    failures of weight a negative root as the images of those of positive
+    weight under ``theta``, which must be build_theta(L): the automorphism
+    check that build_theta ran on this ``flat`` is the premise of that step
+    (see _graded_scan).  Every other Jacobi sum lies in a weight space with
+    no basis element.  With ``sample`` set, checks that many seeded random
+    triples instead, each with the general kernel: sampling verifies no
+    grading, so it never takes the single-term path, and mirrors nothing.
     """
     n = L.dim
     if sample is not None:
-        rng = random.Random(seed)
-        report = JacobiReport(dim=n, checked_unordered=sample, covered_ordered=0,
-                              evaluated=sample, sampled=True, seed=seed)
-        for _ in range(sample):
-            i, j, k = sorted(rng.sample(range(n), 3))
-            if _jacobi_fails(L.flat, n, i, j, k):
-                report.failures.append((i, j, k))
-        return report
+        flat = L.flat
+        failures = [(i, j, k) for i, j, k in _random_triples(n, sample, seed)
+                    if _jacobi_fails(flat, n, i, j, k)]
+        return JacobiReport(dim=n, checked_unordered=sample, covered_ordered=0,
+                            evaluated=sample, failures=failures, sampled=True,
+                            seed=seed)
     assert_weight_graded(L)
-    evaluated, monomial, failures = _graded_scan(L)
+    evaluated, monomial, mirrored, failures = _graded_scan(L, theta)
     return JacobiReport(dim=n, checked_unordered=comb(n, 3), covered_ordered=n ** 3,
-                        evaluated=evaluated, monomial=monomial, failures=failures)
+                        evaluated=evaluated, monomial=monomial, mirrored=mirrored,
+                        failures=failures)
 
 
 def assert_weight_graded(L: IntegralLieAlgebra) -> None:
-    """Raise LieError unless every bracket entry lands at the summed weight.
-
-    The table is scanned at most once per algebra: a pass is recorded in
-    ``L.graded`` and later calls return at once; a failure is not recorded.
-    """
-    if L.graded:
-        return
+    """Raise LieError unless every bracket entry lands at the summed weight."""
     if not _is_weight_graded(L):
         raise LieError("bracket table is not weight graded")
-    L.graded = True
 
 
 def _is_weight_graded(L: IntegralLieAlgebra) -> bool:

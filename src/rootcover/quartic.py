@@ -371,9 +371,12 @@ def _crt_candidates(mod_p_singular: Dict[int, List[Tuple[int, int, int]]]
         per_prime = [(p, pts) for p, pts in per_prime if pts]
         if per_prime:
             charts.append(per_prime)
-    groups = charts + [list(sub) for size in range(len(mod_p_singular) - 1, 0, -1)
-                       for per_prime in charts if size < len(per_prime)
-                       for sub in itertools.combinations(per_prime, size)]
+    # generated, not listed: the subsets number 2^(primes), and the caller
+    # stops after MAX_CRT_COMBINATIONS candidates
+    groups = itertools.chain(charts, (
+        sub for size in range(len(mod_p_singular) - 1, 0, -1)
+        for per_prime in charts if size < len(per_prime)
+        for sub in itertools.combinations(per_prime, size)))
     for per_prime in groups:
         modulus = math.prod(p for p, _ in per_prime)
         # e_p = 1 mod p and 0 mod every other prime

@@ -36,18 +36,18 @@ def test_criterion_01_arf_counts():
 
 
 def test_criterion_02_jacobi_exhaustive(e6_stack, e7_stack):
-    from rootcover.liealg import build_lie
+    from rootcover.liealg import build_lie, build_theta
     for name in ("A2", "A3", "D4"):
         datum = lattice.root_datum(name)
         L = build_lie(datum, build_extension(lattice.mod2_space(datum).space))
-        report = verify_jacobi(L)
+        report = verify_jacobi(L, theta=build_theta(L))
         assert report.ok and report.covered_ordered == L.dim ** 3
 
-    report6 = verify_jacobi(e6_stack.lie)
+    report6 = verify_jacobi(e6_stack.lie, theta=e6_stack.theta)
     assert report6.ok and report6.covered_ordered == 78 ** 3
 
     t0 = time.perf_counter()
-    report7 = verify_jacobi(e7_stack.lie)
+    report7 = verify_jacobi(e7_stack.lie, theta=e7_stack.theta)
     elapsed = time.perf_counter() - t0
     assert report7.ok and report7.covered_ordered == 133 ** 3
     _report(2, "exhaustive Jacobi for A2, A3, D4, E6, E7", elapsed, 60)

@@ -1,7 +1,11 @@
 import ast
 import copy
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -272,9 +276,44 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
     failing = [t for t in combinations(range(L.dim), 3) if _jacobi_sum(L, *t)]
     assert len(failing) > 5
     assert jac["failures"] == [[L.labels[i] for i in t] for t in failing[:5]]
-    assert "[jacobi]" in captured.err
-    assert "evaluated 14876, zero by grading 61200" in captured.err
-    assert "(monomial 10800, general 4076)" in captured.err
+    assert ("[jacobi]" in captured.err and "live 14876 = evaluated 7676 "
+            "(monomial 5400, general 2276) + mirrored 7200, zero by grading "
+            "61200" in captured.err)
+
+
+def test_verify_checks_the_automorphism_once(capsys, monkeypatch):
+    # the mirrored Jacobi scan rests on build_theta's check and repeats none
+    calls = []
+    real = liealg._automorphism_failures
+
+    def counted(alg, image):
+        calls.append(alg)
+        return real(alg, image)
+
+    monkeypatch.setattr(liealg, "_automorphism_failures", counted)
+    assert cli.main(["verify", "--type", "A2"]) == 0
+    assert len(calls) == 1
+
+
+def test_unverified_involution_stops_verify_before_jacobi(capsys, monkeypatch):
+    # one root-root coefficient flipped without its theta-image: theta is no
+    # automorphism, so no Jacobi scan, mirrored or not, runs on it
+    real_build_lie = cli.build_lie
+
+    def flipped(datum, cocycle):
+        L = real_build_lie(datum, cocycle)
+        nc, neg = L.n_cartan, datum.negation
+        key = min(key for key in L.table
+                  if key[0] >= nc and neg[key[0] - nc] != key[1] - nc)
+        (k, c), = L.table[key]
+        return IntegralLieAlgebra(datum, cocycle, {**L.table, key: ((k, -c),)})
+
+    monkeypatch.setattr(cli, "build_lie", flipped)
+    assert cli.main(["verify", "--type", "A2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "involution fails the automorphism check" in captured.err
+    assert "[jacobi]" not in captured.err
 
 
 @pytest.mark.parametrize("kind, stages", [
@@ -473,6 +512,29 @@ def test_quartic_huge_coefficients_answer_fast(capsys):
     assert code == 0
     verdict = json.loads(out)["verdict"]
     assert (verdict["kind"], verdict["exact"]) == ("INCONCLUSIVE", "singular")
+
+
+def test_quartic_probe_of_thirty_primes_stays_small():
+    # 21 of these primes list a singular point of this curve, and no rational
+    # one exists: listing every subset of them before the CRT cap applied
+    # took 4 s and 355 MB; the verdict bytes are those of that search
+    primes = [p for p in range(5, 132) if all(p % d for d in range(2, p))]
+    assert len(primes) == 30
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from rootcover.cli import main; "
+         "sys.exit(main())", "quartic", "e7", "--params", "1,0,-3,0,0,3,0",
+         "--probe", ",".join(map(str, primes))],
+        stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert hashlib.sha256(out).hexdigest()[:16] == "24e84e6b2b27515f"
+    assert json.loads(out)["verdict"]["kind"] == "INCONCLUSIVE"
+    # ru_maxrss is in KiB on Linux
+    assert usage.ru_maxrss < 100 * 1024
 
 
 def test_quartic_params_up_to_the_bit_cap_are_accepted():

@@ -1,5 +1,6 @@
 import copy
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -80,9 +81,14 @@ def test_structure_constants_are_small(e7_stack):
             assert values <= {-1, 1}
 
 
+def _jacobi(L):
+    """Exhaustive Jacobi on L, mirrored through the involution verified on L."""
+    return verify_jacobi(L, theta=build_theta(L))
+
+
 def test_jacobi_small_types_exhaustive():
     for name in ("A2", "A3", "D4"):
-        report = verify_jacobi(_lie(name))
+        report = _jacobi(_lie(name))
         assert report.ok
         n = report.dim
         assert report.covered_ordered == n ** 3
@@ -90,11 +96,13 @@ def test_jacobi_small_types_exhaustive():
 
 
 def test_jacobi_evaluates_the_weight_live_triples(e7_stack):
-    report7 = verify_jacobi(e7_stack.lie)
-    assert report7.ok and report7.evaluated == 55958
+    report7 = verify_jacobi(e7_stack.lie, theta=e7_stack.theta)
+    assert report7.ok and (report7.evaluated, report7.mirrored) == (28553, 27405)
+    assert report7.live == 55958
     assert report7.zero_by_grading == 383306 - 55958
-    report8 = verify_jacobi(_lie("E8"))
-    assert report8.ok and report8.evaluated == 273736
+    report8 = _jacobi(_lie("E8"))
+    assert report8.ok and (report8.evaluated, report8.mirrored) == (138496, 135240)
+    assert report8.live == 273736
     assert report8.checked_unordered == 2511496
     assert report8.covered_ordered == 248 ** 3
 
@@ -127,6 +135,12 @@ def _live_triples(L):
             if k > j]
 
 
+def _weight_upper(L, i, j, k):
+    """Whether the triple's summed weight is 0 or a positive root."""
+    total = tuple(map(sum, zip(L.weight(i), L.weight(j), L.weight(k))))
+    return not any(total) or L.datum.index.get(total) in L.datum.positive
+
+
 def _single_term(L, i, j, k):
     """Whether the triple's pair sums and total weight are all nonzero."""
     w = [L.weight(x) for x in (i, j, k)]
@@ -146,9 +160,10 @@ def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
     triples = list(combinations(range(L.dim), 3))
     live = [t for t in triples if _weight_live(L, *t)]
     assert _live_triples(L) == live
-    # the scan evaluates as many triples as are weight live, and exactly the
-    # live ones with a zero pair sum or total, in order, go to the general
-    # kernel ...
+    # the scan evaluates the live triples of weight 0 or a positive root and
+    # mirrors the others; exactly the evaluated ones with a zero pair sum or
+    # total, in order, go to the general kernel ...
+    upper = [t for t in live if _weight_upper(L, *t)]
     seen = []
     real = liealg._jacobi_fails
 
@@ -157,20 +172,37 @@ def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
         return real(flat, n, i, j, k)
 
     monkeypatch.setattr(liealg, "_jacobi_fails", recording)
-    report = verify_jacobi(L)
-    assert report.ok and report.evaluated == len(live)
-    assert seen == [t for t in live if not _single_term(L, *t)]
-    assert report.monomial == len(live) - len(seen)
+    report = _jacobi(L)
+    assert report.ok and report.evaluated == len(upper)
+    assert report.evaluated + report.mirrored == report.live == len(live)
+    assert seen == [t for t in upper if not _single_term(L, *t)]
+    assert report.monomial == len(upper) - len(seen)
     # ... and every triple it skips has a zero Jacobi sum
     for t in triples:
         if not _weight_live(L, *t):
             assert not _jacobi_sum(L, *t), t
 
 
+def _theta_mutation(L, key, entries):
+    """A copy of L with table[key] set to ``entries`` and the entry at its
+    image under the involution theta to s_i s_j theta(entries), so that theta
+    stays an automorphism."""
+    image = [build_theta(L).apply_basis(i) for i in range(L.dim)]
+    (ti, si), (tj, sj) = image[key[0]], image[key[1]]
+    mirrored = tuple(sorted((image[k][0], si * sj * image[k][1] * c)
+                            for k, c in entries))
+    if ti > tj:
+        ti, tj, mirrored = tj, ti, tuple((k, -c) for k, c in mirrored)
+    assert (ti, tj) != key
+    return IntegralLieAlgebra(L.datum, L.cocycle,
+                              {**L.table, key: entries, (ti, tj): mirrored})
+
+
 def _flip(L, key):
-    """A copy of L with the sign of the first coefficient of table[key] flipped."""
+    """A copy of L with the sign of the first coefficient of table[key]
+    flipped, and of its image under theta."""
     (k, c), *rest = L.table[key]
-    return IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: ((k, -c), *rest)})
+    return _theta_mutation(L, key, ((k, -c), *rest))
 
 
 def _root_root_key(L):
@@ -187,14 +219,14 @@ def test_graded_scan_finds_every_failing_triple(name, part):
     key = _root_root_key(L) if part == "root-root" else min(L.table)
     bad = _flip(L, key)
     brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
-    assert brute and verify_jacobi(bad).failures == brute
+    assert brute and _jacobi(bad).failures == brute
 
 
-@pytest.mark.parametrize("key, count", [((8, 135), 113), ((3, 34), 142)])
+@pytest.mark.parametrize("key, count", [((8, 135), 226), ((3, 34), 282)])
 def test_monomial_path_agrees_with_the_general_kernel_on_e8(key, count):
     bad = _flip(_lie("E8"), key)
-    full = verify_jacobi(bad)
-    assert full.evaluated == 273736 and full.monomial == 235200
+    full = _jacobi(bad)
+    assert (full.evaluated, full.monomial, full.mirrored) == (138496, 117600, 135240)
     assert len(full.failures) == count
     assert full.failures == _general_reference(bad)
 
@@ -208,9 +240,9 @@ def test_graded_root_entry_off_the_monomial_block(entry):
     L = _lie("D4")
     key = _root_root_key(L)
     (k, c), = L.table[key]
-    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: entry(k, c)})
-    report = verify_jacobi(bad)
-    assert report.monomial == verify_jacobi(L).monomial == 672
+    bad = _theta_mutation(L, key, entry(k, c))
+    report = _jacobi(bad)
+    assert report.monomial == _jacobi(L).monomial == 336
     brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
     assert brute and report.failures == brute == _general_reference(bad)
 
@@ -233,56 +265,68 @@ def test_bracket_basis_is_antisymmetric():
 @pytest.mark.parametrize("name", ["A2", "D4"])
 def test_ungraded_table_is_rejected(name):
     L = _lie(name)
-    # [h_1, x_a] = a_1 x_a moved onto x_b, the next root, of another weight
-    key = min(key for key in L.table if key[0] == 0)
-    (k, c), = L.table[key]
-    table = dict(L.table)
-    table[key] = ((k + 1, c),)
-    bad = IntegralLieAlgebra(L.datum, L.cocycle, table)
+    # [h_1, x_a] = a_1 x_a moved onto x_b, the next root, of another weight,
+    # and its theta-image likewise: theta stays an automorphism
+    bad = _ungraded(L)
     # the moved entry breaks Jacobi on a triple the graded scan would skip
     assert any(_jacobi_sum(bad, *t) for t in combinations(range(bad.dim), 3)
                if not _weight_live(bad, *t))
     with pytest.raises(LieError, match="not weight graded"):
-        verify_jacobi(bad)
-
-
-def test_grading_is_checked_once_per_algebra(monkeypatch):
-    scans = []
-    real = liealg._is_weight_graded
-
-    def counted(L):
-        scans.append(L)
-        return real(L)
-
-    monkeypatch.setattr(liealg, "_is_weight_graded", counted)
-    L = _lie("A2")
-    assert not L.graded
-    verify_jacobi(L)
-    verify_jacobi(L)
-    assert scans == [L] and L.graded
+        _jacobi(bad)
 
 
 def test_ungraded_table_fails_every_check_that_needs_the_grading():
-    bad = _ungraded_a2()
-    # a failure is not remembered: each call scans and raises again
+    bad = _ungraded(_lie("A2"))
+    # nothing is remembered: each call scans and raises again
     for _ in range(2):
         with pytest.raises(LieError, match="not weight graded"):
-            verify_jacobi(bad)
-    assert not bad.graded
+            _jacobi(bad)
 
 
-def _ungraded_a2():
-    """A2 with [h_1, x_a] = a_1 x_a moved onto the next root vector."""
-    L = _lie("A2")
+def _ungraded(L):
+    """L with [h_1, x_a] = a_1 x_a moved onto the next root vector, and its
+    image under theta moved to match."""
     key = min(key for key in L.table if key[0] == 0)
     (k, c), = L.table[key]
-    return IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: ((k + 1, c),)})
+    return _theta_mutation(L, key, ((k + 1, c),))
 
 
 def test_jacobi_sampled_mode(e6_stack):
-    report = verify_jacobi(e6_stack.lie, sample=5000, seed=7)
+    report = verify_jacobi(e6_stack.lie, theta=e6_stack.theta, sample=5000, seed=7)
     assert report.ok and report.sampled and report.seed == 7
-    assert report.checked_unordered == 5000
+    assert report.checked_unordered == 5000 and report.mirrored == 0
+
+
+def test_sampled_triples_are_exactly_uniform(monkeypatch):
+    # a generator that returns every value of getrandbits(3 b) once, in order:
+    # each ordered triple of distinct indices below n is one value, so each
+    # unordered triple is drawn exactly 3! = 6 times
+    n, b = 5, 3
+
+    class Every:
+        def __init__(self, seed):
+            self.values = iter(range(2 ** (3 * b)))
+
+        def getrandbits(self, bits):
+            assert bits == 3 * b
+            return next(self.values)
+
+    monkeypatch.setattr(liealg.random, "Random", Every)
+    drawn = Counter(liealg._random_triples(n, 6 * 10, seed=None))
+    assert drawn == {t: 6 for t in combinations(range(n), 3)}
+
+
+def test_sampled_triples_are_determined_by_the_seed(e6_stack):
+    first = list(liealg._random_triples(248, 2000, 3))
+    assert first == list(liealg._random_triples(248, 2000, 3))
+    assert first != list(liealg._random_triples(248, 2000, 4))
+    assert all(0 <= i < j < k < 248 for i, j, k in first)
+    # a broken table's sampled witnesses are the failing drawn triples
+    bad = _flip(e6_stack.lie, _root_root_key(e6_stack.lie))
+    report = verify_jacobi(bad, theta=build_theta(bad), sample=20000, seed=3)
+    drawn = list(liealg._random_triples(bad.dim, 20000, 3))
+    assert report.failures == [t for t in drawn if _jacobi_sum(bad, *t)]
+    assert report.failures
 
 
 def test_cover_lattice_mismatch_is_rejected():
@@ -411,11 +455,10 @@ def test_fixed_killing_nondegenerate(e6_stack, e7_stack):
 def test_killing_form_of_an_ungraded_table_matches_dense_traces():
     # the kernel assumes no zero, so a table that fails the grading check
     # still gets its full trace form
-    bad = _ungraded_a2()
+    bad = _ungraded(_lie("A2"))
     kf = killing_form(bad)
     assert kf.matrix == _dense_killing(bad) != killing_form(_lie("A2")).matrix
     assert kf.determinant == _unsplit_det(kf.matrix)
-    assert not bad.graded
 
 
 def test_r_homomorphism_small(a2_stack):
