@@ -364,11 +364,14 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
     failures of weight a negative root as the images of those of positive
     weight under ``theta``, which must be build_theta(L): the automorphism
     check that build_theta ran on this ``flat`` is the premise of that step
-    (see _graded_scan).  Every other Jacobi sum lies in a weight space with
-    no basis element.  With ``sample`` set, checks that many seeded random
-    triples instead, each with the general kernel: sampling verifies no
-    grading, so it never takes the single-term path, and mirrors nothing.
+    (see _graded_scan), so any other ``theta`` raises LieError.  Every other
+    Jacobi sum lies in a weight space with no basis element.  With ``sample``
+    set, checks that many seeded random triples instead, each with the
+    general kernel: sampling verifies no grading, so it never takes the
+    single-term path, and mirrors nothing.
     """
+    if theta.verified_on is not L.flat:
+        raise LieError("theta was not verified on this bracket table")
     n = L.dim
     if sample is not None:
         flat = L.flat
@@ -460,10 +463,14 @@ def killing_cartan_ratio(L: IntegralLieAlgebra, killing: KillingForm) -> Fractio
 
 @dataclass(frozen=True)
 class Involution:
-    """Signed basis map: h -> -h on the Cartan part, X_gamma -> s * X_{-gamma}."""
+    """Signed basis map: h -> -h on the Cartan part, X_gamma -> s * X_{-gamma}.
+
+    ``verified_on`` is the ``flat`` table on which build_theta checked the
+    map to be an automorphism; verify_jacobi mirrors through no other."""
 
     n_cartan: int
     root_map: Tuple[Tuple[int, int], ...]  # root index -> (image root index, sign)
+    verified_on: Sequence = field(repr=False, compare=False)
 
     def apply_basis(self, i: int) -> Tuple[int, int]:
         if i < self.n_cartan:
@@ -514,7 +521,8 @@ def build_theta(L: IntegralLieAlgebra) -> Involution:
         neg = datum.negation[ri]
         sign = 1 if coc.q(datum.root_class_bits(ri)) else -1
         root_map.append((neg, sign))
-    theta = Involution(L.n_cartan, tuple(root_map))
+    # returned only once every check below has passed on L.flat
+    theta = Involution(L.n_cartan, tuple(root_map), L.flat)
 
     image = [theta.apply_basis(i) for i in range(L.dim)]
     for i, (j, s) in enumerate(image):

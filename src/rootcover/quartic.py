@@ -232,6 +232,12 @@ class Verdict:
 # took 2 s on a 2-core x86 VM
 MAX_PROBE_PRIME = 1000
 
+# upper bound on the sum of p^2 over the probe primes, the size of the whole
+# point scan: --probe 997 (994,009) took 2.0 to 2.6 s, the 44 primes 5..199
+# (565,052) 1.5 s and the 60 primes 5..293 (1,598,412) 2.6 s, each a whole
+# quartic e6 or e7 call on a 2-core x86 VM
+MAX_PROBE_SQUARES = 1_000_000
+
 # CRT combinations of mod-p singular points tried for a rational witness.  A
 # quartic that is nonzero mod p has at most 2p + 1 singular points there (two
 # double lines), at most p of them in the chart (x, 1, 0), so with the default
@@ -267,8 +273,8 @@ def smoothness_probe(curve: QuarticCurve, primes: Sequence[int]) -> Verdict:
     then among CRT combinations of them, rationally reconstructed (at most
     MAX_CRT_COMBINATIONS).  Every candidate is re-checked exactly.  SINGULAR
     carries the witness; without one the verdict is INCONCLUSIVE with exact
-    "singular".  Probe primes above MAX_PROBE_PRIME, and repeated ones, are
-    rejected before any work.
+    "singular".  Probe primes above MAX_PROBE_PRIME, repeated ones, and lists
+    whose squares sum above MAX_PROBE_SQUARES are rejected before any work.
     """
     if len(set(primes)) != len(primes):
         raise QuarticError(f"probe primes {list(primes)} repeat a prime")
@@ -280,6 +286,10 @@ def smoothness_probe(curve: QuarticCurve, primes: Sequence[int]) -> Verdict:
             raise QuarticError(f"probe modulus {p} is not a prime")
         if denom_lcm % p == 0:
             raise QuarticError(f"prime {p} divides the coefficient denominators")
+    squares = sum(p * p for p in primes)
+    if squares > MAX_PROBE_SQUARES:
+        raise QuarticError(f"probe primes have a sum of squares {squares} above "
+                           f"the limit {MAX_PROBE_SQUARES}")
     # the primitive integer multiple of F: with its content left in, a prime
     # dividing the content would list every point of P^2(F_p) as singular
     content = math.gcd(*(int(c * denom_lcm) for c in curve.coeffs))

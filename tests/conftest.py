@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from rootcover import lattice
-from rootcover.cli import build_pipeline
+from rootcover.cmd_pipeline import build_pipeline
 from rootcover.heisrep import build_heisrep
 from rootcover.liealg import build_R
 

@@ -1,6 +1,9 @@
 """The behaviour lock: sha256 prefixes of CLI stdout that refactors keep."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +33,28 @@ def test_stdout_matches_behaviour_lock(capsys, argv):
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest()[:16] == STDOUT_SHA16[argv]
+
+
+def _run_module(argv):
+    """``python -m rootcover.cli argv`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "rootcover.cli", *argv],
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--type", "A2"), ("delpezzo",), ("counts", "--g", "4"),
+    ("quartic", "e6", "--params", "1,0,0,2,0,-1"),
+    ("quartic", "e7", "--params", "0,0,0,0,0,0,0"), ("table", "real-orbits"),
+], ids="-".join)
+def test_module_entry_point_matches_behaviour_lock(argv):
+    proc = _run_module(argv)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest()[:16] == STDOUT_SHA16[argv]
+
+
+def test_module_entry_point_rejects_bad_input():
+    proc = _run_module(["build", "--type", "A60"])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == b"error: rank 60 is outside the supported range 2..16\n"

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from rootcover import cli, heisrep, liealg, quartic
+from rootcover import cli, cmd_lattice, cmd_pipeline, heisrep, liealg, quartic
 from rootcover.gaussian import ZERO, MonoMat, add_terms, gq
 from rootcover.liealg import IntegralLieAlgebra
 
@@ -73,22 +73,25 @@ def test_build_rejects_rank_one(capsys):
     (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "5,10007"],
      "above the limit 1000"),
     (["verify", "--type", "E6", "--depth", "sampled", "--samples", "100000000"],
-     f"--samples must be between 1 and {cli.MAX_SAMPLES}"),
+     f"--samples must be between 1 and {cmd_pipeline.MAX_SAMPLES}"),
     (["quartic", "e6", "--params", "1e20000,1/3,3,1e-20000,0,1e20000",
       "--probe", "7,11,13"], f"exponent above {cli.MAX_PARAM_BITS}"),
     (["quartic", "e6", "--params", f"0,0,0,1/{2 ** cli.MAX_PARAM_BITS},0,1"],
      f"is above {cli.MAX_PARAM_BITS} bits"),
     (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "5,5"],
      "repeat a prime"),
+    (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe",
+      ",".join(str(p) for p in range(2, 1000) if all(p % d for d in range(2, p)))],
+     f"sum of squares 49345379 above the limit {quartic.MAX_PROBE_SQUARES}"),
 ], ids=["rank-60", "type-X", "probe-4-9", "probe-10007", "samples-1e8",
-        "params-1e20000", "params-2049-bits", "probe-5-5"])
+        "params-1e20000", "params-2049-bits", "probe-5-5", "probe-168-primes"])
 def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("root enumeration started before the type was checked")
 
     def no_probe(*args, **kwargs):
         raise AssertionError("a probe started before the primes were checked")
-    monkeypatch.setattr(cli, "root_datum", no_enumeration)
+    monkeypatch.setattr(cmd_pipeline, "root_datum", no_enumeration)
     monkeypatch.setattr(quartic, "_singular_points_mod_p", no_probe)
     t0 = time.perf_counter()
     assert cli.main(argv) == 2
@@ -98,15 +101,15 @@ def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("argv, stub", [
-    (["counts", "--g", "2"], "count_refinements_by_arf"),
-    (["verify", "--type", "E6"], "build_pipeline"),
+@pytest.mark.parametrize("argv, module, stub", [
+    (["counts", "--g", "2"], cmd_lattice, "count_refinements_by_arf"),
+    (["verify", "--type", "E6"], cmd_pipeline, "build_pipeline"),
 ], ids=["counts", "verify-E6"])
 def test_unwritable_out_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
-                                                argv, stub):
+                                                argv, module, stub):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
-    monkeypatch.setattr(cli, stub, no_work)
+    monkeypatch.setattr(module, stub, no_work)
     for out in (tmp_path / "missing" / "x.json", tmp_path):
         assert cli.main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -163,7 +166,7 @@ def test_ungraded_table_exits_1_through_jacobi(capsys, monkeypatch):
     # [h_1, x_a] and [h_1, x_-a] moved onto x_b and x_-b: the involution is
     # still an automorphism, so the grading check of exhaustive Jacobi is
     # the first to see the table
-    real_build_lie = cli.build_lie
+    real_build_lie = cmd_pipeline.build_lie
 
     def moved(datum, cocycle):
         L = real_build_lie(datum, cocycle)
@@ -177,7 +180,7 @@ def test_ungraded_table_exits_1_through_jacobi(capsys, monkeypatch):
             table[key] = ((L.basis_of_root(b), c),)
         return IntegralLieAlgebra(datum, cocycle, table)
 
-    monkeypatch.setattr(cli, "build_lie", moved)
+    monkeypatch.setattr(cmd_pipeline, "build_lie", moved)
     assert cli.main(["verify", "--type", "A2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -230,8 +233,8 @@ def test_verify_sampled_deterministic(tmp_path):
 
 def test_verify_e8_defaults_to_exhaustive(capsys, monkeypatch):
     # the A2 pipeline stands in for E8: only the chosen depth is under test
-    a2 = cli.build_pipeline("A2")
-    monkeypatch.setattr(cli, "build_pipeline", lambda kind: a2)
+    a2 = cmd_pipeline.build_pipeline("A2")
+    monkeypatch.setattr(cmd_pipeline, "build_pipeline", lambda kind: a2)
     code, out = _run(capsys, ["verify", "--type", "E8"])
     assert code == 0
     payload = json.loads(out)
@@ -250,7 +253,7 @@ def _jacobi_sum(L, i, j, k):
 def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
     # flip the sign of one coefficient of [x_a, x_-a]: the involution stays an
     # automorphism, so only the Jacobi check can see it
-    real_build_lie = cli.build_lie
+    real_build_lie = cmd_pipeline.build_lie
     built = []
 
     def flipped(datum, cocycle):
@@ -263,7 +266,7 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
         built.append(IntegralLieAlgebra(datum, cocycle, table))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_lie", flipped)
+    monkeypatch.setattr(cmd_pipeline, "build_lie", flipped)
     code = cli.main(["verify", "--type", "E6"])
     captured = capsys.readouterr()
     assert code == 1
@@ -298,7 +301,7 @@ def test_verify_checks_the_automorphism_once(capsys, monkeypatch):
 def test_unverified_involution_stops_verify_before_jacobi(capsys, monkeypatch):
     # one root-root coefficient flipped without its theta-image: theta is no
     # automorphism, so no Jacobi scan, mirrored or not, runs on it
-    real_build_lie = cli.build_lie
+    real_build_lie = cmd_pipeline.build_lie
 
     def flipped(datum, cocycle):
         L = real_build_lie(datum, cocycle)
@@ -308,7 +311,7 @@ def test_unverified_involution_stops_verify_before_jacobi(capsys, monkeypatch):
         (k, c), = L.table[key]
         return IntegralLieAlgebra(datum, cocycle, {**L.table, key: ((k, -c),)})
 
-    monkeypatch.setattr(cli, "build_lie", flipped)
+    monkeypatch.setattr(cmd_pipeline, "build_lie", flipped)
     assert cli.main(["verify", "--type", "A2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -347,7 +350,7 @@ def _gq_entries(terms):
 
 def test_r_check_failure_names_its_first_pairs(capsys, monkeypatch):
     # the R check alone sees R(z_0) with one phase moved
-    real_verify_R = cli.verify_R
+    real_verify_R = cmd_pipeline.verify_R
     seen = []
 
     def flipped(rmap):
@@ -356,7 +359,7 @@ def test_r_check_failure_names_its_first_pairs(capsys, monkeypatch):
         seen.append(bad)
         return real_verify_R(bad)
 
-    monkeypatch.setattr(cli, "verify_R", flipped)
+    monkeypatch.setattr(cmd_pipeline, "verify_R", flipped)
     code = cli.main(["verify", "--type", "E6"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["ok"] is False
@@ -376,7 +379,7 @@ def test_r_check_failure_names_its_first_pairs(capsys, monkeypatch):
 def test_comm_relation_failure_names_its_first_pairs(capsys, monkeypatch):
     # the commutator check alone sees the image of root 0's class with one
     # phase moved
-    real_verify = cli.verify_comm_relation
+    real_verify = cmd_pipeline.verify_comm_relation
     seen = []
 
     def flipped(rep, datum, all_pairs=False):
@@ -386,7 +389,7 @@ def test_comm_relation_failure_names_its_first_pairs(capsys, monkeypatch):
         seen.append((replace(rep, mats=tuple(mats)), datum))
         return real_verify(seen[-1][0], datum, all_pairs=all_pairs)
 
-    monkeypatch.setattr(cli, "verify_comm_relation", flipped)
+    monkeypatch.setattr(cmd_pipeline, "verify_comm_relation", flipped)
     code = cli.main(["verify", "--type", "E6"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1 and payload["ok"] is False
@@ -431,7 +434,7 @@ def test_root_square_failure_fails_rep_and_lift_order4(capsys, monkeypatch):
 def test_verify_rejects_nonpositive_samples(capsys, monkeypatch):
     def no_lattice_work(*args, **kwargs):
         raise AssertionError("lattice work started before --samples was checked")
-    monkeypatch.setattr(cli, "build_pipeline", no_lattice_work)
+    monkeypatch.setattr(cmd_pipeline, "build_pipeline", no_lattice_work)
     for samples in ("0", "-3"):
         assert cli.main(["verify", "--type", "D4", "--depth", "sampled",
                          "--samples", samples]) == 2
@@ -512,6 +515,53 @@ def test_quartic_huge_coefficients_answer_fast(capsys):
     assert code == 0
     verdict = json.loads(out)["verdict"]
     assert (verdict["kind"], verdict["exact"]) == ("INCONCLUSIVE", "singular")
+
+
+def _loaded_modules(*args):
+    """Exit code and the rootcover modules, in import order, that a fresh
+    interpreter run with ``args`` imports, read from -X importtime."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    return proc.returncode, [n for n in names if n.split(".")[0] == "rootcover"]
+
+
+_LATTICE = ["cmd_lattice", "f2", "intmat", "lattice", "realtable"]
+_PIPELINE = ["cmd_pipeline", "extension", "f2", "gaussian", "grouplift",
+             "heisrep", "intmat", "lattice", "liealg"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["quartic", "e6", "--params", "0,0,0,0,0,1"],
+     ["cmd_quartic", "gaussian", "quartic"]),
+    (["table", "real-orbits"], _LATTICE),
+    (["delpezzo"], _LATTICE),
+    (["counts", "--g", "2"], _LATTICE),
+    (["build", "--type", "A2"], _PIPELINE),
+    (["verify", "--type", "A2"], _PIPELINE),
+], ids=["quartic", "table", "delpezzo", "counts", "build", "verify"])
+def test_each_command_loads_only_its_own_stack(argv, modules):
+    # no lattice command loads quartic, and quartic loads no lattice module;
+    # under -m the CLI runs as __main__, so rootcover.cli must not appear:
+    # importing it would compile and run cli.py a second time
+    code, loaded = _loaded_modules("-m", "rootcover.cli", *argv)
+    assert code == 0
+    assert sorted(loaded) == ["rootcover"] + [f"rootcover.{m}" for m in modules]
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _loaded_modules("-c", "import rootcover") == (0, ["rootcover"])
+
+
+def test_cli_forwards_only_build_pipeline():
+    from rootcover.cli import build_pipeline
+    assert build_pipeline is cmd_pipeline.build_pipeline
+    for name in ("root_datum", "build_lie", "cmd_build", "MAX_SAMPLES"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
 
 
 def test_quartic_probe_of_thirty_primes_stays_small():

@@ -222,6 +222,18 @@ def test_graded_scan_finds_every_failing_triple(name, part):
     assert brute and _jacobi(bad).failures == brute
 
 
+def test_jacobi_refuses_an_involution_verified_on_another_table():
+    # theta is verified on L; mirroring the failures of a mutated copy
+    # through it would rest on an unchecked premise
+    L = _lie("A2")
+    theta = build_theta(L)
+    bad = _flip(L, _root_root_key(L))
+    for sample in (None, 100):
+        with pytest.raises(LieError, match="not verified on this bracket table"):
+            verify_jacobi(bad, theta=theta, sample=sample)
+    assert verify_jacobi(L, theta=theta).ok
+
+
 @pytest.mark.parametrize("key, count", [((8, 135), 226), ((3, 34), 282)])
 def test_monomial_path_agrees_with_the_general_kernel_on_e8(key, count):
     bad = _flip(_lie("E8"), key)
