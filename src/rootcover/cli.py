@@ -3,10 +3,11 @@
 Commands
     build     full pipeline for a lattice type, structure constants to JSON
     verify    run the verification suites with exit 0 only when everything
-              passes; Jacobi is exhaustive by default for every type (after
-              checking the grading it evaluates the weight-live triples of
+              passes; Jacobi checks the weight grading, then is exhaustive by
+              default for every type (it evaluates the weight-live triples of
               weight 0 or a positive root and mirrors the rest through the
-              verified involution), or sampled on request
+              verified involution), or sampled on request (it skips the draws
+              the grading proves zero)
     table     the real-orbit table over the E6 datum
     delpezzo  the blow-up lattice summary (126 / 72 / 56 / 27)
     counts    refinement counts by Arf invariant
@@ -122,7 +123,8 @@ def make_parser() -> argparse.ArgumentParser:
                           default="exhaustive",
                           help="Jacobi on every basis triple (default, all "
                                "types) or on --samples seeded random triples; "
-                               "on E6-E8 sampled is the slower of the two")
+                               "both check the weight grading first, and "
+                               "sampling skips the draws it proves zero")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=200000)
     p_verify.add_argument("--out", default=None)

@@ -257,13 +257,13 @@ class RepReport:
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def verify_rep(rep: HeisRep, root_classes: Optional[Sequence[int]] = None,
-               commutant: bool = True) -> RepReport:
+def verify_rep(rep: HeisRep,
+               root_classes: Optional[Sequence[int]] = None) -> RepReport:
     """Exhaustively check rho(x) rho(y) = rho(xy) over all |cover|^2 pairs.
 
     Also checks rho(-1) = -id, faithfulness of (sign, v) -> sign * M_v,
-    squares of root-class lifts, and (optionally) that the commutant of the
-    image is exactly the scalars.  The table, rho(-1) and faithfulness are
+    squares of root-class lifts, and that the commutant of the image is
+    exactly the scalars.  The table, rho(-1) and faithfulness are
     checked once per representation: for one from build_heisrep they were
     checked there, and its report is reused.
     """
@@ -273,8 +273,7 @@ def verify_rep(rep: HeisRep, root_classes: Optional[Sequence[int]] = None,
         report = replace(rep.report, failures=list(rep.report.failures))
     if root_classes is not None:
         report.root_square_failures = _root_square_failures(rep, root_classes)
-    if commutant:
-        report.commutant_dim = commutant_dimension(rep)
+    report.commutant_dim = commutant_dimension(rep)
     return report
 
 

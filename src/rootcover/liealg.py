@@ -16,16 +16,14 @@ zero of the form is assumed.
 
 Every algebra keeps its brackets in one flat table, built once at
 construction: ``flat[i * dim + j]`` is [e_i, e_j] for every ordered pair, so a
-bracket is one list index.  The exhaustive Jacobi check reads it in two ways.
-After the grading check, a bracket [e_i, e_j] of nonzero summed weight w lies
-on the one basis element of weight w.  So when no pair of a triple, and not
-the whole triple, sums to weight 0, its Jacobi sum is one integer times one
-basis element, read from two arrays over the whole basis (the single-term
-path).  Every other triple it evaluates goes through the general kernel.  It
-evaluates only the live triples of summed weight 0 or a positive root
-(138,496 of E8's 273,736, 117,600 of them single-term): the involution,
-verified as an automorphism, maps those of positive weight onto those of
-negative weight, failing triples onto failing ones.
+bracket is one list index.  The Jacobi check, exhaustive or sampled, first
+checks the weight grading, so a triple whose summed weight is neither 0 nor a
+root has a zero Jacobi sum.  For a root weight w every bracket of the sum lies
+on the one basis element of weight w, so the sum is one integer; a sum of
+weight 0 goes through the general kernel.  The exhaustive check evaluates the
+live triples of weight 0 or a positive root (138,496 of E8's 273,736): the
+involution, verified as an automorphism, maps those of positive weight onto
+those of negative weight, failing triples onto failing ones.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -180,24 +179,17 @@ class JacobiReport:
     """Outcome of a Jacobi check on basis triples i < j < k.
 
     An exhaustive check covers all ``checked_unordered`` = C(dim, 3) unordered
-    triples, and through them all ``covered_ordered`` = dim^3 ordered ones.
-    Its ``live`` triples, those whose summed weight is a root or 0, split in
-    two.  It computes the Jacobi sum of the ``evaluated`` ones, summed weight
-    0 or a positive root; the ``mirrored`` ones, summed weight a negative
-    root, are the images of the others under the verified involution, which
-    fail exactly when their preimages do.  Every other triple has a summed
-    weight that is neither a root nor 0, so its sum is zero by the weight
-    grading the same check verified (``zero_by_grading``).  ``monomial`` of
-    the evaluated triples took the single-term path: those with no pair, and
-    not the whole triple, summing to weight 0 (117,600 of E8's 138,496; see
-    _graded_scan).  The rest, and every sampled triple, took the general
-    kernel.
+    triples, and through them all ``covered_ordered`` = dim^3 ordered ones; a
+    sampled one its ``checked_unordered`` draws.  Of the ``live`` triples,
+    summed weight a root or 0, the check computes the Jacobi sum of the
+    ``evaluated`` ones; the ``mirrored`` ones (exhaustive only) are the images
+    of evaluated ones under the verified involution.  The sum of every other
+    triple is zero by the checked weight grading (``zero_by_grading``).
     """
     dim: int
     checked_unordered: int
     covered_ordered: int
     evaluated: int
-    monomial: int = 0
     mirrored: int = 0
     failures: List[Tuple[int, int, int]] = field(default_factory=list)
     sampled: bool = False
@@ -235,30 +227,46 @@ def _jacobi_fails(flat: Sequence[Tuple[Entry, ...]], n: int,
     return any(acc.values())
 
 
-def _single_terms(L: IntegralLieAlgebra,
-                  packed: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """The brackets of nonzero summed weight as two parallel arrays.
+def _pair_failures(flat: Sequence[Tuple[Entry, ...]], coef: Sequence[int],
+                   packed: Sequence[int], i: int, j: int, ks: Sequence[int],
+                   failures: List[Tuple[int, int, int]]) -> int:
+    """Append to ``failures`` each (i, j, k), k in ``ks``, whose Jacobi sum is
+    nonzero; return how many of these triples have summed weight 0.
 
-    With ``packed`` the packed basis weights, [e_i, e_j] = coef[i n + j] e_m
-    where rows[i n + j] = m n, for every ordered pair with packed[i] +
-    packed[j] nonzero; other pairs hold 0.  Valid once the grading is
-    checked: every term of such a bracket then lies on the one basis element
-    of that weight, so its coefficients sum to one integer.
+    Each summed weight must be 0 or a root, the table checked weight graded,
+    ``packed`` the packed basis weights and coef[x] the summed coefficients
+    of flat[x].  For a weight w other than 0, each term c e_m of [e_i, e_j]
+    brackets with e_k onto the one basis element of weight w, as coef[m n + k]
+    times it, and so on cyclically: the sum is one integer times that element.
+    A sum of weight 0 lies in the Cartan part and goes to _jacobi_fails.
     """
-    n = L.dim
-    # rows is a list of shared ints, for speed; coef holds any integer exactly
-    offsets = [m * n for m in range(n)]
-    rows = [0] * (n * n)
-    coef = [0] * (n * n)
-    for x, entries in enumerate(L.flat):
-        if entries and packed[x // n] + packed[x % n]:
-            rows[x] = offsets[entries[0][0]]
-            coef[x] = sum(c for _, c in entries)
-    return rows, coef
+    n = len(packed)
+    pij = packed[i] + packed[j]
+    ij = [(m * n, c) for m, c in flat[i * n + j]]
+    jn = j * n
+    zero = 0
+    for k in ks:
+        if not pij + packed[k]:
+            zero += 1
+            if _jacobi_fails(flat, n, i, j, k):
+                failures.append((i, j, k))
+            continue
+        # inline, not a call per triple: 135,240 of them on exhaustive E8
+        s = 0
+        for mn, c in ij:
+            s += c * coef[mn + k]
+        for m, c in flat[jn + k]:
+            s += c * coef[m * n + i]
+        for m, c in flat[k * n + i]:
+            s += c * coef[m * n + j]
+        if s:
+            failures.append((i, j, k))
+    return zero
 
 
-def _graded_scan(L: IntegralLieAlgebra, theta: Involution
-                 ) -> Tuple[int, int, int, List[Tuple[int, int, int]]]:
+def _graded_scan(L: IntegralLieAlgebra, theta: Involution,
+                 packed: Sequence[int], coef: Sequence[int]
+                 ) -> Tuple[int, int, List[Tuple[int, int, int]]]:
     """Evaluate the triples i < j < k whose summed weight is 0 or a positive
     root, and mirror the failures among them through ``theta``.
 
@@ -266,21 +274,12 @@ def _graded_scan(L: IntegralLieAlgebra, theta: Involution
     ``flat``: e_i -> s_i e_{t_i} negates every weight, and J(e_ti, e_tj, e_tk)
     = s_i s_j s_k theta(J(e_i, e_j, e_k)), so a triple fails exactly when its
     image does.  The live triples of negative root weight are the images of
-    those of positive root weight; those of weight 0 are evaluated.
-
-    Returns the number evaluated, how many of them took the single-term path,
-    the number mirrored, and every failing live triple in lexicographic
-    order.  A triple none of whose weight sums pi + pj, pj + pk, pk + pi and
-    pi + pj + pk is 0 brackets, by the grading, only through single terms,
-    each on the one basis element of its weight: its Jacobi sum is one
-    integer times e_w, read from _single_terms (117,600 of E8's 138,496
-    evaluated triples).  Every other triple goes through _jacobi_fails.
+    those of positive root weight.  Returns the number evaluated, the number
+    mirrored, and every failing live triple in lexicographic order.
     """
     n = L.dim
-    roots = _packed_roots(L.datum)
-    packed = [0] * L.n_cartan + roots
     # packing is linear, so theta maps a positive packed weight to a negative one
-    targets = [0] + [p for p in roots if p > 0]
+    targets = [0] + [p for p in packed[L.n_cartan:] if p > 0]
     # partners[s] lists, ascending, the k with s + packed[k] a target; grown
     # as tuples, not lists, to keep the index small
     partners: Dict[int, Tuple[int, ...]] = {}
@@ -290,37 +289,23 @@ def _graded_scan(L: IntegralLieAlgebra, theta: Involution
             partners[s] = partners.get(s, ()) + (k,)
 
     flat = L.flat
-    rows, coef = _single_terms(L, packed)
-    evaluated = general = weight_zero = 0
-    failures = []
+    evaluated = weight_zero = 0
+    failures: List[Tuple[int, int, int]] = []
     for i in range(n):
         pi = packed[i]
         for j in range(i + 1, n):
-            pj = packed[j]
-            pij = pi + pj
-            ks = partners.get(pij)
+            ks = partners.get(pi + packed[j])
             if ks is None:
                 continue
             live = ks[bisect_right(ks, j):]
-            evaluated += len(live)
-            ij = i * n + j
-            c_ij, r_ij = coef[ij], rows[ij]
-            for k in live:
-                pk = packed[k]
-                if not (pij and pj + pk and pk + pi and pij + pk):
-                    general += 1
-                    weight_zero += not pij + pk
-                    if _jacobi_fails(flat, n, i, j, k):
-                        failures.append((i, j, k))
-                    continue
-                jk, ki = j * n + k, k * n + i
-                if (c_ij * coef[r_ij + k] + coef[jk] * coef[rows[jk] + i]
-                        + coef[ki] * coef[rows[ki] + j]):
-                    failures.append((i, j, k))
+            if live:
+                evaluated += len(live)
+                weight_zero += _pair_failures(flat, coef, packed, i, j, live,
+                                              failures)
     image = [theta.apply_basis(i)[0] for i in range(n)]
     failures += [tuple(sorted((image[i], image[j], image[k])))
                  for i, j, k in failures if packed[i] + packed[j] + packed[k]]
-    return evaluated, evaluated - general, evaluated - weight_zero, sorted(failures)
+    return evaluated, evaluated - weight_zero, sorted(failures)
 
 
 def _random_triples(n: int, count: int,
@@ -358,33 +343,40 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
     Exhaustive over unordered triples i < j < k by default; repeated indices
     and permutations carry no extra content because the evaluator is
     antisymmetric by construction, so this covers all dim^3 ordered triples.
-    The exhaustive check first verifies that the table is weight graded
-    (raising LieError if not).  It then computes the Jacobi sum only of the
-    triples whose summed weight is 0 or a positive root, and lists the
-    failures of weight a negative root as the images of those of positive
-    weight under ``theta``, which must be build_theta(L): the automorphism
-    check that build_theta ran on this ``flat`` is the premise of that step
-    (see _graded_scan), so any other ``theta`` raises LieError.  Every other
-    Jacobi sum lies in a weight space with no basis element.  With ``sample``
-    set, checks that many seeded random triples instead, each with the
-    general kernel: sampling verifies no grading, so it never takes the
-    single-term path, and mirrors nothing.
+    With ``sample`` set, checks that many seeded random triples instead.
+    Either depth first verifies that the table is weight graded (raising
+    LieError if not), counts a triple whose summed weight is neither a root
+    nor 0 as zero, and sends the others through _pair_failures.  Exhaustive
+    runs evaluate those of weight 0 or a positive root and list the failures
+    of negative root weight as their images under ``theta``, which must be
+    build_theta(L): its automorphism check on this ``flat`` is the premise of
+    that step (see _graded_scan), so any other ``theta`` raises LieError.
     """
     if theta.verified_on is not L.flat:
         raise LieError("theta was not verified on this bracket table")
-    n = L.dim
-    if sample is not None:
-        flat = L.flat
-        failures = [(i, j, k) for i, j, k in _random_triples(n, sample, seed)
-                    if _jacobi_fails(flat, n, i, j, k)]
-        return JacobiReport(dim=n, checked_unordered=sample, covered_ordered=0,
-                            evaluated=sample, failures=failures, sampled=True,
-                            seed=seed)
     assert_weight_graded(L)
-    evaluated, monomial, mirrored, failures = _graded_scan(L, theta)
-    return JacobiReport(dim=n, checked_unordered=comb(n, 3), covered_ordered=n ** 3,
-                        evaluated=evaluated, monomial=monomial, mirrored=mirrored,
-                        failures=failures)
+    n, flat = L.dim, L.flat
+    packed = [0] * L.n_cartan + _packed_roots(L.datum)
+    coef = [0] * (n * n)
+    # only the nonempty entries: three quarters of E8's flat table is empty
+    for x in compress(range(n * n), flat):
+        for _, c in flat[x]:
+            coef[x] += c
+    if sample is None:
+        evaluated, mirrored, failures = _graded_scan(L, theta, packed, coef)
+        return JacobiReport(dim=n, checked_unordered=comb(n, 3),
+                            covered_ordered=n ** 3, evaluated=evaluated,
+                            mirrored=mirrored, failures=failures)
+    live = set(packed)      # 0 and every root
+    evaluated = 0
+    failures = []
+    for i, j, k in _random_triples(n, sample, seed):
+        if packed[i] + packed[j] + packed[k] in live:
+            evaluated += 1
+            _pair_failures(flat, coef, packed, i, j, (k,), failures)
+    return JacobiReport(dim=n, checked_unordered=sample, covered_ordered=0,
+                        evaluated=evaluated, failures=failures, sampled=True,
+                        seed=seed)
 
 
 def assert_weight_graded(L: IntegralLieAlgebra) -> None:
@@ -394,9 +386,16 @@ def assert_weight_graded(L: IntegralLieAlgebra) -> None:
 
 
 def _is_weight_graded(L: IntegralLieAlgebra) -> bool:
+    """Whether every entry of [e_i, e_j], i < j, read from ``flat``, lies at
+    weight w_i + w_j (the (j, i) entries are their negations)."""
+    n, flat = L.dim, L.flat
     packed = [0] * L.n_cartan + _packed_roots(L.datum)
-    return all(packed[k] == packed[i] + packed[j]
-               for (i, j), entries in L.table.items() for k, _ in entries)
+    for i, pi in enumerate(packed):
+        for pj, entries in zip(packed[i + 1:], flat[i * n + i + 1:i * n + n]):
+            for k, _ in entries:
+                if packed[k] != pi + pj:
+                    return False
+    return True
 
 
 @dataclass(frozen=True)

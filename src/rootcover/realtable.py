@@ -1,8 +1,9 @@
 """The real 2-descent orbit table over the type E6 datum.
 
 Each involution class of the Weyl group determines: g = 3 - rank((1 + w) mod
-2), the group size 2^g, the orbit count 2^(g-1) (2^g + 1), and the number of
-invariant odd refinements of the mod-2 space (the real bitangent count).  The
+2), the group size 2^g, the orbit count (the zeros of q on a 2g-dimensional
+Arf-0 space, checked against 2^(g-1) (2^g + 1)), and the number of invariant
+odd refinements of the mod-2 space (the real bitangent count).  The
 curve topology columns n(C) and a(C) are carried metadata, not computed.
 """
 
@@ -112,8 +113,7 @@ def row_for_involution(w: IntMatrix, datum: RootDatum,
     bitangents = invariant_odd_refinements(space, [mod2_bits(row) for row in w])
     lbl = label if label is not None else f"rank{r}"
     n_c, a_c = CARRIED_TOPOLOGY.get(lbl, (0, 0))
-    return TableRow(lbl, n_c, a_c, bitangents, size,
-                    orbit_count_from_size(size), g, r)
+    return TableRow(lbl, n_c, a_c, bitangents, size, orbit_count(g), g, r)
 
 
 def emit_table(datum: RootDatum,
@@ -151,14 +151,10 @@ def class_constancy_check(datum: RootDatum, cls: WeylInvolutionClass,
     return True
 
 
-def orbit_count_crosscheck(g: int) -> int:
-    """Count q^{-1}(0) on a 2g-dimensional Arf-0 space by brute force."""
+def orbit_count(g: int) -> int:
+    """Count q^{-1}(0) on a 2g-dimensional Arf-0 space by brute force
+    (TableRow checks the count against the closed formula)."""
     if not 0 <= g <= 3:
         raise RealTableError("g outside [0, 3]")
-    if g == 0:
-        return 1
     space = standard_symplectic_space(g, qbits=0)
-    count = sum(1 for v in range(1 << (2 * g)) if space.q(v) == 0)
-    if count != orbit_count_from_size(1 << g):
-        raise RealTableError("zero count disagrees with the closed formula")
-    return count
+    return sum(1 for v in range(1 << (2 * g)) if space.q(v) == 0)

@@ -159,7 +159,7 @@ def test_criterion_10_appendix_identities(e6_stack, e7_stack):
     for stack in (e6_stack, e7_stack):
         datum = stack.datum
         classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
-        report = verify_rep(stack.rep, root_classes=classes, commutant=False)
+        report = verify_rep(stack.rep, root_classes=classes)
         assert report.root_square_failures == []
         # 2 R(Z_gamma) is rho of the canonical lift of gamma mod 2
         for ri, m in zip(stack.fixed.pos, stack.rmap.mats):

@@ -22,6 +22,10 @@ STDOUT_SHA16 = {
     ("verify", "--type", "E8", "--depth", "exhaustive"): "46a3b470c7ea8eb2",
     ("verify", "--type", "E8", "--depth", "sampled", "--seed", "3",
      "--samples", "200000"): "971ba43b9a9e23e2",
+    ("verify", "--type", "E6", "--depth", "sampled", "--seed", "1",
+     "--samples", "20000"): "18e496852f169d30",
+    ("verify", "--type", "E7", "--depth", "sampled", "--seed", "1",
+     "--samples", "20000"): "27c60ce38a190bbf",
     ("quartic", "e6", "--params", "1,0,0,2,0,-1"): "77468225bb03286c",
     ("quartic", "e7", "--params", "0,0,0,0,0,0,0"): "8d8c5a0178dec746",
     ("counts", "--g", "4"): "c54636e803a5f44e",

@@ -101,7 +101,7 @@ def test_order_four_certificates(e6_stack, e7_stack):
         datum = stack.datum
         classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
         assert 2 * len(classes) == len(datum.roots)
-        report = verify_rep(stack.rep, root_classes=classes, commutant=False)
+        report = verify_rep(stack.rep, root_classes=classes)
         assert report.ok
         assert report.root_square_failures == []
 

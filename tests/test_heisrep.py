@@ -113,7 +113,7 @@ def test_verification_survives_basis_permutation(reps):
     conjugated = tuple(p_inv * m * p_mat for m in rep.mats)
     twisted = HeisRep(coc, n, conjugated, rep.pairs, rep.radical,
                       rep.radical_scalars)
-    report = verify_rep(twisted, commutant=False)
+    report = verify_rep(twisted)
     assert report.ok
 
 
@@ -157,7 +157,7 @@ def test_flipped_phase_fails_verification_and_names_the_pair(reps):
     m = rep.mats[bad]
     mats = list(rep.mats)
     mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:], m.scale)
-    report = verify_rep(replace(rep, mats=tuple(mats)), commutant=False)
+    report = verify_rep(replace(rep, mats=tuple(mats)))
     assert not report.ok
     assert report.pairs_checked == 16384
     # M_1 M_(bad ^ 1) is untouched but must equal +-M_bad: all four signs fail

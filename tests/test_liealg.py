@@ -141,12 +141,9 @@ def _weight_upper(L, i, j, k):
     return not any(total) or L.datum.index.get(total) in L.datum.positive
 
 
-def _single_term(L, i, j, k):
-    """Whether the triple's pair sums and total weight are all nonzero."""
-    w = [L.weight(x) for x in (i, j, k)]
-    sums = [tuple(map(sum, zip(*ws))) for ws in ((w[0], w[1]), (w[1], w[2]),
-                                                  (w[2], w[0]), w)]
-    return all(any(s) for s in sums)
+def _weight_zero(L, i, j, k):
+    """Whether the triple's summed weight is 0."""
+    return not any(map(sum, zip(L.weight(i), L.weight(j), L.weight(k))))
 
 
 def _general_reference(L):
@@ -161,8 +158,8 @@ def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
     live = [t for t in triples if _weight_live(L, *t)]
     assert _live_triples(L) == live
     # the scan evaluates the live triples of weight 0 or a positive root and
-    # mirrors the others; exactly the evaluated ones with a zero pair sum or
-    # total, in order, go to the general kernel ...
+    # mirrors the others; exactly the evaluated ones of weight 0, in order, go
+    # to the general kernel ...
     upper = [t for t in live if _weight_upper(L, *t)]
     seen = []
     real = liealg._jacobi_fails
@@ -175,8 +172,8 @@ def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
     report = _jacobi(L)
     assert report.ok and report.evaluated == len(upper)
     assert report.evaluated + report.mirrored == report.live == len(live)
-    assert seen == [t for t in upper if not _single_term(L, *t)]
-    assert report.monomial == len(upper) - len(seen)
+    assert seen == [t for t in upper if _weight_zero(L, *t)]
+    assert report.mirrored == len(upper) - len(seen)
     # ... and every triple it skips has a zero Jacobi sum
     for t in triples:
         if not _weight_live(L, *t):
@@ -235,10 +232,12 @@ def test_jacobi_refuses_an_involution_verified_on_another_table():
 
 
 @pytest.mark.parametrize("key, count", [((8, 135), 226), ((3, 34), 282)])
-def test_monomial_path_agrees_with_the_general_kernel_on_e8(key, count):
+def test_scalar_path_agrees_with_the_general_kernel_on_e8(key, count):
+    # a root-root entry and a Cartan-root one: the Cartan triples, and those
+    # with an opposite pair, take the scalar path unless their weight is 0
     bad = _flip(_lie("E8"), key)
     full = _jacobi(bad)
-    assert (full.evaluated, full.monomial, full.mirrored) == (138496, 117600, 135240)
+    assert (full.evaluated, full.mirrored) == (138496, 135240)
     assert len(full.failures) == count
     assert full.failures == _general_reference(bad)
 
@@ -246,15 +245,16 @@ def test_monomial_path_agrees_with_the_general_kernel_on_e8(key, count):
 @pytest.mark.parametrize("entry", [lambda k, c: ((k, c), (k, c)),
                                    lambda k, c: ((k, 200),)],
                          ids=["two-terms", "coefficient-200"])
-def test_graded_root_entry_off_the_monomial_block(entry):
+def test_scalar_path_reads_a_graded_entry_of_any_shape(entry):
     # a graded entry with two terms on one root vector, or a large
-    # coefficient, still takes the single-term path
+    # coefficient, is read through its summed coefficient
     L = _lie("D4")
     key = _root_root_key(L)
     (k, c), = L.table[key]
     bad = _theta_mutation(L, key, entry(k, c))
     report = _jacobi(bad)
-    assert report.monomial == _jacobi(L).monomial == 336
+    counts = (report.evaluated, report.mirrored)
+    assert counts == (_jacobi(L).evaluated, _jacobi(L).mirrored) == (624, 540)
     brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
     assert brute and report.failures == brute == _general_reference(bad)
 
@@ -289,10 +289,12 @@ def test_ungraded_table_is_rejected(name):
 
 def test_ungraded_table_fails_every_check_that_needs_the_grading():
     bad = _ungraded(_lie("A2"))
-    # nothing is remembered: each call scans and raises again
-    for _ in range(2):
+    theta = build_theta(bad)
+    # both depths check the grading, and nothing is remembered: each call
+    # scans and raises again
+    for sample in (None, 100, None, 100):
         with pytest.raises(LieError, match="not weight graded"):
-            _jacobi(bad)
+            verify_jacobi(bad, theta=theta, sample=sample)
 
 
 def _ungraded(L):
@@ -307,6 +309,10 @@ def test_jacobi_sampled_mode(e6_stack):
     report = verify_jacobi(e6_stack.lie, theta=e6_stack.theta, sample=5000, seed=7)
     assert report.ok and report.sampled and report.seed == 7
     assert report.checked_unordered == 5000 and report.mirrored == 0
+    # the live draws are evaluated, the others are zero by the checked grading
+    drawn = liealg._random_triples(e6_stack.lie.dim, 5000, 7)
+    live = sum(_weight_live(e6_stack.lie, *t) for t in drawn)
+    assert (report.evaluated, report.zero_by_grading) == (live, 5000 - live)
 
 
 def test_sampled_triples_are_exactly_uniform(monkeypatch):

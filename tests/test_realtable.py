@@ -1,9 +1,10 @@
 import pytest
 
+from rootcover import realtable
 from rootcover.intmat import identity
 from rootcover.realtable import (RealTableError, class_constancy_check,
                                  emit_table, invariant_odd_refinements,
-                                 orbit_count_crosscheck, row_for_involution)
+                                 orbit_count, row_for_involution)
 from rootcover.lattice import mod2_space
 
 
@@ -69,13 +70,18 @@ def test_invariant_refinement_counts_are_powers_of_two_times_pattern(
         assert count == 1 << (6 - cls.mod2_rank)
 
 
-def test_orbit_count_crosschecks():
-    assert orbit_count_crosscheck(0) == 1
-    assert orbit_count_crosscheck(1) == 3
-    assert orbit_count_crosscheck(2) == 10
-    assert orbit_count_crosscheck(3) == 36
+def test_orbit_count_crosschecks(e6_stack, monkeypatch):
+    assert orbit_count(0) == 1
+    assert orbit_count(1) == 3
+    assert orbit_count(2) == 10
+    assert orbit_count(3) == 36
     with pytest.raises(RealTableError):
-        orbit_count_crosscheck(4)
+        orbit_count(4)
+    # the row's orbit column is the zero count, checked against the closed
+    # formula: a wrong count is caught
+    monkeypatch.setattr(realtable, "orbit_count", lambda g: 35)
+    with pytest.raises(RealTableError, match="orbit count inconsistent"):
+        row_for_involution(identity(6), e6_stack.datum, label="1")
 
 
 def test_non_involution_is_rejected(e6_stack):
