@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -44,13 +43,13 @@ from . import __version__
 MAX_PARAM_BITS = 2048
 
 
-@dataclass
 class RunConfig:
-    command: str
-    lattice_type: Optional[str] = None
-    out: Optional[str] = None
-    depth: str = "exhaustive"
-    seed: Optional[int] = None
+    def __init__(self, command: str, out: Optional[str] = None):
+        self.command = command
+        self.out = out
+        self.lattice_type: Optional[str] = None
+        self.depth = "exhaustive"
+        self.seed: Optional[int] = None
 
     def stamp(self) -> dict:
         # "workers" is a fixed field of the output format: every check runs

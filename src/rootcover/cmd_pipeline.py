@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 # liealg, the largest source, is compiled first, before the rest of the stack
@@ -37,15 +36,17 @@ MAX_SAMPLES = 1_000_000
 Result = Tuple[Optional[dict], int]
 
 
-@dataclass
 class Pipeline:
-    datum: RootDatum
-    cocycle: Cocycle
-    lie: IntegralLieAlgebra
-    theta: Involution
-    fixed: FixedSubalgebra
-    rep: Optional[HeisRep] = None
-    rmap: Optional[RMap] = None
+    def __init__(self, datum: RootDatum, cocycle: Cocycle, lie: IntegralLieAlgebra,
+                 theta: Involution, fixed: FixedSubalgebra,
+                 rep: Optional[HeisRep], rmap: Optional[RMap]):
+        self.datum = datum
+        self.cocycle = cocycle
+        self.lie = lie
+        self.theta = theta
+        self.fixed = fixed
+        self.rep = rep
+        self.rmap = rmap
 
 
 def canonical_type(name: str) -> str:

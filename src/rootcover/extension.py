@@ -10,7 +10,6 @@ every element squares to ((-1)^q(v), 0), and commutators descend to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
@@ -22,29 +21,33 @@ class ExtensionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ExtElement:
     """An element (sign, v) of the double cover."""
 
-    sign: int
-    v: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, sign: int, v: int):
+        self.sign = sign
+        self.v = v
         if self.sign not in (1, -1):
             raise ExtensionError("sign must be +1 or -1")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sign, self.v) == (other.sign, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.v))
 
     def __neg__(self) -> "ExtElement":
         return ExtElement(-self.sign, self.v)
 
 
-@dataclass(frozen=True)
 class Cocycle:
     """Bilinear F2 cocycle beta, stored as bit rows (lower part zero)."""
 
-    dim: int
-    rows: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, rows: Tuple[int, ...]):
+        self.dim = dim
+        self.rows = rows
         if len(self.rows) != self.dim:
             raise ExtensionError("row count mismatch")
         for i, row in enumerate(self.rows):
@@ -52,6 +55,14 @@ class Cocycle:
                 raise ExtensionError("beta must vanish below the diagonal")
             if row >> self.dim:
                 raise ExtensionError("beta bits beyond the dimension")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.rows) == (other.dim, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.rows))
 
     def beta(self, u: int, v: int) -> int:
         return bilinear_eval(self.rows, u, v)
@@ -134,14 +145,12 @@ def build_extension(space: F2QuadraticSpace) -> Cocycle:
     return coc
 
 
-@dataclass(frozen=True)
 class RootLift:
     """A root vector paired with a compatible cover element (fiber condition)."""
 
-    lam: Tuple[int, ...]
-    ext: ExtElement
-
-    def __post_init__(self) -> None:
+    def __init__(self, lam: Tuple[int, ...], ext: ExtElement):
+        self.lam = lam
+        self.ext = ext
         if mod2_bits(self.lam) != self.ext.v:
             raise ExtensionError("cover element does not lie over the root mod 2")
 
@@ -150,13 +159,14 @@ def canonical_root_lift(cocycle: Cocycle, coords: Sequence[int]) -> RootLift:
     return RootLift(tuple(coords), cocycle.canonical_lift(mod2_bits(coords)))
 
 
-@dataclass(frozen=True)
 class ExtAutomorphism:
     """(sign, v) -> (sign * (-1)^s(v), w(v)) for a quadratic sign function s."""
 
-    cocycle: Cocycle
-    w_rows: Tuple[int, ...]
-    sigma_rows: Tuple[int, ...]
+    def __init__(self, cocycle: Cocycle, w_rows: Tuple[int, ...],
+                 sigma_rows: Tuple[int, ...]):
+        self.cocycle = cocycle
+        self.w_rows = w_rows
+        self.sigma_rows = sigma_rows
 
     @cached_property
     def w(self) -> BitMatrix:

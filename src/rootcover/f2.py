@@ -5,13 +5,13 @@ module houses strictly alternating pairings together with their quadratic
 refinements, Arf invariants, refinement counting, and the kernel/image
 dimensions of an order-2 action (the ``1 + w`` computation over F2).
 
-Everything is immutable and exact; dimensions are capped at 16 so that
-exhaustive loops over all vectors or all refinements stay cheap.
+Nothing changes after construction and everything is exact; dimensions are
+capped at 16 so that exhaustive loops over all vectors or all refinements stay
+cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,32 +26,36 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-@dataclass(frozen=True)
 class BitVec:
     """A vector in F2^dim, stored as the low ``dim`` bits of ``bits``."""
 
-    dim: int
-    bits: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, bits: int):
+        self.dim = dim
+        self.bits = bits
         if not 0 <= self.dim <= MAX_DIM:
             raise F2Error(f"dimension {self.dim} outside [0, {MAX_DIM}]")
         if self.bits >> self.dim:
             raise F2Error("set bits beyond the declared dimension")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.bits) == (other.dim, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.bits))
+
     def coords(self) -> Tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.dim))
 
 
-@dataclass(frozen=True)
 class BitMatrix:
     """A matrix over F2; ``data[i]`` is the bitmask of row i."""
 
-    rows: int
-    cols: int
-    data: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, rows: int, cols: int, data: Tuple[int, ...]):
+        self.rows = rows
+        self.cols = cols
+        self.data = data
         if len(self.data) != self.rows:
             raise F2Error("row count mismatch")
         for r in self.data:
@@ -193,7 +197,6 @@ def f2_solve(basis: Sequence[int], target: int, ncols: int) -> Optional[int]:
     return vec >> ncols
 
 
-@dataclass(frozen=True)
 class F2QuadraticSpace:
     """An F2 space with a strictly alternating pairing and a quadratic refinement.
 
@@ -202,11 +205,10 @@ class F2QuadraticSpace:
     q(v + w) = q(v) + q(w) + <v, w>.
     """
 
-    dim: int
-    gram: BitMatrix
-    qbasis: BitVec
-
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, gram: BitMatrix, qbasis: BitVec):
+        self.dim = dim
+        self.gram = gram
+        self.qbasis = qbasis
         if not 0 <= self.dim <= MAX_DIM:
             raise F2Error(f"dimension {self.dim} outside [0, {MAX_DIM}]")
         if self.gram.rows != self.dim or self.gram.cols != self.dim:

@@ -14,17 +14,24 @@ field; ``sparse_rank`` also ranks the quartic probe's ``Fraction`` rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
 class GQ:
     """A Gaussian rational re + im*i."""
 
-    re: Fraction
-    im: Fraction
+    def __init__(self, re: Fraction, im: Fraction):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __add__(self, other: "GQ") -> "GQ":
         return GQ(self.re + other.re, self.im + other.im)
@@ -84,7 +91,6 @@ def _polar(v: GQ) -> Tuple[int, Fraction]:
     raise ValueError(f"{v} is not a nonzero rational multiple of 1, i, -1 or -i")
 
 
-@dataclass(frozen=True)
 class MonoMat:
     """Monomial matrix with entries in scale * {1, i, -1, -i}.
 
@@ -101,18 +107,27 @@ class MonoMat:
     ``tuple(map(B.right_table().__getitem__, A.code()))``.
     """
 
-    n: int
-    col: Tuple[int, ...]
-    phase: Tuple[int, ...]
-    scale: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, col: Tuple[int, ...], phase: Tuple[int, ...],
+                 scale: Fraction = Fraction(1)):
+        self.n = n
+        self.col = col
+        self.phase = phase
+        self.scale = scale
         if len(self.col) != self.n or sorted(self.col) != list(range(self.n)):
             raise ValueError("col must be a permutation of range(n)")
         if len(self.phase) != self.n or any(p not in (0, 1, 2, 3) for p in self.phase):
             raise ValueError("phases must be n values in 0..3")
         if not self.scale > 0:
             raise ValueError("the scale must be a positive rational")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.col, self.phase, self.scale)
+                == (other.n, other.col, other.phase, other.scale))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.col, self.phase, self.scale))
 
     @staticmethod
     def identity(n: int) -> "MonoMat":

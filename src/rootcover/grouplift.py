@@ -13,7 +13,6 @@ monomial ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -79,10 +78,10 @@ def dense_bracket(x: Dense, y: Dense) -> Dense:
     return dense_sub(dense_mul(x, y), dense_mul(y, x))
 
 
-@dataclass
 class CommReport:
-    pairs_checked: int
-    failures: List[Tuple[int, int]] = field(default_factory=list)
+    def __init__(self, pairs_checked: int):
+        self.pairs_checked = pairs_checked
+        self.failures: List[Tuple[int, int]] = []
 
     @property
     def ok(self) -> bool:

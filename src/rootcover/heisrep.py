@@ -15,7 +15,6 @@ by pair, once, when the representation is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .extension import Cocycle, ExtElement
@@ -123,23 +122,24 @@ def _scalar(g: int, phase: int) -> MonoMat:
     return MonoMat(n, tuple(range(n)), (phase,) * n)
 
 
-@dataclass(frozen=True)
 class HeisRep:
     """Assignment v -> monomial matrix M_v with rho(sign, v) = sign * M_v.
 
     ``report`` is the check build_heisrep ran on the full multiplication
-    table.  It is not an init field, so a representation assembled by hand or
-    through ``dataclasses.replace`` has none and verify_rep checks it afresh.
+    table.  It is not an init parameter, so a representation assembled by
+    hand has none and verify_rep checks it afresh.
     """
 
-    cocycle: Cocycle
-    dim_w: int
-    mats: Tuple[MonoMat, ...]
-    pairs: Tuple[Tuple[int, int], ...]
-    radical: Tuple[int, ...]
-    radical_scalars: Tuple[GQ, ...]
-    report: Optional["RepReport"] = field(default=None, init=False,
-                                          compare=False, repr=False)
+    def __init__(self, cocycle: Cocycle, dim_w: int, mats: Tuple[MonoMat, ...],
+                 pairs: Tuple[Tuple[int, int], ...], radical: Tuple[int, ...],
+                 radical_scalars: Tuple[GQ, ...]):
+        self.cocycle = cocycle
+        self.dim_w = dim_w
+        self.mats = mats
+        self.pairs = pairs
+        self.radical = radical
+        self.radical_scalars = radical_scalars
+        self.report: Optional[RepReport] = None
 
     def rho(self, x: ExtElement) -> MonoMat:
         m = self.mats[x.v]
@@ -162,8 +162,9 @@ def build_heisrep(cocycle: Cocycle,
                   radical: Optional[Sequence[int]] = None) -> HeisRep:
     """Build the representation and verify its full multiplication table.
 
-    The returned representation carries that verification as ``report``;
-    a failure raises RepError with the first failing signed pairs.
+    The returned representation carries that verification as ``report``,
+    whose commutant is not computed; a failure of the table or of
+    rho(-1) = -id raises RepError with the first failing signed pairs.
     """
     space = cocycle.to_space()
     pairs, rad = arf_normal_pairs(space)
@@ -226,32 +227,38 @@ def build_heisrep(cocycle: Cocycle,
     rep = HeisRep(cocycle, dim_w, tuple(mats), tuple(pairs), tuple(rad),
                   tuple(acting_scalars))
     report = _check_table(rep)
-    if not report.ok:
+    if report.failures or not report.rho_minus_one_is_minus_id:
         center = "" if report.rho_minus_one_is_minus_id else ", rho(-1) != -id"
         raise RepError(f"representation failed verification: "
                        f"{len(report.failures)} failing signed pairs{center}",
                        witnesses=report.failures[:5])
-    object.__setattr__(rep, "report", report)  # frozen; set once, here
+    rep.report = report
     return rep
 
 
-@dataclass
 class RepReport:
-    dim_w: int
-    pairs_checked: int
-    failures: List[tuple] = field(default_factory=list)
-    rho_minus_one_is_minus_id: bool = False
-    commutant_dim: Optional[int] = None
-    root_square_failures: List[int] = field(default_factory=list)
-    images_faithful: bool = False
+    def __init__(self, dim_w: int, pairs_checked: int):
+        self.dim_w = dim_w
+        self.pairs_checked = pairs_checked
+        self.failures: List[tuple] = []
+        self.rho_minus_one_is_minus_id = False
+        self.commutant_dim: Optional[int] = None
+        self.root_square_failures: List[int] = []
+        self.images_faithful = False
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
         # faithfulness is reported, not required: radical generators with
-        # q = 0 act by +-1 and necessarily collide with the center's image
+        # q = 0 act by +-1 and necessarily collide with the center's image;
+        # a commutant not yet computed is no pass
         return (not self.failures and self.rho_minus_one_is_minus_id
                 and not self.root_square_failures
-                and self.commutant_dim in (None, 1))
+                and self.commutant_dim == 1)
 
 
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -267,10 +274,14 @@ def verify_rep(rep: HeisRep,
     checked once per representation: for one from build_heisrep they were
     checked there, and its report is reused.
     """
-    if rep.report is None:
+    built = rep.report
+    if built is None:
         report = _check_table(rep)
     else:
-        report = replace(rep.report, failures=list(rep.report.failures))
+        report = RepReport(built.dim_w, built.pairs_checked)
+        report.failures = list(built.failures)
+        report.rho_minus_one_is_minus_id = built.rho_minus_one_is_minus_id
+        report.images_faithful = built.images_faithful
     if root_classes is not None:
         report.root_square_failures = _root_square_failures(rep, root_classes)
     report.commutant_dim = commutant_dimension(rep)

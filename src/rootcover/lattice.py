@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,13 +60,11 @@ def cartan_gram(name: str) -> IntMatrix:
     return tuple(tuple(row) for row in gram)
 
 
-@dataclass(frozen=True)
 class IntLattice:
     """A finite free Z-module with an integer symmetric bilinear form."""
 
-    gram: IntMatrix
-
-    def __post_init__(self) -> None:
+    def __init__(self, gram: IntMatrix):
+        self.gram = gram
         n = len(self.gram)
         for row in self.gram:
             if len(row) != n:
@@ -120,7 +117,6 @@ def short_vectors(gram: IntMatrix, target: int) -> List[Coords]:
     return out
 
 
-@dataclass(frozen=True)
 class RootDatum:
     """A root lattice presented in a simple-root basis with its enumerated roots.
 
@@ -129,11 +125,11 @@ class RootDatum:
     indices of the simple roots themselves (the standard basis vectors).
     """
 
-    lattice: IntLattice
-    roots: Tuple[Coords, ...]
-    simple: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, lattice: IntLattice, roots: Tuple[Coords, ...],
+                 simple: Tuple[int, ...]):
+        self.lattice = lattice
+        self.roots = roots
+        self.simple = simple
         g = self.lattice
         for c in self.roots:
             if g.inner(c, c) != 2:
@@ -296,7 +292,6 @@ class WeylGroup:
     def __init__(self, datum: RootDatum, perms: List[bytes]):
         self.datum = datum
         self.perms = perms
-        self.position = {p: i for i, p in enumerate(perms)}
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -365,16 +360,15 @@ def weyl_enumerate(datum: RootDatum, cap: Optional[int] = None) -> WeylGroup:
 INVOLUTION_LABELS_E6 = {6: "1", 4: "s1", 2: "s1s2", 0: "s1s2s3", -2: "tau"}
 
 
-@dataclass(frozen=True)
 class WeylInvolutionClass:
-    label: str
-    representative: IntMatrix
-    trace: int
-    mod2_rank: int
-    size: int
-    members: Tuple[bytes, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, label: str, representative: IntMatrix, trace: int,
+                 mod2_rank: int, size: int, members: Tuple[bytes, ...]):
+        self.label = label
+        self.representative = representative
+        self.trace = trace
+        self.mod2_rank = mod2_rank
+        self.size = size
+        self.members = members
         n = len(self.representative)
         if intmat.matmul(self.representative, self.representative) != intmat.identity(n):
             raise LatticeError("representative does not square to the identity")
@@ -481,33 +475,32 @@ def mod2_space(datum: RootDatum) -> "Mod2Space":
     return Mod2Space(space, radical, n - len(radical))
 
 
-@dataclass(frozen=True)
 class Mod2Space:
-    space: F2QuadraticSpace
-    radical: Tuple[int, ...]
-    nv_dim: int
+    def __init__(self, space: F2QuadraticSpace, radical: Tuple[int, ...],
+                 nv_dim: int):
+        self.space = space
+        self.radical = radical
+        self.nv_dim = nv_dim
 
 
 # ---------------------------------------------------------------------------
 # The rank-8 blow-up lattice of a degree-2 surface
 
 
-@dataclass(frozen=True)
 class DelPezzoPicard:
     """Z^{1,7} with basis (h, e1..e7) and canonical class -3h + e1 + ... + e7."""
 
-    gram: IntMatrix
-    canonical: Coords
+    def __init__(self, gram: IntMatrix, canonical: Coords):
+        self.gram = gram
+        self.canonical = canonical
+        if self.inner(self.canonical, self.canonical) != 2:
+            raise LatticeError("canonical class must have self-intersection 2")
 
     @staticmethod
     def standard() -> "DelPezzoPicard":
         gram = tuple(tuple((1 if i == j == 0 else -1 if i == j else 0)
                            for j in range(8)) for i in range(8))
         return DelPezzoPicard(gram, (-3, 1, 1, 1, 1, 1, 1, 1))
-
-    def __post_init__(self) -> None:
-        if self.inner(self.canonical, self.canonical) != 2:
-            raise LatticeError("canonical class must have self-intersection 2")
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
         return x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:]))

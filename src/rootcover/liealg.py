@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import comb
@@ -174,7 +173,6 @@ def build_lie(datum: RootDatum, cocycle: Cocycle) -> IntegralLieAlgebra:
     return IntegralLieAlgebra(datum, cocycle, table)
 
 
-@dataclass
 class JacobiReport:
     """Outcome of a Jacobi check on basis triples i < j < k.
 
@@ -186,14 +184,18 @@ class JacobiReport:
     of evaluated ones under the verified involution.  The sum of every other
     triple is zero by the checked weight grading (``zero_by_grading``).
     """
-    dim: int
-    checked_unordered: int
-    covered_ordered: int
-    evaluated: int
-    mirrored: int = 0
-    failures: List[Tuple[int, int, int]] = field(default_factory=list)
-    sampled: bool = False
-    seed: Optional[int] = None
+    def __init__(self, dim: int, checked_unordered: int, covered_ordered: int,
+                 evaluated: int, failures: List[Tuple[int, int, int]],
+                 mirrored: int = 0, sampled: bool = False,
+                 seed: Optional[int] = None):
+        self.dim = dim
+        self.checked_unordered = checked_unordered
+        self.covered_ordered = covered_ordered
+        self.evaluated = evaluated
+        self.failures = failures
+        self.mirrored = mirrored
+        self.sampled = sampled
+        self.seed = seed
 
     @property
     def ok(self) -> bool:
@@ -398,10 +400,10 @@ def _is_weight_graded(L: IntegralLieAlgebra) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class KillingForm:
-    matrix: Tuple[Tuple[int, ...], ...]
-    determinant: int
+    def __init__(self, matrix: Tuple[Tuple[int, ...], ...], determinant: int):
+        self.matrix = matrix
+        self.determinant = determinant
 
     @property
     def nondegenerate(self) -> bool:
@@ -460,16 +462,17 @@ def killing_cartan_ratio(L: IntegralLieAlgebra, killing: KillingForm) -> Fractio
     return ratio
 
 
-@dataclass(frozen=True)
 class Involution:
     """Signed basis map: h -> -h on the Cartan part, X_gamma -> s * X_{-gamma}.
 
     ``verified_on`` is the ``flat`` table on which build_theta checked the
     map to be an automorphism; verify_jacobi mirrors through no other."""
 
-    n_cartan: int
-    root_map: Tuple[Tuple[int, int], ...]  # root index -> (image root index, sign)
-    verified_on: Sequence = field(repr=False, compare=False)
+    def __init__(self, n_cartan: int, root_map: Tuple[Tuple[int, int], ...],
+                 verified_on: Sequence):
+        self.n_cartan = n_cartan
+        self.root_map = root_map  # root index -> (image root index, sign)
+        self.verified_on = verified_on
 
     def apply_basis(self, i: int) -> Tuple[int, int]:
         if i < self.n_cartan:
@@ -617,11 +620,11 @@ def build_R(fixed: FixedSubalgebra, rep: HeisRep) -> RMap:
     return RMap(fixed, rep)
 
 
-@dataclass
 class RReport:
-    dim: int
-    pairs_checked: int
-    failures: List[Tuple[int, int]] = field(default_factory=list)
+    def __init__(self, dim: int, pairs_checked: int):
+        self.dim = dim
+        self.pairs_checked = pairs_checked
+        self.failures: List[Tuple[int, int]] = []
 
     @property
     def ok(self) -> bool:
@@ -681,16 +684,21 @@ def verify_R(rmap: RMap) -> RReport:
     return report
 
 
-@dataclass(frozen=True)
 class IdentificationRecord:
-    family: str            # "sl" or "sp"
-    w_dim: int
-    fixed_dim: int
-    image_rank: Optional[int] = None
-    invariant_antisymmetric_dim: Optional[int] = None
-    invariant_symmetric_dim: Optional[int] = None
-    form: Optional[Tuple[Tuple[GQ, ...], ...]] = None
-    form_determinant: Optional[GQ] = None
+    def __init__(self, family: str, w_dim: int, fixed_dim: int,
+                 image_rank: Optional[int] = None,
+                 invariant_antisymmetric_dim: Optional[int] = None,
+                 invariant_symmetric_dim: Optional[int] = None,
+                 form: Optional[Tuple[Tuple[GQ, ...], ...]] = None,
+                 form_determinant: Optional[GQ] = None):
+        self.family = family  # "sl" or "sp"
+        self.w_dim = w_dim
+        self.fixed_dim = fixed_dim
+        self.image_rank = image_rank
+        self.invariant_antisymmetric_dim = invariant_antisymmetric_dim
+        self.invariant_symmetric_dim = invariant_symmetric_dim
+        self.form = form
+        self.form_determinant = form_determinant
 
 
 def _form_unknowns(n: int, sym: int) -> List[Tuple[int, int]]:
@@ -781,17 +789,17 @@ def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
     raise LieError(f"no certification route for dim g = {d}, dim W = {n}")
 
 
-@dataclass
 class AdjointCharacterReport:
-    functional: int
-    pairs_checked: int
-    failures: List[Tuple[int, int]] = field(default_factory=list)
-    fixes_cartan: bool = True
-    commutes_with_theta: bool = True
+    def __init__(self, functional: int, pairs_checked: int,
+                 failures: List[Tuple[int, int]]):
+        self.functional = functional
+        self.pairs_checked = pairs_checked
+        self.failures = failures
+        self.commutes_with_theta = True
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.fixes_cartan and self.commutes_with_theta
+        return not self.failures and self.commutes_with_theta
 
 
 def character_adjoint_check(L: IntegralLieAlgebra, f: int,

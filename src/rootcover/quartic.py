@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,13 +32,11 @@ MONOMIALS: Tuple[Tuple[int, int, int], ...] = tuple(
     sorted((i, j, 4 - i - j) for i in range(5) for j in range(5 - i)))
 
 
-@dataclass(frozen=True)
 class QuarticCurve:
     """15 coefficients indexed by the exponents in MONOMIALS."""
 
-    coeffs: Tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: Tuple[Fraction, ...]):
+        self.coeffs = coeffs
         if len(self.coeffs) != 15:
             raise QuarticError("a quartic has 15 coefficients")
         if all(c == 0 for c in self.coeffs):
@@ -84,25 +81,33 @@ class QuarticCurve:
                 "coeffs": [str(c) for c in self.coeffs]}
 
 
-@dataclass(frozen=True)
+_ZERO = Fraction(0)
+
+
 class E7Params:
-    p2: Fraction = Fraction(0)
-    p10: Fraction = Fraction(0)
-    p8: Fraction = Fraction(0)
-    p14: Fraction = Fraction(0)
-    p6: Fraction = Fraction(0)
-    p12: Fraction = Fraction(0)
-    p18: Fraction = Fraction(0)
+    def __init__(self, p2: Fraction = _ZERO, p10: Fraction = _ZERO,
+                 p8: Fraction = _ZERO, p14: Fraction = _ZERO,
+                 p6: Fraction = _ZERO, p12: Fraction = _ZERO,
+                 p18: Fraction = _ZERO):
+        self.p2 = p2
+        self.p10 = p10
+        self.p8 = p8
+        self.p14 = p14
+        self.p6 = p6
+        self.p12 = p12
+        self.p18 = p18
 
 
-@dataclass(frozen=True)
 class E6Params:
-    p2: Fraction = Fraction(0)
-    p5: Fraction = Fraction(0)
-    p8: Fraction = Fraction(0)
-    p6: Fraction = Fraction(0)
-    p9: Fraction = Fraction(0)
-    p12: Fraction = Fraction(0)
+    def __init__(self, p2: Fraction = _ZERO, p5: Fraction = _ZERO,
+                 p8: Fraction = _ZERO, p6: Fraction = _ZERO,
+                 p9: Fraction = _ZERO, p12: Fraction = _ZERO):
+        self.p2 = p2
+        self.p5 = p5
+        self.p8 = p8
+        self.p6 = p6
+        self.p9 = p9
+        self.p12 = p12
 
 
 def e7_family(p: E7Params) -> QuarticCurve:
@@ -209,13 +214,21 @@ def _proportional(u: Point, v: Point) -> bool:
 # Smoothness probing
 
 
-@dataclass
 class Verdict:
-    kind: str                     # SMOOTH | SINGULAR | INCONCLUSIVE
-    exact: str                    # smooth | witness | singular
-    witness: Optional[Tuple[int, int, int]] = None
-    primes: Tuple[int, ...] = ()
-    mod_p_singular: Dict[int, List[Tuple[int, int, int]]] = field(default_factory=dict)
+    def __init__(self, kind: str, exact: str,
+                 witness: Optional[Tuple[int, int, int]],
+                 primes: Tuple[int, ...],
+                 mod_p_singular: Dict[int, List[Tuple[int, int, int]]]):
+        self.kind = kind  # SMOOTH | SINGULAR | INCONCLUSIVE
+        self.exact = exact  # smooth | witness | singular
+        self.witness = witness
+        self.primes = primes
+        self.mod_p_singular = mod_p_singular
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,6 @@ curve topology columns n(C) and a(C) are carried metadata, not computed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .f2 import BitMatrix, BitVec, F2QuadraticSpace, arf, mod2_bits, parity, \
@@ -42,18 +41,17 @@ EXPECTED_COLUMNS: Dict[str, Tuple[int, int, int]] = {
 }
 
 
-@dataclass(frozen=True)
 class TableRow:
-    label: str
-    n_c: int
-    a_c: int
-    real_bitangents: int
-    j_mod_2j_size: int
-    orbit_count: int
-    g: int
-    mod2_rank: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, label: str, n_c: int, a_c: int, real_bitangents: int,
+                 j_mod_2j_size: int, orbit_count: int, g: int, mod2_rank: int):
+        self.label = label
+        self.n_c = n_c
+        self.a_c = a_c
+        self.real_bitangents = real_bitangents
+        self.j_mod_2j_size = j_mod_2j_size
+        self.orbit_count = orbit_count
+        self.g = g
+        self.mod2_rank = mod2_rank
         if self.orbit_count != orbit_count_from_size(self.j_mod_2j_size):
             raise RealTableError("orbit count inconsistent with group size")
 

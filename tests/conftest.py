@@ -1,13 +1,18 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from rootcover import lattice
-from rootcover.cmd_pipeline import build_pipeline
-from rootcover.heisrep import build_heisrep
+from rootcover.cmd_pipeline import Pipeline, build_pipeline
+from rootcover.heisrep import HeisRep, build_heisrep
 from rootcover.liealg import build_R
+
+
+def with_mats(rep, mats):
+    """``rep`` with its matrices replaced by ``mats``; like any representation
+    assembled by hand, it carries no build-time report."""
+    return HeisRep(rep.cocycle, rep.dim_w, tuple(mats), rep.pairs, rep.radical,
+                   rep.radical_scalars)
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +20,8 @@ def a2_stack():
     # the pipeline builds a representation only for E6 and E7; A2 gets one here
     pipe = build_pipeline("A2")
     rep = build_heisrep(pipe.cocycle, radical=lattice.mod2_space(pipe.datum).radical)
-    return dataclasses.replace(pipe, rep=rep, rmap=build_R(pipe.fixed, rep))
+    return Pipeline(pipe.datum, pipe.cocycle, pipe.lie, pipe.theta, pipe.fixed,
+                    rep, build_R(pipe.fixed, rep))
 
 
 @pytest.fixture(scope="session")

@@ -7,11 +7,11 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import with_mats
 
 from rootcover import cli, cmd_lattice, cmd_pipeline, heisrep, liealg, quartic
 from rootcover.gaussian import ZERO, MonoMat, add_terms, gq
@@ -385,7 +385,7 @@ def test_comm_relation_failure_names_its_first_pairs(capsys, monkeypatch):
         mats = list(rep.mats)
         bits = datum.root_class_bits(0)
         mats[bits] = _flip_row_3(mats[bits])
-        seen.append((replace(rep, mats=tuple(mats)), datum))
+        seen.append((with_mats(rep, mats), datum))
         return real_verify(seen[-1][0], datum, all_pairs=all_pairs)
 
     monkeypatch.setattr(cmd_pipeline, "verify_comm_relation", flipped)
@@ -450,7 +450,7 @@ def test_construction_verification_failure_exits_1(capsys, monkeypatch):
         m = mats[bad]
         mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:],
                             m.scale)
-        return real_check(replace(rep, mats=tuple(mats)), *args, **kwargs)
+        return real_check(with_mats(rep, mats), *args, **kwargs)
 
     monkeypatch.setattr(heisrep, "_check_table", corrupted)
     code = cli.main(["verify", "--type", "E6"])
@@ -516,16 +516,20 @@ def test_quartic_huge_coefficients_answer_fast(capsys):
     assert (verdict["kind"], verdict["exact"]) == ("INCONCLUSIVE", "singular")
 
 
-def _loaded_modules(*args):
+def _loaded_modules(*args, stdlib=False):
     """Exit code and the rootcover modules, in import order, that a fresh
-    interpreter run with ``args`` imports, read from -X importtime."""
+    interpreter run with ``args`` imports, read from -X importtime; with
+    ``stdlib``, also every other module it imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")]
-    return proc.returncode, [n for n in names if n.split(".")[0] == "rootcover"]
+    ours = [n for n in names if n.split(".")[0] == "rootcover"]
+    if stdlib:
+        return proc.returncode, ours, [n for n in names if n not in ours]
+    return proc.returncode, ours
 
 
 _LATTICE = ["cmd_lattice", "f2", "intmat", "lattice", "realtable"]
@@ -533,7 +537,7 @@ _PIPELINE = ["cmd_pipeline", "extension", "f2", "gaussian", "grouplift",
              "heisrep", "intmat", "lattice", "liealg"]
 
 
-@pytest.mark.parametrize("argv, modules", [
+_COMMANDS = [
     (["quartic", "e6", "--params", "0,0,0,0,0,1"],
      ["cmd_quartic", "gaussian", "quartic"]),
     (["table", "real-orbits"], _LATTICE),
@@ -541,7 +545,11 @@ _PIPELINE = ["cmd_pipeline", "extension", "f2", "gaussian", "grouplift",
     (["counts", "--g", "2"], _LATTICE),
     (["build", "--type", "A2"], _PIPELINE),
     (["verify", "--type", "A2"], _PIPELINE),
-], ids=["quartic", "table", "delpezzo", "counts", "build", "verify"])
+]
+_COMMAND_IDS = ["quartic", "table", "delpezzo", "counts", "build", "verify"]
+
+
+@pytest.mark.parametrize("argv, modules", _COMMANDS, ids=_COMMAND_IDS)
 def test_each_command_loads_only_its_own_stack(argv, modules):
     # no lattice command loads quartic, and quartic loads no lattice module;
     # under -m the CLI runs as __main__, so rootcover.cli must not appear:
@@ -549,6 +557,17 @@ def test_each_command_loads_only_its_own_stack(argv, modules):
     code, loaded = _loaded_modules("-m", "rootcover.cli", *argv)
     assert code == 0
     assert sorted(loaded) == ["rootcover"] + [f"rootcover.{m}" for m in modules]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _COMMANDS], ids=_COMMAND_IDS)
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    # importing dataclasses loads inspect, ast, dis and tokenize, and every
+    # decorated class execs generated methods: together about a third of the
+    # import time of the build/verify stack
+    code, _, stdlib = _loaded_modules("-m", "rootcover.cli", *argv, stdlib=True)
+    assert code == 0
+    assert "argparse" in stdlib
+    assert "dataclasses" not in stdlib and "inspect" not in stdlib
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -563,6 +582,18 @@ def test_cli_forwards_only_build_pipeline():
             getattr(cli, name)
 
 
+# Spawns the command it is given, passing its stdout through, and writes the
+# command's exit code and peak RSS (KiB on Linux) to stderr.  A command
+# spawned straight from pytest would not do: a vfork child inherits its
+# parent's RSS high-water mark, and pytest grows far larger than a CLI call.
+_RSS_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+sys.stderr.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
+
+
 def test_quartic_probe_of_thirty_primes_stays_small():
     # 21 of these primes list a singular point of this curve, and no rational
     # one exists: listing every subset of them before the CRT cap applied
@@ -570,20 +601,18 @@ def test_quartic_probe_of_thirty_primes_stays_small():
     primes = [p for p in range(5, 132) if all(p % d for d in range(2, p))]
     assert len(primes) == 30
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from rootcover.cli import main; "
-         "sys.exit(main())", "quartic", "e7", "--params", "1,0,-3,0,0,3,0",
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER,
+         "-c", "import sys; from rootcover.cli import main; sys.exit(main())",
+         "quartic", "e7", "--params", "1,0,-3,0,0,3,0",
          "--probe", ",".join(map(str, primes))],
-        stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
-    with proc.stdout:
-        out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
+        capture_output=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
-    assert hashlib.sha256(out).hexdigest()[:16] == "24e84e6b2b27515f"
-    assert json.loads(out)["verdict"]["kind"] == "INCONCLUSIVE"
-    # ru_maxrss is in KiB on Linux
-    assert usage.ru_maxrss < 100 * 1024
+    code, maxrss = map(int, proc.stderr.split())
+    assert code == 0
+    assert hashlib.sha256(proc.stdout).hexdigest()[:16] == "24e84e6b2b27515f"
+    assert json.loads(proc.stdout)["verdict"]["kind"] == "INCONCLUSIVE"
+    assert maxrss < 100 * 1024
 
 
 def test_quartic_params_up_to_the_bit_cap_are_accepted():

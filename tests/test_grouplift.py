@@ -1,7 +1,7 @@
 import random
-from dataclasses import replace
 
 import pytest
+from conftest import with_mats
 
 from rootcover import grouplift
 from rootcover.gaussian import ONE, ZERO, MonoMat, dense_identity, dense_mul, gq
@@ -139,7 +139,7 @@ def test_flipped_sign_breaks_comm_relation(e6_stack):
     m = rep.mats[bits]
     mats = list(rep.mats)
     mats[bits] = MonoMat(m.n, m.col, ((m.phase[0] + 2) & 3,) + m.phase[1:], m.scale)
-    report = verify_comm_relation(replace(rep, mats=tuple(mats)), datum)
+    report = verify_comm_relation(with_mats(rep, mats), datum)
     assert not report.ok
     assert report.pairs_checked == 15
     assert all(a in pair for pair in report.failures)

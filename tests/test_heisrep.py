@@ -1,6 +1,5 @@
-from dataclasses import replace
-
 import pytest
+from conftest import with_mats
 
 from rootcover import heisrep, lattice
 from rootcover.extension import ExtElement, build_extension
@@ -120,11 +119,13 @@ def test_verification_survives_basis_permutation(reps):
 def test_verify_rep_reuses_the_build_time_table(reps):
     for name, expected_pairs in (("E6", 16384), ("E7", 65536)):
         datum, _, _, rep = reps[name]
-        assert rep.report.ok
+        assert not rep.report.failures and rep.report.rho_minus_one_is_minus_id
         assert rep.report.pairs_checked == expected_pairs
         assert rep.report.commutant_dim is None
+        # a commutant not computed is no pass
+        assert not rep.report.ok
         # a copy carries no report, so verify_rep checks the table afresh
-        fresh = replace(rep)
+        fresh = with_mats(rep, rep.mats)
         assert fresh.report is None
         rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
         reused = verify_rep(rep, root_classes=rc)
@@ -147,7 +148,8 @@ def test_table_check_computes_one_product_per_pair(reps, monkeypatch):
     _, _, coc, rep = reps["E6"]
     report = heisrep._check_table(rep)
     size = 1 << coc.dim
-    assert report.ok and report.pairs_checked == 4 * size * size
+    assert not report.failures and report.rho_minus_one_is_minus_id
+    assert report.pairs_checked == 4 * size * size
     assert lookups[0] == size * size * rep.dim_w
 
 
@@ -157,7 +159,7 @@ def test_flipped_phase_fails_verification_and_names_the_pair(reps):
     m = rep.mats[bad]
     mats = list(rep.mats)
     mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:], m.scale)
-    report = verify_rep(replace(rep, mats=tuple(mats)))
+    report = verify_rep(with_mats(rep, mats))
     assert not report.ok
     assert report.pairs_checked == 16384
     # M_1 M_(bad ^ 1) is untouched but must equal +-M_bad: all four signs fail
@@ -265,7 +267,7 @@ def test_commutant_matches_generic_rows(e6_stack, change, dim):
     mats = list(rep.mats)
     for j in range(rep.cocycle.dim):
         mats[1 << j] = change(j, mats[1 << j])
-    changed = replace(rep, mats=tuple(mats))
+    changed = with_mats(rep, mats)
     assert commutant_dimension(changed) == _generic_commutant_dimension(changed) == dim
 
 

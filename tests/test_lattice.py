@@ -125,7 +125,7 @@ def test_weyl_identity_and_reflection_squares():
     group = weyl_enumerate(datum)
     size = len(datum.roots)
     ident = bytes(range(size))
-    assert ident in group.position
+    assert group.perms[0] == ident
     for ri in range(size):
         perm = datum.reflection_perm(ri)
         assert bytes(perm[perm[i]] for i in range(size)) == ident
