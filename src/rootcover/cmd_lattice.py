@@ -13,10 +13,9 @@ import argparse
 from typing import Tuple
 
 from .f2 import count_refinements_by_arf
-from .lattice import (DelPezzoPicard, bitangent_complement,
-                      classify_involutions, delpezzo_k_perp,
-                      discriminant_group, lines, lines_meeting, root_datum,
-                      weyl_enumerate)
+from .lattice import (bitangent_complement, classify_involutions,
+                      delpezzo_k_perp, discriminant_group, lines,
+                      lines_meeting, root_datum, weyl_enumerate)
 from .realtable import emit_table
 
 
@@ -42,12 +41,11 @@ def cmd_table(cfg, args: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def cmd_delpezzo(cfg, args: argparse.Namespace) -> Tuple[dict, int]:
-    pic = DelPezzoPicard.standard()
-    kperp = delpezzo_k_perp(pic)
+    kperp = delpezzo_k_perp()
     e = (0, 0, 0, 0, 0, 0, 0, 1)
-    comp = bitangent_complement(e, pic)
-    all_lines = lines(pic)
-    meeting = lines_meeting(e, pic)
+    comp = bitangent_complement(e)
+    all_lines = lines()
+    meeting = lines_meeting(e)
     payload = {
         "config": cfg.stamp(),
         "e7_roots": len(kperp.roots),

@@ -187,7 +187,7 @@ def cmd_verify(cfg, args: argparse.Namespace) -> Result:
                                     "fixed_dim": rec.fixed_dim}
 
         t0 = time.perf_counter()
-        comm = verify_comm_relation(pipe.rep, pipe.datum, all_pairs=True)
+        comm = verify_comm_relation(pipe.rep, pipe.datum)
         clock("appendix", t0)
         # the root-lift squares were checked by verify_rep above
         checks["lift_order4"] = {"ok": not rr.root_square_failures,

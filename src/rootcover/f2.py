@@ -2,8 +2,7 @@
 
 Vectors are ints used as bitmasks, matrices are tuples of row bitmasks.  The
 module houses strictly alternating pairings together with their quadratic
-refinements, Arf invariants, refinement counting, and the kernel/image
-dimensions of an order-2 action (the ``1 + w`` computation over F2).
+refinements, Arf invariants and refinement counting.
 
 Nothing changes after construction and everything is exact; dimensions are
 capped at 16 so that exhaustive loops over all vectors or all refinements stay
@@ -37,17 +36,6 @@ class BitVec:
         if self.bits >> self.dim:
             raise F2Error("set bits beyond the declared dimension")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.bits) == (other.dim, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.bits))
-
-    def coords(self) -> Tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.dim))
-
 
 class BitMatrix:
     """A matrix over F2; ``data[i]`` is the bitmask of row i."""
@@ -62,10 +50,6 @@ class BitMatrix:
             if r >> self.cols:
                 raise F2Error("set bits beyond the column count")
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector (vector as bitmask of coordinates)."""
         out = 0
@@ -73,14 +57,6 @@ class BitMatrix:
             if parity(row & v):
                 out |= 1 << i
         return out
-
-    def mul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise F2Error("shape mismatch in product")
-        # row i of the product is other^T times row i of self
-        other_t = other.transpose()
-        return BitMatrix(self.rows, other.cols,
-                         tuple(other_t.mul_vec(row) for row in self.data))
 
     def add(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -97,9 +73,6 @@ class BitMatrix:
                     bits |= 1 << i
             data.append(bits)
         return BitMatrix(self.cols, self.rows, tuple(data))
-
-    def rank(self) -> int:
-        return f2_rank(self.data, self.cols)
 
     def is_symmetric_zero_diagonal(self) -> bool:
         if self.rows != self.cols:
@@ -231,14 +204,6 @@ class F2QuadraticSpace:
         """q(v) = sum_i q_i v_i + sum_{i<j} gram_ij v_i v_j."""
         return quadform_eval(self.upper_rows, v)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "gram": [[(row >> j) & 1 for j in range(self.dim)]
-                     for row in self.gram.data],
-            "qbasis": list(self.qbasis.coords()),
-        }
-
 
 def standard_symplectic_space(g: int, qbits: int = 0) -> F2QuadraticSpace:
     """The 2g-dim space with hyperbolic pairs (e_{2k}, e_{2k+1})."""
@@ -248,13 +213,6 @@ def standard_symplectic_space(g: int, qbits: int = 0) -> F2QuadraticSpace:
         rows.append(1 << (i ^ 1))
     return F2QuadraticSpace(dim, BitMatrix(dim, dim, tuple(rows)),
                             BitVec(dim, qbits))
-
-
-def eval_q(space: F2QuadraticSpace, v: BitVec) -> int:
-    """Evaluate the quadratic refinement at v."""
-    if v.dim != space.dim:
-        raise F2Error("dimension mismatch")
-    return space.q(v.bits)
 
 
 def symplectic_decomposition(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
@@ -320,29 +278,3 @@ def count_refinements_by_arf(g: int) -> Tuple[int, int]:
         else:
             count0 += 1
     return count0, count1
-
-
-def translate_refinement(space: F2QuadraticSpace, v: BitVec) -> F2QuadraticSpace:
-    """Replace q by (v + q)(w) = q(w) + <v, w>; the pairing is unchanged."""
-    if v.dim != space.dim:
-        raise F2Error("dimension mismatch")
-    new_bits = space.qbasis.bits ^ space.gram.mul_vec(v.bits)
-    return F2QuadraticSpace(space.dim, space.gram, BitVec(space.dim, new_bits))
-
-
-def h1_z2_dims(w: BitMatrix) -> Tuple[int, int, int]:
-    """For an involution w mod 2, dimensions attached to N = 1 + w.
-
-    Returns (dim ker N, rank N, dim ker N - rank N).  Since N^2 = 0 for an
-    involution, the image of N sits inside its kernel and the last entry is
-    the dimension of ker/im.
-    """
-    if w.rows != w.cols:
-        raise F2Error("matrix not square")
-    n = w.rows
-    if w.mul(w).data != BitMatrix.identity(n).data:
-        raise F2Error("not an involution mod 2")
-    big_n = w.add(BitMatrix.identity(n))
-    r = big_n.rank()
-    k = n - r
-    return k, r, k - r

@@ -30,9 +30,6 @@ class GQ:
             return NotImplemented
         return (self.re, self.im) == (other.re, other.im)
 
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
     def __add__(self, other: "GQ") -> "GQ":
         return GQ(self.re + other.re, self.im + other.im)
 
@@ -126,24 +123,9 @@ class MonoMat:
         return ((self.n, self.col, self.phase, self.scale)
                 == (other.n, other.col, other.phase, other.scale))
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.col, self.phase, self.scale))
-
     @staticmethod
     def identity(n: int) -> "MonoMat":
         return MonoMat(n, tuple(range(n)), (0,) * n)
-
-    @staticmethod
-    def from_values(n: int, col: Sequence[int], vals: Sequence[GQ]) -> "MonoMat":
-        """The matrix with entry vals[r] at (r, col[r]).
-
-        Every value must be t * i**k for one common positive rational t.
-        """
-        polar = [_polar(v) for v in vals]
-        scale = polar[0][1]
-        if any(t != scale for _, t in polar):
-            raise ValueError("entries do not share one scale")
-        return MonoMat(n, tuple(col), tuple(k for k, _ in polar), scale)
 
     def __mul__(self, other: "MonoMat") -> "MonoMat":
         oc, op = other.col, other.phase
@@ -174,14 +156,6 @@ class MonoMat:
                 im += b
         return GQ(self.scale * re, self.scale * im)
 
-    def transpose(self) -> "MonoMat":
-        cols = [0] * self.n
-        phases = [0] * self.n
-        for r, c in enumerate(self.col):
-            cols[c] = r
-            phases[c] = self.phase[r]
-        return MonoMat(self.n, tuple(cols), tuple(phases), self.scale)
-
     def scalar_value(self) -> Optional[GQ]:
         """The scalar s when the matrix equals s * identity, else None."""
         if any(c != r for r, c in enumerate(self.col)):
@@ -203,10 +177,6 @@ class MonoMat:
                      for c, q in zip(self.col, self.phase) for p in range(4))
 
 
-def dense_identity(n: int) -> Dense:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def dense_mul(a: Dense, b: Dense) -> Dense:
     n, m = len(a), len(b[0])
     k = len(b)
@@ -214,16 +184,8 @@ def dense_mul(a: Dense, b: Dense) -> Dense:
                        for j in range(m)) for i in range(n))
 
 
-def dense_sub(a: Dense, b: Dense) -> Dense:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def dense_neg(a: Dense) -> Dense:
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def dense_transpose(a: Dense) -> Dense:
-    return tuple(zip(*a))
 
 
 def add_terms(acc: Dict[Any, Any], terms: Iterable[Tuple[Any, Any]]) -> Dict[Any, Any]:

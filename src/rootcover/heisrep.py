@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .extension import Cocycle, ExtElement
+from .extension import Cocycle
 from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
 from .gaussian import GQ, MonoMat, phase_rows, sparse_nullspace
 
@@ -141,10 +141,6 @@ class HeisRep:
         self.radical_scalars = radical_scalars
         self.report: Optional[RepReport] = None
 
-    def rho(self, x: ExtElement) -> MonoMat:
-        m = self.mats[x.v]
-        return m if x.sign == 1 else -m
-
     def rho_bits(self, v: int) -> MonoMat:
         return self.mats[v]
 
@@ -244,17 +240,9 @@ class RepReport:
         self.rho_minus_one_is_minus_id = False
         self.commutant_dim: Optional[int] = None
         self.root_square_failures: List[int] = []
-        self.images_faithful = False
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
-        # faithfulness is reported, not required: radical generators with
-        # q = 0 act by +-1 and necessarily collide with the center's image;
         # a commutant not yet computed is no pass
         return (not self.failures and self.rho_minus_one_is_minus_id
                 and not self.root_square_failures
@@ -268,11 +256,10 @@ def verify_rep(rep: HeisRep,
                root_classes: Optional[Sequence[int]] = None) -> RepReport:
     """Exhaustively check rho(x) rho(y) = rho(xy) over all |cover|^2 pairs.
 
-    Also checks rho(-1) = -id, faithfulness of (sign, v) -> sign * M_v,
-    squares of root-class lifts, and that the commutant of the image is
-    exactly the scalars.  The table, rho(-1) and faithfulness are
-    checked once per representation: for one from build_heisrep they were
-    checked there, and its report is reused.
+    Also checks rho(-1) = -id, squares of root-class lifts, and that the
+    commutant of the image is exactly the scalars.  The table and rho(-1)
+    are checked once per representation: for one from build_heisrep they
+    were checked there, and its report is reused.
     """
     built = rep.report
     if built is None:
@@ -281,7 +268,6 @@ def verify_rep(rep: HeisRep,
         report = RepReport(built.dim_w, built.pairs_checked)
         report.failures = list(built.failures)
         report.rho_minus_one_is_minus_id = built.rho_minus_one_is_minus_id
-        report.images_faithful = built.images_faithful
     if root_classes is not None:
         report.root_square_failures = _root_square_failures(rep, root_classes)
     report.commutant_dim = commutant_dimension(rep)
@@ -289,7 +275,7 @@ def verify_rep(rep: HeisRep,
 
 
 def _check_table(rep: HeisRep) -> RepReport:
-    """The signed multiplication table, rho(-1) = -id and faithfulness."""
+    """The signed multiplication table and rho(-1) = -id."""
     coc = rep.cocycle
     mats = rep.mats
     size = 1 << coc.dim
@@ -317,10 +303,6 @@ def _check_table(rep: HeisRep) -> RepReport:
                     or not (unit_scales or scales[u] * scales[v] == scales[t])):
                 failures.extend(((su, u), (sv, v)) for su, sv in _SIGNS)
             report.pairs_checked += 4
-
-    images = {(c, s) for c, s in zip(codes, scales)}
-    images.update(zip(neg_codes, scales))
-    report.images_faithful = len(images) == 2 * size
     return report
 
 

@@ -9,11 +9,10 @@ classes, and reduction mod 2 to a quadratic F2 space.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .f2 import BitMatrix, BitVec, F2QuadraticSpace, f2_kernel, f2_rank, mod2_bits
 from . import intmat
@@ -162,12 +161,6 @@ class RootDatum:
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
         return self.lattice.inner(x, y)
 
-    def pairing_table(self) -> List[List[int]]:
-        g = self.lattice.gram
-        half = [[sum(gr * y for gr, y in zip(row, c)) for row in g] for c in self.roots]
-        return [[sum(a * b for a, b in zip(self.roots[i], half[j]))
-                 for j in range(len(self.roots))] for i in range(len(self.roots))]
-
     def reflect(self, coords: Coords, root_index: int) -> Coords:
         gamma = self.roots[root_index]
         c = self.inner(coords, gamma)
@@ -314,28 +307,13 @@ class WeylGroup:
                 out.append(p)
         return out
 
-    def verify_gram_preservation(self) -> bool:
-        """Check w^T gram w = gram for every element, via the root pairing table."""
-        table = self.datum.pairing_table()
-        simple = self.datum.simple
-        n = self.datum.rank
-        for p in self.perms:
-            img = [p[si] for si in simple]
-            for i in range(n):
-                for j in range(i, n):
-                    if table[img[i]][img[j]] != table[simple[i]][simple[j]]:
-                        return False
-        return True
 
-    def stabilizer_size(self, root_index: int) -> int:
-        return sum(1 for p in self.perms if p[root_index] == root_index)
-
-
-def weyl_enumerate(datum: RootDatum, cap: Optional[int] = None) -> WeylGroup:
-    """Breadth-first closure of the simple reflections acting on the roots."""
+def weyl_enumerate(datum: RootDatum) -> WeylGroup:
+    """Breadth-first closure of the simple reflections acting on the roots,
+    for rank at most 6 (E6's group has 51,840 elements, E7's 2,903,040)."""
     size = _perm_size(datum)
-    if cap is None and datum.rank > 6:
-        raise LatticeError("rank > 6 requires an explicit cap")
+    if datum.rank > 6:
+        raise LatticeError(f"Weyl closure is limited to rank 6, not {datum.rank}")
     gens = [_translate_table(datum.reflection_perm(si), size)
             for si in datum.simple]
     ident = bytes(range(size))
@@ -351,8 +329,6 @@ def weyl_enumerate(datum: RootDatum, cap: Optional[int] = None) -> WeylGroup:
                     seen.add(q)
                     order.append(q)
                     nxt.append(q)
-                    if cap is not None and len(seen) > cap:
-                        raise LatticeError("cap exceeded during Weyl closure")
         frontier = nxt
     return WeylGroup(datum, order)
 
@@ -399,8 +375,7 @@ def _conjugacy_orbit(weyl: WeylGroup, start: bytes) -> set:
     return orbit
 
 
-def classify_involutions(datum: RootDatum,
-                         weyl: Optional[WeylGroup] = None) -> List[WeylInvolutionClass]:
+def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvolutionClass]:
     """Partition the involutions of W (plus the identity) into conjugacy classes.
 
     Only implemented for type E6, where the classes are labelled by their
@@ -408,8 +383,6 @@ def classify_involutions(datum: RootDatum,
     """
     if datum.type_name != "E6":
         raise LatticeError("involution classification is implemented for E6 only")
-    if weyl is None:
-        weyl = weyl_enumerate(datum)
     size = len(datum.roots)
     ident = bytes(range(size))
     groups: Dict[Tuple[int, int], List[bytes]] = {}
@@ -431,37 +404,6 @@ def classify_involutions(datum: RootDatum,
         classes.append(WeylInvolutionClass(label, weyl.matrix(members[0]),
                                            tr, r2, len(members), tuple(members)))
     return classes
-
-
-def orthogonal_root_quadruples(datum: RootDatum, limit: int) -> List[Tuple[int, ...]]:
-    """Up to ``limit`` quadruples of pairwise orthogonal roots spanning a D4 subsystem."""
-    table = datum.pairing_table()
-    pos = datum.positive
-    found: List[Tuple[int, ...]] = []
-    for quad in itertools.combinations(pos, 4):
-        if any(table[a][b] != 0 for a, b in itertools.combinations(quad, 2)):
-            continue
-        span_count = 0
-        for i, c in enumerate(datum.roots):
-            coeffs = [Fraction(table[i][q], 2) for q in quad]
-            recon = [sum(co * Fraction(datum.roots[q][t]) for co, q in zip(coeffs, quad))
-                     for t in range(datum.rank)]
-            if all(r == x for r, x in zip(recon, c)):
-                span_count += 1
-        if span_count == 24:
-            found.append(quad)
-            if len(found) >= limit:
-                break
-    return found
-
-
-def tau_involution(datum: RootDatum, quad: Sequence[int]) -> bytes:
-    """Product of the four orthogonal reflections: -1 on the quadruple's span, +1 across."""
-    size = _perm_size(datum)
-    perm = bytes(range(size))
-    for q in quad:
-        perm = perm.translate(_translate_table(datum.reflection_perm(q), size))
-    return perm
 
 
 def mod2_space(datum: RootDatum) -> "Mod2Space":
@@ -509,13 +451,13 @@ class DelPezzoPicard:
         return self.inner(d, d) == -1 and self.inner(d, self.canonical) == -1
 
 
-def lines(pic: Optional[DelPezzoPicard] = None) -> Tuple[Coords, ...]:
+def lines() -> Tuple[Coords, ...]:
     """All classes with D^2 = D.K = -1, by bounded enumeration.
 
     Cauchy-Schwarz on (sum b_i)^2 <= 7 sum b_i^2 confines the h-coefficient
     to {0, 1, 2, 3}.
     """
-    pic = pic or DelPezzoPicard.standard()
+    pic = DelPezzoPicard.standard()
     out: List[Coords] = []
     for a in range(0, 4):
         square_sum = a * a + 1
@@ -542,13 +484,13 @@ def lines(pic: Optional[DelPezzoPicard] = None) -> Tuple[Coords, ...]:
     return tuple(sorted(out))
 
 
-def lines_meeting(e: Sequence[int], pic: Optional[DelPezzoPicard] = None) -> Tuple[Coords, ...]:
+def lines_meeting(e: Sequence[int]) -> Tuple[Coords, ...]:
     """Line classes D with D.e = 1 and D.f = 0, where f = -K - e."""
-    pic = pic or DelPezzoPicard.standard()
+    pic = DelPezzoPicard.standard()
     if not pic.is_line_class(e):
         raise LatticeError("e is not a line class")
     f = tuple(-k - x for k, x in zip(pic.canonical, e))
-    return tuple(d for d in lines(pic)
+    return tuple(d for d in lines()
                  if pic.inner(d, e) == 1 and pic.inner(d, f) == 0)
 
 
@@ -563,19 +505,18 @@ def _sublattice_datum(pic: DelPezzoPicard, orthogonal_to: Sequence[Coords],
     return enumerate_roots(IntLattice(gram))
 
 
-def delpezzo_k_perp(pic: Optional[DelPezzoPicard] = None) -> RootDatum:
+def delpezzo_k_perp() -> RootDatum:
     """The orthogonal complement of the canonical class, sign-flipped to positive."""
-    pic = pic or DelPezzoPicard.standard()
+    pic = DelPezzoPicard.standard()
     datum = _sublattice_datum(pic, [pic.canonical], 7)
     if datum.type_name != "E7":
         raise LatticeError(f"K-perp is not E7 (got {datum.type_name})")
     return datum
 
 
-def bitangent_complement(e: Sequence[int],
-                         pic: Optional[DelPezzoPicard] = None) -> RootDatum:
+def bitangent_complement(e: Sequence[int]) -> RootDatum:
     """The complement of a line class pair {e, -K-e} inside K-perp."""
-    pic = pic or DelPezzoPicard.standard()
+    pic = DelPezzoPicard.standard()
     if not pic.is_line_class(e):
         raise LatticeError("e is not a line class")
     f = tuple(-k - x for k, x in zip(pic.canonical, e))
@@ -586,13 +527,3 @@ def bitangent_complement(e: Sequence[int],
         raise LatticeError(f"complement is not E6 (got {datum.type_name})")
     return datum
 
-
-def gram_permutation_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether two gram matrices agree after permuting the basis (rank <= 8)."""
-    n = len(a)
-    if len(b) != n:
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(a[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n)):
-            return True
-    return False

@@ -37,7 +37,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import intmat
 from .extension import Cocycle
-from .f2 import parity
 from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, gq, phase_rows,
                        sparse_nullspace, sparse_rank)
 from .heisrep import HeisRep
@@ -105,6 +104,7 @@ class IntegralLieAlgebra(SparseLieAlgebra):
         return self.n_cartan + root_index
 
     def weight(self, i: int) -> Tuple[int, ...]:
+        # perfbench/tracer.py counts the weight-live triples through this
         if i < self.n_cartan:
             return (0,) * self.n_cartan
         return self.datum.roots[i - self.n_cartan]
@@ -439,29 +439,6 @@ def killing_form(alg: SparseLieAlgebra) -> KillingForm:
     return KillingForm(matrix, intmat.bareiss_det(matrix))
 
 
-def killing_cartan_ratio(L: IntegralLieAlgebra, killing: KillingForm) -> Fraction:
-    """Constant c with K|_Cartan = c * (coweight-basis dual pairing)."""
-    dual = intmat.rational_inverse(L.datum.lattice.gram)
-    nc = L.n_cartan
-    ratio: Optional[Fraction] = None
-    for i in range(nc):
-        for j in range(nc):
-            k_val = Fraction(killing.matrix[i][j])
-            d_val = dual[i][j]
-            if d_val == 0:
-                if k_val != 0:
-                    raise LieError("Cartan Killing block is not proportional to the dual form")
-                continue
-            r = k_val / d_val
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                raise LieError("Cartan Killing block is not proportional to the dual form")
-    if ratio is None:
-        raise LieError("degenerate dual pairing")
-    return ratio
-
-
 class Involution:
     """Signed basis map: h -> -h on the Cartan part, X_gamma -> s * X_{-gamma}.
 
@@ -581,21 +558,6 @@ class FixedSubalgebra(SparseLieAlgebra):
 
 def fixed_subalgebra(L: IntegralLieAlgebra, theta: Involution) -> FixedSubalgebra:
     return FixedSubalgebra(L, theta)
-
-
-def theta_eigenspace_dims(L: IntegralLieAlgebra, theta: Involution) -> Tuple[int, int]:
-    """(dim of +1 eigenspace, dim of -1 eigenspace)."""
-    plus = 0
-    pairs_seen = set()
-    for ri, (target, sign) in enumerate(theta.root_map):
-        if target == ri:
-            plus += 1 if sign == 1 else 0
-        else:
-            key = (min(ri, target), max(ri, target))
-            if key not in pairs_seen:
-                pairs_seen.add(key)
-                plus += 1
-    return plus, L.dim - plus
 
 
 class RMap:
@@ -788,70 +750,3 @@ def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
                                     form=form, form_determinant=det)
     raise LieError(f"no certification route for dim g = {d}, dim W = {n}")
 
-
-class AdjointCharacterReport:
-    def __init__(self, functional: int, pairs_checked: int,
-                 failures: List[Tuple[int, int]]):
-        self.functional = functional
-        self.pairs_checked = pairs_checked
-        self.failures = failures
-        self.commutes_with_theta = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and self.commutes_with_theta
-
-
-def character_adjoint_check(L: IntegralLieAlgebra, f: int,
-                            theta: Optional[Involution] = None) -> AdjointCharacterReport:
-    """The map X_gamma -> (-1)^{f(gamma)} X_gamma, identity on the Cartan part.
-
-    Verified to be an automorphism fixing the Cartan subalgebra pointwise and
-    commuting with the involution: the adjoint action of the 2-torsion point
-    dual to f.
-    """
-    n = L.dim
-    nc = L.n_cartan
-    signs = [1] * n
-    for ri in range(len(L.datum.roots)):
-        if parity(f & L.datum.root_class_bits(ri)):
-            signs[nc + ri] = -1
-    report = AdjointCharacterReport(
-        functional=f, pairs_checked=comb(n, 2),
-        failures=_automorphism_failures(L, list(enumerate(signs))))
-    if theta is not None:
-        for i in range(n):
-            j, s = theta.apply_basis(i)
-            if signs[i] != signs[j]:
-                report.commutes_with_theta = False
-                break
-    return report
-
-
-def ad_nilpotency_degree(L: IntegralLieAlgebra, root_index: int, power: int = 4) -> bool:
-    """Whether (ad X_gamma)^power kills every basis element."""
-    xg = {L.basis_of_root(root_index): 1}
-    for i in range(L.dim):
-        vec = {i: 1}
-        for _ in range(power):
-            vec = L.bracket(xg, vec)
-            if not vec:
-                break
-        if vec:
-            return False
-    return True
-
-
-def recover_roots_from_ad(L: IntegralLieAlgebra) -> bool:
-    """Simultaneous Cartan ad-eigenvalues on the X part recover the root set."""
-    recovered = set()
-    for ri in range(len(L.datum.roots)):
-        xi = L.basis_of_root(ri)
-        eig = []
-        for i in range(L.n_cartan):
-            res = L.bracket({i: 1}, {xi: 1})
-            eig.append(res.get(xi, 0))
-            if set(res) - {xi}:
-                return False
-        recovered.add(tuple(eig))
-    return recovered == set(L.datum.roots)

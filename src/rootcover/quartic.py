@@ -52,9 +52,6 @@ class QuarticCurve:
             coeffs[lookup[mono]] += Fraction(c)
         return cls(tuple(coeffs))
 
-    def coeff(self, i: int, j: int, k: int) -> Fraction:
-        return self.coeffs[MONOMIALS.index((i, j, k))]
-
     def evaluate(self, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
         total = Fraction(0)
         for (i, j, k), c in zip(MONOMIALS, self.coeffs):
@@ -75,10 +72,6 @@ class QuarticCurve:
             if k:
                 out[2][(i, j, k - 1)] = out[2].get((i, j, k - 1), Fraction(0)) + c * k
         return tuple({m: v for m, v in d.items() if v} for d in out)
-
-    def to_json_dict(self) -> dict:
-        return {"monomials": [list(m) for m in MONOMIALS],
-                "coeffs": [str(c) for c in self.coeffs]}
 
 
 _ZERO = Fraction(0)
@@ -224,11 +217,6 @@ class Verdict:
         self.witness = witness
         self.primes = primes
         self.mod_p_singular = mod_p_singular
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,14 +9,13 @@ curve topology columns n(C) and a(C) are carried metadata, not computed.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Optional, Sequence, Tuple
 
 from .f2 import BitMatrix, BitVec, F2QuadraticSpace, arf, mod2_bits, parity, \
     standard_symplectic_space
 from .intmat import IntMatrix, matmul, identity
-from .lattice import (RootDatum, WeylGroup, WeylInvolutionClass,
-                      classify_involutions, mod2_rank_one_plus, mod2_space)
+from .lattice import (RootDatum, WeylInvolutionClass, mod2_rank_one_plus,
+                      mod2_space)
 
 
 class RealTableError(ValueError):
@@ -115,12 +114,9 @@ def row_for_involution(w: IntMatrix, datum: RootDatum,
 
 
 def emit_table(datum: RootDatum,
-               classes: Optional[Sequence[WeylInvolutionClass]] = None,
-               weyl: Optional[WeylGroup] = None) -> Tuple[TableRow, ...]:
-    """Classify the involutions and compute all five rows, asserting the
-    expected column values exactly."""
-    if classes is None:
-        classes = classify_involutions(datum, weyl)
+               classes: Sequence[WeylInvolutionClass]) -> Tuple[TableRow, ...]:
+    """Compute the row of each involution class, asserting the expected
+    column values exactly."""
     rows = []
     for cls in classes:
         row = row_for_involution(cls.representative, datum, label=cls.label)
@@ -131,22 +127,6 @@ def emit_table(datum: RootDatum,
                 f"row {cls.label}: computed {got}, expected {expected}")
         rows.append(row)
     return tuple(rows)
-
-
-def class_constancy_check(datum: RootDatum, cls: WeylInvolutionClass,
-                          weyl: WeylGroup, samples: int = 10,
-                          seed: int = 0) -> bool:
-    """Row values agree across random members of a conjugacy class."""
-    rng = random.Random(seed)
-    base = row_for_involution(cls.representative, datum, label=cls.label)
-    members = list(cls.members)
-    for _ in range(min(samples, len(members))):
-        perm = members[rng.randrange(len(members))]
-        row = row_for_involution(weyl.matrix(perm), datum, label=cls.label)
-        if (row.real_bitangents, row.j_mod_2j_size, row.orbit_count) != \
-                (base.real_bitangents, base.j_mod_2j_size, base.orbit_count):
-            return False
-    return True
 
 
 def orbit_count(g: int) -> int:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from rootcover import lattice
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
+from rootcover.gaussian import Dense, I, ONE, gq
 from rootcover.heisrep import HeisRep, build_heisrep
 from rootcover.liealg import build_R
 
@@ -42,3 +45,32 @@ def e6_weyl(e6_stack):
 @pytest.fixture(scope="session")
 def e6_classes(e6_stack, e6_weyl):
     return lattice.classify_involutions(e6_stack.datum, e6_weyl)
+
+
+# -- the 2x2 -> 3x3 map of the converse construction, a model for two modules
+
+
+class GroupLiftError(ValueError):
+    pass
+
+
+def pgl2_to_so3(m: Dense) -> Dense:
+    """The 3x3 orthogonal matrix attached to an invertible 2x2 matrix.
+
+    Scale invariant in the input; the output is exactly orthogonal with
+    determinant 1.  Raises on singular input.
+    """
+    (a, b), (c, d) = m[0], m[1]
+    det = a * d - b * c
+    if det.is_zero():
+        raise GroupLiftError("singular input")
+    half = gq(Fraction(1, 2))
+    rows = (
+        (a * d + b * c, I * (a * c + b * d), b * d - a * c),
+        (-(I * (a * b + c * d)), (a * a + b * b + c * c + d * d) * half,
+         I * (a * a - b * b + c * c - d * d) * half),
+        (-(a * b - c * d), I * (c * c + d * d - a * a - b * b) * half,
+         (a * a - b * b - c * c + d * d) * half),
+    )
+    inv = ONE / det
+    return tuple(tuple(inv * x for x in row) for row in rows)

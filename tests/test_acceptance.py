@@ -5,16 +5,17 @@ import random
 import time
 from fractions import Fraction as F
 
+from conftest import pgl2_to_so3
+
 from rootcover import lattice
 from rootcover.extension import build_extension
 from rootcover.f2 import count_refinements_by_arf
 from rootcover.gaussian import dense_mul, gq
-from rootcover.grouplift import (anticommutation_model_holds, pgl2_to_so3,
-                                 verify_comm_relation)
+from rootcover.grouplift import anticommutation_model_holds, verify_comm_relation
 from rootcover.heisrep import verify_rep
-from rootcover.lattice import (DelPezzoPicard, bitangent_complement,
-                               classify_involutions, delpezzo_k_perp, lines,
-                               lines_meeting, weyl_enumerate)
+from rootcover.lattice import (bitangent_complement, classify_involutions,
+                               delpezzo_k_perp, lines, lines_meeting,
+                               weyl_enumerate)
 from rootcover.liealg import identify_fixed, killing_form, verify_R, verify_jacobi
 from rootcover.quartic import (E6Params, E7Params, e6_family, e7_family,
                                smoothness_probe, tangent_contact_order)
@@ -112,12 +113,11 @@ def test_criterion_07_cover_representation(e6_stack, e7_stack):
 
 def test_criterion_08_blowup_lattice_facts():
     t0 = time.perf_counter()
-    pic = DelPezzoPicard.standard()
-    assert len(delpezzo_k_perp(pic).roots) == 126
+    assert len(delpezzo_k_perp().roots) == 126
     e = (0, 0, 0, 0, 0, 0, 0, 1)
-    assert len(bitangent_complement(e, pic).roots) == 72
-    assert len(lines(pic)) == 56
-    assert len(lines_meeting(e, pic)) == 27
+    assert len(bitangent_complement(e).roots) == 72
+    assert len(lines()) == 56
+    assert len(lines_meeting(e)) == 27
     _report(8, "blow-up lattice counts 126 / 72 / 56 / 27",
             time.perf_counter() - t0, 5)
 
@@ -127,7 +127,7 @@ def test_criterion_09_real_orbit_table(e6_stack):
     weyl = weyl_enumerate(e6_stack.datum)
     assert len(weyl) == 51840
     classes = classify_involutions(e6_stack.datum, weyl)
-    rows = emit_table(e6_stack.datum, classes, weyl)
+    rows = emit_table(e6_stack.datum, classes)
     assert [r.real_bitangents for r in rows] == [28, 16, 8, 4, 4]
     assert [r.j_mod_2j_size for r in rows] == [8, 4, 2, 1, 2]
     assert [r.orbit_count for r in rows] == [36, 10, 3, 1, 3]

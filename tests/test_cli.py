@@ -381,12 +381,12 @@ def test_comm_relation_failure_names_its_first_pairs(capsys, monkeypatch):
     real_verify = cmd_pipeline.verify_comm_relation
     seen = []
 
-    def flipped(rep, datum, all_pairs=False):
+    def flipped(rep, datum):
         mats = list(rep.mats)
         bits = datum.root_class_bits(0)
         mats[bits] = _flip_row_3(mats[bits])
         seen.append((with_mats(rep, mats), datum))
-        return real_verify(seen[-1][0], datum, all_pairs=all_pairs)
+        return real_verify(seen[-1][0], datum)
 
     monkeypatch.setattr(cmd_pipeline, "verify_comm_relation", flipped)
     code = cli.main(["verify", "--type", "E6"])

@@ -1,20 +1,228 @@
 import random
+from functools import cached_property
+from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 
 from rootcover import extension, lattice
-from rootcover.extension import (ExtAutomorphism, ExtElement,
-                                 ExtensionError, RootLift, build_extension,
-                                 canonical_root_lift, character_automorphism,
-                                 lift_difference_functional,
-                                 automorphisms_fixing_v,
-                                 transport_automorphism)
-from rootcover.f2 import parity, standard_symplectic_space
+from rootcover.extension import Cocycle, ExtensionError, build_extension
+from rootcover.f2 import BitMatrix, mod2_bits, parity, quadform_eval, standard_symplectic_space
+
+# -- the cover's group law and its automorphisms, as a model of the cocycle ---
+
+
+class ExtElement:
+    """An element (sign, v) of the double cover."""
+
+    def __init__(self, sign: int, v: int):
+        self.sign = sign
+        self.v = v
+        if self.sign not in (1, -1):
+            raise ExtensionError("sign must be +1 or -1")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sign, self.v) == (other.sign, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.v))
+
+    def __neg__(self) -> "ExtElement":
+        return ExtElement(-self.sign, self.v)
+
+
+class CoverGroup(Cocycle):
+    """The group of pairs (sign, v) that the cocycle multiplies."""
+
+    @classmethod
+    def of(cls, cocycle: Cocycle) -> "CoverGroup":
+        return cls(cocycle.dim, cocycle.rows)
+
+    @property
+    def order(self) -> int:
+        return 1 << (self.dim + 1)
+
+    def identity(self) -> ExtElement:
+        return ExtElement(1, 0)
+
+    def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
+        sign = x.sign * y.sign
+        if self.beta(x.v, y.v):
+            sign = -sign
+        return ExtElement(sign, x.v ^ y.v)
+
+    def inv(self, x: ExtElement) -> ExtElement:
+        sign = x.sign
+        if self.q(x.v):
+            sign = -sign
+        return ExtElement(sign, x.v)
+
+    def commutator(self, x: ExtElement, y: ExtElement) -> ExtElement:
+        z = self.mul(self.mul(x, y), self.mul(self.inv(x), self.inv(y)))
+        return z
+
+    def canonical_lift(self, v: int) -> ExtElement:
+        return ExtElement(1, v)
+
+    def elements(self) -> Iterator[ExtElement]:
+        for v in range(1 << self.dim):
+            yield ExtElement(1, v)
+            yield ExtElement(-1, v)
+
+    def center(self) -> List[ExtElement]:
+        out = []
+        for x in self.elements():
+            if all(self.pairing(x.v, w) == 0 for w in range(1 << self.dim)):
+                out.append(x)
+        return out
+
+
+class RootLift:
+    """A root vector paired with a compatible cover element (fiber condition)."""
+
+    def __init__(self, lam: Tuple[int, ...], ext: ExtElement):
+        self.lam = lam
+        self.ext = ext
+        if mod2_bits(self.lam) != self.ext.v:
+            raise ExtensionError("cover element does not lie over the root mod 2")
+
+
+def canonical_root_lift(cocycle: CoverGroup, coords: Sequence[int]) -> RootLift:
+    return RootLift(tuple(coords), cocycle.canonical_lift(mod2_bits(coords)))
+
+
+class ExtAutomorphism:
+    """(sign, v) -> (sign * (-1)^s(v), w(v)) for a quadratic sign function s."""
+
+    def __init__(self, cocycle: CoverGroup, w_rows: Tuple[int, ...],
+                 sigma_rows: Tuple[int, ...]):
+        self.cocycle = cocycle
+        self.w_rows = w_rows
+        self.sigma_rows = sigma_rows
+
+    @cached_property
+    def w(self) -> BitMatrix:
+        return BitMatrix(len(self.w_rows), self.cocycle.dim, self.w_rows)
+
+    def on_v(self, v: int) -> int:
+        return self.w.mul_vec(v)
+
+    def s(self, v: int) -> int:
+        return quadform_eval(self.sigma_rows, v)
+
+    def apply(self, x: ExtElement) -> ExtElement:
+        sign = x.sign
+        if self.s(x.v):
+            sign = -sign
+        return ExtElement(sign, self.on_v(x.v))
+
+    def is_homomorphism(self) -> bool:
+        coc = self.cocycle
+        n = 1 << coc.dim
+        for u in range(n):
+            fu = self.apply(ExtElement(1, u))
+            for v in range(n):
+                fv = self.apply(ExtElement(1, v))
+                if coc.mul(fu, fv) != self.apply(coc.mul(ExtElement(1, u), ExtElement(1, v))):
+                    return False
+        return True
+
+    def action_table(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple((self.apply(ExtElement(1, v)).sign, self.on_v(v))
+                     for v in range(1 << self.cocycle.dim))
+
+
+def character_automorphism(cocycle: CoverGroup, f: int) -> ExtAutomorphism:
+    """The automorphism (sign, v) -> (sign * (-1)^{f . v}, v) for a functional f."""
+    if f >> cocycle.dim:
+        raise ExtensionError("functional bits beyond the dimension")
+    n = cocycle.dim
+    ident = tuple(1 << i for i in range(n))
+    sigma = tuple((1 << i) if (f >> i) & 1 else 0 for i in range(n))
+    return ExtAutomorphism(cocycle, ident, sigma)
+
+
+def transport_automorphism(cocycle: CoverGroup, w_rows: Sequence[int]) -> ExtAutomorphism:
+    """Lift a pairing-preserving map w of V to the cover.
+
+    Solves for s with s(u) + s(v) + s(u + v) = beta(u, v) + beta(wu, wv); the
+    discrepancy is symmetric bilinear with zero diagonal exactly when w
+    preserves both the pairing and the quadratic form, so
+    s(v) = sum_{i<j} delta(e_i, e_j) v_i v_j works.
+    """
+    n = cocycle.dim
+    w_rows = tuple(w_rows)
+    aut = ExtAutomorphism(cocycle, w_rows, (0,) * n)
+    images = [aut.on_v(1 << i) for i in range(n)]
+    for i in range(n):
+        if cocycle.q(images[i]) != cocycle.q(1 << i):
+            raise ExtensionError("w does not preserve the pairing mod 2")
+        for j in range(n):
+            if cocycle.pairing(images[i], images[j]) != cocycle.pairing(1 << i, 1 << j):
+                raise ExtensionError("w does not preserve the pairing mod 2")
+    sigma = []
+    for i in range(n):
+        row = 0
+        for j in range(i + 1, n):
+            d = cocycle.beta(1 << i, 1 << j) ^ cocycle.beta(images[i], images[j])
+            if d:
+                row |= 1 << j
+        sigma.append(row)
+    lifted = ExtAutomorphism(cocycle, w_rows, tuple(sigma))
+    if not lifted.is_homomorphism():
+        raise ExtensionError("transported lift failed the homomorphism check")
+    return lifted
+
+
+def lift_difference_functional(a: ExtAutomorphism, b: ExtAutomorphism) -> int:
+    """For two lifts of the same map on V, the functional by which they differ.
+
+    Raises when the difference of sign functions is not linear.
+    """
+    if a.w_rows != b.w_rows:
+        raise ExtensionError("automorphisms do not cover the same map")
+    n = a.cocycle.dim
+    f = 0
+    for i in range(n):
+        if a.s(1 << i) ^ b.s(1 << i):
+            f |= 1 << i
+    for v in range(1 << n):
+        if (a.s(v) ^ b.s(v)) != parity(f & v):
+            raise ExtensionError("lift difference is not a character")
+    return f
+
+
+def automorphisms_fixing_v(cocycle: CoverGroup) -> List[ExtAutomorphism]:
+    """Brute-force Aut(cover; V): all sign maps fixing {+-1} and inducing id on V.
+
+    Exhaustive over all functions on V; guarded to dim <= 3.
+    """
+    if cocycle.dim > 3:
+        raise ExtensionError("brute-force automorphism search capped at dim 3")
+    n = 1 << cocycle.dim
+    ident_rows = tuple(1 << i for i in range(cocycle.dim))
+    out = []
+    for mask in range(1 << (n - 1)):
+        table = [0] + [(mask >> (v - 1)) & 1 for v in range(1, n)]
+        ok = True
+        for u in range(n):
+            for v in range(n):
+                if table[u] ^ table[v] ^ table[u ^ v]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        sigma = tuple((1 << i) if table[1 << i] else 0 for i in range(cocycle.dim))
+        out.append(ExtAutomorphism(cocycle, ident_rows, sigma))
+    return out
 
 
 def _e6_cocycle():
     datum = lattice.root_datum("E6")
-    return datum, build_extension(lattice.mod2_space(datum).space)
+    return datum, CoverGroup.of(build_extension(lattice.mod2_space(datum).space))
 
 
 def test_group_order():
@@ -54,7 +262,7 @@ def test_root_lift_squares_are_minus_one():
 def test_commutators_descend_to_the_pairing():
     for name in ("A2", "E6", "E7"):
         datum = lattice.root_datum(name)
-        coc = build_extension(lattice.mod2_space(datum).space)
+        coc = CoverGroup.of(build_extension(lattice.mod2_space(datum).space))
         n = 1 << coc.dim
         for u in range(n):
             x = ExtElement(1, u)
@@ -105,7 +313,7 @@ def test_centers():
 
     datum7 = lattice.root_datum("E7")
     m2 = lattice.mod2_space(datum7)
-    coc7 = build_extension(m2.space)
+    coc7 = CoverGroup.of(build_extension(m2.space))
     center7 = coc7.center()
     assert len(center7) == 4
     r = m2.radical[0]
@@ -138,7 +346,7 @@ def test_character_automorphisms():
 
 def test_automorphism_group_fixing_v_has_order_dim_of_dual():
     space = standard_symplectic_space(1, qbits=0)
-    coc = build_extension(space)
+    coc = CoverGroup.of(build_extension(space))
     auts = automorphisms_fixing_v(coc)
     assert len(auts) == 4
     tables = {a.action_table() for a in auts}
@@ -166,7 +374,7 @@ def _mod2_rows(matrix):
 
 def test_transport_of_simple_reflections(e6_stack, e6_weyl):
     datum = e6_stack.datum
-    coc = e6_stack.cocycle
+    coc = CoverGroup.of(e6_stack.cocycle)
     for si in datum.simple:
         perm = datum.reflection_perm(si)
         w = _mod2_rows(e6_weyl.matrix(perm))
@@ -186,7 +394,7 @@ def test_transport_of_simple_reflections(e6_stack, e6_weyl):
 
 
 def test_two_lifts_differ_by_a_functional(e6_stack):
-    coc = e6_stack.cocycle
+    coc = CoverGroup.of(e6_stack.cocycle)
     ident_rows = tuple(1 << i for i in range(coc.dim))
     base = transport_automorphism(coc, ident_rows)
     f = 0b100101
@@ -199,7 +407,7 @@ def test_two_lifts_differ_by_a_functional(e6_stack):
 
 def test_transport_composition_differs_by_character(e6_stack, e6_weyl):
     datum = e6_stack.datum
-    coc = e6_stack.cocycle
+    coc = CoverGroup.of(e6_stack.cocycle)
     rng = random.Random(11)
     size = len(datum.roots)
     for _ in range(50):

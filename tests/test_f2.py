@@ -3,29 +3,23 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootcover import lattice
+from rootcover import intmat, lattice
 from rootcover.f2 import (BitMatrix, BitVec, F2Error, F2QuadraticSpace, arf,
-                          count_refinements_by_arf, eval_q, f2_kernel, f2_rank,
-                          f2_solve, h1_z2_dims, parity,
-                          standard_symplectic_space, symplectic_decomposition,
-                          translate_refinement)
+                          count_refinements_by_arf, f2_kernel, f2_rank,
+                          f2_solve, mod2_bits, parity, standard_symplectic_space,
+                          symplectic_decomposition)
+from rootcover.lattice import mod2_rank_one_plus
 
 
 def test_q_vanishes_at_zero():
     space = standard_symplectic_space(2, qbits=0b0110)
-    assert eval_q(space, BitVec(4, 0)) == 0
+    assert space.q(0) == 0
 
 
 def test_hyperbolic_plane_polarization_value():
     space = standard_symplectic_space(1, qbits=0)
     # q(e + f) = q(e) + q(f) + <e, f> = 1
-    assert eval_q(space, BitVec(2, 0b11)) == 1
-
-
-def test_eval_q_dimension_mismatch():
-    space = standard_symplectic_space(1)
-    with pytest.raises(F2Error):
-        eval_q(space, BitVec(4, 1))
+    assert space.q(0b11) == 1
 
 
 def test_root_classes_have_q_one():
@@ -87,17 +81,24 @@ def test_counting_agrees_with_generic_arf():
         assert tuple(counts) == count_refinements_by_arf(g)
 
 
+def _translate(space, v):
+    """q replaced by (v + q)(w) = q(w) + <v, w>: the basis values shift by
+    gram v, as invariant_odd_refinements shifts q by a functional."""
+    return F2QuadraticSpace(space.dim, space.gram,
+                            BitVec(space.dim, space.qbasis.bits ^ space.gram.mul_vec(v)))
+
+
 def test_translate_refinement_basics():
     space = standard_symplectic_space(2, qbits=0b0110)
-    same = translate_refinement(space, BitVec(4, 0))
-    assert same.qbasis == space.qbasis
-    v = BitVec(4, 0b1010)
-    twice = translate_refinement(translate_refinement(space, v), v)
-    assert twice.qbasis == space.qbasis
+    same = _translate(space, 0)
+    assert same.qbasis.bits == space.qbasis.bits
+    v = 0b1010
+    twice = _translate(_translate(space, v), v)
+    assert twice.qbasis.bits == space.qbasis.bits
     # shifted values follow (v + q)(w) = q(w) + <v, w> everywhere
-    shifted = translate_refinement(space, v)
+    shifted = _translate(space, v)
     for w in range(16):
-        assert shifted.q(w) == space.q(w) ^ space.pairing(v.bits, w)
+        assert shifted.q(w) == space.q(w) ^ space.pairing(v, w)
 
 
 def test_arf_translation_rule():
@@ -105,7 +106,7 @@ def test_arf_translation_rule():
         space = standard_symplectic_space(2, qbits=qb)
         base = arf(space)
         for v in range(16):
-            shifted = translate_refinement(space, BitVec(4, v))
+            shifted = _translate(space, v)
             assert arf(shifted) == base ^ space.q(v)
 
 
@@ -188,17 +189,11 @@ def test_symplectic_decomposition_shape():
         assert space.pairing(v, w) == 1
 
 
-def test_h1_identity_and_minus_one():
-    ident = BitMatrix.identity(6)
-    assert h1_z2_dims(ident) == (6, 0, 6)
-    minus_one_mod2 = BitMatrix.identity(6)  # -1 reduces to the identity
-    assert h1_z2_dims(minus_one_mod2) == (6, 0, 6)
-
-
-def _h1_oracle(w: BitMatrix):
-    """Kernel and image of 1 + w by iterating all vectors."""
-    n = w.rows
-    big_n = w.add(BitMatrix.identity(n))
+def _h1_oracle(w):
+    """Kernel and image of 1 + w mod 2, w an integer matrix, by iterating
+    all vectors."""
+    n = len(w)
+    big_n = BitMatrix(n, n, tuple(mod2_bits(row) ^ (1 << i) for i, row in enumerate(w)))
     kernel = {v for v in range(1 << n) if big_n.mul_vec(v) == 0}
     image = {big_n.mul_vec(v) for v in range(1 << n)}
     k = len(kernel).bit_length() - 1
@@ -206,53 +201,45 @@ def _h1_oracle(w: BitMatrix):
     return k, r, k - r
 
 
-def _reflection_mod2(datum, root_index):
+def test_h1_identity_and_minus_one():
+    ident = intmat.identity(6)
+    minus_one = tuple(tuple(-x for x in row) for row in ident)
+    # -1 reduces to the identity mod 2
+    assert mod2_rank_one_plus(ident) == mod2_rank_one_plus(minus_one) == 0
+    assert _h1_oracle(ident) == _h1_oracle(minus_one) == (6, 0, 6)
+
+
+def _reflection(datum, root_index):
+    """The integer matrix of a reflection; column j is the image of e_j."""
     n = datum.rank
-    rows = []
-    for i in range(n):
-        basis = tuple(1 if j == i else 0 for j in range(n))
-        img = datum.reflect(basis, root_index)
-        rows.append(img)
-    # columns are images; convert to BitMatrix rows
-    data = []
-    for i in range(n):
-        bits = 0
-        for j in range(n):
-            if rows[j][i] & 1:
-                bits |= 1 << j
-        data.append(bits)
-    return BitMatrix(n, n, tuple(data))
+    images = [datum.reflect(tuple(1 if j == i else 0 for j in range(n)), root_index)
+              for i in range(n)]
+    return tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
 
 
 def test_h1_single_reflection_on_e6():
     datum = lattice.root_datum("E6")
-    w = _reflection_mod2(datum, datum.simple[0])
-    assert h1_z2_dims(w) == (5, 1, 4)
+    w = _reflection(datum, datum.simple[0])
+    assert mod2_rank_one_plus(w) == 1
     assert _h1_oracle(w) == (5, 1, 4)
 
 
 def test_h1_three_commuting_reflections():
     datum = lattice.root_datum("E6")
-    table = datum.pairing_table()
-    simple = datum.simple
+    roots = datum.roots
     triple = None
     import itertools
-    for combo in itertools.combinations(simple, 3):
-        if all(table[a][b] == 0 for a, b in itertools.combinations(combo, 2)):
+    for combo in itertools.combinations(datum.simple, 3):
+        if all(datum.inner(roots[a], roots[b]) == 0
+               for a, b in itertools.combinations(combo, 2)):
             triple = combo
             break
     assert triple is not None
-    w = BitMatrix.identity(6)
+    w = intmat.identity(6)
     for ri in triple:
-        w = w.mul(_reflection_mod2(datum, ri))
-    assert h1_z2_dims(w) == (3, 3, 0)
+        w = intmat.matmul(w, _reflection(datum, ri))
+    assert mod2_rank_one_plus(w) == 3
     assert _h1_oracle(w) == (3, 3, 0)
-
-
-def test_h1_rejects_non_involution():
-    shift = BitMatrix(2, 2, (0b10, 0b10))
-    with pytest.raises(F2Error):
-        h1_z2_dims(shift)
 
 
 def test_kernel_and_rank_helpers():
@@ -302,9 +289,3 @@ def test_echelon_rank_kernel_and_solve_match_brute_force(case, target):
                 total ^= row
         assert total == target
 
-
-def test_space_json_roundtrip_shape():
-    space = standard_symplectic_space(2, qbits=0b1001)
-    d = space.to_json_dict()
-    assert d["dim"] == 4
-    assert len(d["gram"]) == 4 and len(d["qbasis"]) == 4

@@ -1,16 +1,56 @@
 import random
 
 import pytest
-from conftest import with_mats
+from conftest import GroupLiftError, pgl2_to_so3, with_mats
 
 from rootcover import grouplift
-from rootcover.gaussian import ONE, ZERO, MonoMat, dense_identity, dense_mul, gq
-from rootcover.grouplift import (GroupLiftError, anticommutation_model_holds,
-                                 dense_bracket,
-                                 is_antisymmetric, is_special_orthogonal,
-                                 pgl2_to_so3, sl2_to_so3_derivative,
-                                 verify_comm_relation)
+from rootcover.gaussian import (I, ONE, ZERO, Dense, MonoMat, dense_mul,
+                                dense_neg, gq)
+from rootcover.grouplift import anticommutation_model_holds, verify_comm_relation
 from rootcover.heisrep import verify_rep
+from rootcover.intmat import field_eliminate
+
+# -- the 2x2 -> 3x3 maps of the converse construction, with their dense helpers
+
+
+def dense_identity(n: int) -> Dense:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def dense_sub(a: Dense, b: Dense) -> Dense:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense_transpose(a: Dense) -> Dense:
+    return tuple(zip(*a))
+
+
+def sl2_to_so3_derivative(m: Dense) -> Dense:
+    """Derivative of the 2x2 -> 3x3 map on trace-zero matrices; antisymmetric output."""
+    (a, b), (c, d) = m[0], m[1]
+    if not (a + d).is_zero():
+        raise GroupLiftError("input has nonzero trace")
+    two_i = I * gq(2)
+    return (
+        (ZERO, I * (b + c), b - c),
+        (-(I * (b + c)), ZERO, two_i * a),
+        (c - b, -(two_i * a), ZERO),
+    )
+
+
+def is_special_orthogonal(m: Dense) -> bool:
+    mt = dense_transpose(m)
+    if dense_mul(mt, m) != dense_identity(3):
+        return False
+    return field_eliminate(m, ONE)[0] == ONE
+
+
+def is_antisymmetric(m: Dense) -> bool:
+    return dense_transpose(m) == dense_neg(m)
+
+
+def dense_bracket(x: Dense, y: Dense) -> Dense:
+    return dense_sub(dense_mul(x, y), dense_mul(y, x))
 
 
 def _mat2(a, b, c, d):
@@ -107,10 +147,8 @@ def test_order_four_certificates(e6_stack, e7_stack):
 
 
 def test_comm_relation_simple_and_all(e6_stack):
-    simple = verify_comm_relation(e6_stack.rep, e6_stack.datum)
-    assert simple.ok and simple.pairs_checked == 15
-    every = verify_comm_relation(e6_stack.rep, e6_stack.datum, all_pairs=True)
-    assert every.ok and every.pairs_checked == 72 * 71 // 2
+    every = verify_comm_relation(e6_stack.rep, e6_stack.datum)
+    assert every.ok and every.pairs_checked == 72 * 71 // 2 == 2556
 
 
 def test_comm_relation_checks_each_class_pair_once(e6_stack, e7_stack, monkeypatch):
@@ -127,7 +165,7 @@ def test_comm_relation_checks_each_class_pair_once(e6_stack, e7_stack, monkeypat
     for stack, pairs, class_pairs in ((e6_stack, 2556, 36 * 37 // 2),
                                       (e7_stack, 7875, 63 * 64 // 2)):
         pairings.clear()
-        report = verify_comm_relation(stack.rep, stack.datum, all_pairs=True)
+        report = verify_comm_relation(stack.rep, stack.datum)
         assert report.ok and report.pairs_checked == pairs
         assert len(pairings) == len(set(pairings)) == class_pairs
 
@@ -141,18 +179,20 @@ def test_flipped_sign_breaks_comm_relation(e6_stack):
     mats[bits] = MonoMat(m.n, m.col, ((m.phase[0] + 2) & 3,) + m.phase[1:], m.scale)
     report = verify_comm_relation(with_mats(rep, mats), datum)
     assert not report.ok
-    assert report.pairs_checked == 15
-    assert all(a in pair for pair in report.failures)
+    assert report.pairs_checked == 2556
+    # a root pair fails only through a root in the flipped class
+    assert all(bits in (datum.root_class_bits(g), datum.root_class_bits(d))
+               for g, d in report.failures)
 
 
 def test_orthogonal_pairs_commute(e6_stack):
     datum = e6_stack.datum
     rep = e6_stack.rep
-    table = datum.pairing_table()
+    roots = datum.roots
     found = 0
-    for i in range(len(datum.roots)):
-        for j in range(i + 1, len(datum.roots)):
-            if table[i][j] == 0:
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if datum.inner(roots[i], roots[j]) == 0:
                 mi = rep.rho_bits(datum.root_class_bits(i))
                 mj = rep.rho_bits(datum.root_class_bits(j))
                 assert mi * mj == mj * mi
@@ -164,10 +204,10 @@ def test_orthogonal_pairs_commute(e6_stack):
 def test_adjacent_simple_pairs_anticommute(e6_stack):
     datum = e6_stack.datum
     rep = e6_stack.rep
-    table = datum.pairing_table()
+    roots = datum.roots
     for a in datum.simple:
         for b in datum.simple:
-            if table[a][b] == -1:
+            if datum.inner(roots[a], roots[b]) == -1:
                 ma = rep.rho_bits(datum.root_class_bits(a))
                 mb = rep.rho_bits(datum.root_class_bits(b))
                 assert ma * mb == -(mb * ma)
@@ -176,5 +216,7 @@ def test_adjacent_simple_pairs_anticommute(e6_stack):
 def test_cover_realized_faithfully_in_matrices(e6_stack, e7_stack):
     # (sign, v) -> sign * M_v is injective, so the matrix group generated by
     # the root-lift images together with -id realizes the cover
-    assert e6_stack.rep.report.images_faithful
-    assert e7_stack.rep.report.images_faithful
+    for stack in (e6_stack, e7_stack):
+        mats = stack.rep.mats
+        images = {(s.col, s.phase, s.scale) for m in mats for s in (m, -m)}
+        assert len(images) == 2 * len(mats)

@@ -2,7 +2,7 @@ import pytest
 from conftest import with_mats
 
 from rootcover import heisrep, lattice
-from rootcover.extension import ExtElement, build_extension
+from rootcover.extension import build_extension
 from rootcover.gaussian import (I, MINUS_ONE, ONE, ZERO, MonoMat, gq,
                                 sparse_nullspace)
 from rootcover.heisrep import (HeisRep, RepError, arf_normal_pairs,
@@ -53,7 +53,6 @@ def test_full_multiplication_tables(reps):
         assert report.pairs_checked == expected_pairs
         assert report.commutant_dim == 1
         assert report.rho_minus_one_is_minus_id
-        assert report.images_faithful
 
 
 def test_radical_scalar_for_e7(reps):
@@ -66,12 +65,6 @@ def test_radical_scalar_for_e7(reps):
     assert coc.q(r) == 1
     assert scalar in (I, -I)
     assert scalar * scalar == MINUS_ONE
-
-
-def test_rho_of_cover_elements(reps):
-    _, _, coc, rep = reps["E6"]
-    x = ExtElement(-1, 0b10110)
-    assert rep.rho(x) == -rep.rho_bits(0b10110)
 
 
 def test_root_lift_order_four(reps):
@@ -107,8 +100,8 @@ def test_verification_survives_basis_permutation(reps):
     inv = [0] * n
     for i, p in enumerate(perm):
         inv[p] = i
-    p_mat = MonoMat.from_values(n, perm, (ONE,) * n)
-    p_inv = MonoMat.from_values(n, tuple(inv), (ONE,) * n)
+    p_mat = MonoMat(n, perm, (0,) * n)
+    p_inv = MonoMat(n, tuple(inv), (0,) * n)
     conjugated = tuple(p_inv * m * p_mat for m in rep.mats)
     twisted = HeisRep(coc, n, conjugated, rep.pairs, rep.radical,
                       rep.radical_scalars)
@@ -129,7 +122,7 @@ def test_verify_rep_reuses_the_build_time_table(reps):
         assert fresh.report is None
         rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
         reused = verify_rep(rep, root_classes=rc)
-        assert reused == verify_rep(fresh, root_classes=rc)
+        assert vars(reused) == vars(verify_rep(fresh, root_classes=rc))
         assert reused.commutant_dim == 1
         assert rep.report.commutant_dim is None
 
@@ -223,7 +216,8 @@ def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
             if rec.form[i][j].is_zero() != b[i][j].is_zero():
                 ratios.add(None)
             elif not b[i][j].is_zero():
-                ratios.add(rec.form[i][j] / b[i][j])
+                ratio = rec.form[i][j] / b[i][j]
+                ratios.add((ratio.re, ratio.im))
     assert len(ratios) == 1 and None not in ratios
 
 

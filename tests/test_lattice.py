@@ -1,17 +1,85 @@
 import itertools
 from fractions import Fraction as Q
+from typing import List, Sequence, Tuple
 
 import pytest
 
 from rootcover import intmat
+from rootcover.intmat import IntMatrix
 from rootcover.lattice import (DelPezzoPicard, IntLattice, LatticeError,
-                               bitangent_complement, cartan_gram,
-                               classify_involutions, delpezzo_k_perp,
-                               discriminant_group, enumerate_roots,
-                               gram_permutation_equivalent, lines,
-                               lines_meeting, mod2_rank_one_plus, mod2_space,
-                               orthogonal_root_quadruples, root_datum,
-                               short_vectors, tau_involution, weyl_enumerate)
+                               RootDatum, WeylGroup, _perm_size,
+                               _translate_table, bitangent_complement,
+                               cartan_gram, classify_involutions,
+                               delpezzo_k_perp, discriminant_group,
+                               enumerate_roots, lines, lines_meeting,
+                               mod2_rank_one_plus, mod2_space, root_datum,
+                               short_vectors, weyl_enumerate)
+
+# -- models that the tests check lattice against ----------------------------
+
+
+def pairing_table(datum: RootDatum) -> List[List[int]]:
+    g = datum.lattice.gram
+    half = [[sum(gr * y for gr, y in zip(row, c)) for row in g] for c in datum.roots]
+    return [[sum(a * b for a, b in zip(datum.roots[i], half[j]))
+             for j in range(len(datum.roots))] for i in range(len(datum.roots))]
+
+
+def verify_gram_preservation(weyl: WeylGroup) -> bool:
+    """Check w^T gram w = gram for every element, via the root pairing table."""
+    table = pairing_table(weyl.datum)
+    simple = weyl.datum.simple
+    n = weyl.datum.rank
+    for p in weyl.perms:
+        img = [p[si] for si in simple]
+        for i in range(n):
+            for j in range(i, n):
+                if table[img[i]][img[j]] != table[simple[i]][simple[j]]:
+                    return False
+    return True
+
+
+def orthogonal_root_quadruples(datum: RootDatum, limit: int) -> List[Tuple[int, ...]]:
+    """Up to ``limit`` quadruples of pairwise orthogonal roots spanning a D4 subsystem."""
+    table = pairing_table(datum)
+    pos = datum.positive
+    found: List[Tuple[int, ...]] = []
+    for quad in itertools.combinations(pos, 4):
+        if any(table[a][b] != 0 for a, b in itertools.combinations(quad, 2)):
+            continue
+        span_count = 0
+        for i, c in enumerate(datum.roots):
+            coeffs = [Q(table[i][q], 2) for q in quad]
+            recon = [sum(co * Q(datum.roots[q][t]) for co, q in zip(coeffs, quad))
+                     for t in range(datum.rank)]
+            if all(r == x for r, x in zip(recon, c)):
+                span_count += 1
+        if span_count == 24:
+            found.append(quad)
+            if len(found) >= limit:
+                break
+    return found
+
+
+def tau_involution(datum: RootDatum, quad: Sequence[int]) -> bytes:
+    """Product of the four orthogonal reflections: -1 on the quadruple's span, +1 across."""
+    size = _perm_size(datum)
+    perm = bytes(range(size))
+    for q in quad:
+        perm = perm.translate(_translate_table(datum.reflection_perm(q), size))
+    return perm
+
+
+def gram_permutation_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether two gram matrices agree after permuting the basis (rank <= 8)."""
+    n = len(a)
+    if len(b) != n:
+        return False
+    for perm in itertools.permutations(range(n)):
+        if all(a[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n)):
+            return True
+    return False
+
 
 # -- independent root-count oracles -----------------------------------------
 
@@ -133,16 +201,15 @@ def test_weyl_identity_and_reflection_squares():
 
 def test_weyl_e6_order_and_gram_preservation(e6_stack, e6_weyl):
     assert len(e6_weyl) == 51840
-    assert e6_weyl.verify_gram_preservation()
+    assert verify_gram_preservation(e6_weyl)
     # orbit-stabilizer cross-check on the first root
-    stab = e6_weyl.stabilizer_size(0)
+    stab = sum(1 for p in e6_weyl.perms if p[0] == 0)
     assert 72 * stab == 51840
 
 
 def test_weyl_cap_exceeded():
-    with pytest.raises(LatticeError):
-        weyl_enumerate(root_datum("D4"), cap=10)
-    with pytest.raises(LatticeError):
+    # the closure is refused above rank 6, before any element is generated
+    with pytest.raises(LatticeError, match="limited to rank 6, not 7"):
         weyl_enumerate(root_datum("E7"))
 
 
@@ -152,7 +219,6 @@ def test_root_permutations_beyond_256_roots_are_rejected():
     datum = root_datum("D16")
     assert len(datum.roots) == 480
     for call in (lambda: datum.reflection_perm(0),
-                 lambda: weyl_enumerate(datum, cap=10),
                  lambda: weyl_enumerate(datum),
                  lambda: tau_involution(datum, (0,))):
         with pytest.raises(LatticeError, match="480 roots"):
@@ -172,7 +238,7 @@ def test_involution_classes(e6_stack, e6_classes, e6_weyl):
 
 def test_involution_class_constructions(e6_stack, e6_classes, e6_weyl):
     datum = e6_stack.datum
-    table = datum.pairing_table()
+    table = pairing_table(datum)
     members = {c.label: set(c.members) for c in e6_classes}
     size = len(datum.roots)
 
@@ -215,8 +281,9 @@ def test_tau_not_conjugate_to_double_reflection(e6_classes):
 
 
 def test_classification_requires_e6():
+    datum = root_datum("A2")
     with pytest.raises(LatticeError):
-        classify_involutions(root_datum("A2"))
+        classify_involutions(datum, weyl_enumerate(datum))
 
 
 # -- blow-up lattice ---------------------------------------------------------
@@ -249,14 +316,13 @@ def test_lines_against_classical_families():
 
 
 def test_lines_meeting_any_line_is_27():
-    pic = DelPezzoPicard.standard()
-    for e in lines(pic):
-        assert len(lines_meeting(e, pic)) == 27
+    for e in lines():
+        assert len(lines_meeting(e)) == 27
 
 
 def test_line_pairing_involution_is_fixed_point_free():
     pic = DelPezzoPicard.standard()
-    all_lines = set(lines(pic))
+    all_lines = set(lines())
     pairs = set()
     for d in all_lines:
         partner = tuple(-k - x for k, x in zip(pic.canonical, d))

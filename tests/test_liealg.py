@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
+from typing import Optional
 
 import pytest
 
@@ -11,14 +12,65 @@ from rootcover import heisrep, intmat, lattice, liealg
 from rootcover.extension import build_extension
 from rootcover.f2 import parity
 from rootcover.gaussian import MonoMat, add_terms, gq, sparse_nullspace
-from rootcover.liealg import (IntegralLieAlgebra, LieError,
-                              ad_nilpotency_degree, build_R, build_lie,
-                              build_theta, character_adjoint_check,
+from rootcover.liealg import (IntegralLieAlgebra, KillingForm, LieError,
+                              build_R, build_lie, build_theta,
                               fixed_subalgebra, identify_fixed,
-                              invariant_form_space,
-                              killing_cartan_ratio, killing_form,
-                              recover_roots_from_ad, theta_eigenspace_dims,
-                              verify_R, verify_jacobi)
+                              invariant_form_space, killing_form, verify_R,
+                              verify_jacobi)
+
+# -- models that the tests check liealg against -----------------------------
+
+
+def killing_cartan_ratio(L: IntegralLieAlgebra, killing: KillingForm) -> Fraction:
+    """Constant c with K|_Cartan = c * (coweight-basis dual pairing)."""
+    dual = intmat.rational_inverse(L.datum.lattice.gram)
+    nc = L.n_cartan
+    ratio: Optional[Fraction] = None
+    for i in range(nc):
+        for j in range(nc):
+            k_val = Fraction(killing.matrix[i][j])
+            d_val = dual[i][j]
+            if d_val == 0:
+                if k_val != 0:
+                    raise LieError("Cartan Killing block is not proportional to the dual form")
+                continue
+            r = k_val / d_val
+            if ratio is None:
+                ratio = r
+            elif ratio != r:
+                raise LieError("Cartan Killing block is not proportional to the dual form")
+    if ratio is None:
+        raise LieError("degenerate dual pairing")
+    return ratio
+
+
+def ad_nilpotency_degree(L: IntegralLieAlgebra, root_index: int, power: int = 4) -> bool:
+    """Whether (ad X_gamma)^power kills every basis element."""
+    xg = {L.basis_of_root(root_index): 1}
+    for i in range(L.dim):
+        vec = {i: 1}
+        for _ in range(power):
+            vec = L.bracket(xg, vec)
+            if not vec:
+                break
+        if vec:
+            return False
+    return True
+
+
+def recover_roots_from_ad(L: IntegralLieAlgebra) -> bool:
+    """Simultaneous Cartan ad-eigenvalues on the X part recover the root set."""
+    recovered = set()
+    for ri in range(len(L.datum.roots)):
+        xi = L.basis_of_root(ri)
+        eig = []
+        for i in range(L.n_cartan):
+            res = L.bracket({i: 1}, {xi: 1})
+            eig.append(res.get(xi, 0))
+            if set(res) - {xi}:
+                return False
+        recovered.add(tuple(eig))
+    return recovered == set(L.datum.roots)
 
 
 def _lie(name):
@@ -367,8 +419,11 @@ def test_theta_traces_and_action(a2_stack, e6_stack, e7_stack):
 
 
 def test_theta_eigenspace_dimensions(e6_stack, e7_stack):
-    assert theta_eigenspace_dims(e6_stack.lie, e6_stack.theta) == (36, 42)
-    assert theta_eigenspace_dims(e7_stack.lie, e7_stack.theta) == (63, 70)
+    # theta squares to the identity (build_theta checks it), so the +-1
+    # eigenspaces have dimensions (dim +- trace) / 2
+    for stack, dims in ((e6_stack, (36, 42)), (e7_stack, (63, 70))):
+        dim, trace = stack.lie.dim, stack.theta.trace()
+        assert ((dim + trace) // 2, (dim - trace) // 2) == dims
 
 
 def test_fixed_subalgebra_dimensions(a2_stack, e6_stack, e7_stack):
@@ -594,13 +649,14 @@ def test_representation_solves_send_distinct_rows(monkeypatch, e6_stack, e7_stac
 
 
 def test_character_adjoint_action(e6_stack):
-    L = e6_stack.lie
-    ident = character_adjoint_check(L, 0, e6_stack.theta)
-    assert ident.ok
-    for f in (0b1, 0b101010, 0b111111):
-        report = character_adjoint_check(L, f, e6_stack.theta)
-        assert report.ok
-        assert report.pairs_checked == L.dim * (L.dim - 1) // 2
+    # X_gamma -> (-1)^{f(gamma)} X_gamma, identity on the Cartan part, is an
+    # automorphism commuting with theta: the adjoint action of the 2-torsion
+    # point dual to f
+    L, theta = e6_stack.lie, e6_stack.theta
+    for f in (0, 0b1, 0b101010, 0b111111):
+        image = _character_image(L, f)
+        assert liealg._automorphism_failures(L, image) == []
+        assert all(image[theta.apply_basis(i)[0]][1] == s for i, s in image)
 
 
 def _signed_map_failures(alg, image):
@@ -636,10 +692,10 @@ def test_automorphism_checks_report_every_failing_pair_in_order(mutation):
         build_theta(bad)
     caught = 0
     for f in range(16):
-        report = character_adjoint_check(bad, f)
-        assert report.failures == _signed_map_failures(bad, _character_image(bad, f))
-        assert report.pairs_checked == bad.dim * (bad.dim - 1) // 2
-        caught += not report.ok
+        image = _character_image(bad, f)
+        failures = liealg._automorphism_failures(bad, image)
+        assert failures == _signed_map_failures(bad, image)
+        caught += bool(failures)
     assert (caught == 0) == (mutation == "sign")
 
 

@@ -286,7 +286,8 @@ def test_content_is_divided_out_before_the_scan(content):
     scaled = QuarticCurve.from_dict({m: content * c for m, c in fermat.items()})
     verdict = smoothness_probe(scaled, [5, 7, 11])
     assert (verdict.kind, verdict.mod_p_singular) == ("SMOOTH", {})
-    assert verdict == smoothness_probe(QuarticCurve.from_dict(fermat), [5, 7, 11])
+    unscaled = smoothness_probe(QuarticCurve.from_dict(fermat), [5, 7, 11])
+    assert vars(verdict) == vars(unscaled)
 
 
 def test_singular_without_rational_witness_is_inconclusive_not_smooth():

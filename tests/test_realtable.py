@@ -1,11 +1,30 @@
+import random
+
 import pytest
 
 from rootcover import realtable
 from rootcover.intmat import identity
-from rootcover.realtable import (RealTableError, class_constancy_check,
-                                 emit_table, invariant_odd_refinements,
-                                 orbit_count, row_for_involution)
-from rootcover.lattice import mod2_space
+from rootcover.realtable import (RealTableError, emit_table,
+                                 invariant_odd_refinements, orbit_count,
+                                 row_for_involution)
+from rootcover.lattice import (RootDatum, WeylGroup, WeylInvolutionClass,
+                               mod2_space)
+
+
+def class_constancy_check(datum: RootDatum, cls: WeylInvolutionClass,
+                          weyl: WeylGroup, samples: int = 10,
+                          seed: int = 0) -> bool:
+    """Row values agree across random members of a conjugacy class."""
+    rng = random.Random(seed)
+    base = row_for_involution(cls.representative, datum, label=cls.label)
+    members = list(cls.members)
+    for _ in range(min(samples, len(members))):
+        perm = members[rng.randrange(len(members))]
+        row = row_for_involution(weyl.matrix(perm), datum, label=cls.label)
+        if (row.real_bitangents, row.j_mod_2j_size, row.orbit_count) != \
+                (base.real_bitangents, base.j_mod_2j_size, base.orbit_count):
+            return False
+    return True
 
 
 def test_identity_row(e6_stack):
@@ -14,8 +33,8 @@ def test_identity_row(e6_stack):
     assert (row.n_c, row.a_c) == (4, 0)
 
 
-def test_full_table(e6_stack, e6_classes, e6_weyl):
-    rows = emit_table(e6_stack.datum, e6_classes, e6_weyl)
+def test_full_table(e6_stack, e6_classes):
+    rows = emit_table(e6_stack.datum, e6_classes)
     assert [r.label for r in rows] == ["1", "s1", "s1s2", "s1s2s3", "tau"]
     assert [r.real_bitangents for r in rows] == [28, 16, 8, 4, 4]
     assert [r.j_mod_2j_size for r in rows] == [8, 4, 2, 1, 2]
@@ -91,8 +110,8 @@ def test_non_involution_is_rejected(e6_stack):
         row_for_involution(shift, e6_stack.datum)
 
 
-def test_json_rows(e6_stack, e6_classes, e6_weyl):
-    rows = emit_table(e6_stack.datum, e6_classes, e6_weyl)
+def test_json_rows(e6_stack, e6_classes):
+    rows = emit_table(e6_stack.datum, e6_classes)
     d = rows[0].to_json_dict()
     assert d == {"class": "1", "n": 4, "a": 0, "real_bitangents": 28,
                  "j_mod_2j": 8, "orbits": 36}
