@@ -4,24 +4,31 @@ the blow-up lattice summary and the refinement counts.
 Loaded by the CLI only for these commands.  They run on the lattice and F2
 layers alone, so none of the cover, Lie-algebra or representation modules is
 compiled.  Each command returns its JSON payload and exit code; the CLI
-writes the payload.
+writes the payload.  These commands take no input a lattice or table check
+depends on, so a LatticeError or RealTableError is a failed verification:
+it is reported here and exits 1 with no payload.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Tuple
+import sys
+from typing import Optional, Tuple
 
 from .f2 import count_refinements_by_arf
-from .lattice import (bitangent_complement, classify_involutions,
+from .lattice import (LatticeError, bitangent_complement, classify_involutions,
                       delpezzo_k_perp, discriminant_group, lines,
                       lines_meeting, root_datum, weyl_enumerate)
-from .realtable import emit_table
+from .realtable import RealTableError, emit_table
 
 
-def run(cfg, args: argparse.Namespace) -> Tuple[dict, int]:
-    """Run ``cfg.command``."""
-    return COMMANDS[cfg.command](cfg, args)
+def run(cfg, args: argparse.Namespace) -> Tuple[Optional[dict], int]:
+    """Run ``cfg.command``; a failed check of its own exits 1."""
+    try:
+        return COMMANDS[cfg.command](cfg, args)
+    except (LatticeError, RealTableError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return None, 1
 
 
 def cmd_table(cfg, args: argparse.Namespace) -> Tuple[dict, int]:

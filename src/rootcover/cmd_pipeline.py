@@ -63,8 +63,8 @@ def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
     plus the monomial representation for the two marked exceptional types."""
     kind = canonical_type(kind)
     datum = root_datum(kind)
-    m2 = mod2_space(datum)
-    cocycle = build_extension(m2.space)
+    space = mod2_space(datum)
+    cocycle = build_extension(space)
     lie = build_lie(datum, cocycle)
     theta = build_theta(lie)
     fixed = fixed_subalgebra(lie, theta)
@@ -72,7 +72,7 @@ def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
     if with_rep is None:
         with_rep = kind in ("E6", "E7")
     if with_rep:
-        rep = build_heisrep(cocycle, radical=m2.radical)
+        rep = build_heisrep(cocycle, radical=space.radical)
         rmap = build_R(fixed, rep)
     return Pipeline(datum, cocycle, lie, theta, fixed, rep, rmap)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .f2 import BitMatrix, BitVec, F2QuadraticSpace, bilinear_eval, quadform_eval
+from .f2 import F2QuadraticSpace, bilinear_eval, quadform_eval
 
 
 class ExtensionError(ValueError):
@@ -47,13 +47,6 @@ class Cocycle:
     def pairing(self, u: int, v: int) -> int:
         return self.beta(u, v) ^ self.beta(v, u)
 
-    def to_space(self) -> F2QuadraticSpace:
-        """The pairing beta + beta^T (zero diagonal) with q_i = beta_ii."""
-        n = self.dim
-        beta = BitMatrix(n, n, self.rows)
-        qbits = sum(row & (1 << i) for i, row in enumerate(self.rows))
-        return F2QuadraticSpace(n, beta.add(beta.transpose()), BitVec(n, qbits))
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -73,7 +66,7 @@ def build_extension(space: F2QuadraticSpace) -> Cocycle:
     """
     coc = Cocycle(space.dim, space.upper_rows)
     for i in range(space.dim):
-        if coc.q(1 << i) != (space.qbasis.bits >> i) & 1:
+        if coc.q(1 << i) != (space.qbits >> i) & 1:
             raise ExtensionError("cocycle fails to reproduce the refinement")
         for j in range(space.dim):
             if coc.pairing(1 << i, 1 << j) != space.pairing(1 << i, 1 << j):

@@ -25,61 +25,13 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-class BitVec:
-    """A vector in F2^dim, stored as the low ``dim`` bits of ``bits``."""
-
-    def __init__(self, dim: int, bits: int):
-        self.dim = dim
-        self.bits = bits
-        if not 0 <= self.dim <= MAX_DIM:
-            raise F2Error(f"dimension {self.dim} outside [0, {MAX_DIM}]")
-        if self.bits >> self.dim:
-            raise F2Error("set bits beyond the declared dimension")
-
-
-class BitMatrix:
-    """A matrix over F2; ``data[i]`` is the bitmask of row i."""
-
-    def __init__(self, rows: int, cols: int, data: Tuple[int, ...]):
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        if len(self.data) != self.rows:
-            raise F2Error("row count mismatch")
-        for r in self.data:
-            if r >> self.cols:
-                raise F2Error("set bits beyond the column count")
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column vector (vector as bitmask of coordinates)."""
-        out = 0
-        for i, row in enumerate(self.data):
-            if parity(row & v):
-                out |= 1 << i
-        return out
-
-    def add(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise F2Error("shape mismatch in sum")
-        return BitMatrix(self.rows, self.cols,
-                         tuple(a ^ b for a, b in zip(self.data, other.data)))
-
-    def transpose(self) -> "BitMatrix":
-        data = []
-        for j in range(self.cols):
-            bits = 0
-            for i, row in enumerate(self.data):
-                if (row >> j) & 1:
-                    bits |= 1 << i
-            data.append(bits)
-        return BitMatrix(self.cols, self.rows, tuple(data))
-
-    def is_symmetric_zero_diagonal(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        t = self.transpose()
-        return t.data == self.data and all(
-            not (row >> i) & 1 for i, row in enumerate(self.data))
+def mul_vec(rows: Sequence[int], v: int) -> int:
+    """The matrix with bit rows ``rows`` times the column vector ``v``."""
+    out = 0
+    for i, row in enumerate(rows):
+        if parity(row & v):
+            out |= 1 << i
+    return out
 
 
 def mod2_bits(coords: Sequence[int]) -> int:
@@ -173,32 +125,39 @@ def f2_solve(basis: Sequence[int], target: int, ncols: int) -> Optional[int]:
 class F2QuadraticSpace:
     """An F2 space with a strictly alternating pairing and a quadratic refinement.
 
-    The refinement is stored by its values on the standard basis only; all
-    other values are reconstructed through the polarization identity
-    q(v + w) = q(v) + q(w) + <v, w>.
+    ``gram`` holds the bit rows of the pairing and ``qbits`` the values of the
+    refinement on the standard basis; all other values are reconstructed
+    through the polarization identity q(v + w) = q(v) + q(w) + <v, w>.
     """
 
-    def __init__(self, dim: int, gram: BitMatrix, qbasis: BitVec):
+    def __init__(self, dim: int, gram: Tuple[int, ...], qbits: int):
         self.dim = dim
         self.gram = gram
-        self.qbasis = qbasis
+        self.qbits = qbits
         if not 0 <= self.dim <= MAX_DIM:
             raise F2Error(f"dimension {self.dim} outside [0, {MAX_DIM}]")
-        if self.gram.rows != self.dim or self.gram.cols != self.dim:
+        if len(self.gram) != self.dim:
             raise F2Error("gram shape mismatch")
-        if self.qbasis.dim != self.dim:
-            raise F2Error("qbasis dimension mismatch")
-        if not self.gram.is_symmetric_zero_diagonal():
-            raise F2Error("pairing must be symmetric with zero diagonal")
+        if any(row >> self.dim for row in self.gram) or self.qbits >> self.dim:
+            raise F2Error("set bits beyond the declared dimension")
+        for i, row in enumerate(self.gram):
+            if (row >> i) & 1 or any(((self.gram[j] >> i) ^ (row >> j)) & 1
+                                     for j in range(i)):
+                raise F2Error("pairing must be symmetric with zero diagonal")
 
     @cached_property
     def upper_rows(self) -> Tuple[int, ...]:
         """Bit rows with q_i on the diagonal and the pairing strictly above it."""
-        return tuple((row & ~((2 << i) - 1)) | (self.qbasis.bits & (1 << i))
-                     for i, row in enumerate(self.gram.data))
+        return tuple((row & ~((2 << i) - 1)) | (self.qbits & (1 << i))
+                     for i, row in enumerate(self.gram))
+
+    @cached_property
+    def radical(self) -> Tuple[int, ...]:
+        """A basis of the radical of the pairing."""
+        return tuple(f2_kernel(self.gram, self.dim))
 
     def pairing(self, u: int, v: int) -> int:
-        return bilinear_eval(self.gram.data, u, v)
+        return bilinear_eval(self.gram, u, v)
 
     def q(self, v: int) -> int:
         """q(v) = sum_i q_i v_i + sum_{i<j} gram_ij v_i v_j."""
@@ -211,12 +170,12 @@ def standard_symplectic_space(g: int, qbits: int = 0) -> F2QuadraticSpace:
     rows = []
     for i in range(dim):
         rows.append(1 << (i ^ 1))
-    return F2QuadraticSpace(dim, BitMatrix(dim, dim, tuple(rows)),
-                            BitVec(dim, qbits))
+    return F2QuadraticSpace(dim, tuple(rows), qbits)
 
 
 def symplectic_decomposition(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Greedy hyperbolic-pair peeling.
+    """Greedy hyperbolic-pair peeling; ``space`` needs only ``dim`` and
+    ``pairing``, so a cocycle serves as well.
 
     Returns (pairs, radical): a list of hyperbolic pairs (v, w) with
     <v, w> = 1 and a basis of the radical, jointly a basis of the space.

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .extension import Cocycle
-from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
-from .gaussian import GQ, MonoMat, phase_rows, sparse_nullspace
+from .f2 import f2_solve, parity, symplectic_decomposition
+from .gaussian import MonoMat, phase_rows, sparse_nullspace
 
 
 class RepError(ValueError):
@@ -33,15 +33,16 @@ class RepError(ValueError):
         self.witnesses = tuple(witnesses)
 
 
-def arf_normal_pairs(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Symplectic basis with all q = 1 weight on the last hyperbolic pair.
+def arf_normal_pairs(cocycle: Cocycle) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Symplectic basis of the cocycle's form, with all q = 1 weight on the
+    last hyperbolic pair.
 
     Mixed pairs are cleared with u -> u + w; two q = (1,1) pairs at a time are
     re-split into q = (0,0) pairs by exhaustive search inside their span
     (possible because the Arf invariant of that 4-dimensional piece is 0).
     """
-    pairs, radical = symplectic_decomposition(space)
-    q = space.q
+    pairs, radical = symplectic_decomposition(cocycle)
+    q, pairing = cocycle.q, cocycle.pairing
     fixed: List[Tuple[int, int]] = []
     twists: List[Tuple[int, int]] = []
     for u, w in pairs:
@@ -65,16 +66,16 @@ def arf_normal_pairs(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], Li
             if v1 == 0 or q(v1):
                 continue
             for w1 in span:
-                if space.pairing(v1, w1) != 1:
+                if pairing(v1, w1) != 1:
                     continue
                 if q(w1):
                     w1 ^= v1
                 comp = [x for x in span
-                        if x and space.pairing(x, v1) == 0 and space.pairing(x, w1) == 0]
+                        if x and pairing(x, v1) == 0 and pairing(x, w1) == 0]
                 v2 = next((x for x in comp if not q(x)), None)
                 if v2 is None:
                     continue
-                w2 = next((x for x in comp if space.pairing(v2, x) == 1), None)
+                w2 = next((x for x in comp if pairing(v2, x) == 1), None)
                 if w2 is None:
                     continue
                 if q(w2):
@@ -130,15 +131,10 @@ class HeisRep:
     hand has none and verify_rep checks it afresh.
     """
 
-    def __init__(self, cocycle: Cocycle, dim_w: int, mats: Tuple[MonoMat, ...],
-                 pairs: Tuple[Tuple[int, int], ...], radical: Tuple[int, ...],
-                 radical_scalars: Tuple[GQ, ...]):
+    def __init__(self, cocycle: Cocycle, dim_w: int, mats: Tuple[MonoMat, ...]):
         self.cocycle = cocycle
         self.dim_w = dim_w
         self.mats = mats
-        self.pairs = pairs
-        self.radical = radical
-        self.radical_scalars = radical_scalars
         self.report: Optional[RepReport] = None
 
     def rho_bits(self, v: int) -> MonoMat:
@@ -154,19 +150,17 @@ class HeisRep:
         }
 
 
-def build_heisrep(cocycle: Cocycle,
-                  radical: Optional[Sequence[int]] = None) -> HeisRep:
+def build_heisrep(cocycle: Cocycle, radical: Sequence[int]) -> HeisRep:
     """Build the representation and verify its full multiplication table.
 
-    The returned representation carries that verification as ``report``,
-    whose commutant is not computed; a failure of the table or of
-    rho(-1) = -id raises RepError with the first failing signed pairs.
+    ``radical`` must span the radical of the cocycle's pairing.  The
+    returned representation carries the verification as ``report``, whose
+    commutant is not computed; a failure of the table or of rho(-1) = -id
+    raises RepError with the first failing signed pairs.
     """
-    space = cocycle.to_space()
-    pairs, rad = arf_normal_pairs(space)
+    pairs, rad = arf_normal_pairs(cocycle)
     n = cocycle.dim
-    if radical is not None and (len(radical) != len(rad) or any(
-            f2_solve(rad, r, n) is None for r in radical)):
+    if len(radical) != len(rad) or any(f2_solve(rad, r, n) is None for r in radical):
         raise RepError("supplied radical does not match the pairing radical")
     g = len(pairs)
     dim_w = 1 << g
@@ -174,7 +168,7 @@ def build_heisrep(cocycle: Cocycle,
     adapted: List[int] = []
     gens: List[MonoMat] = []
     for k, (u, w) in enumerate(pairs):
-        if space.q(u):
+        if cocycle.q(u):
             if k != g - 1:
                 raise RepError("twist pair is not in the last slot")
             gens.append(_pauli_xz(g, k))
@@ -184,7 +178,7 @@ def build_heisrep(cocycle: Cocycle,
             gens.append(_pauli_z(g, k))
         adapted.extend((u, w))
     for r in rad:
-        gens.append(_scalar(g, 1 if space.q(r) else 0))
+        gens.append(_scalar(g, cocycle.q(r)))
         adapted.append(r)
 
     # coordinates of the standard basis in the adapted basis
@@ -211,17 +205,13 @@ def build_heisrep(cocycle: Cocycle,
             m = -m
         mats[v] = m
 
-    # record the scalar by which each canonical radical lift actually acts;
-    # its square must be (-1)^q
-    acting_scalars = []
+    # each canonical radical lift must act by a scalar whose square is (-1)^q
     for r in rad:
-        s = mats[r].scalar_value()
         square = mats[r] * mats[r]
-        if s is None or square != (-identity if space.q(r) else identity):
+        if (mats[r].scalar_value() is None
+                or square != (-identity if cocycle.q(r) else identity)):
             raise RepError("no consistent scalar for a radical generator")
-        acting_scalars.append(s)
-    rep = HeisRep(cocycle, dim_w, tuple(mats), tuple(pairs), tuple(rad),
-                  tuple(acting_scalars))
+    rep = HeisRep(cocycle, dim_w, tuple(mats))
     report = _check_table(rep)
     if report.failures or not report.rho_minus_one_is_minus_id:
         center = "" if report.rho_minus_one_is_minus_id else ", rho(-1) != -id"
@@ -233,8 +223,7 @@ def build_heisrep(cocycle: Cocycle,
 
 
 class RepReport:
-    def __init__(self, dim_w: int, pairs_checked: int):
-        self.dim_w = dim_w
+    def __init__(self, pairs_checked: int):
         self.pairs_checked = pairs_checked
         self.failures: List[tuple] = []
         self.rho_minus_one_is_minus_id = False
@@ -252,8 +241,7 @@ class RepReport:
 _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def verify_rep(rep: HeisRep,
-               root_classes: Optional[Sequence[int]] = None) -> RepReport:
+def verify_rep(rep: HeisRep, root_classes: Sequence[int]) -> RepReport:
     """Exhaustively check rho(x) rho(y) = rho(xy) over all |cover|^2 pairs.
 
     Also checks rho(-1) = -id, squares of root-class lifts, and that the
@@ -265,11 +253,10 @@ def verify_rep(rep: HeisRep,
     if built is None:
         report = _check_table(rep)
     else:
-        report = RepReport(built.dim_w, built.pairs_checked)
+        report = RepReport(built.pairs_checked)
         report.failures = list(built.failures)
         report.rho_minus_one_is_minus_id = built.rho_minus_one_is_minus_id
-    if root_classes is not None:
-        report.root_square_failures = _root_square_failures(rep, root_classes)
+    report.root_square_failures = _root_square_failures(rep, root_classes)
     report.commutant_dim = commutant_dimension(rep)
     return report
 
@@ -279,7 +266,7 @@ def _check_table(rep: HeisRep) -> RepReport:
     coc = rep.cocycle
     mats = rep.mats
     size = 1 << coc.dim
-    report = RepReport(dim_w=rep.dim_w, pairs_checked=0)
+    report = RepReport(pairs_checked=0)
     report.rho_minus_one_is_minus_id = -mats[0] == -MonoMat.identity(rep.dim_w)
 
     # Products run on packed rows (see MonoMat.code); the scales multiply

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .f2 import BitMatrix, BitVec, F2QuadraticSpace, f2_kernel, f2_rank, mod2_bits
+from .f2 import F2QuadraticSpace, f2_rank, mod2_bits
 from . import intmat
 from .intmat import IntMatrix
 
@@ -317,19 +317,21 @@ def weyl_enumerate(datum: RootDatum) -> WeylGroup:
     gens = [_translate_table(datum.reflection_perm(si), size)
             for si in datum.simple]
     ident = bytes(range(size))
-    seen = {ident}
     order: List[bytes] = [ident]
-    frontier = [ident]
+    # a simple reflection changes the length by exactly one, so a neighbour of
+    # one breadth-first layer lies in the layer before or the next: only those
+    # two are kept for the membership test, not the whole group
+    before, frontier = set(), [ident]
     while frontier:
-        nxt = []
+        nxt, met = [], set()
         for p in frontier:
             for g in gens:
                 q = p.translate(g)
-                if q not in seen:
-                    seen.add(q)
-                    order.append(q)
+                if q not in before and q not in met:
+                    met.add(q)
                     nxt.append(q)
-        frontier = nxt
+        order.extend(nxt)
+        before, frontier = set(frontier), nxt
     return WeylGroup(datum, order)
 
 
@@ -337,14 +339,9 @@ INVOLUTION_LABELS_E6 = {6: "1", 4: "s1", 2: "s1s2", 0: "s1s2s3", -2: "tau"}
 
 
 class WeylInvolutionClass:
-    def __init__(self, label: str, representative: IntMatrix, trace: int,
-                 mod2_rank: int, size: int, members: Tuple[bytes, ...]):
+    def __init__(self, label: str, representative: IntMatrix):
         self.label = label
         self.representative = representative
-        self.trace = trace
-        self.mod2_rank = mod2_rank
-        self.size = size
-        self.members = members
         n = len(self.representative)
         if intmat.matmul(self.representative, self.representative) != intmat.identity(n):
             raise LatticeError("representative does not square to the identity")
@@ -383,46 +380,30 @@ def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvoluti
     """
     if datum.type_name != "E6":
         raise LatticeError("involution classification is implemented for E6 only")
-    size = len(datum.roots)
-    ident = bytes(range(size))
     groups: Dict[Tuple[int, int], List[bytes]] = {}
     for p in weyl.involutions():
-        m = weyl.matrix(p)
-        key = (weyl.trace(p), mod2_rank_one_plus(m))
+        key = (weyl.trace(p), mod2_rank_one_plus(weyl.matrix(p)))
         groups.setdefault(key, []).append(p)
     if len(groups) != 4:
         raise LatticeError(f"expected 4 invariant groups of involutions, got {len(groups)}")
-    classes = [WeylInvolutionClass("1", intmat.identity(datum.rank),
-                                   datum.rank, 0, 1, (ident,))]
-    for (tr, r2), members in sorted(groups.items(), reverse=True):
+    classes = [WeylInvolutionClass("1", intmat.identity(datum.rank))]
+    for (tr, _), members in sorted(groups.items(), reverse=True):
         label = INVOLUTION_LABELS_E6.get(tr)
         if label is None or label == "1":
             raise LatticeError(f"unexpected involution trace {tr}")
         orbit = _conjugacy_orbit(weyl, members[0])
         if orbit != set(members):
             raise LatticeError("invariant group is not a single conjugacy class")
-        classes.append(WeylInvolutionClass(label, weyl.matrix(members[0]),
-                                           tr, r2, len(members), tuple(members)))
+        classes.append(WeylInvolutionClass(label, weyl.matrix(members[0])))
     return classes
 
 
-def mod2_space(datum: RootDatum) -> "Mod2Space":
-    """Reduction of the lattice mod 2: pairing, refinement from half-norms, radical."""
+def mod2_space(datum: RootDatum) -> F2QuadraticSpace:
+    """Reduction of the lattice mod 2: pairing, refinement from half-norms."""
     n = datum.rank
     gram = datum.lattice.gram
-    rows = tuple(mod2_bits(row) for row in gram)
     qbits = mod2_bits([gram[i][i] // 2 for i in range(n)])
-    space = F2QuadraticSpace(n, BitMatrix(n, n, rows), BitVec(n, qbits))
-    radical = tuple(f2_kernel(rows, n))
-    return Mod2Space(space, radical, n - len(radical))
-
-
-class Mod2Space:
-    def __init__(self, space: F2QuadraticSpace, radical: Tuple[int, ...],
-                 nv_dim: int):
-        self.space = space
-        self.radical = radical
-        self.nv_dim = nv_dim
+    return F2QuadraticSpace(n, tuple(mod2_bits(row) for row in gram), qbits)
 
 
 # ---------------------------------------------------------------------------

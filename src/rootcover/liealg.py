@@ -184,18 +184,15 @@ class JacobiReport:
     of evaluated ones under the verified involution.  The sum of every other
     triple is zero by the checked weight grading (``zero_by_grading``).
     """
-    def __init__(self, dim: int, checked_unordered: int, covered_ordered: int,
+    def __init__(self, checked_unordered: int, covered_ordered: int,
                  evaluated: int, failures: List[Tuple[int, int, int]],
-                 mirrored: int = 0, sampled: bool = False,
-                 seed: Optional[int] = None):
-        self.dim = dim
+                 mirrored: int = 0, sampled: bool = False):
         self.checked_unordered = checked_unordered
         self.covered_ordered = covered_ordered
         self.evaluated = evaluated
         self.failures = failures
         self.mirrored = mirrored
         self.sampled = sampled
-        self.seed = seed
 
     @property
     def ok(self) -> bool:
@@ -366,7 +363,7 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
             coef[x] += c
     if sample is None:
         evaluated, mirrored, failures = _graded_scan(L, theta, packed, coef)
-        return JacobiReport(dim=n, checked_unordered=comb(n, 3),
+        return JacobiReport(checked_unordered=comb(n, 3),
                             covered_ordered=n ** 3, evaluated=evaluated,
                             mirrored=mirrored, failures=failures)
     live = set(packed)      # 0 and every root
@@ -376,9 +373,8 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
         if packed[i] + packed[j] + packed[k] in live:
             evaluated += 1
             _pair_failures(flat, coef, packed, i, j, (k,), failures)
-    return JacobiReport(dim=n, checked_unordered=sample, covered_ordered=0,
-                        evaluated=evaluated, failures=failures, sampled=True,
-                        seed=seed)
+    return JacobiReport(checked_unordered=sample, covered_ordered=0,
+                        evaluated=evaluated, failures=failures, sampled=True)
 
 
 def assert_weight_graded(L: IntegralLieAlgebra) -> None:
@@ -583,8 +579,7 @@ def build_R(fixed: FixedSubalgebra, rep: HeisRep) -> RMap:
 
 
 class RReport:
-    def __init__(self, dim: int, pairs_checked: int):
-        self.dim = dim
+    def __init__(self, pairs_checked: int):
         self.pairs_checked = pairs_checked
         self.failures: List[Tuple[int, int]] = []
 
@@ -622,7 +617,7 @@ def verify_R(rmap: RMap) -> RReport:
     """
     fixed = rmap.fixed
     n = fixed.dim
-    report = RReport(dim=n, pairs_checked=0)
+    report = RReport(pairs_checked=0)
     scales = {m.scale for m in rmap.mats}
     if len(scales) != 1:
         raise LieError("R matrices do not share one scale")
@@ -647,20 +642,10 @@ def verify_R(rmap: RMap) -> RReport:
 
 
 class IdentificationRecord:
-    def __init__(self, family: str, w_dim: int, fixed_dim: int,
-                 image_rank: Optional[int] = None,
-                 invariant_antisymmetric_dim: Optional[int] = None,
-                 invariant_symmetric_dim: Optional[int] = None,
-                 form: Optional[Tuple[Tuple[GQ, ...], ...]] = None,
-                 form_determinant: Optional[GQ] = None):
+    def __init__(self, family: str, w_dim: int, fixed_dim: int):
         self.family = family  # "sl" or "sp"
         self.w_dim = w_dim
         self.fixed_dim = fixed_dim
-        self.image_rank = image_rank
-        self.invariant_antisymmetric_dim = invariant_antisymmetric_dim
-        self.invariant_symmetric_dim = invariant_symmetric_dim
-        self.form = form
-        self.form_determinant = form_determinant
 
 
 def _form_unknowns(n: int, sym: int) -> List[Tuple[int, int]]:
@@ -733,7 +718,7 @@ def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
         rank = sparse_rank(rows)
         if rank != d:
             raise LieError(f"representation has a kernel (rank {rank} < {d})")
-        return IdentificationRecord("sl", n, d, image_rank=rank)
+        return IdentificationRecord("sl", n, d)
     if d == n * (n + 1) // 2:
         anti = invariant_form_space(rmap.mats, sym=-1)
         symm = invariant_form_space(rmap.mats, sym=1)
@@ -744,9 +729,6 @@ def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
         det, _ = intmat.field_eliminate(form, ONE)
         if det.is_zero():
             raise LieError("invariant antisymmetric form is degenerate")
-        return IdentificationRecord("sp", n, d,
-                                    invariant_antisymmetric_dim=1,
-                                    invariant_symmetric_dim=0,
-                                    form=form, form_determinant=det)
+        return IdentificationRecord("sp", n, d)
     raise LieError(f"no certification route for dim g = {d}, dim W = {n}")
 

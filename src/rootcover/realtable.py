@@ -9,10 +9,10 @@ curve topology columns n(C) and a(C) are carried metadata, not computed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from .f2 import BitMatrix, BitVec, F2QuadraticSpace, arf, mod2_bits, parity, \
-    standard_symplectic_space
+from .f2 import (F2QuadraticSpace, arf, mod2_bits, mul_vec, parity,
+                 standard_symplectic_space)
 from .intmat import IntMatrix, matmul, identity
 from .lattice import (RootDatum, WeylInvolutionClass, mod2_rank_one_plus,
                       mod2_space)
@@ -42,15 +42,13 @@ EXPECTED_COLUMNS: Dict[str, Tuple[int, int, int]] = {
 
 class TableRow:
     def __init__(self, label: str, n_c: int, a_c: int, real_bitangents: int,
-                 j_mod_2j_size: int, orbit_count: int, g: int, mod2_rank: int):
+                 j_mod_2j_size: int, orbit_count: int):
         self.label = label
         self.n_c = n_c
         self.a_c = a_c
         self.real_bitangents = real_bitangents
         self.j_mod_2j_size = j_mod_2j_size
         self.orbit_count = orbit_count
-        self.g = g
-        self.mod2_rank = mod2_rank
         if self.orbit_count != orbit_count_from_size(self.j_mod_2j_size):
             raise RealTableError("orbit count inconsistent with group size")
 
@@ -77,24 +75,21 @@ def invariant_odd_refinements(space: F2QuadraticSpace,
     base q0 (from the lattice) is itself w-invariant, which is asserted.
     """
     n = space.dim
-    w = BitMatrix(n, n, tuple(w_mod2_rows))
     for v in range(1 << n):
-        if space.q(w.mul_vec(v)) != space.q(v):
+        if space.q(mul_vec(w_mod2_rows, v)) != space.q(v):
             raise RealTableError("base refinement is not invariant under w")
-    columns = [w.mul_vec(1 << i) for i in range(n)]
+    columns = [mul_vec(w_mod2_rows, 1 << i) for i in range(n)]
     count = 0
     for f in range(1 << n):
         if any(parity(f & col) != (f >> i) & 1 for i, col in enumerate(columns)):
             continue
-        shifted = F2QuadraticSpace(n, space.gram,
-                                   BitVec(n, space.qbasis.bits ^ f))
+        shifted = F2QuadraticSpace(n, space.gram, space.qbits ^ f)
         if arf(shifted) == 1:
             count += 1
     return count
 
 
-def row_for_involution(w: IntMatrix, datum: RootDatum,
-                       label: Optional[str] = None) -> TableRow:
+def row_for_involution(w: IntMatrix, datum: RootDatum, label: str) -> TableRow:
     """Compute a table row from an involution given as an integer matrix."""
     if datum.type_name != "E6":
         raise RealTableError("the table is defined over the E6 datum")
@@ -106,11 +101,10 @@ def row_for_involution(w: IntMatrix, datum: RootDatum,
     if g < 0:
         raise RealTableError("mod-2 rank exceeds 3")
     size = 1 << g
-    space = mod2_space(datum).space
+    space = mod2_space(datum)
     bitangents = invariant_odd_refinements(space, [mod2_bits(row) for row in w])
-    lbl = label if label is not None else f"rank{r}"
-    n_c, a_c = CARRIED_TOPOLOGY.get(lbl, (0, 0))
-    return TableRow(lbl, n_c, a_c, bitangents, size, orbit_count(g), g, r)
+    n_c, a_c = CARRIED_TOPOLOGY[label]
+    return TableRow(label, n_c, a_c, bitangents, size, orbit_count(g))
 
 
 def emit_table(datum: RootDatum,

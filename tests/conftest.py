@@ -14,8 +14,7 @@ from rootcover.liealg import build_R
 def with_mats(rep, mats):
     """``rep`` with its matrices replaced by ``mats``; like any representation
     assembled by hand, it carries no build-time report."""
-    return HeisRep(rep.cocycle, rep.dim_w, tuple(mats), rep.pairs, rep.radical,
-                   rep.radical_scalars)
+    return HeisRep(rep.cocycle, rep.dim_w, tuple(mats))
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +44,24 @@ def e6_weyl(e6_stack):
 @pytest.fixture(scope="session")
 def e6_classes(e6_stack, e6_weyl):
     return lattice.classify_involutions(e6_stack.datum, e6_weyl)
+
+
+def involution_key(matrix):
+    """(trace, rank of (1 + w) mod 2): the invariants by which
+    classify_involutions groups the involutions."""
+    return (sum(matrix[i][i] for i in range(len(matrix))),
+            lattice.mod2_rank_one_plus(matrix))
+
+
+@pytest.fixture(scope="session")
+def e6_members(e6_weyl):
+    """The identity and the E6 involutions, as root permutations grouped by
+    involution_key."""
+    ident = bytes(range(len(e6_weyl.datum.roots)))
+    groups = {involution_key(e6_weyl.matrix(ident)): [ident]}
+    for p in e6_weyl.involutions():
+        groups.setdefault(involution_key(e6_weyl.matrix(p)), []).append(p)
+    return groups
 
 
 # -- the 2x2 -> 3x3 map of the converse construction, a model for two modules

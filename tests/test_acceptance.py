@@ -10,13 +10,16 @@ from conftest import pgl2_to_so3
 from rootcover import lattice
 from rootcover.extension import build_extension
 from rootcover.f2 import count_refinements_by_arf
-from rootcover.gaussian import dense_mul, gq
+from rootcover.gaussian import ONE, dense_mul, gq, sparse_rank
 from rootcover.grouplift import anticommutation_model_holds, verify_comm_relation
 from rootcover.heisrep import verify_rep
 from rootcover.lattice import (bitangent_complement, classify_involutions,
                                delpezzo_k_perp, lines, lines_meeting,
                                weyl_enumerate)
-from rootcover.liealg import identify_fixed, killing_form, verify_R, verify_jacobi
+from rootcover.intmat import field_eliminate
+from rootcover.liealg import (form_from_solution, identify_fixed,
+                              invariant_form_space, killing_form, verify_R,
+                              verify_jacobi)
 from rootcover.quartic import (E6Params, E7Params, e6_family, e7_family,
                                smoothness_probe, tangent_contact_order)
 from rootcover.realtable import emit_table
@@ -40,7 +43,7 @@ def test_criterion_02_jacobi_exhaustive(e6_stack, e7_stack):
     from rootcover.liealg import build_lie, build_theta
     for name in ("A2", "A3", "D4"):
         datum = lattice.root_datum(name)
-        L = build_lie(datum, build_extension(lattice.mod2_space(datum).space))
+        L = build_lie(datum, build_extension(lattice.mod2_space(datum)))
         report = verify_jacobi(L, theta=build_theta(L))
         assert report.ok and report.covered_ordered == L.dim ** 3
 
@@ -87,12 +90,15 @@ def test_criterion_06_fixed_type_identification(e6_stack, e7_stack):
     t0 = time.perf_counter()
     rec7 = identify_fixed(e7_stack.fixed, e7_stack.rmap)
     assert rec7.family == "sl"
-    assert rec7.image_rank == 63 == 8 * 8 - 1
+    image = [{r * 8 + c: v for r, c, v in m.entries()} for m in e7_stack.rmap.mats]
+    assert sparse_rank(image) == 63 == 8 * 8 - 1
     rec6 = identify_fixed(e6_stack.fixed, e6_stack.rmap)
     assert rec6.family == "sp"
-    assert rec6.invariant_antisymmetric_dim == 1
-    assert rec6.invariant_symmetric_dim == 0
-    assert not rec6.form_determinant.is_zero()
+    anti = invariant_form_space(e6_stack.rmap.mats, sym=-1)
+    assert len(anti) == 1
+    assert len(invariant_form_space(e6_stack.rmap.mats, sym=1)) == 0
+    det, _ = field_eliminate(form_from_solution(anti[0], 8, sym=-1), ONE)
+    assert not det.is_zero()
     _report(6, "fixed types certified: sl(8) inside E7, sp(8) inside E6",
             time.perf_counter() - t0, 60)
 

@@ -13,7 +13,8 @@ from itertools import combinations
 import pytest
 from conftest import with_mats
 
-from rootcover import cli, cmd_lattice, cmd_pipeline, heisrep, liealg, quartic
+from rootcover import (cli, cmd_lattice, cmd_pipeline, heisrep, lattice, liealg,
+                       quartic, realtable)
 from rootcover.gaussian import ZERO, MonoMat, add_terms, gq
 from rootcover.liealg import IntegralLieAlgebra
 
@@ -476,6 +477,61 @@ def test_table_command(capsys, tmp_path):
     assert [r["real_bitangents"] for r in rows] == [28, 16, 8, 4, 4]
     assert [r["j_mod_2j"] for r in rows] == [8, 4, 2, 1, 2]
     assert [r["orbits"] for r in rows] == [36, 10, 3, 1, 3]
+
+
+# -- each command's own checks, driven to fail through the command path; a
+# failed check exits 1, only bad input exits 2
+
+
+def test_table_mismatch_exits_1_and_names_the_row(capsys, monkeypatch):
+    monkeypatch.setitem(realtable.EXPECTED_COLUMNS, "s1", (15, 4, 10))
+    assert cli.main(["table", "real-orbits"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("verification failed: row s1: computed "
+                            "(16, 4, 10), expected (15, 4, 10)\n")
+
+
+def test_table_split_conjugacy_class_exits_1(capsys, monkeypatch):
+    real = lattice._conjugacy_orbit
+    monkeypatch.setattr(lattice, "_conjugacy_orbit",
+                        lambda weyl, start: real(weyl, start) - {start})
+    assert cli.main(["table", "real-orbits"]) == 1
+    assert capsys.readouterr().err == ("verification failed: invariant group "
+                                       "is not a single conjugacy class\n")
+
+
+def test_delpezzo_wrong_count_exits_1(capsys, monkeypatch):
+    real = cmd_lattice.lines
+    monkeypatch.setattr(cmd_lattice, "lines", lambda: real()[1:])
+    code, out = _run(capsys, ["delpezzo"])
+    assert code == 1 and json.loads(out)["lines"] == 55
+
+
+def test_counts_wrong_split_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cmd_lattice, "count_refinements_by_arf",
+                        lambda g: (37, 27))
+    code, out = _run(capsys, ["counts", "--g", "3"])
+    payload = json.loads(out)
+    assert code == 1 and (payload["arf0"], payload["expected"]) == (37, [36, 28])
+
+
+def test_degenerate_killing_form_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(liealg.intmat, "bareiss_det", lambda m: 0)
+    code, out = _run(capsys, ["verify", "--type", "A3"])
+    payload = json.loads(out)
+    assert code == 1 and not payload["ok"]
+    assert payload["checks"]["killing"] == {"nondegenerate": False}
+
+
+def test_degenerate_invariant_form_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(liealg, "form_from_solution",
+                        lambda sol, n, sym: ((ZERO,) * n,) * n)
+    assert cli.main(["verify", "--type", "E6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("verification failed: invariant antisymmetric form is degenerate\n"
+            in captured.err)
 
 
 def test_quartic_command(capsys):

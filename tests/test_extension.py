@@ -1,12 +1,11 @@
 import random
-from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 
 from rootcover import extension, lattice
 from rootcover.extension import Cocycle, ExtensionError, build_extension
-from rootcover.f2 import BitMatrix, mod2_bits, parity, quadform_eval, standard_symplectic_space
+from rootcover.f2 import mod2_bits, mul_vec, parity, quadform_eval, standard_symplectic_space
 
 # -- the cover's group law and its automorphisms, as a model of the cocycle ---
 
@@ -101,12 +100,8 @@ class ExtAutomorphism:
         self.w_rows = w_rows
         self.sigma_rows = sigma_rows
 
-    @cached_property
-    def w(self) -> BitMatrix:
-        return BitMatrix(len(self.w_rows), self.cocycle.dim, self.w_rows)
-
     def on_v(self, v: int) -> int:
-        return self.w.mul_vec(v)
+        return mul_vec(self.w_rows, v)
 
     def s(self, v: int) -> int:
         return quadform_eval(self.sigma_rows, v)
@@ -222,7 +217,7 @@ def automorphisms_fixing_v(cocycle: CoverGroup) -> List[ExtAutomorphism]:
 
 def _e6_cocycle():
     datum = lattice.root_datum("E6")
-    return datum, CoverGroup.of(build_extension(lattice.mod2_space(datum).space))
+    return datum, CoverGroup.of(build_extension(lattice.mod2_space(datum)))
 
 
 def test_group_order():
@@ -262,7 +257,7 @@ def test_root_lift_squares_are_minus_one():
 def test_commutators_descend_to_the_pairing():
     for name in ("A2", "E6", "E7"):
         datum = lattice.root_datum(name)
-        coc = CoverGroup.of(build_extension(lattice.mod2_space(datum).space))
+        coc = CoverGroup.of(build_extension(lattice.mod2_space(datum)))
         n = 1 << coc.dim
         for u in range(n):
             x = ExtElement(1, u)
@@ -313,7 +308,7 @@ def test_centers():
 
     datum7 = lattice.root_datum("E7")
     m2 = lattice.mod2_space(datum7)
-    coc7 = CoverGroup.of(build_extension(m2.space))
+    coc7 = CoverGroup.of(build_extension(m2))
     center7 = coc7.center()
     assert len(center7) == 4
     r = m2.radical[0]

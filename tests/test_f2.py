@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootcover import intmat, lattice
-from rootcover.f2 import (BitMatrix, BitVec, F2Error, F2QuadraticSpace, arf,
+from rootcover.f2 import (F2Error, F2QuadraticSpace, arf,
                           count_refinements_by_arf, f2_kernel, f2_rank,
-                          f2_solve, mod2_bits, parity, standard_symplectic_space,
-                          symplectic_decomposition)
+                          f2_solve, mod2_bits, mul_vec, parity,
+                          standard_symplectic_space, symplectic_decomposition)
 from rootcover.lattice import mod2_rank_one_plus
 
 
@@ -24,15 +24,15 @@ def test_hyperbolic_plane_polarization_value():
 
 def test_root_classes_have_q_one():
     datum = lattice.root_datum("E6")
-    space = lattice.mod2_space(datum).space
+    space = lattice.mod2_space(datum)
     for i in range(len(datum.roots)):
         assert space.q(datum.root_class_bits(i)) == 1
 
 
 def test_polarization_identity_exhaustive():
     spaces = [standard_symplectic_space(2, qbits=0b1011),
-              lattice.mod2_space(lattice.root_datum("E6")).space,
-              lattice.mod2_space(lattice.root_datum("E7")).space,
+              lattice.mod2_space(lattice.root_datum("E6")),
+              lattice.mod2_space(lattice.root_datum("E7")),
               standard_symplectic_space(5, qbits=0b1100110011)]
     for space in spaces:
         n = 1 << space.dim
@@ -48,18 +48,27 @@ def test_arf_two_dimensional_cases():
 
 
 def test_arf_of_e6_mod2_space_is_one():
-    space = lattice.mod2_space(lattice.root_datum("E6")).space
+    space = lattice.mod2_space(lattice.root_datum("E6"))
     assert arf(space) == 1
 
 
 def test_arf_rejects_degenerate_and_odd():
     datum = lattice.root_datum("E7")
     with pytest.raises(F2Error):
-        arf(lattice.mod2_space(datum).space)  # odd dim
+        arf(lattice.mod2_space(datum))  # odd dim
     rows = (0, 0)
-    degenerate = F2QuadraticSpace(2, BitMatrix(2, 2, rows), BitVec(2, 0))
+    degenerate = F2QuadraticSpace(2, rows, 0)
     with pytest.raises(F2Error):
         arf(degenerate)
+
+
+@pytest.mark.parametrize("dim, gram, qbits", [
+    (17, (0,) * 17, 0), (2, (0b10,), 0), (2, (0b110, 0b01), 0),
+    (2, (0b10, 0b01), 0b100), (2, (0b10, 0b00), 0), (2, (0b11, 0b01), 0)])
+def test_space_rejects_malformed_input(dim, gram, qbits):
+    # above MAX_DIM, row count, a row or q bit beyond dim, asymmetric, diagonal
+    with pytest.raises(F2Error):
+        F2QuadraticSpace(dim, gram, qbits)
 
 
 def test_refinement_counts_match_closed_formulas():
@@ -85,16 +94,16 @@ def _translate(space, v):
     """q replaced by (v + q)(w) = q(w) + <v, w>: the basis values shift by
     gram v, as invariant_odd_refinements shifts q by a functional."""
     return F2QuadraticSpace(space.dim, space.gram,
-                            BitVec(space.dim, space.qbasis.bits ^ space.gram.mul_vec(v)))
+                            space.qbits ^ mul_vec(space.gram, v))
 
 
 def test_translate_refinement_basics():
     space = standard_symplectic_space(2, qbits=0b0110)
     same = _translate(space, 0)
-    assert same.qbasis.bits == space.qbasis.bits
+    assert same.qbits == space.qbits
     v = 0b1010
     twice = _translate(_translate(space, v), v)
-    assert twice.qbasis.bits == space.qbasis.bits
+    assert twice.qbits == space.qbits
     # shifted values follow (v + q)(w) = q(w) + <v, w> everywhere
     shifted = _translate(space, v)
     for w in range(16):
@@ -117,7 +126,7 @@ def test_zero_count_matches_arf_formula():
             zeros = sum(1 for v in range(1 << (2 * g)) if space.q(v) == 0)
             a = arf(space)
             assert zeros == 2 ** (g - 1) * (2 ** g + (1 if a == 0 else -1))
-    lattice_space = lattice.mod2_space(lattice.root_datum("E6")).space
+    lattice_space = lattice.mod2_space(lattice.root_datum("E6"))
     zeros = sum(1 for v in range(64) if lattice_space.q(v) == 0)
     assert zeros == 28  # Arf 1, g = 3
 
@@ -149,8 +158,7 @@ def test_arf_invariant_under_symplectic_changes():
                 for i in range(space.dim):
                     if space.q(s(1 << i)):
                         moved_bits |= 1 << i
-                moved = F2QuadraticSpace(space.dim, space.gram,
-                                         BitVec(space.dim, moved_bits))
+                moved = F2QuadraticSpace(space.dim, space.gram, moved_bits)
                 assert arf(moved) == base
 
 
@@ -171,7 +179,7 @@ def test_arf_is_invariant_under_random_symplectic_bases(g, qbits, vectors):
         return x
 
     moved_bits = sum(space.q(a(1 << i)) << i for i in range(dim))
-    moved = F2QuadraticSpace(dim, space.gram, BitVec(dim, moved_bits))
+    moved = F2QuadraticSpace(dim, space.gram, moved_bits)
     images = [a(1 << i) for i in range(dim)]
     assert [[space.pairing(u, w) for w in images] for u in images] == \
         [[space.pairing(1 << i, 1 << j) for j in range(dim)] for i in range(dim)]
@@ -182,7 +190,7 @@ def test_arf_is_invariant_under_random_symplectic_bases(g, qbits, vectors):
 
 def test_symplectic_decomposition_shape():
     datum = lattice.root_datum("E7")
-    space = lattice.mod2_space(datum).space
+    space = lattice.mod2_space(datum)
     pairs, radical = symplectic_decomposition(space)
     assert len(pairs) == 3 and len(radical) == 1
     for v, w in pairs:
@@ -193,9 +201,9 @@ def _h1_oracle(w):
     """Kernel and image of 1 + w mod 2, w an integer matrix, by iterating
     all vectors."""
     n = len(w)
-    big_n = BitMatrix(n, n, tuple(mod2_bits(row) ^ (1 << i) for i, row in enumerate(w)))
-    kernel = {v for v in range(1 << n) if big_n.mul_vec(v) == 0}
-    image = {big_n.mul_vec(v) for v in range(1 << n)}
+    big_n = [mod2_bits(row) ^ (1 << i) for i, row in enumerate(w)]
+    kernel = {v for v in range(1 << n) if mul_vec(big_n, v) == 0}
+    image = {mul_vec(big_n, v) for v in range(1 << n)}
     k = len(kernel).bit_length() - 1
     r = len(image).bit_length() - 1
     return k, r, k - r

@@ -11,9 +11,8 @@ from rootcover.heisrep import (HeisRep, RepError, arf_normal_pairs,
 
 def _stack(name):
     datum = lattice.root_datum(name)
-    m2 = lattice.mod2_space(datum)
-    coc = build_extension(m2.space)
-    return datum, m2, coc
+    space = lattice.mod2_space(datum)
+    return datum, space, build_extension(space)
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +34,12 @@ def test_dimensions(reps):
 def test_arf_normal_form_has_single_twist_site(reps):
     for name in ("A2", "E6", "E7"):
         _, _, coc, rep = reps[name]
-        space = coc.to_space()
-        pairs, radical = arf_normal_pairs(space)
-        twist = [p for p in pairs if space.q(p[0]) or space.q(p[1])]
+        pairs, radical = arf_normal_pairs(coc)
+        twist = [p for p in pairs if coc.q(p[0]) or coc.q(p[1])]
         assert len(twist) <= 1
         if twist:
             assert pairs[-1] == twist[0]
-            assert space.q(twist[0][0]) == space.q(twist[0][1]) == 1
+            assert coc.q(twist[0][0]) == coc.q(twist[0][1]) == 1
 
 
 def test_full_multiplication_tables(reps):
@@ -57,9 +55,8 @@ def test_full_multiplication_tables(reps):
 
 def test_radical_scalar_for_e7(reps):
     _, m2, coc, rep = reps["E7"]
-    r = m2.radical[0]
+    r, = m2.radical
     scalar = rep.rho_bits(r).scalar_value()
-    assert rep.radical_scalars == (scalar,)
     # q = 1 on the radical forces an order-4 scalar, consistent with the
     # order-4 center of the cover
     assert coc.q(r) == 1
@@ -103,9 +100,8 @@ def test_verification_survives_basis_permutation(reps):
     p_mat = MonoMat(n, perm, (0,) * n)
     p_inv = MonoMat(n, tuple(inv), (0,) * n)
     conjugated = tuple(p_inv * m * p_mat for m in rep.mats)
-    twisted = HeisRep(coc, n, conjugated, rep.pairs, rep.radical,
-                      rep.radical_scalars)
-    report = verify_rep(twisted)
+    rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+    report = verify_rep(HeisRep(coc, n, conjugated), root_classes=rc)
     assert report.ok
 
 
@@ -147,12 +143,13 @@ def test_table_check_computes_one_product_per_pair(reps, monkeypatch):
 
 
 def test_flipped_phase_fails_verification_and_names_the_pair(reps):
-    _, _, _, rep = reps["E6"]
+    datum, _, _, rep = reps["E6"]
     bad = 0b1011
     m = rep.mats[bad]
     mats = list(rep.mats)
     mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:], m.scale)
-    report = verify_rep(with_mats(rep, mats))
+    rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+    report = verify_rep(with_mats(rep, mats), root_classes=rc)
     assert not report.ok
     assert report.pairs_checked == 16384
     # M_1 M_(bad ^ 1) is untouched but must equal +-M_bad: all four signs fail
@@ -208,15 +205,16 @@ def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
     det, _ = field_eliminate(b, ONE)
     assert not det.is_zero()
     # the same line of forms certifies the fixed subalgebra downstream
-    from rootcover.liealg import identify_fixed
-    rec = identify_fixed(e6_stack.fixed, e6_stack.rmap)
+    from rootcover.liealg import form_from_solution, invariant_form_space
+    anti, = invariant_form_space(e6_stack.rmap.mats, sym=-1)
+    form = form_from_solution(anti, n, sym=-1)
     ratios = set()
     for i in range(n):
         for j in range(n):
-            if rec.form[i][j].is_zero() != b[i][j].is_zero():
+            if form[i][j].is_zero() != b[i][j].is_zero():
                 ratios.add(None)
             elif not b[i][j].is_zero():
-                ratio = rec.form[i][j] / b[i][j]
+                ratio = form[i][j] / b[i][j]
                 ratios.add((ratio.re, ratio.im))
     assert len(ratios) == 1 and None not in ratios
 

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 import pytest
+from conftest import involution_key
 
 from rootcover import intmat
 from rootcover.intmat import IntMatrix
@@ -227,19 +228,21 @@ def test_root_permutations_beyond_256_roots_are_rejected():
     assert sorted(e8.reflection_perm(0)) == list(range(240))
 
 
-def test_involution_classes(e6_stack, e6_classes, e6_weyl):
+def test_involution_classes(e6_classes, e6_weyl, e6_members):
     labels = [c.label for c in e6_classes]
     assert labels == ["1", "s1", "s1s2", "s1s2s3", "tau"]
-    invariants = [(c.trace, c.mod2_rank) for c in e6_classes]
-    assert invariants == [(6, 0), (4, 1), (2, 2), (0, 3), (-2, 2)]
-    assert [c.size for c in e6_classes] == [1, 36, 270, 540, 45]
-    assert sum(c.size for c in e6_classes[1:]) == len(e6_weyl.involutions())
+    keys = [involution_key(c.representative) for c in e6_classes]
+    assert keys == [(6, 0), (4, 1), (2, 2), (0, 3), (-2, 2)]
+    sizes = [len(e6_members[key]) for key in keys]
+    assert sizes == [1, 36, 270, 540, 45]
+    assert sum(sizes[1:]) == len(e6_weyl.involutions())
 
 
-def test_involution_class_constructions(e6_stack, e6_classes, e6_weyl):
+def test_involution_class_constructions(e6_stack, e6_classes, e6_members):
     datum = e6_stack.datum
     table = pairing_table(datum)
-    members = {c.label: set(c.members) for c in e6_classes}
+    members = {c.label: set(e6_members[involution_key(c.representative)])
+               for c in e6_classes}
     size = len(datum.roots)
 
     def product(indices):
@@ -259,9 +262,11 @@ def test_involution_class_constructions(e6_stack, e6_classes, e6_weyl):
     assert product(triple) in members["s1s2s3"]
 
 
-def test_tau_from_any_quadruple_is_in_one_class(e6_stack, e6_classes, e6_weyl):
+def test_tau_from_any_quadruple_is_in_one_class(e6_stack, e6_classes, e6_weyl,
+                                                e6_members):
     datum = e6_stack.datum
-    tau_members = set(next(c for c in e6_classes if c.label == "tau").members)
+    tau = next(c for c in e6_classes if c.label == "tau")
+    tau_members = set(e6_members[involution_key(tau.representative)])
     quads = orthogonal_root_quadruples(datum, limit=4)
     assert len(quads) == 4
     for quad in quads:
@@ -273,11 +278,11 @@ def test_tau_from_any_quadruple_is_in_one_class(e6_stack, e6_classes, e6_weyl):
 
 
 def test_tau_not_conjugate_to_double_reflection(e6_classes):
-    two = next(c for c in e6_classes if c.label == "s1s2")
-    tau = next(c for c in e6_classes if c.label == "tau")
-    assert two.mod2_rank == tau.mod2_rank == 2
-    assert two.trace != tau.trace
-    assert not (set(two.members) & set(tau.members))
+    # same mod-2 rank, but the trace, a conjugacy invariant, differs
+    keys = {c.label: involution_key(c.representative) for c in e6_classes}
+    two, tau = keys["s1s2"], keys["tau"]
+    assert two[1] == tau[1] == 2
+    assert two[0] != tau[0]
 
 
 def test_classification_requires_e6():
@@ -359,9 +364,9 @@ def test_bitangent_complement_rejects_non_line():
 
 def test_mod2_spaces():
     e6 = mod2_space(root_datum("E6"))
-    assert e6.space.dim == 6 and not e6.radical and e6.nv_dim == 6
+    assert e6.dim == 6 and not e6.radical
     e7 = mod2_space(root_datum("E7"))
-    assert e7.space.dim == 7 and len(e7.radical) == 1 and e7.nv_dim == 6
+    assert e7.dim == 7 and len(e7.radical) == 1
 
 
 def test_root_datum_json():

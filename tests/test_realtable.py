@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import involution_key
 
 from rootcover import realtable
 from rootcover.intmat import identity
@@ -8,16 +9,15 @@ from rootcover.realtable import (RealTableError, emit_table,
                                  invariant_odd_refinements, orbit_count,
                                  row_for_involution)
 from rootcover.lattice import (RootDatum, WeylGroup, WeylInvolutionClass,
-                               mod2_space)
+                               mod2_rank_one_plus, mod2_space)
 
 
 def class_constancy_check(datum: RootDatum, cls: WeylInvolutionClass,
-                          weyl: WeylGroup, samples: int = 10,
+                          weyl: WeylGroup, members, samples: int = 10,
                           seed: int = 0) -> bool:
-    """Row values agree across random members of a conjugacy class."""
+    """Row values agree across random ``members`` of a conjugacy class."""
     rng = random.Random(seed)
     base = row_for_involution(cls.representative, datum, label=cls.label)
-    members = list(cls.members)
     for _ in range(min(samples, len(members))):
         perm = members[rng.randrange(len(members))]
         row = row_for_involution(weyl.matrix(perm), datum, label=cls.label)
@@ -43,15 +43,17 @@ def test_full_table(e6_stack, e6_classes):
         [(4, 0), (3, 1), (2, 1), (1, 1), (2, 0)]
 
 
-def test_rows_constant_on_conjugacy_classes(e6_stack, e6_classes, e6_weyl):
+def test_rows_constant_on_conjugacy_classes(e6_stack, e6_classes, e6_weyl,
+                                            e6_members):
     for cls in e6_classes:
-        assert class_constancy_check(e6_stack.datum, cls, e6_weyl,
+        members = e6_members[involution_key(cls.representative)]
+        assert class_constancy_check(e6_stack.datum, cls, e6_weyl, members,
                                      samples=10, seed=3)
 
 
 def test_identity_count_matches_total_odd_refinements(e6_stack):
     from rootcover.f2 import count_refinements_by_arf
-    space = mod2_space(e6_stack.datum).space
+    space = mod2_space(e6_stack.datum)
     ident_rows = tuple(1 << i for i in range(6))
     assert invariant_odd_refinements(space, ident_rows) == \
         count_refinements_by_arf(3)[1] == 28
@@ -61,7 +63,7 @@ def test_invariant_refinement_counts_are_powers_of_two_times_pattern(
         e6_stack, e6_classes, e6_weyl):
     # for each class, record #invariant refinements as a regression anchor
     from rootcover.f2 import parity
-    space = mod2_space(e6_stack.datum).space
+    space = mod2_space(e6_stack.datum)
     expected_invariant = {"1": 64, "s1": 32, "s1s2": 16, "s1s2s3": 8, "tau": 16}
     for cls in e6_classes:
         w = cls.representative
@@ -86,7 +88,7 @@ def test_invariant_refinement_counts_are_powers_of_two_times_pattern(
             if ok:
                 count += 1
         assert count == expected_invariant[cls.label]
-        assert count == 1 << (6 - cls.mod2_rank)
+        assert count == 1 << (6 - mod2_rank_one_plus(w))
 
 
 def test_orbit_count_crosschecks(e6_stack, monkeypatch):
@@ -107,7 +109,7 @@ def test_non_involution_is_rejected(e6_stack):
     shift = tuple(tuple(1 if j == (i + 1) % 6 else 0 for j in range(6))
                   for i in range(6))
     with pytest.raises(RealTableError):
-        row_for_involution(shift, e6_stack.datum)
+        row_for_involution(shift, e6_stack.datum, label="s1")
 
 
 def test_json_rows(e6_stack, e6_classes):
