@@ -25,9 +25,8 @@ from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution, LieError,
                      identify_fixed, killing_form, verify_R, verify_jacobi)
 from .grouplift import anticommutation_model_holds, verify_comm_relation
 from .heisrep import HeisRep, RepError, build_heisrep, verify_rep
-from .extension import Cocycle, build_extension
 from .lattice import RootDatum, mod2_space, parse_type, root_datum
-from .f2 import MAX_DIM
+from .f2 import MAX_DIM, F2QuadraticSpace
 
 # upper bound of verify --samples (default 200,000): sampled Jacobi checked
 # 1,000,000 E8 triples in 0.94 to 1.02 s on a 2-core x86 VM
@@ -37,7 +36,7 @@ Result = Tuple[Optional[dict], int]
 
 
 class Pipeline:
-    def __init__(self, datum: RootDatum, cocycle: Cocycle, lie: IntegralLieAlgebra,
+    def __init__(self, datum: RootDatum, cocycle: F2QuadraticSpace, lie: IntegralLieAlgebra,
                  theta: Involution, fixed: FixedSubalgebra,
                  rep: Optional[HeisRep], rmap: Optional[RMap]):
         self.datum = datum
@@ -63,8 +62,7 @@ def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
     plus the monomial representation for the two marked exceptional types."""
     kind = canonical_type(kind)
     datum = root_datum(kind)
-    space = mod2_space(datum)
-    cocycle = build_extension(space)
+    cocycle = mod2_space(datum)
     lie = build_lie(datum, cocycle)
     theta = build_theta(lie)
     fixed = fixed_subalgebra(lie, theta)
@@ -72,7 +70,7 @@ def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
     if with_rep is None:
         with_rep = kind in ("E6", "E7")
     if with_rep:
-        rep = build_heisrep(cocycle, radical=space.radical)
+        rep = build_heisrep(cocycle)
         rmap = build_R(fixed, rep)
     return Pipeline(datum, cocycle, lie, theta, fixed, rep, rmap)
 
@@ -94,10 +92,14 @@ def cmd_build(cfg, args: argparse.Namespace) -> Result:
     cfg.lattice_type = canonical_type(args.type)
     pipe = build_pipeline(cfg.lattice_type)
     lie = pipe.lie
+    cover = pipe.cocycle
     payload = {
         "config": cfg.stamp(),
         "lattice": pipe.datum.to_json_dict(),
-        "cover": pipe.cocycle.to_json_dict(),
+        # beta as a 0/1 matrix: the upper-triangular rows of the mod-2 form
+        "cover": {"dim": cover.dim,
+                  "beta": [[(row >> j) & 1 for j in range(cover.dim)]
+                           for row in cover.upper_rows]},
         "algebra": lie.to_json_dict(),
         "theta": [[i, _signed_index(pipe, i)] for i in range(lie.dim)],
         "trace_theta": pipe.theta.trace(),

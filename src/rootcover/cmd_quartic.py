@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from .quartic import (E6Params, E7Params, e6_family, e7_family,
-                      smoothness_probe, tangent_contact_order)
+from .quartic import (MARKED_POINT, MARKED_TANGENT, E6Params, E7Params,
+                      e6_family, e7_family, smoothness_probe,
+                      tangent_contact_order)
 
 
 def run(cfg, args) -> Tuple[dict, int]:
@@ -32,7 +33,7 @@ def run(cfg, args) -> Tuple[dict, int]:
         expected_contact = 3
     else:
         raise ValueError(f"unknown family {family!r}")
-    contact = tangent_contact_order(curve, (0, 1, 0), (0, 0, 1))
+    contact = tangent_contact_order(curve, MARKED_POINT, MARKED_TANGENT)
     verdict = smoothness_probe(curve, primes)
     payload = {
         "config": cfg.stamp(),

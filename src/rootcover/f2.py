@@ -2,7 +2,8 @@
 
 Vectors are ints used as bitmasks, matrices are tuples of row bitmasks.  The
 module houses strictly alternating pairings together with their quadratic
-refinements, Arf invariants and refinement counting.
+refinements, whose upper-triangular bit rows are also the cocycle of the
+double cover (see extension), Arf invariants and refinement counting.
 
 Nothing changes after construction and everything is exact; dimensions are
 capped at 16 so that exhaustive loops over all vectors or all refinements stay
@@ -92,22 +93,6 @@ def f2_rank(rows: Sequence[int], ncols: int) -> int:
     return len(f2_echelon(rows, ncols))
 
 
-def f2_kernel(rows: Sequence[int], ncols: int) -> List[int]:
-    """Basis of {x : row . x = 0 for every row}, as bitmasks."""
-    reduced = f2_echelon(rows, ncols)
-    pivot_cols = {col for col, _ in reduced}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for col, row in reduced:
-            if (row >> free) & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return basis
-
-
 def f2_solve(basis: Sequence[int], target: int, ncols: int) -> Optional[int]:
     """Coefficient bitmask c with target = sum of basis[i] over the bits i of
     c, or None when target lies outside the span.  Unique when the basis
@@ -128,6 +113,10 @@ class F2QuadraticSpace:
     ``gram`` holds the bit rows of the pairing and ``qbits`` the values of the
     refinement on the standard basis; all other values are reconstructed
     through the polarization identity q(v + w) = q(v) + q(w) + <v, w>.
+
+    The same data is the double cover's cocycle (see extension): ``beta``,
+    on the bit rows ``upper_rows``, has beta(v, v) = q(v) and
+    beta(u, v) + beta(v, u) = <u, v>.
     """
 
     def __init__(self, dim: int, gram: Tuple[int, ...], qbits: int):
@@ -151,13 +140,12 @@ class F2QuadraticSpace:
         return tuple((row & ~((2 << i) - 1)) | (self.qbits & (1 << i))
                      for i, row in enumerate(self.gram))
 
-    @cached_property
-    def radical(self) -> Tuple[int, ...]:
-        """A basis of the radical of the pairing."""
-        return tuple(f2_kernel(self.gram, self.dim))
-
     def pairing(self, u: int, v: int) -> int:
         return bilinear_eval(self.gram, u, v)
+
+    def beta(self, u: int, v: int) -> int:
+        """The cover's cocycle u^T B v, B the ``upper_rows``."""
+        return bilinear_eval(self.upper_rows, u, v)
 
     def q(self, v: int) -> int:
         """q(v) = sum_i q_i v_i + sum_{i<j} gram_ij v_i v_j."""
@@ -174,8 +162,7 @@ def standard_symplectic_space(g: int, qbits: int = 0) -> F2QuadraticSpace:
 
 
 def symplectic_decomposition(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Greedy hyperbolic-pair peeling; ``space`` needs only ``dim`` and
-    ``pairing``, so a cocycle serves as well.
+    """Greedy hyperbolic-pair peeling.
 
     Returns (pairs, radical): a list of hyperbolic pairs (v, w) with
     <v, w> = 1 and a basis of the radical, jointly a basis of the space.

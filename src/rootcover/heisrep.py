@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .extension import Cocycle
-from .f2 import f2_solve, parity, symplectic_decomposition
+from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
 from .gaussian import MonoMat, phase_rows, sparse_nullspace
 
 
@@ -33,7 +32,7 @@ class RepError(ValueError):
         self.witnesses = tuple(witnesses)
 
 
-def arf_normal_pairs(cocycle: Cocycle) -> Tuple[List[Tuple[int, int]], List[int]]:
+def arf_normal_pairs(cocycle: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
     """Symplectic basis of the cocycle's form, with all q = 1 weight on the
     last hyperbolic pair.
 
@@ -131,7 +130,7 @@ class HeisRep:
     hand has none and verify_rep checks it afresh.
     """
 
-    def __init__(self, cocycle: Cocycle, dim_w: int, mats: Tuple[MonoMat, ...]):
+    def __init__(self, cocycle: F2QuadraticSpace, dim_w: int, mats: Tuple[MonoMat, ...]):
         self.cocycle = cocycle
         self.dim_w = dim_w
         self.mats = mats
@@ -150,18 +149,15 @@ class HeisRep:
         }
 
 
-def build_heisrep(cocycle: Cocycle, radical: Sequence[int]) -> HeisRep:
+def build_heisrep(cocycle: F2QuadraticSpace) -> HeisRep:
     """Build the representation and verify its full multiplication table.
 
-    ``radical`` must span the radical of the cocycle's pairing.  The
-    returned representation carries the verification as ``report``, whose
+    The returned representation carries the verification as ``report``, whose
     commutant is not computed; a failure of the table or of rho(-1) = -id
     raises RepError with the first failing signed pairs.
     """
     pairs, rad = arf_normal_pairs(cocycle)
     n = cocycle.dim
-    if len(radical) != len(rad) or any(f2_solve(rad, r, n) is None for r in radical):
-        raise RepError("supplied radical does not match the pairing radical")
     g = len(pairs)
     dim_w = 1 << g
 
@@ -201,7 +197,7 @@ def build_heisrep(cocycle: Cocycle, radical: Sequence[int]) -> HeisRep:
         j = (v & -v).bit_length() - 1
         rest = v & (v - 1)
         m = basis_mats[j] * mats[rest]
-        if parity(cocycle.rows[j] & rest):
+        if parity(cocycle.upper_rows[j] & rest):
             m = -m
         mats[v] = m
 

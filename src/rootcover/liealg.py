@@ -36,7 +36,7 @@ from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import intmat
-from .extension import Cocycle
+from .f2 import F2QuadraticSpace
 from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, gq, phase_rows,
                        sparse_nullspace, sparse_rank)
 from .heisrep import HeisRep
@@ -92,7 +92,7 @@ class SparseLieAlgebra:
 class IntegralLieAlgebra(SparseLieAlgebra):
     """The Lie algebra of a root datum and cover, on the basis (h, X_gamma)."""
 
-    def __init__(self, datum: RootDatum, cocycle: Cocycle, table: Table):
+    def __init__(self, datum: RootDatum, cocycle: F2QuadraticSpace, table: Table):
         super().__init__(datum.rank + len(datum.roots), table)
         self.datum = datum
         self.cocycle = cocycle
@@ -133,7 +133,7 @@ def _packed_roots(datum: RootDatum) -> List[int]:
     return [sum(c * base ** t for t, c in enumerate(r)) for r in datum.roots]
 
 
-def build_lie(datum: RootDatum, cocycle: Cocycle) -> IntegralLieAlgebra:
+def build_lie(datum: RootDatum, cocycle: F2QuadraticSpace) -> IntegralLieAlgebra:
     """Assemble the bracket table; raises on lattice/cover mismatch."""
     n = datum.rank
     if cocycle.dim != n:
@@ -564,7 +564,7 @@ class RMap:
     """
 
     def __init__(self, fixed: FixedSubalgebra, rep: HeisRep):
-        if rep.cocycle != fixed.L.cocycle:
+        if rep.cocycle is not fixed.L.cocycle:
             raise LieError("representation was built from a different cover")
         self.fixed = fixed
         self.rep = rep

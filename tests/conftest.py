@@ -6,6 +6,7 @@ import pytest
 
 from rootcover import lattice
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
+from rootcover.f2 import f2_echelon
 from rootcover.gaussian import Dense, I, ONE, gq
 from rootcover.heisrep import HeisRep, build_heisrep
 from rootcover.liealg import build_R
@@ -17,11 +18,28 @@ def with_mats(rep, mats):
     return HeisRep(rep.cocycle, rep.dim_w, tuple(mats))
 
 
+def f2_kernel(rows, ncols):
+    """Basis of {x : row . x = 0 for every row}, as bitmasks: for the gram
+    rows of a mod-2 space, a basis of the radical of its pairing."""
+    reduced = f2_echelon(rows, ncols)
+    pivot_cols = {col for col, _ in reduced}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = 1 << free
+        for col, row in reduced:
+            if (row >> free) & 1:
+                vec |= 1 << col
+        basis.append(vec)
+    return basis
+
+
 @pytest.fixture(scope="session")
 def a2_stack():
     # the pipeline builds a representation only for E6 and E7; A2 gets one here
     pipe = build_pipeline("A2")
-    rep = build_heisrep(pipe.cocycle, radical=lattice.mod2_space(pipe.datum).radical)
+    rep = build_heisrep(pipe.cocycle)
     return Pipeline(pipe.datum, pipe.cocycle, pipe.lie, pipe.theta, pipe.fixed,
                     rep, build_R(pipe.fixed, rep))
 

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 from conftest import pgl2_to_so3
 
 from rootcover import lattice
-from rootcover.extension import build_extension
 from rootcover.f2 import count_refinements_by_arf
 from rootcover.gaussian import ONE, dense_mul, gq, sparse_rank
 from rootcover.grouplift import anticommutation_model_holds, verify_comm_relation
@@ -43,7 +42,7 @@ def test_criterion_02_jacobi_exhaustive(e6_stack, e7_stack):
     from rootcover.liealg import build_lie, build_theta
     for name in ("A2", "A3", "D4"):
         datum = lattice.root_datum(name)
-        L = build_lie(datum, build_extension(lattice.mod2_space(datum)))
+        L = build_lie(datum, lattice.mod2_space(datum))
         report = verify_jacobi(L, theta=build_theta(L))
         assert report.ok and report.covered_ordered == L.dim ** 3
 

@@ -534,6 +534,15 @@ def test_degenerate_invariant_form_exits_1(capsys, monkeypatch):
             in captured.err)
 
 
+def test_theta_trace_mismatch_exits_1(capsys, monkeypatch):
+    # build_theta compares the trace with -rank before cmd_verify reads it
+    monkeypatch.setattr(liealg.Involution, "trace", lambda self: 0)
+    assert cli.main(["verify", "--type", "A2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failed: involution trace is not -rank\n" in captured.err
+
+
 def test_quartic_command(capsys):
     code, out = _run(capsys, ["quartic", "e6",
                               "--params", "0,0,0,0,0,1",
@@ -589,8 +598,8 @@ def _loaded_modules(*args, stdlib=False):
 
 
 _LATTICE = ["cmd_lattice", "f2", "intmat", "lattice", "realtable"]
-_PIPELINE = ["cmd_pipeline", "extension", "f2", "gaussian", "grouplift",
-             "heisrep", "intmat", "lattice", "liealg"]
+_PIPELINE = ["cmd_pipeline", "f2", "gaussian", "grouplift", "heisrep",
+             "intmat", "lattice", "liealg"]
 
 
 _COMMANDS = [
@@ -624,6 +633,31 @@ def test_no_command_loads_dataclasses_or_inspect(argv):
     assert code == 0
     assert "argparse" in stdlib
     assert "dataclasses" not in stdlib and "inspect" not in stdlib
+
+
+_TRACED_VERIFY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+code = tracer.run(["verify", "--type", "A2"])["code"]
+print(json.dumps([code, tracer.calls["extension.beta"], tracer.calls["f2.q"]]))
+"""
+
+
+def test_benchmark_tracer_installs_and_counts_the_cover_kernels():
+    # perfbench/tracer.py imports every rootcover module, extension included,
+    # and counts Cocycle.beta and F2QuadraticSpace.q calls by those names
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    bench = os.path.join(os.path.dirname(src), "perfbench")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_VERIFY, bench],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    code, beta_calls, q_calls = json.loads(proc.stdout)
+    assert code == 0
+    assert beta_calls > 0 and q_calls > 0
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -1,13 +1,19 @@
+import json
 import random
 from typing import Iterator, List, Sequence, Tuple
 
 import pytest
+from conftest import f2_kernel
 
-from rootcover import extension, lattice
-from rootcover.extension import Cocycle, ExtensionError, build_extension
-from rootcover.f2 import mod2_bits, mul_vec, parity, quadform_eval, standard_symplectic_space
+from rootcover import cli, lattice
+from rootcover.f2 import (F2QuadraticSpace, mod2_bits, mul_vec, parity,
+                          quadform_eval, standard_symplectic_space)
 
 # -- the cover's group law and its automorphisms, as a model of the cocycle ---
+
+
+class ExtensionError(ValueError):
+    pass
 
 
 class ExtElement:
@@ -31,12 +37,12 @@ class ExtElement:
         return ExtElement(-self.sign, self.v)
 
 
-class CoverGroup(Cocycle):
-    """The group of pairs (sign, v) that the cocycle multiplies."""
+class CoverGroup(F2QuadraticSpace):
+    """The group of pairs (sign, v) that the space's cocycle beta multiplies."""
 
     @classmethod
-    def of(cls, cocycle: Cocycle) -> "CoverGroup":
-        return cls(cocycle.dim, cocycle.rows)
+    def of(cls, space: F2QuadraticSpace) -> "CoverGroup":
+        return cls(space.dim, space.gram, space.qbits)
 
     @property
     def order(self) -> int:
@@ -217,7 +223,7 @@ def automorphisms_fixing_v(cocycle: CoverGroup) -> List[ExtAutomorphism]:
 
 def _e6_cocycle():
     datum = lattice.root_datum("E6")
-    return datum, CoverGroup.of(build_extension(lattice.mod2_space(datum)))
+    return datum, CoverGroup.of(lattice.mod2_space(datum))
 
 
 def test_group_order():
@@ -257,7 +263,7 @@ def test_root_lift_squares_are_minus_one():
 def test_commutators_descend_to_the_pairing():
     for name in ("A2", "E6", "E7"):
         datum = lattice.root_datum(name)
-        coc = CoverGroup.of(build_extension(lattice.mod2_space(datum)))
+        coc = CoverGroup.of(lattice.mod2_space(datum))
         n = 1 << coc.dim
         for u in range(n):
             x = ExtElement(1, u)
@@ -308,10 +314,10 @@ def test_centers():
 
     datum7 = lattice.root_datum("E7")
     m2 = lattice.mod2_space(datum7)
-    coc7 = CoverGroup.of(build_extension(m2))
+    coc7 = CoverGroup.of(m2)
     center7 = coc7.center()
     assert len(center7) == 4
-    r = m2.radical[0]
+    r, = f2_kernel(m2.gram, m2.dim)
     assert {x.v for x in center7} == {0, r}
     # q on the radical generator decides the center structure: here order 4
     assert coc7.q(r) == 1
@@ -341,7 +347,7 @@ def test_character_automorphisms():
 
 def test_automorphism_group_fixing_v_has_order_dim_of_dual():
     space = standard_symplectic_space(1, qbits=0)
-    coc = CoverGroup.of(build_extension(space))
+    coc = CoverGroup.of(space)
     auts = automorphisms_fixing_v(coc)
     assert len(auts) == 4
     tables = {a.action_table() for a in auts}
@@ -436,24 +442,12 @@ def test_transport_rejects_non_symplectic():
         transport_automorphism(coc, bad)
 
 
-def test_cover_check_is_exact_beyond_ten_dimensions(monkeypatch):
-    # a wrong q(e_11) changes q only on vectors >= 2^11, which a check of
-    # the first 2^10 vectors would never see
-    space = standard_symplectic_space(6, qbits=0b101101001011)
-    assert build_extension(space).rows == space.upper_rows
-    real_cocycle = extension.Cocycle
-
-    def flipped(dim, rows):
-        rows = list(rows)
-        rows[11] ^= 1 << 11
-        return real_cocycle(dim, tuple(rows))
-
-    monkeypatch.setattr(extension, "Cocycle", flipped)
-    with pytest.raises(ExtensionError, match="refinement"):
-        build_extension(space)
-
-
-def test_beta_json_dump():
+def test_beta_json_dump(tmp_path):
+    # build writes beta as the 0/1 matrix of the cover's cocycle
     _, coc = _e6_cocycle()
-    d = coc.to_json_dict()
+    out = tmp_path / "e6.json"
+    assert cli.main(["build", "--type", "E6", "--out", str(out)]) == 0
+    d = json.loads(out.read_text())["cover"]
     assert d["dim"] == 6 and len(d["beta"]) == 6
+    assert d["beta"] == [[coc.beta(1 << i, 1 << j) for j in range(6)]
+                         for i in range(6)]

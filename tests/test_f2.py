@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from conftest import f2_kernel
 from hypothesis import given, settings, strategies as st
 
 from rootcover import intmat, lattice
 from rootcover.f2 import (F2Error, F2QuadraticSpace, arf,
-                          count_refinements_by_arf, f2_kernel, f2_rank,
+                          count_refinements_by_arf, f2_rank,
                           f2_solve, mod2_bits, mul_vec, parity,
                           standard_symplectic_space, symplectic_decomposition)
 from rootcover.lattice import mod2_rank_one_plus

@@ -1,39 +1,34 @@
 import pytest
-from conftest import with_mats
+from conftest import f2_kernel, with_mats
 
 from rootcover import heisrep, lattice
-from rootcover.extension import build_extension
+from rootcover.f2 import f2_rank, symplectic_decomposition
 from rootcover.gaussian import (I, MINUS_ONE, ONE, ZERO, MonoMat, gq,
                                 sparse_nullspace)
-from rootcover.heisrep import (HeisRep, RepError, arf_normal_pairs,
-                               build_heisrep, commutant_dimension, verify_rep)
-
-
-def _stack(name):
-    datum = lattice.root_datum(name)
-    space = lattice.mod2_space(datum)
-    return datum, space, build_extension(space)
+from rootcover.heisrep import (HeisRep, arf_normal_pairs, build_heisrep,
+                               commutant_dimension, verify_rep)
 
 
 @pytest.fixture(scope="module")
 def reps():
     out = {}
     for name in ("A2", "D4", "E6", "E7"):
-        datum, m2, coc = _stack(name)
-        out[name] = (datum, m2, coc, build_heisrep(coc, radical=m2.radical))
+        datum = lattice.root_datum(name)
+        coc = lattice.mod2_space(datum)
+        out[name] = (datum, coc, build_heisrep(coc))
     return out
 
 
 def test_dimensions(reps):
-    assert reps["A2"][3].dim_w == 2
-    assert reps["D4"][3].dim_w == 2
-    assert reps["E6"][3].dim_w == 8
-    assert reps["E7"][3].dim_w == 8
+    assert reps["A2"][2].dim_w == 2
+    assert reps["D4"][2].dim_w == 2
+    assert reps["E6"][2].dim_w == 8
+    assert reps["E7"][2].dim_w == 8
 
 
 def test_arf_normal_form_has_single_twist_site(reps):
     for name in ("A2", "E6", "E7"):
-        _, _, coc, rep = reps[name]
+        _, coc, rep = reps[name]
         pairs, radical = arf_normal_pairs(coc)
         twist = [p for p in pairs if coc.q(p[0]) or coc.q(p[1])]
         assert len(twist) <= 1
@@ -44,7 +39,7 @@ def test_arf_normal_form_has_single_twist_site(reps):
 
 def test_full_multiplication_tables(reps):
     for name, expected_pairs in (("E6", 16384), ("E7", 65536)):
-        datum, m2, coc, rep = reps[name]
+        datum, coc, rep = reps[name]
         rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
         report = verify_rep(rep, root_classes=rc)
         assert report.ok
@@ -54,8 +49,8 @@ def test_full_multiplication_tables(reps):
 
 
 def test_radical_scalar_for_e7(reps):
-    _, m2, coc, rep = reps["E7"]
-    r, = m2.radical
+    _, coc, rep = reps["E7"]
+    r, = f2_kernel(coc.gram, coc.dim)
     scalar = rep.rho_bits(r).scalar_value()
     # q = 1 on the radical forces an order-4 scalar, consistent with the
     # order-4 center of the cover
@@ -65,7 +60,7 @@ def test_radical_scalar_for_e7(reps):
 
 
 def test_root_lift_order_four(reps):
-    datum, _, _, rep = reps["E6"]
+    datum, _, rep = reps["E6"]
     minus_id = -MonoMat.identity(rep.dim_w)
     for i in range(len(datum.roots)):
         m = rep.rho_bits(datum.root_class_bits(i))
@@ -75,9 +70,9 @@ def test_root_lift_order_four(reps):
 
 def test_traces(reps):
     for name in ("E6", "E7"):
-        _, m2, coc, rep = reps[name]
+        _, coc, rep = reps[name]
         rad_span = {0}
-        for r in m2.radical:
+        for r in f2_kernel(coc.gram, coc.dim):
             rad_span |= {x ^ r for x in rad_span}
         for v in range(1 << coc.dim):
             t = rep.rho_bits(v).trace()
@@ -91,7 +86,7 @@ def test_traces(reps):
 
 def test_verification_survives_basis_permutation(reps):
     # conjugating every matrix by a fixed permutation keeps all identities
-    datum, m2, coc, rep = reps["E6"]
+    datum, coc, rep = reps["E6"]
     n = rep.dim_w
     perm = tuple((i * 3 + 1) % n for i in range(n))
     inv = [0] * n
@@ -107,7 +102,7 @@ def test_verification_survives_basis_permutation(reps):
 
 def test_verify_rep_reuses_the_build_time_table(reps):
     for name, expected_pairs in (("E6", 16384), ("E7", 65536)):
-        datum, _, _, rep = reps[name]
+        datum, _, rep = reps[name]
         assert not rep.report.failures and rep.report.rho_minus_one_is_minus_id
         assert rep.report.pairs_checked == expected_pairs
         assert rep.report.commutant_dim is None
@@ -134,7 +129,7 @@ def test_table_check_computes_one_product_per_pair(reps, monkeypatch):
 
     real = MonoMat.right_table
     monkeypatch.setattr(MonoMat, "right_table", lambda m: Counted(real(m)))
-    _, _, coc, rep = reps["E6"]
+    _, coc, rep = reps["E6"]
     report = heisrep._check_table(rep)
     size = 1 << coc.dim
     assert not report.failures and report.rho_minus_one_is_minus_id
@@ -143,7 +138,7 @@ def test_table_check_computes_one_product_per_pair(reps, monkeypatch):
 
 
 def test_flipped_phase_fails_verification_and_names_the_pair(reps):
-    datum, _, _, rep = reps["E6"]
+    datum, _, rep = reps["E6"]
     bad = 0b1011
     m = rep.mats[bad]
     mats = list(rep.mats)
@@ -159,10 +154,18 @@ def test_flipped_phase_fails_verification_and_names_the_pair(reps):
     assert all(bad in (u, v, u ^ v) for (_, u), (_, v) in report.failures)
 
 
-def test_supplied_radical_is_validated():
-    datum, m2, coc = _stack("E7")
-    with pytest.raises(RepError):
-        build_heisrep(coc, radical=[0b1, 0b10])
+@pytest.mark.parametrize("name, rad_dim", [
+    ("A3", 1), ("A7", 1), ("D4", 2), ("D5", 1), ("D6", 2), ("E7", 1),
+    ("E6", 0), ("E8", 0)])
+def test_decomposition_radical_is_the_pairing_kernel(name, rad_dim):
+    # build_heisrep takes its radical from the symplectic decomposition; it
+    # must span the kernel of the gram rows, found here by elimination
+    space = lattice.mod2_space(lattice.root_datum(name))
+    _, radical = symplectic_decomposition(space)
+    kernel = f2_kernel(space.gram, space.dim)
+    assert len(radical) == len(kernel) == rad_dim
+    assert f2_rank(radical, space.dim) == rad_dim
+    assert f2_rank(radical + kernel, space.dim) == rad_dim
 
 
 def _invariant_group_forms(rep, generators, n):
@@ -264,7 +267,7 @@ def test_commutant_matches_generic_rows(e6_stack, change, dim):
 
 
 def test_json_dump_shape(reps):
-    _, _, _, rep = reps["A2"]
+    _, _, rep = reps["A2"]
     d = rep.to_json_dict()
     assert d["dim_w"] == 2
     assert len(d["mats"]) == 4

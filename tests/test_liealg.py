@@ -9,7 +9,6 @@ from typing import Optional
 import pytest
 
 from rootcover import heisrep, intmat, lattice, liealg
-from rootcover.extension import build_extension
 from rootcover.f2 import parity
 from rootcover.gaussian import (ONE, MonoMat, add_terms, gq, sparse_nullspace,
                                 sparse_rank)
@@ -76,7 +75,7 @@ def recover_roots_from_ad(L: IntegralLieAlgebra) -> bool:
 
 def _lie(name):
     datum = lattice.root_datum(name)
-    coc = build_extension(lattice.mod2_space(datum))
+    coc = lattice.mod2_space(datum)
     return build_lie(datum, coc)
 
 
@@ -403,9 +402,14 @@ def test_sampled_triples_are_determined_by_the_seed(e6_stack):
 
 def test_cover_lattice_mismatch_is_rejected():
     datum = lattice.root_datum("A2")
-    other = build_extension(lattice.mod2_space(lattice.root_datum("A3")))
+    other = lattice.mod2_space(lattice.root_datum("A3"))
     with pytest.raises(LieError):
         build_lie(datum, other)
+
+
+def test_r_map_refuses_a_representation_of_another_cover(a2_stack, e6_stack):
+    with pytest.raises(LieError, match="different cover"):
+        build_R(a2_stack.fixed, e6_stack.rep)
 
 
 def test_theta_traces_and_action(a2_stack, e6_stack, e7_stack):
@@ -478,7 +482,7 @@ def _dense_killing(alg):
 @pytest.mark.parametrize("name", ["A2", "D4", "E6"])
 def test_killing_forms_match_dense_traces(name):
     datum = lattice.root_datum(name)
-    L = build_lie(datum, build_extension(lattice.mod2_space(datum)))
+    L = build_lie(datum, lattice.mod2_space(datum))
     # L: every entry, the zeros the grading forces included
     kf = killing_form(L)
     dense = _dense_killing(L)
