@@ -15,7 +15,8 @@ Commands
 
 Output is byte-identical across runs for a fixed configuration; sampled
 verification records its seed.  Bad input, an unwritable --out path
-included, exits 2 before any expensive work.
+included, exits 2 before any expensive work; a write to --out that fails
+anyway, on a full disk say, exits 2 with the reason and no output.
 
 This module holds the parser, the input checks and the output writer, and
 imports no rootcover domain module.  Once the parser has chosen a command,
@@ -78,8 +79,11 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     import json
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
     sys.stdout.write(text)
 
 

@@ -1,14 +1,14 @@
-"""Exact Gaussian-rational scalars, monomial matrices, and dense linear algebra.
+"""Exact Gaussian-rational scalars, unit monomial matrices, and sparse linear algebra.
 
 Scalars are a + b*i with a, b rational; equality is exact.  Monomial matrices
-(one nonzero entry per row) have every entry in scale * {1, i, -1, -i} and
-are stored as a column permutation, one phase mod 4 per row and the single
-rational scale, so a product costs O(n) integer operations.  Gaussian
-rationals are used where matrices meet field arithmetic: traces, sparse
-solves and small dense determinants (through intmat.field_eliminate).  The
-commutant and invariant-form systems have equations of two phase terms;
-``phase_rows`` normalizes and deduplicates them in integers, so only the
-distinct rows reach ``sparse_nullspace``.  The sparse echelon works over any
+(one nonzero entry per row) have every entry in {1, i, -1, -i} and are
+stored as a column permutation and one phase mod 4 per row, so a product
+costs O(n) integer operations.  Gaussian rationals are used where matrices
+meet field arithmetic: traces, sparse solves and small dense determinants
+(through intmat.field_eliminate).  The commutant and invariant-form systems
+have equations of two phase terms; ``phase_rows`` normalizes and
+deduplicates them in integers, so only the distinct rows reach
+``sparse_nullspace``.  The sparse echelon works over any
 field; ``sparse_rank`` also ranks the quartic probe's ``Fraction`` rows.
 """
 
@@ -70,58 +70,40 @@ I = gq(0, 1)
 MINUS_ONE = gq(-1)
 
 
-Dense = Tuple[Tuple[GQ, ...], ...]
-
-
 # i**k as an integer pair (re, im) and as a Gaussian rational, k = 0..3
 _UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
 _POWERS_OF_I = (ONE, I, MINUS_ONE, -I)
 
 
-def _polar(v: GQ) -> Tuple[int, Fraction]:
-    """(k, t) with v = t * i**k and t > 0; raises unless v is a nonzero
-    rational multiple of 1, i, -1 or -i."""
-    if v.im == 0 and v.re != 0:
-        return (0, v.re) if v.re > 0 else (2, -v.re)
-    if v.re == 0 and v.im != 0:
-        return (1, v.im) if v.im > 0 else (3, -v.im)
-    raise ValueError(f"{v} is not a nonzero rational multiple of 1, i, -1 or -i")
-
-
 class MonoMat:
-    """Monomial matrix with entries in scale * {1, i, -1, -i}.
+    """Monomial matrix with entries in {1, i, -1, -i}.
 
-    Row r has its unique nonzero entry scale * i**phase[r] at column col[r].
-    ``col`` is a permutation of range(n), every phase lies in 0..3 and the
-    scale is a positive rational, so equal matrices have equal fields.  A
-    product composes the permutations and adds phases mod 4; negation adds 2
-    to every phase.  Gaussian rationals appear only where a matrix meets
-    field arithmetic: ``entries``, ``trace`` and ``scalar_value``.
+    Row r has its unique nonzero entry i**phase[r] at column col[r].  ``col``
+    is a permutation of range(n) and every phase lies in 0..3, so equal
+    matrices have equal fields.  A product composes the permutations and adds
+    phases mod 4; negation adds 2 to every phase.  Gaussian rationals appear
+    only where a matrix meets field arithmetic: ``entries``, ``trace`` and
+    ``scalar_value``.
 
     For loops over many products, ``code`` packs row r as 4 * col[r] +
     phase[r] and ``right_table`` is the 4n-entry lookup table of right
-    multiplication, so that the rows of A * B, scales apart, are
+    multiplication, so that the rows of A * B are
     ``tuple(map(B.right_table().__getitem__, A.code()))``.
     """
 
-    def __init__(self, n: int, col: Tuple[int, ...], phase: Tuple[int, ...],
-                 scale: Fraction = Fraction(1)):
+    def __init__(self, n: int, col: Tuple[int, ...], phase: Tuple[int, ...]):
         self.n = n
         self.col = col
         self.phase = phase
-        self.scale = scale
         if len(self.col) != self.n or sorted(self.col) != list(range(self.n)):
             raise ValueError("col must be a permutation of range(n)")
         if len(self.phase) != self.n or any(p not in (0, 1, 2, 3) for p in self.phase):
             raise ValueError("phases must be n values in 0..3")
-        if not self.scale > 0:
-            raise ValueError("the scale must be a positive rational")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.n, self.col, self.phase, self.scale)
-                == (other.n, other.col, other.phase, other.scale))
+        return (self.n, self.col, self.phase) == (other.n, other.col, other.phase)
 
     @staticmethod
     def identity(n: int) -> "MonoMat":
@@ -130,22 +112,10 @@ class MonoMat:
     def __mul__(self, other: "MonoMat") -> "MonoMat":
         oc, op = other.col, other.phase
         return MonoMat(self.n, tuple(oc[c] for c in self.col),
-                       tuple((p + op[c]) & 3 for p, c in zip(self.phase, self.col)),
-                       self.scale * other.scale)
+                       tuple((p + op[c]) & 3 for p, c in zip(self.phase, self.col)))
 
     def __neg__(self) -> "MonoMat":
-        return MonoMat(self.n, self.col, tuple((p + 2) & 3 for p in self.phase),
-                       self.scale)
-
-    def times(self, s: GQ) -> "MonoMat":
-        """s * self, for s a nonzero rational multiple of 1, i, -1 or -i."""
-        k, t = _polar(s)
-        return MonoMat(self.n, self.col, tuple((p + k) & 3 for p in self.phase),
-                       self.scale * t)
-
-    def _value(self, phase: int) -> GQ:
-        re, im = _UNIT[phase]
-        return GQ(self.scale * re, self.scale * im)
+        return MonoMat(self.n, self.col, tuple((p + 2) & 3 for p in self.phase))
 
     def trace(self) -> GQ:
         re = im = 0
@@ -154,38 +124,27 @@ class MonoMat:
                 a, b = _UNIT[self.phase[r]]
                 re += a
                 im += b
-        return GQ(self.scale * re, self.scale * im)
+        return gq(re, im)
 
     def scalar_value(self) -> Optional[GQ]:
         """The scalar s when the matrix equals s * identity, else None."""
         if any(c != r for r, c in enumerate(self.col)):
             return None
         p = self.phase[0]
-        return self._value(p) if all(q == p for q in self.phase) else None
+        return _POWERS_OF_I[p] if all(q == p for q in self.phase) else None
 
     def entries(self) -> Iterable[Tuple[int, int, GQ]]:
         for r, c in enumerate(self.col):
-            yield r, c, self._value(self.phase[r])
+            yield r, c, _POWERS_OF_I[self.phase[r]]
 
     def code(self) -> Tuple[int, ...]:
-        """Row r packed as 4 * col[r] + phase[r]; the scale is left out."""
+        """Row r packed as 4 * col[r] + phase[r]."""
         return tuple(4 * c + p for c, p in zip(self.col, self.phase))
 
     def right_table(self) -> Tuple[int, ...]:
         """T with (A * self).code()[r] = T[A.code()[r]] for every A of size n."""
         return tuple(4 * c + ((p + q) & 3)
                      for c, q in zip(self.col, self.phase) for p in range(4))
-
-
-def dense_mul(a: Dense, b: Dense) -> Dense:
-    n, m = len(a), len(b[0])
-    k = len(b)
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), ZERO)
-                       for j in range(m)) for i in range(n))
-
-
-def dense_neg(a: Dense) -> Dense:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def add_terms(acc: Dict[Any, Any], terms: Iterable[Tuple[Any, Any]]) -> Dict[Any, Any]:

@@ -136,9 +136,6 @@ class HeisRep:
         self.mats = mats
         self.report: Optional[RepReport] = None
 
-    def rho_bits(self, v: int) -> MonoMat:
-        return self.mats[v]
-
     def to_json_dict(self) -> dict:
         return {
             "dim_w": self.dim_w,
@@ -265,13 +262,10 @@ def _check_table(rep: HeisRep) -> RepReport:
     report = RepReport(pairs_checked=0)
     report.rho_minus_one_is_minus_id = -mats[0] == -MonoMat.identity(rep.dim_w)
 
-    # Products run on packed rows (see MonoMat.code); the scales multiply
-    # separately and are all 1 for a representation built here.
+    # products run on packed rows (see MonoMat.code)
     codes = [m.code() for m in mats]
     neg_codes = [(-m).code() for m in mats]
     tables = [m.right_table() for m in mats]
-    scales = [m.scale for m in mats]
-    unit_scales = all(s == 1 for s in scales)
     beta = coc.beta
     failures = report.failures
     for u in range(size):
@@ -282,8 +276,7 @@ def _check_table(rep: HeisRep) -> RepReport:
             # rho((su sv (-1)^beta(u, v), u + v)) = su sv (-1)^beta(u, v) M_t:
             # su sv cancels, so the four signed pairs hold or fail together
             prod = tuple(map(tables[v].__getitem__, cu))          # M_u M_v
-            if (prod != (neg_codes[t] if beta(u, v) else codes[t])
-                    or not (unit_scales or scales[u] * scales[v] == scales[t])):
+            if prod != (neg_codes[t] if beta(u, v) else codes[t]):
                 failures.extend(((su, u), (sv, v)) for su, sv in _SIGNS)
             report.pairs_checked += 4
     return report
@@ -298,8 +291,8 @@ def _root_square_failures(rep: HeisRep, root_classes: Sequence[int]) -> List[int
 def commutant_dimension(rep: HeisRep) -> int:
     """Dimension of {B : B M = M B for all image matrices}, solved exactly.
 
-    Both terms of an equation carry the scale of M, which factors out: each
-    equation is two phase terms (see gaussian.phase_rows).
+    Every entry of M is a power of i, so each equation is two phase terms
+    (see gaussian.phase_rows).
     """
     n = rep.dim_w
     gens = [rep.mats[1 << j] for j in range(rep.cocycle.dim)]
@@ -316,3 +309,11 @@ def commutant_dimension(rep: HeisRep) -> int:
                     yield ((r * n + k0, m.phase[k0]), (m.col[r] * n + c, m.phase[r] + 2))
 
     return len(sparse_nullspace(phase_rows(equations()), n * n))
+
+
+def anticommutation_model_holds() -> bool:
+    """The 2x2 identity under the sign rule of the lifts: x = ((0, -i), (-i, 0))
+    and z = ((-i, 0), (0, i)) anticommute."""
+    x = MonoMat(2, (1, 0), (3, 3))
+    z = MonoMat(2, (0, 1), (3, 1))
+    return x * z == -(z * x)

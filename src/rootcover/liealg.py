@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import compress
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import intmat
 from .f2 import F2QuadraticSpace
-from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, gq, phase_rows,
+from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, phase_rows,
                        sparse_nullspace, sparse_rank)
 from .heisrep import HeisRep
 from .lattice import RootDatum
@@ -559,8 +558,9 @@ def fixed_subalgebra(L: IntegralLieAlgebra, theta: Involution) -> FixedSubalgebr
 class RMap:
     """The induced action of the fixed subalgebra on the cover representation.
 
-    R(Z_gamma) is half the image of the canonical lift of gamma mod 2, so
-    every R matrix is 1/2 times a monomial matrix with entries in {1, i, -1, -i}.
+    ``mats`` holds rho of the canonical lift of gamma mod 2 for each positive
+    root gamma; R(Z_gamma) is half of it, a monomial matrix with entries in
+    (1/2) {1, i, -1, -i}.
     """
 
     def __init__(self, fixed: FixedSubalgebra, rep: HeisRep):
@@ -568,10 +568,9 @@ class RMap:
             raise LieError("representation was built from a different cover")
         self.fixed = fixed
         self.rep = rep
-        half = gq(Fraction(1, 2))
         datum = fixed.L.datum
         self.mats: Tuple[MonoMat, ...] = tuple(
-            rep.rho_bits(datum.root_class_bits(ri)).times(half) for ri in fixed.pos)
+            rep.mats[datum.root_class_bits(ri)] for ri in fixed.pos)
 
 
 def build_R(fixed: FixedSubalgebra, rep: HeisRep) -> RMap:
@@ -610,19 +609,13 @@ def _add_packed(acc: Dict[int, int], code: Tuple[int, ...], n: int, mult: int) -
 def verify_R(rmap: RMap) -> RReport:
     """Check R([a, b]) = [R(a), R(b)] for every pair of fixed-basis elements.
 
-    All R matrices share one scale s = p/q times a phase-form matrix U_k.  The
-    identity for the pair (i, j), sum_k c_k s U_k = s^2 (U_i U_j - U_j U_i),
-    is checked as q sum_k c_k U_k = p (U_i U_j - U_j U_i) in Gaussian
-    integers: 2 c_k against 1 for s = 1/2.
+    With R(Z_k) = U_k / 2 for the unit monomial U_k in ``rmap.mats``, the
+    identity for the pair (i, j), sum_k c_k U_k / 2 = (U_i U_j - U_j U_i) / 4,
+    is checked as 2 sum_k c_k U_k = U_i U_j - U_j U_i in Gaussian integers.
     """
     fixed = rmap.fixed
     n = fixed.dim
     report = RReport(pairs_checked=0)
-    scales = {m.scale for m in rmap.mats}
-    if len(scales) != 1:
-        raise LieError("R matrices do not share one scale")
-    scale = scales.pop()
-    p, q = scale.numerator, scale.denominator
     w = rmap.rep.dim_w
     codes = [m.code() for m in rmap.mats]
     tables = [m.right_table() for m in rmap.mats]
@@ -631,10 +624,10 @@ def verify_R(rmap: RMap) -> RReport:
         for j in range(i + 1, n):
             lhs: Dict[int, int] = {}
             for k, c in fixed.bracket_basis(i, j):
-                _add_packed(lhs, codes[k], w, q * c)
+                _add_packed(lhs, codes[k], w, 2 * c)
             rhs: Dict[int, int] = {}
-            _add_packed(rhs, tuple(map(tables[j].__getitem__, ci)), w, p)
-            _add_packed(rhs, tuple(map(tables[i].__getitem__, codes[j])), w, -p)
+            _add_packed(rhs, tuple(map(tables[j].__getitem__, ci)), w, 1)
+            _add_packed(rhs, tuple(map(tables[i].__getitem__, codes[j])), w, -1)
             if lhs != rhs:
                 report.failures.append((i, j))
             report.pairs_checked += 1
@@ -658,9 +651,10 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
     """Solve R^T B + B R = 0 over forms with B^T = sym * B.
 
     Unknowns are the upper-triangle entries (strict for sym = -1); returns a
-    basis of the solution space as dicts over unknown indices.  Both terms of
-    an equation carry the scale of R, which therefore factors out: each
-    equation is two phase terms i**p x_u (see gaussian.phase_rows).
+    basis of the solution space as dicts over unknown indices.  The equations
+    are homogeneous in R, so they are solved on the unit monomials U = 2R
+    (``RMap.mats``): each is two phase terms i**p x_u (see
+    gaussian.phase_rows).
     """
     n = mats[0].n
     unknowns = _form_unknowns(n, sym)

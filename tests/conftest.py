@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from typing import Tuple
 
 import pytest
 
 from rootcover import lattice
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
 from rootcover.f2 import f2_echelon
-from rootcover.gaussian import Dense, I, ONE, gq
+from rootcover.gaussian import GQ, I, ONE, ZERO, gq
 from rootcover.heisrep import HeisRep, build_heisrep
 from rootcover.liealg import build_R
 
@@ -82,7 +84,50 @@ def e6_members(e6_weyl):
     return groups
 
 
-# -- the 2x2 -> 3x3 map of the converse construction, a model for two modules
+# -- the root-lift commutation rule, the reference for what src reads from
+# the verified multiplication table
+
+
+class CommReport:
+    def __init__(self) -> None:
+        self.pairs_checked = 0
+        self.failures = []
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def verify_comm_relation(rep, datum) -> CommReport:
+    """Check rho(c(g)) rho(c(d)) = (-1)^<g, d> rho(c(d)) rho(c(g)) on every
+    pair g < d of roots, with <g, d> from the lattice form; a failing pair
+    is named by its root indices."""
+    report = CommReport()
+    roots = datum.roots
+    rho = [rep.mats[datum.root_class_bits(i)] for i in range(len(roots))]
+    for g, d in combinations(range(len(roots)), 2):
+        other = rho[d] * rho[g]
+        if rho[g] * rho[d] != (-other if datum.inner(roots[g], roots[d]) % 2 else other):
+            report.failures.append((g, d))
+        report.pairs_checked += 1
+    return report
+
+
+# -- dense Gaussian-rational matrices, and the 2x2 -> 3x3 map of the converse
+# construction, a model for two modules
+
+Dense = Tuple[Tuple[GQ, ...], ...]
+
+
+def dense_mul(a: Dense, b: Dense) -> Dense:
+    n, m = len(a), len(b[0])
+    k = len(b)
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), ZERO)
+                       for j in range(m)) for i in range(n))
+
+
+def dense_neg(a: Dense) -> Dense:
+    return tuple(tuple(-x for x in row) for row in a)
 
 
 class GroupLiftError(ValueError):

@@ -5,13 +5,12 @@ import random
 import time
 from fractions import Fraction as F
 
-from conftest import pgl2_to_so3
+from conftest import dense_mul, pgl2_to_so3, verify_comm_relation
 
 from rootcover import lattice
 from rootcover.f2 import count_refinements_by_arf
-from rootcover.gaussian import ONE, dense_mul, gq, sparse_rank
-from rootcover.grouplift import anticommutation_model_holds, verify_comm_relation
-from rootcover.heisrep import verify_rep
+from rootcover.gaussian import ONE, gq, sparse_rank
+from rootcover.heisrep import anticommutation_model_holds, verify_rep
 from rootcover.lattice import (bitangent_complement, classify_involutions,
                                delpezzo_k_perp, lines, lines_meeting,
                                weyl_enumerate)
@@ -168,7 +167,7 @@ def test_criterion_10_appendix_identities(e6_stack, e7_stack):
         assert report.root_square_failures == []
         # 2 R(Z_gamma) is rho of the canonical lift of gamma mod 2
         for ri, m in zip(stack.fixed.pos, stack.rmap.mats):
-            assert m.times(gq(2)) == stack.rep.rho_bits(datum.root_class_bits(ri))
+            assert m == stack.rep.mats[datum.root_class_bits(ri)]
         assert verify_comm_relation(stack.rep, stack.datum).ok
     _report(10, "matrix identities, order-4 lifts, intertwining for E6 and E7",
             time.perf_counter() - t0, 10)

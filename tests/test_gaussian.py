@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from conftest import dense_mul, dense_neg
 from hypothesis import example, given, settings, strategies as st
 
-from rootcover.gaussian import (I, ONE, ZERO, MonoMat, _SparseEchelon, _polar,
-                                add_terms, dense_mul, dense_neg, gq, phase_rows,
-                                sparse_nullspace, sparse_rank)
+from rootcover.gaussian import (I, ONE, ZERO, MonoMat, _SparseEchelon, add_terms,
+                                gq, phase_rows, sparse_nullspace, sparse_rank)
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -13,11 +13,10 @@ POWERS_OF_I = (ONE, I, I * I, I * I * I)
 
 def _dense(m):
     """Dense Gaussian-rational matrix of m, read off its raw fields."""
-    s = gq(m.scale)
     rows = []
     for r in range(m.n):
         row = [ZERO] * m.n
-        row[m.col[r]] = s * POWERS_OF_I[m.phase[r]]
+        row[m.col[r]] = POWERS_OF_I[m.phase[r]]
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -25,21 +24,18 @@ def _dense(m):
 def from_values(n, col, vals):
     """The matrix with entry vals[r] at (r, col[r]).
 
-    Every value must be t * i**k for one common positive rational t.
+    Every value must be 1, i, -1 or -i.
     """
-    polar = [_polar(v) for v in vals]
-    scale = polar[0][1]
-    if any(t != scale for _, t in polar):
-        raise ValueError("entries do not share one scale")
-    return MonoMat(n, tuple(col), tuple(k for k, _ in polar), scale)
+    if any(v not in POWERS_OF_I for v in vals):
+        raise ValueError("an entry is not 1, i, -1 or -i")
+    return MonoMat(n, tuple(col), tuple(POWERS_OF_I.index(v) for v in vals))
 
 
 @st.composite
 def monomats(draw, n):
     col = tuple(draw(st.permutations(range(n))))
     phase = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    scale = draw(st.sampled_from((Fraction(1), Fraction(1, 2))))
-    return MonoMat(n, col, phase, scale)
+    return MonoMat(n, col, phase)
 
 
 @st.composite
@@ -48,18 +44,17 @@ def monomat_pairs(draw):
     return draw(monomats(n)), draw(monomats(n))
 
 
-MU4_MULTIPLES = (ONE, -ONE, I, -I, gq(2), gq(0, Fraction(-1, 2)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(monomat_pairs(), st.sampled_from(MU4_MULTIPLES))
-def test_phase_kernel_matches_dense_gaussian_arithmetic(pair, s):
+@given(monomat_pairs(), st.integers(0, 3))
+def test_phase_kernel_matches_dense_gaussian_arithmetic(pair, k):
     a, b = pair
     n = a.n
     da, db = _dense(a), _dense(b)
     assert _dense(a * b) == dense_mul(da, db)
     assert _dense(-a) == dense_neg(da)
-    assert _dense(a.times(s)) == tuple(tuple(s * x for x in row) for row in da)
+    # i**k times the identity
+    s, scalar = POWERS_OF_I[k], MonoMat(n, tuple(range(n)), (k,) * n)
+    assert _dense(scalar * a) == tuple(tuple(s * x for x in row) for row in da)
     assert a.trace() == sum((da[i][i] for i in range(n)), ZERO)
     assert list(a.entries()) == [(r, c, da[r][c])
                                  for r in range(n) for c in range(n)
@@ -67,11 +62,10 @@ def test_phase_kernel_matches_dense_gaussian_arithmetic(pair, s):
     is_scalar = all(da[r][c] == (da[0][0] if r == c else ZERO)
                     for r in range(n) for c in range(n))
     assert a.scalar_value() == (da[0][0] if is_scalar else None)
-    assert MonoMat.identity(n).times(s).scalar_value() == s
+    assert scalar.scalar_value() == s
     # the packed-row product used by the exhaustive checks
     packed = tuple(map(b.right_table().__getitem__, a.code()))
-    decoded = MonoMat(n, tuple(x >> 2 for x in packed),
-                      tuple(x & 3 for x in packed), a.scale * b.scale)
+    decoded = MonoMat(n, tuple(x >> 2 for x in packed), tuple(x & 3 for x in packed))
     assert _dense(decoded) == dense_mul(da, db)
     assert from_values(n, a.col, [da[r][a.col[r]] for r in range(n)]) == a
 
@@ -80,19 +74,16 @@ def test_construction_rejects_entries_outside_mu4_scale():
     with pytest.raises(ValueError):
         from_values(2, (0, 1), (ONE, gq(1, 1)))      # 1 + i
     with pytest.raises(ValueError):
-        from_values(2, (0, 1), (ONE, gq(2)))         # two scales
+        from_values(2, (0, 1), (ONE, gq(2)))         # not a unit
+    with pytest.raises(ValueError):
+        from_values(2, (1, 0), (gq(0, -3), gq(3)))   # a common scale 3
     with pytest.raises(ValueError):
         from_values(2, (1, 0), (ZERO, ZERO))
-    with pytest.raises(ValueError):
-        MonoMat.identity(2).times(gq(1, 1))
     with pytest.raises(ValueError):
         MonoMat(2, (0, 1), (0, 4))
     with pytest.raises(ValueError):
         MonoMat(2, (0, 0), (0, 0))
-    with pytest.raises(ValueError):
-        MonoMat(2, (0, 1), (0, 0), Fraction(0))
-    assert from_values(2, (1, 0), (gq(0, -3), gq(3))) == \
-        MonoMat(2, (1, 0), (3, 0), Fraction(3))
+    assert from_values(2, (1, 0), (gq(0, -1), ONE)) == MonoMat(2, (1, 0), (3, 0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,13 +1,11 @@
 import random
 
 import pytest
-from conftest import GroupLiftError, pgl2_to_so3, with_mats
+from conftest import (Dense, GroupLiftError, dense_mul, dense_neg, pgl2_to_so3,
+                      verify_comm_relation, with_mats)
 
-from rootcover import grouplift
-from rootcover.gaussian import (I, ONE, ZERO, Dense, MonoMat, dense_mul,
-                                dense_neg, gq)
-from rootcover.grouplift import anticommutation_model_holds, verify_comm_relation
-from rootcover.heisrep import verify_rep
+from rootcover.gaussian import I, ONE, ZERO, MonoMat, gq
+from rootcover.heisrep import anticommutation_model_holds, verify_rep
 from rootcover.intmat import field_eliminate
 
 # -- the 2x2 -> 3x3 maps of the converse construction, with their dense helpers
@@ -151,32 +149,42 @@ def test_comm_relation_simple_and_all(e6_stack):
     assert every.ok and every.pairs_checked == 72 * 71 // 2 == 2556
 
 
-def test_comm_relation_checks_each_class_pair_once(e6_stack, e7_stack, monkeypatch):
-    # every root pair is counted, but the matrices are compared once per
-    # unordered pair of classes mod 2 (same-class pairs included)
-    pairings = []
-    real = grouplift.bilinear_eval
+def _simple_class_phase_plus_2(datum, mats):
+    bits = datum.root_class_bits(datum.simple[0])
+    m = mats[bits]
+    mats[bits] = MonoMat(m.n, m.col, ((m.phase[0] + 2) & 3,) + m.phase[1:])
 
-    def counted(rows, u, v):
-        pairings.append(frozenset((u, v)))
-        return real(rows, u, v)
 
-    monkeypatch.setattr(grouplift, "bilinear_eval", counted)
-    for stack, pairs, class_pairs in ((e6_stack, 2556, 36 * 37 // 2),
-                                      (e7_stack, 7875, 63 * 64 // 2)):
-        pairings.clear()
-        report = verify_comm_relation(stack.rep, stack.datum)
-        assert report.ok and report.pairs_checked == pairs
-        assert len(pairings) == len(set(pairings)) == class_pairs
+def _root_0_class_row_3_plus_1(datum, mats):
+    bits = datum.root_class_bits(0)
+    m = mats[bits]
+    mats[bits] = MonoMat(m.n, m.col, m.phase[:3] + ((m.phase[3] + 1) & 3,) + m.phase[4:])
+
+
+@pytest.mark.parametrize("corrupt", [_simple_class_phase_plus_2,
+                                     _root_0_class_row_3_plus_1],
+                         ids=["simple-class-phase-2", "root-0-row-3"])
+@pytest.mark.parametrize("kind, pairs", [("E6", 2556), ("E7", 7875)])
+def test_table_check_sees_every_comm_relation_fault(request, kind, pairs, corrupt):
+    # verify reads the commutation rule of the root lifts from the verified
+    # multiplication table: a corruption that breaks the rule breaks the table
+    stack = request.getfixturevalue(f"{kind.lower()}_stack")
+    datum, rep = stack.datum, stack.rep
+    report = verify_comm_relation(rep, datum)
+    assert report.ok and report.pairs_checked == pairs
+    mats = list(rep.mats)
+    corrupt(datum, mats)
+    bad = with_mats(rep, mats)
+    classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+    assert verify_rep(bad, root_classes=classes).failures
+    assert not verify_comm_relation(bad, datum).ok
 
 
 def test_flipped_sign_breaks_comm_relation(e6_stack):
     datum, rep = e6_stack.datum, e6_stack.rep
-    a = datum.simple[0]
-    bits = datum.root_class_bits(a)
-    m = rep.mats[bits]
+    bits = datum.root_class_bits(datum.simple[0])
     mats = list(rep.mats)
-    mats[bits] = MonoMat(m.n, m.col, ((m.phase[0] + 2) & 3,) + m.phase[1:], m.scale)
+    _simple_class_phase_plus_2(datum, mats)
     report = verify_comm_relation(with_mats(rep, mats), datum)
     assert not report.ok
     assert report.pairs_checked == 2556
@@ -193,8 +201,8 @@ def test_orthogonal_pairs_commute(e6_stack):
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if datum.inner(roots[i], roots[j]) == 0:
-                mi = rep.rho_bits(datum.root_class_bits(i))
-                mj = rep.rho_bits(datum.root_class_bits(j))
+                mi = rep.mats[datum.root_class_bits(i)]
+                mj = rep.mats[datum.root_class_bits(j)]
                 assert mi * mj == mj * mi
                 found += 1
                 if found >= 40:
@@ -208,8 +216,8 @@ def test_adjacent_simple_pairs_anticommute(e6_stack):
     for a in datum.simple:
         for b in datum.simple:
             if datum.inner(roots[a], roots[b]) == -1:
-                ma = rep.rho_bits(datum.root_class_bits(a))
-                mb = rep.rho_bits(datum.root_class_bits(b))
+                ma = rep.mats[datum.root_class_bits(a)]
+                mb = rep.mats[datum.root_class_bits(b)]
                 assert ma * mb == -(mb * ma)
 
 
@@ -218,5 +226,5 @@ def test_cover_realized_faithfully_in_matrices(e6_stack, e7_stack):
     # the root-lift images together with -id realizes the cover
     for stack in (e6_stack, e7_stack):
         mats = stack.rep.mats
-        images = {(s.col, s.phase, s.scale) for m in mats for s in (m, -m)}
+        images = {(s.col, s.phase) for m in mats for s in (m, -m)}
         assert len(images) == 2 * len(mats)

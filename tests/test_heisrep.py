@@ -51,7 +51,7 @@ def test_full_multiplication_tables(reps):
 def test_radical_scalar_for_e7(reps):
     _, coc, rep = reps["E7"]
     r, = f2_kernel(coc.gram, coc.dim)
-    scalar = rep.rho_bits(r).scalar_value()
+    scalar = rep.mats[r].scalar_value()
     # q = 1 on the radical forces an order-4 scalar, consistent with the
     # order-4 center of the cover
     assert coc.q(r) == 1
@@ -63,7 +63,7 @@ def test_root_lift_order_four(reps):
     datum, _, rep = reps["E6"]
     minus_id = -MonoMat.identity(rep.dim_w)
     for i in range(len(datum.roots)):
-        m = rep.rho_bits(datum.root_class_bits(i))
+        m = rep.mats[datum.root_class_bits(i)]
         assert m * m == minus_id
         assert (m * m) * (m * m) == MonoMat.identity(rep.dim_w)
 
@@ -75,7 +75,7 @@ def test_traces(reps):
         for r in f2_kernel(coc.gram, coc.dim):
             rad_span |= {x ^ r for x in rad_span}
         for v in range(1 << coc.dim):
-            t = rep.rho_bits(v).trace()
+            t = rep.mats[v].trace()
             if v in rad_span:
                 assert not t.is_zero()
                 if v == 0:
@@ -142,7 +142,7 @@ def test_flipped_phase_fails_verification_and_names_the_pair(reps):
     bad = 0b1011
     m = rep.mats[bad]
     mats = list(rep.mats)
-    mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:], m.scale)
+    mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:])
     rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
     report = verify_rep(with_mats(rep, mats), root_classes=rc)
     assert not report.ok
@@ -193,7 +193,7 @@ def _invariant_group_forms(rep, generators, n):
 
 def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
     datum, rep = e6_stack.datum, e6_stack.rep
-    gens = [rep.rho_bits(datum.root_class_bits(i)) for i in datum.simple]
+    gens = [rep.mats[datum.root_class_bits(i)] for i in datum.simple]
     sols = _invariant_group_forms(rep, gens, rep.dim_w)
     assert len(sols) == 1
     n = rep.dim_w
@@ -224,7 +224,7 @@ def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
 
 def _generic_commutant_dimension(rep):
     """B M = M B for the generator images, one Gaussian-rational row per
-    matrix entry, scales included."""
+    matrix entry."""
     n = rep.dim_w
     rows = []
     for j in range(rep.cocycle.dim):
@@ -247,7 +247,7 @@ def _generic_commutant_dimension(rep):
 
 
 def _flip_row_0(m):
-    return MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:], m.scale)
+    return MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:])
 
 
 @pytest.mark.parametrize("change, dim", [

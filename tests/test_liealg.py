@@ -547,22 +547,22 @@ def test_r_homomorphism_small(a2_stack):
 
 
 def test_build_r_is_half_the_root_lift_image(e6_stack, e7_stack):
-    # the definition of R: 2 R(Z_gamma) = rho of the canonical lift of gamma
+    # the definition of R: rmap.mats holds 2 R(Z_gamma), rho of the canonical
+    # lift of gamma
     for stack in (e6_stack, e7_stack):
         rmap = build_R(stack.fixed, stack.rep)
         datum = stack.datum
         assert len(rmap.mats) == len(stack.fixed.pos) == len(datum.roots) // 2
         for ri, m in zip(stack.fixed.pos, rmap.mats):
-            assert m.times(gq(2)) == stack.rep.rho_bits(datum.root_class_bits(ri))
+            assert m == stack.rep.mats[datum.root_class_bits(ri)]
 
 
 def test_r_scaling_identity(e6_stack):
     # (2 R(Z_gamma))^2 = -identity, forced by the order-4 lifts
     rmap = e6_stack.rmap
-    minus_id = MonoMat.identity(rmap.rep.dim_w).times(gq(-1))
+    minus_id = -MonoMat.identity(rmap.rep.dim_w)
     for m in rmap.mats:
-        doubled = m.times(gq(2))
-        assert doubled * doubled == minus_id
+        assert m * m == minus_id
         assert m.trace().is_zero()
 
 
@@ -594,7 +594,7 @@ def test_identify_fixed_exceptional(e6_stack, e7_stack):
 
 def _generic_form_space(mats, sym):
     """R^T B + B R = 0 for B^T = sym * B, one Gaussian-rational row per
-    matrix entry, scales included, all rows to the field elimination."""
+    matrix entry, all rows to the field elimination."""
     n = mats[0].n
     unknowns = {}
     for a in range(n):
@@ -633,7 +633,7 @@ def test_invariant_forms_match_generic_rows(e6_stack, flip, dims):
     if flip is not None:
         m = mats[flip]
         phase = m.phase[:3] + ((m.phase[3] + 1) & 3,) + m.phase[4:]
-        mats[flip] = MonoMat(m.n, m.col, phase, m.scale)
+        mats[flip] = MonoMat(m.n, m.col, phase)
     anti, symm = (invariant_form_space(mats, sym) for sym in (-1, 1))
     assert (len(anti), len(symm)) == dims
     assert anti == _generic_form_space(mats, -1)
