@@ -16,7 +16,8 @@ Commands
 Output is byte-identical across runs for a fixed configuration; sampled
 verification records its seed.  Bad input, an unwritable --out path
 included, exits 2 before any expensive work; a write to --out that fails
-anyway, on a full disk say, exits 2 with the reason and no output.
+anyway, on a full disk say, exits 2 with the reason and no output, and so
+does a failed write to stdout.
 
 This module holds the parser, the input checks and the output writer, and
 imports no rootcover domain module.  Once the parser has chosen a command,
@@ -173,9 +174,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload, code = command.run(cfg, args)
         if payload is not None:
             _emit(payload, cfg.out)
+        sys.stdout.flush()
         return code
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # no command opens a file: _emit reports a failed --out write itself
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        # what stdout still buffers would fail again at interpreter exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

@@ -395,17 +395,7 @@ def _is_weight_graded(L: IntegralLieAlgebra) -> bool:
     return True
 
 
-class KillingForm:
-    def __init__(self, matrix: Tuple[Tuple[int, ...], ...], determinant: int):
-        self.matrix = matrix
-        self.determinant = determinant
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.determinant != 0
-
-
-def killing_form(alg: SparseLieAlgebra) -> KillingForm:
+def killing_form(alg: SparseLieAlgebra) -> Tuple[Tuple[int, ...], ...]:
     """K(a, b) = tr(ad a . ad b) = sum over k, m of [e_a, e_k]_m [e_b, e_m]_k,
     every entry computed from ``flat``, so no zero is assumed.
 
@@ -429,9 +419,7 @@ def killing_form(alg: SparseLieAlgebra) -> KillingForm:
                 for b, d in index[m * n + k]:
                     row[b] += c * d
         rows.append(tuple(row))
-    del index, shared
-    matrix = tuple(rows)
-    return KillingForm(matrix, intmat.bareiss_det(matrix))
+    return tuple(rows)
 
 
 class Involution:

@@ -1,9 +1,9 @@
 """Plane quartic normal forms, contact orders, and a smoothness probe.
 
 Curves are homogeneous quartics in (X, Y, Z) with exact rational
-coefficients.  The two marked families place the distinguished point at
-(0:1:0) with tangent line Z = 0, where the restriction is -X^3 Y (contact 3)
-or -X^4 (contact 4).
+coefficients.  The two marked families, one row each of FAMILIES, place the
+distinguished point at (0:1:0) with tangent line Z = 0, where the
+restriction is -X^3 Y (contact 3) or -X^4 (contact 4).
 
 The smoothness probe decides smoothness over the algebraic closure with one
 exact rank of the 45 x 36 Macaulay matrix of the partial derivatives.  For a
@@ -20,8 +20,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gaussian import sparse_rank
-
-Point = Tuple[Fraction, Fraction, Fraction]
 
 
 class QuarticError(ValueError):
@@ -52,13 +50,6 @@ class QuarticCurve:
             coeffs[lookup[mono]] += Fraction(c)
         return cls(tuple(coeffs))
 
-    def evaluate(self, x: Fraction, y: Fraction, z: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (i, j, k), c in zip(MONOMIALS, self.coeffs):
-            if c:
-                total += c * x ** i * y ** j * z ** k
-        return total
-
     def partials(self) -> Tuple[Dict[Tuple[int, int, int], Fraction], ...]:
         """The three cubics dF/dX, dF/dY, dF/dZ as exponent dicts."""
         out: List[Dict[Tuple[int, int, int], Fraction]] = [{}, {}, {}]
@@ -74,133 +65,43 @@ class QuarticCurve:
         return tuple({m: v for m, v in d.items() if v} for d in out)
 
 
-_ZERO = Fraction(0)
+# family -> (fixed terms, the (name, monomial) of each parameter in --params
+# order, the expected contact order); a parameter p adds -p * its monomial:
+# e6: Y^3 Z = X^4 + Y(p2 X^2 Z + p5 X Z^2 + p8 Z^3) + p6 X^2 Z^2 + p9 X Z^3 + p12 Z^4
+# e7: Y^3 Z = X^3 Y + p10 X^2 Z^2 + X(p2 Y^2 Z + p8 Y Z^2 + p14 Z^3)
+#     + p6 Y^2 Z^2 + p12 Y Z^3 + p18 Z^4
+FAMILIES = {
+    "e6": ({(0, 3, 1): 1, (4, 0, 0): -1},
+           (("p2", (2, 1, 1)), ("p5", (1, 1, 2)), ("p8", (0, 1, 3)),
+            ("p6", (2, 0, 2)), ("p9", (1, 0, 3)), ("p12", (0, 0, 4))), 4),
+    "e7": ({(0, 3, 1): 1, (3, 1, 0): -1},
+           (("p2", (1, 2, 1)), ("p10", (2, 0, 2)), ("p8", (1, 1, 2)),
+            ("p14", (1, 0, 3)), ("p6", (0, 2, 2)), ("p12", (0, 1, 3)),
+            ("p18", (0, 0, 4))), 3),
+}
 
 
-class E7Params:
-    def __init__(self, p2: Fraction = _ZERO, p10: Fraction = _ZERO,
-                 p8: Fraction = _ZERO, p14: Fraction = _ZERO,
-                 p6: Fraction = _ZERO, p12: Fraction = _ZERO,
-                 p18: Fraction = _ZERO):
-        self.p2 = p2
-        self.p10 = p10
-        self.p8 = p8
-        self.p14 = p14
-        self.p6 = p6
-        self.p12 = p12
-        self.p18 = p18
+def family_member(family: str, params: Sequence[Fraction]) -> QuarticCurve:
+    """The member of a marked family with the given parameters."""
+    fixed, slots, _ = FAMILIES[family]
+    if len(params) != len(slots):
+        names = ",".join(name for name, _ in slots)
+        raise QuarticError(f"{family} takes {len(slots)} parameters: {names}")
+    terms = dict(fixed)
+    for (_, mono), p in zip(slots, params):
+        terms[mono] = -Fraction(p)
+    return QuarticCurve.from_dict(terms)
 
 
-class E6Params:
-    def __init__(self, p2: Fraction = _ZERO, p5: Fraction = _ZERO,
-                 p8: Fraction = _ZERO, p6: Fraction = _ZERO,
-                 p9: Fraction = _ZERO, p12: Fraction = _ZERO):
-        self.p2 = p2
-        self.p5 = p5
-        self.p8 = p8
-        self.p6 = p6
-        self.p9 = p9
-        self.p12 = p12
+def tangent_contact_order(curve: QuarticCurve) -> Optional[int]:
+    """Order of contact of the curve with Z = 0 at the marked point (0:1:0).
 
-
-def e7_family(p: E7Params) -> QuarticCurve:
-    """Y^3 Z = X^3 Y + p10 X^2 Z^2 + X(p2 Y^2 Z + p8 Y Z^2 + p14 Z^3)
-    + p6 Y^2 Z^2 + p12 Y Z^3 + p18 Z^4, as the vanishing of the difference."""
-    return QuarticCurve.from_dict({
-        (0, 3, 1): Fraction(1),
-        (3, 1, 0): -Fraction(1),
-        (2, 0, 2): -Fraction(p.p10),
-        (1, 2, 1): -Fraction(p.p2),
-        (1, 1, 2): -Fraction(p.p8),
-        (1, 0, 3): -Fraction(p.p14),
-        (0, 2, 2): -Fraction(p.p6),
-        (0, 1, 3): -Fraction(p.p12),
-        (0, 0, 4): -Fraction(p.p18),
-    })
-
-
-def e6_family(p: E6Params) -> QuarticCurve:
-    """Y^3 Z = X^4 + Y(p2 X^2 Z + p5 X Z^2 + p8 Z^3) + p6 X^2 Z^2
-    + p9 X Z^3 + p12 Z^4, as the vanishing of the difference."""
-    return QuarticCurve.from_dict({
-        (0, 3, 1): Fraction(1),
-        (4, 0, 0): -Fraction(1),
-        (2, 1, 1): -Fraction(p.p2),
-        (1, 1, 2): -Fraction(p.p5),
-        (0, 1, 3): -Fraction(p.p8),
-        (2, 0, 2): -Fraction(p.p6),
-        (1, 0, 3): -Fraction(p.p9),
-        (0, 0, 4): -Fraction(p.p12),
-    })
-
-
-MARKED_POINT: Point = (Fraction(0), Fraction(1), Fraction(0))
-MARKED_TANGENT: Tuple[Fraction, Fraction, Fraction] = (Fraction(0), Fraction(0), Fraction(1))
-
-
-def tangent_contact_order(curve: QuarticCurve, point: Sequence,
-                          line: Sequence) -> float:
-    """Vanishing order at ``point`` of the curve restricted to ``line``.
-
-    ``line`` is a coefficient triple (the locus aX + bY + cZ = 0).  Returns
-    an integer <= 4, or infinity when the line lies on the curve.
+    On Z = 0, F(X, Y, 0) is the sum of c_k X^k Y^(4-k), so the order is the
+    least k with c_k != 0 (0 when the curve misses the point); None when the
+    line lies on the curve.
     """
-    pt = tuple(Fraction(x) for x in point)
-    ln = tuple(Fraction(x) for x in line)
-    if all(x == 0 for x in pt) or all(x == 0 for x in ln):
-        raise QuarticError("degenerate point or line")
-    if sum(a * x for a, x in zip(ln, pt)) != 0:
-        raise QuarticError("point does not lie on the line")
-    if curve.evaluate(*pt) != 0:
-        raise QuarticError("point does not lie on the curve")
-    other = _second_point_on_line(ln, pt)
-    # parameterize as s*other + t*pt; the point sits at (s, t) = (0, 1)
-    coeffs = [Fraction(0)] * 5  # coefficient of s^k t^(4-k)
-    for (i, j, k), c in zip(MONOMIALS, curve.coeffs):
-        if not c:
-            continue
-        poly = [Fraction(1)]
-        for exp, idx in ((i, 0), (j, 1), (k, 2)):
-            for _ in range(exp):
-                poly = _mul_linear(poly, other[idx], pt[idx])
-        for deg, val in enumerate(poly):
-            coeffs[deg] += c * val
-    for k in range(5):
-        if coeffs[k] != 0:
-            return k
-    return math.inf
-
-
-def _mul_linear(poly: List[Fraction], a: Fraction, b: Fraction) -> List[Fraction]:
-    """Multiply a polynomial in s (coefficient list) by (a s + b t), tracking
-    only the s-degree; the t-degree is forced by homogeneity."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for d, c in enumerate(poly):
-        out[d + 1] += c * a
-        out[d] += c * b
-    return out
-
-
-def _second_point_on_line(line: Point, pt: Point) -> Point:
-    a, b, c = line
-    if c != 0:
-        candidates = [(Fraction(1), Fraction(0), -a / c),
-                      (Fraction(0), Fraction(1), -b / c)]
-    elif b != 0:
-        candidates = [(Fraction(1), -a / b, Fraction(0)),
-                      (Fraction(0), Fraction(0), Fraction(1))]
-    else:
-        candidates = [(Fraction(0), Fraction(1), Fraction(0)),
-                      (Fraction(0), Fraction(0), Fraction(1))]
-    for cand in candidates:
-        if not _proportional(cand, pt):
-            return cand
-    raise QuarticError("could not find a second point on the line")
-
-
-def _proportional(u: Point, v: Point) -> bool:
-    return (u[0] * v[1] == u[1] * v[0] and u[0] * v[2] == u[2] * v[0]
-            and u[1] * v[2] == u[2] * v[1])
+    return min((i for (i, _, k), c in zip(MONOMIALS, curve.coeffs)
+                if k == 0 and c), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +201,7 @@ def smoothness_probe(curve: QuarticCurve, primes: Sequence[int]) -> Verdict:
     int_parts = [[(m, int(v * scale)) for m, v in d.items()] for d in parts]
     mod_p_singular = {}
     for p in primes:
-        found = _singular_points_mod_p(int_coeffs, parts, p, scale)
+        found = _singular_points_mod_p(int_coeffs, int_parts, p)
         if found:
             mod_p_singular[p] = found
 
@@ -336,13 +237,10 @@ def _poly_eval_mod(terms: Iterable[Tuple[Tuple[int, int, int], int]],
     return total % p
 
 
-def _singular_points_mod_p(int_coeffs: List[int], parts, p: int,
-                           scale: Fraction) -> List[Tuple[int, int, int]]:
+def _singular_points_mod_p(int_coeffs: List[int], int_parts, p: int
+                           ) -> List[Tuple[int, int, int]]:
     f_terms = [(m, c % p) for m, c in zip(MONOMIALS, int_coeffs) if c % p]
-    part_terms = []
-    for d in parts:
-        scaled = [(m, int(v * scale) % p) for m, v in d.items() if int(v * scale) % p]
-        part_terms.append(scaled)
+    part_terms = [[(m, c % p) for m, c in terms if c % p] for terms in int_parts]
     found = []
     # the points of P^2(F_p), generated in this order rather than listed
     reps = itertools.chain(((x, y, 1) for x in range(p) for y in range(p)),

@@ -28,6 +28,9 @@ STDOUT_SHA16 = {
      "--samples", "20000"): "27c60ce38a190bbf",
     ("quartic", "e6", "--params", "1,0,0,2,0,-1"): "77468225bb03286c",
     ("quartic", "e7", "--params", "0,0,0,0,0,0,0"): "8d8c5a0178dec746",
+    # a SINGULAR witness found through CRT, then an INCONCLUSIVE verdict
+    ("quartic", "e7", "--params", "0,0,-5/3,0,0,7/8,0"): "7f56292bd5b3b2b0",
+    ("quartic", "e7", "--params", "0,0,1/3,0,0,3/2,0"): "0bbdf03801cb68cd",
     ("counts", "--g", "4"): "c54636e803a5f44e",
 }
 

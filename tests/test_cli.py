@@ -1,5 +1,6 @@
 import ast
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -13,8 +14,8 @@ from itertools import combinations
 import pytest
 from conftest import with_mats
 
-from rootcover import (cli, cmd_lattice, cmd_pipeline, heisrep, lattice, liealg,
-                       quartic, realtable)
+from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
+                       lattice, liealg, quartic, realtable)
 from rootcover.gaussian import ZERO, MonoMat, add_terms, gq
 from rootcover.liealg import IntegralLieAlgebra
 
@@ -84,8 +85,13 @@ def test_build_rejects_rank_one(capsys):
     (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe",
       ",".join(str(p) for p in range(2, 1000) if all(p % d for d in range(2, p)))],
      f"sum of squares 49345379 above the limit {quartic.MAX_PROBE_SQUARES}"),
+    (["quartic", "e6", "--params", "0,0,0,0,0,0,0"],
+     "error: e6 takes 6 parameters: p2,p5,p8,p6,p9,p12\n"),
+    (["quartic", "e7", "--params", "0,0,0,0,0,0"],
+     "error: e7 takes 7 parameters: p2,p10,p8,p14,p6,p12,p18\n"),
 ], ids=["rank-60", "type-X", "probe-4-9", "probe-10007", "samples-1e8",
-        "params-1e20000", "params-2049-bits", "probe-5-5", "probe-168-primes"])
+        "params-1e20000", "params-2049-bits", "probe-5-5", "probe-168-primes",
+        "e6-7-params", "e7-6-params"])
 def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("root enumeration started before the type was checked")
@@ -127,6 +133,23 @@ def test_failed_out_write_exits_2_without_a_traceback(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write --out /dev/full: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["counts", "--g", "2"], ["table", "real-orbits"]],
+                         ids=["counts", "table"])
+def test_failed_stdout_write_exits_2_without_a_traceback(argv, unbuffered):
+    # unbuffered, the write in the command fails; buffered, the flush after
+    # it, and the exit-time flush must not report the lost bytes again
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "rootcover.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    message = f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert (proc.returncode, proc.stderr.decode()) == (2, message)
 
 
 def test_worker_variable_no_longer_read(capsys, monkeypatch):
@@ -543,6 +566,14 @@ def test_quartic_e7_with_fractions(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["contact_order"] == 3
+
+
+def test_quartic_contact_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cmd_quartic, "tangent_contact_order", lambda curve: None)
+    code, out = _run(capsys, ["quartic", "e6", "--params", "0,0,0,0,0,1"])
+    assert code == 1 and '"contact_order": null' in out
+    payload = json.loads(out)
+    assert (payload["contact_order"], payload["expected_contact"]) == (None, 4)
 
 
 def test_quartic_huge_coefficients_answer_fast(capsys):

@@ -9,9 +9,9 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from rootcover import quartic
-from rootcover.quartic import (E6Params, E7Params, MONOMIALS, QuarticCurve,
-                               QuarticError, e6_family, e7_family,
-                               smoothness_probe, tangent_contact_order)
+from rootcover.quartic import (MONOMIALS, QuarticCurve, QuarticError,
+                               family_member, smoothness_probe,
+                               tangent_contact_order)
 
 
 def _terms(curve):
@@ -19,23 +19,23 @@ def _terms(curve):
 
 
 def test_zero_parameter_families():
-    c6 = e6_family(E6Params())
+    c6 = family_member("e6", (0,) * 6)
     assert _terms(c6) == {(0, 3, 1): F(1), (4, 0, 0): F(-1)}
-    c6b = e6_family(E6Params(p12=F(1)))
+    c6b = family_member("e6", (0, 0, 0, 0, 0, F(1)))
     assert _terms(c6b) == {(0, 3, 1): F(1), (4, 0, 0): F(-1), (0, 0, 4): F(-1)}
-    c7 = e7_family(E7Params())
+    c7 = family_member("e7", (0,) * 7)
     assert _terms(c7) == {(0, 3, 1): F(1), (3, 1, 0): F(-1)}
 
 
 def test_family_coefficient_placement():
-    c7 = e7_family(E7Params(p2=F(2), p10=F(3), p8=F(5), p14=F(7), p6=F(11),
-                            p12=F(13), p18=F(17)))
+    # p2, p10, p8, p14, p6, p12, p18
+    c7 = family_member("e7", (F(2), F(3), F(5), F(7), F(11), F(13), F(17)))
     t = _terms(c7)
     assert t[(2, 0, 2)] == -3 and t[(1, 2, 1)] == -2 and t[(1, 1, 2)] == -5
     assert t[(1, 0, 3)] == -7 and t[(0, 2, 2)] == -11 and t[(0, 1, 3)] == -13
     assert t[(0, 0, 4)] == -17
-    c6 = e6_family(E6Params(p2=F(2), p5=F(3), p8=F(5), p6=F(7), p9=F(11),
-                            p12=F(13)))
+    # p2, p5, p8, p6, p9, p12
+    c6 = family_member("e6", (F(2), F(3), F(5), F(7), F(11), F(13)))
     t = _terms(c6)
     assert t[(2, 1, 1)] == -2 and t[(1, 1, 2)] == -3 and t[(0, 1, 3)] == -5
     assert t[(2, 0, 2)] == -7 and t[(1, 0, 3)] == -11 and t[(0, 0, 4)] == -13
@@ -44,39 +44,46 @@ def test_family_coefficient_placement():
 def test_marked_contact_orders():
     rng = random.Random(17)
     for _ in range(10):
-        p6 = E6Params(*[F(rng.randint(-9, 9)) for _ in range(6)])
-        assert tangent_contact_order(e6_family(p6), (0, 1, 0), (0, 0, 1)) == 4
-        p7 = E7Params(*[F(rng.randint(-9, 9)) for _ in range(7)])
-        assert tangent_contact_order(e7_family(p7), (0, 1, 0), (0, 0, 1)) == 3
-
-
-def test_second_intersection_point_is_transverse():
-    c7 = e7_family(E7Params())
-    assert tangent_contact_order(c7, (1, 0, 0), (0, 0, 1)) == 1
+        p6 = [F(rng.randint(-9, 9)) for _ in range(6)]
+        assert tangent_contact_order(family_member("e6", p6)) == 4
+        p7 = [F(rng.randint(-9, 9)) for _ in range(7)]
+        assert tangent_contact_order(family_member("e7", p7)) == 3
 
 
 def test_line_inside_curve_gives_infinite_order():
-    # X * (cubic) contains the line X = 0
-    curve = QuarticCurve.from_dict({(4, 0, 0): F(1), (1, 3, 0): F(1)})
-    assert tangent_contact_order(curve, (0, 0, 1), (1, 0, 0)) == math.inf
+    # Z * (Y^3 + X Z^2) contains the line Z = 0
+    curve = QuarticCurve.from_dict({(0, 3, 1): F(1), (1, 0, 3): F(1)})
+    assert tangent_contact_order(curve) is None
 
 
-def test_contact_order_validates_incidence():
-    c6 = e6_family(E6Params())
-    with pytest.raises(QuarticError):
-        tangent_contact_order(c6, (1, 1, 1), (0, 0, 1))  # point off the line
-    with pytest.raises(QuarticError):
-        tangent_contact_order(c6, (1, 0, 0), (0, 1, 0))  # on line, off curve
+@pytest.mark.parametrize("terms, order", [
+    ({(0, 4, 0): 1, (1, 3, 0): 2, (0, 0, 4): 1}, 0),    # misses (0:1:0)
+    ({(1, 3, 0): -3, (2, 2, 0): 1, (0, 2, 2): 5}, 1),
+    ({(2, 2, 0): F(1, 2), (4, 0, 0): 7, (1, 3, 0): 0, (0, 3, 1): 1}, 2),
+    ({(3, 1, 0): 2, (1, 2, 1): 4, (0, 1, 3): -1}, 3),
+    ({(4, 0, 0): -1, (3, 0, 1): 9, (0, 3, 1): 1, (2, 2, 0): 0}, 4),
+    ({(2, 1, 1): 1, (0, 0, 4): 3, (1, 3, 0): 0}, None),  # contains Z = 0
+], ids=["0", "1", "2", "3", "4", "line"])
+def test_contact_order_agrees_with_sympy(terms, order):
+    # curves outside both families; the order at (0:1:0) along Z = 0 is the
+    # multiplicity of x = 0 as a root of F(x, 1, 0)
+    curve = QuarticCurve.from_dict({m: F(c) for m, c in terms.items()})
+    x = sympy.symbols("x")
+    restricted = sympy.Poly(_sympy_poly(curve).subs({X: x, Y: 1, Z: 0}), x)
+    expected = (None if restricted.is_zero
+                else sympy.roots(restricted, x, multiple=True).count(0))
+    assert tangent_contact_order(curve) == expected == order
 
 
 def test_singular_cusp_is_detected_with_witness():
-    verdict = smoothness_probe(e6_family(E6Params()), [5, 7, 11])
+    verdict = smoothness_probe(family_member("e6", (0,) * 6), [5, 7, 11])
     assert verdict.kind == "SINGULAR"
     assert verdict.witness == (0, 0, 1)
 
 
 def test_smooth_quartics_are_certified():
-    verdict = smoothness_probe(e6_family(E6Params(p12=F(1))), [5, 7, 11])
+    verdict = smoothness_probe(family_member("e6", (0, 0, 0, 0, 0, F(1))),
+                               [5, 7, 11])
     assert verdict.kind == "SMOOTH"
     assert verdict.exact == "smooth"
     assert not verdict.mod_p_singular
@@ -90,13 +97,13 @@ def test_smooth_quartics_are_certified():
 
 
 def test_probe_rejects_bad_primes():
-    curve = e6_family(E6Params(p12=F(1, 3)))
+    curve = family_member("e6", (0, 0, 0, 0, 0, F(1, 3)))
     with pytest.raises(QuarticError):
         smoothness_probe(curve, [3])
 
 
 def test_probe_verdicts_stable_across_prime_lists():
-    curve = e6_family(E6Params(p2=F(1), p12=F(2)))
+    curve = family_member("e6", (F(1), 0, 0, 0, 0, F(2)))
     kinds = {smoothness_probe(curve, ps).kind
              for ps in ([5], [7, 11], [5, 7, 11, 13])}
     assert len(kinds) == 1
@@ -118,12 +125,11 @@ def test_random_smooth_members(seeded=23):
     attempts = 0
     while passing < 8 and attempts < 60:
         attempts += 1
-        p = E6Params(*[F(rng.randint(-3, 3)) for _ in range(6)])
-        curve = e6_family(p)
+        curve = family_member("e6", [F(rng.randint(-3, 3)) for _ in range(6)])
         verdict = smoothness_probe(curve, [5, 7, 11])
         if verdict.kind == "SMOOTH":
             passing += 1
-            assert tangent_contact_order(curve, (0, 1, 0), (0, 0, 1)) == 4
+            assert tangent_contact_order(curve) == 4
     assert passing == 8
 
 
@@ -133,8 +139,11 @@ def test_zero_curve_rejected():
 
 
 def _scan_inputs(curve):
+    """The integer coefficients and partials of a curve with content 1."""
     denom = math.lcm(*(c.denominator for c in curve.coeffs))
-    return [int(c * denom) for c in curve.coeffs], curve.partials(), denom
+    int_parts = [[(m, int(v * denom)) for m, v in d.items()]
+                 for d in curve.partials()]
+    return [int(c * denom) for c in curve.coeffs], int_parts
 
 
 def test_point_scan_order_and_memory():
@@ -142,24 +151,25 @@ def test_point_scan_order_and_memory():
     # one in each part of the scan
     curve = QuarticCurve.from_dict({(2, 2, 0): F(1), (0, 2, 2): F(1),
                                     (2, 0, 2): F(1)})
-    ints, parts, denom = _scan_inputs(curve)
+    ints, int_parts = _scan_inputs(curve)
+
+    def value(terms, pt):
+        return sum(c * pt[0] ** i * pt[1] ** j * pt[2] ** k for (i, j, k), c in terms)
     for p in (5, 7, 11):
         points = [(x, y, 1) for x in range(p) for y in range(p)]
         points += [(x, 1, 0) for x in range(p)] + [(1, 0, 0)]
         expected = [pt for pt in points
-                    if curve.evaluate(*pt) % p == 0
-                    and all(sum(c * pt[0] ** i * pt[1] ** j * pt[2] ** k
-                                for (i, j, k), c in d.items()) % p == 0
-                            for d in parts)]
+                    if value(zip(MONOMIALS, ints), pt) % p == 0
+                    and all(value(terms, pt) % p == 0 for terms in int_parts)]
         assert {(0, 0, 1), (0, 1, 0), (1, 0, 0)} <= set(expected)
-        assert quartic._singular_points_mod_p(ints, parts, p, denom) == expected
+        assert quartic._singular_points_mod_p(ints, int_parts, p) == expected
     # the scan does not hold the p^2 + p + 1 = 44,733 points of P^2(F_211)
     # (a list of them peaked at about 3 MB)
-    smooth = e6_family(E6Params(p12=F(1)))
-    ints, parts, denom = _scan_inputs(smooth)
+    smooth = family_member("e6", (0, 0, 0, 0, 0, F(1)))
+    ints, int_parts = _scan_inputs(smooth)
     tracemalloc.start()
     try:
-        assert quartic._singular_points_mod_p(ints, parts, 211, denom) == []
+        assert quartic._singular_points_mod_p(ints, int_parts, 211) == []
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -214,9 +224,9 @@ def test_random_members_agree_with_groebner_oracle():
     kinds = set()
     for _ in range(40):
         if rng.random() < 0.5:
-            curve = e6_family(E6Params(*[_random_rational(rng) for _ in range(6)]))
+            curve = family_member("e6", [_random_rational(rng) for _ in range(6)])
         else:
-            curve = e7_family(E7Params(*[_random_rational(rng) for _ in range(7)]))
+            curve = family_member("e7", [_random_rational(rng) for _ in range(7)])
         verdict = smoothness_probe(curve, [5, 7, 11])
         kinds.add(verdict.kind)
         assert (verdict.kind, verdict.exact) in (
@@ -259,7 +269,7 @@ def test_planted_rational_singular_point_gives_a_witness(case):
 ])
 def test_witness_with_denominator_comes_from_crt(params, witness):
     # no centered lift mod 5, 7 or 11 is singular; CRT mod 385 recovers x = w0/2
-    verdict = smoothness_probe(e7_family(E7Params(*params)), [5, 7, 11])
+    verdict = smoothness_probe(family_member("e7", params), [5, 7, 11])
     assert (verdict.kind, verdict.exact, verdict.witness) == ("SINGULAR", "witness", witness)
     lifts = [pt for p, found in verdict.mod_p_singular.items()
              for pt in quartic._centered_lifts(found, p)]
@@ -292,7 +302,7 @@ def test_content_is_divided_out_before_the_scan(content):
 
 def test_singular_without_rational_witness_is_inconclusive_not_smooth():
     # once labelled PROBABLY_SMOOTH: the Macaulay rank proves it singular
-    curve = e7_family(E7Params(p8=F(1, 3), p12=F(3, 2)))
+    curve = family_member("e7", (0, 0, F(1, 3), 0, 0, F(3, 2), 0))
     assert _sympy_singular(curve)
     verdict = smoothness_probe(curve, [5, 7, 11])
     assert (verdict.kind, verdict.exact, verdict.witness) == ("INCONCLUSIVE", "singular", None)
