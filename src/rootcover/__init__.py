@@ -12,4 +12,15 @@ The package loads none of its modules: import names from the submodules
 (``rootcover.lattice``, ``rootcover.liealg``, ...).
 """
 
+import sys
+
 __version__ = "0.1.0"
+
+
+def note(line: str) -> None:
+    """Write one diagnostic line to stderr, best-effort: stderr carries no
+    result, so a failed write there changes neither stdout nor the exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass

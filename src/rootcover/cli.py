@@ -17,7 +17,8 @@ Output is byte-identical across runs for a fixed configuration; sampled
 verification records its seed.  Bad input, an unwritable --out path
 included, exits 2 before any expensive work; a write to --out that fails
 anyway, on a full disk say, exits 2 with the reason and no output, and so
-does a failed write to stdout.
+does a failed write to stdout.  stderr carries only diagnostics, written
+best-effort: a failed write there changes neither stdout nor the exit code.
 
 This module holds the parser, the input checks and the output writer, and
 imports no rootcover domain module.  Once the parser has chosen a command,
@@ -36,7 +37,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from . import __version__
+from . import __version__, note
 
 # upper bound on the bits of each quartic parameter's numerator and
 # denominator: with every parameter a 2,048-bit numerator over a 2,048-bit
@@ -177,11 +178,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        note(f"error: {exc}")
         return 2
     except OSError as exc:
         # no command opens a file: _emit reports a failed --out write itself
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        note(f"error: cannot write stdout: {exc.strerror}")
         # what stdout still buffers would fail again at interpreter exit
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -12,9 +12,9 @@ it is reported here and exits 1 with no payload.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Optional, Tuple
 
+from . import note
 from .f2 import count_refinements_by_arf
 from .lattice import (LatticeError, bitangent_complement, classify_involutions,
                       delpezzo_k_perp, discriminant_group, lines,
@@ -27,7 +27,7 @@ def run(cfg, args: argparse.Namespace) -> Tuple[Optional[dict], int]:
     try:
         return COMMANDS[cfg.command](cfg, args)
     except (LatticeError, RealTableError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
+        note(f"verification failed: {exc}")
         return None, 1
 
 

@@ -12,7 +12,6 @@ payload.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from math import comb
 from typing import Dict, Optional, Tuple
@@ -28,7 +27,7 @@ from .heisrep import (HeisRep, RepError, anticommutation_model_holds, build_heis
                       verify_rep)
 from .lattice import RootDatum, mod2_space, parse_type, root_datum
 from .f2 import MAX_DIM, F2QuadraticSpace
-from . import intmat
+from . import intmat, note
 
 # upper bound of verify --samples (default 200,000): sampled Jacobi checked
 # 1,000,000 E8 triples in 0.94 to 1.02 s on a 2-core x86 VM
@@ -84,9 +83,9 @@ def run(cfg, args: argparse.Namespace) -> Result:
         return COMMANDS[cfg.command](cfg, args)
     except (RepError, LieError) as exc:
         # a constructed object failed its own verification; not bad input
-        print(f"verification failed: {exc}", file=sys.stderr)
+        note(f"verification failed: {exc}")
         for witness in getattr(exc, "witnesses", ()):
-            print(f"  failing pair {witness}", file=sys.stderr)
+            note(f"  failing pair {witness}")
         return None, 1
 
 
@@ -127,7 +126,7 @@ def cmd_verify(cfg, args: argparse.Namespace) -> Result:
     cfg.seed = (args.seed or 0) if cfg.depth == "sampled" else None
     # timing goes to stderr so the JSON payload stays byte-identical across runs
     def clock(name: str, t0: float, detail: str = "") -> None:
-        print(f"[{name}] {time.perf_counter() - t0:.3f}s{detail}", file=sys.stderr)
+        note(f"[{name}] {time.perf_counter() - t0:.3f}s{detail}")
 
     t_start = time.perf_counter()
     pipe = build_pipeline(cfg.lattice_type)
@@ -200,7 +199,7 @@ def cmd_verify(cfg, args: argparse.Namespace) -> Result:
         checks["identify_fixed"] = {"family": rec.family, "w_dim": rec.w_dim,
                                     "fixed_dim": rec.fixed_dim}
 
-    print(f"[total] {time.perf_counter() - t_start:.3f}s", file=sys.stderr)
+    note(f"[total] {time.perf_counter() - t_start:.3f}s")
     payload = {"config": cfg.stamp(), "checks": checks, "ok": bool(ok)}
     return payload, 0 if ok else 1
 

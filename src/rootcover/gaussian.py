@@ -56,9 +56,6 @@ class GQ:
     def is_zero(self) -> bool:
         return not self
 
-    def __repr__(self) -> str:
-        return f"GQ({self.re}, {self.im})"
-
 
 def gq(re=0, im=0) -> GQ:
     return GQ(Fraction(re), Fraction(im))

@@ -254,10 +254,3 @@ def ldlt(gram: Sequence[Sequence[int]]) -> Tuple[List[Fraction], List[List[Fract
             u[i][j] = val / di
     return d, u
 
-
-def is_positive_definite(gram: Sequence[Sequence[int]]) -> bool:
-    try:
-        ldlt(gram)
-    except ValueError:
-        return False
-    return True

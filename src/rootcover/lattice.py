@@ -1,17 +1,17 @@
 """Positive-definite integral lattices and their root combinatorics.
 
 Covers exact root enumeration (recursive coordinate bounding off an LDL^T
-decomposition, rationals only), discriminant groups, breadth-first Weyl group
-closure over root permutations, conjugacy classification of Weyl involutions,
-the rank-8 blow-up lattice of a degree-2 surface with its 56 exceptional
-classes, and reduction mod 2 to a quadratic F2 space.
+decomposition, in integers), discriminant groups, the Weyl group built layer
+by length over root permutations, conjugacy classification of Weyl
+involutions, the rank-8 blow-up lattice of a degree-2 surface with its 56
+exceptional classes, and reduction mod 2 to a quadratic F2 space.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_rank, mod2_bits
@@ -76,43 +76,57 @@ class IntLattice:
         return len(self.gram)
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(xi * sum(g * yj for g, yj in zip(row, y))
-                   for xi, row in zip(x, self.gram))
+        return sum(xi * sum(map(mul, row, y))
+                   for xi, row in zip(x, self.gram) if xi)
 
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def is_positive_definite(self) -> bool:
-        return intmat.is_positive_definite(self.gram)
-
 
 def short_vectors(gram: IntMatrix, target: int) -> List[Coords]:
-    """All integer vectors of norm exactly ``target``, by exact recursive bounding."""
+    """All integer vectors of norm exactly ``target``, by exact recursive
+    bounding (Fincke and Pohst, Math. Comp. 44, 1985) in integers; raises
+    LatticeError unless ``gram`` is positive definite.
+
+    LDL^T writes the norm as sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.  With
+    m_i the lcm of the denominators of row i of u, and one scale D that makes
+    every c_i = D d_i / m_i^2 an integer, level i spends
+    c_i (m_i x_i + sum_{j>i} m_i u_ij x_j)^2 of the integer budget D target.
+    Each level runs its x_i outward from -sum_{j>i} u_ij x_j, first down,
+    then up, so the vectors come in the order of the rational descent.
+    """
     n = len(gram)
-    d, u = intmat.ldlt(gram)
+    try:
+        d, u = intmat.ldlt(gram)
+    except ValueError:
+        raise LatticeError("lattice is not positive definite") from None
+    m = [math.lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    mu = [[int(u[i][j] * m[i]) for j in range(i + 1, n)] for i in range(n)]
+    scale = math.lcm(*((d[i] / (m[i] * m[i])).denominator for i in range(n)))
+    c = [int(d[i] * scale / (m[i] * m[i])) for i in range(n)]
     out: List[Coords] = []
     x = [0] * n
 
-    def descend(i: int, budget: Fraction) -> None:
+    def descend(i: int, budget: int) -> None:
         if i < 0:
             if budget == 0:
                 out.append(tuple(x))
             return
-        s = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        k0 = math.floor(-s)
-        k = k0
-        while d[i] * (k + s) ** 2 <= budget:
+        mi, ci = m[i], c[i]
+        s = sum(a * b for a, b in zip(mu[i], x[i + 1:]))
+        # c_i t^2 <= budget for the integer t = m_i x_i + s exactly when
+        # |t| <= isqrt(budget // c_i)
+        r = math.isqrt(budget // ci)
+        k0 = -s // mi
+        for k in range(k0, -((r + s) // mi) - 1, -1):
             x[i] = k
-            descend(i - 1, budget - d[i] * (k + s) ** 2)
-            k -= 1
-        k = k0 + 1
-        while d[i] * (k + s) ** 2 <= budget:
+            descend(i - 1, budget - ci * (mi * k + s) ** 2)
+        for k in range(k0 + 1, (r - s) // mi + 1):
             x[i] = k
-            descend(i - 1, budget - d[i] * (k + s) ** 2)
-            k += 1
+            descend(i - 1, budget - ci * (mi * k + s) ** 2)
         x[i] = 0
 
-    descend(n - 1, Fraction(target))
+    descend(n - 1, scale * target)
     return out
 
 
@@ -157,6 +171,11 @@ class RootDatum:
     @cached_property
     def positive(self) -> Tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.roots) if sum(c) > 0)
+
+    @cached_property
+    def simple_reflections(self) -> Tuple[bytes, ...]:
+        """The reflections in the simple roots, as root permutations."""
+        return tuple(self.reflection_perm(si) for si in self.simple)
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
         return self.lattice.inner(x, y)
@@ -206,8 +225,6 @@ def enumerate_roots(lattice: IntLattice) -> RootDatum:
     """
     if not lattice.is_even():
         raise LatticeError("lattice is not even")
-    if not lattice.is_positive_definite():
-        raise LatticeError("lattice is not positive definite")
     raw = short_vectors(lattice.gram, 2)
     n = lattice.rank
     if intmat.row_lattice_index(raw, n) != 1:
@@ -272,11 +289,8 @@ def _perm_size(datum: RootDatum) -> int:
 
 
 _BYTE_RANGE = bytes(range(256))
-
-
-def _translate_table(perm: bytes, size: int) -> bytes:
-    """``perm`` padded with the identity on size..255, a bytes.translate table."""
-    return perm + _BYTE_RANGE[size:]
+# p.translate(q + _BYTE_RANGE[size:]) is the permutation r -> q[p[r]]: q padded
+# with the identity on size..255 is a bytes.translate table
 
 
 class WeylGroup:
@@ -298,41 +312,61 @@ class WeylGroup:
         return sum(self.datum.roots[perm[si]][j]
                    for j, si in enumerate(self.datum.simple))
 
+    @cached_property
+    def _root_bits(self) -> Tuple[int, ...]:
+        return tuple(mod2_bits(c) for c in self.datum.roots)
+
+    def mod2_rank_one_plus(self, perm: bytes) -> int:
+        """Rank of (1 + w) mod 2, read off the images of the simple roots:
+        the class of w(alpha_j) plus e_j is row j of the transpose."""
+        bits = self._root_bits
+        return f2_rank([bits[perm[si]] ^ (1 << j)
+                        for j, si in enumerate(self.datum.simple)], self.datum.rank)
+
     def involutions(self) -> List[bytes]:
         size = len(self.datum.roots)
         ident = bytes(range(size))
-        out = []
-        for p in self.perms:
-            if p != ident and p.translate(_translate_table(p, size)) == ident:
-                out.append(p)
-        return out
+        pad = _BYTE_RANGE[size:]
+        s0 = self.datum.simple[0]
+        # w^2 fixing the first simple root is a cheap necessary condition
+        return [p for p in self.perms
+                if p[p[s0]] == s0 and p != ident and p.translate(p + pad) == ident]
 
 
 def weyl_enumerate(datum: RootDatum) -> WeylGroup:
-    """Breadth-first closure of the simple reflections acting on the roots,
-    for rank at most 6 (E6's group has 51,840 elements, E7's 2,903,040)."""
+    """The Weyl group as root permutations, layer by length, for rank at most
+    6 (E6's group has 51,840 elements, E7's 2,903,040).
+
+    l(w s_i) = l(w) + 1 exactly when w(alpha_i) is a positive root
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7), so layer
+    k + 1 is {w s_i : w in layer k, w(alpha_i) > 0}: no product goes down a
+    layer, and an element can repeat only within its own layer.  The longest
+    element has length the number of positive roots; a layer past it raises.
+    """
     size = _perm_size(datum)
     if datum.rank > 6:
         raise LatticeError(f"Weyl closure is limited to rank 6, not {datum.rank}")
-    gens = [_translate_table(datum.reflection_perm(si), size)
-            for si in datum.simple]
+    pad = _BYTE_RANGE[size:]
+    positive = bytearray(size)
+    for r in datum.positive:
+        positive[r] = 1
+    gens = tuple(zip(datum.simple, datum.simple_reflections))
     ident = bytes(range(size))
-    order: List[bytes] = [ident]
-    # a simple reflection changes the length by exactly one, so a neighbour of
-    # one breadth-first layer lies in the layer before or the next: only those
-    # two are kept for the membership test, not the whole group
-    before, frontier = set(), [ident]
-    while frontier:
-        nxt, met = [], set()
-        for p in frontier:
-            for g in gens:
-                q = p.translate(g)
-                if q not in before and q not in met:
-                    met.add(q)
-                    nxt.append(q)
-        order.extend(nxt)
-        before, frontier = set(frontier), nxt
-    return WeylGroup(datum, order)
+    order, layer = [ident], [ident]
+    for _ in range(len(datum.positive) + 1):
+        # a dict keeps each element once, in the order first met
+        ascents = {}
+        for p in layer:
+            table = p + pad
+            for si, g in gens:
+                if positive[p[si]]:
+                    ascents[g.translate(table)] = None
+        if not ascents:
+            return WeylGroup(datum, order)
+        layer = list(ascents)
+        order.extend(layer)
+    raise LatticeError(f"Weyl closure found elements longer than the "
+                       f"{len(datum.positive)} positive roots")
 
 
 INVOLUTION_LABELS_E6 = {6: "1", 4: "s1", 2: "s1s2", 0: "s1s2s3", -2: "tau"}
@@ -354,16 +388,15 @@ def mod2_rank_one_plus(matrix: IntMatrix) -> int:
 
 
 def _conjugacy_orbit(weyl: WeylGroup, start: bytes) -> set:
-    size = len(weyl.datum.roots)
-    gens = [weyl.datum.reflection_perm(si) for si in weyl.datum.simple]
-    gen_tables = [_translate_table(g, size) for g in gens]
+    pad = _BYTE_RANGE[len(weyl.datum.roots):]
+    gens = [(g, g + pad) for g in weyl.datum.simple_reflections]
     orbit = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
-            pt = _translate_table(p, size)
-            for g, gt in zip(gens, gen_tables):
+            pt = p + pad
+            for g, gt in gens:
                 q = g.translate(pt).translate(gt)
                 if q not in orbit:
                     orbit.add(q)
@@ -382,7 +415,7 @@ def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvoluti
         raise LatticeError("involution classification is implemented for E6 only")
     groups: Dict[Tuple[int, int], List[bytes]] = {}
     for p in weyl.involutions():
-        key = (weyl.trace(p), mod2_rank_one_plus(weyl.matrix(p)))
+        key = (weyl.trace(p), weyl.mod2_rank_one_plus(p))
         groups.setdefault(key, []).append(p)
     if len(groups) != 4:
         raise LatticeError(f"expected 4 invariant groups of involutions, got {len(groups)}")

@@ -152,6 +152,39 @@ def test_failed_stdout_write_exits_2_without_a_traceback(argv, unbuffered):
     assert (proc.returncode, proc.stderr.decode()) == (2, message)
 
 
+class _FullStream:
+    """A stream on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_unwritable_stderr_changes_neither_stdout_nor_exit_code(capsys, monkeypatch):
+    argv = ["verify", "--type", "A2"]
+    code, plain = _run(capsys, argv)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    # the stage lines go to the full stream; the verdict and payload do not
+    assert _run(capsys, argv) == (code, plain) == (0, plain)
+    # bad input still exits 2, its message lost with no exception
+    assert _run(capsys, ["verify", "--type", "Z2"]) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_exits_2_when_stderr_is_full_too():
+    # the handler's own message cannot be written either: still exit 2, where
+    # an escaping exception would exit 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "rootcover.cli", "verify",
+                               "--type", "A2"], stdout=full, stderr=full,
+                              env=env, timeout=120)
+    assert proc.returncode == 2
+
+
 def test_worker_variable_no_longer_read(capsys, monkeypatch):
     code, plain = _run(capsys, ["counts", "--g", "2"])
     monkeypatch.setenv("ROOTCOVER_WORKERS", "x")

@@ -1,15 +1,16 @@
 import itertools
+import math
 from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 import pytest
 from conftest import f2_kernel, involution_key
 
-from rootcover import intmat
+from rootcover import intmat, lattice
 from rootcover.intmat import IntMatrix
 from rootcover.lattice import (DelPezzoPicard, IntLattice, LatticeError,
                                RootDatum, WeylGroup, _perm_size,
-                               _translate_table, bitangent_complement,
+                               bitangent_complement,
                                cartan_gram, classify_involutions,
                                delpezzo_k_perp, discriminant_group,
                                enumerate_roots, lines, lines_meeting,
@@ -67,8 +68,76 @@ def tau_involution(datum: RootDatum, quad: Sequence[int]) -> bytes:
     size = _perm_size(datum)
     perm = bytes(range(size))
     for q in quad:
-        perm = perm.translate(_translate_table(datum.reflection_perm(q), size))
+        perm = perm.translate(datum.reflection_perm(q) + bytes(range(size, 256)))
     return perm
+
+
+def fraction_short_vectors(gram, target: int) -> List[Tuple[int, ...]]:
+    """The rational Fincke-Pohst descent that short_vectors scales to
+    integers: the same vectors must come out in the same order."""
+    n = len(gram)
+    d, u = intmat.ldlt(gram)
+    out = []
+    x = [0] * n
+
+    def descend(i, budget):
+        if i < 0:
+            if budget == 0:
+                out.append(tuple(x))
+            return
+        s = sum((u[i][j] * x[j] for j in range(i + 1, n)), Q(0))
+        k0 = math.floor(-s)
+        k = k0
+        while d[i] * (k + s) ** 2 <= budget:
+            x[i] = k
+            descend(i - 1, budget - d[i] * (k + s) ** 2)
+            k -= 1
+        k = k0 + 1
+        while d[i] * (k + s) ** 2 <= budget:
+            x[i] = k
+            descend(i - 1, budget - d[i] * (k + s) ** 2)
+            k += 1
+        x[i] = 0
+
+    descend(n - 1, Q(target))
+    return out
+
+
+def left_closure(datum: RootDatum) -> set:
+    """The Weyl group by breadth-first search over left products s_i w,
+    keeping every element met: no length argument involved."""
+    size = len(datum.roots)
+    gens = [datum.reflection_perm(si) + bytes(range(size, 256)) for si in datum.simple]
+    ident = bytes(range(size))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = p.translate(g)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def poincare_coefficients(degrees: Sequence[int]) -> List[int]:
+    """Coefficients of prod_i (1 + q + ... + q^(d_i - 1))."""
+    coeffs = [1]
+    for deg in degrees:
+        nxt = [0] * (len(coeffs) + deg - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(deg):
+                nxt[i + j] += c
+        coeffs = nxt
+    return coeffs
+
+
+def root_length(datum: RootDatum, perm: bytes) -> int:
+    """l(w): the number of positive roots that w sends to negative ones."""
+    pos = set(datum.positive)
+    return sum(1 for r in datum.positive if perm[r] not in pos)
 
 
 def gram_permutation_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
@@ -145,6 +214,40 @@ def test_short_vectors_finds_nothing_below_minimum():
     assert short_vectors(cartan_gram("E8"), 1) == []
 
 
+def _delpezzo_grams(monkeypatch):
+    """The two complement grams that _sublattice_datum hands to enumerate_roots."""
+    grams = []
+    real = lattice.enumerate_roots
+
+    def record(lat):
+        grams.append(lat.gram)
+        return real(lat)
+
+    monkeypatch.setattr(lattice, "enumerate_roots", record)
+    delpezzo_k_perp()
+    bitangent_complement((0, 0, 0, 0, 0, 0, 0, 1))
+    return grams
+
+
+def test_integer_short_vectors_match_the_rational_descent(monkeypatch):
+    names = ([f"A{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+             + ["E6", "E7", "E8", "A16", "D16"])
+    grams = [cartan_gram(name) for name in names] + _delpezzo_grams(monkeypatch)
+    assert len(grams) == len(names) + 2
+    for gram in grams:
+        assert short_vectors(gram, 2) == fraction_short_vectors(gram, 2)
+    # a deeper budget: the 2,160 E8 vectors of norm 4
+    e8 = cartan_gram("E8")
+    found = short_vectors(e8, 4)
+    assert len(found) == 2160 and found == fraction_short_vectors(e8, 4)
+
+
+def test_short_vectors_rejects_a_gram_that_is_not_positive_definite():
+    for gram in (((2, 3), (3, 2)), ((2, 2), (2, 2)), ((-2,),)):
+        with pytest.raises(LatticeError, match="not positive definite"):
+            short_vectors(gram, 2)
+
+
 def test_enumerate_rejects_bad_input():
     odd = IntLattice(((1,),))
     with pytest.raises(LatticeError):
@@ -206,6 +309,37 @@ def test_weyl_e6_order_and_gram_preservation(e6_stack, e6_weyl):
     # orbit-stabilizer cross-check on the first root
     stab = sum(1 for p in e6_weyl.perms if p[0] == 0)
     assert 72 * stab == 51840
+
+
+@pytest.mark.parametrize("name, degrees", [
+    ("A3", (2, 3, 4)), ("D4", (2, 4, 4, 6)), ("D5", (2, 4, 5, 6, 8)),
+    ("E6", (2, 5, 6, 8, 9, 12))])
+def test_weyl_layers_follow_the_poincare_polynomial(name, degrees, request):
+    weyl = (request.getfixturevalue("e6_weyl") if name == "E6"
+            else weyl_enumerate(root_datum(name)))
+    lengths = [root_length(weyl.datum, p) for p in weyl.perms]
+    # the elements come layer by layer, and layer k holds the length-k ones
+    assert lengths == sorted(lengths)
+    sizes = [lengths.count(k) for k in range(lengths[-1] + 1)]
+    assert sizes == poincare_coefficients(degrees)
+    if name == "E6":
+        assert sizes[-1] == 1 and lengths[-1] == 36
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D5"])
+def test_weyl_elements_match_the_left_closure(name):
+    datum = root_datum(name)
+    weyl = weyl_enumerate(datum)
+    assert len(set(weyl.perms)) == len(weyl.perms)
+    assert set(weyl.perms) == left_closure(datum)
+
+
+def test_weyl_closure_with_a_bad_positivity_mask_raises():
+    datum = root_datum("A2")
+    # every root marked positive: every product counts as an ascent
+    datum.positive = tuple(range(len(datum.roots)))
+    with pytest.raises(LatticeError, match="longer than the 6 positive roots"):
+        weyl_enumerate(datum)
 
 
 def test_weyl_cap_exceeded():
@@ -275,6 +409,15 @@ def test_tau_from_any_quadruple_is_in_one_class(e6_stack, e6_classes, e6_weyl,
         m = e6_weyl.matrix(perm)
         assert e6_weyl.trace(perm) == -2
         assert mod2_rank_one_plus(m) == 2
+
+
+def test_involutions_and_their_mod2_rank_from_root_images(e6_weyl):
+    ident = bytes(range(72))
+    pad = bytes(range(72, 256))
+    every = [p for p in e6_weyl.perms if p != ident and p.translate(p + pad) == ident]
+    assert e6_weyl.involutions() == every and len(every) == 891
+    for p in every:
+        assert e6_weyl.mod2_rank_one_plus(p) == mod2_rank_one_plus(e6_weyl.matrix(p))
 
 
 def test_tau_not_conjugate_to_double_reflection(e6_classes):
