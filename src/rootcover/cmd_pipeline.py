@@ -5,8 +5,8 @@ the monomial representation.
 Loaded by the CLI only for these two commands.  Each takes the CLI's run
 configuration and parsed arguments and returns its JSON payload and exit
 code; the CLI writes the payload.  A constructed object that fails its own
-verification (RepError, LieError) is reported here and exits 1 with no
-payload.
+verification (RepError, LieError, LatticeError, F2Error) is reported here
+and exits 1 with no payload.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution, LieError,
                      identify_fixed, killing_form, verify_R, verify_jacobi)
 from .heisrep import (HeisRep, RepError, anticommutation_model_holds, build_heisrep,
                       verify_rep)
-from .lattice import RootDatum, mod2_space, parse_type, root_datum
-from .f2 import MAX_DIM, F2QuadraticSpace
+from .lattice import LatticeError, RootDatum, mod2_space, parse_type, root_datum
+from .f2 import MAX_DIM, F2Error, F2QuadraticSpace
 from . import intmat, note
 
 # upper bound of verify --samples (default 200,000): sampled Jacobi checked
@@ -78,10 +78,12 @@ def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
 
 def run(cfg, args: argparse.Namespace) -> Result:
     """Run ``cfg.command``; a failed construction check exits 1 with its
-    first failing pairs on stderr."""
+    first failing pairs on stderr; a bad type name, checked outside the
+    try, raises LatticeError as bad input (exit 2)."""
+    cfg.lattice_type = canonical_type(args.type)
     try:
         return COMMANDS[cfg.command](cfg, args)
-    except (RepError, LieError) as exc:
+    except (RepError, LieError, LatticeError, F2Error) as exc:
         # a constructed object failed its own verification; not bad input
         note(f"verification failed: {exc}")
         for witness in getattr(exc, "witnesses", ()):
@@ -90,7 +92,6 @@ def run(cfg, args: argparse.Namespace) -> Result:
 
 
 def cmd_build(cfg, args: argparse.Namespace) -> Result:
-    cfg.lattice_type = canonical_type(args.type)
     pipe = build_pipeline(cfg.lattice_type)
     lie = pipe.lie
     cover = pipe.cocycle
@@ -120,7 +121,6 @@ def _signed_index(pipe: Pipeline, i: int) -> int:
 def cmd_verify(cfg, args: argparse.Namespace) -> Result:
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
-    cfg.lattice_type = canonical_type(args.type)
     cfg.depth = args.depth
     # exhaustive Jacobi draws nothing, so only a sampled run records a seed
     cfg.seed = (args.seed or 0) if cfg.depth == "sampled" else None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_rank, mod2_bits
 from . import intmat
@@ -289,19 +289,19 @@ def _perm_size(datum: RootDatum) -> int:
 
 
 _BYTE_RANGE = bytes(range(256))
-# p.translate(q + _BYTE_RANGE[size:]) is the permutation r -> q[p[r]]: q padded
-# with the identity on size..255 is a bytes.translate table
+# p.translate(q + _BYTE_RANGE[size:]) is r -> q[p[r]]: q padded by the identity
 
 
 class WeylGroup:
-    """The full reflection group, elements stored as permutations of the roots."""
+    """The reflection group, held by its order and its involutions alone."""
 
-    def __init__(self, datum: RootDatum, perms: List[bytes]):
+    def __init__(self, datum: RootDatum, order: int, involutions: List[bytes]):
         self.datum = datum
-        self.perms = perms
+        self.order = order
+        self.involutions = involutions
 
     def __len__(self) -> int:
-        return len(self.perms)
+        return self.order
 
     def matrix(self, perm: bytes) -> IntMatrix:
         images = [self.datum.roots[perm[si]] for si in self.datum.simple]
@@ -323,26 +323,13 @@ class WeylGroup:
         return f2_rank([bits[perm[si]] ^ (1 << j)
                         for j, si in enumerate(self.datum.simple)], self.datum.rank)
 
-    def involutions(self) -> List[bytes]:
-        size = len(self.datum.roots)
-        ident = bytes(range(size))
-        pad = _BYTE_RANGE[size:]
-        s0 = self.datum.simple[0]
-        # w^2 fixing the first simple root is a cheap necessary condition
-        return [p for p in self.perms
-                if p[p[s0]] == s0 and p != ident and p.translate(p + pad) == ident]
 
-
-def weyl_enumerate(datum: RootDatum) -> WeylGroup:
-    """The Weyl group as root permutations, layer by length, for rank at most
-    6 (E6's group has 51,840 elements, E7's 2,903,040).
-
-    l(w s_i) = l(w) + 1 exactly when w(alpha_i) is a positive root
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7), so layer
-    k + 1 is {w s_i : w in layer k, w(alpha_i) > 0}: no product goes down a
-    layer, and an element can repeat only within its own layer.  The longest
-    element has length the number of positive roots; a layer past it raises.
-    """
+def weyl_layers(datum: RootDatum) -> Iterator[List[bytes]]:
+    """The Weyl group's root permutations by length layer, up to rank 6 (a
+    cap on time: E7 has 2,903,040).  l(w s_i) = l(w) + 1 exactly when
+    w(alpha_i) > 0 (Humphreys, Reflection Groups and Coxeter Groups,
+    1.6-1.7), so layer k + 1 is {w s_i : w in layer k, w(alpha_i) > 0}, no
+    element repeats across layers and only one is kept; too many layers raise."""
     size = _perm_size(datum)
     if datum.rank > 6:
         raise LatticeError(f"Weyl closure is limited to rank 6, not {datum.rank}")
@@ -351,9 +338,9 @@ def weyl_enumerate(datum: RootDatum) -> WeylGroup:
     for r in datum.positive:
         positive[r] = 1
     gens = tuple(zip(datum.simple, datum.simple_reflections))
-    ident = bytes(range(size))
-    order, layer = [ident], [ident]
+    layer = [_BYTE_RANGE[:size]]
     for _ in range(len(datum.positive) + 1):
+        yield layer
         # a dict keeps each element once, in the order first met
         ascents = {}
         for p in layer:
@@ -362,11 +349,24 @@ def weyl_enumerate(datum: RootDatum) -> WeylGroup:
                 if positive[p[si]]:
                     ascents[g.translate(table)] = None
         if not ascents:
-            return WeylGroup(datum, order)
+            return
         layer = list(ascents)
-        order.extend(layer)
     raise LatticeError(f"Weyl closure found elements longer than the "
                        f"{len(datum.positive)} positive roots")
+
+
+def weyl_enumerate(datum: RootDatum) -> WeylGroup:
+    """The order and involutions, read a layer at a time (E6: 51,840 and 891)."""
+    layers = weyl_layers(datum)
+    ident, = next(layers)  # layer 0, the identity alone, holds no involution
+    pad, s0 = _BYTE_RANGE[len(ident):], datum.simple[0]
+    order, involutions = 1, []
+    for layer in layers:
+        order += len(layer)
+        # w^2 fixing the first simple root is a cheap necessary condition
+        involutions += [p for p in layer
+                        if p[p[s0]] == s0 and p.translate(p + pad) == ident]
+    return WeylGroup(datum, order, involutions)
 
 
 INVOLUTION_LABELS_E6 = {6: "1", 4: "s1", 2: "s1s2", 0: "s1s2s3", -2: "tau"}
@@ -387,9 +387,9 @@ def mod2_rank_one_plus(matrix: IntMatrix) -> int:
     return f2_rank(rows, len(matrix))
 
 
-def _conjugacy_orbit(weyl: WeylGroup, start: bytes) -> set:
-    pad = _BYTE_RANGE[len(weyl.datum.roots):]
-    gens = [(g, g + pad) for g in weyl.datum.simple_reflections]
+def _conjugacy_orbit(datum: RootDatum, start: bytes) -> set:
+    pad = _BYTE_RANGE[len(datum.roots):]
+    gens = [(g, g + pad) for g in datum.simple_reflections]
     orbit = {start}
     frontier = [start]
     while frontier:
@@ -414,7 +414,7 @@ def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvoluti
     if datum.type_name != "E6":
         raise LatticeError("involution classification is implemented for E6 only")
     groups: Dict[Tuple[int, int], List[bytes]] = {}
-    for p in weyl.involutions():
+    for p in weyl.involutions:
         key = (weyl.trace(p), weyl.mod2_rank_one_plus(p))
         groups.setdefault(key, []).append(p)
     if len(groups) != 4:
@@ -424,7 +424,7 @@ def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvoluti
         label = INVOLUTION_LABELS_E6.get(tr)
         if label is None or label == "1":
             raise LatticeError(f"unexpected involution trace {tr}")
-        orbit = _conjugacy_orbit(weyl, members[0])
+        orbit = _conjugacy_orbit(datum, members[0])
         if orbit != set(members):
             raise LatticeError("invariant group is not a single conjugacy class")
         classes.append(WeylInvolutionClass(label, weyl.matrix(members[0])))

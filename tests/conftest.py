@@ -61,6 +61,18 @@ def e6_weyl(e6_stack):
     return lattice.weyl_enumerate(e6_stack.datum)
 
 
+def weyl_elements(datum):
+    """Every element the closure makes, layer after layer: weyl_enumerate
+    keeps only the involutions."""
+    return [p for layer in lattice.weyl_layers(datum) for p in layer]
+
+
+@pytest.fixture(scope="session")
+def e6_elements(e6_stack):
+    """All 51,840 elements of W(E6) as root permutations, in closure order."""
+    return weyl_elements(e6_stack.datum)
+
+
 @pytest.fixture(scope="session")
 def e6_classes(e6_stack, e6_weyl):
     return lattice.classify_involutions(e6_stack.datum, e6_weyl)
@@ -79,7 +91,7 @@ def e6_members(e6_weyl):
     involution_key."""
     ident = bytes(range(len(e6_weyl.datum.roots)))
     groups = {involution_key(e6_weyl.matrix(ident)): [ident]}
-    for p in e6_weyl.involutions():
+    for p in e6_weyl.involutions:
         groups.setdefault(involution_key(e6_weyl.matrix(p)), []).append(p)
     return groups
 

@@ -16,6 +16,7 @@ from conftest import with_mats
 
 from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
                        lattice, liealg, quartic, realtable)
+from rootcover.f2 import F2Error
 from rootcover.gaussian import ZERO, MonoMat, add_terms, gq
 from rootcover.liealg import IntegralLieAlgebra
 
@@ -65,6 +66,34 @@ def test_build_small_type(capsys):
 
 def test_build_rejects_rank_one(capsys):
     assert cli.main(["build", "--type", "A1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("name", ["E9", "X6", "A1"])
+def test_bad_type_exits_2_before_any_work(capsys, monkeypatch, command, name):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("root enumeration started before the type was checked")
+    monkeypatch.setattr(cmd_pipeline, "root_datum", no_enumeration)
+    assert cli.main([command, "--type", name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "verification" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+@pytest.mark.parametrize("stub, error", [
+    ("root_datum", lattice.LatticeError), ("mod2_space", F2Error)],
+    ids=["lattice", "f2"])
+def test_failed_lattice_or_f2_check_exits_1(capsys, monkeypatch, command, stub, error):
+    # the type is accepted; a check inside the pipeline fails, which is not
+    # bad input
+    def failing(*args, **kwargs):
+        raise error("planted check failure")
+    monkeypatch.setattr(cmd_pipeline, stub, failing)
+    assert cli.main([command, "--type", "E6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: planted check failure\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -527,7 +556,7 @@ def test_table_mismatch_exits_1_and_names_the_row(capsys, monkeypatch):
 def test_table_split_conjugacy_class_exits_1(capsys, monkeypatch):
     real = lattice._conjugacy_orbit
     monkeypatch.setattr(lattice, "_conjugacy_orbit",
-                        lambda weyl, start: real(weyl, start) - {start})
+                        lambda datum, start: real(datum, start) - {start})
     assert cli.main(["table", "real-orbits"]) == 1
     assert capsys.readouterr().err == ("verification failed: invariant group "
                                        "is not a single conjugacy class\n")

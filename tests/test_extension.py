@@ -406,14 +406,14 @@ def test_two_lifts_differ_by_a_functional(e6_stack):
     assert lift_difference_functional(base, twisted) == f
 
 
-def test_transport_composition_differs_by_character(e6_stack, e6_weyl):
+def test_transport_composition_differs_by_character(e6_stack, e6_weyl, e6_elements):
     datum = e6_stack.datum
     coc = CoverGroup.of(e6_stack.cocycle)
     rng = random.Random(11)
     size = len(datum.roots)
     for _ in range(50):
-        p1 = e6_weyl.perms[rng.randrange(len(e6_weyl.perms))]
-        p2 = e6_weyl.perms[rng.randrange(len(e6_weyl.perms))]
+        p1 = e6_elements[rng.randrange(len(e6_elements))]
+        p2 = e6_elements[rng.randrange(len(e6_elements))]
         w1 = _mod2_rows(e6_weyl.matrix(p1))
         w2 = _mod2_rows(e6_weyl.matrix(p2))
         p12 = bytes(p1[p2[i]] for i in range(size))

@@ -1,21 +1,22 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 import pytest
-from conftest import f2_kernel, involution_key
+from conftest import f2_kernel, involution_key, weyl_elements
 
 from rootcover import intmat, lattice
 from rootcover.intmat import IntMatrix
 from rootcover.lattice import (DelPezzoPicard, IntLattice, LatticeError,
-                               RootDatum, WeylGroup, _perm_size,
+                               RootDatum, _perm_size,
                                bitangent_complement,
                                cartan_gram, classify_involutions,
                                delpezzo_k_perp, discriminant_group,
                                enumerate_roots, lines, lines_meeting,
                                mod2_rank_one_plus, mod2_space, root_datum,
-                               short_vectors, weyl_enumerate)
+                               short_vectors, weyl_enumerate, weyl_layers)
 
 # -- models that the tests check lattice against ----------------------------
 
@@ -27,12 +28,12 @@ def pairing_table(datum: RootDatum) -> List[List[int]]:
              for j in range(len(datum.roots))] for i in range(len(datum.roots))]
 
 
-def verify_gram_preservation(weyl: WeylGroup) -> bool:
+def verify_gram_preservation(datum: RootDatum, perms: Sequence[bytes]) -> bool:
     """Check w^T gram w = gram for every element, via the root pairing table."""
-    table = pairing_table(weyl.datum)
-    simple = weyl.datum.simple
-    n = weyl.datum.rank
-    for p in weyl.perms:
+    table = pairing_table(datum)
+    simple = datum.simple
+    n = datum.rank
+    for p in perms:
         img = [p[si] for si in simple]
         for i in range(n):
             for j in range(i, n):
@@ -294,44 +295,58 @@ def test_weyl_orders_small():
 
 def test_weyl_identity_and_reflection_squares():
     datum = root_datum("A3")
-    group = weyl_enumerate(datum)
     size = len(datum.roots)
     ident = bytes(range(size))
-    assert group.perms[0] == ident
+    # the identity comes first, alone in layer 0
+    assert next(weyl_layers(datum)) == [ident]
     for ri in range(size):
         perm = datum.reflection_perm(ri)
         assert bytes(perm[perm[i]] for i in range(size)) == ident
 
 
-def test_weyl_e6_order_and_gram_preservation(e6_stack, e6_weyl):
-    assert len(e6_weyl) == 51840
-    assert verify_gram_preservation(e6_weyl)
+def test_weyl_e6_order_and_gram_preservation(e6_stack, e6_weyl, e6_elements):
+    assert len(e6_weyl) == len(e6_elements) == 51840
+    assert verify_gram_preservation(e6_stack.datum, e6_elements)
     # orbit-stabilizer cross-check on the first root
-    stab = sum(1 for p in e6_weyl.perms if p[0] == 0)
+    stab = sum(1 for p in e6_elements if p[0] == 0)
     assert 72 * stab == 51840
 
 
 @pytest.mark.parametrize("name, degrees", [
     ("A3", (2, 3, 4)), ("D4", (2, 4, 4, 6)), ("D5", (2, 4, 5, 6, 8)),
     ("E6", (2, 5, 6, 8, 9, 12))])
-def test_weyl_layers_follow_the_poincare_polynomial(name, degrees, request):
-    weyl = (request.getfixturevalue("e6_weyl") if name == "E6"
-            else weyl_enumerate(root_datum(name)))
-    lengths = [root_length(weyl.datum, p) for p in weyl.perms]
-    # the elements come layer by layer, and layer k holds the length-k ones
-    assert lengths == sorted(lengths)
-    sizes = [lengths.count(k) for k in range(lengths[-1] + 1)]
+def test_weyl_layers_follow_the_poincare_polynomial(name, degrees):
+    datum = root_datum(name)
+    layers = list(weyl_layers(datum))
+    # layer k holds the length-k elements
+    assert all(root_length(datum, p) == k
+               for k, layer in enumerate(layers) for p in layer)
+    sizes = [len(layer) for layer in layers]
     assert sizes == poincare_coefficients(degrees)
+    assert len(weyl_enumerate(datum)) == sum(sizes)
     if name == "E6":
-        assert sizes[-1] == 1 and lengths[-1] == 36
+        assert sizes[-1] == 1 and len(layers) - 1 == 36
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "D5"])
 def test_weyl_elements_match_the_left_closure(name):
     datum = root_datum(name)
-    weyl = weyl_enumerate(datum)
-    assert len(set(weyl.perms)) == len(weyl.perms)
-    assert set(weyl.perms) == left_closure(datum)
+    elements = weyl_elements(datum)
+    assert len(set(elements)) == len(elements)
+    assert set(elements) == left_closure(datum)
+
+
+def test_table_closure_never_holds_the_group():
+    # weyl_enumerate keeps one layer and the involutions: the 51,840 elements
+    # of W(E6), stored whole as 72-byte root permutations, took 6 MB
+    tracemalloc.start()
+    try:
+        datum = root_datum("E6")
+        classify_involutions(datum, weyl_enumerate(datum))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_weyl_closure_with_a_bad_positivity_mask_raises():
@@ -369,7 +384,7 @@ def test_involution_classes(e6_classes, e6_weyl, e6_members):
     assert keys == [(6, 0), (4, 1), (2, 2), (0, 3), (-2, 2)]
     sizes = [len(e6_members[key]) for key in keys]
     assert sizes == [1, 36, 270, 540, 45]
-    assert sum(sizes[1:]) == len(e6_weyl.involutions())
+    assert sum(sizes[1:]) == len(e6_weyl.involutions)
 
 
 def test_involution_class_constructions(e6_stack, e6_classes, e6_members):
@@ -411,11 +426,11 @@ def test_tau_from_any_quadruple_is_in_one_class(e6_stack, e6_classes, e6_weyl,
         assert mod2_rank_one_plus(m) == 2
 
 
-def test_involutions_and_their_mod2_rank_from_root_images(e6_weyl):
+def test_involutions_and_their_mod2_rank_from_root_images(e6_weyl, e6_elements):
     ident = bytes(range(72))
     pad = bytes(range(72, 256))
-    every = [p for p in e6_weyl.perms if p != ident and p.translate(p + pad) == ident]
-    assert e6_weyl.involutions() == every and len(every) == 891
+    every = [p for p in e6_elements if p != ident and p.translate(p + pad) == ident]
+    assert e6_weyl.involutions == every and len(every) == 891
     for p in every:
         assert e6_weyl.mod2_rank_one_plus(p) == mod2_rank_one_plus(e6_weyl.matrix(p))
 
