@@ -60,8 +60,10 @@ def canonical_type(name: str) -> str:
 
 def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
     """Lattice -> cover -> Lie algebra -> involution -> fixed subalgebra,
-    plus the monomial representation for the two marked exceptional types."""
-    kind = canonical_type(kind)
+    plus the monomial representation for the two marked exceptional types.
+
+    ``kind`` is a canonical type name ("E6", as from ``canonical_type``):
+    ``run`` parses the CLI's spelling once, before any work starts."""
     datum = root_datum(kind)
     cocycle = mod2_space(datum)
     lie = build_lie(datum, cocycle)

@@ -6,7 +6,8 @@ refinement values on the basis and whose strict upper part carries the
 pairing.  Then (s, v)(t, w) = (st * (-1)^beta(v, w), v + w), every element
 squares to ((-1)^q(v), 0), and commutators descend to (-1)^<v, w>.  Those
 rows are f2.F2QuadraticSpace.upper_rows, so the quadratic space is the
-cocycle (its ``beta``), and no command imports this module.
+cocycle (its ``beta(v)`` is the bit row of beta(v, .)), and no command
+imports this module.
 """
 
 # perfbench/tracer.py imports this module and counts the calls of Cocycle.beta

@@ -44,15 +44,19 @@ def mod2_bits(coords: Sequence[int]) -> int:
     return bits
 
 
+def vec_mat(rows: Sequence[int], u: int) -> int:
+    """The bit row u^T S for the matrix S with bit rows ``rows``: the sum of
+    the rows at the set bits of u, so that u^T S v = parity(vec_mat(rows, u) & v)."""
+    acc = 0
+    while u:
+        acc ^= rows[(u & -u).bit_length() - 1]
+        u &= u - 1
+    return acc
+
+
 def bilinear_eval(rows: Sequence[int], u: int, v: int) -> int:
     """u^T S v over F2 for the matrix S with bit rows ``rows``."""
-    acc = 0
-    t = u
-    while t:
-        i = (t & -t).bit_length() - 1
-        t &= t - 1
-        acc ^= parity(rows[i] & v)
-    return acc
+    return parity(vec_mat(rows, u) & v)
 
 
 def quadform_eval(rows: Sequence[int], v: int) -> int:
@@ -114,9 +118,10 @@ class F2QuadraticSpace:
     refinement on the standard basis; all other values are reconstructed
     through the polarization identity q(v + w) = q(v) + q(w) + <v, w>.
 
-    The same data is the double cover's cocycle (see extension): ``beta``,
-    on the bit rows ``upper_rows``, has beta(v, v) = q(v) and
-    beta(u, v) + beta(v, u) = <u, v>.
+    The same data is the double cover's cocycle beta(u, v) = u^T B v, B the
+    bit rows ``upper_rows`` (see extension), with beta(v, v) = q(v) and
+    beta(u, v) + beta(v, u) = <u, v>.  The cover's checks read beta one bit
+    row at a time: ``beta(u)`` is u^T B, and beta(u, v) = parity(beta(u) & v).
     """
 
     def __init__(self, dim: int, gram: Tuple[int, ...], qbits: int):
@@ -143,9 +148,9 @@ class F2QuadraticSpace:
     def pairing(self, u: int, v: int) -> int:
         return bilinear_eval(self.gram, u, v)
 
-    def beta(self, u: int, v: int) -> int:
-        """The cover's cocycle u^T B v, B the ``upper_rows``."""
-        return bilinear_eval(self.upper_rows, u, v)
+    def beta(self, u: int) -> int:
+        """The bit row u^T B of the cover's cocycle, B the ``upper_rows``."""
+        return vec_mat(self.upper_rows, u)
 
     def q(self, v: int) -> int:
         """q(v) = sum_i q_i v_i + sum_{i<j} gram_ij v_i v_j."""

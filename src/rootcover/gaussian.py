@@ -4,12 +4,12 @@ Scalars are a + b*i with a, b rational; equality is exact.  Monomial matrices
 (one nonzero entry per row) have every entry in {1, i, -1, -i} and are
 stored as a column permutation and one phase mod 4 per row, so a product
 costs O(n) integer operations.  Gaussian rationals are used where matrices
-meet field arithmetic: traces, sparse solves and small dense determinants
+meet field arithmetic: traces, sparse ranks and small dense determinants
 (through intmat.field_eliminate).  The commutant and invariant-form systems
-have equations of two phase terms; ``phase_rows`` normalizes and
-deduplicates them in integers, so only the distinct rows reach
-``sparse_nullspace``.  The sparse echelon works over any
-field; ``sparse_rank`` also ranks the quartic probe's ``Fraction`` rows.
+have equations of two phase terms; ``phase_nullspace`` solves them as a
+graph with labels in Z/4, in integers.  The sparse echelon of ``sparse_rank``
+works over any field: it ranks E7's image matrices and the quartic probe's
+``Fraction`` rows.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def add_terms(acc: Dict[Any, Any], terms: Iterable[Tuple[Any, Any]]) -> Dict[Any
 
 class _SparseEchelon:
     """Incremental sparse row reduction over a field: Gaussian rationals for
-    the representation's systems, ``Fraction`` for the quartic Macaulay
+    the image rank of a representation, ``Fraction`` for the quartic Macaulay
     matrix."""
 
     def __init__(self) -> None:
@@ -185,76 +185,61 @@ class _SparseEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduced(self) -> Dict[int, Dict[int, Any]]:
-        """The pivot rows by lead, each reduced to zero at every other pivot
-        column.  A pivot row has no entry left of its lead, so clearing the
-        larger leads first brings no cleared entry back."""
-        reduced: Dict[int, Dict[int, Any]] = {}
-        for lead in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[lead])
-            for other_lead, other in reduced.items():
-                if other_lead in row:
-                    neg = -row[other_lead]
-                    add_terms(row, ((c, neg * v) for c, v in other.items()))
-            reduced[lead] = row
-        return reduced
-
-    def nullspace(self, ncols: int) -> List[Dict[int, GQ]]:
-        """Basis of the solution space of (rows) x = 0, one vector per free
-        column, by back-substitution into the reduced rows."""
-        reduced = self.reduced()
-        basis = []
-        for f_col in range(ncols):
-            if f_col in reduced:
-                continue
-            vec: Dict[int, GQ] = {f_col: ONE}
-            for lead, row in reduced.items():
-                if f_col in row:
-                    vec[lead] = -row[f_col]
-            basis.append(vec)
-        return basis
-
-
-def sparse_nullspace(rows: Iterable[Dict[int, GQ]], ncols: int) -> List[Dict[int, GQ]]:
-    ech = _SparseEchelon()
-    for row in rows:
-        ech.insert(row)
-    return ech.nullspace(ncols)
-
 
 PhaseTerm = Tuple[int, int]  # (u, p): the term i**p * x_u
 
 
-def phase_rows(equations: Iterable[Sequence[PhaseTerm]]) -> List[Dict[int, GQ]]:
-    """The distinct rows of homogeneous equations sum i**p x_u = 0 with at
-    most two terms each; ``sparse_nullspace`` of them is the solution space
-    of the equations.
+def phase_nullspace(equations: Iterable[Sequence[PhaseTerm]],
+                    ncols: int) -> List[Dict[int, GQ]]:
+    """Basis of the solutions of homogeneous equations sum i**p x_u = 0 with
+    at most two terms each, over the unknowns 0 .. ncols - 1.
 
-    Each equation becomes, in integers, a normal form with 1 on its lowest
-    unknown: two terms on one unknown cancel (opposite phases; the equation
-    is dropped) or force x_u = 0; two on distinct unknowns u < v become
-    x_u + i**k x_v.  Equal normal forms are unit multiples of each other, so
-    each is converted to a Gaussian-rational row once.
+    The system is a graph, solved by union-find with path compression and
+    potentials in Z/4 (Tarjan, JACM 22, 1975): i**p x_u + i**q x_v = 0 is the
+    edge x_v = i**(p - q + 2) x_u.  A component is zero when it holds a
+    one-term equation, a self-loop (i**p + i**q) x_u = 0 with p - q != 2
+    mod 4, or a cycle whose labels do not sum to 0 mod 4.  Every other one
+    gives a basis vector x_u = i**pot(u), scaled to 1 at its largest unknown
+    as back-substitution into reduced rows would be, in the order of those
+    unknowns.
     """
-    distinct: Dict[Tuple[int, ...], None] = {}
+    parent = list(range(ncols))
+    pot = [0] * ncols               # x_u = i**pot[u] x_parent[u]
+    zero = [False] * ncols          # read at roots
+
+    def find(u: int) -> int:
+        # climb to the root, then point the path at it with summed labels
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        acc = 0
+        for w in reversed(path):
+            acc = (acc + pot[w]) & 3
+            pot[w], parent[w] = acc, u
+        return u
+
     for eq in equations:
         if len(eq) > 2:
             raise ValueError("a phase equation has at most two terms")
-        if not eq:
-            continue
         if len(eq) == 1:
-            distinct[(eq[0][0],)] = None
-            continue
-        (u, p), (v, q) = eq
-        if u == v:
-            if (p - q) & 3 != 2:
-                distinct[(u,)] = None
-        elif u < v:
-            distinct[(u, v, (q - p) & 3)] = None
-        else:
-            distinct[(v, u, (p - q) & 3)] = None
-    return [{key[0]: ONE} if len(key) == 1
-            else {key[0]: ONE, key[1]: _POWERS_OF_I[key[2]]} for key in distinct]
+            zero[find(eq[0][0])] = True
+        elif eq:
+            (u, p), (v, q) = eq
+            ru, rv = find(u), find(v)
+            d = (p - q + 2 + pot[u] - pot[v]) & 3      # x_rv = i**d x_ru
+            if ru != rv:
+                parent[rv], pot[rv] = ru, d
+                zero[ru] |= zero[rv]
+            elif d:                 # an inconsistent cycle or self-loop
+                zero[ru] = True
+
+    members: Dict[int, List[int]] = {}
+    for u in range(ncols):
+        members.setdefault(find(u), []).append(u)
+    return [{u: _POWERS_OF_I[(pot[u] - pot[comp[-1]]) & 3] for u in comp}
+            for root, comp in sorted(members.items(), key=lambda item: item[1][-1])
+            if not zero[root]]
 
 
 def sparse_rank(rows: Iterable[Dict[int, Any]]) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
-from .gaussian import MonoMat, phase_rows, sparse_nullspace
+from .gaussian import MonoMat, phase_nullspace
 
 
 class RepError(ValueError):
@@ -266,17 +266,17 @@ def _check_table(rep: HeisRep) -> RepReport:
     codes = [m.code() for m in mats]
     neg_codes = [(-m).code() for m in mats]
     tables = [m.right_table() for m in mats]
-    beta = coc.beta
     failures = report.failures
     for u in range(size):
         cu = codes[u]
+        beta_u = coc.beta(u)          # beta(u, v) = parity(beta_u & v)
         for v in range(size):
             t = u ^ v
             # rho((su, u)) rho((sv, v)) = su sv M_u M_v must equal
             # rho((su sv (-1)^beta(u, v), u + v)) = su sv (-1)^beta(u, v) M_t:
             # su sv cancels, so the four signed pairs hold or fail together
             prod = tuple(map(tables[v].__getitem__, cu))          # M_u M_v
-            if prod != (neg_codes[t] if beta(u, v) else codes[t]):
+            if prod != (neg_codes[t] if parity(beta_u & v) else codes[t]):
                 failures.extend(((su, u), (sv, v)) for su, sv in _SIGNS)
             report.pairs_checked += 4
     return report
@@ -292,7 +292,7 @@ def commutant_dimension(rep: HeisRep) -> int:
     """Dimension of {B : B M = M B for all image matrices}, solved exactly.
 
     Every entry of M is a power of i, so each equation is two phase terms
-    (see gaussian.phase_rows).
+    (see gaussian.phase_nullspace).
     """
     n = rep.dim_w
     gens = [rep.mats[1 << j] for j in range(rep.cocycle.dim)]
@@ -308,7 +308,7 @@ def commutant_dimension(rep: HeisRep) -> int:
                     k0 = colinv[c]
                     yield ((r * n + k0, m.phase[k0]), (m.col[r] * n + c, m.phase[r] + 2))
 
-    return len(sparse_nullspace(phase_rows(equations()), n * n))
+    return len(phase_nullspace(equations(), n * n))
 
 
 def anticommutation_model_holds() -> bool:

@@ -35,9 +35,9 @@ from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import intmat
-from .f2 import F2QuadraticSpace
-from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, phase_rows,
-                       sparse_nullspace, sparse_rank)
+from .f2 import F2QuadraticSpace, parity
+from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, phase_nullspace,
+                       sparse_rank)
 from .heisrep import HeisRep
 from .lattice import RootDatum
 
@@ -159,15 +159,16 @@ def build_lie(datum: RootDatum, cocycle: F2QuadraticSpace) -> IntegralLieAlgebra
     root_of = {p: ri for ri, p in enumerate(packed)}
     bits = [datum.root_class_bits(ri) for ri in range(len(roots))]
     for ri, pi in enumerate(packed):
+        beta_i = cocycle.beta(bits[ri])     # beta(bits[ri], v) = parity(beta_i & v)
         for rj in range(ri + 1, len(roots)):
             total = pi + packed[rj]
             if total == 0:
-                sign = -1 if cocycle.beta(bits[ri], bits[rj]) else 1
+                sign = -1 if parity(beta_i & bits[rj]) else 1
                 coroot = tuple(sum(g * c for g, c in zip(row, roots[ri])) for row in gram)
                 entries = tuple((k, sign * c) for k, c in enumerate(coroot) if c)
                 table[(nc + ri, nc + rj)] = entries
             elif total in root_of:
-                sign = -1 if cocycle.beta(bits[ri], bits[rj]) else 1
+                sign = -1 if parity(beta_i & bits[rj]) else 1
                 table[(nc + ri, nc + rj)] = ((nc + root_of[total], sign),)
     return IntegralLieAlgebra(datum, cocycle, table)
 
@@ -642,7 +643,7 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
     basis of the solution space as dicts over unknown indices.  The equations
     are homogeneous in R, so they are solved on the unit monomials U = 2R
     (``RMap.mats``): each is two phase terms i**p x_u (see
-    gaussian.phase_rows).
+    gaussian.phase_nullspace).
     """
     n = mats[0].n
     unknowns = _form_unknowns(n, sym)
@@ -668,7 +669,7 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
                            for k, t in ((k0, ref.get((k0, b))), (k1, ref.get((a, k1))))
                            if t is not None]
 
-    return sparse_nullspace(phase_rows(equations()), len(unknowns))
+    return phase_nullspace(equations(), len(unknowns))
 
 
 def form_from_solution(sol: Dict[int, GQ], n: int, sym: int) -> Tuple[Tuple[GQ, ...], ...]:

@@ -9,7 +9,7 @@ import pytest
 from rootcover import lattice
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
 from rootcover.f2 import f2_echelon
-from rootcover.gaussian import GQ, I, ONE, ZERO, gq
+from rootcover.gaussian import GQ, I, ONE, ZERO, _SparseEchelon, add_terms, gq
 from rootcover.heisrep import HeisRep, build_heisrep
 from rootcover.liealg import build_R
 
@@ -35,6 +35,83 @@ def f2_kernel(rows, ncols):
                 vec |= 1 << col
         basis.append(vec)
     return basis
+
+
+class ReferenceEchelon(_SparseEchelon):
+    """The sparse echelon with Gauss-Jordan back-substitution: the general
+    field solver that the representation's two-term systems are checked
+    against."""
+
+    def reduced(self):
+        """The pivot rows by lead, each reduced to zero at every other pivot
+        column.  A pivot row has no entry left of its lead, so clearing the
+        larger leads first brings no cleared entry back."""
+        reduced = {}
+        for lead in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[lead])
+            for other_lead, other in reduced.items():
+                if other_lead in row:
+                    neg = -row[other_lead]
+                    add_terms(row, ((c, neg * v) for c, v in other.items()))
+            reduced[lead] = row
+        return reduced
+
+    def nullspace(self, ncols):
+        """Basis of the solution space of (rows) x = 0, one vector per free
+        column, by back-substitution into the reduced rows."""
+        reduced = self.reduced()
+        basis = []
+        for f_col in range(ncols):
+            if f_col in reduced:
+                continue
+            vec = {f_col: ONE}
+            for lead, row in reduced.items():
+                if f_col in row:
+                    vec[lead] = -row[f_col]
+            basis.append(vec)
+        return basis
+
+
+def sparse_nullspace(rows, ncols):
+    """Basis of the solutions of sparse Gaussian-rational rows, one vector
+    per free column."""
+    ech = ReferenceEchelon()
+    for row in rows:
+        ech.insert(row)
+    return ech.nullspace(ncols)
+
+
+def phase_rows(equations):
+    """The distinct rows of homogeneous equations sum i**p x_u = 0 with at
+    most two terms each; ``sparse_nullspace`` of them is the solution space
+    of the equations.
+
+    Each equation becomes, in integers, a normal form with 1 on its lowest
+    unknown: two terms on one unknown cancel (opposite phases; the equation
+    is dropped) or force x_u = 0; two on distinct unknowns u < v become
+    x_u + i**k x_v.  Equal normal forms are unit multiples of each other, so
+    each is converted to a Gaussian-rational row once.
+    """
+    distinct = {}
+    for eq in equations:
+        if len(eq) > 2:
+            raise ValueError("a phase equation has at most two terms")
+        if not eq:
+            continue
+        if len(eq) == 1:
+            distinct[(eq[0][0],)] = None
+            continue
+        (u, p), (v, q) = eq
+        if u == v:
+            if (p - q) & 3 != 2:
+                distinct[(u,)] = None
+        elif u < v:
+            distinct[(u, v, (q - p) & 3)] = None
+        else:
+            distinct[(v, u, (p - q) & 3)] = None
+    powers = (ONE, I, -ONE, -I)
+    return [{key[0]: ONE} if len(key) == 1
+            else {key[0]: ONE, key[1]: powers[key[2]]} for key in distinct]
 
 
 @pytest.fixture(scope="session")

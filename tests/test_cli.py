@@ -17,7 +17,7 @@ from conftest import with_mats
 from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
                        lattice, liealg, quartic, realtable)
 from rootcover.f2 import F2Error
-from rootcover.gaussian import ZERO, MonoMat, add_terms, gq
+from rootcover.gaussian import ONE, ZERO, MonoMat, add_terms, gq
 from rootcover.liealg import IntegralLieAlgebra
 
 
@@ -593,6 +593,39 @@ def test_degenerate_invariant_form_exits_1(capsys, monkeypatch):
     assert captured.out == ""
     assert ("verification failed: invariant antisymmetric form is degenerate\n"
             in captured.err)
+
+
+def test_commutant_larger_than_the_scalars_exits_1(capsys, monkeypatch):
+    # the kernel reports one solution more than it finds: the commutant is
+    # no longer the scalars, so the rep check fails
+    real = heisrep.phase_nullspace
+    monkeypatch.setattr(heisrep, "phase_nullspace",
+                        lambda equations, ncols: real(equations, ncols) + [{0: ONE}])
+    code, out = _run(capsys, ["verify", "--type", "E6"])
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    assert payload["checks"]["rep"] == {"ok": False, "pairs": 16384,
+                                        "commutant_dim": 2}
+
+
+def test_missing_antisymmetric_form_exits_1(capsys, monkeypatch):
+    # no antisymmetric invariant form: the fixed subalgebra is not certified
+    # as sp, and verify prints no payload
+    real = liealg.phase_nullspace
+    forms = []
+
+    def no_antisymmetric_form(equations, ncols):
+        forms.append(ncols)
+        # the strict upper triangle of an 8 x 8 form has 28 unknowns
+        return [] if ncols == 28 else real(equations, ncols)
+
+    monkeypatch.setattr(liealg, "phase_nullspace", no_antisymmetric_form)
+    assert cli.main(["verify", "--type", "E6"]) == 1
+    captured = capsys.readouterr()
+    assert forms == [28, 36]
+    assert captured.out == ""
+    assert ("verification failed: invariant form dimensions (0, 0) do not "
+            "certify sp\n" in captured.err)
 
 
 def test_theta_trace_mismatch_exits_1(capsys, monkeypatch):

@@ -53,7 +53,7 @@ class CoverGroup(F2QuadraticSpace):
 
     def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
         sign = x.sign * y.sign
-        if self.beta(x.v, y.v):
+        if parity(self.beta(x.v) & y.v):
             sign = -sign
         return ExtElement(sign, x.v ^ y.v)
 
@@ -166,7 +166,8 @@ def transport_automorphism(cocycle: CoverGroup, w_rows: Sequence[int]) -> ExtAut
     for i in range(n):
         row = 0
         for j in range(i + 1, n):
-            d = cocycle.beta(1 << i, 1 << j) ^ cocycle.beta(images[i], images[j])
+            d = (parity(cocycle.beta(1 << i) & (1 << j))
+                 ^ parity(cocycle.beta(images[i]) & images[j]))
             if d:
                 row |= 1 << j
         sigma.append(row)
@@ -283,7 +284,7 @@ def test_cocycle_condition_exhaustively():
     for u in range(n):
         bits = 0
         for w in range(n):
-            if coc.beta(u, w):
+            if parity(coc.beta(u) & w):
                 bits |= 1 << w
         rows.append(bits)
     ones = (1 << n) - 1
@@ -303,7 +304,7 @@ def test_cocycle_condition_exhaustively():
     for u in range(n):
         for v in range(n):
             lhs = rows[v] ^ xor_shift(rows[u], v)
-            rhs = (ones if coc.beta(u, v) else 0) ^ rows[u ^ v]
+            rhs = (ones if parity(coc.beta(u) & v) else 0) ^ rows[u ^ v]
             assert lhs == rhs
 
 
@@ -449,5 +450,5 @@ def test_beta_json_dump(tmp_path):
     assert cli.main(["build", "--type", "E6", "--out", str(out)]) == 0
     d = json.loads(out.read_text())["cover"]
     assert d["dim"] == 6 and len(d["beta"]) == 6
-    assert d["beta"] == [[coc.beta(1 << i, 1 << j) for j in range(6)]
+    assert d["beta"] == [[(coc.beta(1 << i) >> j) & 1 for j in range(6)]
                          for i in range(6)]

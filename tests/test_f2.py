@@ -5,10 +5,11 @@ from conftest import f2_kernel
 from hypothesis import given, settings, strategies as st
 
 from rootcover import intmat, lattice
-from rootcover.f2 import (F2Error, F2QuadraticSpace, arf,
+from rootcover.f2 import (F2Error, F2QuadraticSpace, arf, bilinear_eval,
                           count_refinements_by_arf, f2_rank,
                           f2_solve, mod2_bits, mul_vec, parity,
-                          standard_symplectic_space, symplectic_decomposition)
+                          standard_symplectic_space, symplectic_decomposition,
+                          vec_mat)
 from rootcover.lattice import mod2_rank_one_plus
 
 
@@ -258,6 +259,32 @@ def test_kernel_and_rank_helpers():
     assert len(ker) == 1
     for row in rows:
         assert bin(row & ker[0]).count("1") % 2 == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda dim: st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim)))
+def test_bit_row_reads_the_bilinear_form(rows):
+    # u^T S v as a triple sum, against the bit row u^T S, for every u and v
+    dim = len(rows)
+    bit = [[(x >> i) & 1 for i in range(dim)] for x in range(1 << dim)]
+    # the space whose upper rows are those of S: q_i on the diagonal, the
+    # pairing symmetric above and below it
+    gram = tuple(sum((((rows[i] >> j) if i < j else (rows[j] >> i)) & 1) << j
+                     for j in range(dim) if j != i) for i in range(dim))
+    space = F2QuadraticSpace(dim, gram, sum(rows[i] & (1 << i) for i in range(dim)))
+    upper = [[(space.upper_rows[i] >> j) & 1 for j in range(dim)] for i in range(dim)]
+    for u in range(1 << dim):
+        row = vec_mat(rows, u)
+        assert space.beta(u) == vec_mat(space.upper_rows, u)
+        for v in range(1 << dim):
+            triple = sum(bit[u][i] * ((rows[i] >> j) & 1) * bit[v][j]
+                         for i in range(dim) for j in range(dim)) & 1
+            assert parity(row & v) == bilinear_eval(rows, u, v) == triple
+            cocycle = sum(bit[u][i] * upper[i][j] * bit[v][j]
+                          for i in range(dim) for j in range(dim)) & 1
+            assert parity(space.beta(u) & v) == cocycle
+        assert parity(space.beta(u) & u) == space.q(u)
 
 
 def _span(vectors):

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from conftest import dense_mul, dense_neg
+from conftest import ReferenceEchelon, dense_mul, dense_neg, phase_rows, sparse_nullspace
 from hypothesis import example, given, settings, strategies as st
 
-from rootcover.gaussian import (I, ONE, ZERO, MonoMat, _SparseEchelon, add_terms,
-                                gq, phase_rows, sparse_nullspace, sparse_rank)
+from rootcover.gaussian import (I, ONE, ZERO, MonoMat, add_terms, gq,
+                                phase_nullspace, sparse_rank)
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -111,18 +111,40 @@ def phase_systems(draw):
     return ncols, draw(st.lists(st.lists(term, max_size=2), max_size=14))
 
 
+def _satisfies(vec, equations):
+    """Every equation holds exactly at the vector x = vec (absent entries 0)."""
+    return all(add_terms({}, [(0, POWERS_OF_I[p % 4] * vec.get(u, ZERO))
+                              for u, p in eq]) == {} for eq in equations)
+
+
 @settings(max_examples=400, deadline=None)
 @given(phase_systems())
 @example((2, [[(0, 1), (0, 3)], [(1, 0), (0, 2)]]))     # cancelling repeat
 @example((2, [[(1, 0), (1, 1)], [(0, 2), (1, 2)]]))     # repeat forcing x_1 = 0
 @example((3, [[], [(2, 5)], [(0, 0), (2, 1)], [(2, 3), (0, 2)]]))
+# a cycle x_1 = x_0, x_2 = x_1, x_0 = i x_2 whose labels do not sum to 0
+@example((4, [[(0, 2), (1, 0)], [(1, 2), (2, 0)], [(2, 3), (0, 0)]]))
+# a consistent cycle, then the same unknowns closed inconsistently
+@example((3, [[(0, 0), (1, 2)], [(1, 1), (2, 3)], [(2, 0), (0, 2)],
+              [(0, 1), (2, 1)]]))
+# self-loops: i x_0 - i x_0 holds for every x_0, x_1 + i x_1 = 0 forces x_1 = 0
+@example((3, [[(0, 1), (0, 3)], [(1, 0), (1, 1)], [(2, 0), (1, 0)]]))
+# one-term equations, one of them on a component joined later
+@example((5, [[(3, 1)], [(0, 0), (1, 1)], [(1, 0), (3, 2)], [(4, 6)]]))
+@example((3, [[], [], []]))                              # empty equations only
 def test_phase_rows_have_the_solutions_of_the_gaussian_rows(system):
     ncols, equations = system
     rows = [add_terms({}, [(u, POWERS_OF_I[p % 4]) for u, p in eq])
             for eq in equations]
     expected = sparse_nullspace([r for r in rows if r], ncols)
     assert sparse_nullspace(phase_rows(equations), ncols) == expected
-    assert sparse_nullspace(phase_rows(iter(equations)), ncols) == expected
+    got = phase_nullspace(equations, ncols)
+    assert len(got) == len(expected)
+    assert all(_satisfies(vec, equations) for vec in got)
+    # the same basis as back-substitution: each component scaled to 1 at its
+    # largest unknown, so the spans agree
+    assert got == expected
+    assert phase_nullspace(iter(equations), ncols) == got
 
 
 def test_phase_rows_keep_each_distinct_row_once():
@@ -134,11 +156,13 @@ def test_phase_rows_keep_each_distinct_row_once():
     rows = phase_rows(equations)
     assert rows == [{0: ONE, 1: -I}, {0: ONE, 1: I}, {2: ONE}]
     assert sparse_nullspace(rows, 4) == [{3: ONE}]
+    # x_1 = i x_0 and x_1 = -i x_0 close a cycle with labels 1 and 3
+    assert phase_nullspace(equations, 4) == [{3: ONE}]
 
 
 def test_reduced_rows_are_zero_at_every_other_pivot_column():
     # three rows over four columns: pivots 0, 1, 2 and the free column 3
-    ech = _SparseEchelon()
+    ech = ReferenceEchelon()
     for row in ({0: ONE, 1: ONE, 2: ONE, 3: ONE}, {1: ONE, 2: ONE, 3: gq(2)},
                 {2: ONE, 3: gq(3)}):
         assert ech.insert(row)
@@ -162,3 +186,6 @@ def test_sparse_rank_over_the_rationals():
 def test_phase_rows_reject_longer_equations():
     with pytest.raises(ValueError):
         phase_rows([[(0, 0), (1, 0), (2, 0)]])
+    # the kernel raises on a three-term equation after valid ones too
+    with pytest.raises(ValueError, match="at most two terms"):
+        phase_nullspace([[(0, 0), (1, 2)], [(0, 0), (1, 0), (2, 0)]], 3)

@@ -1,10 +1,9 @@
 import pytest
-from conftest import f2_kernel, with_mats
+from conftest import f2_kernel, sparse_nullspace, with_mats
 
 from rootcover import heisrep, lattice
 from rootcover.f2 import f2_rank, symplectic_decomposition
-from rootcover.gaussian import (I, MINUS_ONE, ONE, ZERO, MonoMat, gq,
-                                sparse_nullspace)
+from rootcover.gaussian import I, MINUS_ONE, ONE, ZERO, MonoMat, gq
 from rootcover.heisrep import (HeisRep, arf_normal_pairs, build_heisrep,
                                commutant_dimension, verify_rep)
 

@@ -7,10 +7,11 @@ from operator import mul
 from typing import Optional
 
 import pytest
+from conftest import sparse_nullspace
 
 from rootcover import heisrep, intmat, lattice, liealg
 from rootcover.f2 import parity
-from rootcover.gaussian import (ONE, MonoMat, add_terms, gq, sparse_nullspace,
+from rootcover.gaussian import (ONE, MonoMat, add_terms, gq, phase_nullspace,
                                 sparse_rank)
 from rootcover.liealg import (IntegralLieAlgebra, LieError,
                               build_R, build_lie, build_theta,
@@ -628,7 +629,7 @@ def _generic_form_space(mats, sym):
                          ids=["unchanged", "matrix-0", "matrix-5"])
 def test_invariant_forms_match_generic_rows(e6_stack, flip, dims):
     # one phase of one R image moved by +1 at row 3 changes the system; the
-    # deduplicated phase equations must still give the generic solution
+    # union-find kernel must still give the generic solution, vector for vector
     mats = list(e6_stack.rmap.mats)
     if flip is not None:
         m = mats[flip]
@@ -640,23 +641,25 @@ def test_invariant_forms_match_generic_rows(e6_stack, flip, dims):
     assert symm == _generic_form_space(mats, 1)
 
 
-def test_representation_solves_send_distinct_rows(monkeypatch, e6_stack, e7_stack):
-    # of the 2 x 2,304 form equations and the 6 x 64 / 7 x 64 commutant
-    # equations, only the distinct normalized rows reach the elimination
-    sizes = []
+def test_representation_solves_send_every_equation_to_the_kernel(
+        monkeypatch, e6_stack, e7_stack):
+    # the 2 x 2,304 form equations and the 6 x 64 / 7 x 64 commutant
+    # equations reach the union-find kernel unfiltered, one call per system
+    calls = []
 
-    def recording(rows, ncols):
-        rows = list(rows)
-        sizes.append(len(rows))
-        return sparse_nullspace(rows, ncols)
+    def recording(equations, ncols):
+        equations = list(equations)
+        basis = phase_nullspace(equations, ncols)
+        calls.append((len(equations), len(basis)))
+        return basis
 
-    monkeypatch.setattr(liealg, "sparse_nullspace", recording)
-    monkeypatch.setattr(heisrep, "sparse_nullspace", recording)
+    monkeypatch.setattr(liealg, "phase_nullspace", recording)
+    monkeypatch.setattr(heisrep, "phase_nullspace", recording)
     assert len(invariant_form_space(e6_stack.rmap.mats, -1)) == 1
     assert len(invariant_form_space(e6_stack.rmap.mats, 1)) == 0
     commutant = heisrep.commutant_dimension
     assert commutant(e6_stack.rep) == commutant(e7_stack.rep) == 1
-    assert sizes == [102, 176, 176, 208]
+    assert calls == [(2304, 1), (2304, 0), (384, 1), (448, 1)]
 
 
 def test_character_adjoint_action(e6_stack):
