@@ -1,10 +1,12 @@
 """Positive-definite integral lattices and their root combinatorics.
 
 Covers exact root enumeration (recursive coordinate bounding off an LDL^T
-decomposition, in integers), discriminant groups, the Weyl group built layer
-by length over root permutations, conjugacy classification of Weyl
-involutions, the rank-8 blow-up lattice of a degree-2 surface with its 56
-exceptional classes, and reduction mod 2 to a quadratic F2 space.
+decomposition, in integers), discriminant groups, the Weyl group held by its
+order (the product of the degrees read off the root heights) and its
+involutions (products of reflections in orthogonal roots), conjugacy
+classification of Weyl involutions, the rank-8 blow-up lattice of a
+degree-2 surface with its 56 exceptional classes, and reduction mod 2 to a
+quadratic F2 space.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from operator import mul
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_rank, mod2_bits
 from . import intmat
@@ -312,61 +314,64 @@ class WeylGroup:
         return sum(self.datum.roots[perm[si]][j]
                    for j, si in enumerate(self.datum.simple))
 
-    @cached_property
-    def _root_bits(self) -> Tuple[int, ...]:
-        return tuple(mod2_bits(c) for c in self.datum.roots)
 
-    def mod2_rank_one_plus(self, perm: bytes) -> int:
-        """Rank of (1 + w) mod 2, read off the images of the simple roots:
-        the class of w(alpha_j) plus e_j is row j of the transpose."""
-        bits = self._root_bits
-        return f2_rank([bits[perm[si]] ^ (1 << j)
-                        for j, si in enumerate(self.datum.simple)], self.datum.rank)
-
-
-def weyl_layers(datum: RootDatum) -> Iterator[List[bytes]]:
-    """The Weyl group's root permutations by length layer, up to rank 6 (a
-    cap on time: E7 has 2,903,040).  l(w s_i) = l(w) + 1 exactly when
-    w(alpha_i) > 0 (Humphreys, Reflection Groups and Coxeter Groups,
-    1.6-1.7), so layer k + 1 is {w s_i : w in layer k, w(alpha_i) > 0}, no
-    element repeats across layers and only one is kept; too many layers raise."""
-    size = _perm_size(datum)
-    if datum.rank > 6:
-        raise LatticeError(f"Weyl closure is limited to rank 6, not {datum.rank}")
-    pad = _BYTE_RANGE[size:]
-    positive = bytearray(size)
+def weyl_degrees(datum: RootDatum) -> List[int]:
+    """The degrees of the Weyl group, read off the root heights (Kostant,
+    Amer. J. Math. 81, 1959; Humphreys, Reflection Groups and Coxeter Groups,
+    3.9 and 3.20): with n_h positive roots of height h, n_m - n_(m+1) of the
+    exponents equal m, each exponent m gives the degree m + 1, and |W| is
+    their product.  The premises are checked first: the positive roots are
+    half the roots, every height is at least 1, n_1 is the rank and n_h
+    never increases; raises LatticeError when one fails."""
+    counts: Dict[int, int] = {}
     for r in datum.positive:
-        positive[r] = 1
-    gens = tuple(zip(datum.simple, datum.simple_reflections))
-    layer = [_BYTE_RANGE[:size]]
-    for _ in range(len(datum.positive) + 1):
-        yield layer
-        # a dict keeps each element once, in the order first met
-        ascents = {}
-        for p in layer:
-            table = p + pad
-            for si, g in gens:
-                if positive[p[si]]:
-                    ascents[g.translate(table)] = None
-        if not ascents:
-            return
-        layer = list(ascents)
-    raise LatticeError(f"Weyl closure found elements longer than the "
-                       f"{len(datum.positive)} positive roots")
+        h = sum(datum.roots[r])
+        if h < 1:
+            raise LatticeError(f"positive root of height {h}")
+        counts[h] = counts.get(h, 0) + 1
+    if 2 * len(datum.positive) != len(datum.roots):
+        raise LatticeError(f"{len(datum.positive)} positive roots are not "
+                           f"half of the {len(datum.roots)} roots")
+    n = [counts.get(h, 0) for h in range(max(counts, default=0) + 2)]
+    if n[1] != datum.rank:
+        raise LatticeError(f"{n[1]} roots of height 1, not the rank {datum.rank}")
+    for h in range(2, len(n)):
+        if n[h] > n[h - 1]:
+            raise LatticeError(f"{n[h]} roots of height {h} but {n[h - 1]} "
+                               f"of height {h - 1}")
+    return [m + 1 for m in range(1, len(n) - 1) for _ in range(n[m] - n[m + 1])]
 
 
 def weyl_enumerate(datum: RootDatum) -> WeylGroup:
-    """The order and involutions, read a layer at a time (E6: 51,840 and 891)."""
-    layers = weyl_layers(datum)
-    ident, = next(layers)  # layer 0, the identity alone, holds no involution
-    pad, s0 = _BYTE_RANGE[len(ident):], datum.simple[0]
-    order, involutions = 1, []
-    for layer in layers:
-        order += len(layer)
-        # w^2 fixing the first simple root is a cheap necessary condition
-        involutions += [p for p in layer
-                        if p[p[s0]] == s0 and p.translate(p + pad) == ident]
-    return WeylGroup(datum, order, involutions)
+    """The order, as the product of the degrees, and the involutions, up to
+    rank 6 (a cap on time).  Every involution of a Weyl group is a product
+    of reflections in mutually orthogonal roots (Richardson, Bull. Austral.
+    Math. Soc. 26, 1982), so each nonempty orthogonal set of positive roots
+    gives one, kept in the order first met (E6: 981 sets, 891 involutions)."""
+    size = _perm_size(datum)
+    if datum.rank > 6:
+        raise LatticeError(f"Weyl enumeration is limited to rank 6, not {datum.rank}")
+    order = math.prod(weyl_degrees(datum))
+    pad = _BYTE_RANGE[size:]
+    # a positive root b that is not simple has a simple s_i with s_i(b) = c
+    # a lower root, and s_b = s_i s_c s_i; the roots come in height order
+    refl = dict(zip(datum.simple, datum.simple_reflections))
+    for b in datum.positive:
+        if b not in refl:
+            g = next(g for g in datum.simple_reflections if g[b] < b)
+            refl[b] = g.translate(refl[g[b]] + pad).translate(g + pad)
+    found: Dict[bytes, None] = {}
+
+    def extend(prod: bytes, candidates: List[int]) -> None:
+        # b and c are orthogonal exactly when s_b fixes c
+        for k, b in enumerate(candidates):
+            s = refl[b]
+            p = prod.translate(s + pad)
+            found[p] = None
+            extend(p, [c for c in candidates[k + 1:] if s[c] == c])
+
+    extend(_BYTE_RANGE[:size], list(datum.positive))
+    return WeylGroup(datum, order, list(found))
 
 
 INVOLUTION_LABELS_E6 = {6: "1", 4: "s1", 2: "s1s2", 0: "s1s2s3", -2: "tau"}
@@ -408,25 +413,26 @@ def _conjugacy_orbit(datum: RootDatum, start: bytes) -> set:
 def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvolutionClass]:
     """Partition the involutions of W (plus the identity) into conjugacy classes.
 
-    Only implemented for type E6, where the classes are labelled by their
-    integer invariants and cross-checked against explicit constructions.
+    Only implemented for type E6, where the trace alone labels the classes:
+    the involutions are grouped by trace, and each group must be the
+    conjugacy orbit of its first member.
     """
     if datum.type_name != "E6":
         raise LatticeError("involution classification is implemented for E6 only")
-    groups: Dict[Tuple[int, int], List[bytes]] = {}
+    groups: Dict[int, List[bytes]] = {}
     for p in weyl.involutions:
-        key = (weyl.trace(p), weyl.mod2_rank_one_plus(p))
-        groups.setdefault(key, []).append(p)
+        groups.setdefault(weyl.trace(p), []).append(p)
     if len(groups) != 4:
-        raise LatticeError(f"expected 4 invariant groups of involutions, got {len(groups)}")
+        raise LatticeError(f"expected 4 traces of involutions, got {len(groups)}")
     classes = [WeylInvolutionClass("1", intmat.identity(datum.rank))]
-    for (tr, _), members in sorted(groups.items(), reverse=True):
+    for tr, members in sorted(groups.items(), reverse=True):
         label = INVOLUTION_LABELS_E6.get(tr)
         if label is None or label == "1":
             raise LatticeError(f"unexpected involution trace {tr}")
         orbit = _conjugacy_orbit(datum, members[0])
         if orbit != set(members):
-            raise LatticeError("invariant group is not a single conjugacy class")
+            raise LatticeError(f"involutions of trace {tr}: {len(members)} "
+                               f"listed, conjugacy orbit {len(orbit)}")
         classes.append(WeylInvolutionClass(label, weyl.matrix(members[0])))
     return classes
 

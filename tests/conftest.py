@@ -138,10 +138,33 @@ def e6_weyl(e6_stack):
     return lattice.weyl_enumerate(e6_stack.datum)
 
 
+def weyl_layers(datum):
+    """The Weyl group's root permutations by length layer: the exhaustive
+    reference that weyl_enumerate's order and involutions are checked
+    against.  l(w s_i) = l(w) + 1 exactly when w(alpha_i) > 0 (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.6-1.7), so layer k + 1 is
+    {w s_i : w in layer k, w(alpha_i) > 0} and no element repeats across
+    layers."""
+    size = len(datum.roots)
+    pad = bytes(range(size, 256))
+    positive = set(datum.positive)
+    gens = tuple(zip(datum.simple, datum.simple_reflections))
+    layer = [bytes(range(size))]
+    while layer:
+        yield layer
+        # a dict keeps each element once, in the order first met
+        ascents = {}
+        for p in layer:
+            table = p + pad
+            for si, g in gens:
+                if p[si] in positive:
+                    ascents[g.translate(table)] = None
+        layer = list(ascents)
+
+
 def weyl_elements(datum):
-    """Every element the closure makes, layer after layer: weyl_enumerate
-    keeps only the involutions."""
-    return [p for layer in lattice.weyl_layers(datum) for p in layer]
+    """Every element of the Weyl group, layer after layer."""
+    return [p for layer in weyl_layers(datum) for p in layer]
 
 
 @pytest.fixture(scope="session")
@@ -156,8 +179,8 @@ def e6_classes(e6_stack, e6_weyl):
 
 
 def involution_key(matrix):
-    """(trace, rank of (1 + w) mod 2): the invariants by which
-    classify_involutions groups the involutions."""
+    """(trace, rank of (1 + w) mod 2), two conjugacy invariants:
+    classify_involutions groups the involutions by the trace alone."""
     return (sum(matrix[i][i] for i in range(len(matrix))),
             lattice.mod2_rank_one_plus(matrix))
 

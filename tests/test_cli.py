@@ -558,8 +558,27 @@ def test_table_split_conjugacy_class_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(lattice, "_conjugacy_orbit",
                         lambda datum, start: real(datum, start) - {start})
     assert cli.main(["table", "real-orbits"]) == 1
-    assert capsys.readouterr().err == ("verification failed: invariant group "
-                                       "is not a single conjugacy class\n")
+    assert capsys.readouterr().err == ("verification failed: involutions of "
+                                       "trace 4: 36 listed, conjugacy orbit 35\n")
+
+
+def test_table_with_an_involution_missing_exits_1(capsys, monkeypatch):
+    # an enumeration that misses one involution leaves its class short of
+    # the conjugacy orbit of the class's first member
+    real = cmd_lattice.weyl_enumerate
+
+    def planted(datum):
+        weyl = real(datum)
+        weyl.involutions.remove(next(p for p in weyl.involutions
+                                     if weyl.trace(p) == 2))
+        return weyl
+
+    monkeypatch.setattr(cmd_lattice, "weyl_enumerate", planted)
+    assert cli.main(["table", "real-orbits"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("verification failed: involutions of trace 2: "
+                            "269 listed, conjugacy orbit 270\n")
 
 
 def test_delpezzo_wrong_count_exits_1(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 import pytest
-from conftest import f2_kernel, involution_key, weyl_elements
+from conftest import f2_kernel, involution_key, weyl_elements, weyl_layers
 
 from rootcover import intmat, lattice
 from rootcover.intmat import IntMatrix
@@ -16,7 +16,8 @@ from rootcover.lattice import (DelPezzoPicard, IntLattice, LatticeError,
                                delpezzo_k_perp, discriminant_group,
                                enumerate_roots, lines, lines_meeting,
                                mod2_rank_one_plus, mod2_space, root_datum,
-                               short_vectors, weyl_enumerate, weyl_layers)
+                               short_vectors, weyl_degrees, weyl_enumerate)
+from rootcover.quartic import FAMILIES
 
 # -- models that the tests check lattice against ----------------------------
 
@@ -323,6 +324,8 @@ def test_weyl_layers_follow_the_poincare_polynomial(name, degrees):
                for k, layer in enumerate(layers) for p in layer)
     sizes = [len(layer) for layer in layers]
     assert sizes == poincare_coefficients(degrees)
+    # the order from the root heights is the closure's count
+    assert tuple(weyl_degrees(datum)) == degrees
     assert len(weyl_enumerate(datum)) == sum(sizes)
     if name == "E6":
         assert sizes[-1] == 1 and len(layers) - 1 == 36
@@ -337,8 +340,9 @@ def test_weyl_elements_match_the_left_closure(name):
 
 
 def test_table_closure_never_holds_the_group():
-    # weyl_enumerate keeps one layer and the involutions: the 51,840 elements
-    # of W(E6), stored whole as 72-byte root permutations, took 6 MB
+    # weyl_enumerate holds the order as a number and the 891 involutions: the
+    # 51,840 elements of W(E6), stored whole as 72-byte root permutations,
+    # took 6 MB
     tracemalloc.start()
     try:
         datum = root_datum("E6")
@@ -351,14 +355,47 @@ def test_table_closure_never_holds_the_group():
 
 def test_weyl_closure_with_a_bad_positivity_mask_raises():
     datum = root_datum("A2")
-    # every root marked positive: every product counts as an ascent
+    # every root marked positive: the negative ones have negative heights
     datum.positive = tuple(range(len(datum.roots)))
-    with pytest.raises(LatticeError, match="longer than the 6 positive roots"):
+    with pytest.raises(LatticeError, match="positive root of height -2"):
         weyl_enumerate(datum)
 
 
+@pytest.mark.parametrize("heights, message", [
+    # three simple roots, one of height 2 and the top root twice: 6 of 12
+    ((1, 1, 1, 2, 3, 3), "2 roots of height 3 but 1 of height 2"),
+    ((1, 1, 2, 2, 3), "5 positive roots are not half of the 12 roots"),
+    ((1, 1, 2, 2, 2, 3), "2 roots of height 1, not the rank 3")])
+def test_weyl_degrees_refuse_heights_that_are_not_a_partition(heights, message):
+    datum = root_datum("A3")
+    first = {}
+    for r in datum.positive:
+        first.setdefault(sum(datum.roots[r]), r)
+    # the premises are read off the heights: listing roots again or leaving
+    # them out is enough to break them
+    datum.positive = tuple(first[h] for h in heights)
+    with pytest.raises(LatticeError, match=message):
+        weyl_degrees(datum)
+
+
+@pytest.mark.parametrize("name, degrees, order", [
+    ("E7", (2, 6, 8, 10, 12, 14, 18), 2903040),
+    ("E8", (2, 8, 12, 14, 18, 20, 24, 30), 696729600),
+    ("D16", (2, 4, 6, 8, 10, 12, 14, 16, 16, 18, 20, 22, 24, 26, 28, 30),
+     2 ** 15 * math.factorial(16))])
+def test_weyl_degrees_from_the_root_heights(name, degrees, order):
+    found = weyl_degrees(root_datum(name))
+    assert tuple(found) == degrees and math.prod(found) == order
+
+
+def test_e6_and_e7_degrees_are_the_family_weights():
+    for name, family in (("E6", "e6"), ("E7", "e7")):
+        weights = sorted(int(p[1:]) for p, _ in FAMILIES[family][1])
+        assert weyl_degrees(root_datum(name)) == weights
+
+
 def test_weyl_cap_exceeded():
-    # the closure is refused above rank 6, before any element is generated
+    # the enumeration is refused above rank 6, before any set is formed
     with pytest.raises(LatticeError, match="limited to rank 6, not 7"):
         weyl_enumerate(root_datum("E7"))
 
@@ -426,13 +463,19 @@ def test_tau_from_any_quadruple_is_in_one_class(e6_stack, e6_classes, e6_weyl,
         assert mod2_rank_one_plus(m) == 2
 
 
-def test_involutions_and_their_mod2_rank_from_root_images(e6_weyl, e6_elements):
-    ident = bytes(range(72))
-    pad = bytes(range(72, 256))
-    every = [p for p in e6_elements if p != ident and p.translate(p + pad) == ident]
-    assert e6_weyl.involutions == every and len(every) == 891
-    for p in every:
-        assert e6_weyl.mod2_rank_one_plus(p) == mod2_rank_one_plus(e6_weyl.matrix(p))
+@pytest.mark.parametrize("name, count", [
+    ("A3", 9), ("D4", 43), ("D5", 155), ("E6", 891)])
+def test_involutions_match_the_closure(name, count):
+    # the products of orthogonal reflections are every involution: the
+    # premise of weyl_enumerate, checked on each type the closure reaches
+    datum = root_datum(name)
+    size = len(datum.roots)
+    ident, pad = bytes(range(size)), bytes(range(size, 256))
+    every = {p for p in weyl_elements(datum)
+             if p != ident and p.translate(p + pad) == ident}
+    involutions = weyl_enumerate(datum).involutions
+    assert len(set(involutions)) == len(involutions) == count
+    assert set(involutions) == every
 
 
 def test_tau_not_conjugate_to_double_reflection(e6_classes):
