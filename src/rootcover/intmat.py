@@ -1,8 +1,9 @@
 """Exact integer and rational matrix utilities (no floating point anywhere).
 
 Integer determinants are fraction-free (Bareiss), taken block by block over
-the connected blocks of the off-diagonal pattern; every other elimination
-over a field, rational or Gaussian rational, goes through field_eliminate.
+the connected blocks of the off-diagonal pattern; a determinant over a field
+(the Gaussian rationals of the invariant forms) goes through field_eliminate,
+and ldlt gives the rational LDL^T that root enumeration bounds from.
 """
 
 from __future__ import annotations
@@ -162,43 +163,14 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[int, ...
     return [tuple(u_cols[c]) for c in active]
 
 
-def row_lattice_index(vectors: Sequence[Sequence[int]], n: int) -> int:
-    """Index in Z^n of the lattice generated by the given row vectors.
-
-    Returns 0 when the rows do not span a finite-index sublattice.
-    """
-    basis: dict[int, List[int]] = {}  # leading column -> echelon row
-    for vec in vectors:
-        v = list(vec)
-        while True:
-            lead = next((i for i, x in enumerate(v) if x != 0), None)
-            if lead is None:
-                break
-            if lead not in basis:
-                basis[lead] = v
-                break
-            b = basis[lead]
-            q = v[lead] // b[lead]
-            v = [x - q * y for x, y in zip(v, b)]
-            if v[lead]:
-                basis[lead], v = v, b
-    if len(basis) < n:
-        return 0
-    det = 1
-    for lead, b in basis.items():
-        det *= b[lead]
-    return abs(det)
-
-
-def field_eliminate(rows: Sequence[Sequence[Any]], one: Any,
-                    full: bool = False) -> Tuple[Any, List[List[Any]]]:
+def field_eliminate(rows: Sequence[Sequence[Any]], one: Any) -> Tuple[Any, List[List[Any]]]:
     """Exact Gaussian elimination over a field: Fraction or gaussian.GQ.
 
     Row-reduces a copy of the n-row matrix ``rows`` (n or more columns) until
-    its leading n x n block is upper unitriangular, or with ``full`` the
-    identity.  Returns (determinant of that block, reduced rows); at the first
-    column without a pivot it stops and returns a zero determinant.  ``one``
-    is the field's unit; entries test for zero by truth value.
+    its leading n x n block is upper unitriangular.  Returns (determinant of
+    that block, reduced rows); at the first column without a pivot it stops
+    and returns a zero determinant.  ``one`` is the field's unit; entries test
+    for zero by truth value.
     """
     n = len(rows)
     a = [list(row) for row in rows]
@@ -213,22 +185,11 @@ def field_eliminate(rows: Sequence[Sequence[Any]], one: Any,
         det = det * a[col][col]
         inv = one / a[col][col]
         a[col] = [x * inv for x in a[col]]
-        for r in range(0 if full else col + 1, n):
+        for r in range(col + 1, n):
             f = a[r][col]
-            if r != col and f:
+            if f:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det, a
-
-
-def rational_inverse(m: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix, entries as Fractions."""
-    n = len(m)
-    augmented = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-                 for i, row in enumerate(m)]
-    det, reduced = field_eliminate(augmented, Fraction(1), full=True)
-    if not det:
-        raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def ldlt(gram: Sequence[Sequence[int]]) -> Tuple[List[Fraction], List[List[Fraction]]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_rank, mod2_bits
@@ -220,48 +220,46 @@ class RootDatum:
 
 
 def enumerate_roots(lattice: IntLattice) -> RootDatum:
-    """Enumerate all norm-2 vectors, select simple roots, canonicalize.
+    """Enumerate all norm-2 vectors, find the simple roots and every root's
+    simple coordinates in one ascending pass, canonicalize.
+
+    The lexicographically positive roots form a positive system, and each
+    one that is not simple is a simple root plus a smaller positive root
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.1-10.2).  So, in ascending order, a positive root is simple exactly
+    when subtracting no simple root found so far leaves a positive root;
+    otherwise its coordinates are those of the smaller root plus one unit.
+    Every root then lies in the Z-span of the simple roots S, and the roots
+    generate the lattice exactly when there are n of them and |det S| = 1.
 
     Raises when the lattice is not an even positive-definite lattice generated
     by its roots.
     """
     if not lattice.is_even():
         raise LatticeError("lattice is not even")
-    raw = short_vectors(lattice.gram, 2)
     n = lattice.rank
-    if intmat.row_lattice_index(raw, n) != 1:
+    zero = (0,) * n
+    positives = sorted(c for c in short_vectors(lattice.gram, 2) if c > zero)
+    simple: List[Coords] = []
+    coords: Dict[Coords, Coords] = {}
+    for c in positives:
+        for k, s in enumerate(simple):
+            smaller = coords.get(tuple(map(sub, c, s)))
+            if smaller is not None:
+                coords[c] = tuple(x + (j == k) for j, x in enumerate(smaller))
+                break
+        else:
+            coords[c] = tuple(int(j == len(simple)) for j in range(n))
+            simple.append(c)
+    if len(simple) != n or abs(intmat.bareiss_det(simple)) != 1:
         raise LatticeError("roots do not generate the lattice")
 
-    positives = [c for c in raw if c > tuple([0] * n)]
-    pos_set = set(positives)
-    simple: List[Coords] = []
-    for c in positives:
-        if not any(tuple(a - b for a, b in zip(c, q)) in pos_set for q in positives):
-            simple.append(c)
-    if len(simple) != n:
-        raise LatticeError("failed to extract a simple system")
-    simple.sort()
-
-    # simple coordinates c . S^-1 in integers: S^-1 = scaled / den
-    s_inv = intmat.rational_inverse(simple)
-    den = math.lcm(*(x.denominator for row in s_inv for x in row))
-    scaled_cols = [[int(row[j] * den) for row in s_inv] for j in range(n)]
-    new_roots = []
-    for c in raw:
-        coords = []
-        for col in scaled_cols:
-            q, r = divmod(sum(a * b for a, b in zip(c, col)), den)
-            if r:
-                raise LatticeError("root has non-integral simple coordinates")
-            coords.append(q)
-        new_roots.append(tuple(coords))
     new_gram = tuple(tuple(lattice.inner(a, b) for b in simple) for a in simple)
-    order = sorted(range(len(new_roots)),
-                   key=lambda i: (sum(new_roots[i]), new_roots[i]))
-    ordered = tuple(new_roots[i] for i in order)
+    pos = list(coords.values())
+    ordered = tuple(sorted(pos + [tuple(-x for x in c) for c in pos],
+                           key=lambda c: (sum(c), c)))
     idx = {c: i for i, c in enumerate(ordered)}
-    simple_indices = tuple(idx[tuple(1 if j == k else 0 for j in range(n))]
-                           for k in range(n))
+    simple_indices = tuple(idx[coords[s]] for s in simple)
     return RootDatum(IntLattice(new_gram), ordered, simple_indices)
 
 

@@ -11,7 +11,83 @@ from rootcover.cmd_pipeline import Pipeline, build_pipeline
 from rootcover.f2 import f2_echelon
 from rootcover.gaussian import GQ, I, ONE, ZERO, _SparseEchelon, add_terms, gq
 from rootcover.heisrep import HeisRep, build_heisrep
+from rootcover.intmat import field_eliminate
 from rootcover.liealg import build_R
+
+
+def row_lattice_index(vectors, n):
+    """Index in Z^n of the lattice generated by the given row vectors, by an
+    integer echelon; 0 when the rows do not span a finite-index sublattice."""
+    basis = {}  # leading column -> echelon row
+    for vec in vectors:
+        v = list(vec)
+        while True:
+            lead = next((i for i, x in enumerate(v) if x != 0), None)
+            if lead is None:
+                break
+            if lead not in basis:
+                basis[lead] = v
+                break
+            b = basis[lead]
+            q = v[lead] // b[lead]
+            v = [x - q * y for x, y in zip(v, b)]
+            if v[lead]:
+                basis[lead], v = v, b
+    if len(basis) < n:
+        return 0
+    det = 1
+    for lead, b in basis.items():
+        det *= b[lead]
+    return abs(det)
+
+
+def rational_inverse(m):
+    """Exact inverse of a square integer matrix, entries as Fractions:
+    field_eliminate's forward pass on [m | I], then back-substitution."""
+    n = len(m)
+    augmented = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+                 for i, row in enumerate(m)]
+    det, a = field_eliminate(augmented, Fraction(1))
+    if not det:
+        raise ZeroDivisionError("singular matrix")
+    for col in reversed(range(n)):
+        for r in range(col):
+            f = a[r][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def reference_enumerate_roots(lat):
+    """enumerate_roots by independent means: the index check over all the
+    roots, the simple roots as the positive roots that are no difference of
+    two positive roots (a search over all pairs), and every root's simple
+    coordinates through the rational inverse of the simple roots."""
+    if not lat.is_even():
+        raise lattice.LatticeError("lattice is not even")
+    raw = lattice.short_vectors(lat.gram, 2)
+    n = lat.rank
+    if row_lattice_index(raw, n) != 1:
+        raise lattice.LatticeError("roots do not generate the lattice")
+    positives = [c for c in raw if c > (0,) * n]
+    pos_set = set(positives)
+    simple = sorted(c for c in positives
+                    if not any(tuple(a - b for a, b in zip(c, q)) in pos_set
+                               for q in positives))
+    if len(simple) != n:
+        raise lattice.LatticeError("failed to extract a simple system")
+    s_inv = rational_inverse(simple)
+    new_roots = []
+    for c in raw:
+        coords = [sum(a * row[j] for a, row in zip(c, s_inv)) for j in range(n)]
+        if any(x.denominator != 1 for x in coords):
+            raise lattice.LatticeError("root has non-integral simple coordinates")
+        new_roots.append(tuple(int(x) for x in coords))
+    new_gram = tuple(tuple(lat.inner(a, b) for b in simple) for a in simple)
+    ordered = tuple(sorted(new_roots, key=lambda c: (sum(c), c)))
+    idx = {c: i for i, c in enumerate(ordered)}
+    simple_indices = tuple(idx[tuple(int(j == k) for j in range(n))] for k in range(n))
+    return lattice.RootDatum(lattice.IntLattice(new_gram), ordered, simple_indices)
 
 
 def with_mats(rep, mats):

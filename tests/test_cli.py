@@ -597,7 +597,10 @@ def test_counts_wrong_split_exits_1(capsys, monkeypatch):
 
 
 def test_degenerate_killing_form_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(liealg.intmat, "bareiss_det", lambda m: 0)
+    # the fault sits at the Killing check alone: the root datum's own
+    # determinant is left intact
+    monkeypatch.setattr(cmd_pipeline, "killing_form",
+                        lambda alg: ((0,) * alg.dim,) * alg.dim)
     code, out = _run(capsys, ["verify", "--type", "A3"])
     payload = json.loads(out)
     assert code == 1 and not payload["ok"]

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from conftest import rational_inverse
 
 from rootcover.gaussian import ONE, ZERO, gq
-from rootcover.intmat import _bareiss, bareiss_det, field_eliminate, rational_inverse
+from rootcover.intmat import _bareiss, bareiss_det, field_eliminate
 
 
 def _square(entries, max_n):

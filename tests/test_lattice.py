@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 import pytest
-from conftest import f2_kernel, involution_key, weyl_elements, weyl_layers
+from conftest import (f2_kernel, involution_key, reference_enumerate_roots,
+                      row_lattice_index, weyl_elements, weyl_layers)
 
 from rootcover import intmat, lattice
 from rootcover.intmat import IntMatrix
@@ -231,12 +232,18 @@ def _delpezzo_grams(monkeypatch):
     return grams
 
 
-def test_integer_short_vectors_match_the_rational_descent(monkeypatch):
+def _reference_grams(monkeypatch):
+    """The grams on which the root enumeration is checked against its
+    references: A2-A8, D4-D8, E6-E8, A16, D16 and the two del Pezzo ones."""
     names = ([f"A{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
              + ["E6", "E7", "E8", "A16", "D16"])
     grams = [cartan_gram(name) for name in names] + _delpezzo_grams(monkeypatch)
     assert len(grams) == len(names) + 2
-    for gram in grams:
+    return grams
+
+
+def test_integer_short_vectors_match_the_rational_descent(monkeypatch):
+    for gram in _reference_grams(monkeypatch):
         assert short_vectors(gram, 2) == fraction_short_vectors(gram, 2)
     # a deeper budget: the 2,160 E8 vectors of norm 4
     e8 = cartan_gram("E8")
@@ -250,6 +257,15 @@ def test_short_vectors_rejects_a_gram_that_is_not_positive_definite():
             short_vectors(gram, 2)
 
 
+def test_one_pass_matches_the_pairwise_reference(monkeypatch):
+    for gram in _reference_grams(monkeypatch):
+        got = enumerate_roots(IntLattice(gram))
+        want = reference_enumerate_roots(IntLattice(gram))
+        assert got.roots == want.roots
+        assert got.simple == want.simple
+        assert got.lattice.gram == want.lattice.gram
+
+
 def test_enumerate_rejects_bad_input():
     odd = IntLattice(((1,),))
     with pytest.raises(LatticeError):
@@ -261,6 +277,13 @@ def test_enumerate_rejects_bad_input():
     scaled = IntLattice(tuple(tuple(2 * x for x in row) for row in cartan_gram("D4")))
     with pytest.raises(LatticeError):
         enumerate_roots(scaled)
+    # A1^8 glued by half the sum of its roots: 16 roots, whose 8 simple
+    # roots span a sublattice of index 2
+    glued = IntLattice(tuple(tuple(2 * (i == j) for j in range(7)) + (1,)
+                             for i in range(7)) + ((1,) * 7 + (4,),))
+    assert len(short_vectors(glued.gram, 2)) == 16
+    with pytest.raises(LatticeError, match="do not generate"):
+        enumerate_roots(glued)
 
 
 def test_reflections_stabilize_the_root_set():
@@ -581,8 +604,8 @@ def test_integer_kernel_saturation():
     assert len(basis) == 2
     for b in basis:
         assert sum(r * x for r, x in zip(rows[0], b)) == 0
-    assert intmat.row_lattice_index([(1, 0), (0, 1)], 2) == 1
-    assert intmat.row_lattice_index([(2, 0), (0, 1)], 2) == 2
+    assert row_lattice_index([(1, 0), (0, 1)], 2) == 1
+    assert row_lattice_index([(2, 0), (0, 1)], 2) == 2
 
 
 def test_smith_and_bareiss():

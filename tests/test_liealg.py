@@ -7,7 +7,7 @@ from operator import mul
 from typing import Optional
 
 import pytest
-from conftest import sparse_nullspace
+from conftest import rational_inverse, sparse_nullspace
 
 from rootcover import heisrep, intmat, lattice, liealg
 from rootcover.f2 import parity
@@ -24,7 +24,7 @@ from rootcover.liealg import (IntegralLieAlgebra, LieError,
 
 def killing_cartan_ratio(L: IntegralLieAlgebra, killing) -> Fraction:
     """Constant c with K|_Cartan = c * (coweight-basis dual pairing)."""
-    dual = intmat.rational_inverse(L.datum.lattice.gram)
+    dual = rational_inverse(L.datum.lattice.gram)
     nc = L.n_cartan
     ratio: Optional[Fraction] = None
     for i in range(nc):
