@@ -13,6 +13,7 @@ The package loads none of its modules: import names from the submodules
 """
 
 import sys
+import time
 
 __version__ = "0.1.0"
 
@@ -24,3 +25,9 @@ def note(line: str) -> None:
         print(line, file=sys.stderr)
     except OSError:
         pass
+
+
+def clock(name: str, t0: float, detail: str = "") -> None:
+    """Note the time since ``t0`` (``time.perf_counter``) as the stage line
+    ``[name] 0.123s``, then ``detail``."""
+    note(f"[{name}] {time.perf_counter() - t0:.3f}s{detail}")

@@ -34,10 +34,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from . import __version__, note
+from . import __version__, clock, note
 
 # upper bound on the bits of each quartic parameter's numerator and
 # denominator: with every parameter a 2,048-bit numerator over a 2,048-bit
@@ -76,10 +77,29 @@ def __getattr__(name: str):
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
+    """Write ``payload`` as the text of json.dumps(payload, sort_keys=True,
+    indent=2), but for its values that render themselves.
+
+    Dicts are walked by sorted key.  A callable value is called with the
+    indentation of its line and returns its own text: ``build`` renders its
+    bracket and matrix tables so.  Every other value goes through json.dumps,
+    its lines shifted to their place.  Payload keys are strings.
+    """
     # json is loaded after the command's modules: loaded ahead of them it
     # raised the peak RSS of verify --type E7 by 0.15 MB
     import json
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def render(value, indent: str) -> str:
+        if callable(value):
+            return value(indent)
+        if isinstance(value, dict) and value:
+            inner = indent + "  "
+            return ("{\n" + ",\n".join(f"{inner}{json.dumps(k)}: {render(v, inner)}"
+                                        for k, v in sorted(value.items()))
+                    + "\n" + indent + "}")
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+    text = render(payload, "") + "\n"
     if out:
         try:
             with open(out, "w") as fh:
@@ -99,13 +119,16 @@ def _check_writable(path: str) -> None:
 def _parse_fraction_list(text: str) -> Tuple[Fraction, ...]:
     params = []
     for part in text.split(","):
-        # Fraction("1e999999999") would build 10**999999999 before any check
-        exponent = part.lower().partition("e")[2]
-        if exponent and abs(int(exponent)) > MAX_PARAM_BITS:
-            raise ValueError(f"parameter {part} has an exponent above {MAX_PARAM_BITS}")
-        value = Fraction(part)
+        try:
+            # Fraction("1e999999999") would build 10**999999999 before any check
+            exponent = int(part.lower().partition("e")[2] or 0)
+            value = Fraction(part) if abs(exponent) <= MAX_PARAM_BITS else None
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--params item {part!r} is not a rational number") from None
+        if value is None:
+            raise ValueError(f"--params item {part} has an exponent above {MAX_PARAM_BITS}")
         if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_PARAM_BITS:
-            raise ValueError(f"parameter {part} is above {MAX_PARAM_BITS} bits")
+            raise ValueError(f"--params item {part} is above {MAX_PARAM_BITS} bits")
         params.append(value)
     return tuple(params)
 
@@ -172,9 +195,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             from . import cmd_pipeline as command
         else:
             from . import cmd_lattice as command
+        t_start = time.perf_counter()
         payload, code = command.run(cfg, args)
         if payload is not None:
+            t0 = time.perf_counter()
             _emit(payload, cfg.out)
+            if cfg.command == "build":
+                # build's payload is its large tables: writing them is a stage
+                clock("render", t0)
+                clock("total", t_start)
         sys.stdout.flush()
         return code
     except (ValueError, ZeroDivisionError) as exc:

@@ -27,7 +27,7 @@ from .heisrep import (HeisRep, RepError, anticommutation_model_holds, build_heis
                       verify_rep)
 from .lattice import LatticeError, RootDatum, mod2_space, parse_type, root_datum
 from .f2 import MAX_DIM, F2Error, F2QuadraticSpace
-from . import intmat, note
+from . import clock, intmat, note
 
 # upper bound of verify --samples (default 200,000): sampled Jacobi checked
 # 1,000,000 E8 triples in 0.94 to 1.02 s on a 2-core x86 VM
@@ -94,7 +94,10 @@ def run(cfg, args: argparse.Namespace) -> Result:
 
 
 def cmd_build(cfg, args: argparse.Namespace) -> Result:
+    # the CLI notes [render] and [total] once it has written the payload
+    t0 = time.perf_counter()
     pipe = build_pipeline(cfg.lattice_type)
+    clock("pipeline", t0)
     lie = pipe.lie
     cover = pipe.cocycle
     payload = {
@@ -123,13 +126,13 @@ def _signed_index(pipe: Pipeline, i: int) -> int:
 def cmd_verify(cfg, args: argparse.Namespace) -> Result:
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise ValueError(f"--samples must be between 1 and {MAX_SAMPLES}")
+    # random.Random seeds with |seed|, so -5 would draw the triples of 5
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, not {args.seed}")
     cfg.depth = args.depth
     # exhaustive Jacobi draws nothing, so only a sampled run records a seed
     cfg.seed = (args.seed or 0) if cfg.depth == "sampled" else None
     # timing goes to stderr so the JSON payload stays byte-identical across runs
-    def clock(name: str, t0: float, detail: str = "") -> None:
-        note(f"[{name}] {time.perf_counter() - t0:.3f}s{detail}")
-
     t_start = time.perf_counter()
     pipe = build_pipeline(cfg.lattice_type)
     clock("pipeline", t_start)

@@ -16,7 +16,7 @@ from .quartic import (FAMILIES, family_member, smoothness_probe,
 
 def run(cfg, args) -> Tuple[dict, int]:
     """The payload and exit code of ``rootcover quartic``."""
-    primes = tuple(int(p) for p in args.probe.split(","))
+    primes = tuple(map(_probe_item, args.probe.split(",")))
     curve = family_member(args.family, args.params)
     _, _, expected_contact = FAMILIES[args.family]
     contact = tangent_contact_order(curve)
@@ -30,3 +30,10 @@ def run(cfg, args) -> Tuple[dict, int]:
         "verdict": verdict.to_json_dict(),
     }
     return payload, 0 if contact == expected_contact else 1
+
+
+def _probe_item(item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError(f"--probe item {item!r} is not an integer") from None

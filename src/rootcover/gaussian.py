@@ -69,7 +69,7 @@ MINUS_ONE = gq(-1)
 
 # i**k as an integer pair (re, im) and as a Gaussian rational, k = 0..3
 _UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
-_POWERS_OF_I = (ONE, I, MINUS_ONE, -I)
+POWERS_OF_I = (ONE, I, MINUS_ONE, -I)
 
 
 class MonoMat:
@@ -128,11 +128,11 @@ class MonoMat:
         if any(c != r for r, c in enumerate(self.col)):
             return None
         p = self.phase[0]
-        return _POWERS_OF_I[p] if all(q == p for q in self.phase) else None
+        return POWERS_OF_I[p] if all(q == p for q in self.phase) else None
 
     def entries(self) -> Iterable[Tuple[int, int, GQ]]:
         for r, c in enumerate(self.col):
-            yield r, c, _POWERS_OF_I[self.phase[r]]
+            yield r, c, POWERS_OF_I[self.phase[r]]
 
     def code(self) -> Tuple[int, ...]:
         """Row r packed as 4 * col[r] + phase[r]."""
@@ -237,7 +237,7 @@ def phase_nullspace(equations: Iterable[Sequence[PhaseTerm]],
     members: Dict[int, List[int]] = {}
     for u in range(ncols):
         members.setdefault(find(u), []).append(u)
-    return [{u: _POWERS_OF_I[(pot[u] - pot[comp[-1]]) & 3] for u in comp}
+    return [{u: POWERS_OF_I[(pot[u] - pot[comp[-1]]) & 3] for u in comp}
             for root, comp in sorted(members.items(), key=lambda item: item[1][-1])
             if not zero[root]]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
-from .gaussian import MonoMat, phase_nullspace
+from .gaussian import POWERS_OF_I, MonoMat, phase_nullspace
 
 
 class RepError(ValueError):
@@ -137,13 +137,22 @@ class HeisRep:
         self.report: Optional[RepReport] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim_w": self.dim_w,
-            "mats": [
-                [[r, c, str(val.re), str(val.im)] for r, c, val in m.entries()]
-                for m in self.mats
-            ],
-        }
+        return {"dim_w": self.dim_w, "mats": self.render_mats}
+
+    def render_mats(self, indent: str) -> str:
+        """Each matrix as the list of its entries [r, c, "re", "im"], in the
+        text of json.dumps(mats, indent=2) with ``indent`` after every
+        newline: each entry fills the % template of its phase.  The parts of
+        a unit are the strings of the integers 0 and +-1, which JSON writes
+        in quotes, unescaped."""
+        outer = indent + "  "
+        row, part = outer + "  ", outer + "    "
+        templates = [f'{row}[\n{part}%d,\n{part}%d,\n{part}"{unit.re}",\n'
+                     f'{part}"{unit.im}"\n{row}]' for unit in POWERS_OF_I]
+        mats = [outer + "[\n" + ",\n".join([templates[p] % (r, c) for r, (c, p)
+                                             in enumerate(zip(m.col, m.phase))])
+                + "\n" + outer + "]" for m in self.mats]
+        return "[\n" + ",\n".join(mats) + "\n" + indent + "]"
 
 
 def build_heisrep(cocycle: F2QuadraticSpace) -> HeisRep:

@@ -109,14 +109,35 @@ class IntegralLieAlgebra(SparseLieAlgebra):
         return self.datum.roots[i - self.n_cartan]
 
     def to_json_dict(self) -> dict:
-        brackets = [[i, j, [[k, c] for k, c in entries]]
-                    for (i, j), entries in self.table.items()]
+        # the bracket table, over a million bytes of JSON on E8, renders itself
         return {
             "type": self.datum.type_name,
             "dim": self.dim,
             "basis": list(self.labels),
-            "brackets": brackets,
+            "brackets": self.render_brackets,
         }
+
+    def render_brackets(self, indent: str) -> str:
+        """The rows [i, j, [[k, c], ...]] of ``table`` as the text of
+        json.dumps(rows, indent=2) with ``indent`` after every newline: each
+        row fills the % template of its number of entries."""
+        templates: Dict[int, str] = {}
+        rows = []
+        for (i, j), entries in self.table.items():
+            template = templates.get(len(entries))
+            if template is None:
+                template = templates[len(entries)] = _bracket_row(indent + "  ", len(entries))
+            rows.append(template % sum(entries, (i, j)))
+        return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
+def _bracket_row(indent: str, entries: int) -> str:
+    """The % template of a bracket row with that many entries, as json.dumps
+    with indent=2 lays it out when the row opens at ``indent``."""
+    a, b, c = indent + "  ", indent + "    ", indent + "      "
+    entry = f"{b}[\n{c}%d,\n{c}%d\n{b}]"
+    return (f"{indent}[\n{a}%d,\n{a}%d,\n{a}[\n" + ",\n".join([entry] * entries)
+            + f"\n{a}]\n{indent}]")
 
 
 def _packed_roots(datum: RootDatum) -> List[int]:

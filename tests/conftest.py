@@ -7,6 +7,7 @@ from typing import Tuple
 import pytest
 
 from rootcover import lattice
+from rootcover.cli import RunConfig
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
 from rootcover.f2 import f2_echelon
 from rootcover.gaussian import GQ, I, ONE, ZERO, _SparseEchelon, add_terms, gq
@@ -188,6 +189,36 @@ def phase_rows(equations):
     powers = (ONE, I, -ONE, -I)
     return [{key[0]: ONE} if len(key) == 1
             else {key[0]: ONE, key[1]: powers[key[2]]} for key in distinct]
+
+
+def reference_build_payload(kind):
+    """The payload of ``build --type kind`` with every table a nested list,
+    as the command built it before its tables rendered themselves."""
+    cfg = RunConfig("build")
+    cfg.lattice_type = kind
+    pipe = build_pipeline(kind)
+    lie, cover = pipe.lie, pipe.cocycle
+    payload = {
+        "config": cfg.stamp(),
+        "lattice": pipe.datum.to_json_dict(),
+        "cover": {"dim": cover.dim,
+                  "beta": [[(row >> j) & 1 for j in range(cover.dim)]
+                           for row in cover.upper_rows]},
+        "algebra": {"type": pipe.datum.type_name, "dim": lie.dim,
+                    "basis": list(lie.labels),
+                    "brackets": [[i, j, [[k, c] for k, c in entries]]
+                                 for (i, j), entries in lie.table.items()]},
+        "theta": [[i, s * (j + 1)]
+                  for i, (j, s) in enumerate(map(pipe.theta.apply_basis, range(lie.dim)))],
+        "trace_theta": pipe.theta.trace(),
+        "dim": lie.dim,
+        "fixed_dim": pipe.fixed.dim,
+    }
+    if pipe.rep is not None:
+        payload["rep"] = {"dim_w": pipe.rep.dim_w,
+                          "mats": [[[r, c, str(v.re), str(v.im)] for r, c, v in m.entries()]
+                                   for m in pipe.rep.mats]}
+    return payload
 
 
 @pytest.fixture(scope="session")

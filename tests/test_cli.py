@@ -118,9 +118,19 @@ def test_failed_lattice_or_f2_check_exits_1(capsys, monkeypatch, command, stub, 
      "error: e6 takes 6 parameters: p2,p5,p8,p6,p9,p12\n"),
     (["quartic", "e7", "--params", "0,0,0,0,0,0"],
      "error: e7 takes 7 parameters: p2,p10,p8,p14,p6,p12,p18\n"),
+    # random.Random seeds with |seed|: --seed -5 would draw the triples of 5
+    (["verify", "--type", "E8", "--depth", "sampled", "--seed", "-5", "--samples", "1000"],
+     "error: --seed must be nonnegative, not -5\n"),
+    (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe="],
+     "error: --probe item '' is not an integer\n"),
+    (["quartic", "e6", "--params", "0,0,0,0,0,1", "--probe", "5,,7"],
+     "error: --probe item '' is not an integer\n"),
+    (["quartic", "e6", "--params=1/0,0,0,2,0,-1"],
+     "error: --params item '1/0' is not a rational number\n"),
 ], ids=["rank-60", "type-X", "probe-4-9", "probe-10007", "samples-1e8",
         "params-1e20000", "params-2049-bits", "probe-5-5", "probe-168-primes",
-        "e6-7-params", "e7-6-params"])
+        "e6-7-params", "e7-6-params", "seed-negative", "probe-empty",
+        "probe-empty-item", "params-1-over-0"])
 def test_bad_input_exits_2_before_any_work(capsys, monkeypatch, argv, message):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("root enumeration started before the type was checked")
@@ -229,6 +239,45 @@ def test_build_deterministic_bytes(tmp_path):
     assert cli.main(["build", "--type", "A3", "--out", str(out1)]) == 0
     assert cli.main(["build", "--type", "A3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_build_out_file_holds_the_stdout_bytes(tmp_path):
+    # the behaviour lock hashes stdout; --out must hold the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = tmp_path / "e7.json"
+    proc = subprocess.run([sys.executable, "-m", "rootcover.cli", "build", "--type", "E7",
+                           "--out", str(out)],
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest()[:16] == "cde6ef5b16f1214d"
+    assert out.read_bytes() == proc.stdout
+
+
+def test_writer_matches_json_dumps_around_a_value_that_renders_itself(capsys):
+    # a self-rendering value gets the indentation of its line and must return
+    # its text as json.dumps would lay it out there
+    table = [[1, [2, "\u00e9"]], {"k": []}]
+
+    def rendered(indent):
+        return json.dumps(table, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    payload = {"z": {}, "b": {"y": {"deep": rendered, "a": [{}, []]}, "x": "\"q\""},
+               "\u00fc": 1.5, "a": None, "c": [True, {"b": 2, "a": 1}]}
+    reference = copy.deepcopy(payload)
+    reference["b"]["y"]["deep"] = table
+    cli._emit(payload, None)
+    assert capsys.readouterr().out == json.dumps(reference, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["A2", "E6"])
+def test_build_times_every_stage_on_stderr(capsys, kind):
+    code = cli.main(["build", "--type", kind])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["algebra"]["type"] == kind
+    names = [re.match(r"\[(\w+)\] \d+\.\d{3}s$", line).group(1)
+             for line in captured.err.splitlines()]
+    assert names == ["pipeline", "render", "total"]
 
 
 def test_verify_small_exhaustive(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from conftest import f2_kernel, sparse_nullspace, with_mats
 
@@ -269,4 +271,8 @@ def test_json_dump_shape(reps):
     _, _, rep = reps["A2"]
     d = rep.to_json_dict()
     assert d["dim_w"] == 2
-    assert len(d["mats"]) == 4
+    # the matrices render themselves as JSON text, here at no indentation
+    mats = json.loads(d["mats"](""))
+    assert len(mats) == 4
+    assert mats == [[[r, c, str(v.re), str(v.im)] for r, c, v in m.entries()]
+                    for m in rep.mats]

@@ -1,4 +1,5 @@
 import copy
+import json
 import re
 from collections import Counter
 from fractions import Fraction
@@ -7,9 +8,9 @@ from operator import mul
 from typing import Optional
 
 import pytest
-from conftest import rational_inverse, sparse_nullspace
+from conftest import rational_inverse, reference_build_payload, sparse_nullspace
 
-from rootcover import heisrep, intmat, lattice, liealg
+from rootcover import cli, heisrep, intmat, lattice, liealg
 from rootcover.f2 import parity
 from rootcover.gaussian import (ONE, MonoMat, add_terms, gq, phase_nullspace,
                                 sparse_rank)
@@ -731,10 +732,18 @@ def test_root_recovery_from_cartan_action(e6_stack):
     assert recover_roots_from_ad(e6_stack.lie)
 
 
-def test_json_export_deterministic(a2_stack):
-    import json
-    a = json.dumps(a2_stack.lie.to_json_dict(), sort_keys=True)
-    b = json.dumps(a2_stack.lie.to_json_dict(), sort_keys=True)
-    assert a == b
-    d = a2_stack.lie.to_json_dict()
-    assert d["dim"] == 8 and d["type"] == "A2" and len(d["basis"]) == 8
+@pytest.mark.parametrize("kind", ["A2", "A3", "D4", "D5", "E6", "E7", "E8"])
+def test_build_writes_the_json_of_the_nested_list_payload(capsys, kind):
+    # the bracket and matrix tables render themselves from % templates; the
+    # text must be json.dumps of the same payload with the tables as lists
+    assert cli.main(["build", "--type", kind]) == 0
+    out = capsys.readouterr().out
+    reference = reference_build_payload(kind)
+    expected = json.dumps(reference, sort_keys=True, indent=2) + "\n"
+    if out != expected:
+        # name the first difference: pytest's diff of two megabyte texts takes minutes
+        pairs = enumerate(zip(out.split("\n"), expected.split("\n")))
+        pytest.fail(f"first difference (line, written, json.dumps): "
+                    f"{next(((n, a, b) for n, (a, b) in pairs if a != b), 'in length')}")
+    assert len(reference["algebra"]["brackets"]) > 0
+    assert ("rep" in reference) == (kind in ("E6", "E7"))
