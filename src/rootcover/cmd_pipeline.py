@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 # verify --type E7 by 0.2 MB (each launch compiles from source when no
 # bytecode is cached)
 from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution, LieError,
-                     RMap, build_R, build_lie, build_theta, fixed_subalgebra,
+                     RMap, build_lie, build_theta, fixed_subalgebra,
                      identify_fixed, killing_form, verify_R, verify_jacobi)
 from .heisrep import (HeisRep, RepError, anticommutation_model_holds, build_heisrep,
                       verify_rep)
@@ -74,7 +74,7 @@ def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
         with_rep = kind in ("E6", "E7")
     if with_rep:
         rep = build_heisrep(cocycle)
-        rmap = build_R(fixed, rep)
+        rmap = RMap(fixed, rep)
     return Pipeline(datum, cocycle, lie, theta, fixed, rep, rmap)
 
 

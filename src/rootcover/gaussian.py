@@ -1,75 +1,23 @@
-"""Exact Gaussian-rational scalars, unit monomial matrices, and sparse linear algebra.
+"""Unit monomial matrices over Z[i], the phase-equation kernel, and sparse
+linear algebra, in integers and ``Fraction`` only.
 
-Scalars are a + b*i with a, b rational; equality is exact.  Monomial matrices
-(one nonzero entry per row) have every entry in {1, i, -1, -i} and are
-stored as a column permutation and one phase mod 4 per row, so a product
-costs O(n) integer operations.  Gaussian rationals are used where matrices
-meet field arithmetic: traces, sparse ranks and small dense determinants
-(through intmat.field_eliminate).  The commutant and invariant-form systems
+Monomial matrices (one nonzero entry per row) have every entry in
+{1, i, -1, -i} and are stored as a column permutation and one phase mod 4
+per row, so a product costs O(n) integer operations; a unit i**k is the
+phase k, or the integer pair ``UNITS[k]`` where its real and imaginary parts
+are written out.  ``trace_gram_failure`` checks the trace Gram matrix of unit
+monomials in Gaussian integers.  The commutant and invariant-form systems
 have equations of two phase terms; ``phase_nullspace`` solves them as a
-graph with labels in Z/4, in integers.  The sparse echelon of ``sparse_rank``
-works over any field: it ranks E7's image matrices and the quartic probe's
-``Fraction`` rows.
+graph with labels in Z/4 and returns its solutions as phases.  The sparse
+echelon of ``sparse_rank`` ranks the quartic probe's ``Fraction`` rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-
-class GQ:
-    """A Gaussian rational re + im*i."""
-
-    def __init__(self, re: Fraction, im: Fraction):
-        self.re = re
-        self.im = im
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
-
-    def __add__(self, other: "GQ") -> "GQ":
-        return GQ(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GQ") -> "GQ":
-        return GQ(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GQ":
-        return GQ(-self.re, -self.im)
-
-    def __mul__(self, other: "GQ") -> "GQ":
-        return GQ(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
-
-    def __truediv__(self, other: "GQ") -> "GQ":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GQ((self.re * other.re + self.im * other.im) / n,
-                  (self.im * other.re - self.re * other.im) / n)
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def is_zero(self) -> bool:
-        return not self
-
-
-def gq(re=0, im=0) -> GQ:
-    return GQ(Fraction(re), Fraction(im))
-
-
-ZERO = gq(0)
-ONE = gq(1)
-I = gq(0, 1)
-MINUS_ONE = gq(-1)
-
-
-# i**k as an integer pair (re, im) and as a Gaussian rational, k = 0..3
-_UNIT = ((1, 0), (0, 1), (-1, 0), (0, -1))
-POWERS_OF_I = (ONE, I, MINUS_ONE, -I)
+# i**k as an integer pair (re, im), k = 0..3
+UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class MonoMat:
@@ -78,9 +26,7 @@ class MonoMat:
     Row r has its unique nonzero entry i**phase[r] at column col[r].  ``col``
     is a permutation of range(n) and every phase lies in 0..3, so equal
     matrices have equal fields.  A product composes the permutations and adds
-    phases mod 4; negation adds 2 to every phase.  Gaussian rationals appear
-    only where a matrix meets field arithmetic: ``entries``, ``trace`` and
-    ``scalar_value``.
+    phases mod 4; negation adds 2 to every phase.
 
     For loops over many products, ``code`` packs row r as 4 * col[r] +
     phase[r] and ``right_table`` is the 4n-entry lookup table of right
@@ -114,25 +60,12 @@ class MonoMat:
     def __neg__(self) -> "MonoMat":
         return MonoMat(self.n, self.col, tuple((p + 2) & 3 for p in self.phase))
 
-    def trace(self) -> GQ:
-        re = im = 0
-        for r, c in enumerate(self.col):
-            if r == c:
-                a, b = _UNIT[self.phase[r]]
-                re += a
-                im += b
-        return gq(re, im)
-
-    def scalar_value(self) -> Optional[GQ]:
-        """The scalar s when the matrix equals s * identity, else None."""
+    def scalar_value(self) -> Optional[int]:
+        """The phase k when the matrix equals i**k * identity, else None."""
         if any(c != r for r, c in enumerate(self.col)):
             return None
         p = self.phase[0]
-        return POWERS_OF_I[p] if all(q == p for q in self.phase) else None
-
-    def entries(self) -> Iterable[Tuple[int, int, GQ]]:
-        for r, c in enumerate(self.col):
-            yield r, c, POWERS_OF_I[self.phase[r]]
+        return p if all(q == p for q in self.phase) else None
 
     def code(self) -> Tuple[int, ...]:
         """Row r packed as 4 * col[r] + phase[r]."""
@@ -144,10 +77,34 @@ class MonoMat:
                      for c, q in zip(self.col, self.phase) for p in range(4))
 
 
+def trace_gram_failure(mats: Sequence[MonoMat]) -> Optional[Tuple[Tuple[int, int],
+                                                                    Tuple[int, int]]]:
+    """The first entry ((a, b), (re, im)), a <= b in row order, at which the
+    Hermitian trace Gram matrix G_ab = tr(U_a* U_b) of the unit monomials
+    differs from n * identity; None when G = n * identity.
+
+    (U_a* U_b)[c, c] sums conj(U_a[r, c]) U_b[r, c] over r, so G_ab is the
+    sum of i**(p_b - p_a) over the rows r where U_a and U_b share their column,
+    p_a and p_b being the phases of those rows: a Gaussian integer.
+    """
+    n = mats[0].n
+    codes = [m.code() for m in mats]
+    for a, ca in enumerate(codes):
+        for b in range(a, len(codes)):
+            count = [0, 0, 0, 0]         # rows by phase difference mod 4
+            for x, y in zip(ca, codes[b]):
+                if x >> 2 == y >> 2:
+                    count[(y - x) & 3] += 1
+            value = (count[0] - count[2], count[1] - count[3])
+            if value != ((n, 0) if a == b else (0, 0)):
+                return (a, b), value
+    return None
+
+
 def add_terms(acc: Dict[Any, Any], terms: Iterable[Tuple[Any, Any]]) -> Dict[Any, Any]:
     """acc[k] += v for every term (k, v), dropping keys whose sum is zero.
 
-    Serves integer and Gaussian-rational sparse vectors alike; returns acc.
+    Serves integer and ``Fraction`` sparse vectors alike; returns acc.
     """
     for k, v in terms:
         if k in acc:
@@ -160,9 +117,8 @@ def add_terms(acc: Dict[Any, Any], terms: Iterable[Tuple[Any, Any]]) -> Dict[Any
 
 
 class _SparseEchelon:
-    """Incremental sparse row reduction over a field: Gaussian rationals for
-    the image rank of a representation, ``Fraction`` for the quartic Macaulay
-    matrix."""
+    """Incremental sparse row reduction over a field, here ``Fraction``, for
+    the quartic Macaulay matrix."""
 
     def __init__(self) -> None:
         self.pivots: Dict[int, Dict[int, Any]] = {}
@@ -190,7 +146,7 @@ PhaseTerm = Tuple[int, int]  # (u, p): the term i**p * x_u
 
 
 def phase_nullspace(equations: Iterable[Sequence[PhaseTerm]],
-                    ncols: int) -> List[Dict[int, GQ]]:
+                    ncols: int) -> List[Dict[int, int]]:
     """Basis of the solutions of homogeneous equations sum i**p x_u = 0 with
     at most two terms each, over the unknowns 0 .. ncols - 1.
 
@@ -201,7 +157,7 @@ def phase_nullspace(equations: Iterable[Sequence[PhaseTerm]],
     mod 4, or a cycle whose labels do not sum to 0 mod 4.  Every other one
     gives a basis vector x_u = i**pot(u), scaled to 1 at its largest unknown
     as back-substitution into reduced rows would be, in the order of those
-    unknowns.
+    unknowns; a vector is returned as its phases, {u: pot(u) mod 4}.
     """
     parent = list(range(ncols))
     pot = [0] * ncols               # x_u = i**pot[u] x_parent[u]
@@ -237,13 +193,13 @@ def phase_nullspace(equations: Iterable[Sequence[PhaseTerm]],
     members: Dict[int, List[int]] = {}
     for u in range(ncols):
         members.setdefault(find(u), []).append(u)
-    return [{u: POWERS_OF_I[(pot[u] - pot[comp[-1]]) & 3] for u in comp}
+    return [{u: (pot[u] - pot[comp[-1]]) & 3 for u in comp}
             for root, comp in sorted(members.items(), key=lambda item: item[1][-1])
             if not zero[root]]
 
 
 def sparse_rank(rows: Iterable[Dict[int, Any]]) -> int:
-    """Exact rank of sparse rows over any field (``GQ`` or ``Fraction``)."""
+    """Exact rank of sparse rows over a field (``Fraction`` in src)."""
     ech = _SparseEchelon()
     for row in rows:
         ech.insert(row)

@@ -1,4 +1,4 @@
-"""Monomial Gaussian-rational representations of the double cover.
+"""Unit monomial representations of the double cover over Z[i].
 
 The representation sends -1 to -identity and acts on a space of dimension
 2^g, where 2g is the dimension of the nondegenerate quotient of V.  It is
@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
-from .gaussian import POWERS_OF_I, MonoMat, phase_nullspace
+from .gaussian import UNITS, MonoMat, phase_nullspace
 
 
 class RepError(ValueError):
@@ -143,12 +143,12 @@ class HeisRep:
         """Each matrix as the list of its entries [r, c, "re", "im"], in the
         text of json.dumps(mats, indent=2) with ``indent`` after every
         newline: each entry fills the % template of its phase.  The parts of
-        a unit are the strings of the integers 0 and +-1, which JSON writes
-        in quotes, unescaped."""
+        a unit (``UNITS``) are the strings of the integers 0 and +-1, which
+        JSON writes in quotes, unescaped."""
         outer = indent + "  "
         row, part = outer + "  ", outer + "    "
-        templates = [f'{row}[\n{part}%d,\n{part}%d,\n{part}"{unit.re}",\n'
-                     f'{part}"{unit.im}"\n{row}]' for unit in POWERS_OF_I]
+        templates = [f'{row}[\n{part}%d,\n{part}%d,\n{part}"{re}",\n'
+                     f'{part}"{im}"\n{row}]' for re, im in UNITS]
         mats = [outer + "[\n" + ",\n".join([templates[p] % (r, c) for r, (c, p)
                                              in enumerate(zip(m.col, m.phase))])
                 + "\n" + outer + "]" for m in self.mats]

@@ -1,15 +1,14 @@
 """Exact integer and rational matrix utilities (no floating point anywhere).
 
-Integer determinants are fraction-free (Bareiss), taken block by block over
-the connected blocks of the off-diagonal pattern; a determinant over a field
-(the Gaussian rationals of the invariant forms) goes through field_eliminate,
-and ldlt gives the rational LDL^T that root enumeration bounds from.
+Determinants are fraction-free (Bareiss), taken block by block over the
+connected blocks of the off-diagonal pattern, and ldlt gives the rational
+LDL^T that root enumeration bounds from; src inverts no matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -161,35 +160,6 @@ def integer_kernel(rows: Sequence[Sequence[int]], n: int) -> List[Tuple[int, ...
         if live:
             active.remove(live[0])
     return [tuple(u_cols[c]) for c in active]
-
-
-def field_eliminate(rows: Sequence[Sequence[Any]], one: Any) -> Tuple[Any, List[List[Any]]]:
-    """Exact Gaussian elimination over a field: Fraction or gaussian.GQ.
-
-    Row-reduces a copy of the n-row matrix ``rows`` (n or more columns) until
-    its leading n x n block is upper unitriangular.  Returns (determinant of
-    that block, reduced rows); at the first column without a pivot it stops
-    and returns a zero determinant.  ``one`` is the field's unit; entries test
-    for zero by truth value.
-    """
-    n = len(rows)
-    a = [list(row) for row in rows]
-    det = one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return one - one, a
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        inv = one / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(col + 1, n):
-            f = a[r][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det, a
 
 
 def ldlt(gram: Sequence[Sequence[int]]) -> Tuple[List[Fraction], List[List[Fraction]]]:

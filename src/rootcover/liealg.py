@@ -34,10 +34,8 @@ from itertools import compress
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import intmat
 from .f2 import F2QuadraticSpace, parity
-from .gaussian import (GQ, MonoMat, ONE, ZERO, add_terms, phase_nullspace,
-                       sparse_rank)
+from .gaussian import MonoMat, add_terms, phase_nullspace, trace_gram_failure
 from .heisrep import HeisRep
 from .lattice import RootDatum
 
@@ -583,10 +581,6 @@ class RMap:
             rep.mats[datum.root_class_bits(ri)] for ri in fixed.pos)
 
 
-def build_R(fixed: FixedSubalgebra, rep: HeisRep) -> RMap:
-    return RMap(fixed, rep)
-
-
 class RReport:
     def __init__(self, pairs_checked: int):
         self.pairs_checked = pairs_checked
@@ -657,11 +651,12 @@ def _form_unknowns(n: int, sym: int) -> List[Tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a if sym == 1 else a + 1, n)]
 
 
-def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ]]:
+def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, int]]:
     """Solve R^T B + B R = 0 over forms with B^T = sym * B.
 
     Unknowns are the upper-triangle entries (strict for sym = -1); returns a
-    basis of the solution space as dicts over unknown indices.  The equations
+    basis of the solution space, each vector a dict from unknown index to
+    the phase of its entry (the other unknowns are 0).  The equations
     are homogeneous in R, so they are solved on the unit monomials U = 2R
     (``RMap.mats``): each is two phase terms i**p x_u (see
     gaussian.phase_nullspace).
@@ -693,35 +688,27 @@ def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, GQ
     return phase_nullspace(equations(), len(unknowns))
 
 
-def form_from_solution(sol: Dict[int, GQ], n: int, sym: int) -> Tuple[Tuple[GQ, ...], ...]:
-    unknowns = _form_unknowns(n, sym)
-    mat = [[ZERO] * n for _ in range(n)]
-    for idx, val in sol.items():
-        a, b = unknowns[idx]
-        mat[a][b] = mat[a][b] + val
-        if a != b:
-            mat[b][a] = mat[b][a] + (val if sym == 1 else -val)
-    return tuple(tuple(row) for row in mat)
-
-
 def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
-    """Certify the type of the fixed subalgebra through its representation.
+    """Certify the type of the fixed subalgebra through its representation,
+    in integers.
 
-    When dim g = (dim W)^2 - 1: R is injective onto the trace-zero matrices.
-    When dim g = dim W (dim W + 1) / 2: the invariant bilinear forms are a
-    single line spanned by a nondegenerate antisymmetric form.
+    When dim g = (dim W)^2 - 1: the images and the identity have the trace
+    Gram matrix (dim W) * identity (a Heisenberg basis is trace orthogonal:
+    Weil, Acta Math. 111, 1964), so they are independent and the images
+    trace free: R is injective onto sl(W).  When dim g = dim W (dim W + 1) / 2:
+    the invariant bilinear forms are a single line, spanned by an
+    antisymmetric form with one unit entry in each row and column, whose
+    determinant is a product of squares of units.
     """
     n = rmap.rep.dim_w
     d = fixed.dim
     if d == n * n - 1:
-        rows = []
-        for m in rmap.mats:
-            if not m.trace().is_zero():
-                raise LieError("image matrix is not trace free")
-            rows.append({r * n + c: v for r, c, v in m.entries()})
-        rank = sparse_rank(rows)
-        if rank != d:
-            raise LieError(f"representation has a kernel (rank {rank} < {d})")
+        failure = trace_gram_failure(rmap.mats + (MonoMat.identity(n),))
+        if failure is not None:
+            (a, b), (re, im) = failure
+            raise LieError(f"trace Gram entry ({a}, {b}) is {re}{im:+d}i, not "
+                           f"{n if a == b else 0}: the image matrices and the "
+                           f"identity (index {d}) are not orthogonal")
         return IdentificationRecord("sl", n, d)
     if d == n * (n + 1) // 2:
         anti = invariant_form_space(rmap.mats, sym=-1)
@@ -729,10 +716,16 @@ def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
         if len(anti) != 1 or len(symm) != 0:
             raise LieError(
                 f"invariant form dimensions ({len(anti)}, {len(symm)}) do not certify sp")
-        form = form_from_solution(anti[0], n, sym=-1)
-        det, _ = intmat.field_eliminate(form, ONE)
-        if det.is_zero():
+        # an entry (a, b) and its mirror (b, a) fill rows a and b
+        unknowns = _form_unknowns(n, sym=-1)
+        met = [False] * n
+        for u in anti[0]:
+            for row in unknowns[u]:
+                if met[row]:
+                    raise LieError(f"invariant antisymmetric form is not monomial: "
+                                   f"row {row} has two entries")
+                met[row] = True
+        if not all(met):
             raise LieError("invariant antisymmetric form is degenerate")
         return IdentificationRecord("sp", n, d)
     raise LieError(f"no certification route for dim g = {d}, dim W = {n}")
-

@@ -10,10 +10,125 @@ from rootcover import lattice
 from rootcover.cli import RunConfig
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
 from rootcover.f2 import f2_echelon
-from rootcover.gaussian import GQ, I, ONE, ZERO, _SparseEchelon, add_terms, gq
+from rootcover.gaussian import _SparseEchelon, add_terms
 from rootcover.heisrep import HeisRep, build_heisrep
-from rootcover.intmat import field_eliminate
-from rootcover.liealg import build_R
+from rootcover.liealg import RMap, _form_unknowns
+
+
+# -- Gaussian rationals and elimination over a field: the references that the
+# integer representation checks and determinants are tested against
+
+
+class GQ:
+    """A Gaussian rational re + im*i."""
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __add__(self, other: "GQ") -> "GQ":
+        return GQ(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "GQ") -> "GQ":
+        return GQ(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> "GQ":
+        return GQ(-self.re, -self.im)
+
+    def __mul__(self, other: "GQ") -> "GQ":
+        return GQ(self.re * other.re - self.im * other.im,
+                  self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other: "GQ") -> "GQ":
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GQ((self.re * other.re + self.im * other.im) / n,
+                  (self.im * other.re - self.re * other.im) / n)
+
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
+    def is_zero(self) -> bool:
+        return not self
+
+
+def gq(re=0, im=0) -> GQ:
+    return GQ(Fraction(re), Fraction(im))
+
+
+ZERO = gq(0)
+ONE = gq(1)
+I = gq(0, 1)
+MINUS_ONE = gq(-1)
+# i**k as a Gaussian rational, k = 0..3
+POWERS_OF_I = (ONE, I, MINUS_ONE, -I)
+
+
+def dense_entries(m):
+    """(r, c, value) for the nonzero entry of each row of a monomial matrix,
+    the value a Gaussian rational."""
+    for r, c in enumerate(m.col):
+        yield r, c, POWERS_OF_I[m.phase[r]]
+
+
+def gq_trace(m) -> GQ:
+    """The trace of a monomial matrix as a Gaussian rational."""
+    return sum((v for r, c, v in dense_entries(m) if r == c), ZERO)
+
+
+def gq_vectors(vectors):
+    """Phase vectors {u: k}, as phase_nullspace returns them, with every
+    entry i**k as a Gaussian rational."""
+    return [{u: POWERS_OF_I[k] for u, k in vec.items()} for vec in vectors]
+
+
+def field_eliminate(rows, one):
+    """Exact Gaussian elimination over a field: Fraction or GQ.
+
+    Row-reduces a copy of the n-row matrix ``rows`` (n or more columns) until
+    its leading n x n block is upper unitriangular.  Returns (determinant of
+    that block, reduced rows); at the first column without a pivot it stops
+    and returns a zero determinant.  ``one`` is the field's unit; entries test
+    for zero by truth value.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    det = one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return one - one, a
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = one / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(col + 1, n):
+            f = a[r][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det, a
+
+
+def form_from_solution(sol, n, sym):
+    """The dense Gaussian-rational form B with B^T = sym * B of a solution
+    of invariant_form_space, a phase per unknown upper-triangle entry."""
+    unknowns = _form_unknowns(n, sym)
+    mat = [[ZERO] * n for _ in range(n)]
+    for idx, phase in sol.items():
+        a, b = unknowns[idx]
+        val = POWERS_OF_I[phase]
+        mat[a][b] = mat[a][b] + val
+        if a != b:
+            mat[b][a] = mat[b][a] + (val if sym == 1 else -val)
+    return tuple(tuple(row) for row in mat)
 
 
 def row_lattice_index(vectors, n):
@@ -186,9 +301,8 @@ def phase_rows(equations):
             distinct[(u, v, (q - p) & 3)] = None
         else:
             distinct[(v, u, (p - q) & 3)] = None
-    powers = (ONE, I, -ONE, -I)
     return [{key[0]: ONE} if len(key) == 1
-            else {key[0]: ONE, key[1]: powers[key[2]]} for key in distinct]
+            else {key[0]: ONE, key[1]: POWERS_OF_I[key[2]]} for key in distinct]
 
 
 def reference_build_payload(kind):
@@ -216,7 +330,7 @@ def reference_build_payload(kind):
     }
     if pipe.rep is not None:
         payload["rep"] = {"dim_w": pipe.rep.dim_w,
-                          "mats": [[[r, c, str(v.re), str(v.im)] for r, c, v in m.entries()]
+                          "mats": [[[r, c, str(v.re), str(v.im)] for r, c, v in dense_entries(m)]
                                    for m in pipe.rep.mats]}
     return payload
 
@@ -227,7 +341,7 @@ def a2_stack():
     pipe = build_pipeline("A2")
     rep = build_heisrep(pipe.cocycle)
     return Pipeline(pipe.datum, pipe.cocycle, pipe.lie, pipe.theta, pipe.fixed,
-                    rep, build_R(pipe.fixed, rep))
+                    rep, RMap(pipe.fixed, rep))
 
 
 @pytest.fixture(scope="session")

@@ -5,19 +5,18 @@ import random
 import time
 from fractions import Fraction as F
 
-from conftest import dense_mul, pgl2_to_so3, verify_comm_relation
+from conftest import (ONE, ZERO, dense_entries, dense_mul, field_eliminate,
+                      form_from_solution, gq, pgl2_to_so3, verify_comm_relation)
 
 from rootcover import intmat, lattice
 from rootcover.f2 import count_refinements_by_arf
-from rootcover.gaussian import ONE, gq, sparse_rank
+from rootcover.gaussian import sparse_rank
 from rootcover.heisrep import anticommutation_model_holds, verify_rep
 from rootcover.lattice import (bitangent_complement, classify_involutions,
                                delpezzo_k_perp, lines, lines_meeting,
                                weyl_enumerate)
-from rootcover.intmat import field_eliminate
-from rootcover.liealg import (form_from_solution, identify_fixed,
-                              invariant_form_space, killing_form, verify_R,
-                              verify_jacobi)
+from rootcover.liealg import (identify_fixed, invariant_form_space, killing_form,
+                              verify_R, verify_jacobi)
 from rootcover.quartic import (family_member, smoothness_probe,
                                tangent_contact_order)
 from rootcover.realtable import emit_table
@@ -88,7 +87,7 @@ def test_criterion_06_fixed_type_identification(e6_stack, e7_stack):
     t0 = time.perf_counter()
     rec7 = identify_fixed(e7_stack.fixed, e7_stack.rmap)
     assert rec7.family == "sl"
-    image = [{r * 8 + c: v for r, c, v in m.entries()} for m in e7_stack.rmap.mats]
+    image = [{r * 8 + c: v for r, c, v in dense_entries(m)} for m in e7_stack.rmap.mats]
     assert sparse_rank(image) == 63 == 8 * 8 - 1
     rec6 = identify_fixed(e6_stack.fixed, e6_stack.rmap)
     assert rec6.family == "sp"
@@ -154,7 +153,6 @@ def test_criterion_10_appendix_identities(e6_stack, e7_stack):
             dense_mul(pgl2_to_so3(m1), pgl2_to_so3(m2))
         checked += 1
 
-    from rootcover.gaussian import ONE, ZERO
     rot = ((ZERO, ONE), (-ONE, ZERO))
     assert pgl2_to_so3(rot) == ((-ONE, ZERO, ZERO), (ZERO, ONE, ZERO),
                                 (ZERO, ZERO, -ONE))

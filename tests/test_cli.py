@@ -12,12 +12,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import with_mats
+from conftest import ZERO, dense_entries, gq, with_mats
 
 from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
                        lattice, liealg, quartic, realtable)
 from rootcover.f2 import F2Error
-from rootcover.gaussian import ONE, ZERO, MonoMat, add_terms, gq
+from rootcover.gaussian import MonoMat, add_terms
 from rootcover.liealg import IntegralLieAlgebra
 
 
@@ -486,7 +486,7 @@ def _gq_entries(terms):
     """Sum of c * M over (c, M), as a dict of its nonzero entries."""
     acc = {}
     for c, m in terms:
-        for r, col, v in m.entries():
+        for r, col, v in dense_entries(m):
             acc[r, col] = acc.get((r, col), ZERO) + gq(c) * v
     return {k: v for k, v in acc.items() if v}
 
@@ -657,8 +657,17 @@ def test_degenerate_killing_form_exits_1(capsys, monkeypatch):
 
 
 def test_degenerate_invariant_form_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(liealg, "form_from_solution",
-                        lambda sol, n, sym: ((ZERO,) * n,) * n)
+    # the antisymmetric solution loses its first entry: its support misses
+    # the two indices of that entry, rows of zeros in the form
+    real = liealg.invariant_form_space
+
+    def entry_dropped(mats, sym):
+        forms = real(mats, sym)
+        if sym == -1:
+            forms = [dict(list(forms[0].items())[1:])]
+        return forms
+
+    monkeypatch.setattr(liealg, "invariant_form_space", entry_dropped)
     assert cli.main(["verify", "--type", "E6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -666,12 +675,57 @@ def test_degenerate_invariant_form_exits_1(capsys, monkeypatch):
             in captured.err)
 
 
+def test_invariant_form_meeting_an_index_twice_exits_1(capsys, monkeypatch):
+    # the antisymmetric solution gains the entry (0, 1) last: index 0 is
+    # already paired, so the form is not monomial and its determinant is
+    # not read off the support
+    real = liealg.invariant_form_space
+
+    def entry_added(mats, sym):
+        forms = real(mats, sym)
+        if sym == -1:
+            assert 0 not in forms[0]
+            forms = [{**forms[0], 0: 0}]
+        return forms
+
+    monkeypatch.setattr(liealg, "invariant_form_space", entry_added)
+    assert cli.main(["verify", "--type", "E6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("verification failed: invariant antisymmetric form is not monomial: "
+            "row 0 has two entries\n" in captured.err)
+
+
+@pytest.mark.parametrize("plant, entry", [
+    # U_7 made equal to U_5
+    (lambda mats: mats[:7] + (mats[5],) + mats[8:], "(5, 7) is 8+0i"),
+    # U_3 replaced by i times the identity, of trace 8i
+    (lambda mats: mats[:3] + (MonoMat(8, tuple(range(8)), (1,) * 8),) + mats[4:],
+     "(3, 63) is 0-8i"),
+], ids=["equal-pair", "nonzero-trace"])
+def test_failed_trace_gram_exits_1_and_names_the_entry(capsys, monkeypatch, plant, entry):
+    real = cmd_pipeline.identify_fixed
+
+    def planted(fixed, rmap):
+        bad = copy.copy(rmap)
+        bad.mats = plant(rmap.mats)
+        assert len(bad.mats) == 63
+        return real(fixed, bad)
+
+    monkeypatch.setattr(cmd_pipeline, "identify_fixed", planted)
+    assert cli.main(["verify", "--type", "E7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"verification failed: trace Gram entry {entry}, not 0: the image "
+            f"matrices and the identity (index 63) are not orthogonal\n" in captured.err)
+
+
 def test_commutant_larger_than_the_scalars_exits_1(capsys, monkeypatch):
     # the kernel reports one solution more than it finds: the commutant is
     # no longer the scalars, so the rep check fails
     real = heisrep.phase_nullspace
     monkeypatch.setattr(heisrep, "phase_nullspace",
-                        lambda equations, ncols: real(equations, ncols) + [{0: ONE}])
+                        lambda equations, ncols: real(equations, ncols) + [{0: 0}])
     code, out = _run(capsys, ["verify", "--type", "E6"])
     payload = json.loads(out)
     assert code == 1 and payload["ok"] is False

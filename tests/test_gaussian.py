@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from conftest import ReferenceEchelon, dense_mul, dense_neg, phase_rows, sparse_nullspace
+from conftest import (I, ONE, ZERO, ReferenceEchelon, dense_entries, dense_mul,
+                      dense_neg, gq, gq_trace, gq_vectors, phase_rows, sparse_nullspace)
 from hypothesis import example, given, settings, strategies as st
 
-from rootcover.gaussian import (I, ONE, ZERO, MonoMat, add_terms, gq,
-                                phase_nullspace, sparse_rank)
+from rootcover.gaussian import UNITS, MonoMat, add_terms, phase_nullspace, sparse_rank
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -55,19 +55,24 @@ def test_phase_kernel_matches_dense_gaussian_arithmetic(pair, k):
     # i**k times the identity
     s, scalar = POWERS_OF_I[k], MonoMat(n, tuple(range(n)), (k,) * n)
     assert _dense(scalar * a) == tuple(tuple(s * x for x in row) for row in da)
-    assert a.trace() == sum((da[i][i] for i in range(n)), ZERO)
-    assert list(a.entries()) == [(r, c, da[r][c])
-                                 for r in range(n) for c in range(n)
-                                 if not da[r][c].is_zero()]
+    assert gq_trace(a) == sum((da[i][i] for i in range(n)), ZERO)
+    assert list(dense_entries(a)) == [(r, c, da[r][c])
+                                      for r in range(n) for c in range(n)
+                                      if not da[r][c].is_zero()]
     is_scalar = all(da[r][c] == (da[0][0] if r == c else ZERO)
                     for r in range(n) for c in range(n))
-    assert a.scalar_value() == (da[0][0] if is_scalar else None)
-    assert scalar.scalar_value() == s
+    assert a.scalar_value() == (POWERS_OF_I.index(da[0][0]) if is_scalar else None)
+    assert scalar.scalar_value() == k
     # the packed-row product used by the exhaustive checks
     packed = tuple(map(b.right_table().__getitem__, a.code()))
     decoded = MonoMat(n, tuple(x >> 2 for x in packed), tuple(x & 3 for x in packed))
     assert _dense(decoded) == dense_mul(da, db)
     assert from_values(n, a.col, [da[r][a.col[r]] for r in range(n)]) == a
+
+
+def test_unit_pairs_are_the_powers_of_i():
+    # the integer pairs that build renders a phase from
+    assert [gq(re, im) for re, im in UNITS] == list(POWERS_OF_I)
 
 
 def test_construction_rejects_entries_outside_mu4_scale():
@@ -138,13 +143,13 @@ def test_phase_rows_have_the_solutions_of_the_gaussian_rows(system):
             for eq in equations]
     expected = sparse_nullspace([r for r in rows if r], ncols)
     assert sparse_nullspace(phase_rows(equations), ncols) == expected
-    got = phase_nullspace(equations, ncols)
+    got = gq_vectors(phase_nullspace(equations, ncols))
     assert len(got) == len(expected)
     assert all(_satisfies(vec, equations) for vec in got)
     # the same basis as back-substitution: each component scaled to 1 at its
     # largest unknown, so the spans agree
     assert got == expected
-    assert phase_nullspace(iter(equations), ncols) == got
+    assert gq_vectors(phase_nullspace(iter(equations), ncols)) == got
 
 
 def test_phase_rows_keep_each_distinct_row_once():
@@ -157,7 +162,7 @@ def test_phase_rows_keep_each_distinct_row_once():
     assert rows == [{0: ONE, 1: -I}, {0: ONE, 1: I}, {2: ONE}]
     assert sparse_nullspace(rows, 4) == [{3: ONE}]
     # x_1 = i x_0 and x_1 = -i x_0 close a cycle with labels 1 and 3
-    assert phase_nullspace(equations, 4) == [{3: ONE}]
+    assert phase_nullspace(equations, 4) == [{3: 0}]
 
 
 def test_reduced_rows_are_zero_at_every_other_pivot_column():

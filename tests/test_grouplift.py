@@ -1,12 +1,11 @@
 import random
 
 import pytest
-from conftest import (Dense, GroupLiftError, dense_mul, dense_neg, pgl2_to_so3,
-                      verify_comm_relation, with_mats)
+from conftest import (I, ONE, ZERO, Dense, GroupLiftError, dense_mul, dense_neg,
+                      field_eliminate, gq, pgl2_to_so3, verify_comm_relation, with_mats)
 
-from rootcover.gaussian import I, ONE, ZERO, MonoMat, gq
+from rootcover.gaussian import MonoMat
 from rootcover.heisrep import anticommutation_model_holds, verify_rep
-from rootcover.intmat import field_eliminate
 
 # -- the 2x2 -> 3x3 maps of the converse construction, with their dense helpers
 

@@ -1,11 +1,13 @@
 import json
 
 import pytest
-from conftest import f2_kernel, sparse_nullspace, with_mats
+from conftest import (I, MINUS_ONE, ONE, POWERS_OF_I, ZERO, dense_entries, f2_kernel,
+                      field_eliminate, form_from_solution, gq, gq_trace, sparse_nullspace,
+                      with_mats)
 
 from rootcover import heisrep, lattice
 from rootcover.f2 import f2_rank, symplectic_decomposition
-from rootcover.gaussian import I, MINUS_ONE, ONE, ZERO, MonoMat, gq
+from rootcover.gaussian import MonoMat
 from rootcover.heisrep import (HeisRep, arf_normal_pairs, build_heisrep,
                                commutant_dimension, verify_rep)
 
@@ -52,7 +54,7 @@ def test_full_multiplication_tables(reps):
 def test_radical_scalar_for_e7(reps):
     _, coc, rep = reps["E7"]
     r, = f2_kernel(coc.gram, coc.dim)
-    scalar = rep.mats[r].scalar_value()
+    scalar = POWERS_OF_I[rep.mats[r].scalar_value()]
     # q = 1 on the radical forces an order-4 scalar, consistent with the
     # order-4 center of the cover
     assert coc.q(r) == 1
@@ -76,7 +78,7 @@ def test_traces(reps):
         for r in f2_kernel(coc.gram, coc.dim):
             rad_span |= {x ^ r for x in rad_span}
         for v in range(1 << coc.dim):
-            t = rep.mats[v].trace()
+            t = gq_trace(rep.mats[v])
             if v in rad_span:
                 assert not t.is_zero()
                 if v == 0:
@@ -173,7 +175,7 @@ def _invariant_group_forms(rep, generators, n):
     """Solve M^T B M = B for all generator matrices M, exactly."""
     rows = []
     for m in generators:
-        vals = [v for _, _, v in m.entries()]
+        vals = [v for _, _, v in dense_entries(m)]
         colinv = [0] * n
         for r, c in enumerate(m.col):
             colinv[c] = r
@@ -205,11 +207,10 @@ def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
     for i in range(n):
         for j in range(n):
             assert b[i][j] == -b[j][i]
-    from rootcover.intmat import field_eliminate
     det, _ = field_eliminate(b, ONE)
     assert not det.is_zero()
     # the same line of forms certifies the fixed subalgebra downstream
-    from rootcover.liealg import form_from_solution, invariant_form_space
+    from rootcover.liealg import invariant_form_space
     anti, = invariant_form_space(e6_stack.rmap.mats, sym=-1)
     form = form_from_solution(anti, n, sym=-1)
     ratios = set()
@@ -229,7 +230,7 @@ def _generic_commutant_dimension(rep):
     n = rep.dim_w
     rows = []
     for j in range(rep.cocycle.dim):
-        dense = {(r, c): v for r, c, v in rep.mats[1 << j].entries()}
+        dense = {(r, c): v for r, c, v in dense_entries(rep.mats[1 << j])}
         for r in range(n):
             for c in range(n):
                 terms = []
@@ -274,5 +275,5 @@ def test_json_dump_shape(reps):
     # the matrices render themselves as JSON text, here at no indentation
     mats = json.loads(d["mats"](""))
     assert len(mats) == 4
-    assert mats == [[[r, c, str(v.re), str(v.im)] for r, c, v in m.entries()]
+    assert mats == [[[r, c, str(v.re), str(v.im)] for r, c, v in dense_entries(m)]
                     for m in rep.mats]

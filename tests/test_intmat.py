@@ -1,10 +1,9 @@
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
-from conftest import rational_inverse
+from conftest import ONE, ZERO, field_eliminate, gq, rational_inverse
 
-from rootcover.gaussian import ONE, ZERO, gq
-from rootcover.intmat import _bareiss, bareiss_det, field_eliminate
+from rootcover.intmat import _bareiss, bareiss_det
 
 
 def _square(entries, max_n):

@@ -8,17 +8,17 @@ from operator import mul
 from typing import Optional
 
 import pytest
-from conftest import rational_inverse, reference_build_payload, sparse_nullspace
+from conftest import (ONE, dense_entries, field_eliminate, form_from_solution, gq,
+                      gq_trace, gq_vectors, rational_inverse, reference_build_payload,
+                      sparse_nullspace)
 
 from rootcover import cli, heisrep, intmat, lattice, liealg
 from rootcover.f2 import parity
-from rootcover.gaussian import (ONE, MonoMat, add_terms, gq, phase_nullspace,
-                                sparse_rank)
-from rootcover.liealg import (IntegralLieAlgebra, LieError,
-                              build_R, build_lie, build_theta,
-                              fixed_subalgebra, form_from_solution,
-                              identify_fixed, invariant_form_space,
-                              killing_form, verify_R, verify_jacobi)
+from rootcover.gaussian import MonoMat, add_terms, phase_nullspace, sparse_rank
+from rootcover.liealg import (IntegralLieAlgebra, LieError, RMap, build_lie,
+                              build_theta, fixed_subalgebra, identify_fixed,
+                              invariant_form_space, killing_form, verify_R,
+                              verify_jacobi)
 
 # -- models that the tests check liealg against -----------------------------
 
@@ -411,7 +411,7 @@ def test_cover_lattice_mismatch_is_rejected():
 
 def test_r_map_refuses_a_representation_of_another_cover(a2_stack, e6_stack):
     with pytest.raises(LieError, match="different cover"):
-        build_R(a2_stack.fixed, e6_stack.rep)
+        RMap(a2_stack.fixed, e6_stack.rep)
 
 
 def test_theta_traces_and_action(a2_stack, e6_stack, e7_stack):
@@ -552,7 +552,7 @@ def test_build_r_is_half_the_root_lift_image(e6_stack, e7_stack):
     # the definition of R: rmap.mats holds 2 R(Z_gamma), rho of the canonical
     # lift of gamma
     for stack in (e6_stack, e7_stack):
-        rmap = build_R(stack.fixed, stack.rep)
+        rmap = RMap(stack.fixed, stack.rep)
         datum = stack.datum
         assert len(rmap.mats) == len(stack.fixed.pos) == len(datum.roots) // 2
         for ri, m in zip(stack.fixed.pos, rmap.mats):
@@ -565,7 +565,7 @@ def test_r_scaling_identity(e6_stack):
     minus_id = -MonoMat.identity(rmap.rep.dim_w)
     for m in rmap.mats:
         assert m * m == minus_id
-        assert m.trace().is_zero()
+        assert gq_trace(m).is_zero()
 
 
 def test_identify_fixed_requires_known_shape(a2_stack):
@@ -580,18 +580,56 @@ def test_identify_fixed_exceptional(e6_stack, e7_stack):
     # the facts identify_fixed checks, recomputed from the R images: the E7
     # image has rank 63, and E6's invariant forms are one antisymmetric line
     # with a nondegenerate generator
-    assert sparse_rank([{r * 8 + c: v for r, c, v in m.entries()}
+    assert sparse_rank([{r * 8 + c: v for r, c, v in dense_entries(m)}
                         for m in e7_stack.rmap.mats]) == 63
     rec6 = identify_fixed(e6_stack.fixed, e6_stack.rmap)
     assert rec6.family == "sp"
     anti, = invariant_form_space(e6_stack.rmap.mats, sym=-1)
     assert invariant_form_space(e6_stack.rmap.mats, sym=1) == []
     form = form_from_solution(anti, 8, sym=-1)
-    assert not intmat.field_eliminate(form, ONE)[0].is_zero()
+    assert not field_eliminate(form, ONE)[0].is_zero()
     n = len(form)
     for i in range(n):
         for j in range(n):
             assert form[i][j] == -form[j][i]
+
+
+def _certifies_sl(fixed, rmap, mats):
+    """identify_fixed's verdict, by its trace Gram matrix, on ``mats`` in
+    place of the image matrices."""
+    planted = copy.copy(rmap)
+    planted.mats = tuple(mats)
+    try:
+        return identify_fixed(fixed, planted).family == "sl"
+    except LieError as exc:
+        assert "trace Gram entry" in str(exc)
+        return False
+
+
+def _spans_sl_over_the_field(mats):
+    """The field reference: every matrix trace free, and the matrices of
+    rank n^2 - 1 as Gaussian-rational rows."""
+    n = mats[0].n
+    rows = [{r * n + c: v for r, c, v in dense_entries(m)} for m in mats]
+    return all(gq_trace(m).is_zero() for m in mats) and sparse_rank(rows) == n * n - 1
+
+
+@pytest.mark.parametrize("plant", ["unchanged", "scaled-copy", "row-flipped-copy"])
+def test_trace_gram_and_field_rank_reach_the_same_verdict(e7_stack, plant):
+    mats = list(e7_stack.rmap.mats)
+    u5, u7 = mats[5], mats[7]
+    if plant == "scaled-copy":
+        # U_7 replaced by i U_5
+        mats[7] = MonoMat(u5.n, u5.col, tuple((p + 1) & 3 for p in u5.phase))
+    elif plant == "row-flipped-copy":
+        # U_7 replaced by U_5 with the sign of row 0 flipped: U_5 - 2 D for
+        # the row D of U_5.  D lies off the diagonal and off the column of
+        # U_7's row 0, so the copy is orthogonal to U_7 and to the identity:
+        # it lies in the span of the other 62 images
+        assert u5.col[0] not in (0, u7.col[0])
+        mats[7] = MonoMat(u5.n, u5.col, ((u5.phase[0] + 2) & 3,) + u5.phase[1:])
+    verdict = _certifies_sl(e7_stack.fixed, e7_stack.rmap, mats)
+    assert verdict == _spans_sl_over_the_field(mats) == (plant == "unchanged")
 
 
 def _generic_form_space(mats, sym):
@@ -611,7 +649,7 @@ def _generic_form_space(mats, sym):
 
     rows = []
     for m in mats:
-        dense = {(r, c): v for r, c, v in m.entries()}
+        dense = {(r, c): v for r, c, v in dense_entries(m)}
         for a in range(n):
             for b in range(n):
                 terms = []
@@ -638,8 +676,8 @@ def test_invariant_forms_match_generic_rows(e6_stack, flip, dims):
         mats[flip] = MonoMat(m.n, m.col, phase)
     anti, symm = (invariant_form_space(mats, sym) for sym in (-1, 1))
     assert (len(anti), len(symm)) == dims
-    assert anti == _generic_form_space(mats, -1)
-    assert symm == _generic_form_space(mats, 1)
+    assert gq_vectors(anti) == _generic_form_space(mats, -1)
+    assert gq_vectors(symm) == _generic_form_space(mats, 1)
 
 
 def test_representation_solves_send_every_equation_to_the_kernel(

@@ -20,8 +20,6 @@ SRC = Path(cli.__file__).resolve().parent
 ALLOWED = {
     "cli.__getattr__": "the build_pipeline forward that perfbench/selftest.py imports",
     "heisrep.RepError.__init__": "error path: a representation that fails its checks",
-    "gaussian.GQ.__eq__": "value equality, which tests use through ==",
-    "gaussian.GQ.__sub__": "field_eliminate on general Gaussian-rational input",
     "liealg.IntegralLieAlgebra.weight":
         "perfbench/tracer.py counts the weight-live triples through it",
 }
