@@ -1,20 +1,19 @@
-"""Unit monomial matrices over Z[i], the phase-equation kernel, and sparse
-linear algebra, in integers and ``Fraction`` only.
+"""Unit monomial matrices over Z[i] and sparse linear algebra, in integers
+and ``Fraction`` only.
 
 Monomial matrices (one nonzero entry per row) have every entry in
 {1, i, -1, -i} and are stored as a column permutation and one phase mod 4
 per row, so a product costs O(n) integer operations; a unit i**k is the
 phase k, or the integer pair ``UNITS[k]`` where its real and imaginary parts
 are written out.  ``trace_gram_failure`` checks the trace Gram matrix of unit
-monomials in Gaussian integers.  The commutant and invariant-form systems
-have equations of two phase terms; ``phase_nullspace`` solves them as a
-graph with labels in Z/4 and returns its solutions as phases.  The sparse
-echelon of ``sparse_rank`` ranks the quartic probe's ``Fraction`` rows.
+monomials in Gaussian integers.  The sparse echelon of ``sparse_rank`` ranks
+the quartic probe's ``Fraction`` rows.  No linear system over Z[i] is solved:
+the representation is certified by traces and by exhibited witnesses.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 # i**k as an integer pair (re, im), k = 0..3
 UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -26,7 +25,8 @@ class MonoMat:
     Row r has its unique nonzero entry i**phase[r] at column col[r].  ``col``
     is a permutation of range(n) and every phase lies in 0..3, so equal
     matrices have equal fields.  A product composes the permutations and adds
-    phases mod 4; negation adds 2 to every phase.
+    phases mod 4; negation adds 2 to every phase; the transpose inverts the
+    permutation and keeps each entry.
 
     For loops over many products, ``code`` packs row r as 4 * col[r] +
     phase[r] and ``right_table`` is the 4n-entry lookup table of right
@@ -59,6 +59,13 @@ class MonoMat:
 
     def __neg__(self) -> "MonoMat":
         return MonoMat(self.n, self.col, tuple((p + 2) & 3 for p in self.phase))
+
+    def transpose(self) -> "MonoMat":
+        """The transpose: row col[r] has the entry i**phase[r] at column r."""
+        col, phase = [0] * self.n, [0] * self.n
+        for r, (c, p) in enumerate(zip(self.col, self.phase)):
+            col[c], phase[c] = r, p
+        return MonoMat(self.n, tuple(col), tuple(phase))
 
     def scalar_value(self) -> Optional[int]:
         """The phase k when the matrix equals i**k * identity, else None."""
@@ -140,62 +147,6 @@ class _SparseEchelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-PhaseTerm = Tuple[int, int]  # (u, p): the term i**p * x_u
-
-
-def phase_nullspace(equations: Iterable[Sequence[PhaseTerm]],
-                    ncols: int) -> List[Dict[int, int]]:
-    """Basis of the solutions of homogeneous equations sum i**p x_u = 0 with
-    at most two terms each, over the unknowns 0 .. ncols - 1.
-
-    The system is a graph, solved by union-find with path compression and
-    potentials in Z/4 (Tarjan, JACM 22, 1975): i**p x_u + i**q x_v = 0 is the
-    edge x_v = i**(p - q + 2) x_u.  A component is zero when it holds a
-    one-term equation, a self-loop (i**p + i**q) x_u = 0 with p - q != 2
-    mod 4, or a cycle whose labels do not sum to 0 mod 4.  Every other one
-    gives a basis vector x_u = i**pot(u), scaled to 1 at its largest unknown
-    as back-substitution into reduced rows would be, in the order of those
-    unknowns; a vector is returned as its phases, {u: pot(u) mod 4}.
-    """
-    parent = list(range(ncols))
-    pot = [0] * ncols               # x_u = i**pot[u] x_parent[u]
-    zero = [False] * ncols          # read at roots
-
-    def find(u: int) -> int:
-        # climb to the root, then point the path at it with summed labels
-        path = []
-        while parent[u] != u:
-            path.append(u)
-            u = parent[u]
-        acc = 0
-        for w in reversed(path):
-            acc = (acc + pot[w]) & 3
-            pot[w], parent[w] = acc, u
-        return u
-
-    for eq in equations:
-        if len(eq) > 2:
-            raise ValueError("a phase equation has at most two terms")
-        if len(eq) == 1:
-            zero[find(eq[0][0])] = True
-        elif eq:
-            (u, p), (v, q) = eq
-            ru, rv = find(u), find(v)
-            d = (p - q + 2 + pot[u] - pot[v]) & 3      # x_rv = i**d x_ru
-            if ru != rv:
-                parent[rv], pot[rv] = ru, d
-                zero[ru] |= zero[rv]
-            elif d:                 # an inconsistent cycle or self-loop
-                zero[ru] = True
-
-    members: Dict[int, List[int]] = {}
-    for u in range(ncols):
-        members.setdefault(find(u), []).append(u)
-    return [{u: (pot[u] - pot[comp[-1]]) & 3 for u in comp}
-            for root, comp in sorted(members.items(), key=lambda item: item[1][-1])
-            if not zero[root]]
 
 
 def sparse_rank(rows: Iterable[Dict[int, Any]]) -> int:

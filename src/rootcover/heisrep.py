@@ -10,7 +10,10 @@ generators acting by an exact scalar whose square is (-1)^q.
 Every entry is a power of i, so matrices are stored in phase form (see
 gaussian.MonoMat) and the checks run on packed rows.  Correctness is not
 argued from the construction: the full multiplication table is verified pair
-by pair, once, when the representation is built.
+by pair, once, when the representation is built.  With that premise checked,
+irreducibility is read off the character: the commutant has dimension
+<chi, chi>, a sum of squared traces in integers, and no linear system is
+solved.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, f2_solve, parity, symplectic_decomposition
-from .gaussian import UNITS, MonoMat, phase_nullspace
+from .gaussian import UNITS, MonoMat
 
 
 class RepError(ValueError):
@@ -125,9 +128,9 @@ def _scalar(g: int, phase: int) -> MonoMat:
 class HeisRep:
     """Assignment v -> monomial matrix M_v with rho(sign, v) = sign * M_v.
 
-    ``report`` is the check build_heisrep ran on the full multiplication
-    table.  It is not an init parameter, so a representation assembled by
-    hand has none and verify_rep checks it afresh.
+    ``report`` is the check of the full multiplication table, _check_table,
+    that build_heisrep attaches; verify_rep reads it and checks no table
+    itself, so a representation assembled by hand needs one attached.
     """
 
     def __init__(self, cocycle: F2QuadraticSpace, dim_w: int, mats: Tuple[MonoMat, ...]):
@@ -244,22 +247,20 @@ _SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def verify_rep(rep: HeisRep, root_classes: Sequence[int]) -> RepReport:
-    """Exhaustively check rho(x) rho(y) = rho(xy) over all |cover|^2 pairs.
-
-    Also checks rho(-1) = -id, squares of root-class lifts, and that the
-    commutant of the image is exactly the scalars.  The table and rho(-1)
-    are checked once per representation: for one from build_heisrep they
-    were checked there, and its report is reused.
+    """The representation's full report: rho(x) rho(y) = rho(xy) over all
+    |cover|^2 pairs and rho(-1) = -id, read from ``rep.report`` (the table is
+    checked once per representation, when it is built), the squares of
+    root-class lifts, and that the commutant of the image is exactly the
+    scalars.  The commutant is read off the character, whose premise is the
+    table: on a failed table it stays None.
     """
     built = rep.report
-    if built is None:
-        report = _check_table(rep)
-    else:
-        report = RepReport(built.pairs_checked)
-        report.failures = list(built.failures)
-        report.rho_minus_one_is_minus_id = built.rho_minus_one_is_minus_id
+    report = RepReport(built.pairs_checked)
+    report.failures = list(built.failures)
+    report.rho_minus_one_is_minus_id = built.rho_minus_one_is_minus_id
     report.root_square_failures = _root_square_failures(rep, root_classes)
-    report.commutant_dim = commutant_dimension(rep)
+    if not report.failures and report.rho_minus_one_is_minus_id:
+        report.commutant_dim = commutant_dimension(rep)
     return report
 
 
@@ -297,27 +298,34 @@ def _root_square_failures(rep: HeisRep, root_classes: Sequence[int]) -> List[int
     return [v for v in root_classes if rep.mats[v] * rep.mats[v] != minus_id]
 
 
+def character(rep: HeisRep) -> List[Tuple[int, int]]:
+    """tr M_v for every class v, as the Gaussian integer (re, im): the sum of
+    i**phase[r] over the rows r with col[r] = r."""
+    traces = []
+    for m in rep.mats:
+        count = [0, 0, 0, 0]            # diagonal entries by phase
+        for r, c, p in zip(range(m.n), m.col, m.phase):
+            if r == c:
+                count[p] += 1
+        traces.append((count[0] - count[2], count[1] - count[3]))
+    return traces
+
+
 def commutant_dimension(rep: HeisRep) -> int:
-    """Dimension of {B : B M = M B for all image matrices}, solved exactly.
+    """dim End_G(W) = <chi, chi> = sum over v of |tr M_v|^2 / 2^dim V.
 
-    Every entry of M is a power of i, so each equation is two phase terms
-    (see gaussian.phase_nullspace).
+    G is the cover, of order 2^(dim V + 1), and rho(sign, v) = sign M_v has
+    |chi| = |tr M_v| on both lifts of v.  For a representation, <chi, chi>
+    is the sum of the squared multiplicities of its irreducible parts, the
+    dimension of its commutant (Serre, Linear Representations of Finite
+    Groups, 2.3, Theorem 5).  That premise is the table build_heisrep checks;
+    a sum that 2^dim V does not divide raises RepError.
     """
-    n = rep.dim_w
-    gens = [rep.mats[1 << j] for j in range(rep.cocycle.dim)]
-
-    def equations():
-        for m in gens:
-            colinv = [0] * n
-            for r, c in enumerate(m.col):
-                colinv[c] = r
-            for r in range(n):
-                for c in range(n):
-                    # (B M - M B)[r, c] = B[r, k0] M[k0, c] - M[r, col r] B[col r, c]
-                    k0 = colinv[c]
-                    yield ((r * n + k0, m.phase[k0]), (m.col[r] * n + c, m.phase[r] + 2))
-
-    return len(phase_nullspace(equations(), n * n))
+    total = sum(re * re + im * im for re, im in character(rep))
+    dim, rest = divmod(total, len(rep.mats))
+    if rest:
+        raise RepError(f"character norm {total} / {len(rep.mats)} is not an integer")
+    return dim
 
 
 def anticommutation_model_holds() -> bool:

@@ -35,7 +35,7 @@ from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, parity
-from .gaussian import MonoMat, add_terms, phase_nullspace, trace_gram_failure
+from .gaussian import MonoMat, add_terms, trace_gram_failure
 from .heisrep import HeisRep
 from .lattice import RootDatum
 
@@ -69,13 +69,6 @@ class SparseLieAlgebra:
                 neg = negated[entries] = tuple((k, -c) for k, c in entries)
             flat[j * dim + i] = neg
         self.flat = flat
-
-    @property
-    def table(self) -> Table:
-        """The nonzero brackets [e_i, e_j] with i < j, in (i, j) order."""
-        n, flat = self.dim, self.flat
-        return {(i, j): entries for i in range(n) for j in range(i + 1, n)
-                if (entries := flat[i * n + j])}
 
     def bracket_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
         return self.flat[i * self.dim + j]
@@ -116,16 +109,22 @@ class IntegralLieAlgebra(SparseLieAlgebra):
         }
 
     def render_brackets(self, indent: str) -> str:
-        """The rows [i, j, [[k, c], ...]] of ``table`` as the text of
+        """The rows [i, j, [[k, c], ...]] of the nonzero brackets, i < j in
+        (i, j) order, read from the upper triangle of ``flat``, as the text of
         json.dumps(rows, indent=2) with ``indent`` after every newline: each
         row fills the % template of its number of entries."""
+        n, flat = self.dim, self.flat
         templates: Dict[int, str] = {}
         rows = []
-        for (i, j), entries in self.table.items():
-            template = templates.get(len(entries))
-            if template is None:
-                template = templates[len(entries)] = _bracket_row(indent + "  ", len(entries))
-            rows.append(template % sum(entries, (i, j)))
+        for i in range(n):
+            for j, entries in enumerate(flat[i * n + i + 1:i * n + n], i + 1):
+                if not entries:
+                    continue
+                template = templates.get(len(entries))
+                if template is None:
+                    template = templates[len(entries)] = _bracket_row(indent + "  ",
+                                                                      len(entries))
+                rows.append(template % sum(entries, (i, j)))
         return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
@@ -645,87 +644,45 @@ class IdentificationRecord:
         self.fixed_dim = fixed_dim
 
 
-def _form_unknowns(n: int, sym: int) -> List[Tuple[int, int]]:
-    """The entries (a, b) of a form with B^T = sym * B that are unknowns:
-    the upper triangle, strict for sym = -1."""
-    return [(a, b) for a in range(n) for b in range(a if sym == 1 else a + 1, n)]
-
-
-def invariant_form_space(mats: Sequence[MonoMat], sym: int) -> List[Dict[int, int]]:
-    """Solve R^T B + B R = 0 over forms with B^T = sym * B.
-
-    Unknowns are the upper-triangle entries (strict for sym = -1); returns a
-    basis of the solution space, each vector a dict from unknown index to
-    the phase of its entry (the other unknowns are 0).  The equations
-    are homogeneous in R, so they are solved on the unit monomials U = 2R
-    (``RMap.mats``): each is two phase terms i**p x_u (see
-    gaussian.phase_nullspace).
-    """
-    n = mats[0].n
-    unknowns = _form_unknowns(n, sym)
-    # B[a, b] = i**p x_u as ref[a, b] = (u, p); absent on the zero diagonal
-    # of an antisymmetric form
-    ref: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for u, (a, b) in enumerate(unknowns):
-        ref[a, b] = (u, 0)
-        if a != b:
-            ref[b, a] = (u, 0 if sym == 1 else 2)
-
-    def equations():
-        for m in mats:
-            colinv = [0] * n
-            for r, c in enumerate(m.col):
-                colinv[c] = r
-            for a in range(n):
-                k0 = colinv[a]
-                for b in range(n):
-                    # (R^T B + B R)[a, b] = R[k0, a] B[k0, b] + B[a, k1] R[k1, b]
-                    k1 = colinv[b]
-                    yield [(t[0], t[1] + m.phase[k])
-                           for k, t in ((k0, ref.get((k0, b))), (k1, ref.get((a, k1))))
-                           if t is not None]
-
-    return phase_nullspace(equations(), len(unknowns))
+def _invariant_cover_form(rmap: RMap) -> Optional[int]:
+    """The first class w whose matrix B = M_w has B^T = -B and U^T B = -B U
+    for every image U, or None."""
+    images = [(u.transpose(), u) for u in rmap.mats]
+    for w, b in enumerate(rmap.rep.mats):
+        if b.transpose() == -b and all(ut * b == -(b * u) for ut, u in images):
+            return w
+    return None
 
 
 def identify_fixed(fixed: FixedSubalgebra, rmap: RMap) -> IdentificationRecord:
     """Certify the type of the fixed subalgebra through its representation,
     in integers.
 
-    When dim g = (dim W)^2 - 1: the images and the identity have the trace
-    Gram matrix (dim W) * identity (a Heisenberg basis is trace orthogonal:
-    Weil, Acta Math. 111, 1964), so they are independent and the images
-    trace free: R is injective onto sl(W).  When dim g = dim W (dim W + 1) / 2:
-    the invariant bilinear forms are a single line, spanned by an
-    antisymmetric form with one unit entry in each row and column, whose
-    determinant is a product of squares of units.
+    Either type first needs the trace Gram matrix of the images and the
+    identity to be (dim W) * identity (a Heisenberg basis is trace
+    orthogonal: Weil, Acta Math. 111, 1964): the images are then independent
+    and trace free, so R is injective and its image has dimension dim g.
+    When dim g = (dim W)^2 - 1, that image is sl(W).  When dim g =
+    dim W (dim W + 1) / 2, a cover element B = M_w with B^T = -B and
+    U^T B = -B U for every image U is exhibited: it has one unit entry in
+    each row and column, so it is nondegenerate, the image lies in sp(W, B),
+    and its dimension makes it all of sp(W, B).  So B spans the invariant
+    bilinear forms and none is symmetric (Schur, sp(W, B) acting
+    irreducibly).
     """
     n = rmap.rep.dim_w
     d = fixed.dim
+    if d not in (n * n - 1, n * (n + 1) // 2):
+        raise LieError(f"no certification route for dim g = {d}, dim W = {n}")
+    failure = trace_gram_failure(rmap.mats + (MonoMat.identity(n),))
+    if failure is not None:
+        (a, b), (re, im) = failure
+        raise LieError(f"trace Gram entry ({a}, {b}) is {re}{im:+d}i, not "
+                       f"{n if a == b else 0}: the image matrices and the "
+                       f"identity (index {d}) are not orthogonal")
     if d == n * n - 1:
-        failure = trace_gram_failure(rmap.mats + (MonoMat.identity(n),))
-        if failure is not None:
-            (a, b), (re, im) = failure
-            raise LieError(f"trace Gram entry ({a}, {b}) is {re}{im:+d}i, not "
-                           f"{n if a == b else 0}: the image matrices and the "
-                           f"identity (index {d}) are not orthogonal")
         return IdentificationRecord("sl", n, d)
-    if d == n * (n + 1) // 2:
-        anti = invariant_form_space(rmap.mats, sym=-1)
-        symm = invariant_form_space(rmap.mats, sym=1)
-        if len(anti) != 1 or len(symm) != 0:
-            raise LieError(
-                f"invariant form dimensions ({len(anti)}, {len(symm)}) do not certify sp")
-        # an entry (a, b) and its mirror (b, a) fill rows a and b
-        unknowns = _form_unknowns(n, sym=-1)
-        met = [False] * n
-        for u in anti[0]:
-            for row in unknowns[u]:
-                if met[row]:
-                    raise LieError(f"invariant antisymmetric form is not monomial: "
-                                   f"row {row} has two entries")
-                met[row] = True
-        if not all(met):
-            raise LieError("invariant antisymmetric form is degenerate")
-        return IdentificationRecord("sp", n, d)
-    raise LieError(f"no certification route for dim g = {d}, dim W = {n}")
+    if _invariant_cover_form(rmap) is None:
+        raise LieError("no cover element is an invariant antisymmetric form "
+                       "of the image matrices")
+    return IdentificationRecord("sp", n, d)

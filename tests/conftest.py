@@ -11,8 +11,8 @@ from rootcover.cli import RunConfig
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
 from rootcover.f2 import f2_echelon
 from rootcover.gaussian import _SparseEchelon, add_terms
-from rootcover.heisrep import HeisRep, build_heisrep
-from rootcover.liealg import RMap, _form_unknowns
+from rootcover.heisrep import HeisRep, _check_table, build_heisrep
+from rootcover.liealg import RMap
 
 
 # -- Gaussian rationals and elimination over a field: the references that the
@@ -120,7 +120,7 @@ def field_eliminate(rows, one):
 def form_from_solution(sol, n, sym):
     """The dense Gaussian-rational form B with B^T = sym * B of a solution
     of invariant_form_space, a phase per unknown upper-triangle entry."""
-    unknowns = _form_unknowns(n, sym)
+    unknowns = form_unknowns(n, sym)
     mat = [[ZERO] * n for _ in range(n)]
     for idx, phase in sol.items():
         a, b = unknowns[idx]
@@ -206,10 +206,21 @@ def reference_enumerate_roots(lat):
     return lattice.RootDatum(lattice.IntLattice(new_gram), ordered, simple_indices)
 
 
-def with_mats(rep, mats):
-    """``rep`` with its matrices replaced by ``mats``; like any representation
-    assembled by hand, it carries no build-time report."""
-    return HeisRep(rep.cocycle, rep.dim_w, tuple(mats))
+def with_mats(rep, mats, dim_w=None):
+    """``rep`` with its matrices replaced by ``mats``, of size ``dim_w`` (by
+    default rep's), and the report of their full table attached, as
+    build_heisrep attaches it."""
+    changed = HeisRep(rep.cocycle, dim_w or rep.dim_w, tuple(mats))
+    changed.report = _check_table(changed)
+    return changed
+
+
+def upper_table(alg):
+    """The nonzero brackets [e_i, e_j] with i < j of a sparse Lie algebra,
+    read from its flat table, in (i, j) order."""
+    n, flat = alg.dim, alg.flat
+    return {(i, j): entries for i in range(n) for j in range(i + 1, n)
+            if (entries := flat[i * n + j])}
 
 
 def f2_kernel(rows, ncols):
@@ -305,6 +316,127 @@ def phase_rows(equations):
             else {key[0]: ONE, key[1]: POWERS_OF_I[key[2]]} for key in distinct]
 
 
+# -- the two-term phase solver, and the commutant and invariant-form systems
+# it solves: the general references that the character norm and the
+# exhibited invariant form are checked against
+
+
+def phase_nullspace(equations, ncols):
+    """Basis of the solutions of homogeneous equations sum i**p x_u = 0 with
+    at most two terms each, over the unknowns 0 .. ncols - 1.
+
+    The system is a graph, solved by union-find with path compression and
+    potentials in Z/4 (Tarjan, JACM 22, 1975): i**p x_u + i**q x_v = 0 is the
+    edge x_v = i**(p - q + 2) x_u.  A component is zero when it holds a
+    one-term equation, a self-loop (i**p + i**q) x_u = 0 with p - q != 2
+    mod 4, or a cycle whose labels do not sum to 0 mod 4.  Every other one
+    gives a basis vector x_u = i**pot(u), scaled to 1 at its largest unknown
+    as back-substitution into reduced rows would be, in the order of those
+    unknowns; a vector is returned as its phases, {u: pot(u) mod 4}.
+    """
+    parent = list(range(ncols))
+    pot = [0] * ncols               # x_u = i**pot[u] x_parent[u]
+    zero = [False] * ncols          # read at roots
+
+    def find(u):
+        # climb to the root, then point the path at it with summed labels
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        acc = 0
+        for w in reversed(path):
+            acc = (acc + pot[w]) & 3
+            pot[w], parent[w] = acc, u
+        return u
+
+    for eq in equations:
+        if len(eq) > 2:
+            raise ValueError("a phase equation has at most two terms")
+        if len(eq) == 1:
+            zero[find(eq[0][0])] = True
+        elif eq:
+            (u, p), (v, q) = eq
+            ru, rv = find(u), find(v)
+            d = (p - q + 2 + pot[u] - pot[v]) & 3      # x_rv = i**d x_ru
+            if ru != rv:
+                parent[rv], pot[rv] = ru, d
+                zero[ru] |= zero[rv]
+            elif d:                 # an inconsistent cycle or self-loop
+                zero[ru] = True
+
+    members = {}
+    for u in range(ncols):
+        members.setdefault(find(u), []).append(u)
+    return [{u: (pot[u] - pot[comp[-1]]) & 3 for u in comp}
+            for root, comp in sorted(members.items(), key=lambda item: item[1][-1])
+            if not zero[root]]
+
+
+def form_unknowns(n, sym):
+    """The entries (a, b) of a form with B^T = sym * B that are unknowns:
+    the upper triangle, strict for sym = -1."""
+    return [(a, b) for a in range(n) for b in range(a if sym == 1 else a + 1, n)]
+
+
+def invariant_form_space(mats, sym):
+    """Solve R^T B + B R = 0 over forms with B^T = sym * B.
+
+    Unknowns are the upper-triangle entries (strict for sym = -1); returns a
+    basis of the solution space, each vector a dict from unknown index to
+    the phase of its entry (the other unknowns are 0).  The equations
+    are homogeneous in R, so they are solved on the unit monomials U = 2R
+    (``RMap.mats``): each is two phase terms i**p x_u (see
+    phase_nullspace).
+    """
+    n = mats[0].n
+    unknowns = form_unknowns(n, sym)
+    # B[a, b] = i**p x_u as ref[a, b] = (u, p); absent on the zero diagonal
+    # of an antisymmetric form
+    ref = {}
+    for u, (a, b) in enumerate(unknowns):
+        ref[a, b] = (u, 0)
+        if a != b:
+            ref[b, a] = (u, 0 if sym == 1 else 2)
+
+    def equations():
+        for m in mats:
+            colinv = [0] * n
+            for r, c in enumerate(m.col):
+                colinv[c] = r
+            for a in range(n):
+                k0 = colinv[a]
+                for b in range(n):
+                    # (R^T B + B R)[a, b] = R[k0, a] B[k0, b] + B[a, k1] R[k1, b]
+                    k1 = colinv[b]
+                    yield [(t[0], t[1] + m.phase[k])
+                           for k, t in ((k0, ref.get((k0, b))), (k1, ref.get((a, k1))))
+                           if t is not None]
+
+    return phase_nullspace(equations(), len(unknowns))
+
+
+def solver_commutant_dimension(rep):
+    """Dimension of {B : B M = M B for the generator images M}, solved
+    exactly: every entry of M is a power of i, so each equation is two phase
+    terms (see phase_nullspace)."""
+    n = rep.dim_w
+    gens = [rep.mats[1 << j] for j in range(rep.cocycle.dim)]
+
+    def equations():
+        for m in gens:
+            colinv = [0] * n
+            for r, c in enumerate(m.col):
+                colinv[c] = r
+            for r in range(n):
+                for c in range(n):
+                    # (B M - M B)[r, c] = B[r, k0] M[k0, c] - M[r, col r] B[col r, c]
+                    k0 = colinv[c]
+                    yield ((r * n + k0, m.phase[k0]), (m.col[r] * n + c, m.phase[r] + 2))
+
+    return len(phase_nullspace(equations(), n * n))
+
+
 def reference_build_payload(kind):
     """The payload of ``build --type kind`` with every table a nested list,
     as the command built it before its tables rendered themselves."""
@@ -321,7 +453,7 @@ def reference_build_payload(kind):
         "algebra": {"type": pipe.datum.type_name, "dim": lie.dim,
                     "basis": list(lie.labels),
                     "brackets": [[i, j, [[k, c] for k, c in entries]]
-                                 for (i, j), entries in lie.table.items()]},
+                                 for (i, j), entries in upper_table(lie).items()]},
         "theta": [[i, s * (j + 1)]
                   for i, (j, s) in enumerate(map(pipe.theta.apply_basis, range(lie.dim)))],
         "trace_theta": pipe.theta.trace(),

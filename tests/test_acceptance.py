@@ -6,7 +6,8 @@ import time
 from fractions import Fraction as F
 
 from conftest import (ONE, ZERO, dense_entries, dense_mul, field_eliminate,
-                      form_from_solution, gq, pgl2_to_so3, verify_comm_relation)
+                      form_from_solution, gq, invariant_form_space, pgl2_to_so3,
+                      verify_comm_relation)
 
 from rootcover import intmat, lattice
 from rootcover.f2 import count_refinements_by_arf
@@ -15,8 +16,7 @@ from rootcover.heisrep import anticommutation_model_holds, verify_rep
 from rootcover.lattice import (bitangent_complement, classify_involutions,
                                delpezzo_k_perp, lines, lines_meeting,
                                weyl_enumerate)
-from rootcover.liealg import (identify_fixed, invariant_form_space, killing_form,
-                              verify_R, verify_jacobi)
+from rootcover.liealg import identify_fixed, killing_form, verify_R, verify_jacobi
 from rootcover.quartic import (family_member, smoothness_probe,
                                tangent_contact_order)
 from rootcover.realtable import emit_table

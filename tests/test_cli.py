@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import ZERO, dense_entries, gq, with_mats
+from conftest import ZERO, dense_entries, gq, upper_table, with_mats
 
 from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
                        lattice, liealg, quartic, realtable)
@@ -318,7 +318,7 @@ def test_ungraded_table_exits_1_through_jacobi(capsys, monkeypatch):
         neg = datum.negation
         ra = next(r for r, root in enumerate(datum.roots) if root[0])
         rb = next(r for r in range(len(datum.roots)) if r not in (ra, neg[ra]))
-        table = dict(L.table)
+        table = upper_table(L)
         for a, b in ((ra, rb), (neg[ra], neg[rb])):
             key = (0, L.basis_of_root(a))
             (_, c), = table[key]
@@ -405,8 +405,8 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
         L = real_build_lie(datum, cocycle)
         key = tuple(sorted((L.basis_of_root(0),
                             L.basis_of_root(datum.negation[0]))))
-        (k, c), *rest = L.table[key]
-        table = dict(L.table)
+        table = upper_table(L)
+        (k, c), *rest = table[key]
         table[key] = ((k, -c), *rest)
         built.append(IntegralLieAlgebra(datum, cocycle, table))
         return built[-1]
@@ -449,11 +449,11 @@ def test_unverified_involution_stops_verify_before_jacobi(capsys, monkeypatch):
 
     def flipped(datum, cocycle):
         L = real_build_lie(datum, cocycle)
-        nc, neg = L.n_cartan, datum.negation
-        key = min(key for key in L.table
+        nc, neg, table = L.n_cartan, datum.negation, upper_table(L)
+        key = min(key for key in table
                   if key[0] >= nc and neg[key[0] - nc] != key[1] - nc)
-        (k, c), = L.table[key]
-        return IntegralLieAlgebra(datum, cocycle, {**L.table, key: ((k, -c),)})
+        (k, c), = table[key]
+        return IntegralLieAlgebra(datum, cocycle, {**table, key: ((k, -c),)})
 
     monkeypatch.setattr(cmd_pipeline, "build_lie", flipped)
     assert cli.main(["verify", "--type", "A2"]) == 1
@@ -656,44 +656,71 @@ def test_degenerate_killing_form_exits_1(capsys, monkeypatch):
     assert payload["checks"]["killing"] == {"nondegenerate": False}
 
 
-def test_degenerate_invariant_form_exits_1(capsys, monkeypatch):
-    # the antisymmetric solution loses its first entry: its support misses
-    # the two indices of that entry, rows of zeros in the form
-    real = liealg.invariant_form_space
+def _plant_identify_fixed(monkeypatch, plant):
+    """identify_fixed of verify runs on a copy of the R map changed by
+    ``plant``, which returns the copy's images and cover matrices."""
+    real = cmd_pipeline.identify_fixed
 
-    def entry_dropped(mats, sym):
-        forms = real(mats, sym)
-        if sym == -1:
-            forms = [dict(list(forms[0].items())[1:])]
-        return forms
+    def planted(fixed, rmap):
+        bad = copy.copy(rmap)
+        bad.rep = copy.copy(rmap.rep)
+        bad.mats, bad.rep.mats = plant(rmap.mats, rmap.rep.mats)
+        assert len(bad.mats) == fixed.dim
+        return real(fixed, bad)
 
-    monkeypatch.setattr(liealg, "invariant_form_space", entry_dropped)
+    monkeypatch.setattr(cmd_pipeline, "identify_fixed", planted)
+
+
+_NO_FORM = ("verification failed: no cover element is an invariant "
+            "antisymmetric form of the image matrices")
+
+
+def _assert_no_cover_form(capsys):
     assert cli.main(["verify", "--type", "E6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("verification failed: invariant antisymmetric form is degenerate\n"
-            in captured.err)
+    assert _NO_FORM in captured.err.splitlines()
+
+
+def test_degenerate_invariant_form_exits_1(capsys, monkeypatch):
+    # a cover element is a unit monomial, so no candidate form is degenerate;
+    # the E6 form, M_1, loses its antisymmetry instead: its row 0 entry is
+    # multiplied by i, and no other cover element is an invariant form
+    def row_0_turned(images, cover):
+        m = cover[1]
+        assert m.transpose() == -m
+        turned = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:])
+        return images, cover[:1] + (turned,) + cover[2:]
+
+    _plant_identify_fixed(monkeypatch, row_0_turned)
+    _assert_no_cover_form(capsys)
 
 
 def test_invariant_form_meeting_an_index_twice_exits_1(capsys, monkeypatch):
-    # the antisymmetric solution gains the entry (0, 1) last: index 0 is
-    # already paired, so the form is not monomial and its determinant is
-    # not read off the support
-    real = liealg.invariant_form_space
+    # every cover element pairs each index once; M_1 is made to pair the
+    # indices differently, rows 0 and 1 trading columns, and no cover
+    # element is an invariant form any more
+    def rows_swapped(images, cover):
+        m = cover[1]
+        col = (m.col[1], m.col[0]) + m.col[2:]
+        return images, cover[:1] + (MonoMat(m.n, col, m.phase),) + cover[2:]
 
-    def entry_added(mats, sym):
-        forms = real(mats, sym)
-        if sym == -1:
-            assert 0 not in forms[0]
-            forms = [{**forms[0], 0: 0}]
-        return forms
+    _plant_identify_fixed(monkeypatch, rows_swapped)
+    _assert_no_cover_form(capsys)
 
-    monkeypatch.setattr(liealg, "invariant_form_space", entry_added)
-    assert cli.main(["verify", "--type", "E6"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("verification failed: invariant antisymmetric form is not monomial: "
-            "row 0 has two entries\n" in captured.err)
+
+def test_missing_antisymmetric_form_exits_1(capsys, monkeypatch):
+    # the images conjugated by D = diag(i, 1, ..., 1): the trace Gram matrix
+    # is unchanged, so the Gram check passes, but their invariant form
+    # D^-1 M_1 D^-1 lies outside the cover, and verify prints no payload
+    d = MonoMat(8, tuple(range(8)), (1,) + (0,) * 7)
+    d_inv = MonoMat(8, tuple(range(8)), (3,) + (0,) * 7)
+
+    def conjugated(images, cover):
+        return tuple(d * u * d_inv for u in images), cover
+
+    _plant_identify_fixed(monkeypatch, conjugated)
+    _assert_no_cover_form(capsys)
 
 
 @pytest.mark.parametrize("plant, entry", [
@@ -720,37 +747,30 @@ def test_failed_trace_gram_exits_1_and_names_the_entry(capsys, monkeypatch, plan
             f"matrices and the identity (index 63) are not orthogonal\n" in captured.err)
 
 
+def test_failed_trace_gram_on_the_sp_route_exits_1(capsys, monkeypatch):
+    # the sp route runs the trace Gram check too: with U_7 = U_5 the images
+    # are dependent, so R is not injective, whatever form the cover holds
+    _plant_identify_fixed(monkeypatch, lambda images, cover: (
+        images[:7] + (images[5],) + images[8:], cover))
+    assert cli.main(["verify", "--type", "E6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("verification failed: trace Gram entry (5, 7) is 8+0i, not 0: the "
+            "image matrices and the identity (index 36) are not orthogonal"
+            in captured.err.splitlines())
+
+
 def test_commutant_larger_than_the_scalars_exits_1(capsys, monkeypatch):
-    # the kernel reports one solution more than it finds: the commutant is
-    # no longer the scalars, so the rep check fails
-    real = heisrep.phase_nullspace
-    monkeypatch.setattr(heisrep, "phase_nullspace",
-                        lambda equations, ncols: real(equations, ncols) + [{0: 0}])
+    # the character gives M_1 the trace 8 of the identity: <chi, chi> = 2,
+    # so the commutant is no longer the scalars and the rep check fails
+    real = heisrep.character
+    monkeypatch.setattr(heisrep, "character", lambda rep: [
+        (8, 0) if v == 1 else t for v, t in enumerate(real(rep))])
     code, out = _run(capsys, ["verify", "--type", "E6"])
     payload = json.loads(out)
     assert code == 1 and payload["ok"] is False
     assert payload["checks"]["rep"] == {"ok": False, "pairs": 16384,
                                         "commutant_dim": 2}
-
-
-def test_missing_antisymmetric_form_exits_1(capsys, monkeypatch):
-    # no antisymmetric invariant form: the fixed subalgebra is not certified
-    # as sp, and verify prints no payload
-    real = liealg.phase_nullspace
-    forms = []
-
-    def no_antisymmetric_form(equations, ncols):
-        forms.append(ncols)
-        # the strict upper triangle of an 8 x 8 form has 28 unknowns
-        return [] if ncols == 28 else real(equations, ncols)
-
-    monkeypatch.setattr(liealg, "phase_nullspace", no_antisymmetric_form)
-    assert cli.main(["verify", "--type", "E6"]) == 1
-    captured = capsys.readouterr()
-    assert forms == [28, 36]
-    assert captured.out == ""
-    assert ("verification failed: invariant form dimensions (0, 0) do not "
-            "certify sp\n" in captured.err)
 
 
 def test_theta_trace_mismatch_exits_1(capsys, monkeypatch):

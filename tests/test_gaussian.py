@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import (I, ONE, ZERO, ReferenceEchelon, dense_entries, dense_mul,
-                      dense_neg, gq, gq_trace, gq_vectors, phase_rows, sparse_nullspace)
+                      dense_neg, gq, gq_trace, gq_vectors, phase_nullspace, phase_rows,
+                      sparse_nullspace)
 from hypothesis import example, given, settings, strategies as st
 
-from rootcover.gaussian import UNITS, MonoMat, add_terms, phase_nullspace, sparse_rank
+from rootcover.gaussian import UNITS, MonoMat, add_terms, sparse_rank
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -52,6 +53,7 @@ def test_phase_kernel_matches_dense_gaussian_arithmetic(pair, k):
     da, db = _dense(a), _dense(b)
     assert _dense(a * b) == dense_mul(da, db)
     assert _dense(-a) == dense_neg(da)
+    assert _dense(a.transpose()) == tuple(zip(*da))
     # i**k times the identity
     s, scalar = POWERS_OF_I[k], MonoMat(n, tuple(range(n)), (k,) * n)
     assert _dense(scalar * a) == tuple(tuple(s * x for x in row) for row in da)

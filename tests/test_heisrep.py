@@ -2,13 +2,14 @@ import json
 
 import pytest
 from conftest import (I, MINUS_ONE, ONE, POWERS_OF_I, ZERO, dense_entries, f2_kernel,
-                      field_eliminate, form_from_solution, gq, gq_trace, sparse_nullspace,
+                      field_eliminate, form_from_solution, gq, gq_trace,
+                      invariant_form_space, solver_commutant_dimension, sparse_nullspace,
                       with_mats)
 
 from rootcover import heisrep, lattice
 from rootcover.f2 import f2_rank, symplectic_decomposition
 from rootcover.gaussian import MonoMat
-from rootcover.heisrep import (HeisRep, arf_normal_pairs, build_heisrep,
+from rootcover.heisrep import (RepError, arf_normal_pairs, build_heisrep, character,
                                commutant_dimension, verify_rep)
 
 
@@ -77,8 +78,10 @@ def test_traces(reps):
         rad_span = {0}
         for r in f2_kernel(coc.gram, coc.dim):
             rad_span |= {x ^ r for x in rad_span}
+        traces = character(rep)
         for v in range(1 << coc.dim):
             t = gq_trace(rep.mats[v])
+            assert gq(*traces[v]) == t
             if v in rad_span:
                 assert not t.is_zero()
                 if v == 0:
@@ -99,11 +102,15 @@ def test_verification_survives_basis_permutation(reps):
     p_inv = MonoMat(n, tuple(inv), (0,) * n)
     conjugated = tuple(p_inv * m * p_mat for m in rep.mats)
     rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
-    report = verify_rep(HeisRep(coc, n, conjugated), root_classes=rc)
+    report = verify_rep(with_mats(rep, conjugated), root_classes=rc)
     assert report.ok
 
 
-def test_verify_rep_reuses_the_build_time_table(reps):
+def test_verify_rep_reuses_the_build_time_table(reps, monkeypatch):
+    def no_table_check(rep):
+        raise AssertionError("verify_rep checked the table again")
+
+    monkeypatch.setattr(heisrep, "_check_table", no_table_check)
     for name, expected_pairs in (("E6", 16384), ("E7", 65536)):
         datum, _, rep = reps[name]
         assert not rep.report.failures and rep.report.rho_minus_one_is_minus_id
@@ -111,12 +118,10 @@ def test_verify_rep_reuses_the_build_time_table(reps):
         assert rep.report.commutant_dim is None
         # a commutant not computed is no pass
         assert not rep.report.ok
-        # a copy carries no report, so verify_rep checks the table afresh
-        fresh = with_mats(rep, rep.mats)
-        assert fresh.report is None
         rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
         reused = verify_rep(rep, root_classes=rc)
-        assert vars(reused) == vars(verify_rep(fresh, root_classes=rc))
+        assert reused.pairs_checked == expected_pairs
+        assert not reused.failures and reused.rho_minus_one_is_minus_id
         assert reused.commutant_dim == 1
         assert rep.report.commutant_dim is None
 
@@ -150,6 +155,8 @@ def test_flipped_phase_fails_verification_and_names_the_pair(reps):
     report = verify_rep(with_mats(rep, mats), root_classes=rc)
     assert not report.ok
     assert report.pairs_checked == 16384
+    # the character argument has the table as its premise: no commutant
+    assert report.commutant_dim is None
     # M_1 M_(bad ^ 1) is untouched but must equal +-M_bad: all four signs fail
     for su in (1, -1):
         for sv in (1, -1):
@@ -210,7 +217,6 @@ def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
     det, _ = field_eliminate(b, ONE)
     assert not det.is_zero()
     # the same line of forms certifies the fixed subalgebra downstream
-    from rootcover.liealg import invariant_form_space
     anti, = invariant_form_space(e6_stack.rmap.mats, sym=-1)
     form = form_from_solution(anti, n, sym=-1)
     ratios = set()
@@ -248,24 +254,50 @@ def _generic_commutant_dimension(rep):
     return len(sparse_nullspace(rows, n * n))
 
 
-def _flip_row_0(m):
-    return MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:])
+def _inverse(m):
+    """The inverse of a unit monomial, its conjugate transpose."""
+    t = m.transpose()
+    return MonoMat(t.n, t.col, tuple(-p & 3 for p in t.phase))
+
+
+def _doubled(rep):
+    """rho + rho: each matrix twice, block diagonally, on twice the space."""
+    n = rep.dim_w
+    return with_mats(rep, [MonoMat(2 * n, m.col + tuple(c + n for c in m.col),
+                                   m.phase + m.phase) for m in rep.mats], 2 * n)
 
 
 @pytest.mark.parametrize("change, dim", [
-    (lambda j, m: m, 1),
-    (lambda j, m: _flip_row_0(m) if j == 0 else m, 1),
-    (lambda j, m: _flip_row_0(m) if j == 3 else m, 1),
-    # every equation of an identity generator cancels
-    (lambda j, m: MonoMat.identity(m.n), 64),
-], ids=["unchanged", "gen-0", "gen-3", "identity"])
+    (lambda rep: rep, 1),
+    # rho conjugated by the image g of a generator: g M_v g^-1 = +-M_v, an
+    # equivalent representation with other signs
+    (lambda rep: with_mats(rep, [rep.mats[1] * m * _inverse(rep.mats[1])
+                                 for m in rep.mats]), 1),
+    (lambda rep: with_mats(rep, [rep.mats[8] * m * _inverse(rep.mats[8])
+                                 for m in rep.mats]), 1),
+    # a valid reducible representation: the commutant is 2 x 2 matrices
+    (_doubled, 4),
+], ids=["unchanged", "gen-0", "gen-3", "doubled"])
 def test_commutant_matches_generic_rows(e6_stack, change, dim):
-    rep = e6_stack.rep
-    mats = list(rep.mats)
-    for j in range(rep.cocycle.dim):
-        mats[1 << j] = change(j, mats[1 << j])
-    changed = with_mats(rep, mats)
+    changed = change(e6_stack.rep)
+    assert not changed.report.failures and changed.report.rho_minus_one_is_minus_id
     assert commutant_dimension(changed) == _generic_commutant_dimension(changed) == dim
+    assert solver_commutant_dimension(changed) == dim
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A7", "D4", "D5", "D6", "D8",
+                                  "E6", "E7", "E8"])
+def test_character_norm_matches_the_phase_solver(name):
+    rep = build_heisrep(lattice.mod2_space(lattice.root_datum(name)))
+    assert commutant_dimension(rep) == solver_commutant_dimension(rep) == 1
+
+
+def test_character_norm_that_does_not_divide_raises(e6_stack, monkeypatch):
+    # one diagonal entry of M_1 made 1: |tr M_1|^2 = 1 leaves 65 / 64
+    monkeypatch.setattr(heisrep, "character",
+                        lambda rep: [(8, 0), (1, 0)] + [(0, 0)] * 62)
+    with pytest.raises(RepError, match="character norm 65 / 64 is not an integer"):
+        commutant_dimension(e6_stack.rep)
 
 
 def test_json_dump_shape(reps):

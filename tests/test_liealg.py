@@ -9,16 +9,15 @@ from typing import Optional
 
 import pytest
 from conftest import (ONE, dense_entries, field_eliminate, form_from_solution, gq,
-                      gq_trace, gq_vectors, rational_inverse, reference_build_payload,
-                      sparse_nullspace)
+                      gq_trace, gq_vectors, invariant_form_space, rational_inverse,
+                      reference_build_payload, sparse_nullspace, upper_table)
 
-from rootcover import cli, heisrep, intmat, lattice, liealg
+from rootcover import cli, intmat, lattice, liealg
 from rootcover.f2 import parity
-from rootcover.gaussian import MonoMat, add_terms, phase_nullspace, sparse_rank
+from rootcover.gaussian import MonoMat, add_terms, sparse_rank
 from rootcover.liealg import (IntegralLieAlgebra, LieError, RMap, build_lie,
                               build_theta, fixed_subalgebra, identify_fixed,
-                              invariant_form_space, killing_form, verify_R,
-                              verify_jacobi)
+                              killing_form, verify_R, verify_jacobi)
 
 # -- models that the tests check liealg against -----------------------------
 
@@ -125,7 +124,7 @@ def test_structure_constants_are_small(e7_stack):
     nc = L.n_cartan
     max_coord = max(abs(x) for c in L.datum.roots for x in c)
     assert max_coord == 4
-    for (i, j), entries in L.table.items():
+    for (i, j), entries in upper_table(L).items():
         values = {c for _, c in entries}
         if i < nc:
             assert values <= set(range(-max_coord, max_coord + 1)) - {0}
@@ -247,20 +246,20 @@ def _theta_mutation(L, key, entries):
         ti, tj, mirrored = tj, ti, tuple((k, -c) for k, c in mirrored)
     assert (ti, tj) != key
     return IntegralLieAlgebra(L.datum, L.cocycle,
-                              {**L.table, key: entries, (ti, tj): mirrored})
+                              {**upper_table(L), key: entries, (ti, tj): mirrored})
 
 
 def _flip(L, key):
     """A copy of L with the sign of the first coefficient of table[key]
     flipped, and of its image under theta."""
-    (k, c), *rest = L.table[key]
+    (k, c), *rest = upper_table(L)[key]
     return _theta_mutation(L, key, ((k, -c), *rest))
 
 
 def _root_root_key(L):
     """The first table key of two non-opposite root vectors."""
     nc, neg = L.n_cartan, L.datum.negation
-    return min(key for key in L.table
+    return min(key for key in upper_table(L)
                if key[0] >= nc and neg[key[0] - nc] != key[1] - nc)
 
 
@@ -268,7 +267,7 @@ def _root_root_key(L):
 @pytest.mark.parametrize("part", ["root-root", "cartan"])
 def test_graded_scan_finds_every_failing_triple(name, part):
     L = _lie(name)
-    key = _root_root_key(L) if part == "root-root" else min(L.table)
+    key = _root_root_key(L) if part == "root-root" else min(upper_table(L))
     bad = _flip(L, key)
     brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
     assert brute and _jacobi(bad).failures == brute
@@ -305,7 +304,7 @@ def test_scalar_path_reads_a_graded_entry_of_any_shape(entry):
     # coefficient, is read through its summed coefficient
     L = _lie("D4")
     key = _root_root_key(L)
-    (k, c), = L.table[key]
+    (k, c), = upper_table(L)[key]
     bad = _theta_mutation(L, key, entry(k, c))
     report = _jacobi(bad)
     counts = (report.evaluated, report.mirrored)
@@ -319,7 +318,7 @@ def test_bracket_basis_is_antisymmetric():
     # derived table lists the upper triangle in (i, j) order and rebuilds flat
     L = _lie("D4")
     for alg in (L, fixed_subalgebra(L, build_theta(L))):
-        n, table = alg.dim, alg.table
+        n, table = alg.dim, upper_table(alg)
         assert list(table) == sorted(table) and all(i < j for i, j in table)
         assert liealg.SparseLieAlgebra(n, table).flat == alg.flat
         for i in range(n):
@@ -355,8 +354,8 @@ def test_ungraded_table_fails_every_check_that_needs_the_grading():
 def _ungraded(L):
     """L with [h_1, x_a] = a_1 x_a moved onto the next root vector, and its
     image under theta moved to match."""
-    key = min(key for key in L.table if key[0] == 0)
-    (k, c), = L.table[key]
+    key = min(key for key in upper_table(L) if key[0] == 0)
+    (k, c), = upper_table(L)[key]
     return _theta_mutation(L, key, ((k + 1, c),))
 
 
@@ -592,6 +591,14 @@ def test_identify_fixed_exceptional(e6_stack, e7_stack):
     for i in range(n):
         for j in range(n):
             assert form[i][j] == -form[j][i]
+    # the exhibited cover element spans the solver's line of forms: it is a
+    # nonzero multiple of the solution, entry for entry
+    w = liealg._invariant_cover_form(e6_stack.rmap)
+    exhibited = {(r, c): v for r, c, v in dense_entries(e6_stack.rep.mats[w])}
+    support = {(r, c) for r in range(n) for c in range(n) if form[r][c]}
+    assert set(exhibited) == support
+    assert len({(x.re, x.im) for x in (form[r][c] / v
+                                        for (r, c), v in exhibited.items())}) == 1
 
 
 def _certifies_sl(fixed, rmap, mats):
@@ -668,7 +675,9 @@ def _generic_form_space(mats, sym):
                          ids=["unchanged", "matrix-0", "matrix-5"])
 def test_invariant_forms_match_generic_rows(e6_stack, flip, dims):
     # one phase of one R image moved by +1 at row 3 changes the system; the
-    # union-find kernel must still give the generic solution, vector for vector
+    # union-find reference must still give the generic solution, vector for
+    # vector, and identify_fixed's search must find a cover form exactly
+    # when the solver finds an antisymmetric one
     mats = list(e6_stack.rmap.mats)
     if flip is not None:
         m = mats[flip]
@@ -678,27 +687,20 @@ def test_invariant_forms_match_generic_rows(e6_stack, flip, dims):
     assert (len(anti), len(symm)) == dims
     assert gq_vectors(anti) == _generic_form_space(mats, -1)
     assert gq_vectors(symm) == _generic_form_space(mats, 1)
+    planted = copy.copy(e6_stack.rmap)
+    planted.mats = tuple(mats)
+    assert (liealg._invariant_cover_form(planted) is not None) == bool(anti)
 
 
-def test_representation_solves_send_every_equation_to_the_kernel(
-        monkeypatch, e6_stack, e7_stack):
-    # the 2 x 2,304 form equations and the 6 x 64 / 7 x 64 commutant
-    # equations reach the union-find kernel unfiltered, one call per system
-    calls = []
-
-    def recording(equations, ncols):
-        equations = list(equations)
-        basis = phase_nullspace(equations, ncols)
-        calls.append((len(equations), len(basis)))
-        return basis
-
-    monkeypatch.setattr(liealg, "phase_nullspace", recording)
-    monkeypatch.setattr(heisrep, "phase_nullspace", recording)
-    assert len(invariant_form_space(e6_stack.rmap.mats, -1)) == 1
-    assert len(invariant_form_space(e6_stack.rmap.mats, 1)) == 0
-    commutant = heisrep.commutant_dimension
-    assert commutant(e6_stack.rep) == commutant(e7_stack.rep) == 1
-    assert calls == [(2304, 1), (2304, 0), (384, 1), (448, 1)]
+def test_cover_form_search_requires_antisymmetry(e6_stack):
+    # with no image to preserve, every cover element is invariant: the search
+    # must still pass over the symmetric ones, the identity first
+    planted = copy.copy(e6_stack.rmap)
+    planted.mats = ()
+    dense = [{(r, c): v for r, c, v in dense_entries(m)} for m in e6_stack.rep.mats]
+    first = next(w for w, entries in enumerate(dense)
+                 if all(entries.get((c, r)) == -v for (r, c), v in entries.items()))
+    assert first > 0 and liealg._invariant_cover_form(planted) == first
 
 
 def test_character_adjoint_action(e6_stack):
@@ -726,18 +728,19 @@ def test_automorphism_checks_report_every_failing_pair_in_order(mutation):
     L = _lie("D4")
     theta = build_theta(L)
     nc, neg = L.n_cartan, L.datum.negation
+    table = upper_table(L)
     if mutation == "sign":  # [x_a, x_b] negated: theta fails, characters hold
         key = _root_root_key(L)
-        entry = tuple((k, -c) for k, c in L.table[key])
+        entry = tuple((k, -c) for k, c in table[key])
     elif mutation == "moved":  # [h_1, x_a] moved onto the next root vector
-        key = min(key for key in L.table if key[0] == 0)
-        (k, c), = L.table[key]
+        key = min(key for key in table if key[0] == 0)
+        (k, c), = table[key]
         entry = ((k + 1, c),)
     else:  # [x_a, x_b] = h_1 where the bracket was zero and so is its image's
         key = next((i, j) for i in range(nc, L.dim) for j in range(i + 1, L.dim)
-                   if (i, j) not in L.table and neg[i - nc] != j - nc)
+                   if (i, j) not in table and neg[i - nc] != j - nc)
         entry = ((0, 1),)
-    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**L.table, key: entry})
+    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**table, key: entry})
     image = [theta.apply_basis(i) for i in range(L.dim)]
     brute = _signed_map_failures(bad, image)
     assert brute and liealg._automorphism_failures(bad, image) == brute
