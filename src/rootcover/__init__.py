@@ -4,7 +4,7 @@ The pipeline: enumerate the roots of an even positive-definite lattice,
 reduce mod 2 to a quadratic F2 space, build the double cover whose squares
 realize the quadratic form, assemble the integral Lie algebra with its
 stable involution and fixed subalgebra, and represent the cover by exact
-monomial Gaussian-rational matrices.  Side quests: Arf invariant counting,
+unit monomial matrices over Z[i].  Side quests: Arf invariant counting,
 the blow-up lattice of a degree-2 surface, the real 2-descent orbit table,
 and marked plane-quartic normal forms.
 

@@ -3,7 +3,7 @@
 Vectors are ints used as bitmasks, matrices are tuples of row bitmasks.  The
 module houses strictly alternating pairings together with their quadratic
 refinements, whose upper-triangular bit rows are also the cocycle of the
-double cover (see extension), Arf invariants and refinement counting.
+double cover of V by {+-1}, and refinement counting by Arf invariant.
 
 Nothing changes after construction and everything is exact; dimensions are
 capped at 16 so that exhaustive loops over all vectors or all refinements stay
@@ -119,7 +119,7 @@ class F2QuadraticSpace:
     through the polarization identity q(v + w) = q(v) + q(w) + <v, w>.
 
     The same data is the double cover's cocycle beta(u, v) = u^T B v, B the
-    bit rows ``upper_rows`` (see extension), with beta(v, v) = q(v) and
+    bit rows ``upper_rows``, with beta(v, v) = q(v) and
     beta(u, v) + beta(v, u) = <u, v>.  The cover's checks read beta one bit
     row at a time: ``beta(u)`` is u^T B, and beta(u, v) = parity(beta(u) & v).
     """
@@ -198,25 +198,12 @@ def symplectic_decomposition(space: F2QuadraticSpace) -> Tuple[List[Tuple[int, i
     return pairs, radical
 
 
-def arf(space: F2QuadraticSpace) -> int:
-    """Arf invariant sum q(e_i) q(eps_i) over a computed symplectic basis."""
-    if space.dim % 2:
-        raise F2Error("odd dimension")
-    pairs, radical = symplectic_decomposition(space)
-    if radical:
-        raise F2Error("degenerate pairing")
-    a = 0
-    for v, w in pairs:
-        a ^= space.q(v) & space.q(w)
-    return a
-
-
 def count_refinements_by_arf(g: int) -> Tuple[int, int]:
     """Brute-force all 2^(2g) refinements of the standard symplectic space.
 
     Returns (count with Arf 0, count with Arf 1).  The Arf invariant of each
-    refinement is read off directly from its basis values on the standard
-    hyperbolic pairs, independent of the generic ``arf`` routine.
+    refinement, sum q(e_k) q(f_k) over the standard hyperbolic pairs
+    (e_k, f_k), is read off directly from its basis values.
     """
     if not 1 <= g <= 4:
         raise F2Error("g outside [1, 4] (combinatorial explosion guard)")

@@ -35,16 +35,16 @@ class RepError(ValueError):
         self.witnesses = tuple(witnesses)
 
 
-def arf_normal_pairs(cocycle: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
+def normal_form_pairs(cocycle: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], List[int]]:
     """Symplectic basis of the cocycle's form, with all q = 1 weight on the
     last hyperbolic pair.
 
-    Mixed pairs are cleared with u -> u + w; two q = (1,1) pairs at a time are
-    re-split into q = (0,0) pairs by exhaustive search inside their span
-    (possible because the Arf invariant of that 4-dimensional piece is 0).
+    A mixed pair (u, w), q = 1 on one vector only, becomes a q = (0, 0) pair
+    by adding the q = 1 vector to the other.  Each two q = (1, 1) pairs span
+    a space that two q = (0, 0) pairs also span, written down in closed form.
     """
     pairs, radical = symplectic_decomposition(cocycle)
-    q, pairing = cocycle.q, cocycle.pairing
+    q = cocycle.q
     fixed: List[Tuple[int, int]] = []
     twists: List[Tuple[int, int]] = []
     for u, w in pairs:
@@ -52,77 +52,27 @@ def arf_normal_pairs(cocycle: F2QuadraticSpace) -> Tuple[List[Tuple[int, int]], 
             u ^= w
         elif q(w) and not q(u):
             w ^= u
-        if q(u) and q(w):
-            twists.append((u, w))
-        else:
-            if q(u) or q(w):
-                raise RepError("pair normalization failed")
-            fixed.append((u, w))
+        (twists if q(u) else fixed).append((u, w))
     while len(twists) >= 2:
         a, b = twists.pop()
         c, d = twists.pop()
-        span = [x1 ^ x2 ^ x3 ^ x4
-                for x1 in (0, a) for x2 in (0, b) for x3 in (0, c) for x4 in (0, d)]
-        split = None
-        for v1 in span:
-            if v1 == 0 or q(v1):
-                continue
-            for w1 in span:
-                if pairing(v1, w1) != 1:
-                    continue
-                if q(w1):
-                    w1 ^= v1
-                comp = [x for x in span
-                        if x and pairing(x, v1) == 0 and pairing(x, w1) == 0]
-                v2 = next((x for x in comp if not q(x)), None)
-                if v2 is None:
-                    continue
-                w2 = next((x for x in comp if pairing(v2, x) == 1), None)
-                if w2 is None:
-                    continue
-                if q(w2):
-                    w2 ^= v2
-                if not q(w2):
-                    split = [(v1, w1), (v2, w2)]
-                    break
-            if split:
-                break
-        if split is None:
-            raise RepError("could not re-split a pair of twisted planes")
-        fixed.extend(split)
+        # q = 1 on a, b, c, d, <a, b> = <c, d> = 1 and the two planes are
+        # orthogonal, so by q(x + y) = q(x) + q(y) + <x, y> q vanishes on all
+        # four vectors below, each pair pairs to 1 and the pairs are orthogonal
+        fixed += [(b ^ d, b ^ c ^ d), (a ^ c, a ^ b ^ c)]
     fixed.extend(twists)
     return fixed, radical
 
 
-def _pauli_x(g: int, k: int) -> MonoMat:
+def _pauli(g: int, k: int, flip: bool, off: int, on: int) -> MonoMat:
+    """The monomial matrix on 2^g rows that sends row r to column r + 2^k
+    when ``flip`` (to column r otherwise), with phase i**on where bit k of r
+    is set and i**off where it is clear."""
     n = 1 << g
     bit = 1 << k
-    return MonoMat(n, tuple(r ^ bit for r in range(n)), (0,) * n)
-
-
-def _pauli_z(g: int, k: int) -> MonoMat:
-    n = 1 << g
-    bit = 1 << k
-    return MonoMat(n, tuple(range(n)), tuple(2 if r & bit else 0 for r in range(n)))
-
-
-def _pauli_xz(g: int, k: int) -> MonoMat:
-    n = 1 << g
-    bit = 1 << k
-    return MonoMat(n, tuple(r ^ bit for r in range(n)),
-                   tuple(0 if r & bit else 2 for r in range(n)))
-
-
-def _pauli_iz(g: int, k: int) -> MonoMat:
-    n = 1 << g
-    bit = 1 << k
-    return MonoMat(n, tuple(range(n)), tuple(3 if r & bit else 1 for r in range(n)))
-
-
-def _scalar(g: int, phase: int) -> MonoMat:
-    """i**phase times the identity."""
-    n = 1 << g
-    return MonoMat(n, tuple(range(n)), (phase,) * n)
+    step = bit if flip else 0
+    return MonoMat(n, tuple(r ^ step for r in range(n)),
+                   tuple(on if r & bit else off for r in range(n)))
 
 
 class HeisRep:
@@ -165,7 +115,7 @@ def build_heisrep(cocycle: F2QuadraticSpace) -> HeisRep:
     commutant is not computed; a failure of the table or of rho(-1) = -id
     raises RepError with the first failing signed pairs.
     """
-    pairs, rad = arf_normal_pairs(cocycle)
+    pairs, rad = normal_form_pairs(cocycle)
     n = cocycle.dim
     g = len(pairs)
     dim_w = 1 << g
@@ -173,17 +123,14 @@ def build_heisrep(cocycle: F2QuadraticSpace) -> HeisRep:
     adapted: List[int] = []
     gens: List[MonoMat] = []
     for k, (u, w) in enumerate(pairs):
-        if cocycle.q(u):
-            if k != g - 1:
-                raise RepError("twist pair is not in the last slot")
-            gens.append(_pauli_xz(g, k))
-            gens.append(_pauli_iz(g, k))
+        if cocycle.q(u):        # the one twisted pair, in the last slot
+            gens += (_pauli(g, k, True, 2, 0), _pauli(g, k, False, 1, 3))
         else:
-            gens.append(_pauli_x(g, k))
-            gens.append(_pauli_z(g, k))
+            gens += (_pauli(g, k, True, 0, 0), _pauli(g, k, False, 0, 2))
         adapted.extend((u, w))
     for r in rad:
-        gens.append(_scalar(g, cocycle.q(r)))
+        # i**q(r) times the identity
+        gens.append(_pauli(g, 0, False, cocycle.q(r), cocycle.q(r)))
         adapted.append(r)
 
     # coordinates of the standard basis in the adapted basis

@@ -73,11 +73,6 @@ class SparseLieAlgebra:
     def bracket_basis(self, i: int, j: int) -> Tuple[Entry, ...]:
         return self.flat[i * self.dim + j]
 
-    def bracket(self, x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
-        return add_terms({}, [(k, ci * cj * c) for i, ci in x.items()
-                              for j, cj in y.items()
-                              for k, c in self.bracket_basis(i, j)])
-
 
 class IntegralLieAlgebra(SparseLieAlgebra):
     """The Lie algebra of a root datum and cover, on the basis (h, X_gamma)."""
@@ -89,9 +84,6 @@ class IntegralLieAlgebra(SparseLieAlgebra):
         self.n_cartan = datum.rank
         self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
             "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
-
-    def basis_of_root(self, root_index: int) -> int:
-        return self.n_cartan + root_index
 
     def weight(self, i: int) -> Tuple[int, ...]:
         # perfbench/tracer.py counts the weight-live triples through this
@@ -445,7 +437,8 @@ class Involution:
     """Signed basis map: h -> -h on the Cartan part, X_gamma -> s * X_{-gamma}.
 
     ``verified_on`` is the ``flat`` table on which build_theta checked the
-    map to be an automorphism; verify_jacobi mirrors through no other."""
+    map to be an automorphism; verify_jacobi and FixedSubalgebra accept it
+    on no other."""
 
     def __init__(self, n_cartan: int, root_map: Tuple[Tuple[int, int], ...],
                  verified_on: Sequence):
@@ -458,13 +451,6 @@ class Involution:
             return i, -1
         target, sign = self.root_map[i - self.n_cartan]
         return self.n_cartan + target, sign
-
-    def apply(self, x: Dict[int, int]) -> Dict[int, int]:
-        terms = []
-        for i, c in x.items():
-            j, s = self.apply_basis(i)
-            terms.append((j, s * c))
-        return add_terms({}, terms)
 
     def trace(self) -> int:
         tr = -self.n_cartan
@@ -519,9 +505,14 @@ def build_theta(L: IntegralLieAlgebra) -> Involution:
 
 
 class FixedSubalgebra(SparseLieAlgebra):
-    """Span of Z_gamma = X_gamma + theta(X_gamma) over the positive roots."""
+    """Span of Z_gamma = X_gamma + theta(X_gamma) over the positive roots.
+
+    ``theta`` must be build_theta(L), verified on ``L.flat``: _table rests on
+    that check, so any other theta raises LieError."""
 
     def __init__(self, L: IntegralLieAlgebra, theta: Involution):
+        if theta.verified_on is not L.flat:
+            raise LieError("theta was not verified on this bracket table")
         self.L = L
         self.theta = theta
         self.pos = L.datum.positive
@@ -529,30 +520,29 @@ class FixedSubalgebra(SparseLieAlgebra):
                             for ri in self.pos)
         super().__init__(len(self.pos), self._table())
 
-    def ambient(self, i: int) -> Dict[int, int]:
-        x = {self.L.basis_of_root(self.pos[i]): 1}
-        return add_terms(x, self.theta.apply(x).items())
-
     def _table(self) -> Table:
+        """[Z_a, Z_b] = (1 + theta)(y) for y = [X_a, X_b] + s_b [X_a, X_-b],
+        theta(X_b) = s_b X_-b: theta is an automorphism with s_c s_-c = 1, so
+        it maps y onto the other two terms of the bracket.  (1 + theta) kills
+        the Cartan part and sends X_c to Z_c for c > 0 and to s_c Z_-c for
+        c < 0, so each pair reads two brackets of ``L.flat``."""
         L = self.L
-        nc = L.n_cartan
-        neg = L.datum.negation
+        n, nc, flat = L.dim, L.n_cartan, L.flat
+        root_map = self.theta.root_map
         pos_index = {ri: i for i, ri in enumerate(self.pos)}
-        ambient = [self.ambient(i) for i in range(len(self.pos))]
+        # basis index k -> (fixed index, sign) of (1 + theta) X_k
+        down = {nc + ri: (pos_index[ri], 1) if ri in pos_index
+                else (pos_index[target], sign)
+                for ri, (target, sign) in enumerate(root_map)}
         table: Table = {}
-        for i, zi in enumerate(ambient):
-            for j in range(i + 1, len(ambient)):
-                res = L.bracket(zi, ambient[j])
-                entries: Dict[int, int] = {}
-                for k, c in res.items():
-                    if k < nc:
-                        raise LieError("fixed-subalgebra bracket has a Cartan component")
-                    ri = k - nc
-                    if ri in pos_index:
-                        other = L.basis_of_root(neg[ri])
-                        if res.get(other, 0) != c:
-                            raise LieError("fixed-subalgebra bracket is not theta-symmetric")
-                        entries[pos_index[ri]] = c
+        for i, a in enumerate(self.pos):
+            row = (nc + a) * n + nc
+            for j in range(i + 1, len(self.pos)):
+                b = self.pos[j]
+                target, sign = root_map[b]
+                y = flat[row + b] + tuple((k, sign * c) for k, c in flat[row + target])
+                entries = add_terms({}, [(down[k][0], down[k][1] * c)
+                                         for k, c in y if k >= nc])
                 if entries:
                     table[(i, j)] = tuple(sorted(entries.items()))
         return table

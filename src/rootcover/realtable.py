@@ -1,18 +1,20 @@
 """The real 2-descent orbit table over the type E6 datum.
 
 Each involution class of the Weyl group determines: g = 3 - rank((1 + w) mod
-2), the group size 2^g, the orbit count (the zeros of q on a 2g-dimensional
-Arf-0 space, checked against 2^(g-1) (2^g + 1)), and the number of invariant
-odd refinements of the mod-2 space (the real bitangent count).  The
-curve topology columns n(C) and a(C) are carried metadata, not computed.
+2), the group size #J(R)/2J(R) = 2^g, the orbit count (the zeros of q on a
+2g-dimensional Arf-0 space, checked against 2^(g-1) (2^g + 1)), and the
+number of invariant odd refinements of the mod-2 space (the real bitangent
+count).  A real genus-3 curve with n(C) >= 1 real components has
+#J(R)/2J(R) = 2^(n(C) - 1), and 2^(n(C) + 1) - 4 + 4 a(C) real bitangents,
+a(C) = 0 when C(R) divides C(C) (Gross and Harris, Ann. Sci. ENS 14, 1981):
+so n(C) and a(C) are computed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .f2 import (F2QuadraticSpace, arf, mod2_bits, mul_vec, parity,
-                 standard_symplectic_space)
+from .f2 import F2QuadraticSpace, mod2_bits, mul_vec, standard_symplectic_space
 from .intmat import IntMatrix, matmul, identity
 from .lattice import (RootDatum, WeylInvolutionClass, mod2_rank_one_plus,
                       mod2_space)
@@ -21,14 +23,6 @@ from .lattice import (RootDatum, WeylInvolutionClass, mod2_rank_one_plus,
 class RealTableError(ValueError):
     pass
 
-
-CARRIED_TOPOLOGY: Dict[str, Tuple[int, int]] = {
-    "1": (4, 0),
-    "s1": (3, 1),
-    "s1s2": (2, 1),
-    "s1s2s3": (1, 1),
-    "tau": (2, 0),
-}
 
 EXPECTED_COLUMNS: Dict[str, Tuple[int, int, int]] = {
     # label: (real bitangents, #J(R)/2J(R), orbit count)
@@ -41,16 +35,24 @@ EXPECTED_COLUMNS: Dict[str, Tuple[int, int, int]] = {
 
 
 class TableRow:
-    def __init__(self, label: str, n_c: int, a_c: int, real_bitangents: int,
-                 j_mod_2j_size: int, orbit_count: int):
+    """A row, with n(C) = 1 + log2 #J(R)/2J(R) and a(C) computed: a(C) = 1 at
+    2^(n(C) + 1) real bitangents, 0 at 2^(n(C) + 1) - 4, and any other count
+    raises."""
+
+    def __init__(self, label: str, real_bitangents: int, j_mod_2j_size: int,
+                 orbit_count: int):
         self.label = label
-        self.n_c = n_c
-        self.a_c = a_c
         self.real_bitangents = real_bitangents
         self.j_mod_2j_size = j_mod_2j_size
         self.orbit_count = orbit_count
         if self.orbit_count != orbit_count_from_size(self.j_mod_2j_size):
             raise RealTableError("orbit count inconsistent with group size")
+        self.n_c = j_mod_2j_size.bit_length()       # the size is a power of 2
+        top = 1 << (self.n_c + 1)
+        if real_bitangents not in (top, top - 4):
+            raise RealTableError(f"row {label}: {real_bitangents} real bitangents "
+                                 f"fit no real curve with n(C) = {self.n_c}")
+        self.a_c = int(real_bitangents == top)
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,22 +73,27 @@ def invariant_odd_refinements(space: F2QuadraticSpace,
                               w_mod2_rows: Sequence[int]) -> int:
     """Count refinements q' with q' o w = q' and Arf(q') = 1.
 
-    Every refinement of the fixed pairing is q0 + f for a functional f; the
-    base q0 (from the lattice) is itself w-invariant, which is asserted.
+    Each refinement is q'(v) = q(v) + <a, v> = q(v + a) + q(a) for one a, so
+    its Arf invariant, the majority value, is Arf(q) + q(a).  Given q o w = q,
+    checked here on every vector, q' is w-invariant exactly when w a = a, once
+    |zeros - ones| = 2^(dim / 2) shows the pairing nondegenerate.  So the
+    count is #{a : w a = a, q(a) != Arf(q)}, from one pass over the vectors.
     """
     n = space.dim
+    ones = fixed = fixed_ones = 0
     for v in range(1 << n):
-        if space.q(mul_vec(w_mod2_rows, v)) != space.q(v):
+        wv = mul_vec(w_mod2_rows, v)
+        qv = space.q(v)
+        if space.q(wv) != qv:
             raise RealTableError("base refinement is not invariant under w")
-    columns = [mul_vec(w_mod2_rows, 1 << i) for i in range(n)]
-    count = 0
-    for f in range(1 << n):
-        if any(parity(f & col) != (f >> i) & 1 for i, col in enumerate(columns)):
-            continue
-        shifted = F2QuadraticSpace(n, space.gram, space.qbits ^ f)
-        if arf(shifted) == 1:
-            count += 1
-    return count
+        ones += qv
+        if wv == v:
+            fixed += 1
+            fixed_ones += qv
+    zeros = (1 << n) - ones
+    if (zeros - ones) ** 2 != 1 << n:
+        raise RealTableError("the pairing of the mod-2 space is degenerate")
+    return fixed - fixed_ones if ones > zeros else fixed_ones
 
 
 def row_for_involution(w: IntMatrix, datum: RootDatum, label: str) -> TableRow:
@@ -103,8 +110,7 @@ def row_for_involution(w: IntMatrix, datum: RootDatum, label: str) -> TableRow:
     size = 1 << g
     space = mod2_space(datum)
     bitangents = invariant_odd_refinements(space, [mod2_bits(row) for row in w])
-    n_c, a_c = CARRIED_TOPOLOGY[label]
-    return TableRow(label, n_c, a_c, bitangents, size, orbit_count(g))
+    return TableRow(label, bitangents, size, orbit_count(g))
 
 
 def emit_table(datum: RootDatum,

@@ -9,10 +9,10 @@ import pytest
 from rootcover import lattice
 from rootcover.cli import RunConfig
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
-from rootcover.f2 import f2_echelon
+from rootcover.f2 import F2Error, f2_echelon, symplectic_decomposition
 from rootcover.gaussian import _SparseEchelon, add_terms
-from rootcover.heisrep import HeisRep, _check_table, build_heisrep
-from rootcover.liealg import RMap
+from rootcover.heisrep import HeisRep, RepError, _check_table, build_heisrep
+from rootcover.liealg import LieError, RMap
 
 
 # -- Gaussian rationals and elimination over a field: the references that the
@@ -547,6 +547,147 @@ def e6_members(e6_weyl):
     for p in e6_weyl.involutions:
         groups.setdefault(involution_key(e6_weyl.matrix(p)), []).append(p)
     return groups
+
+
+# -- the general routes that src's closed forms are checked against: sparse
+# brackets, the fixed subalgebra bracketed in the ambient algebra, the
+# twisted-plane search, the Arf invariant of a symplectic basis and the
+# topology columns of the real table
+
+
+def bracket(alg, x, y):
+    """[x, y] for sparse vectors {basis index: coefficient}, by bilinearity
+    over the flat table."""
+    return add_terms({}, [(k, ci * cj * c) for i, ci in x.items()
+                          for j, cj in y.items()
+                          for k, c in alg.bracket_basis(i, j)])
+
+
+def basis_of_root(L, root_index):
+    """The basis index of X_gamma for the root of that index."""
+    return L.n_cartan + root_index
+
+
+def theta_apply(theta, x):
+    """theta(x) for a sparse vector x, by linearity over apply_basis."""
+    terms = []
+    for i, c in x.items():
+        j, s = theta.apply_basis(i)
+        terms.append((j, s * c))
+    return add_terms({}, terms)
+
+
+def ambient(L, theta, root_index):
+    """Z_gamma = X_gamma + theta(X_gamma) as a sparse vector of L."""
+    x = {basis_of_root(L, root_index): 1}
+    return add_terms(x, theta_apply(theta, x).items())
+
+
+def reference_fixed_table(L, theta):
+    """The upper bracket table of the fixed subalgebra, each [Z_a, Z_b]
+    bracketed in full in L and read off at the positive roots.  Raises
+    LieError when a bracket has a Cartan component, or when it is not fixed
+    by theta: its coefficient at theta(X_c) = s_c X_-c is not s_c times its
+    coefficient at X_c."""
+    nc = L.n_cartan
+    pos_index = {ri: i for i, ri in enumerate(L.datum.positive)}
+    zs = [ambient(L, theta, ri) for ri in L.datum.positive]
+    table = {}
+    for i, zi in enumerate(zs):
+        for j in range(i + 1, len(zs)):
+            res = bracket(L, zi, zs[j])
+            entries = {}
+            for k, c in res.items():
+                if k < nc:
+                    raise LieError("fixed-subalgebra bracket has a Cartan component")
+                ri = k - nc
+                if ri in pos_index:
+                    image, sign = theta.apply_basis(k)
+                    if res.get(image, 0) != sign * c:
+                        raise LieError("fixed-subalgebra bracket is not theta-symmetric")
+                    entries[pos_index[ri]] = c
+            if entries:
+                table[(i, j)] = tuple(sorted(entries.items()))
+    return table
+
+
+def search_normal_form_pairs(cocycle):
+    """normal_form_pairs with each two twisted planes re-split by exhaustive
+    search inside their span (possible because the Arf invariant of that
+    4-dimensional piece is 0)."""
+    pairs, radical = symplectic_decomposition(cocycle)
+    q, pairing = cocycle.q, cocycle.pairing
+    fixed = []
+    twists = []
+    for u, w in pairs:
+        if q(u) and not q(w):
+            u ^= w
+        elif q(w) and not q(u):
+            w ^= u
+        if q(u) and q(w):
+            twists.append((u, w))
+        else:
+            if q(u) or q(w):
+                raise RepError("pair normalization failed")
+            fixed.append((u, w))
+    while len(twists) >= 2:
+        a, b = twists.pop()
+        c, d = twists.pop()
+        span = [x1 ^ x2 ^ x3 ^ x4
+                for x1 in (0, a) for x2 in (0, b) for x3 in (0, c) for x4 in (0, d)]
+        split = None
+        for v1 in span:
+            if v1 == 0 or q(v1):
+                continue
+            for w1 in span:
+                if pairing(v1, w1) != 1:
+                    continue
+                if q(w1):
+                    w1 ^= v1
+                comp = [x for x in span
+                        if x and pairing(x, v1) == 0 and pairing(x, w1) == 0]
+                v2 = next((x for x in comp if not q(x)), None)
+                if v2 is None:
+                    continue
+                w2 = next((x for x in comp if pairing(v2, x) == 1), None)
+                if w2 is None:
+                    continue
+                if q(w2):
+                    w2 ^= v2
+                if not q(w2):
+                    split = [(v1, w1), (v2, w2)]
+                    break
+            if split:
+                break
+        if split is None:
+            raise RepError("could not re-split a pair of twisted planes")
+        fixed.extend(split)
+    fixed.extend(twists)
+    return fixed, radical
+
+
+def arf(space):
+    """Arf invariant sum q(e_i) q(eps_i) over a computed symplectic basis."""
+    if space.dim % 2:
+        raise F2Error("odd dimension")
+    pairs, radical = symplectic_decomposition(space)
+    if radical:
+        raise F2Error("degenerate pairing")
+    a = 0
+    for v, w in pairs:
+        a ^= space.q(v) & space.q(w)
+    return a
+
+
+# (n(C), a(C)) of each E6 involution class, as the table carried them before
+# it computed them
+CARRIED_TOPOLOGY = {
+    "1": (4, 0),
+    "s1": (3, 1),
+    "s1s2": (2, 1),
+    "s1s2s3": (1, 1),
+    "tau": (2, 0),
+}
 
 
 # -- the root-lift commutation rule, the reference for what src reads from

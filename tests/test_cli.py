@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import ZERO, dense_entries, gq, upper_table, with_mats
+from conftest import ZERO, basis_of_root, bracket, dense_entries, gq, upper_table, with_mats
 
 from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
                        lattice, liealg, quartic, realtable)
@@ -320,9 +320,9 @@ def test_ungraded_table_exits_1_through_jacobi(capsys, monkeypatch):
         rb = next(r for r in range(len(datum.roots)) if r not in (ra, neg[ra]))
         table = upper_table(L)
         for a, b in ((ra, rb), (neg[ra], neg[rb])):
-            key = (0, L.basis_of_root(a))
+            key = (0, basis_of_root(L, a))
             (_, c), = table[key]
-            table[key] = ((L.basis_of_root(b), c),)
+            table[key] = ((basis_of_root(L, b), c),)
         return IntegralLieAlgebra(datum, cocycle, table)
 
     monkeypatch.setattr(cmd_pipeline, "build_lie", moved)
@@ -390,9 +390,8 @@ def test_verify_e8_defaults_to_exhaustive(capsys, monkeypatch):
 
 
 def _jacobi_sum(L, i, j, k):
-    b = L.bracket
     return add_terms({}, [t for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
-                          for t in b(b({x: 1}, {y: 1}), {z: 1}).items()])
+                          for t in bracket(L, bracket(L, {x: 1}, {y: 1}), {z: 1}).items()])
 
 
 def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
@@ -403,8 +402,8 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
 
     def flipped(datum, cocycle):
         L = real_build_lie(datum, cocycle)
-        key = tuple(sorted((L.basis_of_root(0),
-                            L.basis_of_root(datum.negation[0]))))
+        key = tuple(sorted((basis_of_root(L, 0),
+                            basis_of_root(L, datum.negation[0]))))
         table = upper_table(L)
         (k, c), *rest = table[key]
         table[key] = ((k, -c), *rest)
@@ -600,6 +599,18 @@ def test_table_mismatch_exits_1_and_names_the_row(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("verification failed: row s1: computed "
                             "(16, 4, 10), expected (15, 4, 10)\n")
+
+
+def test_table_bitangent_count_that_fits_no_topology_exits_1(capsys, monkeypatch):
+    # one bitangent more than computed: 29 at n(C) = 4 is neither 32 nor 28
+    real = realtable.invariant_odd_refinements
+    monkeypatch.setattr(realtable, "invariant_odd_refinements",
+                        lambda space, rows: real(space, rows) + 1)
+    assert cli.main(["table", "real-orbits"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("verification failed: row 1: 29 real bitangents fit "
+                            "no real curve with n(C) = 4\n")
 
 
 def test_table_split_conjugacy_class_exits_1(capsys, monkeypatch):

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from conftest import f2_kernel
+from conftest import arf, f2_kernel
 from hypothesis import given, settings, strategies as st
 
 from rootcover import intmat, lattice
-from rootcover.f2 import (F2Error, F2QuadraticSpace, arf, bilinear_eval,
+from rootcover.f2 import (F2Error, F2QuadraticSpace, bilinear_eval,
                           count_refinements_by_arf, f2_rank,
                           f2_solve, mod2_bits, mul_vec, parity,
                           standard_symplectic_space, symplectic_decomposition,

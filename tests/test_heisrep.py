@@ -3,14 +3,15 @@ import json
 import pytest
 from conftest import (I, MINUS_ONE, ONE, POWERS_OF_I, ZERO, dense_entries, f2_kernel,
                       field_eliminate, form_from_solution, gq, gq_trace,
-                      invariant_form_space, solver_commutant_dimension, sparse_nullspace,
-                      with_mats)
+                      invariant_form_space, search_normal_form_pairs,
+                      solver_commutant_dimension, sparse_nullspace, with_mats)
+from hypothesis import example, given, settings, strategies as st
 
 from rootcover import heisrep, lattice
-from rootcover.f2 import f2_rank, symplectic_decomposition
+from rootcover.f2 import F2QuadraticSpace, f2_rank, symplectic_decomposition
 from rootcover.gaussian import MonoMat
-from rootcover.heisrep import (RepError, arf_normal_pairs, build_heisrep, character,
-                               commutant_dimension, verify_rep)
+from rootcover.heisrep import (RepError, build_heisrep, character, commutant_dimension,
+                               normal_form_pairs, verify_rep)
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +34,40 @@ def test_dimensions(reps):
 def test_arf_normal_form_has_single_twist_site(reps):
     for name in ("A2", "E6", "E7"):
         _, coc, rep = reps[name]
-        pairs, radical = arf_normal_pairs(coc)
+        pairs, radical = normal_form_pairs(coc)
         twist = [p for p in pairs if coc.q(p[0]) or coc.q(p[1])]
         assert len(twist) <= 1
         if twist:
             assert pairs[-1] == twist[0]
             assert coc.q(twist[0][0]) == coc.q(twist[0][1]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 6), st.integers(0, (1 << 12) - 1),
+       st.booleans(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                               max_size=24))
+@example(12, 6, 0, True, [])
+@example(10, 4, 0b1100000000, True, [(0, 2), (5, 1), (9, 3), (7, 0)])
+def test_closed_form_split_matches_the_search(dim, g, qbits, twisted, moves):
+    # g hyperbolic planes and a radical, q = 1 on every plane vector when
+    # ``twisted`` (g twisted planes), then the basis changed by the row
+    # moves b_i += b_j: the closed-form split must give the pairs, in order,
+    # that the search inside each two twisted planes gives
+    g = min(g, dim // 2)
+    if twisted:
+        qbits |= (1 << (2 * g)) - 1
+    base = F2QuadraticSpace(dim, tuple(1 << (i ^ 1) if i < 2 * g else 0
+                                       for i in range(dim)),
+                            qbits & ((1 << dim) - 1))
+    basis = [1 << i for i in range(dim)]
+    for i, j in moves:
+        if i != j and max(i, j) < dim:
+            basis[i] ^= basis[j]
+    space = F2QuadraticSpace(
+        dim, tuple(sum(base.pairing(u, w) << j for j, w in enumerate(basis))
+                   for u in basis),
+        sum(base.q(u) << i for i, u in enumerate(basis)))
+    assert normal_form_pairs(space) == search_normal_form_pairs(space)
 
 
 def test_full_multiplication_tables(reps):

@@ -8,9 +8,10 @@ from operator import mul
 from typing import Optional
 
 import pytest
-from conftest import (ONE, dense_entries, field_eliminate, form_from_solution, gq,
-                      gq_trace, gq_vectors, invariant_form_space, rational_inverse,
-                      reference_build_payload, sparse_nullspace, upper_table)
+from conftest import (ONE, basis_of_root, bracket, dense_entries, field_eliminate,
+                      form_from_solution, gq, gq_trace, gq_vectors, invariant_form_space,
+                      rational_inverse, reference_build_payload, reference_fixed_table,
+                      sparse_nullspace, upper_table)
 
 from rootcover import cli, intmat, lattice, liealg
 from rootcover.f2 import parity
@@ -47,11 +48,11 @@ def killing_cartan_ratio(L: IntegralLieAlgebra, killing) -> Fraction:
 
 def ad_nilpotency_degree(L: IntegralLieAlgebra, root_index: int, power: int = 4) -> bool:
     """Whether (ad X_gamma)^power kills every basis element."""
-    xg = {L.basis_of_root(root_index): 1}
+    xg = {basis_of_root(L, root_index): 1}
     for i in range(L.dim):
         vec = {i: 1}
         for _ in range(power):
-            vec = L.bracket(xg, vec)
+            vec = bracket(L, xg, vec)
             if not vec:
                 break
         if vec:
@@ -63,10 +64,10 @@ def recover_roots_from_ad(L: IntegralLieAlgebra) -> bool:
     """Simultaneous Cartan ad-eigenvalues on the X part recover the root set."""
     recovered = set()
     for ri in range(len(L.datum.roots)):
-        xi = L.basis_of_root(ri)
+        xi = basis_of_root(L, ri)
         eig = []
         for i in range(L.n_cartan):
-            res = L.bracket({i: 1}, {xi: 1})
+            res = bracket(L, {i: 1}, {xi: 1})
             eig.append(res.get(xi, 0))
             if set(res) - {xi}:
                 return False
@@ -94,7 +95,7 @@ def test_cartan_rules(a2_stack):
     assert L.bracket_basis(0, 1) == ()
     # [h_i, X_gamma] = gamma_i X_gamma
     for ri, coords in enumerate(L.datum.roots):
-        xi = L.basis_of_root(ri)
+        xi = basis_of_root(L, ri)
         for i in range(L.n_cartan):
             res = dict(L.bracket_basis(i, xi))
             expected = {xi: coords[i]} if coords[i] else {}
@@ -109,7 +110,7 @@ def test_opposite_roots_bracket_to_minus_coroot(e6_stack):
         rj = datum.negation[ri]
         if rj < ri:
             continue
-        res = dict(L.bracket_basis(L.basis_of_root(ri), L.basis_of_root(rj)))
+        res = dict(L.bracket_basis(basis_of_root(L, ri), basis_of_root(L, rj)))
         coroot = tuple(sum(g * c for g, c in zip(row, datum.roots[ri]))
                        for row in gram)
         expected = {k: -c for k, c in enumerate(coroot) if c}
@@ -168,9 +169,8 @@ def _weight_live(L, i, j, k):
 
 def _jacobi_sum(L, i, j, k):
     """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] from brackets."""
-    b = L.bracket
     terms = [t for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
-             for t in b(b({x: 1}, {y: 1}), {z: 1}).items()]
+             for t in bracket(L, bracket(L, {x: 1}, {y: 1}), {z: 1}).items()]
     return add_terms({}, terms)
 
 
@@ -420,8 +420,8 @@ def test_theta_traces_and_action(a2_stack, e6_stack, e7_stack):
     # canonical lifts give X_gamma -> X_{-gamma} with sign +1
     L = e6_stack.lie
     for ri in range(len(L.datum.roots)):
-        j, s = e6_stack.theta.apply_basis(L.basis_of_root(ri))
-        assert j == L.basis_of_root(L.datum.negation[ri])
+        j, s = e6_stack.theta.apply_basis(basis_of_root(L, ri))
+        assert j == basis_of_root(L, L.datum.negation[ri])
         assert s == 1
 
 
@@ -437,6 +437,61 @@ def test_fixed_subalgebra_dimensions(a2_stack, e6_stack, e7_stack):
     assert a2_stack.fixed.dim == 3
     assert e6_stack.fixed.dim == 36
     assert e7_stack.fixed.dim == 63
+
+
+@pytest.mark.parametrize("name", [f"A{r}" for r in range(2, 9)]
+                         + [f"D{r}" for r in range(4, 17)] + ["E6", "E7", "E8"])
+def test_fixed_table_matches_the_ambient_brackets(name):
+    # the closed form (1 + theta)(y) against each [Z_a, Z_b] bracketed in
+    # full in L, with the reference's own checks that the bracket has no
+    # Cartan component and is fixed by theta
+    L = _lie(name)
+    theta = build_theta(L)
+    assert upper_table(fixed_subalgebra(L, theta)) == reference_fixed_table(L, theta)
+
+
+@pytest.mark.parametrize("name", ["D4", "E6"])
+def test_fixed_table_follows_the_signs_of_theta(name):
+    # theta composed with the character X_gamma -> (-1)^f(gamma) X_gamma is
+    # again an involutive automorphism of L.flat, with sign -1 where f is 1:
+    # the closed form reads s_b and s_c from theta, as the full brackets do
+    L = _lie(name)
+    theta = build_theta(L)
+    bits = L.datum.root_class_bits
+    for f in (0b1, 0b101):
+        root_map = tuple((t, -s if parity(f & bits(ri)) else s)
+                         for ri, (t, s) in enumerate(theta.root_map))
+        twisted = liealg.Involution(L.n_cartan, root_map, L.flat)
+        image = [twisted.apply_basis(i) for i in range(L.dim)]
+        assert liealg._automorphism_failures(L, image) == []
+        table = upper_table(fixed_subalgebra(L, twisted))
+        assert table == reference_fixed_table(L, twisted)
+        assert table != upper_table(fixed_subalgebra(L, theta))
+
+
+def test_fixed_table_drops_a_cartan_part_of_a_root_bracket():
+    # [x_a, x_-b] given a Cartan term, and its theta-image the mirrored one,
+    # so that theta stays an automorphism: (1 + theta) kills that term, and
+    # the full brackets cancel it
+    L = _lie("D4")
+    nc, neg = L.n_cartan, L.datum.negation
+    a, b = L.datum.positive[:2]
+    key = tuple(sorted((nc + a, nc + neg[b])))
+    bad = _theta_mutation(L, key, ((0, 1),))
+    theta = build_theta(bad)
+    assert upper_table(fixed_subalgebra(bad, theta)) == reference_fixed_table(bad, theta)
+
+
+def test_fixed_subalgebra_refuses_an_involution_verified_on_another_table():
+    # the closed form rests on theta being an automorphism of L.flat: an
+    # involution verified on another table, even an equal one, is refused
+    L = _lie("A2")
+    theta = build_theta(L)
+    for other in (_flip(L, _root_root_key(L)),
+                  IntegralLieAlgebra(L.datum, L.cocycle, upper_table(L))):
+        with pytest.raises(LieError, match="not verified on this bracket table"):
+            fixed_subalgebra(other, theta)
+    assert fixed_subalgebra(L, theta).dim == 3
 
 
 def test_killing_forms_nondegenerate_with_known_ratio(e7_stack):
@@ -519,7 +574,7 @@ def _rebased(fixed):
     table = {}
     for a in range(fixed.dim):
         for b in range(a + 1, fixed.dim):
-            res = down(fixed.bracket(up(a), up(b)))
+            res = down(bracket(fixed, up(a), up(b)))
             if res:
                 table[(a, b)] = tuple(sorted(res.items()))
     out = copy.copy(fixed)
@@ -720,7 +775,7 @@ def _signed_map_failures(alg, image):
     def phi(v):
         return add_terms({}, [(image[k][0], image[k][1] * c) for k, c in v.items()])
     return [(i, j) for i, j in combinations(range(alg.dim), 2)
-            if phi(alg.bracket({i: 1}, {j: 1})) != alg.bracket(phi({i: 1}), phi({j: 1}))]
+            if phi(bracket(alg, {i: 1}, {j: 1})) != bracket(alg, phi({i: 1}), phi({j: 1}))]
 
 
 @pytest.mark.parametrize("mutation", ["sign", "moved", "added"])
