@@ -5,7 +5,8 @@ Monomial matrices (one nonzero entry per row) have every entry in
 {1, i, -1, -i} and are stored as a column permutation and one phase mod 4
 per row, so a product costs O(n) integer operations; a unit i**k is the
 phase k, or the integer pair ``UNITS[k]`` where its real and imaginary parts
-are written out.  ``trace_gram_failure`` checks the trace Gram matrix of unit
+are written out; the exhaustive checks multiply rows packed into bytes with
+``bytes.translate``.  ``trace_gram_failure`` checks the trace Gram matrix of unit
 monomials in Gaussian integers.  The sparse echelon of ``sparse_rank`` ranks
 the quartic probe's ``Fraction`` rows.  No linear system over Z[i] is solved:
 the representation is certified by traces and by exhibited witnesses.
@@ -17,6 +18,8 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 # i**k as an integer pair (re, im), k = 0..3
 UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# the translate table of negation on packed rows: phase + 2 flips bit 1
+NEGATE = bytes(x ^ 2 for x in range(256))
 
 
 class MonoMat:
@@ -28,10 +31,10 @@ class MonoMat:
     phases mod 4; negation adds 2 to every phase; the transpose inverts the
     permutation and keeps each entry.
 
-    For loops over many products, ``code`` packs row r as 4 * col[r] +
-    phase[r] and ``right_table`` is the 4n-entry lookup table of right
-    multiplication, so that the rows of A * B are
-    ``tuple(map(B.right_table().__getitem__, A.code()))``.
+    For loops over many products, ``code`` packs row r into the byte 4 * col[r]
+    + phase[r] (so n <= 64) and T = ``B.right_table()``, 256 bytes, multiplies
+    by B on the right: ``A.code().translate(T) == (A * B).code()``, one C pass
+    however many rows are packed together; ``NEGATE`` negates, x ^ 2.
     """
 
     def __init__(self, n: int, col: Tuple[int, ...], phase: Tuple[int, ...]):
@@ -74,14 +77,16 @@ class MonoMat:
         p = self.phase[0]
         return p if all(q == p for q in self.phase) else None
 
-    def code(self) -> Tuple[int, ...]:
-        """Row r packed as 4 * col[r] + phase[r]."""
-        return tuple(4 * c + p for c, p in zip(self.col, self.phase))
+    def code(self) -> bytes:
+        """Row r packed as the byte 4 * col[r] + phase[r]."""
+        if self.n > 64:
+            raise ValueError(f"{self.n} rows do not pack into bytes (at most 64)")
+        return bytes(4 * c + p for c, p in zip(self.col, self.phase))
 
-    def right_table(self) -> Tuple[int, ...]:
-        """T with (A * self).code()[r] = T[A.code()[r]] for every A of size n."""
-        return tuple(4 * c + ((p + q) & 3)
-                     for c, q in zip(self.col, self.phase) for p in range(4))
+    def right_table(self) -> bytes:
+        """T with A.code().translate(T) == (A * self).code(), 0 from byte 4n on."""
+        return bytes(4 * c + ((p + q) & 3) for c, q in zip(self.col, self.phase)
+                     for p in range(4)).ljust(256, b"\0")
 
 
 def trace_gram_failure(mats: Sequence[MonoMat]) -> Optional[Tuple[Tuple[int, int],

@@ -8,12 +8,12 @@ Arf invariant is 1) carrying the only i-twisted factors, and radical
 generators acting by an exact scalar whose square is (-1)^q.
 
 Every entry is a power of i, so matrices are stored in phase form (see
-gaussian.MonoMat) and the checks run on packed rows.  Correctness is not
-argued from the construction: the full multiplication table is verified pair
-by pair, once, when the representation is built.  With that premise checked,
-irreducibility is read off the character: the commutant has dimension
-<chi, chi>, a sum of squared traces in integers, and no linear system is
-solved.
+gaussian.MonoMat) and the checks run on byte-packed rows, so g <= 6.
+Correctness is not argued from the construction: the full multiplication
+table is verified, one translate per column, once, when the representation
+is built.  With that premise checked, irreducibility is read off the
+character: the commutant has dimension <chi, chi>, a sum of squared traces
+in integers, and no linear system is solved.
 """
 
 from __future__ import annotations
@@ -113,11 +113,14 @@ def build_heisrep(cocycle: F2QuadraticSpace) -> HeisRep:
 
     The returned representation carries the verification as ``report``, whose
     commutant is not computed; a failure of the table or of rho(-1) = -id
-    raises RepError with the first failing signed pairs.
+    raises RepError with the first failing signed pairs.  So does, at once, a
+    cover with g > 6: no byte packs its rows, and its 2^28 pairs would not end.
     """
     pairs, rad = normal_form_pairs(cocycle)
     n = cocycle.dim
     g = len(pairs)
+    if g > 6:
+        raise RepError(f"dimension 2^{g} is too large: at most 2^6 rows pack into bytes")
     dim_w = 1 << g
 
     adapted: List[int] = []
@@ -133,10 +136,9 @@ def build_heisrep(cocycle: F2QuadraticSpace) -> HeisRep:
         gens.append(_pauli(g, 0, False, cocycle.q(r), cocycle.q(r)))
         adapted.append(r)
 
-    # coordinates of the standard basis in the adapted basis
+    # coordinates of the standard basis in the adapted basis, a basis: each
+    # twisted split (b+d, b+c+d, a+c, a+b+c) is invertible on span{a, b, c, d}
     coords_of_e = [f2_solve(adapted, 1 << j, n) for j in range(n)]
-    if None in coords_of_e:
-        raise RepError("vector outside the span of the adapted basis")
 
     identity = MonoMat.identity(dim_w)
     basis_mats: List[MonoMat] = []
@@ -212,30 +214,34 @@ def verify_rep(rep: HeisRep, root_classes: Sequence[int]) -> RepReport:
 
 
 def _check_table(rep: HeisRep) -> RepReport:
-    """The signed multiplication table and rho(-1) = -id."""
+    """The signed multiplication table and rho(-1) = -id, in (u, v) order.
+
+    For each v one translate of the packed rows of every M_u forms all the
+    M_u M_v (see MonoMat.code); only a column that differs is sliced, by u.
+    """
     coc = rep.cocycle
     mats = rep.mats
     size = 1 << coc.dim
-    report = RepReport(pairs_checked=0)
-    report.rho_minus_one_is_minus_id = -mats[0] == -MonoMat.identity(rep.dim_w)
+    w = rep.dim_w
+    report = RepReport(pairs_checked=4 * size * size)
+    report.rho_minus_one_is_minus_id = -mats[0] == -MonoMat.identity(w)
 
-    # products run on packed rows (see MonoMat.code)
-    codes = [m.code() for m in mats]
-    neg_codes = [(-m).code() for m in mats]
-    tables = [m.right_table() for m in mats]
-    failures = report.failures
-    for u in range(size):
-        cu = codes[u]
-        beta_u = coc.beta(u)          # beta(u, v) = parity(beta_u & v)
-        for v in range(size):
-            t = u ^ v
-            # rho((su, u)) rho((sv, v)) = su sv M_u M_v must equal
-            # rho((su sv (-1)^beta(u, v), u + v)) = su sv (-1)^beta(u, v) M_t:
-            # su sv cancels, so the four signed pairs hold or fail together
-            prod = tuple(map(tables[v].__getitem__, cu))          # M_u M_v
-            if prod != (neg_codes[t] if parity(beta_u & v) else codes[t]):
-                failures.extend(((su, u), (sv, v)) for su, sv in _SIGNS)
-            report.pairs_checked += 4
+    signed = [(m.code(), (-m).code()) for m in mats]
+    stacked = b"".join([plus for plus, _ in signed])
+    betas = [coc.beta(u) for u in range(size)]      # beta(u, v) = parity(beta_u & v)
+    failing = []
+    for v in range(size):
+        # rho((su, u)) rho((sv, v)) = su sv M_u M_v must equal
+        # rho((su sv (-1)^beta(u, v), u + v)) = su sv (-1)^beta(u, v) M_(u+v):
+        # su sv cancels, so the four signed pairs hold or fail together
+        prods = stacked.translate(mats[v].right_table())
+        expected = b"".join([signed[u ^ v][parity(beta_u & v)]
+                             for u, beta_u in enumerate(betas)])
+        if prods != expected:
+            failing += [(u, v) for u in range(size)
+                        if prods[u * w:(u + 1) * w] != expected[u * w:(u + 1) * w]]
+    report.failures = [((su, u), (sv, v)) for u, v in sorted(failing)
+                       for su, sv in _SIGNS]
     return report
 
 

@@ -35,7 +35,7 @@ from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .f2 import F2QuadraticSpace, parity
-from .gaussian import MonoMat, add_terms, trace_gram_failure
+from .gaussian import NEGATE, MonoMat, add_terms, trace_gram_failure
 from .heisrep import HeisRep
 from .lattice import RootDatum
 
@@ -580,50 +580,38 @@ class RReport:
         return not self.failures
 
 
-def _add_packed(acc: Dict[int, int], code: Tuple[int, ...], n: int, mult: int) -> None:
-    """acc += mult * U, for U with packed rows ``code`` (see MonoMat.code).
-
-    ``acc`` holds Gaussian integers by component: key 2 (r n + c) for the
-    real part of entry (r, c), that key + 1 for the imaginary part.
-    """
-    # inline, not add_terms: a call per entry would slow verify_R's pair loop
-    base = 0
-    for x in code:
-        # x = 4 c + k: i**k is +-1 for even k, +-i for odd k, negative for k >= 2
-        key = base + 2 * (x >> 2) + (x & 1)
-        val = acc.get(key, 0) + (-mult if x & 2 else mult)
-        if val:
-            acc[key] = val
-        else:
-            acc.pop(key, None)
-        base += 2 * n
-
-
 def verify_R(rmap: RMap) -> RReport:
     """Check R([a, b]) = [R(a), R(b)] for every pair of fixed-basis elements.
 
-    With R(Z_k) = U_k / 2 for the unit monomial U_k in ``rmap.mats``, the
-    identity for the pair (i, j), sum_k c_k U_k / 2 = (U_i U_j - U_j U_i) / 4,
-    is checked as 2 sum_k c_k U_k = U_i U_j - U_j U_i in Gaussian integers.
+    ``rmap`` holds R(Z_k) = U_k / 2, U_k unit monomial (``rmap.mats``), and
+    the brackets [Z_i, Z_j] = sum_k c_k Z_k (``rmap.fixed.bracket_basis``).
+    The identity for (i, j) is 2 sum_k c_k U_k = P - Q in Gaussian integers,
+    P = U_i U_j and Q = U_j U_i each one translate of packed rows.  Each
+    entry of the left side is divisible by 2; a row of P - Q whose entries
+    lie in different columns, or differ in phase by +-1, is not.  So the
+    identity holds exactly when the bracket is empty and P = Q, or is one
+    term (k, c), c = +-1, with P = c U_k = -Q.  A bracket of more terms fails;
+    none arises, since [Z_a, Z_b] lies on the roots a + b and a - b, at most
+    one of which is a root for simply laced a, b.
     """
     fixed = rmap.fixed
     n = fixed.dim
-    report = RReport(pairs_checked=0)
-    w = rmap.rep.dim_w
+    report = RReport(pairs_checked=n * (n - 1) // 2)
     codes = [m.code() for m in rmap.mats]
+    signed = {1: codes, -1: [code.translate(NEGATE) for code in codes]}
     tables = [m.right_table() for m in rmap.mats]
     for i in range(n):
-        ci = codes[i]
+        ci, ti = codes[i], tables[i]
         for j in range(i + 1, n):
-            lhs: Dict[int, int] = {}
-            for k, c in fixed.bracket_basis(i, j):
-                _add_packed(lhs, codes[k], w, 2 * c)
-            rhs: Dict[int, int] = {}
-            _add_packed(rhs, tuple(map(tables[j].__getitem__, ci)), w, 1)
-            _add_packed(rhs, tuple(map(tables[i].__getitem__, codes[j])), w, -1)
-            if lhs != rhs:
+            p, q = ci.translate(tables[j]), codes[j].translate(ti)
+            terms = fixed.bracket_basis(i, j)
+            if terms:
+                (k, c), *more = terms
+                ok = not more and c in signed and p == signed[c][k] == q.translate(NEGATE)
+            else:
+                ok = p == q
+            if not ok:
                 report.failures.append((i, j))
-            report.pairs_checked += 1
     return report
 
 

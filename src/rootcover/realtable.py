@@ -103,10 +103,8 @@ def row_for_involution(w: IntMatrix, datum: RootDatum, label: str) -> TableRow:
     n = datum.rank
     if matmul(w, w) != identity(n):
         raise RealTableError("matrix is not an involution")
-    r = mod2_rank_one_plus(w)
-    g = 3 - r
-    if g < 0:
-        raise RealTableError("mod-2 rank exceeds 3")
+    # (1 + w)^2 = 2 (1 + w) = 0 mod 2, so the mod-2 rank is <= 6 / 2 and g >= 0
+    g = 3 - mod2_rank_one_plus(w)
     size = 1 << g
     space = mod2_space(datum)
     bitangents = invariant_odd_refinements(space, [mod2_bits(row) for row in w])

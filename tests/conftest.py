@@ -9,7 +9,7 @@ import pytest
 from rootcover import lattice
 from rootcover.cli import RunConfig
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
-from rootcover.f2 import F2Error, f2_echelon, symplectic_decomposition
+from rootcover.f2 import F2Error, f2_echelon, parity, symplectic_decomposition
 from rootcover.gaussian import _SparseEchelon, add_terms
 from rootcover.heisrep import HeisRep, RepError, _check_table, build_heisrep
 from rootcover.liealg import LieError, RMap
@@ -213,6 +213,42 @@ def with_mats(rep, mats, dim_w=None):
     changed = HeisRep(rep.cocycle, dim_w or rep.dim_w, tuple(mats))
     changed.report = _check_table(changed)
     return changed
+
+
+def reference_table_failures(rep):
+    """The failing signed pairs ((su, u), (sv, v)) of the full multiplication
+    table, found pair by pair with MonoMat products, in (u, v) order: the
+    reference for heisrep._check_table's one translate per column."""
+    coc, mats = rep.cocycle, rep.mats
+    failures = []
+    for u in range(len(mats)):
+        beta_u = coc.beta(u)
+        for v in range(len(mats)):
+            # su sv cancels from both sides: the four signed pairs hold together
+            t = mats[u ^ v]
+            if mats[u] * mats[v] != (-t if parity(beta_u & v) else t):
+                failures += [((su, u), (sv, v))
+                             for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    return failures
+
+
+def gq_entries(terms):
+    """Sum of c * M over (c, M), as a dict of its nonzero entries."""
+    acc = {}
+    for c, m in terms:
+        for r, col, v in dense_entries(m):
+            acc[r, col] = acc.get((r, col), ZERO) + gq(c) * v
+    return {k: v for k, v in acc.items() if v}
+
+
+def reference_r_failures(rmap):
+    """The pairs (i, j), i < j, at which R([z_i, z_j]) = [R(z_i), R(z_j)]
+    fails, read in Gaussian rationals: rmap.mats holds U_k = 2 R(z_k), so
+    the identity is 2 sum_k c_k U_k = U_i U_j - U_j U_i."""
+    fixed, mats = rmap.fixed, rmap.mats
+    return [(i, j) for i, j in combinations(range(fixed.dim), 2)
+            if gq_entries([(2 * c, mats[k]) for k, c in fixed.bracket_basis(i, j)])
+            != gq_entries([(1, mats[i] * mats[j]), (-1, mats[j] * mats[i])])]
 
 
 def upper_table(alg):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import ZERO, basis_of_root, bracket, dense_entries, gq, upper_table, with_mats
+from conftest import basis_of_root, bracket, reference_r_failures, upper_table, with_mats
 
 from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
                        lattice, liealg, quartic, realtable)
@@ -481,15 +481,6 @@ def _flip_row_3(m):
     return MonoMat(m.n, m.col, m.phase[:3] + ((m.phase[3] + 1) & 3,) + m.phase[4:])
 
 
-def _gq_entries(terms):
-    """Sum of c * M over (c, M), as a dict of its nonzero entries."""
-    acc = {}
-    for c, m in terms:
-        for r, col, v in dense_entries(m):
-            acc[r, col] = acc.get((r, col), ZERO) + gq(c) * v
-    return {k: v for k, v in acc.items() if v}
-
-
 def test_r_check_failure_names_its_first_pairs(capsys, monkeypatch):
     # the R check alone sees R(z_0) with one phase moved
     real_verify_R = cmd_pipeline.verify_R
@@ -508,12 +499,8 @@ def test_r_check_failure_names_its_first_pairs(capsys, monkeypatch):
     hom = payload["checks"]["fixed_rep_hom"]
     assert hom["ok"] is False and hom["pairs"] == 630
     rmap, = seen
-    fixed, mats = rmap.fixed, rmap.mats
-    # rmap.mats holds U_k = 2 R(z_k): R([z_i, z_j]) = [R(z_i), R(z_j)] reads
-    # 2 sum_k c_k U_k = U_i U_j - U_j U_i
-    failing = [(i, j) for i, j in combinations(range(fixed.dim), 2)
-               if _gq_entries([(2 * c, mats[k]) for k, c in fixed.bracket_basis(i, j)])
-               != _gq_entries([(1, mats[i] * mats[j]), (-1, mats[j] * mats[i])])]
+    fixed = rmap.fixed
+    failing = reference_r_failures(rmap)
     assert len(failing) == 43
     assert real_verify_R(rmap).failures == failing
     assert hom["failures"] == [[fixed.labels[i], fixed.labels[j]]

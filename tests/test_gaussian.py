@@ -6,7 +6,7 @@ from conftest import (I, ONE, ZERO, ReferenceEchelon, dense_entries, dense_mul,
                       sparse_nullspace)
 from hypothesis import example, given, settings, strategies as st
 
-from rootcover.gaussian import UNITS, MonoMat, add_terms, sparse_rank
+from rootcover.gaussian import NEGATE, UNITS, MonoMat, add_terms, sparse_rank
 
 # i**k for k = 0..3, built from the Gaussian-rational field operations
 POWERS_OF_I = (ONE, I, I * I, I * I * I)
@@ -65,11 +65,22 @@ def test_phase_kernel_matches_dense_gaussian_arithmetic(pair, k):
                     for r in range(n) for c in range(n))
     assert a.scalar_value() == (POWERS_OF_I.index(da[0][0]) if is_scalar else None)
     assert scalar.scalar_value() == k
-    # the packed-row product used by the exhaustive checks
-    packed = tuple(map(b.right_table().__getitem__, a.code()))
+    # the packed-row product and negation used by the exhaustive checks
+    packed = a.code().translate(b.right_table())
     decoded = MonoMat(n, tuple(x >> 2 for x in packed), tuple(x & 3 for x in packed))
     assert _dense(decoded) == dense_mul(da, db)
+    assert a.code().translate(NEGATE) == (-a).code()
     assert from_values(n, a.col, [da[r][a.col[r]] for r in range(n)]) == a
+
+
+def test_rows_pack_into_bytes_up_to_64_rows():
+    # 4 * 64 packed values fill the 256-byte table exactly
+    big = MonoMat(64, tuple(range(63, -1, -1)), (3,) * 64)
+    assert big.right_table() == bytes(4 * (63 - c) + ((p + 3) & 3)
+                                      for c in range(64) for p in range(4))
+    assert (big * big).code() == big.code().translate(big.right_table())
+    with pytest.raises(ValueError, match="65 rows"):
+        MonoMat.identity(65).code()
 
 
 def test_unit_pairs_are_the_powers_of_i():

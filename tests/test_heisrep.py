@@ -1,17 +1,19 @@
 import json
+import sys
 
 import pytest
 from conftest import (I, MINUS_ONE, ONE, POWERS_OF_I, ZERO, dense_entries, f2_kernel,
                       field_eliminate, form_from_solution, gq, gq_trace,
-                      invariant_form_space, search_normal_form_pairs,
-                      solver_commutant_dimension, sparse_nullspace, with_mats)
+                      invariant_form_space, reference_table_failures,
+                      search_normal_form_pairs, solver_commutant_dimension,
+                      sparse_nullspace, with_mats)
 from hypothesis import example, given, settings, strategies as st
 
 from rootcover import heisrep, lattice
 from rootcover.f2 import F2QuadraticSpace, f2_rank, symplectic_decomposition
 from rootcover.gaussian import MonoMat
-from rootcover.heisrep import (RepError, build_heisrep, character, commutant_dimension,
-                               normal_form_pairs, verify_rep)
+from rootcover.heisrep import (HeisRep, RepError, build_heisrep, character,
+                               commutant_dimension, normal_form_pairs, verify_rep)
 
 
 @pytest.fixture(scope="module")
@@ -155,23 +157,67 @@ def test_verify_rep_reuses_the_build_time_table(reps, monkeypatch):
         assert rep.report.commutant_dim is None
 
 
-def test_table_check_computes_one_product_per_pair(reps, monkeypatch):
-    # each product M_u M_v looks up one right-table entry per row
-    lookups = [0]
+def test_table_check_translates_one_column_per_v(reps):
+    # for each v, one translate by M_v's right table forms M_u M_v for every
+    # u: |V| rows of dim_w bytes
+    lengths = []
 
-    class Counted(tuple):
-        def __getitem__(self, key):
-            lookups[0] += 1
-            return tuple.__getitem__(self, key)
+    def profile(frame, event, arg):
+        if (event == "c_call" and frame.f_code is heisrep._check_table.__code__
+                and getattr(arg, "__name__", None) == "translate"):
+            lengths.append(len(arg.__self__))
 
-    real = MonoMat.right_table
-    monkeypatch.setattr(MonoMat, "right_table", lambda m: Counted(real(m)))
     _, coc, rep = reps["E6"]
-    report = heisrep._check_table(rep)
+    sys.setprofile(profile)
+    try:
+        report = heisrep._check_table(rep)
+    finally:
+        sys.setprofile(None)
     size = 1 << coc.dim
     assert not report.failures and report.rho_minus_one_is_minus_id
     assert report.pairs_checked == 4 * size * size
-    assert lookups[0] == size * size * rep.dim_w
+    assert lengths == [size * rep.dim_w] * size
+
+
+def _flip_phase(m, r):
+    return MonoMat(m.n, m.col, m.phase[:r] + ((m.phase[r] + 1) & 3,) + m.phase[r + 1:])
+
+
+def _swap_columns(m, r, s):
+    col = list(m.col)
+    col[r], col[s] = col[s], col[r]
+    return MonoMat(m.n, tuple(col), m.phase)
+
+
+@pytest.mark.parametrize("name, plant", [
+    ("E6", {0b1011: lambda m: _flip_phase(m, 0)}),
+    ("E6", {5: lambda m: _swap_columns(m, 2, 6)}),
+    ("E6", {3: lambda m: _flip_phase(m, 7), 40: lambda m: _swap_columns(m, 0, 1)}),
+    ("E7", {0b1100101: lambda m: _swap_columns(m, 1, 4)}),
+    ("D4", {0: lambda m: _flip_phase(m, 1)}),
+])
+def test_table_check_names_the_pair_by_pair_failures_in_order(reps, name, plant):
+    _, coc, rep = reps[name]
+    mats = list(rep.mats)
+    for v, change in plant.items():
+        mats[v] = change(mats[v])
+    planted = HeisRep(coc, rep.dim_w, tuple(mats))
+    report = heisrep._check_table(planted)
+    expected = reference_table_failures(planted)
+    assert expected and report.failures == expected
+    assert report.pairs_checked == 4 * len(mats) ** 2
+
+
+def test_a_cover_of_more_than_64_rows_is_refused_at_once(monkeypatch):
+    # A14 mod 2 is nondegenerate of dimension 14: g = 7, 128 rows, and rows
+    # 4 * 128 wide do not pack into bytes
+    def no_work(*args):
+        raise AssertionError("build_heisrep assembled a matrix")
+
+    monkeypatch.setattr(heisrep, "_pauli", no_work)
+    coc = lattice.mod2_space(lattice.root_datum("A14"))
+    with pytest.raises(RepError, match=r"dimension 2\^7"):
+        build_heisrep(coc)
 
 
 def test_flipped_phase_fails_verification_and_names_the_pair(reps):

@@ -11,7 +11,7 @@ import pytest
 from conftest import (ONE, basis_of_root, bracket, dense_entries, field_eliminate,
                       form_from_solution, gq, gq_trace, gq_vectors, invariant_form_space,
                       rational_inverse, reference_build_payload, reference_fixed_table,
-                      sparse_nullspace, upper_table)
+                      reference_r_failures, sparse_nullspace, upper_table)
 
 from rootcover import cli, intmat, lattice, liealg
 from rootcover.f2 import parity
@@ -600,6 +600,39 @@ def test_r_homomorphism_small(a2_stack):
     report = verify_R(a2_stack.rmap)
     assert report.ok
     assert report.pairs_checked == 3
+
+
+def _with_bracket(rmap, i, j, entries):
+    """``rmap`` over a copy of its fixed subalgebra with [z_i, z_j] set to
+    ``entries`` (and [z_j, z_i] to their negation)."""
+    fixed = copy.copy(rmap.fixed)
+    n = fixed.dim
+    fixed.flat = list(fixed.flat)
+    fixed.flat[i * n + j] = tuple(entries)
+    fixed.flat[j * n + i] = tuple((k, -c) for k, c in entries)
+    bad = copy.copy(rmap)
+    bad.fixed = fixed
+    return bad
+
+
+def test_r_check_matches_the_gaussian_reference_on_planted_brackets(e6_stack):
+    rmap = e6_stack.rmap
+    fixed = rmap.fixed
+    assert verify_R(rmap).failures == reference_r_failures(rmap) == []
+    pairs = list(combinations(range(fixed.dim), 2))
+    one = next((i, j) for i, j in pairs if len(fixed.bracket_basis(i, j)) == 1)
+    empty = next((i, j) for i, j in pairs if not fixed.bracket_basis(i, j))
+    (k, c), = fixed.bracket_basis(*one)
+    other = (k + 1) % fixed.dim
+    for (i, j), entries in [
+            (one, [(k, -c)]),                               # a flipped sign
+            (one, [(other, c)]),                            # a wrong target
+            (one, []),                                      # an emptied bracket
+            (one, sorted([(k, c), (other, c)])),            # a second term
+            (one, [(k, 2 * c)]),                            # a doubled coefficient
+            (empty, [(k, 1)])]:                             # a term where none is
+        bad = _with_bracket(rmap, i, j, entries)
+        assert verify_R(bad).failures == reference_r_failures(bad) == [(i, j)]
 
 
 def test_build_r_is_half_the_root_lift_image(e6_stack, e7_stack):
