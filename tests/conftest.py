@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Tuple
@@ -249,6 +250,27 @@ def reference_r_failures(rmap):
     return [(i, j) for i, j in combinations(range(fixed.dim), 2)
             if gq_entries([(2 * c, mats[k]) for k, c in fixed.bracket_basis(i, j)])
             != gq_entries([(1, mats[i] * mats[j]), (-1, mats[j] * mats[i])])]
+
+
+def reference_random_triples(n, count, seed):
+    """``count`` triples i < j < k < n, each uniform over the C(n, 3) such
+    triples, the sequence determined by ``seed``: the sampled Jacobi scan must
+    draw exactly these, in this order.
+
+    A draw is one getrandbits(3 b), b the bits of n - 1, cut into three b-bit
+    indices and drawn again unless they are distinct and below n: every
+    ordered triple of distinct indices is equally likely, so every unordered
+    one, its sorted form, is.
+    """
+    draw = random.Random(seed).getrandbits
+    b = (n - 1).bit_length()
+    bits, b2, mask = 3 * b, 2 * b, (1 << b) - 1
+    while count:
+        x = draw(bits)
+        i, j, k = sorted((x & mask, x >> b & mask, x >> b2))
+        if i < j < k < n:
+            count -= 1
+            yield i, j, k
 
 
 def upper_table(alg):

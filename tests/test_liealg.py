@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -11,9 +12,11 @@ import pytest
 from conftest import (ONE, basis_of_root, bracket, dense_entries, field_eliminate,
                       form_from_solution, gq, gq_trace, gq_vectors, invariant_form_space,
                       rational_inverse, reference_build_payload, reference_fixed_table,
-                      reference_r_failures, sparse_nullspace, upper_table)
+                      reference_r_failures, reference_random_triples, sparse_nullspace,
+                      upper_table)
 
-from rootcover import cli, intmat, lattice, liealg
+from rootcover import cli, intmat, lattice, liealg, sampling
+from rootcover.cmd_pipeline import build_pipeline
 from rootcover.f2 import parity
 from rootcover.gaussian import MonoMat, add_terms, sparse_rank
 from rootcover.liealg import (IntegralLieAlgebra, LieError, RMap, build_lie,
@@ -364,39 +367,93 @@ def test_jacobi_sampled_mode(e6_stack):
     assert report.ok and report.sampled
     assert report.checked_unordered == 5000 and report.mirrored == 0
     # the live draws are evaluated, the others are zero by the checked grading
-    drawn = liealg._random_triples(e6_stack.lie.dim, 5000, 7)
+    drawn = reference_random_triples(e6_stack.lie.dim, 5000, 7)
     live = sum(_weight_live(e6_stack.lie, *t) for t in drawn)
     assert (report.evaluated, report.zero_by_grading) == (live, 5000 - live)
 
 
+def _drawn(n, count, seed):
+    """The sampled scan's draws, each sorted, in order."""
+    return [tuple(sorted(t)) for chunk in sampling.sampled_triples(n, count, seed)
+            for t in chunk]
+
+
 def test_sampled_triples_are_exactly_uniform(monkeypatch):
-    # a generator that returns every value of getrandbits(3 b) once, in order:
-    # each ordered triple of distinct indices below n is one value, so each
-    # unordered triple is drawn exactly 3! = 6 times
+    # one chunk whose first 2^(3 b) words carry every value of getrandbits(3 b)
+    # once, in order, in their top bits, the low bits set and the rest of the
+    # chunk zero: each ordered triple of distinct indices below n is one
+    # value, so each unordered triple is drawn exactly 3! = 6 times
     n, b = 5, 3
+    shift = 32 - 3 * b
+    chunk = sum((v << shift | (1 << shift) - 1) << 32 * v for v in range(2 ** (3 * b)))
 
     class Every:
         def __init__(self, seed):
-            self.values = iter(range(2 ** (3 * b)))
+            self.chunks = iter([chunk])
 
         def getrandbits(self, bits):
-            assert bits == 3 * b
-            return next(self.values)
+            assert bits == 32 * sampling.WORDS
+            return next(self.chunks)
 
-    monkeypatch.setattr(liealg.random, "Random", Every)
-    drawn = Counter(liealg._random_triples(n, 6 * 10, seed=None))
+    monkeypatch.setattr(sampling.random, "Random", Every)
+    drawn = Counter(_drawn(n, 6 * 10, seed=None))
     assert drawn == {t: 6 for t in combinations(range(n), 3)}
 
 
+@pytest.mark.parametrize("kind", ["A2", "D4", "E6", "E7", "E8", "D16"])
+def test_sampled_scan_evaluates_the_live_reference_triples(kind, monkeypatch):
+    # index widths b = 3, 5, 7, 8, 8, 9; 6000 draws cross a chunk boundary
+    pipe = build_pipeline(kind)
+    L, real = pipe.lie, liealg._pair_failures
+    assert len(list(sampling.sampled_triples(L.dim, 6000, 3))) > 1
+    for count, seed in ((1, 0), (6000, 3)):
+        reference = list(reference_random_triples(L.dim, count, seed))
+        assert _drawn(L.dim, count, seed) == reference
+        seen = []
+
+        def spy(flat, coef, packed, i, j, ks, failures):
+            seen.extend((i, j, k) for k in ks)
+            return real(flat, coef, packed, i, j, ks, failures)
+
+        monkeypatch.setattr(liealg, "_pair_failures", spy)
+        report = verify_jacobi(L, theta=pipe.theta, sample=count, seed=seed)
+        monkeypatch.undo()
+        live = [t for t in reference if _weight_live(L, *t)]
+        assert report.ok and seen == live
+        assert (report.evaluated, report.zero_by_grading) == (len(live), count - len(live))
+
+
+@pytest.mark.parametrize("n", [8, 28, 78, 133, 248, 496])
+def test_draw_columns_follow_the_word_arithmetic(n):
+    # the columns and the selector come out of each 32-bit word as one
+    # getrandbits(3 b) would, whatever the host's byte order
+    b = (n - 1).bit_length()
+    shift, lane = 32 - 3 * b, (1 << b) - 1
+    rng = random.Random(n)
+    edges = [(0, 0, 0), (lane, lane, lane), (1, 1, 2), (2, 1, 1), (1, 2, 1),
+             (n - 1, n - 2, 0), (0, n - 1, lane), (lane, 0, 1)]
+    words = [(i | j << b | k << 2 * b) << shift | rng.getrandbits(shift)
+             for i, j, k in edges]
+    words += [rng.getrandbits(32) for _ in range(500)]
+    chunk = sum(w << 32 * t for t, w in enumerate(words))
+    accepted, columns = sampling._draw_columns(chunk, len(words), b, n)
+    assert [len(accepted)] + [len(c) for c in columns] == [len(words)] * 4
+    for t, w in enumerate(words):
+        x = w >> shift
+        i, j, k = x & lane, x >> b & lane, x >> 2 * b
+        assert (columns[0][t], columns[1][t], columns[2][t]) == (i, j, k)
+        assert bool(accepted[t]) == (len({i, j, k}) == 3 and max(i, j, k) < n)
+
+
 def test_sampled_triples_are_determined_by_the_seed(e6_stack):
-    first = list(liealg._random_triples(248, 2000, 3))
-    assert first == list(liealg._random_triples(248, 2000, 3))
-    assert first != list(liealg._random_triples(248, 2000, 4))
+    first = list(reference_random_triples(248, 2000, 3))
+    assert first == list(reference_random_triples(248, 2000, 3))
+    assert first != list(reference_random_triples(248, 2000, 4))
     assert all(0 <= i < j < k < 248 for i, j, k in first)
     # a broken table's sampled witnesses are the failing drawn triples
     bad = _flip(e6_stack.lie, _root_root_key(e6_stack.lie))
     report = verify_jacobi(bad, theta=build_theta(bad), sample=20000, seed=3)
-    drawn = list(liealg._random_triples(bad.dim, 20000, 3))
+    drawn = list(reference_random_triples(bad.dim, 20000, 3))
     assert report.failures == [t for t in drawn if _jacobi_sum(bad, *t)]
     assert report.failures
 
