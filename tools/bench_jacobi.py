@@ -1,16 +1,15 @@
 """Time the Jacobi kernels of ``verify`` in process, on E7 and E8.
 
 Usage: python3 tools/bench_jacobi.py --src SRC --label NAME --out FILE
-       [--samples 200000] [--seed 3] [--repeat 9]
 
 Imports rootcover from ``SRC`` (a checkout's ``src`` directory), builds the
-E7 and E8 pipelines once, and times three things, each as the median of
-``--repeat`` ``time.perf_counter`` readings: the sampled draw alone (every
-triple of the seeded sequence, nothing evaluated), the sampled scan
-(``verify_jacobi`` with ``sample`` set) and the exhaustive scan.  One row,
-tagged ``NAME``, is appended to the JSON list in ``FILE`` (created if
-missing), so running it on two checkouts on the same machine gives a before
-and an after row.  Stdlib only; not part of the test suite.
+E7 and E8 pipelines once, and times three things at ``SAMPLES`` samples and
+seed ``SEED``, each as the median of ``REPEAT`` ``time.perf_counter``
+readings: the sampled draw alone (every triple of the seeded sequence, each
+sorted, nothing evaluated), the sampled scan (``verify_jacobi`` with
+``sample`` set) and the exhaustive scan.  One row, tagged ``NAME``, is
+appended to the JSON list in ``FILE`` (created if missing).  Stdlib only;
+not part of the test suite.
 """
 
 from __future__ import annotations
@@ -21,29 +20,34 @@ import platform
 import statistics
 import sys
 import time
-from collections import deque
-from itertools import chain
 from pathlib import Path
 
+SAMPLES = 200_000
+SEED = 3
+REPEAT = 9
 
-def _median_s(fn, repeat: int) -> float:
+
+def _median_s(fn) -> float:
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
-def _consume_draws(liealg, n: int, count: int, seed: int) -> None:
-    # checkouts from before the chunked draw have liealg._random_triples
-    try:
-        from rootcover.sampling import sampled_triples
-    except ImportError:
-        draws = liealg._random_triples(n, count, seed)
-    else:
-        draws = chain.from_iterable(sampled_triples(n, count, seed))
-    deque(draws, maxlen=0)
+def _consume_draws(n: int) -> None:
+    # every draw is sorted, as the per-draw generator before the chunked draw
+    # sorted it, so that draw_s times the same work on both sides
+    from rootcover.sampling import sampled_triples
+    for draws in sampled_triples(n, SAMPLES, SEED):
+        for i, j, k in draws:
+            if i > j:
+                i, j = j, i
+            if j > k:
+                j, k = k, j
+                if i > j:
+                    i, j = j, i
 
 
 def main() -> int:
@@ -51,34 +55,25 @@ def main() -> int:
     ap.add_argument("--src", required=True, help="the src directory of a checkout")
     ap.add_argument("--label", required=True, help="the name of the row")
     ap.add_argument("--out", required=True, help="JSON file the row is appended to")
-    ap.add_argument("--samples", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--repeat", type=int, default=9)
     args = ap.parse_args()
-    if not 1 <= args.repeat <= 100:
-        ap.error("--repeat must be between 1 and 100")
-    if not 1 <= args.samples <= 1_000_000:
-        ap.error("--samples must be between 1 and 1000000")
 
     sys.path.insert(0, str(Path(args.src).resolve()))
     from rootcover import liealg
     from rootcover.cmd_pipeline import build_pipeline
 
     row = {"label": args.label, "python": platform.python_version(),
-           "machine": platform.machine(), "samples": args.samples,
-           "seed": args.seed, "repeat": args.repeat, "types": {}}
+           "machine": platform.machine(), "samples": SAMPLES, "seed": SEED,
+           "repeat": REPEAT, "types": {}}
     for kind in ("E7", "E8"):
         pipe = build_pipeline(kind)
         lie, theta = pipe.lie, pipe.theta
-        sampled = liealg.verify_jacobi(lie, theta=theta, sample=args.samples,
-                                       seed=args.seed)
+        sampled = liealg.verify_jacobi(lie, theta=theta, sample=SAMPLES, seed=SEED)
         row["types"][kind] = {
-            "draw_s": _median_s(lambda: _consume_draws(
-                liealg, lie.dim, args.samples, args.seed), args.repeat),
+            "draw_s": _median_s(lambda: _consume_draws(lie.dim)),
             "sampled_s": _median_s(lambda: liealg.verify_jacobi(
-                lie, theta=theta, sample=args.samples, seed=args.seed), args.repeat),
+                lie, theta=theta, sample=SAMPLES, seed=SEED)),
             "exhaustive_s": _median_s(lambda: liealg.verify_jacobi(
-                lie, theta=theta), args.repeat),
+                lie, theta=theta)),
             "sampled_evaluated": sampled.evaluated,
         }
         print(kind, json.dumps(row["types"][kind]), file=sys.stderr)
