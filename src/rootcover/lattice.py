@@ -149,9 +149,8 @@ class RootDatum:
         for c in self.roots:
             if g.inner(c, c) != 2:
                 raise LatticeError("listed root of norm != 2")
-        index = {c: i for i, c in enumerate(self.roots)}
         for c in self.roots:
-            if tuple(-x for x in c) not in index:
+            if tuple(-x for x in c) not in self.index:
                 raise LatticeError("roots not closed under negation")
         for k, ri in enumerate(self.simple):
             expected = tuple(1 if j == k else 0 for j in range(g.rank))
@@ -173,6 +172,24 @@ class RootDatum:
     @cached_property
     def positive(self) -> Tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.roots) if sum(c) > 0)
+
+    @cached_property
+    def packed(self) -> Tuple[int, ...]:
+        """Each root as one integer: its coordinates as the digits, in order,
+        of base 4M + 1, M the largest root coordinate size.
+
+        Packing is linear and sends no nonzero vector with coordinates in
+        [-4M, 4M] to 0, so two sums of two weights, or a sum of three weights
+        and a root, pack equal only when they are equal.  The Cartan weight 0
+        packs to 0.
+        """
+        base = 4 * max(abs(c) for r in self.roots for c in r) + 1
+        return tuple(sum(c * base ** t for t, c in enumerate(r)) for r in self.roots)
+
+    @cached_property
+    def root_classes(self) -> Tuple[int, ...]:
+        """Each root reduced mod 2, as the bitmask of its odd coordinates."""
+        return tuple(mod2_bits(c) for c in self.roots)
 
     @cached_property
     def simple_reflections(self) -> Tuple[bytes, ...]:
@@ -207,7 +224,7 @@ class RootDatum:
         return f"rank{n}-roots{m}"
 
     def root_class_bits(self, root_index: int) -> int:
-        return mod2_bits(self.roots[root_index])
+        return self.root_classes[root_index]
 
     def to_json_dict(self) -> dict:
         return {

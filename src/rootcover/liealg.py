@@ -5,8 +5,10 @@ together with one generator X_gamma per root, taken relative to canonical
 lifts (+1, gamma mod 2).  Structure constants come from four rules: the
 Cartan part is abelian, [h, X_gamma] = <h, gamma> X_gamma, root sums pick up
 the cocycle sign, and opposite roots bracket to minus the coroot.  The
-involution negates the Cartan part and swaps X_gamma with X_{-gamma} up to a
-sign read off from cover inverses; its fixed subalgebra is spanned by
+involution is the root negation: it negates the Cartan part and sends X_gamma
+to X_{-gamma} with sign +1, since the canonical lifts have q(gamma) =
+gamma.gamma / 2 = 1 on every root class (test_f2.py checks this in
+test_root_classes_have_q_one).  Its fixed subalgebra is spanned by
 Z_gamma = X_gamma + X_{-gamma} over the positive roots.
 
 Nothing here is trusted by construction: Jacobi, the automorphism property,
@@ -85,6 +87,8 @@ class IntegralLieAlgebra(SparseLieAlgebra):
         self.datum = datum
         self.cocycle = cocycle
         self.n_cartan = datum.rank
+        # the packed weight of each basis element (see RootDatum.packed)
+        self.packed = (0,) * datum.rank + datum.packed
         self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
             "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
 
@@ -132,19 +136,6 @@ def _bracket_row(indent: str, entries: int) -> str:
             + f"\n{a}]\n{indent}]")
 
 
-def _packed_roots(datum: RootDatum) -> List[int]:
-    """Each root as one integer: its coordinates as the digits, in order, of
-    base 4M + 1, M the largest root coordinate size.
-
-    Packing is linear and sends no nonzero vector with coordinates in
-    [-4M, 4M] to 0, so two sums of two weights, or a sum of three weights and
-    a root, pack equal only when they are equal.  The Cartan weight 0 packs
-    to 0.
-    """
-    base = 4 * max(abs(c) for r in datum.roots for c in r) + 1
-    return [sum(c * base ** t for t, c in enumerate(r)) for r in datum.roots]
-
-
 def build_lie(datum: RootDatum, cocycle: F2QuadraticSpace) -> IntegralLieAlgebra:
     """Assemble the bracket table; raises on lattice/cover mismatch."""
     n = datum.rank
@@ -168,9 +159,9 @@ def build_lie(datum: RootDatum, cocycle: F2QuadraticSpace) -> IntegralLieAlgebra
             if gamma[i]:
                 table[(i, nc + ri)] = ((nc + ri, gamma[i]),)
 
-    packed = _packed_roots(datum)
+    packed = datum.packed
     root_of = {p: ri for ri, p in enumerate(packed)}
-    bits = [datum.root_class_bits(ri) for ri in range(len(roots))]
+    bits = datum.root_classes
     for ri, pi in enumerate(packed):
         beta_i = cocycle.beta(bits[ri])     # beta(bits[ri], v) = parity(beta_i & v)
         for rj in range(ri + 1, len(roots)):
@@ -283,11 +274,12 @@ def _graded_scan(L: IntegralLieAlgebra, theta: Involution,
     root, and mirror the failures among them through ``theta``.
 
     ``theta`` must be build_theta(L), checked to be an automorphism of
-    ``flat``: e_i -> s_i e_{t_i} negates every weight, and J(e_ti, e_tj, e_tk)
-    = s_i s_j s_k theta(J(e_i, e_j, e_k)), so a triple fails exactly when its
-    image does.  The live triples of negative root weight are the images of
-    those of positive root weight.  Returns the number evaluated, the number
-    mirrored, and every failing live triple in lexicographic order.
+    ``flat``: e_i -> +-e_{t_i} (-1 on the Cartan part, +1 on the roots)
+    negates every weight, and J(e_ti, e_tj, e_tk) = +-theta(J(e_i, e_j, e_k)),
+    so a triple fails exactly when its image does.  The live triples of
+    negative root weight are the images of those of positive root weight.
+    Returns the number evaluated, the number mirrored, and every failing live
+    triple in lexicographic order.
     """
     n = L.dim
     # packing is linear, so theta maps a positive packed weight to a negative one
@@ -341,7 +333,7 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
         raise LieError("theta was not verified on this bracket table")
     assert_weight_graded(L)
     n, flat = L.dim, L.flat
-    packed = [0] * L.n_cartan + _packed_roots(L.datum)
+    packed = L.packed
     coef = [0] * (n * n)
     # only the nonempty entries: three quarters of E8's flat table is empty
     for x in compress(range(n * n), flat):
@@ -373,22 +365,15 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
 
 
 def assert_weight_graded(L: IntegralLieAlgebra) -> None:
-    """Raise LieError unless every bracket entry lands at the summed weight."""
-    if not _is_weight_graded(L):
-        raise LieError("bracket table is not weight graded")
-
-
-def _is_weight_graded(L: IntegralLieAlgebra) -> bool:
-    """Whether every entry of [e_i, e_j], i < j, read from ``flat``, lies at
-    weight w_i + w_j (the (j, i) entries are their negations)."""
-    n, flat = L.dim, L.flat
-    packed = [0] * L.n_cartan + _packed_roots(L.datum)
+    """Raise LieError unless every entry of [e_i, e_j], i < j, read from
+    ``flat``, lies at weight w_i + w_j (the (j, i) entries are their
+    negations)."""
+    n, flat, packed = L.dim, L.flat, L.packed
     for i, pi in enumerate(packed):
         for pj, entries in zip(packed[i + 1:], flat[i * n + i + 1:i * n + n]):
             for k, _ in entries:
                 if packed[k] != pi + pj:
-                    return False
-    return True
+                    raise LieError("bracket table is not weight graded")
 
 
 def killing_form(alg: SparseLieAlgebra) -> Tuple[Tuple[int, ...], ...]:
@@ -419,30 +404,27 @@ def killing_form(alg: SparseLieAlgebra) -> Tuple[Tuple[int, ...], ...]:
 
 
 class Involution:
-    """Signed basis map: h -> -h on the Cartan part, X_gamma -> s * X_{-gamma}.
+    """The root negation as a signed basis map: h -> -h on the Cartan part,
+    X_gamma -> X_{-gamma} on the roots.
 
-    ``verified_on`` is the ``flat`` table on which build_theta checked the
-    map to be an automorphism; verify_jacobi and FixedSubalgebra accept it
-    on no other."""
+    The sign on X_gamma is +1 because q(gamma) = 1 on every root class (see
+    test_f2.py::test_root_classes_have_q_one).  ``negation`` maps each root
+    index to that of its negative.  ``verified_on`` is the ``flat`` table on
+    which build_theta checked the map to be an automorphism; verify_jacobi
+    and FixedSubalgebra accept it on no other."""
 
-    def __init__(self, n_cartan: int, root_map: Tuple[Tuple[int, int], ...],
-                 verified_on: Sequence):
+    def __init__(self, n_cartan: int, negation: Tuple[int, ...], verified_on: Sequence):
         self.n_cartan = n_cartan
-        self.root_map = root_map  # root index -> (image root index, sign)
+        self.negation = negation
         self.verified_on = verified_on
 
     def apply_basis(self, i: int) -> Tuple[int, int]:
         if i < self.n_cartan:
             return i, -1
-        target, sign = self.root_map[i - self.n_cartan]
-        return self.n_cartan + target, sign
+        return self.n_cartan + self.negation[i - self.n_cartan], 1
 
     def trace(self) -> int:
-        tr = -self.n_cartan
-        for ri, (target, sign) in enumerate(self.root_map):
-            if target == ri:
-                tr += sign
-        return tr
+        return -self.n_cartan + sum(t == ri for ri, t in enumerate(self.negation))
 
 
 def _automorphism_failures(alg: SparseLieAlgebra,
@@ -466,15 +448,8 @@ def _automorphism_failures(alg: SparseLieAlgebra,
 
 def build_theta(L: IntegralLieAlgebra) -> Involution:
     """The stable involution; verified to be an automorphism with trace -rank."""
-    datum = L.datum
-    coc = L.cocycle
-    root_map = []
-    for ri in range(len(datum.roots)):
-        neg = datum.negation[ri]
-        sign = 1 if coc.q(datum.root_class_bits(ri)) else -1
-        root_map.append((neg, sign))
     # returned only once every check below has passed on L.flat
-    theta = Involution(L.n_cartan, tuple(root_map), L.flat)
+    theta = Involution(L.n_cartan, L.datum.negation, L.flat)
 
     image = [theta.apply_basis(i) for i in range(L.dim)]
     for i, (j, s) in enumerate(image):
@@ -506,28 +481,25 @@ class FixedSubalgebra(SparseLieAlgebra):
         super().__init__(len(self.pos), self._table())
 
     def _table(self) -> Table:
-        """[Z_a, Z_b] = (1 + theta)(y) for y = [X_a, X_b] + s_b [X_a, X_-b],
-        theta(X_b) = s_b X_-b: theta is an automorphism with s_c s_-c = 1, so
-        it maps y onto the other two terms of the bracket.  (1 + theta) kills
-        the Cartan part and sends X_c to Z_c for c > 0 and to s_c Z_-c for
-        c < 0, so each pair reads two brackets of ``L.flat``."""
+        """[Z_a, Z_b] = (1 + theta)(y) for y = [X_a, X_b] + [X_a, X_-b]:
+        theta is an automorphism that sends X_c to X_-c, so it maps y onto
+        the other two terms of the bracket.  (1 + theta) kills the Cartan
+        part and sends X_c and X_-c to Z_c for c > 0, so each pair reads two
+        brackets of ``L.flat``."""
         L = self.L
         n, nc, flat = L.dim, L.n_cartan, L.flat
-        root_map = self.theta.root_map
+        neg = self.theta.negation
         pos_index = {ri: i for i, ri in enumerate(self.pos)}
-        # basis index k -> (fixed index, sign) of (1 + theta) X_k
-        down = {nc + ri: (pos_index[ri], 1) if ri in pos_index
-                else (pos_index[target], sign)
-                for ri, (target, sign) in enumerate(root_map)}
+        # basis index k -> fixed index of (1 + theta) X_k
+        down = {nc + ri: pos_index[ri] if ri in pos_index else pos_index[target]
+                for ri, target in enumerate(neg)}
         table: Table = {}
         for i, a in enumerate(self.pos):
             row = (nc + a) * n + nc
             for j in range(i + 1, len(self.pos)):
                 b = self.pos[j]
-                target, sign = root_map[b]
-                y = flat[row + b] + tuple((k, sign * c) for k, c in flat[row + target])
-                entries = add_terms({}, [(down[k][0], down[k][1] * c)
-                                         for k, c in y if k >= nc])
+                y = flat[row + b] + flat[row + neg[b]]
+                entries = add_terms({}, [(down[k], c) for k, c in y if k >= nc])
                 if entries:
                     table[(i, j)] = tuple(sorted(entries.items()))
         return table

@@ -1,6 +1,7 @@
 import ast
 import copy
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -293,18 +294,48 @@ def test_verify_small_exhaustive(capsys, tmp_path):
 
 def test_verify_checks_the_grading_once_and_build_never(capsys, monkeypatch):
     scans = []
-    real = liealg._is_weight_graded
+    real = liealg.assert_weight_graded
 
     def counted(L):
         scans.append(L.datum.type_name)
         return real(L)
 
-    monkeypatch.setattr(liealg, "_is_weight_graded", counted)
+    monkeypatch.setattr(liealg, "assert_weight_graded", counted)
     assert cli.main(["build", "--type", "A2"]) == 0
     assert scans == []
     # exhaustive Jacobi relies on the grading; the Killing forms need none
     assert cli.main(["verify", "--type", "A2"]) == 0
     assert scans == ["A2"]
+
+
+def test_verify_packs_the_weights_once_and_reduces_each_root_once(capsys, monkeypatch):
+    # build_lie reads datum.packed and the algebra keeps it, behind the Cartan
+    # zeros, for the grading check and Jacobi; build_lie, the representation
+    # checks and RMap read datum.root_classes
+    packings, reductions = [], []
+    real_packed = lattice.RootDatum.__dict__["packed"].func
+
+    def counted(datum):
+        packings.append(datum.type_name)
+        return real_packed(datum)
+
+    packed = functools.cached_property(counted)
+    packed.__set_name__(lattice.RootDatum, "packed")
+    monkeypatch.setattr(lattice.RootDatum, "packed", packed)
+    real_bits = lattice.mod2_bits
+
+    def counted_bits(coords):
+        reductions.append(coords)
+        return real_bits(coords)
+
+    monkeypatch.setattr(lattice, "mod2_bits", counted_bits)
+    assert cli.main(["verify", "--type", "E7"]) == 0
+    datum = lattice.root_datum("E7")
+    assert packings == ["E7"]
+    # mod2_space also reduces the gram rows, whose signs are mixed, so no
+    # root, and the half norms, as a list
+    assert sorted(c for c in reductions
+                  if isinstance(c, tuple) and c in datum.index) == sorted(datum.roots)
 
 
 def test_ungraded_table_exits_1_through_jacobi(capsys, monkeypatch):
@@ -525,6 +556,17 @@ def test_root_square_failure_fails_rep_and_lift_order4(capsys, monkeypatch):
     assert checks["rep"]["ok"] is False
     assert checks["lift_order4"] == {"ok": False, "roots": 72}
     for name in ("jacobi", "fixed_rep_hom", "comm_relation"):
+        assert checks[name]["ok"] is True
+
+
+def test_failed_anticommutation_model_fails_verify(capsys, monkeypatch):
+    monkeypatch.setattr(cmd_pipeline, "anticommutation_model_holds", lambda: False)
+    code, out = _run(capsys, ["verify", "--type", "E6"])
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    checks = payload["checks"]
+    assert checks["anticommutation_model"] == {"ok": False}
+    for name in ("jacobi", "theta", "rep", "lift_order4", "comm_relation", "fixed_rep_hom"):
         assert checks[name]["ok"] is True
 
 

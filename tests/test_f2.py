@@ -25,10 +25,11 @@ def test_hyperbolic_plane_polarization_value():
 
 
 def test_root_classes_have_q_one():
-    datum = lattice.root_datum("E6")
-    space = lattice.mod2_space(datum)
-    for i in range(len(datum.roots)):
-        assert space.q(datum.root_class_bits(i)) == 1
+    # q(gamma) = gamma.gamma / 2 = 1: the premise of theta's sign +1 on X_gamma
+    for name in ("A2", "A16", "D4", "D16", "E6", "E7", "E8"):
+        datum = lattice.root_datum(name)
+        space = lattice.mod2_space(datum)
+        assert [space.q(bits) for bits in datum.root_classes] == [1] * len(datum.roots), name
 
 
 def test_polarization_identity_exhaustive():
