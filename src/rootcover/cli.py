@@ -54,6 +54,9 @@ class RunConfig:
         self.lattice_type: Optional[str] = None
         self.depth = "exhaustive"
         self.seed: Optional[int] = None
+        # text that stdout gets ahead of the JSON, table's rows; --out gets
+        # the JSON alone
+        self.text = ""
 
     def stamp(self) -> dict:
         # "workers" is a fixed field of the output format: every check runs
@@ -76,9 +79,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
+def _emit(payload: dict, out: Optional[str], head: str) -> None:
     """Write ``payload`` as the text of json.dumps(payload, sort_keys=True,
-    indent=2), but for its values that render themselves.
+    indent=2), but for its values that render themselves, to ``out`` when
+    given, then to stdout after ``head``, so that a failed write to ``out``
+    leaves stdout empty.
 
     Dicts are walked by sorted key.  A callable value is called with the
     indentation of its line and returns its own text: ``build`` renders its
@@ -106,7 +111,7 @@ def _emit(payload: dict, out: Optional[str]) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
-    sys.stdout.write(text)
+    sys.stdout.write(head + text)
 
 
 def _check_writable(path: str) -> None:
@@ -199,7 +204,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload, code = command.run(cfg, args)
         if payload is not None:
             t0 = time.perf_counter()
-            _emit(payload, cfg.out)
+            _emit(payload, cfg.out, cfg.text)
             if cfg.command == "build":
                 # build's payload is its large tables: writing them is a stage
                 clock("render", t0)

@@ -16,9 +16,9 @@ from typing import Optional, Tuple
 
 from . import note
 from .f2 import count_refinements_by_arf
-from .lattice import (LatticeError, bitangent_complement, classify_involutions,
-                      delpezzo_k_perp, discriminant_group, lines,
-                      lines_meeting, root_datum, weyl_enumerate)
+from .lattice import (DelPezzoPicard, LatticeError, bitangent_complement,
+                      classify_involutions, delpezzo_k_perp, discriminant_group,
+                      lines, lines_meeting, root_datum, weyl_enumerate)
 from .realtable import RealTableError, emit_table
 
 
@@ -36,23 +36,23 @@ def cmd_table(cfg, args: argparse.Namespace) -> Tuple[dict, int]:
     weyl = weyl_enumerate(datum)
     classes = classify_involutions(datum, weyl)
     rows = emit_table(datum, classes)
-    # the text rows go out here, ahead of the JSON payload the CLI writes
+    # the CLI writes the text rows to stdout ahead of the JSON payload
     header = f"{'class':>8} {'n(C)':>5} {'a(C)':>5} {'bitangents':>11} {'#J/2J':>6} {'orbits':>7}"
-    print(header)
-    for r in rows:
-        print(f"{r.label:>8} {r.n_c:>5} {r.a_c:>5} {r.real_bitangents:>11} "
-              f"{r.j_mod_2j_size:>6} {r.orbit_count:>7}")
+    cfg.text = header + "\n" + "".join(
+        f"{r.label:>8} {r.n_c:>5} {r.a_c:>5} {r.real_bitangents:>11} "
+        f"{r.j_mod_2j_size:>6} {r.orbit_count:>7}\n" for r in rows)
     payload = {"config": cfg.stamp(), "weyl_order": len(weyl),
                "rows": [r.to_json_dict() for r in rows]}
     return payload, 0
 
 
 def cmd_delpezzo(cfg, args: argparse.Namespace) -> Tuple[dict, int]:
-    kperp = delpezzo_k_perp()
+    pic = DelPezzoPicard.standard()
+    kperp = delpezzo_k_perp(pic)
     e = (0, 0, 0, 0, 0, 0, 0, 1)
-    comp = bitangent_complement(e)
-    all_lines = lines()
-    meeting = lines_meeting(e)
+    comp = bitangent_complement(pic, e)
+    all_lines = lines(pic)
+    meeting = lines_meeting(pic, all_lines, e)
     payload = {
         "config": cfg.stamp(),
         "e7_roots": len(kperp.roots),

@@ -26,15 +26,6 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def mul_vec(rows: Sequence[int], v: int) -> int:
-    """The matrix with bit rows ``rows`` times the column vector ``v``."""
-    out = 0
-    for i, row in enumerate(rows):
-        if parity(row & v):
-            out |= 1 << i
-    return out
-
-
 def mod2_bits(coords: Sequence[int]) -> int:
     """Reduce an integer vector mod 2 to the bitmask of its odd coordinates."""
     bits = 0
@@ -46,7 +37,9 @@ def mod2_bits(coords: Sequence[int]) -> int:
 
 def vec_mat(rows: Sequence[int], u: int) -> int:
     """The bit row u^T S for the matrix S with bit rows ``rows``: the sum of
-    the rows at the set bits of u, so that u^T S v = parity(vec_mat(rows, u) & v)."""
+    the rows at the set bits of u, so that u^T S v = parity(vec_mat(rows, u) & v).
+    Given the columns of a matrix M as ``rows``, it is M u: the module's one
+    matrix-vector kernel."""
     acc = 0
     while u:
         acc ^= rows[(u & -u).bit_length() - 1]

@@ -17,16 +17,6 @@ def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(zip(*[tuple(row) for row in m])) if m else ()
 
 
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
-
-
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def bareiss_det(m: Sequence[Sequence[int]]) -> int:
     """Fraction-free determinant of a square integer matrix: the product of
     the Bareiss determinants of the connected blocks of its nonzero

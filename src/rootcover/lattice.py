@@ -6,7 +6,9 @@ order (the product of the degrees read off the root heights) and its
 involutions (products of reflections in orthogonal roots), conjugacy
 classification of Weyl involutions, the rank-8 blow-up lattice of a
 degree-2 surface with its 56 exceptional classes, and reduction mod 2 to a
-quadratic F2 space.
+quadratic F2 space.  A Weyl element is only ever a root permutation: it acts
+mod 2 through the classes of the roots it sends the simple roots to, and no
+integer matrix of it is formed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import cached_property
 from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
-from .f2 import F2QuadraticSpace, f2_rank, mod2_bits
+from .f2 import F2QuadraticSpace, mod2_bits
 from . import intmat
 from .intmat import IntMatrix
 
@@ -226,6 +228,11 @@ class RootDatum:
     def root_class_bits(self, root_index: int) -> int:
         return self.root_classes[root_index]
 
+    def mod2_columns(self, perm: bytes) -> Tuple[int, ...]:
+        """The Weyl element ``perm`` mod 2, by columns: column j is the class
+        of the root that the j-th simple root goes to."""
+        return tuple(self.root_classes[perm[si]] for si in self.simple)
+
     def to_json_dict(self) -> dict:
         return {
             "type": self.type_name,
@@ -320,11 +327,6 @@ class WeylGroup:
     def __len__(self) -> int:
         return self.order
 
-    def matrix(self, perm: bytes) -> IntMatrix:
-        images = [self.datum.roots[perm[si]] for si in self.datum.simple]
-        n = self.datum.rank
-        return tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
-
     def trace(self, perm: bytes) -> int:
         return sum(self.datum.roots[perm[si]][j]
                    for j, si in enumerate(self.datum.simple))
@@ -393,18 +395,15 @@ INVOLUTION_LABELS_E6 = {6: "1", 4: "s1", 2: "s1s2", 0: "s1s2s3", -2: "tau"}
 
 
 class WeylInvolutionClass:
-    def __init__(self, label: str, representative: IntMatrix):
+    """A class of involutions of W, or the identity, held by one
+    representative root permutation; it must square to the identity."""
+
+    def __init__(self, label: str, representative: bytes):
         self.label = label
         self.representative = representative
-        n = len(self.representative)
-        if intmat.matmul(self.representative, self.representative) != intmat.identity(n):
+        p = self.representative
+        if p.translate(p + _BYTE_RANGE[len(p):]) != _BYTE_RANGE[:len(p)]:
             raise LatticeError("representative does not square to the identity")
-
-
-def mod2_rank_one_plus(matrix: IntMatrix) -> int:
-    """Rank of (1 + matrix) mod 2."""
-    rows = [mod2_bits(row) ^ (1 << i) for i, row in enumerate(matrix)]
-    return f2_rank(rows, len(matrix))
 
 
 def _conjugacy_orbit(datum: RootDatum, start: bytes) -> set:
@@ -439,7 +438,7 @@ def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvoluti
         groups.setdefault(weyl.trace(p), []).append(p)
     if len(groups) != 4:
         raise LatticeError(f"expected 4 traces of involutions, got {len(groups)}")
-    classes = [WeylInvolutionClass("1", intmat.identity(datum.rank))]
+    classes = [WeylInvolutionClass("1", _BYTE_RANGE[:len(datum.roots)])]
     for tr, members in sorted(groups.items(), reverse=True):
         label = INVOLUTION_LABELS_E6.get(tr)
         if label is None or label == "1":
@@ -448,7 +447,7 @@ def classify_involutions(datum: RootDatum, weyl: WeylGroup) -> List[WeylInvoluti
         if orbit != set(members):
             raise LatticeError(f"involutions of trace {tr}: {len(members)} "
                                f"listed, conjugacy orbit {len(orbit)}")
-        classes.append(WeylInvolutionClass(label, weyl.matrix(members[0])))
+        classes.append(WeylInvolutionClass(label, members[0]))
     return classes
 
 
@@ -486,13 +485,12 @@ class DelPezzoPicard:
         return self.inner(d, d) == -1 and self.inner(d, self.canonical) == -1
 
 
-def lines() -> Tuple[Coords, ...]:
+def lines(pic: DelPezzoPicard) -> Tuple[Coords, ...]:
     """All classes with D^2 = D.K = -1, by bounded enumeration.
 
     Cauchy-Schwarz on (sum b_i)^2 <= 7 sum b_i^2 confines the h-coefficient
     to {0, 1, 2, 3}.
     """
-    pic = DelPezzoPicard.standard()
     out: List[Coords] = []
     for a in range(0, 4):
         square_sum = a * a + 1
@@ -519,13 +517,13 @@ def lines() -> Tuple[Coords, ...]:
     return tuple(sorted(out))
 
 
-def lines_meeting(e: Sequence[int]) -> Tuple[Coords, ...]:
-    """Line classes D with D.e = 1 and D.f = 0, where f = -K - e."""
-    pic = DelPezzoPicard.standard()
+def lines_meeting(pic: DelPezzoPicard, all_lines: Sequence[Coords],
+                  e: Sequence[int]) -> Tuple[Coords, ...]:
+    """The lines D of ``all_lines`` with D.e = 1 and D.f = 0, where f = -K - e."""
     if not pic.is_line_class(e):
         raise LatticeError("e is not a line class")
     f = tuple(-k - x for k, x in zip(pic.canonical, e))
-    return tuple(d for d in lines()
+    return tuple(d for d in all_lines
                  if pic.inner(d, e) == 1 and pic.inner(d, f) == 0)
 
 
@@ -540,18 +538,16 @@ def _sublattice_datum(pic: DelPezzoPicard, orthogonal_to: Sequence[Coords],
     return enumerate_roots(IntLattice(gram))
 
 
-def delpezzo_k_perp() -> RootDatum:
+def delpezzo_k_perp(pic: DelPezzoPicard) -> RootDatum:
     """The orthogonal complement of the canonical class, sign-flipped to positive."""
-    pic = DelPezzoPicard.standard()
     datum = _sublattice_datum(pic, [pic.canonical], 7)
     if datum.type_name != "E7":
         raise LatticeError(f"K-perp is not E7 (got {datum.type_name})")
     return datum
 
 
-def bitangent_complement(e: Sequence[int]) -> RootDatum:
+def bitangent_complement(pic: DelPezzoPicard, e: Sequence[int]) -> RootDatum:
     """The complement of a line class pair {e, -K-e} inside K-perp."""
-    pic = DelPezzoPicard.standard()
     if not pic.is_line_class(e):
         raise LatticeError("e is not a line class")
     f = tuple(-k - x for k, x in zip(pic.canonical, e))

@@ -8,16 +8,18 @@ count).  A real genus-3 curve with n(C) >= 1 real components has
 #J(R)/2J(R) = 2^(n(C) - 1), and 2^(n(C) + 1) - 4 + 4 a(C) real bitangents,
 a(C) = 0 when C(R) divides C(C) (Gross and Harris, Ann. Sci. ENS 14, 1981):
 so n(C) and a(C) are computed.
+
+Only w mod 2 enters.  Its columns are the classes of the roots that the
+representative permutation sends the simple roots to, so w v is the sum of
+the columns at the set bits of v; the mod-2 space is built once per table.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from .f2 import F2QuadraticSpace, mod2_bits, mul_vec, standard_symplectic_space
-from .intmat import IntMatrix, matmul, identity
-from .lattice import (RootDatum, WeylInvolutionClass, mod2_rank_one_plus,
-                      mod2_space)
+from .f2 import F2QuadraticSpace, f2_rank, standard_symplectic_space, vec_mat
+from .lattice import RootDatum, WeylInvolutionClass, mod2_space
 
 
 class RealTableError(ValueError):
@@ -70,7 +72,7 @@ def orbit_count_from_size(size: int) -> int:
 
 
 def invariant_odd_refinements(space: F2QuadraticSpace,
-                              w_mod2_rows: Sequence[int]) -> int:
+                              w_columns: Sequence[int]) -> int:
     """Count refinements q' with q' o w = q' and Arf(q') = 1.
 
     Each refinement is q'(v) = q(v) + <a, v> = q(v + a) + q(a) for one a, so
@@ -78,11 +80,13 @@ def invariant_odd_refinements(space: F2QuadraticSpace,
     checked here on every vector, q' is w-invariant exactly when w a = a, once
     |zeros - ones| = 2^(dim / 2) shows the pairing nondegenerate.  So the
     count is #{a : w a = a, q(a) != Arf(q)}, from one pass over the vectors.
+    ``w_columns`` are the images of the basis vectors: w v sums those at the
+    set bits of v.
     """
     n = space.dim
     ones = fixed = fixed_ones = 0
     for v in range(1 << n):
-        wv = mul_vec(w_mod2_rows, v)
+        wv = vec_mat(w_columns, v)
         qv = space.q(v)
         if space.q(wv) != qv:
             raise RealTableError("base refinement is not invariant under w")
@@ -96,28 +100,27 @@ def invariant_odd_refinements(space: F2QuadraticSpace,
     return fixed - fixed_ones if ones > zeros else fixed_ones
 
 
-def row_for_involution(w: IntMatrix, datum: RootDatum, label: str) -> TableRow:
-    """Compute a table row from an involution given as an integer matrix."""
-    if datum.type_name != "E6":
-        raise RealTableError("the table is defined over the E6 datum")
-    n = datum.rank
-    if matmul(w, w) != identity(n):
-        raise RealTableError("matrix is not an involution")
-    # (1 + w)^2 = 2 (1 + w) = 0 mod 2, so the mod-2 rank is <= 6 / 2 and g >= 0
-    g = 3 - mod2_rank_one_plus(w)
-    size = 1 << g
-    space = mod2_space(datum)
-    bitangents = invariant_odd_refinements(space, [mod2_bits(row) for row in w])
-    return TableRow(label, bitangents, size, orbit_count(g))
+def row_for_involution(space: F2QuadraticSpace, w_columns: Sequence[int],
+                       label: str) -> TableRow:
+    """Compute a table row from an involution w mod 2, given by its columns."""
+    # the columns of 1 + w span its image; (1 + w)^2 = 2 (1 + w) = 0 mod 2, so
+    # its mod-2 rank is <= 6 / 2 and g >= 0
+    g = 3 - f2_rank([c ^ (1 << i) for i, c in enumerate(w_columns)], space.dim)
+    bitangents = invariant_odd_refinements(space, w_columns)
+    return TableRow(label, bitangents, 1 << g, orbit_count(g))
 
 
 def emit_table(datum: RootDatum,
                classes: Sequence[WeylInvolutionClass]) -> Tuple[TableRow, ...]:
     """Compute the row of each involution class, asserting the expected
     column values exactly."""
+    if datum.type_name != "E6":
+        raise RealTableError("the table is defined over the E6 datum")
+    space = mod2_space(datum)
     rows = []
     for cls in classes:
-        row = row_for_involution(cls.representative, datum, label=cls.label)
+        row = row_for_involution(space, datum.mod2_columns(cls.representative),
+                                 label=cls.label)
         expected = EXPECTED_COLUMNS[cls.label]
         got = (row.real_bitangents, row.j_mod_2j_size, row.orbit_count)
         if got != expected:

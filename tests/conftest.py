@@ -10,7 +10,8 @@ import pytest
 from rootcover import lattice
 from rootcover.cli import RunConfig
 from rootcover.cmd_pipeline import Pipeline, build_pipeline
-from rootcover.f2 import F2Error, f2_echelon, parity, symplectic_decomposition
+from rootcover.f2 import (F2Error, f2_echelon, f2_rank, mod2_bits, parity,
+                          symplectic_decomposition)
 from rootcover.gaussian import _SparseEchelon, add_terms
 from rootcover.heisrep import HeisRep, RepError, _check_table, build_heisrep
 from rootcover.liealg import LieError, RMap
@@ -589,21 +590,62 @@ def e6_classes(e6_stack, e6_weyl):
     return lattice.classify_involutions(e6_stack.datum, e6_weyl)
 
 
-def involution_key(matrix):
-    """(trace, rank of (1 + w) mod 2), two conjugacy invariants:
-    classify_involutions groups the involutions by the trace alone."""
+# -- the integer-matrix route of a Weyl element, the reference that the
+# permutation route of src is checked against: the matrix, its reduction mod
+# 2 row by row, and the product of bit rows with a vector
+
+
+def matmul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                 for row in a)
+
+
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def weyl_matrix(datum, perm):
+    """The integer matrix of a root permutation: column j is the image of
+    the j-th simple root."""
+    images = [datum.roots[perm[si]] for si in datum.simple]
+    n = datum.rank
+    return tuple(tuple(images[j][i] for j in range(n)) for i in range(n))
+
+
+def mul_vec(rows, v):
+    """The matrix with bit rows ``rows`` times the column vector ``v``."""
+    out = 0
+    for i, row in enumerate(rows):
+        if parity(row & v):
+            out |= 1 << i
+    return out
+
+
+def mod2_rank_one_plus(matrix):
+    """Rank of (1 + matrix) mod 2."""
+    rows = [mod2_bits(row) ^ (1 << i) for i, row in enumerate(matrix)]
+    return f2_rank(rows, len(matrix))
+
+
+def involution_key(datum, perm):
+    """(trace, rank of (1 + w) mod 2), two conjugacy invariants, from the
+    integer matrix: classify_involutions groups the involutions by the trace
+    alone."""
+    matrix = weyl_matrix(datum, perm)
     return (sum(matrix[i][i] for i in range(len(matrix))),
-            lattice.mod2_rank_one_plus(matrix))
+            mod2_rank_one_plus(matrix))
 
 
 @pytest.fixture(scope="session")
 def e6_members(e6_weyl):
     """The identity and the E6 involutions, as root permutations grouped by
     involution_key."""
-    ident = bytes(range(len(e6_weyl.datum.roots)))
-    groups = {involution_key(e6_weyl.matrix(ident)): [ident]}
+    datum = e6_weyl.datum
+    ident = bytes(range(len(datum.roots)))
+    groups = {involution_key(datum, ident): [ident]}
     for p in e6_weyl.involutions:
-        groups.setdefault(involution_key(e6_weyl.matrix(p)), []).append(p)
+        groups.setdefault(involution_key(datum, p), []).append(p)
     return groups
 
 

@@ -13,7 +13,8 @@ from rootcover import intmat, lattice
 from rootcover.f2 import count_refinements_by_arf
 from rootcover.gaussian import sparse_rank
 from rootcover.heisrep import anticommutation_model_holds, verify_rep
-from rootcover.lattice import (bitangent_complement, classify_involutions,
+from rootcover.lattice import (DelPezzoPicard, bitangent_complement,
+                               classify_involutions,
                                delpezzo_k_perp, lines, lines_meeting,
                                weyl_enumerate)
 from rootcover.liealg import identify_fixed, killing_form, verify_R, verify_jacobi
@@ -116,11 +117,13 @@ def test_criterion_07_cover_representation(e6_stack, e7_stack):
 
 def test_criterion_08_blowup_lattice_facts():
     t0 = time.perf_counter()
-    assert len(delpezzo_k_perp().roots) == 126
+    pic = DelPezzoPicard.standard()
+    assert len(delpezzo_k_perp(pic).roots) == 126
     e = (0, 0, 0, 0, 0, 0, 0, 1)
-    assert len(bitangent_complement(e).roots) == 72
-    assert len(lines()) == 56
-    assert len(lines_meeting(e)) == 27
+    assert len(bitangent_complement(pic, e).roots) == 72
+    all_lines = lines(pic)
+    assert len(all_lines) == 56
+    assert len(lines_meeting(pic, all_lines, e)) == 27
     _report(8, "blow-up lattice counts 126 / 72 / 56 / 27",
             time.perf_counter() - t0, 5)
 

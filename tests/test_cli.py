@@ -3,6 +3,7 @@ import copy
 import errno
 import functools
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 from conftest import basis_of_root, bracket, reference_r_failures, upper_table, with_mats
 
 from rootcover import (cli, cmd_lattice, cmd_pipeline, cmd_quartic, heisrep,
-                       lattice, liealg, quartic, realtable)
+                       intmat, lattice, liealg, quartic, realtable)
 from rootcover.f2 import F2Error
 from rootcover.gaussian import MonoMat, add_terms
 from rootcover.liealg import IntegralLieAlgebra
@@ -54,6 +55,59 @@ def test_delpezzo_command(capsys):
     assert payload["meeting_e"] == 27
     assert payload["e6_discriminant"] == [3]
     assert payload["e7_discriminant"] == [2]
+
+
+def test_delpezzo_builds_the_form_once_and_enumerates_the_lines_once(capsys, monkeypatch):
+    # lines_meeting filters the lines the command enumerated
+    enumerations, forms = [], []
+    real_lines, real_standard = lattice.lines, lattice.DelPezzoPicard.standard
+
+    def counted_lines(*args):
+        enumerations.append(args)
+        return real_lines(*args)
+
+    def counted_standard():
+        forms.append(None)
+        return real_standard()
+
+    for module in (lattice, cmd_lattice):
+        monkeypatch.setattr(module, "lines", counted_lines)
+    monkeypatch.setattr(lattice.DelPezzoPicard, "standard", staticmethod(counted_standard))
+    code, out = _run(capsys, ["delpezzo"])
+    assert code == 0 and json.loads(out)["meeting_e"] == 27
+    assert len(enumerations) == 1
+    assert len(forms) == 1
+
+
+def test_table_reduces_mod_2_once_and_multiplies_no_integer_matrices(capsys, monkeypatch):
+    # emit_table builds the mod-2 space once, and each involution reaches it
+    # as a root permutation: the only intmat functions a table enters are
+    # those of root enumeration
+    spaces = []
+    real_space = realtable.mod2_space
+
+    def counted_space(datum):
+        spaces.append(datum.type_name)
+        return real_space(datum)
+
+    monkeypatch.setattr(realtable, "mod2_space", counted_space)
+    functions = {f.__code__: name for name, f in vars(intmat).items()
+                 if inspect.isfunction(f) and f.__module__ == intmat.__name__}
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in functions:
+            entered.add(functions[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        code = cli.main(["table", "real-orbits"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert _json_tail(capsys.readouterr().out)["weyl_order"] == 51840
+    assert spaces == ["E6"]
+    assert entered <= {"transpose", "ldlt", "bareiss_det", "_bareiss"}
 
 
 def test_build_small_type(capsys):
@@ -176,6 +230,27 @@ def test_failed_out_write_exits_2_without_a_traceback(capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_out_write_on_table_leaves_stdout_empty(capsys):
+    # table's text rows go to stdout with its JSON, after the --out write
+    assert cli.main(["table", "real-orbits", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out /dev/full: ")
+
+
+def test_table_out_holds_the_json_and_stdout_the_rows_then_the_json(capsys, tmp_path):
+    out = tmp_path / "table.json"
+    assert cli.main(["table", "real-orbits", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    text = out.read_text()
+    assert json.loads(text)["weyl_order"] == 51840
+    assert stdout.endswith(text)
+    rows = stdout[:-len(text)].splitlines()
+    assert rows[0].split() == ["class", "n(C)", "a(C)", "bitangents", "#J/2J", "orbits"]
+    assert [r.split()[0] for r in rows[1:]] == ["1", "s1", "s1s2", "s1s2s3", "tau"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("argv", [["counts", "--g", "2"], ["table", "real-orbits"]],
                          ids=["counts", "table"])
@@ -266,7 +341,7 @@ def test_writer_matches_json_dumps_around_a_value_that_renders_itself(capsys):
                "\u00fc": 1.5, "a": None, "c": [True, {"b": 2, "a": 1}]}
     reference = copy.deepcopy(payload)
     reference["b"]["y"]["deep"] = table
-    cli._emit(payload, None)
+    cli._emit(payload, None, "")
     assert capsys.readouterr().out == json.dumps(reference, sort_keys=True, indent=2) + "\n"
 
 
@@ -672,7 +747,7 @@ def test_table_with_an_involution_missing_exits_1(capsys, monkeypatch):
 
 def test_delpezzo_wrong_count_exits_1(capsys, monkeypatch):
     real = cmd_lattice.lines
-    monkeypatch.setattr(cmd_lattice, "lines", lambda: real()[1:])
+    monkeypatch.setattr(cmd_lattice, "lines", lambda pic: real(pic)[1:])
     code, out = _run(capsys, ["delpezzo"])
     assert code == 1 and json.loads(out)["lines"] == 55
 

@@ -3,10 +3,10 @@ import random
 from typing import Iterator, List, Sequence, Tuple
 
 import pytest
-from conftest import f2_kernel
+from conftest import f2_kernel, mul_vec, weyl_matrix
 
 from rootcover import cli, lattice
-from rootcover.f2 import (F2QuadraticSpace, mod2_bits, mul_vec, parity,
+from rootcover.f2 import (F2QuadraticSpace, mod2_bits, parity,
                           quadform_eval, standard_symplectic_space)
 
 # -- the cover's group law and its automorphisms, as a model of the cocycle ---
@@ -374,12 +374,12 @@ def _mod2_rows(matrix):
     return tuple(rows)
 
 
-def test_transport_of_simple_reflections(e6_stack, e6_weyl):
+def test_transport_of_simple_reflections(e6_stack):
     datum = e6_stack.datum
     coc = CoverGroup.of(e6_stack.cocycle)
     for si in datum.simple:
         perm = datum.reflection_perm(si)
-        w = _mod2_rows(e6_weyl.matrix(perm))
+        w = _mod2_rows(weyl_matrix(datum, perm))
         aut = transport_automorphism(coc, w)
         assert aut.is_homomorphism()
         # composing the lift with itself covers the identity: a character map
@@ -407,7 +407,7 @@ def test_two_lifts_differ_by_a_functional(e6_stack):
     assert lift_difference_functional(base, twisted) == f
 
 
-def test_transport_composition_differs_by_character(e6_stack, e6_weyl, e6_elements):
+def test_transport_composition_differs_by_character(e6_stack, e6_elements):
     datum = e6_stack.datum
     coc = CoverGroup.of(e6_stack.cocycle)
     rng = random.Random(11)
@@ -415,10 +415,10 @@ def test_transport_composition_differs_by_character(e6_stack, e6_weyl, e6_elemen
     for _ in range(50):
         p1 = e6_elements[rng.randrange(len(e6_elements))]
         p2 = e6_elements[rng.randrange(len(e6_elements))]
-        w1 = _mod2_rows(e6_weyl.matrix(p1))
-        w2 = _mod2_rows(e6_weyl.matrix(p2))
+        w1 = _mod2_rows(weyl_matrix(datum, p1))
+        w2 = _mod2_rows(weyl_matrix(datum, p2))
         p12 = bytes(p1[p2[i]] for i in range(size))
-        w12 = _mod2_rows(e6_weyl.matrix(p12))
+        w12 = _mod2_rows(weyl_matrix(datum, p12))
         t1 = transport_automorphism(coc, w1)
         t2 = transport_automorphism(coc, w2)
         t12 = transport_automorphism(coc, w12)

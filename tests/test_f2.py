@@ -1,16 +1,15 @@
 import random
 
 import pytest
-from conftest import arf, f2_kernel
+from conftest import arf, f2_kernel, identity, matmul, mod2_rank_one_plus, mul_vec
 from hypothesis import given, settings, strategies as st
 
-from rootcover import intmat, lattice
+from rootcover import lattice
 from rootcover.f2 import (F2Error, F2QuadraticSpace, bilinear_eval,
                           count_refinements_by_arf, f2_rank,
-                          f2_solve, mod2_bits, mul_vec, parity,
+                          f2_solve, mod2_bits, parity,
                           standard_symplectic_space, symplectic_decomposition,
                           vec_mat)
-from rootcover.lattice import mod2_rank_one_plus
 
 
 def test_q_vanishes_at_zero():
@@ -213,7 +212,7 @@ def _h1_oracle(w):
 
 
 def test_h1_identity_and_minus_one():
-    ident = intmat.identity(6)
+    ident = identity(6)
     minus_one = tuple(tuple(-x for x in row) for row in ident)
     # -1 reduces to the identity mod 2
     assert mod2_rank_one_plus(ident) == mod2_rank_one_plus(minus_one) == 0
@@ -246,9 +245,9 @@ def test_h1_three_commuting_reflections():
             triple = combo
             break
     assert triple is not None
-    w = intmat.identity(6)
+    w = identity(6)
     for ri in triple:
-        w = intmat.matmul(w, _reflection(datum, ri))
+        w = matmul(w, _reflection(datum, ri))
     assert mod2_rank_one_plus(w) == 3
     assert _h1_oracle(w) == (3, 3, 0)
 
@@ -286,6 +285,18 @@ def test_bit_row_reads_the_bilinear_form(rows):
                           for i in range(dim) for j in range(dim)) & 1
             assert parity(space.beta(u) & v) == cocycle
         assert parity(space.beta(u) & u) == space.q(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda dim: st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim)))
+def test_bit_row_of_the_columns_is_the_matrix_times_the_vector(columns):
+    # M v is the sum of the columns of M at the set bits of v: vec_mat read
+    # on the columns agrees with the bit-row product of the reference
+    dim = len(columns)
+    rows = [sum(((c >> i) & 1) << j for j, c in enumerate(columns)) for i in range(dim)]
+    for v in range(1 << dim):
+        assert vec_mat(columns, v) == mul_vec(rows, v)
 
 
 def _span(vectors):

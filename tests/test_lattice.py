@@ -5,8 +5,9 @@ from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 import pytest
-from conftest import (f2_kernel, involution_key, reference_enumerate_roots,
-                      row_lattice_index, weyl_elements, weyl_layers)
+from conftest import (f2_kernel, involution_key, mod2_rank_one_plus,
+                      reference_enumerate_roots, row_lattice_index,
+                      weyl_elements, weyl_layers, weyl_matrix)
 
 from rootcover import intmat, lattice
 from rootcover.intmat import IntMatrix
@@ -16,9 +17,12 @@ from rootcover.lattice import (DelPezzoPicard, IntLattice, LatticeError,
                                cartan_gram, classify_involutions,
                                delpezzo_k_perp, discriminant_group,
                                enumerate_roots, lines, lines_meeting,
-                               mod2_rank_one_plus, mod2_space, root_datum,
+                               mod2_space, root_datum,
                                short_vectors, weyl_degrees, weyl_enumerate)
 from rootcover.quartic import FAMILIES
+
+# the blow-up form of the del Pezzo tests
+PIC = DelPezzoPicard.standard()
 
 # -- models that the tests check lattice against ----------------------------
 
@@ -227,8 +231,8 @@ def _delpezzo_grams(monkeypatch):
         return real(lat)
 
     monkeypatch.setattr(lattice, "enumerate_roots", record)
-    delpezzo_k_perp()
-    bitangent_complement((0, 0, 0, 0, 0, 0, 0, 1))
+    delpezzo_k_perp(PIC)
+    bitangent_complement(PIC, (0, 0, 0, 0, 0, 0, 0, 1))
     return grams
 
 
@@ -440,7 +444,7 @@ def test_root_permutations_beyond_256_roots_are_rejected():
 def test_involution_classes(e6_classes, e6_weyl, e6_members):
     labels = [c.label for c in e6_classes]
     assert labels == ["1", "s1", "s1s2", "s1s2s3", "tau"]
-    keys = [involution_key(c.representative) for c in e6_classes]
+    keys = [involution_key(e6_weyl.datum, c.representative) for c in e6_classes]
     assert keys == [(6, 0), (4, 1), (2, 2), (0, 3), (-2, 2)]
     sizes = [len(e6_members[key]) for key in keys]
     assert sizes == [1, 36, 270, 540, 45]
@@ -450,7 +454,7 @@ def test_involution_classes(e6_classes, e6_weyl, e6_members):
 def test_involution_class_constructions(e6_stack, e6_classes, e6_members):
     datum = e6_stack.datum
     table = pairing_table(datum)
-    members = {c.label: set(e6_members[involution_key(c.representative)])
+    members = {c.label: set(e6_members[involution_key(datum, c.representative)])
                for c in e6_classes}
     size = len(datum.roots)
 
@@ -475,13 +479,13 @@ def test_tau_from_any_quadruple_is_in_one_class(e6_stack, e6_classes, e6_weyl,
                                                 e6_members):
     datum = e6_stack.datum
     tau = next(c for c in e6_classes if c.label == "tau")
-    tau_members = set(e6_members[involution_key(tau.representative)])
+    tau_members = set(e6_members[involution_key(datum, tau.representative)])
     quads = orthogonal_root_quadruples(datum, limit=4)
     assert len(quads) == 4
     for quad in quads:
         perm = tau_involution(datum, quad)
         assert perm in tau_members
-        m = e6_weyl.matrix(perm)
+        m = weyl_matrix(datum, perm)
         assert e6_weyl.trace(perm) == -2
         assert mod2_rank_one_plus(m) == 2
 
@@ -501,9 +505,10 @@ def test_involutions_match_the_closure(name, count):
     assert set(involutions) == every
 
 
-def test_tau_not_conjugate_to_double_reflection(e6_classes):
+def test_tau_not_conjugate_to_double_reflection(e6_classes, e6_weyl):
     # same mod-2 rank, but the trace, a conjugacy invariant, differs
-    keys = {c.label: involution_key(c.representative) for c in e6_classes}
+    keys = {c.label: involution_key(e6_weyl.datum, c.representative)
+            for c in e6_classes}
     two, tau = keys["s1s2"], keys["tau"]
     assert two[1] == tau[1] == 2
     assert two[0] != tau[0]
@@ -539,29 +544,29 @@ def _classical_lines():
 
 
 def test_lines_against_classical_families():
-    found = set(lines())
+    found = set(lines(PIC))
     assert found == _classical_lines()
     assert len(found) == 56
 
 
 def test_lines_meeting_any_line_is_27():
-    for e in lines():
-        assert len(lines_meeting(e)) == 27
+    all_lines = lines(PIC)
+    for e in all_lines:
+        assert len(lines_meeting(PIC, all_lines, e)) == 27
 
 
 def test_line_pairing_involution_is_fixed_point_free():
-    pic = DelPezzoPicard.standard()
-    all_lines = set(lines())
+    all_lines = set(lines(PIC))
     pairs = set()
     for d in all_lines:
-        partner = tuple(-k - x for k, x in zip(pic.canonical, d))
+        partner = tuple(-k - x for k, x in zip(PIC.canonical, d))
         assert partner in all_lines and partner != d
         pairs.add(frozenset((d, partner)))
     assert len(pairs) == 28
 
 
 def test_k_perp_is_e7():
-    datum = delpezzo_k_perp()
+    datum = delpezzo_k_perp(PIC)
     assert datum.rank == 7
     assert len(datum.roots) == 126
     assert discriminant_group(datum.lattice) == [2]
@@ -569,21 +574,27 @@ def test_k_perp_is_e7():
 
 def test_bitangent_complement_is_e6():
     e = (0, 0, 0, 0, 0, 0, 0, 1)
-    datum = bitangent_complement(e)
+    datum = bitangent_complement(PIC, e)
     assert datum.rank == 6
     assert len(datum.roots) == 72
     assert discriminant_group(datum.lattice) == [3]
 
 
 def test_bitangent_complement_independent_of_line():
-    first = bitangent_complement((0, 0, 0, 0, 0, 0, 0, 1))
-    second = bitangent_complement((1, -1, -1, 0, 0, 0, 0, 0))
+    first = bitangent_complement(PIC, (0, 0, 0, 0, 0, 0, 0, 1))
+    second = bitangent_complement(PIC, (1, -1, -1, 0, 0, 0, 0, 0))
     assert gram_permutation_equivalent(first.lattice.gram, second.lattice.gram)
 
 
 def test_bitangent_complement_rejects_non_line():
     with pytest.raises(LatticeError):
-        bitangent_complement((1, 0, 0, 0, 0, 0, 0, 0))
+        bitangent_complement(PIC, (1, 0, 0, 0, 0, 0, 0, 0))
+
+
+def test_lines_meeting_rejects_non_line():
+    # the check is on e itself, not on the lines it is given
+    with pytest.raises(LatticeError, match="e is not a line class"):
+        lines_meeting(PIC, lines(PIC), (1, 0, 0, 0, 0, 0, 0, 0))
 
 
 def test_mod2_spaces():
