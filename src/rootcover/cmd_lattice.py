@@ -4,9 +4,10 @@ the blow-up lattice summary and the refinement counts.
 Loaded by the CLI only for these commands.  They run on the lattice and F2
 layers alone, so none of the cover, Lie-algebra or representation modules is
 compiled.  Each command returns its JSON payload and exit code; the CLI
-writes the payload.  These commands take no input a lattice or table check
-depends on, so a LatticeError or RealTableError is a failed verification:
-it is reported here and exits 1 with no payload.
+writes the payload.  Only ``counts`` takes input, --g, which it checks
+before any work; no lattice, F2 or table check depends on input, so a
+LatticeError, F2Error or RealTableError is a failed verification: it is
+reported here and exits 1 with no payload.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 from typing import Optional, Tuple
 
 from . import note
-from .f2 import count_refinements_by_arf
+from .f2 import MAX_ARF_G, F2Error, count_refinements_by_arf
 from .lattice import (DelPezzoPicard, LatticeError, bitangent_complement,
                       classify_involutions, delpezzo_k_perp, discriminant_group,
                       lines, lines_meeting, root_datum, weyl_enumerate)
@@ -26,7 +27,7 @@ def run(cfg, args: argparse.Namespace) -> Tuple[Optional[dict], int]:
     """Run ``cfg.command``; a failed check of its own exits 1."""
     try:
         return COMMANDS[cfg.command](cfg, args)
-    except (LatticeError, RealTableError) as exc:
+    except (LatticeError, F2Error, RealTableError) as exc:
         note(f"verification failed: {exc}")
         return None, 1
 
@@ -69,6 +70,8 @@ def cmd_delpezzo(cfg, args: argparse.Namespace) -> Tuple[dict, int]:
 
 def cmd_counts(cfg, args: argparse.Namespace) -> Tuple[dict, int]:
     g = args.g
+    if not 1 <= g <= MAX_ARF_G:
+        raise ValueError(f"--g must be between 1 and {MAX_ARF_G}, not {g}")
     c0, c1 = count_refinements_by_arf(g)
     expected = (2 ** (g - 1) * (2 ** g + 1), 2 ** (g - 1) * (2 ** g - 1))
     payload = {"config": cfg.stamp(), "g": g, "arf0": c0, "arf1": c1,

@@ -1,6 +1,6 @@
 """The commands ``build`` and ``verify``, and the pipeline they share: root
-lattice, cover, Lie algebra, involution, fixed subalgebra and, for E6 and E7,
-the monomial representation.
+lattice, cover, Lie algebra with its checked involution, fixed subalgebra
+and, for E6 and E7, the monomial representation.
 
 Loaded by the CLI only for these two commands.  Each takes the CLI's run
 configuration and parsed arguments and returns its JSON payload and exit
@@ -20,9 +20,9 @@ from typing import Dict, Optional, Tuple
 # is loaded: imported after its dependencies, it raised the peak RSS of
 # verify --type E7 by 0.2 MB (each launch compiles from source when no
 # bytecode is cached)
-from .liealg import (FixedSubalgebra, IntegralLieAlgebra, Involution, LieError,
-                     RMap, build_lie, build_theta, fixed_subalgebra,
-                     identify_fixed, killing_form, verify_R, verify_jacobi)
+from .liealg import (FixedSubalgebra, IntegralLieAlgebra, LieError, RMap,
+                     build_lie, fixed_subalgebra, identify_fixed, killing_form,
+                     verify_R, verify_jacobi)
 from .heisrep import (HeisRep, RepError, anticommutation_model_holds, build_heisrep,
                       verify_rep)
 from .lattice import LatticeError, RootDatum, mod2_space, parse_type, root_datum
@@ -40,12 +40,10 @@ Result = Tuple[Optional[dict], int]
 
 class Pipeline:
     def __init__(self, datum: RootDatum, cocycle: F2QuadraticSpace, lie: IntegralLieAlgebra,
-                 theta: Involution, fixed: FixedSubalgebra,
-                 rep: Optional[HeisRep], rmap: Optional[RMap]):
+                 fixed: FixedSubalgebra, rep: Optional[HeisRep], rmap: Optional[RMap]):
         self.datum = datum
         self.cocycle = cocycle
         self.lie = lie
-        self.theta = theta
         self.fixed = fixed
         self.rep = rep
         self.rmap = rmap
@@ -61,23 +59,23 @@ def canonical_type(name: str) -> str:
 
 
 def build_pipeline(kind: str, with_rep: Optional[bool] = None) -> Pipeline:
-    """Lattice -> cover -> Lie algebra -> involution -> fixed subalgebra,
-    plus the monomial representation for the two marked exceptional types.
+    """Lattice -> cover -> Lie algebra (its involution checked) -> fixed
+    subalgebra, plus the monomial representation for the two marked
+    exceptional types.
 
     ``kind`` is a canonical type name ("E6", as from ``canonical_type``):
     ``run`` parses the CLI's spelling once, before any work starts."""
     datum = root_datum(kind)
     cocycle = mod2_space(datum)
     lie = build_lie(datum, cocycle)
-    theta = build_theta(lie)
-    fixed = fixed_subalgebra(lie, theta)
+    fixed = fixed_subalgebra(lie)
     rep = rmap = None
     if with_rep is None:
         with_rep = kind in ("E6", "E7")
     if with_rep:
         rep = build_heisrep(cocycle)
         rmap = RMap(fixed, rep)
-    return Pipeline(datum, cocycle, lie, theta, fixed, rep, rmap)
+    return Pipeline(datum, cocycle, lie, fixed, rep, rmap)
 
 
 def run(cfg, args: argparse.Namespace) -> Result:
@@ -110,8 +108,8 @@ def cmd_build(cfg, args: argparse.Namespace) -> Result:
                   "beta": [[(row >> j) & 1 for j in range(cover.dim)]
                            for row in cover.upper_rows]},
         "algebra": lie.to_json_dict(),
-        "theta": [[i, _signed_index(pipe, i)] for i in range(lie.dim)],
-        "trace_theta": pipe.theta.trace(),
+        "theta": [[i, _signed_index(lie, i)] for i in range(lie.dim)],
+        "trace_theta": lie.theta_trace(),
         "dim": lie.dim,
         "fixed_dim": pipe.fixed.dim,
     }
@@ -120,8 +118,8 @@ def cmd_build(cfg, args: argparse.Namespace) -> Result:
     return payload, 0
 
 
-def _signed_index(pipe: Pipeline, i: int) -> int:
-    j, s = pipe.theta.apply_basis(i)
+def _signed_index(lie: IntegralLieAlgebra, i: int) -> int:
+    j, s = lie.theta_image(i)
     return s * (j + 1)
 
 
@@ -142,7 +140,7 @@ def cmd_verify(cfg, args: argparse.Namespace) -> Result:
 
     sample = None if cfg.depth == "exhaustive" else args.samples
     t0 = time.perf_counter()
-    jr = verify_jacobi(pipe.lie, theta=pipe.theta, sample=sample, seed=cfg.seed)
+    jr = verify_jacobi(pipe.lie, sample=sample, seed=cfg.seed)
     clock("jacobi", t0, f" live {jr.live} = evaluated {jr.evaluated} "
                         f"+ mirrored {jr.mirrored}, "
                         f"zero by grading {jr.zero_by_grading}")
@@ -155,7 +153,7 @@ def cmd_verify(cfg, args: argparse.Namespace) -> Result:
         checks["jacobi"]["failures"] = [[labels[i] for i in triple]
                                         for triple in jr.failures[:5]]
 
-    trace = pipe.theta.trace()
+    trace = pipe.lie.theta_trace()
     checks["theta"] = {"trace": trace, "ok": trace == -pipe.datum.rank}
 
     t0 = time.perf_counter()

@@ -16,6 +16,8 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 MAX_DIM = 16
+# the largest g whose 2^(2g) refinements count_refinements_by_arf enumerates
+MAX_ARF_G = 4
 
 
 class F2Error(ValueError):
@@ -198,8 +200,8 @@ def count_refinements_by_arf(g: int) -> Tuple[int, int]:
     refinement, sum q(e_k) q(f_k) over the standard hyperbolic pairs
     (e_k, f_k), is read off directly from its basis values.
     """
-    if not 1 <= g <= 4:
-        raise F2Error("g outside [1, 4] (combinatorial explosion guard)")
+    if not 1 <= g <= MAX_ARF_G:
+        raise F2Error(f"g outside [1, {MAX_ARF_G}] (combinatorial explosion guard)")
     even_mask = sum(1 << (2 * k) for k in range(g))
     count0 = count1 = 0
     for qb in range(1 << (2 * g)):

@@ -225,9 +225,6 @@ class RootDatum:
             return f"D{n}"
         return f"rank{n}-roots{m}"
 
-    def root_class_bits(self, root_index: int) -> int:
-        return self.root_classes[root_index]
-
     def mod2_columns(self, perm: bytes) -> Tuple[int, ...]:
         """The Weyl element ``perm`` mod 2, by columns: column j is the class
         of the root that the j-th simple root goes to."""
@@ -466,19 +463,17 @@ def mod2_space(datum: RootDatum) -> F2QuadraticSpace:
 class DelPezzoPicard:
     """Z^{1,7} with basis (h, e1..e7) and canonical class -3h + e1 + ... + e7."""
 
-    def __init__(self, gram: IntMatrix, canonical: Coords):
-        self.gram = gram
+    def __init__(self, canonical: Coords):
         self.canonical = canonical
         if self.inner(self.canonical, self.canonical) != 2:
             raise LatticeError("canonical class must have self-intersection 2")
 
     @staticmethod
     def standard() -> "DelPezzoPicard":
-        gram = tuple(tuple((1 if i == j == 0 else -1 if i == j else 0)
-                           for j in range(8)) for i in range(8))
-        return DelPezzoPicard(gram, (-3, 1, 1, 1, 1, 1, 1, 1))
+        return DelPezzoPicard((-3, 1, 1, 1, 1, 1, 1, 1))
 
     def inner(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """x.y in the form diag(1, -1, ..., -1) on the basis (h, e1..e7)."""
         return x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:]))
 
     def is_line_class(self, d: Sequence[int]) -> bool:
@@ -529,8 +524,8 @@ def lines_meeting(pic: DelPezzoPicard, all_lines: Sequence[Coords],
 
 def _sublattice_datum(pic: DelPezzoPicard, orthogonal_to: Sequence[Coords],
                       expected_rank: int) -> RootDatum:
-    rows = [tuple(sum(pic.gram[i][j] * v[i] for i in range(8)) for j in range(8))
-            for v in orthogonal_to]
+    units = [tuple(int(i == j) for i in range(8)) for j in range(8)]
+    rows = [tuple(pic.inner(v, u) for u in units) for v in orthogonal_to]
     basis = intmat.integer_kernel(rows, 8)
     if len(basis) != expected_rank:
         raise LatticeError("unexpected orthogonal complement rank")

@@ -4,12 +4,14 @@ The algebra has basis h_1..h_r (the coweight basis dual to the simple roots)
 together with one generator X_gamma per root, taken relative to canonical
 lifts (+1, gamma mod 2).  Structure constants come from four rules: the
 Cartan part is abelian, [h, X_gamma] = <h, gamma> X_gamma, root sums pick up
-the cocycle sign, and opposite roots bracket to minus the coroot.  The
-involution is the root negation: it negates the Cartan part and sends X_gamma
-to X_{-gamma} with sign +1, since the canonical lifts have q(gamma) =
-gamma.gamma / 2 = 1 on every root class (test_f2.py checks this in
-test_root_classes_have_q_one).  Its fixed subalgebra is spanned by
-Z_gamma = X_gamma + X_{-gamma} over the positive roots.
+the cocycle sign, and opposite roots bracket to minus the coroot.  The stable
+involution theta is the root negation, so the root datum fixes it: it negates
+the Cartan part and sends X_gamma to X_{-gamma} with sign +1, since the
+canonical lifts have q(gamma) = gamma.gamma / 2 = 1 on every root class
+(test_f2.py checks this in test_root_classes_have_q_one).  Every algebra
+checks at construction that theta is an automorphism of its own table, so no
+algebra exists on which theta is unchecked.  The fixed subalgebra is spanned
+by Z_gamma = X_gamma + X_{-gamma} over the positive roots.
 
 Nothing here is trusted by construction: Jacobi, the automorphism property,
 and the representation homomorphism all have exhaustive checkers.  One
@@ -23,9 +25,9 @@ checks the weight grading, so a triple whose summed weight is neither 0 nor a
 root has a zero Jacobi sum.  For a root weight w every bracket of the sum lies
 on the one basis element of weight w, so the sum is one integer; a sum of
 weight 0 goes through the general kernel.  The exhaustive check evaluates the
-live triples of weight 0 or a positive root (138,496 of E8's 273,736): the
-involution, verified as an automorphism, maps those of positive weight onto
-those of negative weight, failing triples onto failing ones.
+live triples of weight 0 or a positive root (138,496 of E8's 273,736): theta,
+checked as an automorphism when the algebra was built, maps those of positive
+weight onto those of negative weight, failing triples onto failing ones.
 
 The sampled check reads its triples from ``sampling``, in chunks of 4,096
 32-bit words: a draw is still uniform over the unordered triples and the
@@ -80,7 +82,12 @@ class SparseLieAlgebra:
 
 
 class IntegralLieAlgebra(SparseLieAlgebra):
-    """The Lie algebra of a root datum and cover, on the basis (h, X_gamma)."""
+    """The Lie algebra of a root datum and cover, on the basis (h, X_gamma).
+
+    Construction raises LieError unless theta, the root negation, squares to
+    the identity, has trace -rank and is an automorphism of ``flat``: the
+    mirrored Jacobi scan and the fixed-subalgebra table rest on that check.
+    """
 
     def __init__(self, datum: RootDatum, cocycle: F2QuadraticSpace, table: Table):
         super().__init__(datum.rank + len(datum.roots), table)
@@ -91,6 +98,29 @@ class IntegralLieAlgebra(SparseLieAlgebra):
         self.packed = (0,) * datum.rank + datum.packed
         self.labels = tuple(f"h{i + 1}" for i in range(datum.rank)) + tuple(
             "x[" + ",".join(map(str, c)) + "]" for c in datum.roots)
+        self._check_theta()
+
+    def _check_theta(self) -> None:
+        image = [self.theta_image(i) for i in range(self.dim)]
+        for i, (j, s) in enumerate(image):
+            j2, s2 = image[j]
+            if j2 != i or s * s2 != 1:
+                raise LieError("involution does not square to the identity")
+        if self.theta_trace() != -self.n_cartan:
+            raise LieError("involution trace is not -rank")
+        failures = _automorphism_failures(self, image)
+        if failures:
+            raise LieError(f"involution fails the automorphism check at {failures[0]}")
+
+    def theta_image(self, i: int) -> Tuple[int, int]:
+        """theta(e_i) = s e_j, as (j, s): -1 on the Cartan part, X_gamma ->
+        X_{-gamma} on the roots."""
+        if i < self.n_cartan:
+            return i, -1
+        return self.n_cartan + self.datum.negation[i - self.n_cartan], 1
+
+    def theta_trace(self) -> int:
+        return -self.n_cartan + sum(t == ri for ri, t in enumerate(self.datum.negation))
 
     def weight(self, i: int) -> Tuple[int, ...]:
         # perfbench/tracer.py counts the weight-live triples through this
@@ -267,16 +297,15 @@ def _pair_failures(flat: Sequence[Tuple[Entry, ...]], coef: Sequence[int],
     return zero
 
 
-def _graded_scan(L: IntegralLieAlgebra, theta: Involution,
-                 packed: Sequence[int], coef: Sequence[int]
-                 ) -> Tuple[int, int, List[Tuple[int, int, int]]]:
+def _graded_scan(L: IntegralLieAlgebra, packed: Sequence[int],
+                 coef: Sequence[int]) -> Tuple[int, int, List[Tuple[int, int, int]]]:
     """Evaluate the triples i < j < k whose summed weight is 0 or a positive
-    root, and mirror the failures among them through ``theta``.
+    root, and mirror the failures among them through theta.
 
-    ``theta`` must be build_theta(L), checked to be an automorphism of
-    ``flat``: e_i -> +-e_{t_i} (-1 on the Cartan part, +1 on the roots)
-    negates every weight, and J(e_ti, e_tj, e_tk) = +-theta(J(e_i, e_j, e_k)),
-    so a triple fails exactly when its image does.  The live triples of
+    L checked at construction that theta is an automorphism of ``flat``:
+    e_i -> +-e_{t_i} (-1 on the Cartan part, +1 on the roots) negates every
+    weight, and J(e_ti, e_tj, e_tk) = +-theta(J(e_i, e_j, e_k)), so a triple
+    fails exactly when its image does.  The live triples of
     negative root weight are the images of those of positive root weight.
     Returns the number evaluated, the number mirrored, and every failing live
     triple in lexicographic order.
@@ -306,14 +335,13 @@ def _graded_scan(L: IntegralLieAlgebra, theta: Involution,
                 evaluated += len(live)
                 weight_zero += _pair_failures(flat, coef, packed, i, j, live,
                                               failures)
-    image = [theta.apply_basis(i)[0] for i in range(n)]
+    image = [L.theta_image(i)[0] for i in range(n)]
     failures += [tuple(sorted((image[i], image[j], image[k])))
                  for i, j, k in failures if packed[i] + packed[j] + packed[k]]
     return evaluated, evaluated - weight_zero, sorted(failures)
 
 
-def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
-                  sample: Optional[int] = None,
+def verify_jacobi(L: IntegralLieAlgebra, *, sample: Optional[int] = None,
                   seed: Optional[int] = None) -> JacobiReport:
     """Check [[a,b],c] + [[b,c],a] + [[c,a],b] = 0 on basis triples.
 
@@ -325,12 +353,10 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
     LieError if not), counts a triple whose summed weight is neither a root
     nor 0 as zero, and sends the others through _pair_failures.  Exhaustive
     runs evaluate those of weight 0 or a positive root and list the failures
-    of negative root weight as their images under ``theta``, which must be
-    build_theta(L): its automorphism check on this ``flat`` is the premise of
-    that step (see _graded_scan), so any other ``theta`` raises LieError.
+    of negative root weight as their images under theta, whose automorphism
+    check on this ``flat`` at construction is the premise of that step (see
+    _graded_scan).
     """
-    if theta.verified_on is not L.flat:
-        raise LieError("theta was not verified on this bracket table")
     assert_weight_graded(L)
     n, flat = L.dim, L.flat
     packed = L.packed
@@ -340,7 +366,7 @@ def verify_jacobi(L: IntegralLieAlgebra, *, theta: Involution,
         for _, c in flat[x]:
             coef[x] += c
     if sample is None:
-        evaluated, mirrored, failures = _graded_scan(L, theta, packed, coef)
+        evaluated, mirrored, failures = _graded_scan(L, packed, coef)
         return JacobiReport(checked_unordered=comb(n, 3),
                             covered_ordered=n ** 3, evaluated=evaluated,
                             mirrored=mirrored, failures=failures)
@@ -403,30 +429,6 @@ def killing_form(alg: SparseLieAlgebra) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
-class Involution:
-    """The root negation as a signed basis map: h -> -h on the Cartan part,
-    X_gamma -> X_{-gamma} on the roots.
-
-    The sign on X_gamma is +1 because q(gamma) = 1 on every root class (see
-    test_f2.py::test_root_classes_have_q_one).  ``negation`` maps each root
-    index to that of its negative.  ``verified_on`` is the ``flat`` table on
-    which build_theta checked the map to be an automorphism; verify_jacobi
-    and FixedSubalgebra accept it on no other."""
-
-    def __init__(self, n_cartan: int, negation: Tuple[int, ...], verified_on: Sequence):
-        self.n_cartan = n_cartan
-        self.negation = negation
-        self.verified_on = verified_on
-
-    def apply_basis(self, i: int) -> Tuple[int, int]:
-        if i < self.n_cartan:
-            return i, -1
-        return self.n_cartan + self.negation[i - self.n_cartan], 1
-
-    def trace(self) -> int:
-        return -self.n_cartan + sum(t == ri for ri, t in enumerate(self.negation))
-
-
 def _automorphism_failures(alg: SparseLieAlgebra,
                            image: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """The pairs i < j, in order, at which the signed basis map e_i -> s_i
@@ -446,35 +448,14 @@ def _automorphism_failures(alg: SparseLieAlgebra,
     return failures
 
 
-def build_theta(L: IntegralLieAlgebra) -> Involution:
-    """The stable involution; verified to be an automorphism with trace -rank."""
-    # returned only once every check below has passed on L.flat
-    theta = Involution(L.n_cartan, L.datum.negation, L.flat)
-
-    image = [theta.apply_basis(i) for i in range(L.dim)]
-    for i, (j, s) in enumerate(image):
-        j2, s2 = image[j]
-        if j2 != i or s * s2 != 1:
-            raise LieError("involution does not square to the identity")
-    if theta.trace() != -L.n_cartan:
-        raise LieError("involution trace is not -rank")
-    failures = _automorphism_failures(L, image)
-    if failures:
-        raise LieError(f"involution fails the automorphism check at {failures[0]}")
-    return theta
-
-
 class FixedSubalgebra(SparseLieAlgebra):
     """Span of Z_gamma = X_gamma + theta(X_gamma) over the positive roots.
 
-    ``theta`` must be build_theta(L), verified on ``L.flat``: _table rests on
-    that check, so any other theta raises LieError."""
+    _table rests on theta being an automorphism of ``L.flat``, which L
+    checked when it was built."""
 
-    def __init__(self, L: IntegralLieAlgebra, theta: Involution):
-        if theta.verified_on is not L.flat:
-            raise LieError("theta was not verified on this bracket table")
+    def __init__(self, L: IntegralLieAlgebra):
         self.L = L
-        self.theta = theta
         self.pos = L.datum.positive
         self.labels = tuple("z[" + ",".join(map(str, L.datum.roots[ri])) + "]"
                             for ri in self.pos)
@@ -488,7 +469,7 @@ class FixedSubalgebra(SparseLieAlgebra):
         brackets of ``L.flat``."""
         L = self.L
         n, nc, flat = L.dim, L.n_cartan, L.flat
-        neg = self.theta.negation
+        neg = L.datum.negation
         pos_index = {ri: i for i, ri in enumerate(self.pos)}
         # basis index k -> fixed index of (1 + theta) X_k
         down = {nc + ri: pos_index[ri] if ri in pos_index else pos_index[target]
@@ -505,8 +486,8 @@ class FixedSubalgebra(SparseLieAlgebra):
         return table
 
 
-def fixed_subalgebra(L: IntegralLieAlgebra, theta: Involution) -> FixedSubalgebra:
-    return FixedSubalgebra(L, theta)
+def fixed_subalgebra(L: IntegralLieAlgebra) -> FixedSubalgebra:
+    return FixedSubalgebra(L)
 
 
 class RMap:
@@ -524,7 +505,7 @@ class RMap:
         self.rep = rep
         datum = fixed.L.datum
         self.mats: Tuple[MonoMat, ...] = tuple(
-            rep.mats[datum.root_class_bits(ri)] for ri in fixed.pos)
+            rep.mats[datum.root_classes[ri]] for ri in fixed.pos)
 
 
 class RReport:

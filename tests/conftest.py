@@ -514,8 +514,8 @@ def reference_build_payload(kind):
                     "brackets": [[i, j, [[k, c] for k, c in entries]]
                                  for (i, j), entries in upper_table(lie).items()]},
         "theta": [[i, s * (j + 1)]
-                  for i, (j, s) in enumerate(map(pipe.theta.apply_basis, range(lie.dim)))],
-        "trace_theta": pipe.theta.trace(),
+                  for i, (j, s) in enumerate(map(lie.theta_image, range(lie.dim)))],
+        "trace_theta": lie.theta_trace(),
         "dim": lie.dim,
         "fixed_dim": pipe.fixed.dim,
     }
@@ -531,7 +531,7 @@ def a2_stack():
     # the pipeline builds a representation only for E6 and E7; A2 gets one here
     pipe = build_pipeline("A2")
     rep = build_heisrep(pipe.cocycle)
-    return Pipeline(pipe.datum, pipe.cocycle, pipe.lie, pipe.theta, pipe.fixed,
+    return Pipeline(pipe.datum, pipe.cocycle, pipe.lie, pipe.fixed,
                     rep, RMap(pipe.fixed, rep))
 
 
@@ -668,22 +668,22 @@ def basis_of_root(L, root_index):
     return L.n_cartan + root_index
 
 
-def theta_apply(theta, x):
-    """theta(x) for a sparse vector x, by linearity over apply_basis."""
+def theta_apply(L, x):
+    """theta(x) for a sparse vector x of L, by linearity over theta_image."""
     terms = []
     for i, c in x.items():
-        j, s = theta.apply_basis(i)
+        j, s = L.theta_image(i)
         terms.append((j, s * c))
     return add_terms({}, terms)
 
 
-def ambient(L, theta, root_index):
+def ambient(L, root_index):
     """Z_gamma = X_gamma + theta(X_gamma) as a sparse vector of L."""
     x = {basis_of_root(L, root_index): 1}
-    return add_terms(x, theta_apply(theta, x).items())
+    return add_terms(x, theta_apply(L, x).items())
 
 
-def reference_fixed_table(L, theta):
+def reference_fixed_table(L):
     """The upper bracket table of the fixed subalgebra, each [Z_a, Z_b]
     bracketed in full in L and read off at the positive roots.  Raises
     LieError when a bracket has a Cartan component, or when it is not fixed
@@ -691,7 +691,7 @@ def reference_fixed_table(L, theta):
     coefficient at X_c."""
     nc = L.n_cartan
     pos_index = {ri: i for i, ri in enumerate(L.datum.positive)}
-    zs = [ambient(L, theta, ri) for ri in L.datum.positive]
+    zs = [ambient(L, ri) for ri in L.datum.positive]
     table = {}
     for i, zi in enumerate(zs):
         for j in range(i + 1, len(zs)):
@@ -702,7 +702,7 @@ def reference_fixed_table(L, theta):
                     raise LieError("fixed-subalgebra bracket has a Cartan component")
                 ri = k - nc
                 if ri in pos_index:
-                    image, sign = theta.apply_basis(k)
+                    image, sign = L.theta_image(k)
                     if res.get(image, 0) != sign * c:
                         raise LieError("fixed-subalgebra bracket is not theta-symmetric")
                     entries[pos_index[ri]] = c
@@ -810,7 +810,7 @@ def verify_comm_relation(rep, datum) -> CommReport:
     is named by its root indices."""
     report = CommReport()
     roots = datum.roots
-    rho = [rep.mats[datum.root_class_bits(i)] for i in range(len(roots))]
+    rho = [rep.mats[datum.root_classes[i]] for i in range(len(roots))]
     for g, d in combinations(range(len(roots)), 2):
         other = rho[d] * rho[g]
         if rho[g] * rho[d] != (-other if datum.inner(roots[g], roots[d]) % 2 else other):

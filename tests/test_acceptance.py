@@ -38,18 +38,18 @@ def test_criterion_01_arf_counts():
 
 
 def test_criterion_02_jacobi_exhaustive(e6_stack, e7_stack):
-    from rootcover.liealg import build_lie, build_theta
+    from rootcover.liealg import build_lie
     for name in ("A2", "A3", "D4"):
         datum = lattice.root_datum(name)
         L = build_lie(datum, lattice.mod2_space(datum))
-        report = verify_jacobi(L, theta=build_theta(L))
+        report = verify_jacobi(L)
         assert report.ok and report.covered_ordered == L.dim ** 3
 
-    report6 = verify_jacobi(e6_stack.lie, theta=e6_stack.theta)
+    report6 = verify_jacobi(e6_stack.lie)
     assert report6.ok and report6.covered_ordered == 78 ** 3
 
     t0 = time.perf_counter()
-    report7 = verify_jacobi(e7_stack.lie, theta=e7_stack.theta)
+    report7 = verify_jacobi(e7_stack.lie)
     elapsed = time.perf_counter() - t0
     assert report7.ok and report7.covered_ordered == 133 ** 3
     _report(2, "exhaustive Jacobi for A2, A3, D4, E6, E7", elapsed, 60)
@@ -57,8 +57,8 @@ def test_criterion_02_jacobi_exhaustive(e6_stack, e7_stack):
 
 def test_criterion_03_involution_trace(e6_stack, e7_stack):
     t0 = time.perf_counter()
-    assert e6_stack.theta.trace() == -6
-    assert e7_stack.theta.trace() == -7
+    assert e6_stack.lie.theta_trace() == -6
+    assert e7_stack.lie.theta_trace() == -7
     _report(3, "involution traces -6 and -7", time.perf_counter() - t0, 60)
 
 
@@ -104,7 +104,7 @@ def test_criterion_06_fixed_type_identification(e6_stack, e7_stack):
 def test_criterion_07_cover_representation(e6_stack, e7_stack):
     t0 = time.perf_counter()
     for stack, expected_pairs in ((e6_stack, 16384), (e7_stack, 65536)):
-        rc = sorted({stack.datum.root_class_bits(i)
+        rc = sorted({stack.datum.root_classes[i]
                      for i in range(len(stack.datum.roots))})
         report = verify_rep(stack.rep, root_classes=rc)
         assert report.ok
@@ -163,12 +163,12 @@ def test_criterion_10_appendix_identities(e6_stack, e7_stack):
 
     for stack in (e6_stack, e7_stack):
         datum = stack.datum
-        classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+        classes = sorted(set(datum.root_classes))
         report = verify_rep(stack.rep, root_classes=classes)
         assert report.root_square_failures == []
         # 2 R(Z_gamma) is rho of the canonical lift of gamma mod 2
         for ri, m in zip(stack.fixed.pos, stack.rmap.mats):
-            assert m == stack.rep.mats[datum.root_class_bits(ri)]
+            assert m == stack.rep.mats[datum.root_classes[ri]]
         assert verify_comm_relation(stack.rep, stack.datum).ok
     _report(10, "matrix identities, order-4 lifts, intertwining for E6 and E7",
             time.perf_counter() - t0, 10)

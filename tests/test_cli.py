@@ -42,7 +42,24 @@ def test_counts_command(capsys):
 
 
 def test_counts_rejects_large_g(capsys):
-    assert cli.main(["counts", "--g", "9"]) == 2
+    # --g is input, checked against the bound of count_refinements_by_arf
+    for g in ("0", "-1", "7", "9"):
+        assert cli.main(["counts", "--g", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --g must be between 1 and 4, not {g}\n"
+
+
+def test_failed_f2_check_in_table_exits_1(capsys, monkeypatch):
+    # table takes no input an F2 check depends on: a failed one is a failed
+    # verification, not bad input
+    def failing(*args, **kwargs):
+        raise F2Error("planted check failure")
+    monkeypatch.setattr(realtable, "standard_symplectic_space", failing)
+    assert cli.main(["table", "real-orbits"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failed: planted check failure\n"
 
 
 def test_delpezzo_command(capsys):
@@ -534,7 +551,8 @@ def test_jacobi_failure_exits_1_with_witnesses(capsys, monkeypatch):
 
 
 def test_verify_checks_the_automorphism_once(capsys, monkeypatch):
-    # the mirrored Jacobi scan rests on build_theta's check and repeats none
+    # the algebra checks theta once, when it is built; the mirrored Jacobi
+    # scan and the fixed subalgebra rest on that check and repeat none
     calls = []
     real = liealg._automorphism_failures
 
@@ -543,8 +561,10 @@ def test_verify_checks_the_automorphism_once(capsys, monkeypatch):
         return real(alg, image)
 
     monkeypatch.setattr(liealg, "_automorphism_failures", counted)
-    assert cli.main(["verify", "--type", "A2"]) == 0
-    assert len(calls) == 1
+    for command in ("verify", "build"):
+        calls.clear()
+        assert cli.main([command, "--type", "A2"]) == 0
+        assert len(calls) == 1, command
 
 
 def test_unverified_involution_stops_verify_before_jacobi(capsys, monkeypatch):
@@ -889,8 +909,9 @@ def test_commutant_larger_than_the_scalars_exits_1(capsys, monkeypatch):
 
 
 def test_theta_trace_mismatch_exits_1(capsys, monkeypatch):
-    # build_theta compares the trace with -rank before cmd_verify reads it
-    monkeypatch.setattr(liealg.Involution, "trace", lambda self: 0)
+    # the algebra compares the trace with -rank when it is built, before
+    # cmd_verify reads it
+    monkeypatch.setattr(liealg.IntegralLieAlgebra, "theta_trace", lambda self: 0)
     assert cli.main(["verify", "--type", "A2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -136,7 +136,7 @@ def test_order_four_certificates(e6_stack, e7_stack):
     # the lifts of the root classes square to -id: one class per pair +-gamma
     for stack in (e6_stack, e7_stack):
         datum = stack.datum
-        classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+        classes = sorted(set(datum.root_classes))
         assert 2 * len(classes) == len(datum.roots)
         report = verify_rep(stack.rep, root_classes=classes)
         assert report.ok
@@ -149,13 +149,13 @@ def test_comm_relation_simple_and_all(e6_stack):
 
 
 def _simple_class_phase_plus_2(datum, mats):
-    bits = datum.root_class_bits(datum.simple[0])
+    bits = datum.root_classes[datum.simple[0]]
     m = mats[bits]
     mats[bits] = MonoMat(m.n, m.col, ((m.phase[0] + 2) & 3,) + m.phase[1:])
 
 
 def _root_0_class_row_3_plus_1(datum, mats):
-    bits = datum.root_class_bits(0)
+    bits = datum.root_classes[0]
     m = mats[bits]
     mats[bits] = MonoMat(m.n, m.col, m.phase[:3] + ((m.phase[3] + 1) & 3,) + m.phase[4:])
 
@@ -174,21 +174,21 @@ def test_table_check_sees_every_comm_relation_fault(request, kind, pairs, corrup
     mats = list(rep.mats)
     corrupt(datum, mats)
     bad = with_mats(rep, mats)
-    classes = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+    classes = sorted(set(datum.root_classes))
     assert verify_rep(bad, root_classes=classes).failures
     assert not verify_comm_relation(bad, datum).ok
 
 
 def test_flipped_sign_breaks_comm_relation(e6_stack):
     datum, rep = e6_stack.datum, e6_stack.rep
-    bits = datum.root_class_bits(datum.simple[0])
+    bits = datum.root_classes[datum.simple[0]]
     mats = list(rep.mats)
     _simple_class_phase_plus_2(datum, mats)
     report = verify_comm_relation(with_mats(rep, mats), datum)
     assert not report.ok
     assert report.pairs_checked == 2556
     # a root pair fails only through a root in the flipped class
-    assert all(bits in (datum.root_class_bits(g), datum.root_class_bits(d))
+    assert all(bits in (datum.root_classes[g], datum.root_classes[d])
                for g, d in report.failures)
 
 
@@ -200,8 +200,8 @@ def test_orthogonal_pairs_commute(e6_stack):
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if datum.inner(roots[i], roots[j]) == 0:
-                mi = rep.mats[datum.root_class_bits(i)]
-                mj = rep.mats[datum.root_class_bits(j)]
+                mi = rep.mats[datum.root_classes[i]]
+                mj = rep.mats[datum.root_classes[j]]
                 assert mi * mj == mj * mi
                 found += 1
                 if found >= 40:
@@ -215,8 +215,8 @@ def test_adjacent_simple_pairs_anticommute(e6_stack):
     for a in datum.simple:
         for b in datum.simple:
             if datum.inner(roots[a], roots[b]) == -1:
-                ma = rep.mats[datum.root_class_bits(a)]
-                mb = rep.mats[datum.root_class_bits(b)]
+                ma = rep.mats[datum.root_classes[a]]
+                mb = rep.mats[datum.root_classes[b]]
                 assert ma * mb == -(mb * ma)
 
 

@@ -75,7 +75,7 @@ def test_closed_form_split_matches_the_search(dim, g, qbits, twisted, moves):
 def test_full_multiplication_tables(reps):
     for name, expected_pairs in (("E6", 16384), ("E7", 65536)):
         datum, coc, rep = reps[name]
-        rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+        rc = sorted(set(datum.root_classes))
         report = verify_rep(rep, root_classes=rc)
         assert report.ok
         assert report.pairs_checked == expected_pairs
@@ -98,7 +98,7 @@ def test_root_lift_order_four(reps):
     datum, _, rep = reps["E6"]
     minus_id = -MonoMat.identity(rep.dim_w)
     for i in range(len(datum.roots)):
-        m = rep.mats[datum.root_class_bits(i)]
+        m = rep.mats[datum.root_classes[i]]
         assert m * m == minus_id
         assert (m * m) * (m * m) == MonoMat.identity(rep.dim_w)
 
@@ -132,7 +132,7 @@ def test_verification_survives_basis_permutation(reps):
     p_mat = MonoMat(n, perm, (0,) * n)
     p_inv = MonoMat(n, tuple(inv), (0,) * n)
     conjugated = tuple(p_inv * m * p_mat for m in rep.mats)
-    rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+    rc = sorted(set(datum.root_classes))
     report = verify_rep(with_mats(rep, conjugated), root_classes=rc)
     assert report.ok
 
@@ -149,7 +149,7 @@ def test_verify_rep_reuses_the_build_time_table(reps, monkeypatch):
         assert rep.report.commutant_dim is None
         # a commutant not computed is no pass
         assert not rep.report.ok
-        rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+        rc = sorted(set(datum.root_classes))
         reused = verify_rep(rep, root_classes=rc)
         assert reused.pairs_checked == expected_pairs
         assert not reused.failures and reused.rho_minus_one_is_minus_id
@@ -226,7 +226,7 @@ def test_flipped_phase_fails_verification_and_names_the_pair(reps):
     m = rep.mats[bad]
     mats = list(rep.mats)
     mats[bad] = MonoMat(m.n, m.col, ((m.phase[0] + 1) & 3,) + m.phase[1:])
-    rc = sorted({datum.root_class_bits(i) for i in range(len(datum.roots))})
+    rc = sorted(set(datum.root_classes))
     report = verify_rep(with_mats(rep, mats), root_classes=rc)
     assert not report.ok
     assert report.pairs_checked == 16384
@@ -278,7 +278,7 @@ def _invariant_group_forms(rep, generators, n):
 
 def test_group_invariant_form_for_e6_is_symplectic(e6_stack):
     datum, rep = e6_stack.datum, e6_stack.rep
-    gens = [rep.mats[datum.root_class_bits(i)] for i in datum.simple]
+    gens = [rep.mats[datum.root_classes[i]] for i in datum.simple]
     sols = _invariant_group_forms(rep, gens, rep.dim_w)
     assert len(sols) == 1
     n = rep.dim_w

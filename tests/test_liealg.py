@@ -20,8 +20,8 @@ from rootcover.cmd_pipeline import build_pipeline
 from rootcover.f2 import parity
 from rootcover.gaussian import MonoMat, add_terms, sparse_rank
 from rootcover.liealg import (IntegralLieAlgebra, LieError, RMap, build_lie,
-                              build_theta, fixed_subalgebra, identify_fixed,
-                              killing_form, verify_R, verify_jacobi)
+                              fixed_subalgebra, identify_fixed, killing_form,
+                              verify_R, verify_jacobi)
 
 # -- models that the tests check liealg against -----------------------------
 
@@ -138,15 +138,10 @@ def test_structure_constants_are_small(e7_stack):
             assert values <= {-1, 1}
 
 
-def _jacobi(L):
-    """Exhaustive Jacobi on L, mirrored through the involution verified on L."""
-    return verify_jacobi(L, theta=build_theta(L))
-
-
 def test_jacobi_small_types_exhaustive():
     for name in ("A2", "A3", "D4"):
         L = _lie(name)
-        report = _jacobi(L)
+        report = verify_jacobi(L)
         assert report.ok
         n = L.dim
         assert report.covered_ordered == n ** 3
@@ -154,11 +149,11 @@ def test_jacobi_small_types_exhaustive():
 
 
 def test_jacobi_evaluates_the_weight_live_triples(e7_stack):
-    report7 = verify_jacobi(e7_stack.lie, theta=e7_stack.theta)
+    report7 = verify_jacobi(e7_stack.lie)
     assert report7.ok and (report7.evaluated, report7.mirrored) == (28553, 27405)
     assert report7.live == 55958
     assert report7.zero_by_grading == 383306 - 55958
-    report8 = _jacobi(_lie("E8"))
+    report8 = verify_jacobi(_lie("E8"))
     assert report8.ok and (report8.evaluated, report8.mirrored) == (138496, 135240)
     assert report8.live == 273736
     assert report8.checked_unordered == 2511496
@@ -226,7 +221,7 @@ def test_graded_scan_skips_only_zero_jacobi_sums(name, monkeypatch):
         return real(flat, n, i, j, k)
 
     monkeypatch.setattr(liealg, "_jacobi_fails", recording)
-    report = _jacobi(L)
+    report = verify_jacobi(L)
     assert report.ok and report.evaluated == len(upper)
     assert report.evaluated + report.mirrored == report.live == len(live)
     assert seen == [t for t in upper if _weight_zero(L, *t)]
@@ -241,7 +236,7 @@ def _theta_mutation(L, key, entries):
     """A copy of L with table[key] set to ``entries`` and the entry at its
     image under the involution theta to s_i s_j theta(entries), so that theta
     stays an automorphism."""
-    image = [build_theta(L).apply_basis(i) for i in range(L.dim)]
+    image = [L.theta_image(i) for i in range(L.dim)]
     (ti, si), (tj, sj) = image[key[0]], image[key[1]]
     mirrored = tuple(sorted((image[k][0], si * sj * image[k][1] * c)
                             for k, c in entries))
@@ -273,19 +268,7 @@ def test_graded_scan_finds_every_failing_triple(name, part):
     key = _root_root_key(L) if part == "root-root" else min(upper_table(L))
     bad = _flip(L, key)
     brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
-    assert brute and _jacobi(bad).failures == brute
-
-
-def test_jacobi_refuses_an_involution_verified_on_another_table():
-    # theta is verified on L; mirroring the failures of a mutated copy
-    # through it would rest on an unchecked premise
-    L = _lie("A2")
-    theta = build_theta(L)
-    bad = _flip(L, _root_root_key(L))
-    for sample in (None, 100):
-        with pytest.raises(LieError, match="not verified on this bracket table"):
-            verify_jacobi(bad, theta=theta, sample=sample)
-    assert verify_jacobi(L, theta=theta).ok
+    assert brute and verify_jacobi(bad).failures == brute
 
 
 @pytest.mark.parametrize("key, count", [((8, 135), 226), ((3, 34), 282)])
@@ -293,7 +276,7 @@ def test_scalar_path_agrees_with_the_general_kernel_on_e8(key, count):
     # a root-root entry and a Cartan-root one: the Cartan triples, and those
     # with an opposite pair, take the scalar path unless their weight is 0
     bad = _flip(_lie("E8"), key)
-    full = _jacobi(bad)
+    full = verify_jacobi(bad)
     assert (full.evaluated, full.mirrored) == (138496, 135240)
     assert len(full.failures) == count
     assert full.failures == _general_reference(bad)
@@ -309,9 +292,9 @@ def test_scalar_path_reads_a_graded_entry_of_any_shape(entry):
     key = _root_root_key(L)
     (k, c), = upper_table(L)[key]
     bad = _theta_mutation(L, key, entry(k, c))
-    report = _jacobi(bad)
+    report = verify_jacobi(bad)
     counts = (report.evaluated, report.mirrored)
-    assert counts == (_jacobi(L).evaluated, _jacobi(L).mirrored) == (624, 540)
+    assert counts == (verify_jacobi(L).evaluated, verify_jacobi(L).mirrored) == (624, 540)
     brute = [t for t in combinations(range(bad.dim), 3) if _jacobi_sum(bad, *t)]
     assert brute and report.failures == brute == _general_reference(bad)
 
@@ -320,7 +303,7 @@ def test_bracket_basis_is_antisymmetric():
     # the lattice algebra and the fixed subalgebra share one constructor: the
     # derived table lists the upper triangle in (i, j) order and rebuilds flat
     L = _lie("D4")
-    for alg in (L, fixed_subalgebra(L, build_theta(L))):
+    for alg in (L, fixed_subalgebra(L)):
         n, table = alg.dim, upper_table(alg)
         assert list(table) == sorted(table) and all(i < j for i, j in table)
         assert liealg.SparseLieAlgebra(n, table).flat == alg.flat
@@ -341,17 +324,38 @@ def test_ungraded_table_is_rejected(name):
     assert any(_jacobi_sum(bad, *t) for t in combinations(range(bad.dim), 3)
                if not _weight_live(bad, *t))
     with pytest.raises(LieError, match="not weight graded"):
-        _jacobi(bad)
+        verify_jacobi(bad)
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("cycle", "involution does not square to the identity"),
+    ("fixed", "involution trace is not -rank")])
+def test_construction_checks_theta_on_every_table(broken, message):
+    # no IntegralLieAlgebra exists whose theta is unchecked, hand-built ones
+    # included: theta comes from the datum's negation, so a negation that is
+    # no involution, or one that fixes a root pair, is refused at once
+    L = _lie("A2")
+    neg = list(L.datum.negation)
+    a, b = L.datum.positive[:2]
+    if broken == "cycle":
+        neg[a] = neg[b]
+    else:
+        na = neg[a]
+        neg[a], neg[na] = a, na
+    datum = copy.copy(L.datum)
+    datum.negation = tuple(neg)
+    with pytest.raises(LieError, match=message):
+        IntegralLieAlgebra(datum, L.cocycle, upper_table(L))
+    assert IntegralLieAlgebra(L.datum, L.cocycle, upper_table(L)).flat == L.flat
 
 
 def test_ungraded_table_fails_every_check_that_needs_the_grading():
     bad = _ungraded(_lie("A2"))
-    theta = build_theta(bad)
     # both depths check the grading, and nothing is remembered: each call
     # scans and raises again
     for sample in (None, 100, None, 100):
         with pytest.raises(LieError, match="not weight graded"):
-            verify_jacobi(bad, theta=theta, sample=sample)
+            verify_jacobi(bad, sample=sample)
 
 
 def _ungraded(L):
@@ -363,7 +367,7 @@ def _ungraded(L):
 
 
 def test_jacobi_sampled_mode(e6_stack):
-    report = verify_jacobi(e6_stack.lie, theta=e6_stack.theta, sample=5000, seed=7)
+    report = verify_jacobi(e6_stack.lie, sample=5000, seed=7)
     assert report.ok and report.sampled
     assert report.checked_unordered == 5000 and report.mirrored == 0
     # the live draws are evaluated, the others are zero by the checked grading
@@ -416,7 +420,7 @@ def test_sampled_scan_evaluates_the_live_reference_triples(kind, monkeypatch):
             return real(flat, coef, packed, i, j, ks, failures)
 
         monkeypatch.setattr(liealg, "_pair_failures", spy)
-        report = verify_jacobi(L, theta=pipe.theta, sample=count, seed=seed)
+        report = verify_jacobi(L, sample=count, seed=seed)
         monkeypatch.undo()
         live = [t for t in reference if _weight_live(L, *t)]
         assert report.ok and seen == live
@@ -452,7 +456,7 @@ def test_sampled_triples_are_determined_by_the_seed(e6_stack):
     assert all(0 <= i < j < k < 248 for i, j, k in first)
     # a broken table's sampled witnesses are the failing drawn triples
     bad = _flip(e6_stack.lie, _root_root_key(e6_stack.lie))
-    report = verify_jacobi(bad, theta=build_theta(bad), sample=20000, seed=3)
+    report = verify_jacobi(bad, sample=20000, seed=3)
     drawn = list(reference_random_triples(bad.dim, 20000, 3))
     assert report.failures == [t for t in drawn if _jacobi_sum(bad, *t)]
     assert report.failures
@@ -471,22 +475,22 @@ def test_r_map_refuses_a_representation_of_another_cover(a2_stack, e6_stack):
 
 
 def test_theta_traces_and_action(a2_stack, e6_stack, e7_stack):
-    assert a2_stack.theta.trace() == -2
-    assert e6_stack.theta.trace() == -6
-    assert e7_stack.theta.trace() == -7
+    assert a2_stack.lie.theta_trace() == -2
+    assert e6_stack.lie.theta_trace() == -6
+    assert e7_stack.lie.theta_trace() == -7
     # canonical lifts give X_gamma -> X_{-gamma} with sign +1
     L = e6_stack.lie
     for ri in range(len(L.datum.roots)):
-        j, s = e6_stack.theta.apply_basis(basis_of_root(L, ri))
+        j, s = L.theta_image(basis_of_root(L, ri))
         assert j == basis_of_root(L, L.datum.negation[ri])
         assert s == 1
 
 
 def test_theta_eigenspace_dimensions(e6_stack, e7_stack):
-    # theta squares to the identity (build_theta checks it), so the +-1
-    # eigenspaces have dimensions (dim +- trace) / 2
+    # theta squares to the identity (the algebra checks it when built), so
+    # the +-1 eigenspaces have dimensions (dim +- trace) / 2
     for stack, dims in ((e6_stack, (36, 42)), (e7_stack, (63, 70))):
-        dim, trace = stack.lie.dim, stack.theta.trace()
+        dim, trace = stack.lie.dim, stack.lie.theta_trace()
         assert ((dim + trace) // 2, (dim - trace) // 2) == dims
 
 
@@ -503,8 +507,7 @@ def test_fixed_table_matches_the_ambient_brackets(name):
     # full in L, with the reference's own checks that the bracket has no
     # Cartan component and is fixed by theta
     L = _lie(name)
-    theta = build_theta(L)
-    assert upper_table(fixed_subalgebra(L, theta)) == reference_fixed_table(L, theta)
+    assert upper_table(fixed_subalgebra(L)) == reference_fixed_table(L)
 
 
 @pytest.mark.parametrize("name", ["D4", "E6"])
@@ -513,10 +516,10 @@ def test_theta_twisted_by_a_character_is_an_automorphism(name):
     # sign -1 on the roots where f is 1: the automorphism check keeps its
     # signs for such maps, and for the Cartan part of theta itself
     L = _lie(name)
-    nc, neg, bits = L.n_cartan, L.datum.negation, L.datum.root_class_bits
+    nc, neg, bits = L.n_cartan, L.datum.negation, L.datum.root_classes
     for f in (0b1, 0b101):
         image = [(i, -1) for i in range(nc)] + [
-            (nc + neg[ri], -1 if parity(f & bits(ri)) else 1)
+            (nc + neg[ri], -1 if parity(f & bits[ri]) else 1)
             for ri in range(len(neg))]
         assert liealg._automorphism_failures(L, image) == []
 
@@ -530,20 +533,7 @@ def test_fixed_table_drops_a_cartan_part_of_a_root_bracket():
     a, b = L.datum.positive[:2]
     key = tuple(sorted((nc + a, nc + neg[b])))
     bad = _theta_mutation(L, key, ((0, 1),))
-    theta = build_theta(bad)
-    assert upper_table(fixed_subalgebra(bad, theta)) == reference_fixed_table(bad, theta)
-
-
-def test_fixed_subalgebra_refuses_an_involution_verified_on_another_table():
-    # the closed form rests on theta being an automorphism of L.flat: an
-    # involution verified on another table, even an equal one, is refused
-    L = _lie("A2")
-    theta = build_theta(L)
-    for other in (_flip(L, _root_root_key(L)),
-                  IntegralLieAlgebra(L.datum, L.cocycle, upper_table(L))):
-        with pytest.raises(LieError, match="not verified on this bracket table"):
-            fixed_subalgebra(other, theta)
-    assert fixed_subalgebra(L, theta).dim == 3
+    assert upper_table(fixed_subalgebra(bad)) == reference_fixed_table(bad)
 
 
 def test_killing_forms_nondegenerate_with_known_ratio(e7_stack):
@@ -597,7 +587,7 @@ def test_killing_forms_match_dense_traces(name):
     assert kf == dense
     assert intmat.bareiss_det(kf) == _unsplit_det(dense)
     # the fixed subalgebra, through the same kernel
-    fixed = fixed_subalgebra(L, build_theta(L))
+    fixed = fixed_subalgebra(L)
     gk = killing_form(fixed)
     assert gk == _dense_killing(fixed)
     assert intmat.bareiss_det(gk) == _unsplit_det(gk)
@@ -695,7 +685,7 @@ def test_build_r_is_half_the_root_lift_image(e6_stack, e7_stack):
         datum = stack.datum
         assert len(rmap.mats) == len(stack.fixed.pos) == len(datum.roots) // 2
         for ri, m in zip(stack.fixed.pos, rmap.mats):
-            assert m == stack.rep.mats[datum.root_class_bits(ri)]
+            assert m == stack.rep.mats[datum.root_classes[ri]]
 
 
 def test_r_scaling_identity(e6_stack):
@@ -847,11 +837,11 @@ def test_character_adjoint_action(e6_stack):
     # X_gamma -> (-1)^{f(gamma)} X_gamma, identity on the Cartan part, is an
     # automorphism commuting with theta: the adjoint action of the 2-torsion
     # point dual to f
-    L, theta = e6_stack.lie, e6_stack.theta
+    L = e6_stack.lie
     for f in (0, 0b1, 0b101010, 0b111111):
         image = _character_image(L, f)
         assert liealg._automorphism_failures(L, image) == []
-        assert all(image[theta.apply_basis(i)[0]][1] == s for i, s in image)
+        assert all(image[L.theta_image(i)[0]][1] == s for i, s in image)
 
 
 def _signed_map_failures(alg, image):
@@ -866,7 +856,6 @@ def _signed_map_failures(alg, image):
 @pytest.mark.parametrize("mutation", ["sign", "moved", "added"])
 def test_automorphism_checks_report_every_failing_pair_in_order(mutation):
     L = _lie("D4")
-    theta = build_theta(L)
     nc, neg = L.n_cartan, L.datum.negation
     table = upper_table(L)
     if mutation == "sign":  # [x_a, x_b] negated: theta fails, characters hold
@@ -880,15 +869,17 @@ def test_automorphism_checks_report_every_failing_pair_in_order(mutation):
         key = next((i, j) for i in range(nc, L.dim) for j in range(i + 1, L.dim)
                    if (i, j) not in table and neg[i - nc] != j - nc)
         entry = ((0, 1),)
-    bad = IntegralLieAlgebra(L.datum, L.cocycle, {**table, key: entry})
-    image = [theta.apply_basis(i) for i in range(L.dim)]
+    # the mutated table as a bare algebra: as an IntegralLieAlgebra it fails
+    # to construct, on the first failing pair
+    bad = liealg.SparseLieAlgebra(L.dim, {**table, key: entry})
+    image = [L.theta_image(i) for i in range(L.dim)]
     brute = _signed_map_failures(bad, image)
     assert brute and liealg._automorphism_failures(bad, image) == brute
     with pytest.raises(LieError, match=re.escape(f"automorphism check at {brute[0]}")):
-        build_theta(bad)
+        IntegralLieAlgebra(L.datum, L.cocycle, {**table, key: entry})
     caught = 0
     for f in range(16):
-        image = _character_image(bad, f)
+        image = _character_image(L, f)
         failures = liealg._automorphism_failures(bad, image)
         assert failures == _signed_map_failures(bad, image)
         caught += bool(failures)
@@ -898,8 +889,8 @@ def test_automorphism_checks_report_every_failing_pair_in_order(mutation):
 def _character_image(L, f):
     """The character f as a signed basis map: X_gamma -> -X_gamma exactly
     when f(gamma) = 1."""
-    nc, bits = L.n_cartan, L.datum.root_class_bits
-    return [(i, -1 if i >= nc and parity(f & bits(i - nc)) else 1)
+    nc, bits = L.n_cartan, L.datum.root_classes
+    return [(i, -1 if i >= nc and parity(f & bits[i - nc]) else 1)
             for i in range(L.dim)]
 
 

@@ -65,15 +65,13 @@ def main() -> int:
            "machine": platform.machine(), "samples": SAMPLES, "seed": SEED,
            "repeat": REPEAT, "types": {}}
     for kind in ("E7", "E8"):
-        pipe = build_pipeline(kind)
-        lie, theta = pipe.lie, pipe.theta
-        sampled = liealg.verify_jacobi(lie, theta=theta, sample=SAMPLES, seed=SEED)
+        lie = build_pipeline(kind).lie
+        sampled = liealg.verify_jacobi(lie, sample=SAMPLES, seed=SEED)
         row["types"][kind] = {
             "draw_s": _median_s(lambda: _consume_draws(lie.dim)),
             "sampled_s": _median_s(lambda: liealg.verify_jacobi(
-                lie, theta=theta, sample=SAMPLES, seed=SEED)),
-            "exhaustive_s": _median_s(lambda: liealg.verify_jacobi(
-                lie, theta=theta)),
+                lie, sample=SAMPLES, seed=SEED)),
+            "exhaustive_s": _median_s(lambda: liealg.verify_jacobi(lie)),
             "sampled_evaluated": sampled.evaluated,
         }
         print(kind, json.dumps(row["types"][kind]), file=sys.stderr)
